@@ -13,6 +13,7 @@
 use dcm_compiler::Device;
 use dcm_core::metrics::MetricsMode;
 use dcm_core::par::par_map;
+use dcm_core::trace::SpanKind;
 use dcm_vllm::attention::PagedBackend;
 use dcm_vllm::cluster::{Cluster, ClusterReport, FabricConfig, RoutingPolicy};
 use dcm_vllm::dataset::{ArrivalProcess, SyntheticDataset};
@@ -202,6 +203,37 @@ fn histogram_metrics_cluster_preserves_counts() {
     assert!(both.serving.mean_ttft_s.is_finite());
     assert!(both.serving.p99_ttft_s.is_finite());
     assert!(both.serving.p99_tpot_s.is_finite());
+}
+
+/// Cluster fast-forward must actually engage: with round-robin routing
+/// and arrivals in waves of one full cluster batch, every replica's
+/// decode plateaus are steady, so the traced run records at least 100×
+/// fewer decode spans than exact stepping. Counts, not wall time, so the
+/// floor holds on any host.
+#[test]
+fn cluster_ff_collapses_wave_aligned_decode_plateaus() {
+    const REPLICAS: usize = 4;
+    let wave = REPLICAS * 8;
+    let mut reqs = SyntheticDataset::fixed(2 * wave, 128, 1024);
+    for (i, r) in reqs.iter_mut().enumerate() {
+        r.arrival_s = if i < wave { 0.0 } else { 4.0 };
+    }
+    let run = |fast_forward: bool| {
+        cluster(REPLICAS, RoutingPolicy::RoundRobin, fast_forward)
+            .run_traced(&reqs)
+            .unwrap()
+    };
+    let (exact, exact_trace) = run(false);
+    let (ff, ff_trace) = run(true);
+    assert_counts_equal(&ff, &exact);
+    let (exact_steps, ff_steps) = (
+        exact_trace.count_of(SpanKind::Decode),
+        ff_trace.count_of(SpanKind::Decode),
+    );
+    assert!(
+        ff_steps * 100 <= exact_steps,
+        "fast-forward took {ff_steps} decode spans vs {exact_steps} exact"
+    );
 }
 
 /// Cluster runs (both modes) are pure functions of their inputs:

@@ -9,6 +9,7 @@
 //! `golden_serving.rs`; fast-forward is opt-in and never touches them.)
 
 use dcm_compiler::Device;
+use dcm_core::trace::SpanKind;
 use dcm_vllm::attention::PagedBackend;
 use dcm_vllm::cluster::{Cluster, RoutingPolicy};
 use dcm_vllm::dataset::{ArrivalProcess, Request, SyntheticDataset};
@@ -140,6 +141,27 @@ fn seeded_fault_cluster_counts_are_identical() {
     assert_eq!(
         exact.serving.total_output_tokens - exact.serving.lost_tokens,
         expected_tokens
+    );
+}
+
+/// Fast-forward must actually engage: on one wave of fixed-shape
+/// generations the whole decode plateau is steady, so the traced run
+/// records at least 100× fewer decode spans (one per exact step, one per
+/// fast-forward stretch) than exact stepping. Counts, not wall time, so
+/// the floor holds on any host.
+#[test]
+fn fast_forward_collapses_a_steady_decode_plateau() {
+    let reqs = SyntheticDataset::fixed(8, 128, 1024);
+    let (exact, exact_trace) = engine(8, None, false).run_traced(&reqs).unwrap();
+    let (ff, ff_trace) = engine(8, None, true).run_traced(&reqs).unwrap();
+    assert_eq!(ff.total_output_tokens, exact.total_output_tokens);
+    let (exact_steps, ff_steps) = (
+        exact_trace.count_of(SpanKind::Decode),
+        ff_trace.count_of(SpanKind::Decode),
+    );
+    assert!(
+        ff_steps * 100 <= exact_steps,
+        "fast-forward took {ff_steps} decode spans vs {exact_steps} exact"
     );
 }
 
