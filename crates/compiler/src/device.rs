@@ -3,6 +3,7 @@
 
 use crate::ir::{EwKind, Graph, Op};
 use crate::passes::{compile, CompileOptions, CompiledGraph, Scheduled};
+use dcm_core::cast::{u64_to_f64, usize_to_f64, usize_to_u64};
 use dcm_core::cost::{ExecStats, OpCost};
 use dcm_core::energy::{Activity, PowerModel};
 use dcm_core::specs::DeviceSpec;
@@ -308,12 +309,12 @@ impl Device {
     /// Price a batched GEMM executed as dot products on the vector engine:
     /// streaming-memory-bound with FMA-rate compute.
     fn batched_vector_gemm(&self, batch: usize, shape: GemmShape, dtype: DType) -> OpCost {
-        let flops = shape.flops() * batch as f64;
-        let bytes = shape.ideal_bytes(dtype) * batch as u64;
+        let flops = shape.flops() * usize_to_f64(batch);
+        let bytes = shape.ideal_bytes(dtype) * usize_to_u64(batch);
         OpCost {
             engine: dcm_core::cost::Engine::Vector,
             compute_s: flops / self.spec.vector_peak_flops(dtype),
-            memory_s: bytes as f64 / self.spec.memory.stream_bandwidth(),
+            memory_s: u64_to_f64(bytes) / self.spec.memory.stream_bandwidth(),
             flops,
             bus_bytes: bytes,
             useful_bytes: bytes,

@@ -1,6 +1,7 @@
 //! Operator IR: the lowered form of a model that the graph compiler
 //! schedules and the device models price.
 
+use dcm_core::cast::usize_to_f64;
 use dcm_core::DType;
 use dcm_mme::GemmShape;
 use serde::{Deserialize, Serialize};
@@ -253,7 +254,7 @@ impl Graph {
             .iter()
             .map(|op| match op {
                 Op::Gemm { shape, .. } => shape.flops(),
-                Op::BatchedGemm { batch, shape, .. } => shape.flops() * *batch as f64,
+                Op::BatchedGemm { batch, shape, .. } => shape.flops() * usize_to_f64(*batch),
                 _ => 0.0,
             })
             .sum()

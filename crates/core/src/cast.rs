@@ -1,4 +1,4 @@
-//! Checked float↔integer conversions for simulation code.
+//! Checked numeric conversions for simulation code.
 //!
 //! Rust's `as` casts between floats and integers are silent: `f64 as
 //! usize` truncates toward zero and saturates, `usize as f64` rounds
@@ -8,14 +8,30 @@
 //! a bigger workload (`dcm-lint` rule `C1` polices the raw casts).
 //!
 //! These helpers make the intended contract explicit and `debug_assert`
-//! it: counts stay below 2^53 (exactly representable in `f64`), float
-//! indices are finite, non-negative, and integral. Release builds
-//! compile to the plain cast — the helpers are free where it matters
-//! and loud where it doesn't.
+//! it: counts stay below 2^53 (exactly representable in `f64`; 2^24 for
+//! `f32`), float indices are finite, non-negative, and integral. Release
+//! builds compile to the plain cast — the helpers are free where it
+//! matters and loud where it doesn't. A caller that truncates a float on
+//! purpose says so with `.floor()` before [`f64_to_usize`]/[`f64_to_u64`].
 
 /// Largest integer such that it and all smaller non-negative integers
 /// are exactly representable in `f64` (2^53).
 pub const F64_EXACT_INT_MAX: u64 = 1 << 53;
+
+/// The `f32` counterpart of [`F64_EXACT_INT_MAX`] (2^24).
+const F32_EXACT_INT_MAX: u64 = 1 << 24;
+
+// `usize` is at most 64 bits wide on every target, which is what makes
+// `usize_to_u64` lossless.
+const _: () = assert!(usize::BITS <= u64::BITS);
+
+/// Widen a count to `u64`. Lossless: `usize` is at most 64 bits wide.
+#[must_use]
+#[inline]
+pub fn usize_to_u64(n: usize) -> u64 {
+    // dcm-lint: allow(C1) lossless widening, asserted at compile time above
+    n as u64
+}
 
 /// Convert a count to `f64` exactly.
 ///
@@ -26,12 +42,24 @@ pub const F64_EXACT_INT_MAX: u64 = 1 << 53;
 #[inline]
 pub fn usize_to_f64(n: usize) -> f64 {
     debug_assert!(
-        // dcm-lint: allow(C1) usize→u64 is lossless on 64-bit targets
-        (n as u64) <= F64_EXACT_INT_MAX,
+        usize_to_u64(n) <= F64_EXACT_INT_MAX,
         "usize_to_f64({n}): not exactly representable in f64"
     );
     // dcm-lint: allow(C1) the checked conversion the helper exists to wrap
     n as f64
+}
+
+/// Convert a count or index to `f32` exactly (below 2^24). See
+/// [`usize_to_f64`].
+#[must_use]
+#[inline]
+pub fn usize_to_f32(n: usize) -> f32 {
+    debug_assert!(
+        usize_to_u64(n) <= F32_EXACT_INT_MAX,
+        "usize_to_f32({n}): not exactly representable in f32"
+    );
+    // dcm-lint: allow(C1) the checked conversion the helper exists to wrap
+    n as f32
 }
 
 /// Convert a count to `f64` exactly. See [`usize_to_f64`].
@@ -96,6 +124,10 @@ mod tests {
         for n in [0u64, 1, 1 << 40, 1 << 53] {
             assert_eq!(f64_to_u64(u64_to_f64(n)), n);
         }
+        for n in [0usize, 3, 1 << 24] {
+            assert_eq!(f64_to_usize(f64::from(usize_to_f32(n))), n);
+            assert_eq!(usize_to_u64(n), n as u64);
+        }
     }
 
     #[test]
@@ -124,5 +156,12 @@ mod tests {
     #[cfg(debug_assertions)]
     fn oversized_count_panics_in_debug() {
         let _ = u64_to_f64((1 << 53) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not exactly representable in f32")]
+    #[cfg(debug_assertions)]
+    fn oversized_f32_count_panics_in_debug() {
+        let _ = usize_to_f32((1 << 24) + 1);
     }
 }

@@ -7,6 +7,7 @@
 //! [`ExecStats`] aggregates costs over a whole run and derives the
 //! utilization metrics the paper plots.
 
+use crate::cast::{f64_to_u64, u64_to_f64, usize_to_f64};
 use crate::specs::DeviceSpec;
 use crate::DType;
 use serde::{Deserialize, Serialize};
@@ -99,7 +100,7 @@ impl OpCost {
     pub fn achieved_useful_bandwidth(&self) -> f64 {
         let t = self.time();
         if t > 0.0 {
-            self.useful_bytes as f64 / t
+            u64_to_f64(self.useful_bytes) / t
         } else {
             0.0
         }
@@ -115,7 +116,7 @@ impl OpCost {
     #[must_use]
     pub fn operational_intensity(&self) -> f64 {
         if self.useful_bytes > 0 {
-            self.flops / self.useful_bytes as f64
+            self.flops / u64_to_f64(self.useful_bytes)
         } else {
             f64::INFINITY
         }
@@ -124,14 +125,14 @@ impl OpCost {
     /// Scale the cost for `n` back-to-back executions of the same operator.
     #[must_use]
     pub fn repeat(&self, n: usize) -> Self {
-        let n = n as f64;
+        let n = usize_to_f64(n);
         OpCost {
             engine: self.engine,
             compute_s: self.compute_s * n,
             memory_s: self.memory_s * n,
             flops: self.flops * n,
-            bus_bytes: (self.bus_bytes as f64 * n) as u64,
-            useful_bytes: (self.useful_bytes as f64 * n) as u64,
+            bus_bytes: f64_to_u64((u64_to_f64(self.bus_bytes) * n).floor()),
+            useful_bytes: f64_to_u64((u64_to_f64(self.useful_bytes) * n).floor()),
         }
     }
 }
@@ -201,8 +202,8 @@ impl ExecStats {
         ExecStats {
             time_s: self.time_s * n,
             flops: self.flops * n,
-            bus_bytes: (self.bus_bytes as f64 * n) as u64,
-            useful_bytes: (self.useful_bytes as f64 * n) as u64,
+            bus_bytes: f64_to_u64((u64_to_f64(self.bus_bytes) * n).floor()),
+            useful_bytes: f64_to_u64((u64_to_f64(self.useful_bytes) * n).floor()),
             matrix_busy_s: self.matrix_busy_s * n,
             vector_busy_s: self.vector_busy_s * n,
             memory_busy_s: self.memory_busy_s * n,
@@ -250,7 +251,7 @@ impl ExecStats {
     #[must_use]
     pub fn bandwidth_utilization(&self, spec: &DeviceSpec) -> f64 {
         if self.time_s > 0.0 {
-            (self.useful_bytes as f64 / self.time_s) / spec.hbm_bandwidth()
+            (u64_to_f64(self.useful_bytes) / self.time_s) / spec.hbm_bandwidth()
         } else {
             0.0
         }

@@ -14,6 +14,7 @@
 //!   Fig. 7(a) caption). The model therefore scales MME dynamic power by the
 //!   fraction of the MAC array that is powered when `power_gating` is set.
 
+use crate::cast::usize_to_f64;
 use crate::cost::ExecStats;
 use crate::specs::DeviceSpec;
 use serde::{Deserialize, Serialize};
@@ -199,7 +200,7 @@ impl PowerTrace {
         if self.samples.is_empty() {
             return 0.0;
         }
-        self.samples.iter().map(|(_, w)| w).sum::<f64>() / self.samples.len() as f64
+        self.samples.iter().map(|(_, w)| w).sum::<f64>() / usize_to_f64(self.samples.len())
     }
 
     /// Peak sampled power in watts.

@@ -6,6 +6,7 @@
 //! [`Table`] render the same data as aligned ASCII so `cargo run -p
 //! dcm-bench --bin figXX_*` reproduces each artifact on stdout.
 
+use crate::cast::usize_to_f64;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -15,7 +16,7 @@ pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
+        xs.iter().sum::<f64>() / usize_to_f64(xs.len())
     }
 }
 
@@ -35,7 +36,7 @@ pub fn geomean(xs: &[f64]) -> f64 {
             x.ln()
         })
         .sum();
-    (log_sum / xs.len() as f64).exp()
+    (log_sum / usize_to_f64(xs.len())).exp()
 }
 
 /// Maximum value. Returns 0 only for an empty slice; negative data is
@@ -486,16 +487,17 @@ impl LatencyRecorder {
                     .collect(),
             ),
         };
-        let width = ((hi - lo) / bins as f64).max(f64::MIN_POSITIVE);
+        let width = ((hi - lo) / usize_to_f64(bins)).max(f64::MIN_POSITIVE);
         let mut counts = vec![0usize; bins];
         for &(s, c) in &points {
+            // dcm-lint: allow(C1) truncating is the binning; NaN (from an infinite sample) saturates to bin 0
             let idx = (((s - lo) / width) as usize).min(bins - 1);
             counts[idx] += c;
         }
         counts
             .into_iter()
             .enumerate()
-            .map(|(i, c)| (lo + i as f64 * width, c))
+            .map(|(i, c)| (lo + usize_to_f64(i) * width, c))
             .collect()
     }
 }

@@ -4,6 +4,7 @@
 //! synthetic datasets) flow through seeded generators so every figure
 //! regenerates bit-identically.
 
+use crate::cast::{f64_to_usize, usize_to_f64};
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,11 +57,11 @@ pub fn powerlaw_indices<R: Rng + ?Sized>(
         .map(|_| {
             let u: f64 = rng.gen_range(0.0..1.0);
             let x = if (one_minus).abs() < 1e-9 {
-                (max as f64).powf(u)
+                usize_to_f64(max).powf(u)
             } else {
-                ((max as f64).powf(one_minus) * u + (1.0 - u)).powf(1.0 / one_minus)
+                (usize_to_f64(max).powf(one_minus) * u + (1.0 - u)).powf(1.0 / one_minus)
             };
-            (x as usize).clamp(1, max) - 1
+            f64_to_usize(x.floor()).clamp(1, max) - 1
         })
         .collect()
 }

@@ -5,6 +5,7 @@
 //! achieved TFLOPS of real GEMM executions against this envelope for both
 //! devices.
 
+use crate::cast::usize_to_f64;
 use crate::dtype::DType;
 use crate::specs::DeviceSpec;
 use serde::{Deserialize, Serialize};
@@ -130,8 +131,8 @@ impl Roofline {
 /// (the best case a graph compiler can arrange for a single GEMM).
 #[must_use]
 pub fn gemm_intensity(m: usize, k: usize, n: usize, elem_bytes: usize) -> f64 {
-    let flops = 2.0 * m as f64 * k as f64 * n as f64;
-    let bytes = ((m * k + k * n + m * n) * elem_bytes) as f64;
+    let flops = 2.0 * usize_to_f64(m) * usize_to_f64(k) * usize_to_f64(n);
+    let bytes = usize_to_f64((m * k + k * n + m * n) * elem_bytes);
     flops / bytes
 }
 

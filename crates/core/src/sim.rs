@@ -13,10 +13,10 @@
 //!   events can never be "equal", so a simulation driven by the queue is
 //!   deterministic by construction: the same pushes always replay in the
 //!   same order, bit for bit, regardless of queue internals.
-//! * [`HeapEventQueue`] — the original `BinaryHeap`-backed implementation,
-//!   kept as the executable reference: `tests/tests/prop_queue_diff.rs`
-//!   asserts bit-identical pop order between the two under randomized
-//!   workloads.
+//!   The original `BinaryHeap`-backed implementation survives as the
+//!   executable reference (`HeapEventQueue` in the `dcm-tests` crate):
+//!   `tests/tests/prop_queue_diff.rs` asserts bit-identical pop order
+//!   between the two under randomized workloads.
 //! * [`SimClock`] — a monotone simulated clock. It only moves forward, so
 //!   an event processed at time `t` can never observe state from the
 //!   future, and a fast-forward past an idle gap is explicit.
@@ -46,7 +46,6 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// One scheduled event, as returned by [`EventQueue::pop`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,164 +65,6 @@ fn key_cmp(a: (f64, u32, u64), b: (f64, u32, u64)) -> Ordering {
     a.0.total_cmp(&b.0)
         .then_with(|| a.1.cmp(&b.1))
         .then_with(|| a.2.cmp(&b.2))
-}
-
-/// Internal heap entry. `BinaryHeap` is a max-heap, so the `Ord` is the
-/// *reverse* of pop order.
-struct Entry<T> {
-    time: f64,
-    priority: u32,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> Entry<T> {
-    fn key(&self) -> (f64, u32, u64) {
-        (self.time, self.priority, self.seq)
-    }
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        key_cmp(self.key(), other.key()) == Ordering::Equal
-    }
-}
-
-impl<T> Eq for Entry<T> {}
-
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        key_cmp(self.key(), other.key()).reverse() // max-heap -> min pop order
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue — the executable
-/// reference implementation for [`EventQueue`].
-///
-/// Same API, same total pop order on `(time, priority, seq)`, same NaN
-/// rejection. The serving layers use the calendar-queue [`EventQueue`];
-/// this type exists so the differential suite
-/// (`tests/tests/prop_queue_diff.rs`) can replay identical push/pop
-/// sequences against both and assert bit-identical behaviour.
-#[derive(Default)]
-pub struct HeapEventQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
-    next_seq: u64,
-}
-
-impl<T> HeapEventQueue<T> {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// An empty queue pre-sized for `capacity` events.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-        }
-    }
-
-    /// Reserve room for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    /// Schedule `payload` at `time` with tie-break class `priority`.
-    /// Returns the event's insertion index.
-    ///
-    /// # Panics
-    /// Panics on a NaN time — NaN has no place in a total order.
-    pub fn push(&mut self, time: f64, priority: u32, payload: T) -> u64 {
-        assert!(!time.is_nan(), "event time must not be NaN");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry {
-            time,
-            priority,
-            seq,
-            payload,
-        });
-        seq
-    }
-
-    /// Remove and return the next event in `(time, priority, seq)` order.
-    pub fn pop(&mut self) -> Option<Event<T>> {
-        self.heap.pop().map(|e| Event {
-            time: e.time,
-            priority: e.priority,
-            seq: e.seq,
-            payload: e.payload,
-        })
-    }
-
-    /// Time of the next event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Pop the next event only if it is due at or before `horizon`
-    /// (`time <= horizon`); otherwise leave the queue untouched and
-    /// return `None`. The bulk-horizon primitive for drain loops
-    /// (`while let Some(e) = q.pop_due(t)`) — one call replaces the
-    /// peek-compare-pop dance and can never drop an event past the
-    /// horizon. A NaN `horizon` compares false and pops nothing.
-    pub fn pop_due(&mut self, horizon: f64) -> Option<Event<T>> {
-        if self.peek_time()? <= horizon {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Payload of the next event without removing it.
-    #[must_use]
-    pub fn peek(&self) -> Option<&T> {
-        self.heap.peek().map(|e| &e.payload)
-    }
-
-    /// Number of scheduled events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Remove every event, in pop order.
-    pub fn drain_ordered(&mut self) -> Vec<Event<T>> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
-        out
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for HeapEventQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapEventQueue")
-            .field("len", &self.heap.len())
-            .field("next_seq", &self.next_seq)
-            .finish()
-    }
 }
 
 /// Queue size at which the calendar first calibrates its bucket width and
@@ -281,8 +122,8 @@ struct MinLoc {
 /// * **Full-key selection.** Within the first non-empty bucket the pop
 ///   selects the minimum by the *full* `(time, priority, seq)` key, so
 ///   the result is independent of per-bucket layout — the queue is
-///   deterministic by construction and bit-identical to
-///   [`HeapEventQueue`] (pinned by `tests/tests/prop_queue_diff.rs`).
+///   deterministic by construction and bit-identical to a binary heap on
+///   the same key (pinned by `tests/tests/prop_queue_diff.rs`).
 /// * **Saturation safety.** Times whose quotient exceeds the `i64` range
 ///   (including ±∞, which the serving layers use as sentinels) saturate
 ///   into the extreme buckets. Saturation is monotone, so order is still
@@ -559,8 +400,10 @@ impl<T> EventQueue<T> {
 
     /// Pop the next event only if it is due at or before `horizon`
     /// (`time <= horizon`); otherwise leave the queue untouched and
-    /// return `None`. See [`HeapEventQueue::pop_due`] — the reference
-    /// semantics are pinned lockstep in `prop_queue_diff.rs`. The
+    /// return `None`. The bulk-horizon primitive for drain loops
+    /// (`while let Some(e) = q.pop_due(t)`) — one call replaces the
+    /// peek-compare-pop dance and can never drop an event past the
+    /// horizon. A NaN `horizon` compares false and pops nothing. The
     /// `find_min` result is memoized, so a declined pop costs one
     /// cached comparison, not a bucket scan.
     pub fn pop_due(&mut self, horizon: f64) -> Option<Event<T>> {
@@ -749,13 +592,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "NaN")]
-    fn heap_nan_time_is_rejected() {
-        let mut q = HeapEventQueue::new();
-        q.push(f64::NAN, 0, ());
-    }
-
-    #[test]
     fn negative_and_infinite_times_order_correctly() {
         // The queue itself permits any non-NaN time; layers add their own
         // range checks. The saturating bucket map handles the extremes.
@@ -766,79 +602,6 @@ mod tests {
         q.push(f64::NEG_INFINITY, 0, "-inf");
         let order: Vec<&str> = q.drain_ordered().into_iter().map(|e| e.payload).collect();
         assert_eq!(order, ["-inf", "neg", "zero", "inf"]);
-    }
-
-    #[test]
-    fn sparse_and_clustered_times_survive_rebuilds() {
-        // A bimodal distribution (dense cluster + far outliers) exercises
-        // the calibrated width, the year-lap fallback and the direct
-        // search. Verified against the reference heap.
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let times: Vec<f64> = (0..200)
-            .map(|i| {
-                if i % 7 == 0 {
-                    1.0e6 + f64::from(i)
-                } else {
-                    f64::from(i % 13) * 1e-3
-                }
-            })
-            .collect();
-        for (i, &t) in times.iter().enumerate() {
-            wheel.push(t, (i % 3) as u32, i);
-            heap.push(t, (i % 3) as u32, i);
-        }
-        let pw: Vec<(u64, usize)> = wheel
-            .drain_ordered()
-            .into_iter()
-            .map(|e| (e.time.to_bits(), e.payload))
-            .collect();
-        let ph: Vec<(u64, usize)> = heap
-            .drain_ordered()
-            .into_iter()
-            .map(|e| (e.time.to_bits(), e.payload))
-            .collect();
-        assert_eq!(pw, ph);
-    }
-
-    #[test]
-    fn heap_and_wheel_agree_on_interleaved_traffic() {
-        // Mixed pushes and pops (a serving-like pattern: drain a bit,
-        // schedule more) must stay in lockstep, including seq numbering.
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut step = 0u64;
-        for round in 0..40u64 {
-            for k in 0..5u64 {
-                step = step
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(round + k);
-                let t = ((step >> 33) % 1000) as f64 * 0.25;
-                let p = (step % 3) as u32;
-                assert_eq!(wheel.push(t, p, step), heap.push(t, p, step));
-            }
-            for _ in 0..3 {
-                let a = wheel
-                    .pop()
-                    .map(|e| (e.time.to_bits(), e.priority, e.seq, e.payload));
-                let b = heap
-                    .pop()
-                    .map(|e| (e.time.to_bits(), e.priority, e.seq, e.payload));
-                assert_eq!(a, b);
-            }
-            assert_eq!(wheel.peek_time(), heap.peek_time());
-        }
-        assert_eq!(
-            wheel
-                .drain_ordered()
-                .into_iter()
-                .map(|e| e.seq)
-                .collect::<Vec<_>>(),
-            heap.drain_ordered()
-                .into_iter()
-                .map(|e| e.seq)
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! (e.g. a hypothetical Gaudi with 32 B sectors for ablations) are built by
 //! mutating a stock spec.
 
+use crate::cast::{usize_to_f64, usize_to_u64};
 use crate::dtype::DType;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -161,7 +162,7 @@ impl MemorySpec {
             return 0;
         }
         let chunks = useful.div_ceil(self.min_access_bytes);
-        (chunks * self.min_access_bytes) as u64
+        usize_to_u64(chunks * self.min_access_bytes)
     }
 
     /// Sustained streaming bandwidth in bytes/s.
@@ -216,7 +217,11 @@ impl FabricSpec {
             FabricSpec::P2pMesh {
                 links_per_pair,
                 link_bps,
-            } => links_per_pair as f64 * link_bps * (participants.saturating_sub(1)) as f64,
+            } => {
+                usize_to_f64(links_per_pair)
+                    * link_bps
+                    * usize_to_f64(participants.saturating_sub(1))
+            }
             FabricSpec::Switched { per_device_bps } => {
                 if participants > 1 {
                     per_device_bps
@@ -328,7 +333,7 @@ impl DeviceSpec {
                 bw_saturation_cores: 13,
             },
             memory: MemorySpec {
-                hbm_capacity_bytes: 96 * (1 << 30) as u64,
+                hbm_capacity_bytes: 96u64 << 30,
                 hbm_bandwidth_bps: 2.45e12,
                 sram_bytes: 48 << 20,
                 min_access_bytes: 256,
@@ -390,7 +395,7 @@ impl DeviceSpec {
                 bw_saturation_cores: 20,
             },
             memory: MemorySpec {
-                hbm_capacity_bytes: 128 * (1 << 30) as u64,
+                hbm_capacity_bytes: 128u64 << 30,
                 hbm_bandwidth_bps: 3.7e12,
                 sram_bytes: 96 << 20,
                 min_access_bytes: 256, // same TPC architecture
@@ -451,7 +456,7 @@ impl DeviceSpec {
                 bw_saturation_cores: 20,
             },
             memory: MemorySpec {
-                hbm_capacity_bytes: 80 * (1 << 30) as u64,
+                hbm_capacity_bytes: 80u64 << 30,
                 hbm_bandwidth_bps: 2.0e12,
                 sram_bytes: 40 << 20,
                 min_access_bytes: 32, // 32 B sectored L2 [36, 50]

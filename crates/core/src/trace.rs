@@ -268,7 +268,7 @@ impl Trace {
             };
             out.push_str(&format!(
                 "{},{},{},{},{},{},{}\n",
-                s.request.map_or(-1i64, |id| id as i64),
+                s.request.map_or(-1, i128::from),
                 s.track,
                 s.start_s,
                 s.start_s + s.dur_s,

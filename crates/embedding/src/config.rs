@@ -1,5 +1,6 @@
 //! Embedding-layer configurations and lookup batches.
 
+use dcm_core::cast::usize_to_u64;
 use dcm_core::error::{DcmError, Result};
 use dcm_core::{rng, DType};
 use rand::Rng;
@@ -68,7 +69,7 @@ impl EmbeddingConfig {
     /// Useful bytes gathered for a batch across all tables.
     #[must_use]
     pub fn gathered_bytes(&self, batch: usize) -> u64 {
-        self.total_gathers(batch) as u64 * self.vector_bytes() as u64
+        usize_to_u64(self.total_gathers(batch)) * usize_to_u64(self.vector_bytes())
     }
 }
 

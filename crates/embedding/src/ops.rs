@@ -19,6 +19,7 @@
 //!   (Figure 15(a), rising line).
 
 use crate::config::{EmbeddingConfig, LookupBatch};
+use dcm_core::cast::{u64_to_f64, usize_to_f64, usize_to_u64};
 use dcm_core::cost::{Engine, OpCost};
 use dcm_core::error::{DcmError, Result};
 use dcm_core::specs::DeviceSpec;
@@ -141,31 +142,33 @@ fn lookup_cost(
     let vb = cfg.vector_bytes();
     // Memory-level parallelism: fewer concurrent gathers per core than the
     // optimized unroll factor throttles the random-access pipeline.
-    let mlp = (unroll as f64 / OPTIMIZED_UNROLL as f64).min(1.0);
+    let mlp = (usize_to_f64(unroll) / usize_to_f64(OPTIMIZED_UNROLL)).min(1.0);
     let gather = hbm.access(gathers_per_launch, vb, AccessPattern::Random);
     let per_launch_mem = gather.time_s / mlp;
     let out_write = hbm.access(batch * cfg.tables, vb, AccessPattern::Stream);
     let idx_read = hbm.access(cfg.total_gathers(batch), 4, AccessPattern::Stream);
-    let memory_s = per_launch_mem * launches as f64 + out_write.time_s + idx_read.time_s;
+    let memory_s = per_launch_mem * usize_to_f64(launches) + out_write.time_s + idx_read.time_s;
     // The pooled reduction itself: one vector add per gathered row; the
     // TPC/SM hides it under the gather latency, so it contributes compute
     // time, not memory time.
-    let adds = cfg.total_gathers(batch) as f64 * cfg.dim as f64;
-    let compute_s = launches as f64 * launch_s + adds / 3.0e12;
+    let adds = usize_to_f64(cfg.total_gathers(batch)) * usize_to_f64(cfg.dim);
+    let compute_s = usize_to_f64(launches) * launch_s + adds / 3.0e12;
     OpCost {
         engine: Engine::Vector,
         compute_s,
         memory_s,
         flops: adds,
-        bus_bytes: gather.bus_bytes * launches as u64 + out_write.bus_bytes + idx_read.bus_bytes,
-        useful_bytes: gather.useful_bytes * launches as u64
+        bus_bytes: gather.bus_bytes * usize_to_u64(launches)
+            + out_write.bus_bytes
+            + idx_read.bus_bytes,
+        useful_bytes: gather.useful_bytes * usize_to_u64(launches)
             + out_write.useful_bytes
             + idx_read.useful_bytes,
     }
 }
 
 fn utilization_of(cost: &OpCost, cfg: &EmbeddingConfig, batch: usize, peak_bps: f64) -> f64 {
-    cfg.gathered_bytes(batch) as f64 / cost.time() / peak_bps
+    u64_to_f64(cfg.gathered_bytes(batch)) / cost.time() / peak_bps
 }
 
 /// One kernel launch per table (Figure 14(a)).

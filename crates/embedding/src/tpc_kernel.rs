@@ -10,6 +10,7 @@
 //! pricing uses the analytic operators in [`crate::ops`].
 
 use crate::config::{EmbeddingConfig, LookupBatch};
+use dcm_core::cast::{f64_to_usize, usize_to_f32};
 use dcm_core::cost::OpCost;
 use dcm_core::error::{DcmError, Result};
 use dcm_core::specs::DeviceSpec;
@@ -62,8 +63,7 @@ impl TpcProgram for SingleTableTpcKernel {
                 let flat = table * per_table + sample * pooling + p + u;
                 // Indices travel in a tensor, as they do through PyTorch.
                 let idx_reg = ctx.ld_tnsr(0, flat, 1)?;
-                #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-                let row = idx_reg.data()[0] as usize;
+                let row = f64_to_usize(f64::from(idx_reg.data()[0]));
                 gathered.push(ctx.ld_tnsr(1 + table, row * dim, dim)?);
             }
             for g in &gathered {
@@ -106,8 +106,7 @@ pub fn single_table_tpc_forward(
     // Flatten indices into one f32 tensor (lossless below 2^24 rows).
     let mut flat = Vec::with_capacity(cfg.tables * lookup.batch * cfg.pooling);
     for list in &lookup.indices {
-        #[allow(clippy::cast_precision_loss)]
-        flat.extend(list.iter().map(|&i| i as f32));
+        flat.extend(list.iter().map(|&i| usize_to_f32(i)));
     }
     let idx_tensor = Tensor::from_vec([flat.len()], cfg.dtype, flat)?;
     let mut inputs: Vec<&Tensor> = vec![&idx_tensor];
@@ -156,8 +155,7 @@ impl TpcProgram for BatchedTableTpcKernel {
         // tableOffsets lookup (input 1): the base row of this table in the
         // stacked big table.
         let off_reg = ctx.ld_tnsr(1, table, 1)?;
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let base_row = off_reg.data()[0] as usize;
+        let base_row = f64_to_usize(f64::from(off_reg.data()[0]));
 
         ctx.vlm_alloc((UNROLL + 1) * dim * 4)?;
         let mut acc = VecReg::zeros(dim);
@@ -168,8 +166,7 @@ impl TpcProgram for BatchedTableTpcKernel {
             for u in 0..chunk {
                 let flat = table * per_table + sample * pooling + p + u;
                 let idx_reg = ctx.ld_tnsr(0, flat, 1)?;
-                #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-                let row = base_row + idx_reg.data()[0] as usize;
+                let row = base_row + f64_to_usize(f64::from(idx_reg.data()[0]));
                 // Input 2 is the stacked big table.
                 gathered.push(ctx.ld_tnsr(2, row * dim, dim)?);
             }
@@ -212,16 +209,14 @@ pub fn batched_table_tpc_forward(
     // Flat indices.
     let mut flat = Vec::with_capacity(cfg.tables * lookup.batch * cfg.pooling);
     for list in &lookup.indices {
-        #[allow(clippy::cast_precision_loss)]
-        flat.extend(list.iter().map(|&i| i as f32));
+        flat.extend(list.iter().map(|&i| usize_to_f32(i)));
     }
     let idx_tensor = Tensor::from_vec([flat.len()], cfg.dtype, flat)?;
     // tableOffsets and the stacked big table (Figure 14(b)).
     let mut offsets = Vec::with_capacity(cfg.tables);
     let mut stacked: Vec<f32> = Vec::new();
     for t in tables {
-        #[allow(clippy::cast_precision_loss)]
-        offsets.push((stacked.len() / cfg.dim) as f32);
+        offsets.push(usize_to_f32(stacked.len() / cfg.dim));
         stacked.extend_from_slice(t.data());
     }
     let offsets_tensor = Tensor::from_vec([cfg.tables], cfg.dtype, offsets)?;

@@ -91,8 +91,8 @@ pub struct Pragma {
     pub own_line: bool,
 }
 
-/// A fully lexed file: tokens, pragmas, and the raw source lines (the
-/// baseline keys findings by trimmed line text, and reports quote it).
+/// A fully lexed file: tokens, pragmas, and the raw source lines (reports
+/// quote the trimmed line of each finding).
 #[derive(Debug)]
 pub struct LexedFile {
     pub tokens: Vec<Token>,

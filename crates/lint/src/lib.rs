@@ -13,7 +13,7 @@
 //! | rule | hazard |
 //! |------|--------|
 //! | `D1` | `HashMap`/`HashSet` in simulation crates (iteration order)   |
-//! | `D2` | wall-clock / entropy outside the bench allowlist             |
+//! | `D2` | wall-clock / entropy outside test code                       |
 //! | `F1` | `partial_cmp` where `total_cmp` is required                  |
 //! | `F2` | bare float `==` outside tests                                |
 //! | `C1` | unjustified numeric `as` casts in simulation crates          |
@@ -22,13 +22,15 @@
 //! | `U1` | mixed unit suffixes across `+`/`-`/comparison operands       |
 //! | `A1` | allocation reachable from the per-event hot paths            |
 //!
+//! A finding is either fixed or suppressed by an inline
+//! `// dcm-lint: allow(rule-id) reason` pragma next to the code; there is
+//! no other suppression mechanism.
+//!
 //! Pure std, offline, no dependencies — the linter must not depend on
 //! anything it judges. See [`rules`] for the engine, [`lexer`] for the
 //! hand-rolled token stream it runs on, [`parser`] for the item-level
-//! AST, [`callgraph`] for D3/A1 resolution, [`baseline`] for
-//! `lint.allow`.
+//! AST, [`callgraph`] for D3/A1 resolution.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod parser;
@@ -36,7 +38,6 @@ pub mod report;
 pub mod rules;
 pub mod scan;
 
-use baseline::Baseline;
 use report::Summary;
 use rules::Finding;
 use std::fs;
@@ -46,16 +47,13 @@ use std::path::Path;
 /// Everything one lint run produced.
 #[derive(Debug)]
 pub struct Outcome {
-    /// Findings that survive pragmas and the baseline, sorted.
+    /// Findings that survive pragmas, sorted.
     pub findings: Vec<Finding>,
     pub summary: Summary,
     /// Human-readable report.
     pub text: String,
     /// Machine-readable report (`results/lint_report.json` content).
     pub json: String,
-    /// `Some(content)` when `fix_baseline` was requested: the regenerated
-    /// `lint.allow` accepting every baselinable finding of this run.
-    pub new_baseline: Option<String>,
 }
 
 impl Outcome {
@@ -68,75 +66,22 @@ impl Outcome {
 
 /// Lint the workspace rooted at `root`.
 ///
-/// Reads `root/lint.allow` if present. With `fix_baseline`, instead of
-/// failing on baselinable findings, returns the regenerated baseline
-/// accepting them (the caller writes it); `LINT` meta-diagnostics are
-/// never baselinable and still fail the run.
-///
 /// # Errors
 /// Propagates I/O errors reading the tree (an unreadable file is an
 /// error, not a silent skip — silence would fake cleanliness).
-pub fn run(root: &Path, fix_baseline: bool) -> io::Result<Outcome> {
+pub fn run(root: &Path) -> io::Result<Outcome> {
     let files = scan::workspace_files(root)?;
     let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     for rel in &files {
         sources.push((rel.clone(), fs::read_to_string(root.join(rel))?));
     }
-    let (all, stats) = rules::lint_workspace(&sources);
-
-    // LINT diagnostics bypass the baseline entirely.
-    let (meta, baselinable): (Vec<Finding>, Vec<Finding>) =
-        all.into_iter().partition(|f| f.rule == "LINT");
-
-    let mut summary = Summary {
+    let (findings, stats) = rules::lint_workspace(&sources);
+    let summary = Summary {
         files_scanned: files.len(),
+        findings: findings.len(),
         functions_indexed: stats.functions_indexed,
         call_edges: stats.call_edges,
-        ..Summary::default()
     };
-
-    if fix_baseline {
-        let new_baseline = Baseline::render(&baselinable);
-        let mut findings = meta;
-        findings.sort();
-        summary.findings = findings.len();
-        summary.baselined = baselinable.len();
-        let text = report::render_text(&findings, summary);
-        let json = report::render_json(&findings, summary);
-        return Ok(Outcome {
-            findings,
-            summary,
-            text,
-            json,
-            new_baseline: Some(new_baseline),
-        });
-    }
-
-    let baseline_path = root.join("lint.allow");
-    let (mut baseline, parse_errors) = if baseline_path.is_file() {
-        Baseline::parse(&fs::read_to_string(&baseline_path)?)
-    } else {
-        (Baseline::default(), Vec::new())
-    };
-
-    let (mut findings, baselined) = baseline.apply(baselinable);
-    findings.extend(meta);
-    for (line, text) in parse_errors {
-        findings.push(Finding {
-            path: "lint.allow".to_owned(),
-            line: u32::try_from(line).unwrap_or(u32::MAX),
-            rule: "LINT",
-            message: format!("unparseable baseline line: `{text}`"),
-            excerpt: String::new(),
-        });
-    }
-    let stale = baseline.stale();
-    summary.stale_baseline = stale.len();
-    findings.extend(stale);
-    findings.sort();
-    summary.findings = findings.len();
-    summary.baselined = baselined;
-
     let text = report::render_text(&findings, summary);
     let json = report::render_json(&findings, summary);
     Ok(Outcome {
@@ -144,6 +89,5 @@ pub fn run(root: &Path, fix_baseline: bool) -> io::Result<Outcome> {
         summary,
         text,
         json,
-        new_baseline: None,
     })
 }

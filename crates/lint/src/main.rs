@@ -1,15 +1,15 @@
 //! `dcm-lint` — the CI gate binary.
 //!
 //! ```text
-//! dcm-lint [--root DIR] [--json PATH] [--fix-baseline] [--quiet]
+//! dcm-lint [--root DIR] [--json PATH] [--quiet]
 //! dcm-lint --validate-report PATH
 //! ```
 //!
-//! Exit codes: `0` lint-clean, `1` findings (or stale baseline), `2`
-//! usage/IO error. Run from the workspace root (what `cargo run -p
-//! dcm-lint` does); `tools/ci.sh` runs it ahead of clippy so determinism
-//! hazards fail fast, then re-reads the report it wrote through
-//! `--validate-report` so schema drift fails the same run.
+//! Exit codes: `0` lint-clean, `1` findings, `2` usage/IO error. Run
+//! from the workspace root (what `cargo run -p dcm-lint` does);
+//! `tools/ci.sh` runs it ahead of clippy so determinism hazards fail
+//! fast, then re-reads the report it wrote through `--validate-report` so
+//! schema drift fails the same run.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -17,7 +17,6 @@ use std::process::ExitCode;
 struct Args {
     root: PathBuf,
     json: PathBuf,
-    fix_baseline: bool,
     quiet: bool,
     validate_report: Option<PathBuf>,
 }
@@ -26,7 +25,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         json: PathBuf::from("results/lint_report.json"),
-        fix_baseline: false,
         quiet: false,
         validate_report: None,
     };
@@ -39,7 +37,6 @@ fn parse_args() -> Result<Args, String> {
             "--json" => {
                 args.json = PathBuf::from(it.next().ok_or("--json needs a path")?);
             }
-            "--fix-baseline" => args.fix_baseline = true,
             "--quiet" | "-q" => args.quiet = true,
             "--validate-report" => {
                 args.validate_report = Some(PathBuf::from(
@@ -47,11 +44,9 @@ fn parse_args() -> Result<Args, String> {
                 ));
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: dcm-lint [--root DIR] [--json PATH] [--fix-baseline] [--quiet]\n\
+                return Err("usage: dcm-lint [--root DIR] [--json PATH] [--quiet]\n\
                      \u{20}      dcm-lint --validate-report PATH"
-                        .to_owned(),
-                );
+                    .to_owned());
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
@@ -71,7 +66,7 @@ fn validate_report(path: &PathBuf) -> ExitCode {
     };
     match dcm_lint::report::validate(&json) {
         Ok(()) => {
-            println!("dcm-lint: {} conforms to schema v2", path.display());
+            println!("dcm-lint: {} conforms to schema v3", path.display());
             ExitCode::SUCCESS
         }
         Err(msg) => {
@@ -97,28 +92,13 @@ fn main() -> ExitCode {
         return validate_report(path);
     }
 
-    let outcome = match dcm_lint::run(&args.root, args.fix_baseline) {
+    let outcome = match dcm_lint::run(&args.root) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("dcm-lint: error scanning workspace: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if let Some(content) = &outcome.new_baseline {
-        let path = args.root.join("lint.allow");
-        if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("dcm-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        if !args.quiet {
-            println!(
-                "dcm-lint: wrote {} accepting {} finding(s); review it in your diff",
-                path.display(),
-                outcome.summary.baselined
-            );
-        }
-    }
 
     // The JSON report is written even on a clean tree: downstream tooling
     // reads it unconditionally (EXPERIMENTS.md documents the schema).

@@ -16,11 +16,9 @@ use crate::rules::{Finding, RULES};
 pub struct Summary {
     pub files_scanned: usize,
     pub findings: usize,
-    pub baselined: usize,
-    pub stale_baseline: usize,
-    /// Non-test functions indexed into the call graph (schema v2).
+    /// Non-test functions indexed into the call graph (since schema v2).
     pub functions_indexed: usize,
-    /// Resolved caller→callee edges in the call graph (schema v2).
+    /// Resolved caller→callee edges in the call graph (since schema v2).
     pub call_edges: usize,
 }
 
@@ -34,21 +32,13 @@ pub fn render_text(findings: &[Finding], summary: Summary) -> String {
             "{}:{}: [{}] {}\n",
             f.path, f.line, f.rule, f.message
         ));
-        if !f.excerpt.is_empty() && f.rule != "STALE" {
+        if !f.excerpt.is_empty() {
             out.push_str(&format!("    | {}\n", f.excerpt));
         }
     }
     out.push_str(&format!(
-        "dcm-lint: {} file(s) scanned, {} finding(s), {} baselined, {} stale baseline entr{}\n",
-        summary.files_scanned,
-        summary.findings,
-        summary.baselined,
-        summary.stale_baseline,
-        if summary.stale_baseline == 1 {
-            "y"
-        } else {
-            "ies"
-        },
+        "dcm-lint: {} file(s) scanned, {} finding(s)\n",
+        summary.files_scanned, summary.findings,
     ));
     out
 }
@@ -56,7 +46,7 @@ pub fn render_text(findings: &[Finding], summary: Summary) -> String {
 /// Render the machine-readable report (`results/lint_report.json`).
 #[must_use]
 pub fn render_json(findings: &[Finding], summary: Summary) -> String {
-    let mut out = String::from("{\n  \"tool\": \"dcm-lint\",\n  \"schema_version\": 2,\n");
+    let mut out = String::from("{\n  \"tool\": \"dcm-lint\",\n  \"schema_version\": 3,\n");
     out.push_str("  \"rules\": [\n");
     for (i, r) in RULES.iter().enumerate() {
         out.push_str(&format!(
@@ -79,20 +69,15 @@ pub fn render_json(findings: &[Finding], summary: Summary) -> String {
         ));
     }
     out.push_str(&format!(
-        "  ],\n  \"summary\": {{\"files_scanned\": {}, \"findings\": {}, \"baselined\": {}, \
-         \"stale_baseline\": {}, \"functions_indexed\": {}, \"call_edges\": {}}}\n}}\n",
-        summary.files_scanned,
-        summary.findings,
-        summary.baselined,
-        summary.stale_baseline,
-        summary.functions_indexed,
-        summary.call_edges
+        "  ],\n  \"summary\": {{\"files_scanned\": {}, \"findings\": {}, \
+         \"functions_indexed\": {}, \"call_edges\": {}}}\n}}\n",
+        summary.files_scanned, summary.findings, summary.functions_indexed, summary.call_edges
     ));
     out
 }
 
 /// Validate a rendered `lint_report.json` against the schema EXPERIMENTS.md
-/// documents (v2). Returns the first violation found. Hand-rolled JSON
+/// documents (v3). Returns the first violation found. Hand-rolled JSON
 /// reader, pure std — the linter must not depend on crates it judges.
 ///
 /// # Errors
@@ -114,9 +99,9 @@ pub fn validate(json: &str) -> Result<(), String> {
         other => return Err(format!("\"tool\" must be \"dcm-lint\", got {other:?}")),
     }
     match get(top, "schema_version") {
-        // dcm-lint: allow(F2) schema versions are small exact integers; 2.0 is bit-exact in f64
-        Some(Json::Num(n)) if *n == 2.0 => {}
-        other => return Err(format!("\"schema_version\" must be 2, got {other:?}")),
+        // dcm-lint: allow(F2) schema versions are small exact integers; 3.0 is bit-exact in f64
+        Some(Json::Num(n)) if *n == 3.0 => {}
+        other => return Err(format!("\"schema_version\" must be 3, got {other:?}")),
     }
 
     let rules = get(top, "rules")
@@ -150,8 +135,7 @@ pub fn validate(json: &str) -> Result<(), String> {
             return Err(format!("findings[{i}].line must be a non-negative integer"));
         }
         if let Some(Json::Str(rule)) = get(obj, "rule") {
-            let known =
-                rule == "LINT" || rule == "STALE" || RULES.iter().any(|r| r.id == rule.as_str());
+            let known = rule == "LINT" || RULES.iter().any(|r| r.id == rule.as_str());
             if !known {
                 return Err(format!(
                     "findings[{i}].rule `{rule}` is not a known rule id"
@@ -163,12 +147,10 @@ pub fn validate(json: &str) -> Result<(), String> {
     let summary = get(top, "summary")
         .and_then(Json::as_obj)
         .ok_or("\"summary\" must be an object")?;
-    let mut counts = [0.0; 6];
+    let mut counts = [0.0; 4];
     let keys = [
         "files_scanned",
         "findings",
-        "baselined",
-        "stale_baseline",
         "functions_indexed",
         "call_edges",
     ];
@@ -470,5 +452,6 @@ mod tests {
         };
         assert_eq!(render_text(&f, sum), render_text(&f, sum));
         assert_eq!(render_json(&f, sum), render_json(&f, sum));
+        assert_eq!(validate(&render_json(&f, sum)), Ok(()));
     }
 }

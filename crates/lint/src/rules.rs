@@ -1,18 +1,12 @@
 //! The rule table and the token-stream rule engine.
 //!
-//! Every rule has a stable id, fires as a [`Finding`] with `file:line`
-//! diagnostics, and can be suppressed three ways, in order of preference:
-//!
-//! 1. fix the hazard (the default expectation);
-//! 2. an inline `// dcm-lint: allow(rule-id) reason` pragma on the same
-//!    line, or alone on the line above — for individually-reasoned
-//!    invariants;
-//! 3. a `lint.allow` baseline entry — for bulk accepted findings (the
-//!    `as`-cast audit), regenerated with `--fix-baseline` so intentional
-//!    suppressions show up in diffs.
+//! Every rule has a stable id and fires as a [`Finding`] with `file:line`
+//! diagnostics. A finding is fixed, or suppressed by an inline
+//! `// dcm-lint: allow(rule-id) reason` pragma on the same line (or alone
+//! on the line above) that states the invariant making it safe.
 //!
 //! A pragma must carry a non-empty reason and name only known rule ids;
-//! violations surface as `LINT` findings, which can never be baselined.
+//! violations surface as `LINT` findings, which no pragma can suppress.
 
 use crate::callgraph::CallGraph;
 use crate::lexer::{lex, test_regions, LexedFile, Token, TokenKind};
@@ -34,7 +28,7 @@ pub const SIM_CRATES: &[&str] = &[
     "compiler",
 ];
 
-/// Wall-clock and entropy identifiers banned outside the bench allowlist.
+/// Wall-clock and entropy identifiers banned outside test code.
 const NONDETERMINISM_SOURCES: &[&str] = &["Instant", "SystemTime", "thread_rng", "from_entropy"];
 
 /// Numeric primitive type names — the target set for rule C1.
@@ -50,8 +44,8 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// The rule table. `LINT` (meta-diagnostics) and `STALE` (baseline rot)
-/// are engine-internal and not listed: they cannot be suppressed.
+/// The rule table. `LINT` (meta-diagnostics) is engine-internal and not
+/// listed: it cannot be suppressed.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "D1",
@@ -61,7 +55,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "D2",
         summary: "no wall-clock (Instant::now, SystemTime) or entropy (thread_rng, from_entropy) \
-                  outside the bench/perf-timing allowlist",
+                  outside test code: every workspace binary is a deterministic artifact (host \
+                  timing lives in dcmbench/, outside the scan)",
     },
     RuleInfo {
         id: "F1",
@@ -75,8 +70,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "C1",
-        summary: "numeric `as` casts in simulation crates must justify range safety (pragma or \
-                  baseline) or use the dcm_core::cast checked helpers",
+        summary: "numeric `as` casts in simulation crates must use the dcm_core::cast checked \
+                  helpers or justify range safety in a pragma",
     },
     RuleInfo {
         id: "P1",
@@ -164,18 +159,17 @@ pub fn is_known_rule(id: &str) -> bool {
 }
 
 /// One diagnostic: rule, location, message, and the offending source line
-/// (trimmed) — the baseline keys on the latter so entries survive
-/// unrelated line-number churn.
+/// (trimmed).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     /// Workspace-relative path, `/`-separated.
     pub path: String,
     /// 1-indexed line; 0 for file-level diagnostics.
     pub line: u32,
-    /// Stable rule id (`D1`, ..., `LINT`, `STALE`).
+    /// Stable rule id (`D1`, ..., `LINT`).
     pub rule: &'static str,
     pub message: String,
-    /// Trimmed source line text (the baseline key).
+    /// Trimmed source line text, quoted in reports.
     pub excerpt: String,
 }
 
@@ -188,9 +182,6 @@ pub struct FileClass<'a> {
     /// Inside a `tests/` or `benches/` directory, or the workspace-level
     /// `tests` crate: every rule treats this as test code.
     pub is_test_path: bool,
-    /// The bench crate: exempt from D2 (it is the perf-timing allowlist)
-    /// and from P1 (bench binaries may panic on broken invariants).
-    pub is_bench: bool,
     /// One of [`SIM_CRATES`].
     pub is_sim: bool,
 }
@@ -212,14 +203,13 @@ impl<'a> FileClass<'a> {
         FileClass {
             crate_name,
             is_test_path,
-            is_bench: crate_name == "bench",
             is_sim: SIM_CRATES.contains(&crate_name),
         }
     }
 }
 
 /// Cross-file statistics of one workspace analysis, surfaced in the
-/// JSON report (`schema_version` 2).
+/// JSON report (since `schema_version` 2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
     /// Non-test functions indexed into the call graph.
@@ -241,8 +231,8 @@ struct FileData<'a> {
 /// Lint a whole workspace's sources (`(rel_path, source)` pairs): the
 /// per-file token rules (D1/D2/F1/F2/C1/P1/U1), the pragma hygiene
 /// meta-rule, and the workspace-wide call-graph rules (D3/A1). Returns
-/// findings surviving pragma suppression (baseline subtraction happens
-/// in [`crate::run`]) plus call-graph statistics.
+/// the sorted findings surviving pragma suppression plus call-graph
+/// statistics.
 #[must_use]
 pub fn lint_workspace(files: &[(String, String)]) -> (Vec<Finding>, WorkspaceStats) {
     let data: Vec<FileData<'_>> = files
@@ -348,11 +338,11 @@ fn scan_rules(
                         class.crate_name
                     ),
                 ),
-                s if NONDETERMINISM_SOURCES.contains(&s) && !class.is_bench => push(
+                s if NONDETERMINISM_SOURCES.contains(&s) => push(
                     "D2",
                     t.line,
                     format!(
-                        "wall-clock/entropy source `{s}` outside the bench allowlist: \
+                        "wall-clock/entropy source `{s}` outside test code: \
                          simulation output must be a pure function of seeded inputs"
                     ),
                 ),
@@ -423,8 +413,8 @@ fn next_is_open_paren(toks: &[Token], i: usize) -> bool {
 }
 
 /// Validate the pragmas themselves: unknown rule ids and missing reasons
-/// are `LINT` findings (never suppressible or baselinable — a bad
-/// suppression must not be able to hide itself).
+/// are `LINT` findings (never suppressible — a bad suppression must not be
+/// able to hide itself).
 fn pragma_diagnostics(rel_path: &str, file: &LexedFile) -> Vec<Finding> {
     let mut out = Vec::new();
     for p in &file.pragmas {
@@ -701,7 +691,7 @@ mod tests {
     use super::*;
 
     const SIM: &str = "crates/vllm/src/engine.rs";
-    const BENCH: &str = "crates/bench/src/bin/perf.rs";
+    const BENCH: &str = "crates/bench/src/bin/fig05_gemm_util.rs";
     const NON_SIM: &str = "crates/examples/src/lib.rs";
 
     fn rules_fired(path: &str, src: &str) -> Vec<&'static str> {
@@ -717,11 +707,14 @@ mod tests {
     }
 
     #[test]
-    fn d2_exempts_the_bench_crate() {
+    fn d2_fires_in_the_bench_crate() {
+        // Every bench binary is a deterministic paper artifact; only test
+        // code may read the wall clock.
         let src = "let t0 = std::time::Instant::now();\n";
         assert_eq!(rules_fired(SIM, src), ["D2"]);
         assert_eq!(rules_fired(NON_SIM, src), ["D2"]);
-        assert!(rules_fired(BENCH, src).is_empty());
+        assert_eq!(rules_fired(BENCH, src), ["D2"]);
+        assert!(rules_fired("crates/bench/tests/timing.rs", src).is_empty());
     }
 
     #[test]

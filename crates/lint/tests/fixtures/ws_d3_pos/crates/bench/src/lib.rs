@@ -1,6 +1,8 @@
-//! Wall-clock helper: D2 never looks at bench crates, so this file is
-//! D2-clean even though it reads `Instant`.
-pub fn elapsed_s() -> f64 {
-    let t0 = std::time::Instant::now();
-    t0.elapsed().as_secs_f64()
+//! Tally helper in a non-simulation crate: D1 scans only simulation
+//! crates, so this `HashMap` is D1-clean.
+use std::collections::HashMap;
+
+pub fn distinct(ids: &[u64]) -> usize {
+    let seen: HashMap<u64, ()> = ids.iter().map(|&id| (id, ())).collect();
+    seen.len()
 }

@@ -5,7 +5,7 @@
 //! per-transaction DRAM overhead. Streaming accesses amortize row
 //! activations and run at the device's streaming efficiency.
 
-use dcm_core::cast;
+use dcm_core::cast::{self, usize_to_u64};
 use dcm_core::cost::{Engine, OpCost};
 use dcm_core::specs::{DeviceSpec, MemorySpec};
 use serde::{Deserialize, Serialize};
@@ -128,7 +128,7 @@ impl HbmModel {
         if count == 0 || size == 0 {
             return MemCost::zero();
         }
-        let useful = (count * size) as u64;
+        let useful = usize_to_u64(count * size);
         match pattern {
             AccessPattern::Stream => {
                 let bus = self.mem.bus_bytes(count * size);
@@ -140,13 +140,12 @@ impl HbmModel {
             }
             AccessPattern::Random => {
                 let per_access_bus = self.mem.bus_bytes(size);
-                let bus = per_access_bus * count as u64;
-                let charged =
-                    (per_access_bus + self.mem.random_overhead_bytes as u64) * count as u64;
+                let bus = per_access_bus * usize_to_u64(count);
+                let charged = (per_access_bus + usize_to_u64(self.mem.random_overhead_bytes))
+                    * usize_to_u64(count);
                 // Parallelism ramps with *chunk* count: one large block is
                 // itself many concurrent minimum-granularity transactions.
-                let chunks_per_access =
-                    (per_access_bus as usize / self.mem.min_access_bytes).max(1);
+                let chunks_per_access = size.div_ceil(self.mem.min_access_bytes).max(1);
                 let ramp = self.ramp(count * chunks_per_access);
                 MemCost {
                     time_s: cast::u64_to_f64(charged) / (self.mem.random_bandwidth() * ramp),
@@ -168,11 +167,11 @@ impl HbmModel {
             return MemCost::zero();
         }
         let per_access_bus = self.mem.bus_bytes(size);
-        let bus = per_access_bus * count as u64;
+        let bus = per_access_bus * usize_to_u64(count);
         MemCost {
             time_s: cast::u64_to_f64(bus) / self.mem.stream_bandwidth(),
             bus_bytes: bus,
-            useful_bytes: (count * size) as u64,
+            useful_bytes: usize_to_u64(count * size),
         }
     }
 

@@ -19,7 +19,7 @@
 //! (Figure 5) despite its mature software stack.
 
 use crate::{GemmConfig, GemmEngine, GemmRun, GemmShape};
-use dcm_core::cast;
+use dcm_core::cast::{self, usize_to_u64};
 use dcm_core::cost::{Engine, OpCost};
 use dcm_core::specs::DeviceSpec;
 use dcm_core::DType;
@@ -112,7 +112,7 @@ impl A100TensorCore {
                 }
                 let choice = self.tile_choice(shape, h, w, kf);
                 let compute = self.cycles(shape, choice, batch, dtype) / self.clock_hz;
-                let bytes = shape.ideal_bytes(DType::Bf16) * batch as u64
+                let bytes = shape.ideal_bytes(DType::Bf16) * usize_to_u64(batch)
                     + self.splitk_bytes(shape, choice, batch);
                 let t = compute.max(cast::u64_to_f64(bytes) / self.stream_bw);
                 if best.is_none_or(|(bc, _)| t < bc) {
@@ -126,7 +126,7 @@ impl A100TensorCore {
 
     /// Extra FP32 partial-sum traffic a split-K kernel writes and re-reads.
     fn splitk_bytes(&self, shape: GemmShape, t: TileChoice, batch: usize) -> u64 {
-        (shape.m * shape.n * 4 * 2 * (t.split_k - 1) * batch) as u64
+        usize_to_u64(shape.m * shape.n * 4 * 2 * (t.split_k - 1) * batch)
     }
 
     fn tile_choice(&self, shape: GemmShape, h: usize, w: usize, kf: usize) -> TileChoice {
@@ -176,7 +176,8 @@ impl A100TensorCore {
             / (self.clock_hz * SUSTAINED_FRACTION)
             + LAUNCH_OVERHEAD_S;
         // Split-K kernels write and re-read partial sums in FP32.
-        let bytes = shape.ideal_bytes(dtype) * batch as u64 + self.splitk_bytes(shape, tile, batch);
+        let bytes =
+            shape.ideal_bytes(dtype) * usize_to_u64(batch) + self.splitk_bytes(shape, tile, batch);
         let memory_s = cast::u64_to_f64(bytes) / self.stream_bw;
         GemmRun {
             cost: OpCost {

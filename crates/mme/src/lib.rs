@@ -33,6 +33,7 @@ pub use a100::A100TensorCore;
 pub use gaudi::{FixedSystolicBaseline, GaudiMme};
 pub use geometry::Geometry;
 
+use dcm_core::cast::{u64_to_f64, usize_to_f64, usize_to_u64};
 use dcm_core::cost::OpCost;
 use dcm_core::DType;
 use serde::{Deserialize, Serialize};
@@ -69,7 +70,7 @@ impl GemmShape {
     /// Floating-point operations of the GEMM (multiply + accumulate).
     #[must_use]
     pub fn flops(&self) -> f64 {
-        2.0 * self.m as f64 * self.k as f64 * self.n as f64
+        2.0 * usize_to_f64(self.m) * usize_to_f64(self.k) * usize_to_f64(self.n)
     }
 
     /// Single-pass HBM traffic in bytes: each operand read once, the result
@@ -77,13 +78,13 @@ impl GemmShape {
     /// shapes).
     #[must_use]
     pub fn ideal_bytes(&self, dtype: DType) -> u64 {
-        ((self.m * self.k + self.k * self.n + self.m * self.n) * dtype.size_bytes()) as u64
+        usize_to_u64((self.m * self.k + self.k * self.n + self.m * self.n) * dtype.size_bytes())
     }
 
     /// Operational intensity in FLOP/byte at single-pass traffic.
     #[must_use]
     pub fn intensity(&self, dtype: DType) -> f64 {
-        self.flops() / self.ideal_bytes(dtype) as f64
+        self.flops() / u64_to_f64(self.ideal_bytes(dtype))
     }
 }
 

@@ -1,6 +1,7 @@
 //! α–β timing model for the six collectives of Figure 10, with NCCL-tests
 //! bus-bandwidth accounting [62].
 
+use dcm_core::cast::{f64_to_u64, u64_to_f64, usize_to_f64};
 use dcm_core::cost::{Engine, OpCost};
 use dcm_core::specs::{DeviceSpec, FabricSpec};
 use serde::{Deserialize, Serialize};
@@ -38,7 +39,7 @@ impl Collective {
     /// Chosen so that busbw reflects per-link traffic independent of `n`.
     #[must_use]
     pub fn bus_factor(&self, n: usize) -> f64 {
-        let nf = n as f64;
+        let nf = usize_to_f64(n);
         match self {
             Collective::AllReduce => 2.0 * (nf - 1.0) / nf,
             Collective::AllGather | Collective::ReduceScatter | Collective::AllToAll => {
@@ -52,7 +53,7 @@ impl Collective {
     /// schedule — the β coefficient of the timing model.
     #[must_use]
     pub fn traffic_factor(&self, n: usize) -> f64 {
-        let nf = n as f64;
+        let nf = usize_to_f64(n);
         match self {
             Collective::AllReduce => 2.0 * (nf - 1.0) / nf,
             Collective::AllGather | Collective::ReduceScatter | Collective::AllToAll => {
@@ -67,7 +68,8 @@ impl Collective {
     /// (the bandwidth term still reflects ring-equivalent traffic).
     #[must_use]
     pub fn steps(&self, n: usize) -> usize {
-        let depth = (n as f64).log2().ceil() as usize;
+        // dcm-lint: allow(C1) ceil(log2 n) is a small integer; n = 0 gives -inf, saturating to 0
+        let depth = usize_to_f64(n).log2().ceil() as usize;
         match self {
             Collective::AllReduce => 2 * depth,
             _ => depth,
@@ -230,12 +232,12 @@ impl CollectiveModel {
             return 0.0;
         }
         let bw = self.effective_bandwidth(coll, participants);
-        let beta = bytes as f64 * coll.traffic_factor(participants) / bw;
+        let beta = u64_to_f64(bytes) * coll.traffic_factor(participants) / bw;
         // The P2P mesh runs *direct* algorithms (every pair wired), so its
         // latency term counts exchange phases, not ring hops — one of the
         // few latency advantages of the HLS-Gaudi-2 topology.
         let steps = self.latency_steps(coll, participants);
-        let alpha = steps as f64 * self.tuning.alpha_s;
+        let alpha = usize_to_f64(steps) * self.tuning.alpha_s;
         alpha + beta
     }
 
@@ -286,7 +288,7 @@ impl CollectiveModel {
             };
         }
         let t = self.time(coll, bytes, participants);
-        let moved = (bytes as f64 * coll.traffic_factor(participants)) as u64;
+        let moved = f64_to_u64((u64_to_f64(bytes) * coll.traffic_factor(participants)).floor());
         OpCost {
             engine: Engine::Network,
             compute_s: t,

@@ -16,7 +16,7 @@
 //! chip caps at streaming bandwidth. Sub-granularity accesses waste bus
 //! bytes *and* SIMD lanes.
 
-use dcm_core::cast;
+use dcm_core::cast::{self, usize_to_u64};
 use dcm_core::cost::{Engine, OpCost};
 use dcm_core::specs::DeviceSpec;
 use dcm_core::DType;
@@ -127,7 +127,7 @@ impl StreamKernel {
     /// Useful bytes per iteration.
     #[must_use]
     pub fn useful_bytes_per_iter(&self) -> u64 {
-        ((self.loads + self.stores) * self.granularity) as u64
+        usize_to_u64((self.loads + self.stores) * self.granularity)
     }
 
     /// Operational intensity in FLOP per useful byte at `dtype`
@@ -219,8 +219,8 @@ impl VectorEngineModel {
     /// coalesce across iterations.
     #[must_use]
     pub fn mem_time_per_iter(&self, kernel: &StreamKernel, cores_used: usize) -> f64 {
-        let per_access_bus = round_up(kernel.granularity, self.min_access_bytes) as u64;
-        let bus = per_access_bus * (kernel.loads + kernel.stores) as u64;
+        let per_access_bus = usize_to_u64(round_up(kernel.granularity, self.min_access_bytes));
+        let bus = per_access_bus * usize_to_u64(kernel.loads + kernel.stores);
         let bw = (cast::usize_to_f64(cores_used) * self.per_core_bw).min(self.chip_stream_bw)
             / cast::usize_to_f64(cores_used);
         cast::u64_to_f64(bus) / bw
@@ -274,8 +274,8 @@ impl VectorEngineModel {
         let iters_per_core = iters.div_ceil(cores_used);
         let compute_s =
             self.cycles_per_iter(kernel) * cast::usize_to_f64(iters_per_core) / self.clock_hz;
-        let per_access_bus = round_up(kernel.granularity, self.min_access_bytes) as u64;
-        let bus = per_access_bus * (kernel.loads + kernel.stores) as u64 * iters as u64;
+        let per_access_bus = usize_to_u64(round_up(kernel.granularity, self.min_access_bytes));
+        let bus = per_access_bus * usize_to_u64(kernel.loads + kernel.stores) * usize_to_u64(iters);
         let bw = (cast::usize_to_f64(cores_used) * self.per_core_bw).min(self.chip_stream_bw);
         OpCost {
             engine: Engine::Vector,
@@ -283,7 +283,7 @@ impl VectorEngineModel {
             memory_s: cast::u64_to_f64(bus) / bw,
             flops: kernel.flops_per_iter(dtype) * cast::usize_to_f64(iters),
             bus_bytes: bus,
-            useful_bytes: kernel.useful_bytes_per_iter() * iters as u64,
+            useful_bytes: kernel.useful_bytes_per_iter() * usize_to_u64(iters),
         }
     }
 }

@@ -17,7 +17,7 @@
 use crate::engine::VectorEngineModel;
 use crate::index_space::{IndexMember, IndexSpace};
 use crate::vliw::{self, Slot, TraceInstr};
-use dcm_core::cast;
+use dcm_core::cast::{self, usize_to_u64};
 use dcm_core::cost::{Engine, OpCost};
 use dcm_core::error::{DcmError, Result};
 use dcm_core::specs::DeviceSpec;
@@ -218,17 +218,17 @@ impl<'a> TpcContext<'a> {
         self.last_end.insert(side, offset + elems);
         if sequential {
             self.counters.stream_accesses += 1;
-            self.counters.stream_bytes += bytes as u64;
+            self.counters.stream_bytes += usize_to_u64(bytes);
         } else {
             self.counters.random_accesses += 1;
-            self.counters.random_bytes += bytes as u64;
+            self.counters.random_bytes += usize_to_u64(bytes);
         }
     }
 
     fn instr_count(&self, bytes: usize) -> u64 {
         // One vector instruction moves at most one SIMD vector.
         let vector_bytes = self.vector_lanes * 4; // lanes are modeled as f32
-        (bytes.div_ceil(vector_bytes).max(1)) as u64
+        usize_to_u64(bytes.div_ceil(vector_bytes).max(1))
     }
 
     /// Load `elems` consecutive elements of input `input` starting at flat
@@ -612,10 +612,7 @@ impl TpcExecutor {
         );
         for (mi, member) in space.iter().enumerate() {
             ctx.vlm_used = 0; // local memory is reused across members
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                ctx.current_member = mi as u32;
-            }
+            ctx.current_member = u32::try_from(mi).unwrap_or(u32::MAX);
             program.run(&mut ctx, member)?;
         }
         let counters = ctx.counters();
@@ -639,8 +636,7 @@ impl TpcExecutor {
         unroll: usize,
     ) -> OpCost {
         let cores_used = self.cores.min(space.members()).max(1);
-        #[allow(clippy::cast_possible_truncation)]
-        let window = unroll.max(1) as u32;
+        let window = u32::try_from(unroll.max(1)).unwrap_or(u32::MAX);
         let total_cycles = cast::u64_to_f64(vliw::schedule(trace, window, self.instr_latency));
         // Members are independent and distributed across cores; the trace
         // schedule is member-linear, so the per-core share divides evenly.
@@ -654,15 +650,16 @@ impl TpcExecutor {
         let (random_s, random_bus) = match c.random_bytes.checked_div(c.random_accesses) {
             Some(avg) => {
                 let mc = self.hbm.access(
-                    c.random_accesses as usize,
-                    (avg as usize).max(1),
+                    usize::try_from(c.random_accesses).unwrap_or(usize::MAX),
+                    usize::try_from(avg).unwrap_or(usize::MAX).max(1),
                     AccessPattern::Random,
                 );
                 (mc.time_s, mc.bus_bytes)
             }
             None => (0.0, 0),
         };
-        let stream_bus = self.hbm.memory().bus_bytes(c.stream_bytes as usize);
+        let stream_bytes = usize::try_from(c.stream_bytes).unwrap_or(usize::MAX);
+        let stream_bus = self.hbm.memory().bus_bytes(stream_bytes);
         OpCost {
             engine: Engine::Vector,
             compute_s,

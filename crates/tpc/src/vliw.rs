@@ -55,19 +55,21 @@ pub fn schedule(trace: &[TraceInstr], window_members: u32, latency: u32) -> u64 
     if trace.is_empty() {
         return 0;
     }
+    // dcm-lint: allow(C1) u32 register ids fit usize losslessly on 32- and 64-bit targets
+    let reg = |r: u32| r as usize;
     // ready[r] = cycle at which register r can be consumed. Registers that
     // some instruction *will* produce are unavailable until it issues;
     // registers with no producer (constants, id 0) are always ready.
-    let max_reg = trace
+    let max_reg = reg(trace
         .iter()
         .flat_map(|i| i.dst.iter().chain(i.srcs.iter()))
         .max()
         .copied()
-        .unwrap_or(0) as usize;
+        .unwrap_or(0));
     let mut ready = vec![0u64; max_reg + 1];
     for instr in trace {
         if let Some(d) = instr.dst {
-            ready[d as usize] = u64::MAX;
+            ready[reg(d)] = u64::MAX;
         }
     }
     let mut issued = vec![false; trace.len()];
@@ -93,14 +95,14 @@ pub fn schedule(trace: &[TraceInstr], window_members: u32, latency: u32) -> u64 
                     Slot::Vpu => 1,
                     Slot::Store => 2,
                 };
-                let deps_ready = instr.srcs.iter().all(|&r| ready[r as usize] <= cycle);
+                let deps_ready = instr.srcs.iter().all(|&r| ready[reg(r)] <= cycle);
                 if !used[slot_idx] && deps_ready {
                     used[slot_idx] = true;
                     issued[i] = true;
                     remaining -= 1;
                     last_issue = cycle;
                     if let Some(d) = instr.dst {
-                        ready[d as usize] = cycle + u64::from(latency);
+                        ready[reg(d)] = cycle + u64::from(latency);
                     }
                 }
             }

@@ -8,6 +8,7 @@
 //! (§4.2). The optimized version concatenates "only the effectual KV cache
 //! block indices" into a 1-D `BlockList`.
 
+use dcm_core::cast::{usize_to_f32, usize_to_f64};
 use dcm_core::error::{DcmError, Result};
 use dcm_core::linalg;
 use dcm_core::tensor::Tensor;
@@ -89,7 +90,7 @@ impl BlockTable {
     /// Fraction of gathers that are padding (the x-axis of Figure 17(b)).
     #[must_use]
     pub fn padding_fraction(&self) -> f64 {
-        self.redundant_gathers() as f64 / self.total_gathers() as f64
+        usize_to_f64(self.redundant_gathers()) / usize_to_f64(self.total_gathers())
     }
 
     /// Padded block row of sequence `i`.
@@ -223,7 +224,7 @@ impl BlockStore {
             ));
         }
         let (k, v) = self.assemble(blocks, tokens)?;
-        let d = query.shape().dim(1) as f32;
+        let d = usize_to_f32(query.shape().dim(1));
         let scores = linalg::matmul(query, &linalg::transpose(&k))?;
         let scaled = linalg::scale(&scores, 1.0 / d.sqrt());
         let probs = linalg::softmax_rows(&scaled);

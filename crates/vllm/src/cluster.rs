@@ -60,6 +60,7 @@
 use crate::dataset::Request;
 use crate::engine::{self, validate_trace, ServingEngine, ServingReport, SimState};
 use crate::fault::{FaultPlan, ResilienceConfig, TimelineKind};
+use dcm_core::cast::usize_to_f64;
 use dcm_core::error::Result;
 use dcm_core::metrics::{LatencyRecorder, MetricsMode};
 use dcm_core::sim::EventQueue;
@@ -282,7 +283,8 @@ impl ClusterReport {
         if self.per_replica.is_empty() {
             return 0.0;
         }
-        self.per_replica.iter().map(|r| r.utilization).sum::<f64>() / self.per_replica.len() as f64
+        self.per_replica.iter().map(|r| r.utilization).sum::<f64>()
+            / usize_to_f64(self.per_replica.len())
     }
 
     /// Largest relative spread in dispatched requests across replicas —
@@ -306,7 +308,7 @@ impl ClusterReport {
         if max == 0 {
             0.0
         } else {
-            (max - min) as f64 / max as f64
+            usize_to_f64(max - min) / usize_to_f64(max)
         }
     }
 }
@@ -463,8 +465,8 @@ impl Cluster {
                 .enumerate()
                 .filter(|(i, _)| alive[*i])
                 .min_by(|(i, a), (j, b)| {
-                    let wa = a.queue_depth() as f64 / self.replicas[*i].speed_weight();
-                    let wb = b.queue_depth() as f64 / self.replicas[*j].speed_weight();
+                    let wa = usize_to_f64(a.queue_depth()) / self.replicas[*i].speed_weight();
+                    let wb = usize_to_f64(b.queue_depth()) / self.replicas[*j].speed_weight();
                     wa.total_cmp(&wb)
                 })
                 .map(|(i, _)| i),
@@ -495,6 +497,43 @@ impl Cluster {
         Ok(())
     }
 
+    /// Re-route displaced request `id` at instant `t` under the retry
+    /// budget: the one path for crash-displaced work and for in-flight
+    /// dispatches to a dead replica. Counts the attempt, then either
+    /// records a retry and returns the chosen replica, or records a
+    /// failure (budget spent, or no live replica) and returns `None`. The
+    /// caller hands the request over. Displaced work is never shed: it
+    /// was already admitted once.
+    fn reroute(&self, st: &mut RunState, id: u64, t: f64, cfg: &ResilienceConfig) -> Option<usize> {
+        let tries = st.attempts.entry(id).or_insert(0);
+        *tries += 1;
+        let target = if *tries > cfg.max_retries {
+            None
+        } else {
+            self.route(&st.sims, &st.alive, st.rr)
+        };
+        match target {
+            None => {
+                st.failed += 1;
+                st.router_trace
+                    .instant(SpanKind::Route, "fail", t, Some(id), &[]);
+            }
+            Some(target) => {
+                st.retries += 1;
+                st.rr += 1;
+                st.dispatched[target] += 1;
+                st.router_trace.instant(
+                    SpanKind::Route,
+                    "retry",
+                    t,
+                    Some(id),
+                    &[("replica", usize_to_f64(target))],
+                );
+            }
+        }
+        target
+    }
+
     /// Apply one fault-timeline event at instant `t`.
     fn apply_fault(
         &mut self,
@@ -518,43 +557,15 @@ impl Cluster {
                     "crash",
                     t,
                     None,
-                    &[("replica", replica as f64)],
+                    &[("replica", usize_to_f64(replica))],
                 );
                 let (orphans, lost) = st.sims[replica].drain_unfinished()?;
                 st.lost_tokens += lost;
                 for r in orphans {
-                    let tries = st.attempts.entry(r.id).or_insert(0);
-                    *tries += 1;
-                    if *tries > cfg.max_retries {
-                        st.failed += 1;
-                        st.router_trace
-                            .instant(SpanKind::Route, "fail", t, Some(r.id), &[]);
-                        continue;
-                    }
-                    // Crash-displaced work is never shed: it was already
-                    // admitted once.
-                    match self.route(&st.sims, &st.alive, st.rr) {
-                        None => {
-                            st.failed += 1;
-                            st.router_trace
-                                .instant(SpanKind::Route, "fail", t, Some(r.id), &[]);
-                        }
-                        Some(target) => {
-                            st.retries += 1;
-                            st.rr += 1;
-                            st.dispatched[target] += 1;
-                            st.router_trace.instant(
-                                SpanKind::Route,
-                                "retry",
-                                t,
-                                Some(r.id),
-                                &[("replica", target as f64)],
-                            );
-                            // Original arrival time kept: the retry's
-                            // latency is client-perceived, spanning the
-                            // lost attempt.
-                            st.sims[target].enqueue(r);
-                        }
+                    if let Some(target) = self.reroute(st, r.id, t, cfg) {
+                        // Original arrival time kept: the retry's latency
+                        // is client-perceived, spanning the lost attempt.
+                        st.sims[target].enqueue(r);
                     }
                 }
             }
@@ -567,7 +578,7 @@ impl Cluster {
                     "recover",
                     t,
                     None,
-                    &[("replica", replica as f64)],
+                    &[("replica", usize_to_f64(replica))],
                 );
             }
             TimelineKind::SlowStart { replica, factor } => {
@@ -583,7 +594,7 @@ impl Cluster {
                     "slow_start",
                     t,
                     None,
-                    &[("replica", replica as f64), ("factor", factor)],
+                    &[("replica", usize_to_f64(replica)), ("factor", factor)],
                 );
             }
             TimelineKind::SlowEnd { replica } => {
@@ -594,7 +605,7 @@ impl Cluster {
                     "slow_end",
                     t,
                     None,
-                    &[("replica", replica as f64)],
+                    &[("replica", usize_to_f64(replica))],
                 );
             }
         }
@@ -635,33 +646,8 @@ impl Cluster {
             }
             // In-flight dispatch toward a dead replica: same budgeted
             // re-route as crash-displaced work.
-            let tries = st.attempts.entry(r.id).or_insert(0);
-            *tries += 1;
-            if *tries > cfg.max_retries {
-                st.failed += 1;
-                st.router_trace
-                    .instant(SpanKind::Route, "fail", due, Some(r.id), &[]);
-                continue;
-            }
-            match self.route(&st.sims, &st.alive, st.rr) {
-                None => {
-                    st.failed += 1;
-                    st.router_trace
-                        .instant(SpanKind::Route, "fail", due, Some(r.id), &[]);
-                }
-                Some(next) => {
-                    st.retries += 1;
-                    st.rr += 1;
-                    st.dispatched[next] += 1;
-                    st.router_trace.instant(
-                        SpanKind::Route,
-                        "retry",
-                        due,
-                        Some(r.id),
-                        &[("replica", dcm_core::cast::usize_to_f64(next))],
-                    );
-                    fr.dispatch(r, next);
-                }
+            if let Some(next) = self.reroute(st, r.id, due, cfg) {
+                fr.dispatch(r, next);
             }
         }
         st.fabric = Some(fr);
@@ -866,7 +852,7 @@ impl Cluster {
                                     "shed",
                                     r.arrival_s,
                                     Some(r.id),
-                                    &[("replica", target as f64)],
+                                    &[("replica", usize_to_f64(target))],
                                 );
                             } else {
                                 st.rr += 1;
@@ -876,7 +862,7 @@ impl Cluster {
                                     "dispatch",
                                     r.arrival_s,
                                     Some(r.id),
-                                    &[("replica", target as f64)],
+                                    &[("replica", usize_to_f64(target))],
                                 );
                                 match st.fabric.as_mut() {
                                     // Instantaneous dispatch (default).

@@ -16,6 +16,7 @@
 //! processes are seeded and deterministic so every figure regenerates
 //! bit-identically.
 
+use dcm_core::cast::{f64_to_usize, usize_to_f64, usize_to_u64};
 use dcm_core::rng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -46,16 +47,12 @@ impl Request {
         }
     }
 
-    /// The same request arriving at `arrival_s`.
-    ///
-    /// # Panics
-    /// Panics on a negative or NaN arrival time.
+    /// The same request arriving at `arrival_s`. The arrival is checked
+    /// where a run starts: every `ServingEngine::run*` and `Cluster::run*`
+    /// entry rejects a NaN, negative or infinite arrival with
+    /// `DcmError::InvalidConfig`.
     #[must_use]
     pub fn with_arrival(mut self, arrival_s: f64) -> Self {
-        assert!(
-            arrival_s >= 0.0 && !arrival_s.is_nan(),
-            "arrival time must be non-negative, got {arrival_s}"
-        );
         self.arrival_s = arrival_s;
         self
     }
@@ -113,7 +110,7 @@ impl ArrivalProcess {
                 assert!(rate_rps > 0.0, "rate must be positive, got {rate_rps}");
                 assert!(burst > 0, "burst size must be positive");
                 let mut r = rng::seeded(seed);
-                let burst_rate = rate_rps / burst as f64;
+                let burst_rate = rate_rps / usize_to_f64(burst);
                 let mut t = 0.0;
                 let mut out = Vec::with_capacity(n);
                 while out.len() < n {
@@ -142,7 +139,7 @@ impl ArrivalProcess {
                 let period = times.last().copied().unwrap_or(0.0);
                 (0..n)
                     .map(|i| {
-                        let lap = (i / times.len()) as f64;
+                        let lap = usize_to_f64(i / times.len());
                         times[i % times.len()] + lap * period
                     })
                     .collect()
@@ -178,13 +175,13 @@ impl SyntheticDataset {
     pub fn dynamic_sonnet(n: usize, seed: u64) -> Vec<Request> {
         let mut r = rng::seeded(seed);
         let buckets: [(usize, f64); 4] = [(512, 0.4), (1024, 0.3), (2048, 0.2), (4096, 0.1)];
-        (0..n as u64)
+        (0..usize_to_u64(n))
             .map(|id| {
                 let input_len = rng::weighted_choice(&mut r, &buckets);
                 // Truncated geometric via inverse CDF.
                 let u: f64 = r.gen_range(0.0_f64..1.0);
                 let mean = 200.0;
-                let raw = (-(1.0 - u).ln() * mean) as usize;
+                let raw = f64_to_usize((-(1.0 - u).ln() * mean).floor());
                 Request {
                     id,
                     input_len,
@@ -208,7 +205,7 @@ impl SyntheticDataset {
     /// A fixed-shape trace (the Figure 12 static experiments).
     #[must_use]
     pub fn fixed(n: usize, input_len: usize, output_len: usize) -> Vec<Request> {
-        (0..n as u64)
+        (0..usize_to_u64(n))
             .map(|id| Request::new(id, input_len, output_len))
             .collect()
     }
@@ -326,8 +323,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_arrival_is_rejected() {
-        let _ = Request::new(0, 1, 1).with_arrival(-1.0);
+    fn bad_arrival_is_rejected_at_run_entry() {
+        use crate::{Cluster, PagedBackend, RoutingPolicy, ServingEngine};
+        use dcm_compiler::Device;
+        use dcm_core::error::DcmError;
+        use dcm_workloads::llama::LlamaConfig;
+
+        let device = Device::gaudi2();
+        let model = LlamaConfig::llama31_8b();
+        let mut engine = ServingEngine::new(&device, model.clone(), 1, PagedBackend::GaudiOpt, 4);
+        let mut cluster = Cluster::homogeneous(
+            &device,
+            &model,
+            1,
+            PagedBackend::GaudiOpt,
+            4,
+            2,
+            RoutingPolicy::RoundRobin,
+        );
+        for arrival_s in [f64::NAN, -1.0, f64::INFINITY] {
+            let reqs = [
+                Request::new(1, 128, 4),
+                Request::new(7, 128, 4).with_arrival(arrival_s),
+            ];
+            let names_request_7 =
+                |e: DcmError| matches!(&e, DcmError::InvalidConfig(m) if m.contains("request 7"));
+            assert!(
+                names_request_7(engine.run(&reqs).unwrap_err()),
+                "engine: {arrival_s}"
+            );
+            assert!(
+                names_request_7(cluster.run(&reqs).unwrap_err()),
+                "cluster: {arrival_s}"
+            );
+        }
     }
 }

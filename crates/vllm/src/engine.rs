@@ -38,7 +38,7 @@ use crate::fault::SloSpec;
 use crate::kv_cache::PagedKvCache;
 use crate::slab::{SeqSlab, SlotId};
 use dcm_compiler::{CompileOptions, Device};
-use dcm_core::cast::usize_to_f64;
+use dcm_core::cast::{f64_to_u64, u64_to_f64, usize_to_f64};
 use dcm_core::error::{DcmError, Result};
 use dcm_core::metrics::{LatencyRecorder, MetricsMode};
 use dcm_core::sim::{EventQueue, SimClock};
@@ -612,9 +612,11 @@ impl ServingEngine {
     /// Returns [`DcmError::ResourceExhausted`] if the KV cache cannot hold
     /// a single block.
     pub(crate) fn make_sim(&self, expected_requests: usize) -> Result<SimState> {
-        let weights = self.model.param_count() * DType::Bf16.size_bytes() as f64 / self.tp as f64;
+        let weights = self.model.param_count() * usize_to_f64(DType::Bf16.size_bytes())
+            / usize_to_f64(self.tp);
         let hbm = self.device.spec().memory.hbm_capacity_bytes;
-        let reserved = weights as u64 + (hbm as f64 * ACTIVATION_HEADROOM) as u64;
+        let reserved = f64_to_u64(weights.floor())
+            + f64_to_u64((u64_to_f64(hbm) * ACTIVATION_HEADROOM).floor());
         let kv = match self.kv_blocks_override {
             Some(blocks) => PagedKvCache::new(blocks, self.block_tokens),
             None => PagedKvCache::sized_for(
@@ -688,7 +690,7 @@ impl ServingEngine {
             t0,
             prefill,
             Some(r.id),
-            &[("tokens", admit_tokens as f64)],
+            &[("tokens", usize_to_f64(admit_tokens))],
         );
         sim.kv.append_token(r.id)?;
         let seq = match w.resumed {
@@ -722,7 +724,7 @@ impl ServingEngine {
                 sim.clock.now() - r.arrival_s,
                 Some(r.id),
                 &[
-                    ("output_tokens", seq.produced as f64),
+                    ("output_tokens", usize_to_f64(seq.produced)),
                     ("ttft_s", seq.first_token_t - r.arrival_s),
                 ],
             );
@@ -781,7 +783,7 @@ impl ServingEngine {
             t0,
             step,
             None,
-            &[("batch", batch as f64)],
+            &[("batch", usize_to_f64(batch))],
         );
         let mut ids = std::mem::take(&mut sim.scratch_ids);
         ids.clear();

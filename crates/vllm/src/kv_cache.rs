@@ -5,6 +5,7 @@
 //! worst-case contiguous buffers. This eliminates fragmentation and raises
 //! the maximum batch size (§4.2).
 
+use dcm_core::cast::usize_to_u64;
 use dcm_core::error::{DcmError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -51,8 +52,8 @@ impl PagedKvCache {
         block_tokens: usize,
     ) -> Result<Self> {
         let available = hbm_capacity_bytes.saturating_sub(reserved_bytes);
-        let block_bytes = kv_bytes_per_token * block_tokens as u64;
-        let num_blocks = (available / block_bytes.max(1)) as usize;
+        let block_bytes = kv_bytes_per_token * usize_to_u64(block_tokens);
+        let num_blocks = usize::try_from(available / block_bytes.max(1)).unwrap_or(usize::MAX);
         if num_blocks == 0 {
             return Err(DcmError::ResourceExhausted(format!(
                 "no KV blocks fit: {available} B available, {block_bytes} B per block"

@@ -6,6 +6,7 @@
 //! RecSys serving runs in FP32 (§3.1).
 
 use dcm_compiler::{CompileOptions, Device, Graph, Op};
+use dcm_core::cast::usize_to_f64;
 use dcm_core::cost::ExecStats;
 use dcm_core::energy::Activity;
 use dcm_core::DType;
@@ -132,13 +133,13 @@ impl DlrmRun {
     /// Samples served per second for `batch`.
     #[must_use]
     pub fn throughput(&self, batch: usize) -> f64 {
-        batch as f64 / self.time_s()
+        usize_to_f64(batch) / self.time_s()
     }
 
     /// Energy per sample in joules.
     #[must_use]
     pub fn energy_per_sample(&self, batch: usize) -> f64 {
-        self.energy_j / batch as f64
+        self.energy_j / usize_to_f64(batch)
     }
 }
 

@@ -8,6 +8,7 @@
 //! exist.
 
 use crate::dlrm::DlrmConfig;
+use dcm_core::cast::usize_to_f32;
 use dcm_core::error::{DcmError, Result};
 use dcm_core::tensor::Tensor;
 use dcm_core::{linalg, rng, DType};
@@ -26,7 +27,7 @@ impl MlpWeights {
         let mut prev = input;
         for &w in widths {
             // Scaled initialization keeps activations bounded for tests.
-            let scale = 1.0 / (prev as f32).sqrt();
+            let scale = 1.0 / usize_to_f32(prev).sqrt();
             let mut weight = Tensor::random([prev, w], DType::Fp32, r);
             for v in weight.data_mut() {
                 *v *= scale;
@@ -99,7 +100,7 @@ impl DlrmFunctional {
         let d = config.interaction_dim();
         let cross = (0..config.cross_layers)
             .map(|_| {
-                let scale = 1.0 / (d as f32).sqrt();
+                let scale = 1.0 / usize_to_f32(d).sqrt();
                 let mut v = Tensor::random([d, config.cross_rank], DType::Fp32, &mut r);
                 let mut u = Tensor::random([config.cross_rank, d], DType::Fp32, &mut r);
                 for t in [&mut v, &mut u] {

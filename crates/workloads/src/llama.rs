@@ -9,7 +9,7 @@
 //! (KT#4) enters end-to-end performance.
 
 use dcm_compiler::{CompileOptions, Device, EwKind, Graph, Op};
-use dcm_core::cast;
+use dcm_core::cast::{self, usize_to_u64};
 use dcm_core::cost::ExecStats;
 use dcm_core::energy::Activity;
 use dcm_core::DType;
@@ -81,7 +81,7 @@ impl LlamaConfig {
     /// parallelism.
     #[must_use]
     pub fn kv_bytes_per_token(&self, tp: usize) -> u64 {
-        (self.layers * 2 * self.kv_heads * self.head_dim * 2 / tp) as u64
+        usize_to_u64(self.layers * 2 * self.kv_heads * self.head_dim * 2 / tp)
     }
 
     /// Lower one *decode step* (one new token per sequence, context length
@@ -172,7 +172,7 @@ impl LlamaConfig {
             ));
             g.push(Op::gemm(GemmShape::new(m, o_in, self.hidden), dt));
             g.push(Op::AllReduce {
-                bytes: (m * self.hidden * dt.size_bytes()) as u64,
+                bytes: usize_to_u64(m * self.hidden * dt.size_bytes()),
                 participants: tp,
             });
             g.push(Op::add(m * self.hidden, dt)); // residual
@@ -195,7 +195,7 @@ impl LlamaConfig {
             });
             g.push(Op::gemm(GemmShape::new(m, inter, self.hidden), dt));
             g.push(Op::AllReduce {
-                bytes: (m * self.hidden * dt.size_bytes()) as u64,
+                bytes: usize_to_u64(m * self.hidden * dt.size_bytes()),
                 participants: tp,
             });
             g.push(Op::add(m * self.hidden, dt)); // residual
@@ -211,7 +211,7 @@ impl LlamaConfig {
             dt,
         ));
         g.push(Op::AllReduce {
-            bytes: (batch * self.vocab / tp * dt.size_bytes()) as u64,
+            bytes: usize_to_u64(batch * self.vocab / tp * dt.size_bytes()),
             participants: tp,
         });
         g

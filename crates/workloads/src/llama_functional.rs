@@ -8,6 +8,7 @@
 //! are checked against (their single-head path lives in
 //! `dcm_vllm::block::BlockStore`).
 
+use dcm_core::cast::usize_to_f32;
 use dcm_core::error::{DcmError, Result};
 use dcm_core::tensor::Tensor;
 use dcm_core::{linalg, rng, DType};
@@ -67,7 +68,7 @@ pub struct LlamaLayerFunctional {
 
 fn scaled_random<R: Rng + ?Sized>(rows: usize, cols: usize, r: &mut R) -> Tensor {
     let mut t = Tensor::random([rows, cols], DType::Fp32, r);
-    let scale = 1.0 / (rows as f32).sqrt();
+    let scale = 1.0 / usize_to_f32(rows).sqrt();
     for v in t.data_mut() {
         *v *= scale;
     }
@@ -81,7 +82,7 @@ pub fn rms_norm(x: &Tensor) -> Tensor {
     let mut out = Tensor::zeros([rows, cols], x.dtype());
     for i in 0..rows {
         let row = x.row(i);
-        let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / cols as f32;
+        let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / usize_to_f32(cols);
         let inv = 1.0 / (ms + 1e-6).sqrt();
         for (o, &v) in out.row_mut(i).iter_mut().zip(row) {
             *o = v * inv;
@@ -101,9 +102,9 @@ pub fn apply_rope(head: &mut [f32], head_dim: usize, positions: &[usize]) {
     let tokens = head.len() / head_dim;
     assert_eq!(positions.len(), tokens);
     for (t, &pos) in positions.iter().enumerate() {
-        let m = pos as f32;
+        let m = usize_to_f32(pos);
         for pair in 0..head_dim / 2 {
-            let theta = m / 10000f32.powf(2.0 * pair as f32 / head_dim as f32);
+            let theta = m / 10000f32.powf(2.0 * usize_to_f32(pair) / usize_to_f32(head_dim));
             let (sin, cos) = theta.sin_cos();
             let i0 = t * head_dim + 2 * pair;
             let (a, b) = (head[i0], head[i0 + 1]);
@@ -171,7 +172,7 @@ impl LlamaLayerFunctional {
         }
         // Per-query-head causal attention against the group's KV head.
         let mut ctx = Tensor::zeros([tokens, self.dims.hidden], DType::Fp32);
-        let scale = 1.0 / (d as f32).sqrt();
+        let scale = 1.0 / usize_to_f32(d).sqrt();
         for h in 0..self.dims.q_heads {
             let kvh = h / group;
             for ti in 0..tokens {

@@ -17,6 +17,7 @@
 //! projection favors it even more than serving does.
 
 use dcm_compiler::{CompileOptions, Device, EwKind, Graph, Op};
+use dcm_core::cast::{f64_to_u64, f64_to_usize, usize_to_f64};
 use dcm_core::cost::ExecStats;
 use dcm_core::energy::Activity;
 use dcm_core::timeline::even_pipeline_makespan;
@@ -85,7 +86,7 @@ impl TrainStepRun {
     /// Training throughput in tokens per second for `cfg`.
     #[must_use]
     pub fn tokens_per_second(&self, cfg: &TrainingConfig) -> f64 {
-        cfg.tokens_per_step() as f64 / self.step_time_s
+        usize_to_f64(cfg.tokens_per_step()) / self.step_time_s
     }
 
     /// Model FLOPs utilization-style metric: useful FLOPs per second over
@@ -153,8 +154,7 @@ fn backward_graph(model: &LlamaConfig, batch: usize, seq: usize) -> Graph {
 /// Adam update: read param + 2 moments + grad, write param + 2 moments;
 /// ~10 element-wise ops per parameter.
 fn optimizer_graph(model: &LlamaConfig) -> Graph {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let params = model.param_count() as usize;
+    let params = f64_to_usize(model.param_count());
     let mut g = Graph::new("adam");
     for _ in 0..3 {
         g.push(Op::Elementwise {
@@ -188,7 +188,7 @@ pub fn train_step(device: &Device, cfg: &TrainingConfig) -> TrainStepRun {
     let opt = device.run_graph(&optimizer_graph(&cfg.model), &opts);
 
     // Gradient all-reduce: full parameter gradients in BF16.
-    let grad_bytes = (cfg.model.param_count() * DType::Bf16.size_bytes() as f64) as u64;
+    let grad_bytes = f64_to_u64(cfg.model.param_count() * usize_to_f64(DType::Bf16.size_bytes()));
     let ar_s = if cfg.data_parallel >= 2 {
         device.collective_model().time(
             dcm_net::Collective::AllReduce,
@@ -242,7 +242,7 @@ pub fn train_step_cluster(device: &Device, cfg: &TrainingConfig, nodes: usize) -
     if nodes <= 1 {
         return single;
     }
-    let grad_bytes = (cfg.model.param_count() * DType::Bf16.size_bytes() as f64) as u64;
+    let grad_bytes = f64_to_u64(cfg.model.param_count() * usize_to_f64(DType::Bf16.size_bytes()));
     let cluster = dcm_net::MultiNodeModel::new(device.spec(), nodes);
     let ar_s = cluster.allreduce_time(grad_bytes);
     let overlapped = ar_s * ALLREDUCE_OVERLAP;
@@ -263,7 +263,7 @@ pub fn train_step_cluster(device: &Device, cfg: &TrainingConfig, nodes: usize) -
 #[must_use]
 pub fn cluster_tokens_per_second(device: &Device, cfg: &TrainingConfig, nodes: usize) -> f64 {
     let run = train_step_cluster(device, cfg, nodes);
-    cfg.tokens_per_step() as f64 * nodes as f64 / run.step_time_s
+    usize_to_f64(cfg.tokens_per_step()) * usize_to_f64(nodes) / run.step_time_s
 }
 
 #[cfg(test)]

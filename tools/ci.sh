@@ -13,14 +13,14 @@ echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
 # Determinism & numeric-safety static analysis (DESIGN.md §3.7): fails on
-# any hazard not covered by an inline pragma or the lint.allow baseline,
-# and on stale baseline entries. Runs before clippy so the cheap,
+# any hazard not covered by an inline `// dcm-lint: allow(rule) reason`
+# pragma, the only suppression mechanism. Runs before clippy so the cheap,
 # domain-specific gate fires first. Report: results/lint_report.json.
 echo "==> dcm-lint"
 cargo run -q --release -p dcm-lint
 
 # The report the lint run just wrote must conform to the schema that
-# EXPERIMENTS.md documents (schema_version 2): downstream tooling reads
+# EXPERIMENTS.md documents (schema_version 3): downstream tooling reads
 # it unconditionally, so drift fails the same CI run that produced it.
 echo "==> dcm-lint --validate-report results/lint_report.json"
 cargo run -q --release -p dcm-lint -- --validate-report results/lint_report.json
