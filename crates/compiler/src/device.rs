@@ -196,18 +196,6 @@ impl Device {
         self.gemm.peak_flops(dtype)
     }
 
-    /// The vector-engine model (for microbenchmarks).
-    #[must_use]
-    pub fn vector_engine(&self) -> &VectorEngineModel {
-        &self.vector
-    }
-
-    /// The gather/scatter engine.
-    #[must_use]
-    pub fn gather_engine(&self) -> &GatherScatterEngine {
-        &self.gather
-    }
-
     /// The collective-communication model of the device's node.
     #[must_use]
     pub fn collective_model(&self) -> &CollectiveModel {

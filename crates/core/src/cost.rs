@@ -240,12 +240,6 @@ impl ExecStats {
         self.achieved_flops() / spec.matrix_peak_flops(dtype)
     }
 
-    /// Vector-engine utilization of `spec` at `dtype`.
-    #[must_use]
-    pub fn vector_utilization(&self, spec: &DeviceSpec, dtype: DType) -> f64 {
-        self.achieved_flops() / spec.vector_peak_flops(dtype)
-    }
-
     /// Useful-bandwidth utilization: useful bytes per second over peak HBM
     /// bandwidth. The metric of Figures 9 and 15.
     #[must_use]

@@ -8,28 +8,17 @@
 //! tie-breaking rules lived in three places and could drift. This module
 //! centralizes them:
 //!
-//! * [`EventQueue`] — a priority queue with a *total* order: events pop by
-//!   `(time, priority, seq)`, where `seq` is the insertion index. Two
+//! * [`EventQueue`] — a binary min-heap with a *total* order: events pop
+//!   by `(time, priority, seq)`, where `seq` is the insertion index. Two
 //!   events can never be "equal", so a simulation driven by the queue is
 //!   deterministic by construction: the same pushes always replay in the
 //!   same order, bit for bit, regardless of queue internals.
-//!   The original `BinaryHeap`-backed implementation survives as the
-//!   executable reference (`HeapEventQueue` in the `dcm-tests` crate):
-//!   `tests/tests/prop_queue_diff.rs` asserts bit-identical pop order
-//!   between the two under randomized workloads.
+//!   `tests/tests/prop_queue_diff.rs` checks it against a linear-scan
+//!   list model (`ListQueue` in the `dcm-tests` crate) under randomized
+//!   workloads and asserts bit-identical pop order.
 //! * [`SimClock`] — a monotone simulated clock. It only moves forward, so
 //!   an event processed at time `t` can never observe state from the
 //!   future, and a fast-forward past an idle gap is explicit.
-//!
-//! [`EventQueue`] is a calendar queue (a hashed timing wheel, Brown 1988):
-//! events hash into time buckets of a calibrated width and a cursor walks
-//! the buckets in time order, giving amortized O(1) push/pop for the
-//! arrival-stream patterns the serving layers generate, versus the heap's
-//! O(log n) sift per operation. The structure is *observably* identical to
-//! the heap: the pop order depends only on the event keys, never on bucket
-//! layout (each pop selects the full-key minimum of the earliest non-empty
-//! bucket, and the floor-based bucket map is monotone in time, so the
-//! earliest bucket always contains the global minimum).
 //!
 //! Determinism contract: all randomness lives *outside* the core — in
 //! seeded traces ([`rng::seeded`](crate::rng::seeded)) and seeded fault
@@ -41,11 +30,12 @@
 //! Priorities are small integers chosen by the simulation layer; lower
 //! pops first at equal times. The cluster layer, for example, orders a
 //! replica recovery (0) before a slowdown edge (1, 2) before a crash (3)
-//! before an arrival (4) at the same instant, so a replica crashing
-//! exactly when a request arrives can never receive it.
+//! before a fabric delivery (4) before an arrival (5) at the same
+//! instant, so a replica crashing exactly when a request arrives can
+//! never receive it.
 
-use std::cell::Cell;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// One scheduled event, as returned by [`EventQueue::pop`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,81 +50,50 @@ pub struct Event<T> {
     pub payload: T,
 }
 
-/// Pop order: earliest time, then lowest priority, then lowest seq.
-fn key_cmp(a: (f64, u32, u64), b: (f64, u32, u64)) -> Ordering {
-    a.0.total_cmp(&b.0)
-        .then_with(|| a.1.cmp(&b.1))
-        .then_with(|| a.2.cmp(&b.2))
+/// Heap entry. `BinaryHeap` is a max-heap, so [`Ord`] is the *reverse* of
+/// pop order: earliest time (IEEE total order), then lowest priority,
+/// then lowest insertion index. `seq` is unique, so no two entries
+/// compare equal.
+struct Entry<T>(Event<T>);
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (&self.0, &other.0);
+        a.time
+            .total_cmp(&b.time)
+            .then(a.priority.cmp(&b.priority))
+            .then(a.seq.cmp(&b.seq))
+            .reverse()
+    }
 }
 
-/// Queue size at which the calendar first calibrates its bucket width and
-/// spreads out of the single bootstrap bucket. Below this a linear scan of
-/// one bucket beats any wheel bookkeeping.
-const CALIBRATE_LEN: usize = 32;
-
-/// Upper bound on the bucket array — past this the calendar stops
-/// doubling and accepts longer per-bucket chains (2^20 buckets already
-/// covers million-event traces at ~1 event/bucket).
-const MAX_SLOTS: usize = 1 << 20;
-
-/// Calendar entry: the event key and payload plus its home bucket number,
-/// computed once at insertion so scans never re-derive float quotients.
-struct WheelEntry<T> {
-    time: f64,
-    priority: u32,
-    seq: u64,
-    bucket: i64,
-    payload: T,
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-/// Location of the current minimum — memoized so repeated
-/// [`EventQueue::peek_time`] calls (the promote-arrivals loop does one per
-/// scheduler iteration) cost O(1) instead of a bucket walk.
-#[derive(Clone, Copy)]
-struct MinLoc {
-    time: f64,
-    priority: u32,
-    seq: u64,
-    bucket: i64,
-    slot: usize,
-    idx: usize,
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
 }
+
+impl<T> Eq for Entry<T> {}
 
 /// A discrete-event queue with a total pop order on `(time, priority,
-/// seq)`, backed by a calendar of time buckets (a hashed timing wheel).
+/// seq)`, backed by a binary min-heap.
 ///
 /// `seq` increments on every push, so the order events were scheduled in
 /// is the last tie-break: two pushes at the same `(time, priority)` pop
 /// in push order, exactly like a stable sort of the whole event list.
+/// The pop order depends only on the event keys, so any two correct
+/// implementations of the order pop bit-identically.
 ///
-/// ## Invariants (the soundness argument, DESIGN.md §3.8)
-///
-/// * **Monotone bucket map.** An event's bucket is
-///   `floor(time / width)` (saturating at the `i64` extremes), computed
-///   once at insertion. The map is monotone in time, so for any two
-///   events `a.time < b.time` implies `a.bucket <= b.bucket`: the
-///   earliest non-empty bucket always contains the global minimum.
-/// * **Cursor lower bound.** `cursor <= bucket` for every live entry:
-///   pushes lower it, and a pop sets it to the popped bucket, which the
-///   previous invariant shows is a lower bound for everything remaining.
-///   The pop scan may therefore start at the cursor without ever skipping
-///   an earlier event.
-/// * **Full-key selection.** Within the first non-empty bucket the pop
-///   selects the minimum by the *full* `(time, priority, seq)` key, so
-///   the result is independent of per-bucket layout — the queue is
-///   deterministic by construction and bit-identical to a binary heap on
-///   the same key (pinned by `tests/tests/prop_queue_diff.rs`).
-/// * **Saturation safety.** Times whose quotient exceeds the `i64` range
-///   (including ±∞, which the serving layers use as sentinels) saturate
-///   into the extreme buckets. Saturation is monotone, so order is still
-///   decided correctly — by the full-key comparison within the merged
-///   extreme bucket.
-///
-/// Steady-state pushes and pops allocate nothing: a pop is a
-/// `swap_remove`, and a push appends into a bucket whose `Vec` retains
-/// its high-water capacity. Allocation happens only when a bucket first
-/// grows and on the O(log n) doubling rebuilds
-/// (`tests/tests/alloc_steady_state.rs` pins this with a counting
+/// Push and pop are O(log n). Neither allocates once the heap holds its
+/// high-water number of events: a pop keeps the buffer's capacity, and
+/// [`with_capacity`](Self::with_capacity) pre-sizes it for a bulk fill
+/// (`tests/tests/alloc_steady_state.rs` pins both with a counting
 /// allocator).
 ///
 /// ```
@@ -143,24 +102,15 @@ struct MinLoc {
 /// q.push(2.0, 0, "late");
 /// q.push(1.0, 1, "early-low-class");
 /// q.push(1.0, 0, "early-high-class");
-/// let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-/// assert_eq!(order, ["early-high-class", "early-low-class", "late"]);
+/// q.push(1.0, 0, "early-high-class-second");
+/// assert_eq!(q.pop_due(0.5), None); // nothing is due yet
+/// let order: Vec<&str> = std::iter::from_fn(|| q.pop_due(1.0).map(|e| e.payload)).collect();
+/// assert_eq!(order, ["early-high-class", "early-high-class-second", "early-low-class"]);
+/// assert_eq!(q.peek_time(), Some(2.0));
 /// ```
 pub struct EventQueue<T> {
-    /// Bucket array; `slots.len()` is a power of two.
-    slots: Vec<Vec<WheelEntry<T>>>,
-    /// `slots.len() - 1`, for the bucket→slot masking.
-    mask: i64,
-    /// Bucket width in seconds; calibrated to the mean inter-event gap at
-    /// rebuild time. Always positive and finite.
-    width: f64,
-    /// Lower bound on the bucket number of every live entry; `i64::MAX`
-    /// when empty.
-    cursor: i64,
-    len: usize,
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
-    /// Memoized location of the minimum entry (`None` = not computed).
-    cached_min: Cell<Option<MinLoc>>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -178,94 +128,13 @@ impl<T> EventQueue<T> {
 
     /// An empty queue pre-sized for `capacity` events. Large sweeps push
     /// whole arrival traces (plus fault timelines) up front; pre-sizing
-    /// the bootstrap bucket skips the repeated doubling those pushes
-    /// would otherwise pay before the first calibration rebuild.
+    /// skips the repeated doubling those pushes would otherwise pay.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            slots: vec![Vec::with_capacity(capacity)],
-            mask: 0,
-            width: 1.0,
-            cursor: i64::MAX,
-            len: 0,
+            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
-            cached_min: Cell::new(None),
         }
-    }
-
-    /// Reserve room for at least `additional` more events, spread across
-    /// the current buckets.
-    pub fn reserve(&mut self, additional: usize) {
-        let per_slot = additional / self.slots.len() + 1;
-        for s in &mut self.slots {
-            s.reserve(per_slot);
-        }
-    }
-
-    /// Bucket number of `time` under width `w`: `floor(time / w)`,
-    /// saturating at the `i64` extremes (monotone, so order within the
-    /// merged extreme buckets is still decided by the full key).
-    fn bucket_of(time: f64, w: f64) -> i64 {
-        // dcm-lint: allow(C1) f64→i64 `as` saturates (the intended clamp); NaN rejected at push
-        ((time / w).floor()) as i64
-    }
-
-    fn slot_of(&self, bucket: i64) -> usize {
-        // Masking the two's-complement low bits maps each bucket to a slot
-        // consistently for negative buckets too; the result is in
-        // 0..slots.len() so the cast is lossless.
-        // dcm-lint: allow(C1) masked non-negative i64 → usize is lossless
-        (bucket & self.mask) as usize
-    }
-
-    /// Queue length that triggers the next doubling rebuild.
-    fn rebuild_threshold(&self) -> usize {
-        if self.slots.len() == 1 {
-            CALIBRATE_LEN
-        } else if self.slots.len() >= MAX_SLOTS {
-            usize::MAX
-        } else {
-            self.slots.len() * 2
-        }
-    }
-
-    /// Re-bucket everything into `n.next_power_of_two()` slots with a
-    /// width calibrated to the mean gap of the currently queued events —
-    /// the classic calendar-queue resize. O(len), amortized by doubling.
-    fn rebuild(&mut self, n: usize) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut finite = 0usize;
-        for s in &self.slots {
-            for e in s {
-                if e.time.is_finite() {
-                    lo = lo.min(e.time);
-                    hi = hi.max(e.time);
-                    finite += 1;
-                }
-            }
-        }
-        let span = hi - lo;
-        if finite >= 2 && span > 0.0 && span.is_finite() {
-            self.width = span / crate::cast::usize_to_f64(finite);
-        }
-        let nslots = n.next_power_of_two().clamp(64, MAX_SLOTS);
-        let old = std::mem::take(&mut self.slots);
-        // dcm-lint: allow(A1) rebuild doubles capacity, amortized O(1)/event; asserted by alloc_steady_state.rs
-        self.slots = (0..nslots).map(|_| Vec::new()).collect();
-        // dcm-lint: allow(C1) nslots ≤ 2^20, exactly representable
-        self.mask = (nslots - 1) as i64;
-        self.cursor = i64::MAX;
-        for s in old {
-            for e in s {
-                let bucket = Self::bucket_of(e.time, self.width);
-                self.cursor = self.cursor.min(bucket);
-                let slot = self.slot_of(bucket);
-                // dcm-lint: allow(A1) redistribution during amortized rebuild; asserted by alloc_steady_state.rs
-                self.slots[slot].push(WheelEntry { bucket, ..e });
-            }
-        }
-        self.cached_min.set(None);
     }
 
     /// Schedule `payload` at `time` with tie-break class `priority`.
@@ -277,125 +146,25 @@ impl<T> EventQueue<T> {
         assert!(!time.is_nan(), "event time must not be NaN");
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.len + 1 > self.rebuild_threshold() {
-            self.rebuild(self.len + 1);
-        }
-        let bucket = Self::bucket_of(time, self.width);
-        let slot = self.slot_of(bucket);
-        // dcm-lint: allow(A1) slot vecs retain capacity across pops; steady state asserted by alloc_steady_state.rs
-        self.slots[slot].push(WheelEntry {
+        // dcm-lint: allow(A1) the heap grows only past its high-water length, by doubling: amortized O(1)/event; asserted by alloc_steady_state.rs
+        self.heap.push(Entry(Event {
             time,
             priority,
             seq,
-            bucket,
             payload,
-        });
-        self.len += 1;
-        self.cursor = self.cursor.min(bucket);
-        if let Some(m) = self.cached_min.get() {
-            if key_cmp((time, priority, seq), (m.time, m.priority, m.seq)) == Ordering::Less {
-                self.cached_min.set(Some(MinLoc {
-                    time,
-                    priority,
-                    seq,
-                    bucket,
-                    slot,
-                    idx: self.slots[slot].len() - 1,
-                }));
-            }
-        }
+        }));
         seq
-    }
-
-    /// Locate the minimum entry: walk buckets from the cursor (one year =
-    /// one lap of the bucket array), falling back to a direct scan when
-    /// the calendar is sparse. Memoized in `cached_min`; read-only
-    /// otherwise, so peeks can share it.
-    fn find_min(&self) -> Option<MinLoc> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(m) = self.cached_min.get() {
-            return Some(m);
-        }
-        for step in 0..self.slots.len() {
-            // Bucket indices saturate at i64::MAX (the +inf bucket).
-            let Some(b) = i64::try_from(step)
-                .ok()
-                .and_then(|s| self.cursor.checked_add(s))
-            else {
-                break;
-            };
-            if let Some(m) = self.min_in_bucket(b) {
-                self.cached_min.set(Some(m));
-                return Some(m);
-            }
-        }
-        // Sparse year: direct search. The bucket map is monotone in time,
-        // so the global full-key minimum is also in the lowest bucket.
-        let mut best: Option<MinLoc> = None;
-        for (slot, entries) in self.slots.iter().enumerate() {
-            for (idx, e) in entries.iter().enumerate() {
-                let candidate = (e.time, e.priority, e.seq);
-                if best.is_none_or(|m| key_cmp(candidate, (m.time, m.priority, m.seq)).is_lt()) {
-                    best = Some(MinLoc {
-                        time: e.time,
-                        priority: e.priority,
-                        seq: e.seq,
-                        bucket: e.bucket,
-                        slot,
-                        idx,
-                    });
-                }
-            }
-        }
-        self.cached_min.set(best);
-        best
-    }
-
-    /// Full-key minimum among the entries homed in bucket `b`, if any.
-    fn min_in_bucket(&self, b: i64) -> Option<MinLoc> {
-        let slot = self.slot_of(b);
-        let mut best: Option<MinLoc> = None;
-        for (idx, e) in self.slots[slot].iter().enumerate() {
-            if e.bucket != b {
-                continue; // a different lap of the calendar
-            }
-            let candidate = (e.time, e.priority, e.seq);
-            if best.is_none_or(|m| key_cmp(candidate, (m.time, m.priority, m.seq)).is_lt()) {
-                best = Some(MinLoc {
-                    time: e.time,
-                    priority: e.priority,
-                    seq: e.seq,
-                    bucket: b,
-                    slot,
-                    idx,
-                });
-            }
-        }
-        best
     }
 
     /// Remove and return the next event in `(time, priority, seq)` order.
     pub fn pop(&mut self) -> Option<Event<T>> {
-        let m = self.find_min()?;
-        self.cached_min.set(None);
-        self.cursor = m.bucket;
-        self.len -= 1;
-        let e = self.slots[m.slot].swap_remove(m.idx);
-        debug_assert_eq!(e.seq, m.seq, "cached minimum desynced from storage");
-        Some(Event {
-            time: e.time,
-            priority: e.priority,
-            seq: e.seq,
-            payload: e.payload,
-        })
+        self.heap.pop().map(|e| e.0)
     }
 
     /// Time of the next event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<f64> {
-        self.find_min().map(|m| m.time)
+        self.heap.peek().map(|e| e.0.time)
     }
 
     /// Pop the next event only if it is due at or before `horizon`
@@ -403,9 +172,7 @@ impl<T> EventQueue<T> {
     /// return `None`. The bulk-horizon primitive for drain loops
     /// (`while let Some(e) = q.pop_due(t)`) — one call replaces the
     /// peek-compare-pop dance and can never drop an event past the
-    /// horizon. A NaN `horizon` compares false and pops nothing. The
-    /// `find_min` result is memoized, so a declined pop costs one
-    /// cached comparison, not a bucket scan.
+    /// horizon. A NaN `horizon` compares false and pops nothing.
     pub fn pop_due(&mut self, horizon: f64) -> Option<Event<T>> {
         if self.peek_time()? <= horizon {
             self.pop()
@@ -414,27 +181,21 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Payload of the next event without removing it.
-    #[must_use]
-    pub fn peek(&self) -> Option<&T> {
-        self.find_min().map(|m| &self.slots[m.slot][m.idx].payload)
-    }
-
     /// Number of scheduled events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Remove every event, in pop order.
     pub fn drain_ordered(&mut self) -> Vec<Event<T>> {
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.heap.len());
         while let Some(e) = self.pop() {
             out.push(e);
         }
@@ -442,13 +203,11 @@ impl<T> EventQueue<T> {
     }
 }
 
-impl<T: std::fmt::Debug> std::fmt::Debug for EventQueue<T> {
+impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.len)
+            .field("len", &self.heap.len())
             .field("next_seq", &self.next_seq)
-            .field("slots", &self.slots.len())
-            .field("width", &self.width)
             .finish()
     }
 }
@@ -532,8 +291,7 @@ mod tests {
     #[test]
     fn seq_makes_the_order_total() {
         // 100 events at one instant with one priority: pure insertion
-        // order, regardless of bucket internals. 100 > CALIBRATE_LEN, so
-        // this also crosses a rebuild with a degenerate (zero) span.
+        // order, regardless of heap layout.
         let mut q = EventQueue::new();
         for i in 0..100usize {
             q.push(1.0, 0, i);
@@ -550,7 +308,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().payload, "first");
         q.push(2.0, 0, "second");
         assert_eq!(q.peek_time(), Some(2.0));
-        assert_eq!(q.peek(), Some(&"second"));
         assert_eq!(q.pop().unwrap().payload, "second");
         assert_eq!(q.pop().unwrap().payload, "late");
         assert!(q.pop().is_none());
@@ -558,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_and_reserve_change_nothing_observable() {
+    fn with_capacity_changes_nothing_observable() {
         // Capacity is a pure allocation hint: pop order, seq numbering
         // and len are identical to a `new()` queue.
         let mut a = EventQueue::new();
@@ -566,7 +323,6 @@ mod tests {
         for i in 0..10usize {
             assert_eq!(a.push(i as f64 * 0.5, 0, i), b.push(i as f64 * 0.5, 0, i));
         }
-        b.reserve(100);
         assert_eq!(a.len(), b.len());
         let pa: Vec<usize> = a.drain_ordered().into_iter().map(|e| e.payload).collect();
         let pb: Vec<usize> = b.drain_ordered().into_iter().map(|e| e.payload).collect();
@@ -594,7 +350,7 @@ mod tests {
     #[test]
     fn negative_and_infinite_times_order_correctly() {
         // The queue itself permits any non-NaN time; layers add their own
-        // range checks. The saturating bucket map handles the extremes.
+        // range checks.
         let mut q = EventQueue::new();
         q.push(f64::INFINITY, 0, "inf");
         q.push(-1.0, 0, "neg");

@@ -52,12 +52,6 @@ impl MatrixEngineSpec {
             DType::Int32 => self.peak_flops_bf16 * self.fp32_factor,
         }
     }
-
-    /// MAC operations (1 MAC = 2 FLOPs) retired per cycle at full geometry.
-    #[must_use]
-    pub fn macs_per_cycle(&self) -> f64 {
-        self.peak_flops_bf16 / 2.0 / self.clock_hz
-    }
 }
 
 /// Programmable vector/SIMD engine parameters.

@@ -117,12 +117,6 @@ impl TraceRecorder {
         self.enabled
     }
 
-    /// Reassign the recorder's track (the cluster numbers replica
-    /// recorders after construction).
-    pub fn set_track(&mut self, track: u32) {
-        self.track = track;
-    }
-
     /// Record a duration span.
     pub fn span(
         &mut self,

@@ -114,7 +114,6 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("EventQueue", "push"),
     ("EventQueue", "pop"),
     ("EventQueue", "pop_due"),
-    ("EventQueue", "peek"),
     ("EventQueue", "peek_time"),
     ("SeqSlab", "insert"),
     ("SeqSlab", "remove"),

@@ -183,13 +183,6 @@ impl HbmModel {
         x.min(1.0)
             .max(1.0 / cast::usize_to_f64(SATURATION_INFLIGHT))
     }
-
-    /// Time to stream `bytes` at peak streaming bandwidth (bulk copies,
-    /// weight loads).
-    #[must_use]
-    pub fn stream_time(&self, bytes: u64) -> f64 {
-        cast::u64_to_f64(bytes) / self.mem.stream_bandwidth()
-    }
 }
 
 #[cfg(test)]

@@ -366,28 +366,11 @@ impl FlowSim {
         self.flows[id].start_s
     }
 
-    /// Number of flows injected so far.
-    #[must_use]
-    pub fn num_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Bytes still to transfer on one flow (fractional under the fluid
     /// model).
     #[must_use]
     pub fn remaining_bytes(&self, id: FlowId) -> f64 {
         self.flows[id].remaining
-    }
-
-    /// Current max-min rate of one flow (0.0 unless active).
-    #[must_use]
-    pub fn current_rate(&mut self, id: FlowId) -> f64 {
-        self.settle();
-        if self.flows[id].state == FlowState::Active {
-            self.flows[id].rate
-        } else {
-            0.0
-        }
     }
 }
 

@@ -189,30 +189,6 @@ impl<'a> TpcContext<'a> {
         self.vlm_capacity
     }
 
-    /// Number of input tensors bound to the launch.
-    #[must_use]
-    pub fn num_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Shape/dtype of input `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn input_desc(&self, i: usize) -> &TensorDesc {
-        self.inputs[i].desc()
-    }
-
-    /// Shape/dtype of output `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn output_desc(&self, i: usize) -> &TensorDesc {
-        self.outputs[i].desc()
-    }
-
     fn record_access(&mut self, side: TensorSide, offset: usize, elems: usize, bytes: usize) {
         let sequential = self.last_end.get(&side).is_none_or(|&end| end == offset);
         self.last_end.insert(side, offset + elems);

@@ -37,14 +37,14 @@
 //! each replica with its device name.
 //!
 //! The run is driven by one merged [`EventQueue`] holding the fault
-//! timeline (priorities = fault class ranks) and the arrival stream
-//! (priority one past the last fault class), so the `(time, priority,
-//! seq)` total order *is* the event-ordering rule: fault edges at an
-//! arrival's instant apply before it, equal-time faults keep timeline
-//! order, simultaneous arrivals keep trace order. Replicas are advanced
-//! and ties broken in replica-index order, and every engine is seeded
-//! purely by the trace, so a given (trace, policy, replica mix) replays
-//! bit-identically.
+//! timeline (priorities = fault class ranks 0–3), the control fabric's
+//! wakes (priority 4) and the arrival stream (priority 5), so the
+//! `(time, priority, seq)` total order *is* the event-ordering rule:
+//! fault edges and fabric deliveries at an arrival's instant apply
+//! before it, equal-time faults keep timeline order, simultaneous
+//! arrivals keep trace order. Replicas are advanced and ties broken in
+//! replica-index order, and every engine is seeded purely by the trace,
+//! so a given (trace, policy, replica mix) replays bit-identically.
 //!
 //! Resilience ([`Cluster::run_resilient`]): the same event loop
 //! additionally replays a [`FaultPlan`] — replica crashes (with optional
@@ -61,7 +61,7 @@ use crate::dataset::Request;
 use crate::engine::{self, validate_trace, ServingEngine, ServingReport, SimState};
 use crate::fault::{FaultPlan, ResilienceConfig, TimelineKind};
 use dcm_core::cast::usize_to_f64;
-use dcm_core::error::Result;
+use dcm_core::error::{DcmError, Result};
 use dcm_core::metrics::{LatencyRecorder, MetricsMode};
 use dcm_core::sim::EventQueue;
 use dcm_core::specs::DeviceSpec;
@@ -170,6 +170,28 @@ impl FabricConfig {
             link_bps: spec.scale_out.bps_per_device * spec.scale_out.efficiency,
             latency_s: spec.scale_out.alpha_s,
         }
+    }
+
+    /// Check the link parameters a run builds its fabric topology from.
+    ///
+    /// # Errors
+    /// Returns [`DcmError::InvalidConfig`] naming the field when
+    /// `link_bps` is not finite and positive, or `latency_s` is not
+    /// finite and non-negative.
+    fn validate(&self) -> Result<()> {
+        if !(self.link_bps.is_finite() && self.link_bps > 0.0) {
+            return Err(DcmError::InvalidConfig(format!(
+                "fabric link_bps must be finite and > 0, got {}",
+                self.link_bps
+            )));
+        }
+        if !(self.latency_s.is_finite() && self.latency_s >= 0.0) {
+            return Err(DcmError::InvalidConfig(format!(
+                "fabric latency_s must be finite and >= 0, got {}",
+                self.latency_s
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -671,7 +693,9 @@ impl Cluster {
     /// # Errors
     /// Returns [`InvalidConfig`](dcm_core::error::DcmError::InvalidConfig)
     /// for an invalid trace (empty, a non-finite or negative arrival, or
-    /// a request generating no token) and propagates any replica error
+    /// a request generating no token) or an invalid [`FabricConfig`] (a
+    /// `link_bps` that is not finite and positive, a `latency_s` that is
+    /// not finite and non-negative), and propagates any replica error
     /// (e.g. a request exceeding a replica's KV capacity).
     pub fn run(&mut self, requests: &[Request]) -> Result<ClusterReport> {
         self.run_resilient(requests, &FaultPlan::none(), &ResilienceConfig::default())
@@ -706,8 +730,9 @@ impl Cluster {
     ///
     /// # Errors
     /// Returns [`InvalidConfig`](dcm_core::error::DcmError::InvalidConfig)
-    /// for an invalid trace (see [`run`](Self::run)) or an invalid plan
-    /// (see [`FaultPlan::validate`]) and propagates any replica error.
+    /// for an invalid trace or fabric (see [`run`](Self::run)) or an
+    /// invalid plan (see [`FaultPlan::validate`]) and propagates any
+    /// replica error.
     pub fn run_resilient(
         &mut self,
         requests: &[Request],
@@ -744,6 +769,9 @@ impl Cluster {
     ) -> Result<(ClusterReport, Vec<Span>)> {
         validate_trace(requests)?;
         plan.validate(self.replicas.len())?;
+        if let Some(fabric) = &self.fabric {
+            fabric.validate()?;
+        }
 
         let n = self.replicas.len();
         let mut st = RunState {
@@ -774,8 +802,8 @@ impl Cluster {
         }
 
         // One merged timeline: fault edges carry their class rank as the
-        // priority (timeline order preserved by push order), arrivals the
-        // next rank up in trace order. The queue's (time, priority, seq)
+        // priority (timeline order preserved by push order), arrivals
+        // `PRIO_ARRIVAL` in trace order. The queue's (time, priority, seq)
         // total order then reproduces the old hand-merged rules — faults
         // due at or before an arrival apply first, simultaneous arrivals
         // keep trace order — by construction.
@@ -1452,6 +1480,33 @@ mod tests {
     }
 
     // ---- control-plane fabric --------------------------------------------
+
+    #[test]
+    fn bad_fabric_config_is_an_error_naming_the_field() {
+        let reqs = online_trace(4, 3, 10.0);
+        for (link_bps, latency_s, field) in [
+            (0.0, 0.0, "link_bps"),
+            (-1.0, 0.0, "link_bps"),
+            (f64::NAN, 0.0, "link_bps"),
+            (f64::INFINITY, 0.0, "link_bps"),
+            (1e9, -1.0, "latency_s"),
+            (1e9, f64::NAN, "latency_s"),
+        ] {
+            let cfg = FabricConfig {
+                dispatch_bytes: 1024,
+                link_bps,
+                latency_s,
+            };
+            let err = cluster(2, RoutingPolicy::RoundRobin)
+                .with_fabric(cfg)
+                .run(&reqs)
+                .unwrap_err();
+            assert!(
+                matches!(&err, DcmError::InvalidConfig(m) if m.contains(field)),
+                "{cfg:?}: {err}"
+            );
+        }
+    }
 
     #[test]
     fn zero_cost_fabric_matches_baseline_bit_for_bit() {

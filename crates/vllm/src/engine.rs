@@ -234,9 +234,10 @@ struct StepCost {
     scale: f64,
 }
 
-/// Arrivals are the only event class in a single-engine queue; the
-/// cluster layer reuses the same numbering and slots its fault edges at
-/// lower values (see `cluster`).
+/// Arrivals are the only event class in an engine's own queue, so this
+/// priority orders them against nothing; the cluster's merged timeline
+/// numbers its classes separately (fault edges 0–3, fabric wakes 4,
+/// arrivals 5; see `cluster`).
 const PRIO_ARRIVAL: u32 = 4;
 
 /// Check a trace before a run serves it: non-empty, every arrival finite
@@ -382,6 +383,43 @@ impl SimState {
                 .then_with(|| a.id.cmp(&b.id))
         });
         Ok((out, lost))
+    }
+
+    /// Retire the active sequence `id` (in `slot`) that has just produced
+    /// its last token at the current clock: record its TPOT sample and
+    /// outcome, free its batch slot and KV blocks, and emit its `Request`
+    /// span. The one decode-completion path — a decode step and a
+    /// fast-forward stretch end both call it. `produced >= 2` here:
+    /// admission emitted the first token and decoding at least one more.
+    fn retire(&mut self, id: u64, slot: SlotId) -> Result<()> {
+        let produced = self.slab.produced(slot);
+        let first_token_t = self.slab.first_token_t(slot);
+        let kv_tokens = self.slab.kv_tokens(slot);
+        let tpot = (self.clock.now() - first_token_t) / usize_to_f64(produced - 1);
+        self.tpot.record(tpot);
+        self.active_remove(id);
+        let req = self.slab.remove(slot);
+        let ttft_s = first_token_t - req.arrival_s;
+        self.finished.push(FinishedRequest {
+            ttft_s,
+            tpot_s: Some(tpot),
+            output_tokens: produced,
+        });
+        self.stats.remove(kv_tokens);
+        self.kv.release(id)?;
+        self.completed += 1;
+        self.trace.span(
+            SpanKind::Request,
+            "request",
+            req.arrival_s,
+            self.clock.now() - req.arrival_s,
+            Some(id),
+            &[
+                ("output_tokens", usize_to_f64(produced)),
+                ("ttft_s", ttft_s),
+            ],
+        );
+        Ok(())
     }
 
     fn promote_arrivals(&mut self) {
@@ -854,33 +892,7 @@ impl ServingEngine {
             sim.slab.set_remaining(slot, remaining);
             sim.slab.set_produced(slot, produced);
             if remaining == 0 {
-                // produced >= 2 here: admission emitted the first token
-                // and this decode step at least one more.
-                let first_token_t = sim.slab.first_token_t(slot);
-                let tpot = (sim.clock.now() - first_token_t) / usize_to_f64(produced - 1);
-                sim.tpot.record(tpot);
-                sim.active_remove(id);
-                let req = sim.slab.remove(slot);
-                let ttft_s = first_token_t - req.arrival_s;
-                sim.finished.push(FinishedRequest {
-                    ttft_s,
-                    tpot_s: Some(tpot),
-                    output_tokens: produced,
-                });
-                sim.stats.remove(known);
-                sim.kv.release(id)?;
-                sim.completed += 1;
-                sim.trace.span(
-                    SpanKind::Request,
-                    "request",
-                    req.arrival_s,
-                    sim.clock.now() - req.arrival_s,
-                    Some(id),
-                    &[
-                        ("output_tokens", usize_to_f64(produced)),
-                        ("ttft_s", ttft_s),
-                    ],
-                );
+                sim.retire(id, slot)?;
             }
         }
         sim.scratch_ids = ids;
@@ -1028,36 +1040,9 @@ impl ServingEngine {
         // Completions land at the stretch end, in ascending-id order —
         // the same order a step-by-step run retires them in.
         for &(id, slot) in &ids {
-            if sim.slab.remaining(slot) != 0 {
-                continue;
+            if sim.slab.remaining(slot) == 0 {
+                sim.retire(id, slot)?;
             }
-            let produced = sim.slab.produced(slot);
-            let first_token_t = sim.slab.first_token_t(slot);
-            let kv_tokens = sim.slab.kv_tokens(slot);
-            let tpot = (sim.clock.now() - first_token_t) / usize_to_f64(produced - 1);
-            sim.tpot.record(tpot);
-            sim.active_remove(id);
-            let req = sim.slab.remove(slot);
-            let ttft_s = first_token_t - req.arrival_s;
-            sim.finished.push(FinishedRequest {
-                ttft_s,
-                tpot_s: Some(tpot),
-                output_tokens: produced,
-            });
-            sim.stats.remove(kv_tokens);
-            sim.kv.release(id)?;
-            sim.completed += 1;
-            sim.trace.span(
-                SpanKind::Request,
-                "request",
-                req.arrival_s,
-                sim.clock.now() - req.arrival_s,
-                Some(id),
-                &[
-                    ("output_tokens", usize_to_f64(produced)),
-                    ("ttft_s", ttft_s),
-                ],
-            );
         }
         sim.scratch_ids = ids;
         Ok(true)

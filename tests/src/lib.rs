@@ -5,95 +5,30 @@
 //! DLRM serving, paged attention inside the serving engine, and the
 //! directional claims of the paper's key takeaways.
 //!
-//! The crate also holds [`HeapEventQueue`], the reference implementation
-//! `prop_queue_diff.rs` checks `dcm_core::sim::EventQueue` against. It
-//! lives here, not in `dcm-core`, because nothing but that differential
-//! suite uses it.
+//! The crate also holds [`ListQueue`], the model `prop_queue_diff.rs`
+//! checks `dcm_core::sim::EventQueue` against. It lives here, not in
+//! `dcm-core`, because nothing but that differential suite uses it.
 
 use dcm_core::sim::Event;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Heap entry. `BinaryHeap` is a max-heap, so [`Ord`] is the *reverse* of
-/// pop order.
-struct Entry<T> {
-    time: f64,
-    priority: u32,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> Entry<T> {
-    /// Pop order, stated on its own rather than shared with the queue
-    /// under test: earliest time (IEEE total order), then lowest
-    /// priority, then lowest insertion index.
-    fn pop_order(&self, other: &Self) -> Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.priority.cmp(&other.priority))
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.pop_order(other) == Ordering::Equal
-    }
-}
-
-impl<T> Eq for Entry<T> {}
-
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.pop_order(other).reverse()
-    }
-}
-
-/// A `BinaryHeap`-backed event queue: the executable specification of
-/// `dcm_core::sim::EventQueue`.
-///
-/// Same API, same total pop order on `(time, priority, seq)`, same NaN
-/// rejection. The differential suite (`tests/tests/prop_queue_diff.rs`)
-/// replays identical push/pop sequences against both and asserts
-/// bit-identical behaviour.
+/// An event queue kept as a plain list: the executable specification of
+/// `dcm_core::sim::EventQueue`. A pop finds the minimum by a linear scan
+/// under its own comparator, so the model shares no code, and no data
+/// structure, with the heap it checks.
 #[derive(Default)]
-pub struct HeapEventQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
+pub struct ListQueue<T> {
+    events: Vec<Event<T>>,
     next_seq: u64,
 }
 
-impl<T> HeapEventQueue<T> {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty queue pre-sized for `capacity` events.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-        }
-    }
-
+impl<T> ListQueue<T> {
     /// Schedule `payload` at `time` with tie-break class `priority`.
     /// Returns the event's insertion index.
-    ///
-    /// # Panics
-    /// Panics on a NaN time — NaN has no place in a total order.
     pub fn push(&mut self, time: f64, priority: u32, payload: T) -> u64 {
-        assert!(!time.is_nan(), "event time must not be NaN");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
+        self.events.push(Event {
             time,
             priority,
             seq,
@@ -102,25 +37,30 @@ impl<T> HeapEventQueue<T> {
         seq
     }
 
-    /// Remove and return the next event in `(time, priority, seq)` order.
+    /// Index of the next event: earliest time (IEEE total order), then
+    /// lowest priority, then lowest insertion index.
+    fn head(&self) -> Option<usize> {
+        let pop_order = |a: &Event<T>, b: &Event<T>| -> Ordering {
+            a.time
+                .total_cmp(&b.time)
+                .then(a.priority.cmp(&b.priority))
+                .then(a.seq.cmp(&b.seq))
+        };
+        (0..self.events.len()).min_by(|&a, &b| pop_order(&self.events[a], &self.events[b]))
+    }
+
+    /// Remove and return the next event.
     pub fn pop(&mut self) -> Option<Event<T>> {
-        self.heap.pop().map(|e| Event {
-            time: e.time,
-            priority: e.priority,
-            seq: e.seq,
-            payload: e.payload,
-        })
+        self.head().map(|i| self.events.remove(i))
     }
 
     /// Time of the next event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
+        self.head().map(|i| self.events[i].time)
     }
 
-    /// Pop the next event only if it is due at or before `horizon`
-    /// (`time <= horizon`); otherwise leave the queue untouched and
-    /// return `None`. A NaN `horizon` compares false and pops nothing.
+    /// Pop the next event only if its time is at or before `horizon`.
     pub fn pop_due(&mut self, horizon: f64) -> Option<Event<T>> {
         if self.peek_time()? <= horizon {
             self.pop()
@@ -129,30 +69,20 @@ impl<T> HeapEventQueue<T> {
         }
     }
 
-    /// Payload of the next event without removing it.
-    #[must_use]
-    pub fn peek(&self) -> Option<&T> {
-        self.heap.peek().map(|e| &e.payload)
-    }
-
     /// Number of scheduled events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len()
     }
 
     /// Whether no events are scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
     }
 
     /// Remove every event, in pop order.
     pub fn drain_ordered(&mut self) -> Vec<Event<T>> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
-        out
+        std::iter::from_fn(|| self.pop()).collect()
     }
 }

@@ -4,8 +4,11 @@
 //! lets every container reach its high-water capacity, the measured
 //! windows must allocate **zero** times:
 //!
-//! * the timing-wheel event queue under hold-model churn (pop-min, push
-//!   successor) — pre-sizing plus per-slot `swap_remove` reuse;
+//! * the event queue under hold-model churn (pop-min, push successor) —
+//!   the heap keeps its buffer across pops;
+//! * the event queue under a bulk fill and drain — `with_capacity(n)`
+//!   takes `n` pushes and a full `pop_due` drain with no further
+//!   allocation;
 //! * the sequence slab under admit/complete churn — free-list reuse;
 //! * `BatchStats` under add/grow/remove churn — the sorted-vec histogram
 //!   retains capacity across boundary crossings;
@@ -62,11 +65,9 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
 
 #[test]
 fn hot_paths_are_allocation_free_after_warmup() {
-    // --- Timing-wheel event queue: hold model -------------------------
+    // --- Event queue: hold model --------------------------------------
     // K events in flight; each iteration pops the minimum and pushes its
-    // successor a deterministic stride later. The time pattern cycles, so
-    // warm-up visits every bucket-occupancy shape the measured window
-    // will; all rebuilds happen during the initial fill.
+    // successor a deterministic stride later.
     const K: usize = 256;
     const SPACING: f64 = 0.5;
     let mut q: EventQueue<u64> = EventQueue::with_capacity(K);
@@ -85,11 +86,29 @@ fn hot_paths_are_allocation_free_after_warmup() {
             q.push(e.time + revolution, e.priority, e.payload);
         }
     };
-    churn(&mut q, 8 * K); // warm-up: reach steady slot capacities
-    let (wheel_allocs, ()) = allocations_in(|| churn(&mut q, 8 * K));
+    churn(&mut q, 8 * K); // warm-up
+    let (queue_allocs, ()) = allocations_in(|| churn(&mut q, 8 * K));
     assert_eq!(
-        wheel_allocs, 0,
-        "timing wheel allocated {wheel_allocs} times in steady state"
+        queue_allocs, 0,
+        "event queue allocated {queue_allocs} times in steady state"
+    );
+
+    // --- Event queue: bulk fill and drain -----------------------------
+    // A pre-sized queue takes a whole trace up front (increasing times,
+    // four events per instant, so `seq` breaks exact ties), then drains
+    // it through `pop_due` — the shape of a cluster run's arrival queue.
+    const N: u16 = 4096;
+    let mut q: EventQueue<u16> = EventQueue::with_capacity(usize::from(N));
+    let (bulk_allocs, popped) = allocations_in(|| {
+        for i in 0..N {
+            q.push(f64::from(i / 4) * 0.25, 0, i);
+        }
+        std::iter::from_fn(|| q.pop_due(f64::from(N))).count()
+    });
+    assert_eq!(popped, usize::from(N));
+    assert_eq!(
+        bulk_allocs, 0,
+        "event queue allocated {bulk_allocs} times in a pre-sized bulk fill"
     );
 
     // --- Sequence slab: admit/complete churn --------------------------

@@ -62,10 +62,10 @@ for csv in ext_hetero_p99_ttft.csv ext_hetero_throughput.csv ext_hetero_requests
 done
 echo "==> determinism OK"
 
-# Differential suite under an explicit 2-thread override: the wheel-vs-
-# heap, slab-vs-map, histogram, fast-forward (engine- and cluster-level)
-# and flow-vs-closed-form fabric equivalence properties, the MME
-# geometry search against its f64 argmin spec, plus the
+# Differential suite under an explicit 2-thread override: the
+# queue-vs-list-model, slab-vs-map, histogram, fast-forward (engine- and
+# cluster-level) and flow-vs-closed-form fabric equivalence properties,
+# the MME geometry search against its f64 argmin spec, plus the
 # steady-state allocation audit must hold regardless of the parallelism
 # the host advertises.
 echo "==> differential suite (DCM_THREADS=2)"
@@ -80,11 +80,13 @@ DCM_THREADS=2 cargo test -q -p dcm-tests \
 # reproduce the output digest pinned in dcmbench/src/workloads.rs. Host
 # timings are printed, not gated here: comparing two commits needs
 # repeated runs of both on one quiet host (README "Compare two commits").
+# `--locked` fails the step if dcmbench/Cargo.lock is stale, instead of
+# letting cargo rewrite that frozen file.
 echo "==> dcmbench smoke tests"
-cargo test -q --manifest-path dcmbench/Cargo.toml
+cargo test -q --locked --manifest-path dcmbench/Cargo.toml
 for w in paper_artifacts poisson_ff online_exact_jsq faults_fabric_kv; do
     echo "==> dcmbench digest: $w"
-    cargo run -q --release --manifest-path dcmbench/Cargo.toml -- \
+    cargo run -q --release --locked --manifest-path dcmbench/Cargo.toml -- \
         --workload "$w" --seconds 0 >/dev/null
 done
 
