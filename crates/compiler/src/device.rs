@@ -6,7 +6,9 @@ use crate::passes::{compile, CompileOptions, CompiledGraph, Scheduled};
 use dcm_core::cast::{u64_to_f64, usize_to_f64, usize_to_u64};
 use dcm_core::cost::{ExecStats, OpCost};
 use dcm_core::energy::{Activity, PowerModel};
-use dcm_core::specs::DeviceSpec;
+use dcm_core::specs::{
+    DeviceSpec, FabricSpec, MatrixEngineSpec, MemorySpec, PowerSpec, ScaleOutSpec, VectorEngineSpec,
+};
 use dcm_core::timeline::even_pipeline_makespan;
 use dcm_core::DType;
 use dcm_mem::GatherScatterEngine;
@@ -188,6 +190,24 @@ impl Device {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.spec.name
+    }
+
+    /// Exact equality: the same backend architecture and specs equal
+    /// field by field, floats compared by bit pattern. Two such devices
+    /// price every graph to the same bits, which is what a cache keyed on
+    /// devices needs. Derived `DeviceSpec` equality is not enough: it
+    /// equates `-0.0` with `0.0` and never matches a NaN field to itself.
+    #[must_use]
+    pub fn exact_eq(&self, other: &Device) -> bool {
+        let same_backend = matches!(
+            (&self.gemm, &other.gemm),
+            (GemmBackend::Gaudi(_), GemmBackend::Gaudi(_))
+                | (GemmBackend::A100(_), GemmBackend::A100(_))
+        );
+        same_backend
+            && self.spec.name == other.spec.name
+            && self.spec.process_node == other.spec.process_node
+            && spec_words(&self.spec) == spec_words(&other.spec)
     }
 
     /// Peak matrix FLOP/s at `dtype`.
@@ -440,6 +460,103 @@ impl Device {
     }
 }
 
+/// Every numeric field of `spec` as a 64-bit word, floats by bit pattern
+/// and the fabric variant as a tag, for [`Device::exact_eq`]. The
+/// destructuring is exhaustive, so a new spec field does not compile
+/// until it is compared here.
+fn spec_words(spec: &DeviceSpec) -> [u64; 32] {
+    let DeviceSpec {
+        name: _,
+        process_node: _,
+        matrix:
+            MatrixEngineSpec {
+                count,
+                mac_rows,
+                mac_cols,
+                reconfigurable,
+                clock_hz,
+                peak_flops_bf16,
+                fp32_factor,
+            },
+        vector:
+            VectorEngineSpec {
+                count: vector_count,
+                vector_bytes,
+                clock_hz: vector_clock_hz,
+                peak_flops_bf16: vector_peak_flops_bf16,
+                instr_latency_cycles,
+                scalar_local_bytes,
+                vector_local_bytes,
+                bw_saturation_cores,
+            },
+        memory:
+            MemorySpec {
+                hbm_capacity_bytes,
+                hbm_bandwidth_bps,
+                sram_bytes,
+                min_access_bytes,
+                stream_efficiency,
+                random_efficiency,
+                random_overhead_bytes,
+            },
+        fabric,
+        scale_out:
+            ScaleOutSpec {
+                bps_per_device,
+                alpha_s,
+                efficiency,
+            },
+        devices_per_node,
+        power:
+            PowerSpec {
+                tdp_watts,
+                idle_watts,
+                power_gating,
+            },
+    } = spec;
+    let (fabric_tag, fabric_links, fabric_bps) = match *fabric {
+        FabricSpec::P2pMesh {
+            links_per_pair,
+            link_bps,
+        } => (0, links_per_pair, link_bps),
+        FabricSpec::Switched { per_device_bps } => (1, 0, per_device_bps),
+    };
+    [
+        usize_to_u64(*count),
+        usize_to_u64(*mac_rows),
+        usize_to_u64(*mac_cols),
+        u64::from(*reconfigurable),
+        clock_hz.to_bits(),
+        peak_flops_bf16.to_bits(),
+        fp32_factor.to_bits(),
+        usize_to_u64(*vector_count),
+        usize_to_u64(*vector_bytes),
+        vector_clock_hz.to_bits(),
+        vector_peak_flops_bf16.to_bits(),
+        u64::from(*instr_latency_cycles),
+        usize_to_u64(*scalar_local_bytes),
+        usize_to_u64(*vector_local_bytes),
+        usize_to_u64(*bw_saturation_cores),
+        *hbm_capacity_bytes,
+        hbm_bandwidth_bps.to_bits(),
+        *sram_bytes,
+        usize_to_u64(*min_access_bytes),
+        stream_efficiency.to_bits(),
+        random_efficiency.to_bits(),
+        usize_to_u64(*random_overhead_bytes),
+        fabric_tag,
+        usize_to_u64(fabric_links),
+        fabric_bps.to_bits(),
+        bps_per_device.to_bits(),
+        alpha_s.to_bits(),
+        efficiency.to_bits(),
+        usize_to_u64(*devices_per_node),
+        tdp_watts.to_bits(),
+        idle_watts.to_bits(),
+        u64::from(*power_gating),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,6 +694,34 @@ mod tests {
         let (g, _) = Device::gaudi2().op_cost(&op);
         let (a, _) = Device::a100().op_cost(&op);
         assert!(g.time() > a.time(), "KT#3: {} vs {}", g.time(), a.time());
+    }
+
+    #[test]
+    fn exact_eq_compares_backend_and_every_spec_bit() {
+        let g2 = Device::gaudi2();
+        assert!(g2.exact_eq(&Device::gaudi2()));
+        assert!(g2.exact_eq(&g2.clone()));
+        assert!(!g2.exact_eq(&Device::gaudi3()));
+        assert!(!g2.exact_eq(&Device::a100()));
+        // Same spec, other architecture.
+        assert!(!g2.exact_eq(&Device::a100_like(DeviceSpec::gaudi2())));
+        // A mutated spec that keeps its name is another device.
+        let mut sectors = DeviceSpec::gaudi2();
+        sectors.memory.min_access_bytes = 32;
+        assert!(!g2.exact_eq(&Device::gaudi_like(sectors)));
+        // Floats compare by bits: -0.0 is not 0.0, and NaN matches itself.
+        let with_alpha = |alpha_s: f64| {
+            let mut spec = DeviceSpec::gaudi2();
+            spec.scale_out.alpha_s = alpha_s;
+            Device::gaudi_like(spec)
+        };
+        assert_eq!(with_alpha(0.0).spec(), with_alpha(-0.0).spec());
+        assert!(!with_alpha(0.0).exact_eq(&with_alpha(-0.0)));
+        assert!(with_alpha(f64::NAN).exact_eq(&with_alpha(f64::NAN)));
+        // So does a renamed but otherwise identical device.
+        let mut renamed = DeviceSpec::gaudi2();
+        renamed.name = "Gaudi-2b".to_owned();
+        assert!(!g2.exact_eq(&Device::gaudi_like(renamed)));
     }
 
     #[test]

@@ -692,8 +692,9 @@ impl Cluster {
     ///
     /// # Errors
     /// Returns [`InvalidConfig`](dcm_core::error::DcmError::InvalidConfig)
-    /// for an invalid trace (empty, a non-finite or negative arrival, or
-    /// a request generating no token) or an invalid [`FabricConfig`] (a
+    /// for an invalid trace (empty, a non-finite or negative arrival, an
+    /// empty prompt, a request generating no token, or a duplicated id)
+    /// or an invalid [`FabricConfig`] (a
     /// `link_bps` that is not finite and positive, a `latency_s` that is
     /// not finite and non-negative), and propagates any replica error
     /// (e.g. a request exceeding a replica's KV capacity).
@@ -1202,7 +1203,7 @@ mod tests {
     fn invalid_requests_are_errors_naming_the_request() {
         let mut nan = Request::new(3, 128, 4);
         nan.arrival_s = f64::NAN;
-        for bad in [nan, Request::new(5, 128, 0)] {
+        for bad in [nan, Request::new(5, 128, 0), Request::new(6, 0, 4)] {
             let reqs = [Request::new(1, 128, 4), bad];
             let err = cluster(2, RoutingPolicy::JoinShortestQueue)
                 .run_resilient_traced(&reqs, &FaultPlan::none(), &ResilienceConfig::default())
@@ -1213,6 +1214,20 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn duplicate_ids_are_an_error_naming_the_id() {
+        // Round robin puts the two copies on different replicas, where
+        // neither engine sees a clash: only the trace check can.
+        let reqs = [Request::new(7, 128, 4), Request::new(7, 128, 4)];
+        let err = cluster(2, RoutingPolicy::RoundRobin)
+            .run(&reqs)
+            .unwrap_err();
+        assert!(
+            matches!(&err, DcmError::InvalidConfig(m) if m.contains("id 7")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@ use dcm_core::DType;
 use dcm_workloads::llama::LlamaConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Fraction of HBM reserved for weights and activations before sizing the
 /// KV cache.
@@ -241,10 +242,12 @@ struct StepCost {
 const PRIO_ARRIVAL: u32 = 4;
 
 /// Check a trace before a run serves it: non-empty, every arrival finite
-/// and non-negative, every request generating at least one token.
+/// and non-negative, every request with a prompt and generating at least
+/// one token, and no id used twice.
 ///
 /// # Errors
-/// Returns [`DcmError::InvalidConfig`] naming the first offending request.
+/// Returns [`DcmError::InvalidConfig`] naming the first offending request,
+/// or the duplicated id.
 pub(crate) fn validate_trace(requests: &[Request]) -> Result<()> {
     if requests.is_empty() {
         return Err(DcmError::InvalidConfig("empty request trace".to_owned()));
@@ -256,6 +259,12 @@ pub(crate) fn validate_trace(requests: &[Request]) -> Result<()> {
                 r.id, r.arrival_s
             )));
         }
+        if r.input_len == 0 {
+            return Err(DcmError::InvalidConfig(format!(
+                "request {}: input_len must be at least 1",
+                r.id
+            )));
+        }
         if r.output_len == 0 {
             return Err(DcmError::InvalidConfig(format!(
                 "request {}: output_len must be at least 1",
@@ -263,7 +272,20 @@ pub(crate) fn validate_trace(requests: &[Request]) -> Result<()> {
             )));
         }
     }
-    Ok(())
+    // Generated traces number requests 0, 1, 2, ...: one O(n) pass proves
+    // them unique, and only other traces pay for a sort.
+    if requests.windows(2).all(|w| w[0].id < w[1].id) {
+        return Ok(());
+    }
+    let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    match ids.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(DcmError::InvalidConfig(format!(
+            "request id {} appears more than once",
+            w[0]
+        ))),
+        None => Ok(()),
+    }
 }
 
 impl SimState {
@@ -495,12 +517,128 @@ pub(crate) fn slo_met(finished: &[FinishedRequest], slo: &SloSpec) -> (usize, us
     (requests, tokens)
 }
 
+/// Which step graph a memo entry prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum StepKind {
+    /// A batch-1 prefill of `length` tokens.
+    Prefill,
+    /// The non-attention work of one decode step at batch size `length`.
+    DecodeNonAttn,
+}
+
+/// A step-cost memo key: family handle, graph kind and length.
+type MemoKey = (usize, StepKind, usize);
+
+/// The process-wide step-cost memo. A *family* is a (device, model, tp)
+/// group; engines of one family compile the same graphs, so every engine
+/// in the process reads and fills one table instead of each compiling its
+/// own copies.
+///
+/// * **Key.** Families match exactly: [`Device::exact_eq`] (same backend,
+///   spec floats equal by bit pattern), `LlamaConfig ==` and the same
+///   `tp`. A family's handle is its index in `families`, resolved once
+///   per engine; nothing is keyed on a device name.
+/// * **Purity.** A value is `device.run_graph(&graph,
+///   &CompileOptions::default()).time_s()` for the key's graph: a pure
+///   function of the key. A hit returns the bits a compile would, so
+///   what ran earlier in the process cannot move a report bit, and every
+///   `DCM_THREADS` worker can share the table.
+/// * **Locking.** The lock is never held while compiling: look up,
+///   unlock, compile, insert. Two threads that miss on one key both
+///   compile it and insert the same bits (and both count a miss). A
+///   poisoned lock is recovered as is: every update is one counter
+///   increment, push or insert, so the table is valid at every step.
+/// * **Growth.** One entry per distinct (family, kind, length) priced:
+///   about 20 per family on Dynamic-Sonnet traffic, and 493 on
+///   `dcmbench`'s `faults_fabric_kv`, where preempted sequences
+///   re-prefill at `input + produced` tokens. Nothing is evicted.
+struct StepCostMemo {
+    families: Vec<(Device, LlamaConfig, usize)>,
+    times: BTreeMap<MemoKey, f64>,
+    hits: u64,
+    misses: u64,
+}
+
+impl StepCostMemo {
+    /// The memoized time for `key`, counting the hit or miss.
+    fn lookup(&mut self, key: MemoKey) -> Option<f64> {
+        let t = self.times.get(&key).copied();
+        if t.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        t
+    }
+}
+
+static STEP_COST_MEMO: Mutex<StepCostMemo> = Mutex::new(StepCostMemo {
+    families: Vec::new(),
+    times: BTreeMap::new(),
+    hits: 0,
+    misses: 0,
+});
+
+fn step_cost_memo() -> MutexGuard<'static, StepCostMemo> {
+    STEP_COST_MEMO
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The memo handle of the (device, model, tp) family, registering it on
+/// first sight.
+fn resolve_family(device: &Device, model: &LlamaConfig, tp: usize) -> usize {
+    let mut memo = step_cost_memo();
+    let known = memo
+        .families
+        .iter()
+        .position(|(d, m, t)| *t == tp && m == model && d.exact_eq(device));
+    known.unwrap_or_else(|| {
+        memo.families.push((device.clone(), model.clone(), tp));
+        memo.families.len() - 1
+    })
+}
+
+/// Process-wide counts of the step-cost memo (see [`ServingEngine`]).
+/// They depend on what ran earlier in the process, so they are not part
+/// of any report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StepCostMemoStats {
+    /// (device, model, tp) families resolved.
+    pub families: usize,
+    /// Distinct (family, kind, length) step costs held.
+    pub entries: usize,
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that compiled a graph.
+    pub misses: u64,
+}
+
+/// Read the step-cost memo's counts.
+#[must_use]
+pub fn step_cost_memo_stats() -> StepCostMemoStats {
+    let memo = step_cost_memo();
+    StepCostMemoStats {
+        families: memo.families.len(),
+        entries: memo.times.len(),
+        hits: memo.hits,
+        misses: memo.misses,
+    }
+}
+
 /// Continuous-batching LLM serving engine over one device group.
+///
+/// Prefill and non-attention decode-step times come from a process-wide
+/// memo shared by every engine of the same device, model and `tp`, so a
+/// sweep compiles each step graph once per process.
 #[derive(Debug)]
 pub struct ServingEngine {
     device: Device,
     model: LlamaConfig,
     tp: usize,
+    /// Handle of this engine's (device, model, tp) family in the
+    /// step-cost memo.
+    family: usize,
     attention: PagedAttention,
     max_decode_batch: usize,
     block_tokens: usize,
@@ -508,10 +646,9 @@ pub struct ServingEngine {
     slo: SloSpec,
     metrics_mode: MetricsMode,
     fast_forward: bool,
-    /// Non-attention decode-step time by batch size (index), filled on
-    /// first use: the decode loop reads it every step.
+    /// Non-attention decode-step time by batch size (index): the decode
+    /// loop reads it every step, so it sits in front of the memo.
     nonattn_cache: Vec<Option<f64>>,
-    prefill_cache: BTreeMap<usize, f64>,
 }
 
 impl ServingEngine {
@@ -531,10 +668,12 @@ impl ServingEngine {
     ) -> Self {
         assert!(max_decode_batch > 0, "max_decode_batch must be positive");
         let attention = PagedAttention::new(device, backend, &model, tp);
+        let family = resolve_family(device, &model, tp);
         ServingEngine {
             device: device.clone(),
             model,
             tp,
+            family,
             attention,
             max_decode_batch,
             block_tokens: DEFAULT_BLOCK_TOKENS,
@@ -543,7 +682,6 @@ impl ServingEngine {
             metrics_mode: MetricsMode::Exact,
             fast_forward: false,
             nonattn_cache: Vec::new(),
-            prefill_cache: BTreeMap::new(),
         }
     }
 
@@ -615,11 +753,7 @@ impl ServingEngine {
         if let Some(&Some(t)) = self.nonattn_cache.get(batch) {
             return t;
         }
-        let g = self.model.decode_nonattn_graph(batch, self.tp);
-        let t = self
-            .device
-            .run_graph(&g, &CompileOptions::default())
-            .time_s();
+        let t = self.step_time(StepKind::DecodeNonAttn, batch);
         if batch >= self.nonattn_cache.len() {
             self.nonattn_cache.resize(batch + 1, None);
         }
@@ -627,16 +761,24 @@ impl ServingEngine {
         t
     }
 
-    fn prefill_time(&mut self, input_len: usize) -> f64 {
-        if let Some(&t) = self.prefill_cache.get(&input_len) {
+    /// The time of step graph `kind` at `length` on this engine's family,
+    /// from the step-cost memo; a miss compiles the graph outside the
+    /// lock and inserts its time.
+    fn step_time(&self, kind: StepKind, length: usize) -> f64 {
+        let key = (self.family, kind, length);
+        let hit = step_cost_memo().lookup(key);
+        if let Some(t) = hit {
             return t;
         }
-        let g = self.model.prefill_graph(1, input_len, self.tp);
+        let graph = match kind {
+            StepKind::Prefill => self.model.prefill_graph(1, length, self.tp),
+            StepKind::DecodeNonAttn => self.model.decode_nonattn_graph(length, self.tp),
+        };
         let t = self
             .device
-            .run_graph(&g, &CompileOptions::default())
+            .run_graph(&graph, &CompileOptions::default())
             .time_s();
-        self.prefill_cache.insert(input_len, t);
+        step_cost_memo().times.insert(key, t);
         t
     }
 
@@ -706,7 +848,7 @@ impl ServingEngine {
     /// carry bit-identical timestamps in both modes.
     ///
     /// Caller must have checked [`Self::admission_possible`].
-    fn admit_one(&mut self, sim: &mut SimState) -> Result<()> {
+    fn admit_one(&self, sim: &mut SimState) -> Result<()> {
         // dcm-lint: allow(P1) admission_possible requires front() to be Some
         let w = sim.ready.pop_front().expect("checked non-empty");
         let r = w.request;
@@ -719,7 +861,7 @@ impl ServingEngine {
         // recomputation of its already-generated tokens. The time
         // scale models transient slowdown windows (1.0 = nominal).
         let t0 = sim.clock.now();
-        let prefill = self.prefill_time(admit_tokens) * sim.time_scale;
+        let prefill = self.step_time(StepKind::Prefill, admit_tokens) * sim.time_scale;
         sim.clock.advance_by(prefill);
         sim.busy_s += prefill;
         sim.trace.span(
@@ -843,21 +985,17 @@ impl ServingEngine {
                     break;
                 }
                 // Out of blocks: preempt the youngest active sequence
-                // (highest id) that is not `id` itself; if `id` is the
-                // only one, preempt it and retry at re-admission.
-                let (victim, victim_slot) = sim
-                    .active
-                    .iter()
-                    .rev()
-                    .find(|&&(v, _)| v != id)
-                    .copied()
-                    .unwrap_or((id, slot));
-                let victim_len = if victim == id {
-                    known
-                } else {
-                    sim.slab.kv_tokens(victim_slot)
+                // (highest id) that is not `id` itself. If `id` is the
+                // only one, it holds every used block and still needs
+                // more: it alone exceeds the cache, and preempting it
+                // would only re-admit it into the same wall.
+                let Some(&(victim, victim_slot)) = sim.active.iter().rev().find(|&&(v, _)| v != id)
+                else {
+                    return Err(DcmError::ResourceExhausted(format!(
+                        "request {id} ({known} tokens) exceeds KV capacity"
+                    )));
                 };
-                sim.stats.remove(victim_len);
+                sim.stats.remove(sim.slab.kv_tokens(victim_slot));
                 let state = ActiveSeq {
                     remaining: sim.slab.remaining(victim_slot),
                     first_token_t: sim.slab.first_token_t(victim_slot),
@@ -878,12 +1016,6 @@ impl ServingEngine {
                     request: victim_req,
                     resumed: Some(state),
                 });
-                if victim == id {
-                    break;
-                }
-            }
-            if !sim.slab.contains(slot) {
-                continue; // preempted itself
             }
             sim.slab.set_kv_tokens(slot, known);
             sim.total_output += 1;
@@ -1097,9 +1229,10 @@ impl ServingEngine {
     ///
     /// # Errors
     /// Returns [`DcmError::ResourceExhausted`] if a single request alone
-    /// cannot fit in the KV cache, or [`DcmError::InvalidConfig`] naming
-    /// the offending request for an invalid trace: empty, a non-finite
-    /// or negative arrival, or a request generating no token.
+    /// cannot fit in the KV cache, at admission or as it grows, or
+    /// [`DcmError::InvalidConfig`] naming the offending request for an
+    /// invalid trace: empty, a non-finite or negative arrival, an empty
+    /// prompt, a request generating no token, or a duplicated id.
     pub fn run(&mut self, requests: &[Request]) -> Result<ServingReport> {
         Ok(self.run_impl(requests, false)?.0)
     }
@@ -1251,6 +1384,134 @@ mod tests {
             matches!(&err, DcmError::InvalidConfig(m) if m.contains("request 9")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn zero_input_len_is_an_error_naming_the_request() {
+        let reqs = [Request::new(1, 128, 4), Request::new(5, 0, 4)];
+        let err = engine(PagedBackend::GaudiOpt, 4).run(&reqs).unwrap_err();
+        assert!(
+            matches!(&err, DcmError::InvalidConfig(m) if m.contains("request 5")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn duplicate_ids_are_an_error_naming_the_id() {
+        let reqs = [
+            Request::new(3, 128, 4),
+            Request::new(7, 128, 4),
+            Request::new(1, 128, 4),
+            Request::new(7, 64, 2),
+        ];
+        let err = engine(PagedBackend::GaudiOpt, 4).run(&reqs).unwrap_err();
+        assert!(
+            matches!(&err, DcmError::InvalidConfig(m) if m.contains("id 7")),
+            "{err}"
+        );
+        // Unique ids in any order pass (the sorted fallback path).
+        let report = engine(PagedBackend::GaudiOpt, 4).run(&reqs[..3]).unwrap();
+        assert_eq!(report.completed, 3);
+    }
+
+    #[test]
+    fn lone_sequence_outgrowing_the_cache_is_an_error_not_a_livelock() {
+        // Request 1 is preempted once by request 0's growth and later
+        // resumed. Alone, it then needs more than the 2,048-token cache.
+        // Preempting itself used to re-admit it at exactly full capacity,
+        // forever. The run must end, with a typed error naming it.
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        for fast_forward in [false, true] {
+            let (tx, rx) = channel();
+            let worker = std::thread::spawn(move || {
+                let reqs = [Request::new(0, 900, 600), Request::new(1, 900, 3000)];
+                let result = ServingEngine::new(
+                    &Device::gaudi2(),
+                    LlamaConfig::llama31_8b(),
+                    1,
+                    PagedBackend::GaudiOpt,
+                    4,
+                )
+                .with_kv_blocks(16)
+                .with_fast_forward(fast_forward)
+                .run(&reqs);
+                let _ = tx.send(result);
+            });
+            // On a timeout the worker is left spinning; the test fails.
+            let result = match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+                Ok(result) => result,
+                Err(RecvTimeoutError::Disconnected) => {
+                    std::panic::resume_unwind(worker.join().unwrap_err())
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("fast_forward={fast_forward}: no result within 60 s")
+                }
+            };
+            worker.join().unwrap();
+            let err = result.unwrap_err();
+            assert!(
+                matches!(&err, DcmError::ResourceExhausted(m) if m.contains("request 1")),
+                "fast_forward={fast_forward}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn memo_values_are_bit_identical_to_direct_compiles() {
+        // Every family prices the same (kind, length) keys, so a key that
+        // conflated two families would hand one of them the other's bits.
+        use dcm_core::specs::DeviceSpec;
+        let with_alpha = |alpha_s: f64| {
+            let mut spec = DeviceSpec::gaudi2();
+            spec.scale_out.alpha_s = alpha_s;
+            Device::gaudi_like(spec)
+        };
+        let mut sectors = DeviceSpec::gaudi2();
+        sectors.memory.min_access_bytes = 32; // keeps the name "Gaudi-2"
+        let small = LlamaConfig::llama31_8b;
+        let large = LlamaConfig::llama31_70b;
+        let families = [
+            (Device::gaudi2(), small(), 1),
+            (Device::a100(), small(), 1),
+            (Device::gaudi3(), small(), 1),
+            (Device::a100_like(DeviceSpec::gaudi2()), small(), 1),
+            (Device::gaudi_like(sectors), small(), 1),
+            (with_alpha(0.0), small(), 1),
+            (with_alpha(-0.0), small(), 1),
+            (Device::gaudi2(), large(), 2),
+            (Device::gaudi2(), large(), 4),
+            (Device::gaudi2(), large(), 8),
+        ];
+        let engines: Vec<ServingEngine> = families
+            .iter()
+            .map(|(device, model, tp)| {
+                ServingEngine::new(device, model.clone(), *tp, PagedBackend::GaudiOpt, 8)
+            })
+            .collect();
+        for (i, a) in engines.iter().enumerate() {
+            for b in &engines[i + 1..] {
+                assert_ne!(a.family, b.family, "{i}: families conflated");
+            }
+        }
+        let twin = ServingEngine::new(&Device::gaudi2(), small(), 1, PagedBackend::GaudiBase, 2);
+        assert_eq!(twin.family, engines[0].family, "same family, same handle");
+        // Round 0 may compile; round 1 reads what round 0 inserted.
+        let opts = CompileOptions::default();
+        for round in 0..2 {
+            for (e, (device, model, tp)) in engines.iter().zip(&families) {
+                for length in [1, 7, 128, 517] {
+                    let direct = device.run_graph(&model.prefill_graph(1, length, *tp), &opts);
+                    let memo = e.step_time(StepKind::Prefill, length);
+                    assert_eq!(memo.to_bits(), direct.time_s().to_bits(), "{round}");
+                }
+                for batch in [1, 3, 16] {
+                    let graph = model.decode_nonattn_graph(batch, *tp);
+                    let direct = device.run_graph(&graph, &opts);
+                    let memo = e.step_time(StepKind::DecodeNonAttn, batch);
+                    assert_eq!(memo.to_bits(), direct.time_s().to_bits(), "{round}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,8 @@ done
 
 # Determinism cross-check: a sweep binary must emit byte-identical CSVs
 # (and stdout) regardless of thread count. Run one representative sweep
-# serially and at 8 threads and diff everything it produced.
+# serially and at 8 threads and diff everything it produced. At 8 threads
+# its sweep points also share the process-wide step-cost memo.
 echo "==> determinism cross-check: ext_hetero_cluster at DCM_THREADS=1 vs 8"
 det_tmp=$(mktemp -d)
 trap 'rm -rf "$det_tmp"' EXIT
@@ -65,14 +66,16 @@ echo "==> determinism OK"
 # Differential suite under an explicit 2-thread override: the
 # queue-vs-list-model, slab-vs-map, histogram, fast-forward (engine- and
 # cluster-level) and flow-vs-closed-form fabric equivalence properties,
-# the MME geometry search against its f64 argmin spec, plus the
-# steady-state allocation audit must hold regardless of the parallelism
-# the host advertises.
+# the MME geometry search against its f64 argmin spec, the step-cost
+# memo's report invariance and compile counts, plus the steady-state
+# allocation audit must hold regardless of the parallelism the host
+# advertises.
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
     --test prop_fast_forward --test prop_cluster_ff --test prop_fabric_diff \
-    --test prop_mme_select --test alloc_steady_state
+    --test prop_mme_select --test prop_step_cost_memo \
+    --test step_cost_memo_counts --test alloc_steady_state
 
 # Host-time benchmark (dcmbench/, a package of its own; see its README).
 # Its in-process smoke tests run the serving workloads at a tiny size and
