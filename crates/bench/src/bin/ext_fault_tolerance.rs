@@ -30,7 +30,6 @@ use dcm_core::metrics::Table;
 use dcm_vllm::attention::PagedBackend;
 use dcm_vllm::cluster::{Cluster, ClusterReport, RoutingPolicy};
 use dcm_vllm::dataset::{ArrivalProcess, SyntheticDataset};
-use dcm_vllm::engine::ServingEngine;
 use dcm_vllm::fault::{FaultPlan, ResilienceConfig, ShedPolicy, SloSpec};
 use dcm_workloads::llama::LlamaConfig;
 
@@ -101,24 +100,6 @@ fn setups() -> Vec<DeviceSetup> {
     ]
 }
 
-/// Single-replica offline capacity in requests/second (same calibration
-/// as `ext_online_serving`).
-fn calibrate(setup: &DeviceSetup, model: &LlamaConfig) -> f64 {
-    let trace = SyntheticDataset::dynamic_sonnet(trace_len(), TRACE_SEED);
-    let report = ServingEngine::new(
-        &setup.device,
-        model.clone(),
-        1,
-        setup.backend,
-        MAX_DECODE_BATCH,
-    )
-    .run(&trace)
-    .expect("offline trace fits");
-    let mean_output: f64 =
-        trace.iter().map(|r| r.output_len as f64).sum::<f64>() / trace.len() as f64;
-    report.throughput_tps / mean_output
-}
-
 fn cluster(setup: &DeviceSetup, model: &LlamaConfig, replicas: usize) -> Cluster {
     Cluster::homogeneous(
         &setup.device,
@@ -167,7 +148,8 @@ fn main() {
 
     // 1. Crash sweep: failure time x replica count.
     for setup in setups() {
-        let capacity_rps = calibrate(&setup, &model);
+        let capacity_rps =
+            dcm_bench::offline_capacity_rps(&setup.device, setup.backend, &model, trace_len());
         println!(
             "\n{}: single-replica offline capacity {:.2} req/s",
             setup.label, capacity_rps
@@ -220,7 +202,8 @@ fn main() {
     //    queue; admission control bounds the tail at the cost of shed
     //    requests.
     for setup in setups() {
-        let capacity_rps = calibrate(&setup, &model);
+        let capacity_rps =
+            dcm_bench::offline_capacity_rps(&setup.device, setup.backend, &model, trace_len());
         let replicas = 4;
         let rate = OVERLOAD * capacity_rps * replicas as f64;
         let mut t = Table::new(
@@ -270,7 +253,8 @@ fn main() {
 
     // 3. Recovery claws back goodput after a crash.
     let gaudi = &setups()[0];
-    let capacity_rps = calibrate(gaudi, &model);
+    let capacity_rps =
+        dcm_bench::offline_capacity_rps(&gaudi.device, gaudi.backend, &model, trace_len());
     let replicas = 4;
     let rate = CRASH_SWEEP_LOAD * capacity_rps * replicas as f64;
     let (_, span) = trace_for(replicas, rate);

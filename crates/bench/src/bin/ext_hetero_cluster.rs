@@ -71,24 +71,6 @@ fn backend_for(device_name: &str) -> PagedBackend {
     }
 }
 
-/// Single-replica offline capacity in requests/second.
-fn calibrate(device_name: &str, model: &LlamaConfig) -> f64 {
-    let device = dcm_bench::device(device_name);
-    let trace = SyntheticDataset::dynamic_sonnet(trace_len(), TRACE_SEED);
-    let report = ServingEngine::new(
-        &device,
-        model.clone(),
-        1,
-        backend_for(device.name()),
-        MAX_DECODE_BATCH,
-    )
-    .run(&trace)
-    .expect("offline trace fits");
-    let mean_output: f64 =
-        trace.iter().map(|r| r.output_len as f64).sum::<f64>() / trace.len() as f64;
-    report.throughput_tps / mean_output
-}
-
 /// A mixed pool: `n_gaudi` Gaudi-2 replicas followed by `n_a100` A100
 /// replicas, all serving the same model.
 fn mixed_cluster(
@@ -163,7 +145,10 @@ fn main() {
          policies on skewed mixes",
     );
     let model = LlamaConfig::llama31_8b();
-    let caps = dcm_bench::sweep(&["gaudi2", "a100"], |name| calibrate(name, &model));
+    let caps = dcm_bench::sweep(&["gaudi2", "a100"], |name| {
+        let device = dcm_bench::device(name);
+        dcm_bench::offline_capacity_rps(&device, backend_for(device.name()), &model, trace_len())
+    });
     let (gaudi_rps, a100_rps) = (caps[0], caps[1]);
     println!(
         "\nsingle-replica offline capacity: Gaudi-2 {gaudi_rps:.2} req/s, A100 {a100_rps:.2} req/s"

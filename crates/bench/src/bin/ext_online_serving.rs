@@ -25,7 +25,6 @@ use dcm_core::metrics::Table;
 use dcm_vllm::attention::PagedBackend;
 use dcm_vllm::cluster::{Cluster, ClusterReport, RoutingPolicy};
 use dcm_vllm::dataset::{ArrivalProcess, SyntheticDataset};
-use dcm_vllm::engine::ServingEngine;
 use dcm_workloads::llama::LlamaConfig;
 
 /// Offered load as a fraction of aggregate (replicas x single-replica)
@@ -76,24 +75,6 @@ fn setups() -> Vec<DeviceSetup> {
     ]
 }
 
-/// Single-replica offline capacity in requests/second: offline token
-/// throughput divided by the trace's mean output length.
-fn calibrate(setup: &DeviceSetup, model: &LlamaConfig) -> f64 {
-    let trace = SyntheticDataset::dynamic_sonnet(trace_len(), TRACE_SEED);
-    let report = ServingEngine::new(
-        &setup.device,
-        model.clone(),
-        1,
-        setup.backend,
-        MAX_DECODE_BATCH,
-    )
-    .run(&trace)
-    .expect("offline trace fits");
-    let mean_output: f64 =
-        trace.iter().map(|r| r.output_len as f64).sum::<f64>() / trace.len() as f64;
-    report.throughput_tps / mean_output
-}
-
 fn run_cluster(
     setup: &DeviceSetup,
     model: &LlamaConfig,
@@ -131,7 +112,8 @@ fn main() {
     let model = LlamaConfig::llama31_8b();
 
     for setup in setups() {
-        let capacity_rps = calibrate(&setup, &model);
+        let capacity_rps =
+            dcm_bench::offline_capacity_rps(&setup.device, setup.backend, &model, trace_len());
         println!(
             "\n{}: single-replica offline capacity {:.2} req/s",
             setup.label, capacity_rps
@@ -187,7 +169,8 @@ fn main() {
 
     // Routing policies at saturation, where dispatch decisions matter.
     let gaudi = &setups()[0];
-    let capacity_rps = calibrate(gaudi, &model);
+    let capacity_rps =
+        dcm_bench::offline_capacity_rps(&gaudi.device, gaudi.backend, &model, trace_len());
     let replicas = 4;
     let offered = 1.5 * capacity_rps * replicas as f64;
     let mut t = Table::new(

@@ -23,7 +23,10 @@
 //! | `takeaways` | Key takeaways #1–#7 (directional checks) |
 
 use dcm_compiler::Device;
+use dcm_core::cast::usize_to_f64;
 use dcm_core::metrics::Table;
+use dcm_vllm::{PagedBackend, ServingEngine, SyntheticDataset};
+use dcm_workloads::llama::LlamaConfig;
 use std::path::Path;
 
 /// Standard embedding-vector-size sweep in bytes (Figures 9, 11, 15).
@@ -53,6 +56,33 @@ pub fn device(name: &str) -> Device {
             Device::preset_names()
         )
     })
+}
+
+/// Single-replica offline capacity in requests per second, the unit
+/// the online-serving extensions scale arrival rates by: `model` on
+/// `device` with `backend` at decode batch cap 16 serves a
+/// `trace_len`-request Dynamic-Sonnet trace (seed 2026) offline, and its
+/// token throughput is divided by the trace's mean output length.
+///
+/// # Panics
+/// Panics if the trace does not fit the device's KV cache.
+#[must_use]
+pub fn offline_capacity_rps(
+    device: &Device,
+    backend: PagedBackend,
+    model: &LlamaConfig,
+    trace_len: usize,
+) -> f64 {
+    let trace = SyntheticDataset::dynamic_sonnet(trace_len, 2026);
+    let report = ServingEngine::new(device, model.clone(), 1, backend, 16)
+        .run(&trace)
+        .expect("offline trace fits");
+    let mean_output = trace
+        .iter()
+        .map(|r| usize_to_f64(r.output_len))
+        .sum::<f64>()
+        / usize_to_f64(trace.len());
+    report.throughput_tps / mean_output
 }
 
 /// Whether the binary should run in cheap smoke-test mode (CI sets

@@ -46,6 +46,12 @@
 //! replica-index order, and every engine is seeded purely by the trace,
 //! so a given (trace, policy, replica mix) replays bit-identically.
 //!
+//! This loop (`serve`) is the only serving event loop and its report
+//! builder the only one: [`ServingEngine::run`] is a one-replica
+//! round-robin run of it. Fast-forward and the metrics mode are set
+//! once per cluster and handed to every replica's simulation, and
+//! goodput is judged against [`ResilienceConfig::slo`].
+//!
 //! Resilience ([`Cluster::run_resilient`]): the same event loop
 //! additionally replays a [`FaultPlan`] — replica crashes (with optional
 //! cold recovery) and transient slowdown windows — on the shared clock.
@@ -58,7 +64,7 @@
 //! empty plan and default config, bit for bit.
 
 use crate::dataset::Request;
-use crate::engine::{self, validate_trace, ServingEngine, ServingReport, SimState};
+use crate::engine::{validate_trace, ServingEngine, ServingReport, SimState};
 use crate::fault::{FaultPlan, ResilienceConfig, TimelineKind};
 use dcm_core::cast::usize_to_f64;
 use dcm_core::error::{DcmError, Result};
@@ -338,31 +344,50 @@ impl ClusterReport {
 /// A router over N replica [`ServingEngine`]s sharing one simulated clock.
 pub struct Cluster {
     replicas: Vec<ServingEngine>,
+    settings: RunSettings,
+}
+
+/// How a run serves, apart from its replicas: the routing policy, the
+/// optional control fabric, fast-forward and the metrics mode. A
+/// [`Cluster`] holds one; [`ServingEngine::run`] serves with
+/// `RunSettings::new(RoutingPolicy::RoundRobin)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunSettings {
     policy: RoutingPolicy,
     fabric: Option<FabricConfig>,
+    pub(crate) fast_forward: bool,
+    pub(crate) metrics_mode: MetricsMode,
+}
+
+impl RunSettings {
+    /// Route by `policy`, with instantaneous dispatch, exact stepping and
+    /// exact metrics.
+    pub(crate) fn new(policy: RoutingPolicy) -> Self {
+        RunSettings {
+            policy,
+            fabric: None,
+            fast_forward: false,
+            metrics_mode: MetricsMode::Exact,
+        }
+    }
 }
 
 impl Cluster {
     /// Build a cluster from pre-configured engines (replicas may be
-    /// heterogeneous — e.g. different devices or batch caps).
-    ///
-    /// # Panics
-    /// Panics if `replicas` is empty.
+    /// heterogeneous — e.g. different devices or batch caps). An empty
+    /// list is rejected when a run starts.
     #[must_use]
     pub fn new(replicas: Vec<ServingEngine>, policy: RoutingPolicy) -> Self {
-        assert!(!replicas.is_empty(), "cluster needs at least one replica");
         Cluster {
             replicas,
-            policy,
-            fabric: None,
+            settings: RunSettings::new(policy),
         }
     }
 
     /// Build `n` identical replicas, mirroring [`ServingEngine::new`].
     ///
     /// # Panics
-    /// Panics if `n` or `max_decode_batch` is zero, or `tp` does not
-    /// divide the model's query heads.
+    /// Panics if `tp` does not divide the model's query heads.
     #[must_use]
     pub fn homogeneous(
         device: &dcm_compiler::Device,
@@ -373,15 +398,10 @@ impl Cluster {
         n: usize,
         policy: RoutingPolicy,
     ) -> Self {
-        assert!(n > 0, "cluster needs at least one replica");
         let replicas = (0..n)
             .map(|_| ServingEngine::new(device, model.clone(), tp, backend, max_decode_batch))
             .collect();
-        Cluster {
-            replicas,
-            policy,
-            fabric: None,
-        }
+        Cluster::new(replicas, policy)
     }
 
     /// Cost router→replica dispatch traffic as flows on a control fabric
@@ -390,7 +410,7 @@ impl Cluster {
     /// previous versions.
     #[must_use]
     pub fn with_fabric(mut self, cfg: FabricConfig) -> Self {
-        self.fabric = Some(cfg);
+        self.settings.fabric = Some(cfg);
         self
     }
 
@@ -406,36 +426,34 @@ impl Cluster {
         self
     }
 
-    /// Enable analytic fast-forward on every replica (see
-    /// [`ServingEngine::with_fast_forward`]). Off by default. With it
-    /// on, every count in the report (completed / shed / failed /
-    /// retries, token totals) stays exact; timestamps — and therefore
-    /// latency percentiles and `total_time_s` — carry the documented
-    /// drift bound (DESIGN.md §3.8/§3.10). The five golden exact-mode
+    /// Enable analytic fast-forward on every replica. In a steady
+    /// stretch (no admission possible, no arrival or completion due) a
+    /// replica advances its clock in one closed-form step instead of
+    /// pricing every iteration. Off by default. With it on, every count
+    /// in the report (completed / shed / failed / retries, token totals)
+    /// stays exact: a stretch never crosses a completion, admission or
+    /// KV-exhaustion boundary. Timestamps are a trapezoid over each
+    /// stretch, so latency percentiles and `total_time_s` carry the
+    /// documented drift (DESIGN.md §3.8/§3.10), property-pinned by
+    /// `tests/tests/prop_cluster_ff.rs`. The five golden exact-mode
     /// reports never enable it.
     #[must_use]
     pub fn with_fast_forward(mut self, enabled: bool) -> Self {
-        self.replicas = self
-            .replicas
-            .into_iter()
-            .map(|e| e.with_fast_forward(enabled))
-            .collect();
+        self.settings.fast_forward = enabled;
         self
     }
 
-    /// Record every replica's latency samples in `mode` (see
-    /// [`ServingEngine::with_metrics_mode`]) — [`MetricsMode::Histogram`]
-    /// is the million-request configuration, with quantiles within 2⁻⁷
-    /// relative error. Aggregation merges recorders of the same mode;
-    /// mixing modes across replicas of one cluster is a hard error at
-    /// merge time, so configure the whole cluster through this builder.
+    /// Record every replica's TTFT/TPOT/queue-delay samples in `mode`.
+    /// The default [`MetricsMode::Exact`] stores every sample
+    /// (golden-pinned); [`MetricsMode::Histogram`] keeps O(1)-memory log
+    /// histograms whose quantiles carry a proven
+    /// ±[`HISTOGRAM_MAX_RELATIVE_ERROR`] bound — the million-request
+    /// configuration.
+    ///
+    /// [`HISTOGRAM_MAX_RELATIVE_ERROR`]: dcm_core::metrics::HISTOGRAM_MAX_RELATIVE_ERROR
     #[must_use]
     pub fn with_metrics_mode(mut self, mode: MetricsMode) -> Self {
-        self.replicas = self
-            .replicas
-            .into_iter()
-            .map(|e| e.with_metrics_mode(mode))
-            .collect();
+        self.settings.metrics_mode = mode;
         self
     }
 
@@ -445,235 +463,10 @@ impl Cluster {
         self.replicas.len()
     }
 
-    /// Whether the cluster has no replicas (never true after `new`).
+    /// Whether the cluster has no replicas; a run rejects such a cluster.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.replicas.is_empty()
-    }
-
-    /// Pick a live replica for the next dispatch, or `None` during a
-    /// total outage. With every replica alive this reproduces the
-    /// fault-free policy decisions exactly (ties to the lowest index).
-    fn route(&self, sims: &[SimState], alive: &[bool], rr_next: usize) -> Option<usize> {
-        let live = alive.iter().filter(|a| **a).count();
-        if live == 0 {
-            return None;
-        }
-        match self.policy {
-            RoutingPolicy::RoundRobin => {
-                // Stripe over the live replicas only, in index order.
-                let k = rr_next % live;
-                alive
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| **a)
-                    .map(|(i, _)| i)
-                    .nth(k)
-            }
-            RoutingPolicy::JoinShortestQueue => sims
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| alive[*i])
-                .min_by_key(|(_, s)| s.queue_depth())
-                .map(|(i, _)| i),
-            RoutingPolicy::LeastLoadedKv => sims
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| alive[*i])
-                .min_by(|(_, a), (_, b)| a.kv_used_fraction().total_cmp(&b.kv_used_fraction()))
-                .map(|(i, _)| i),
-            RoutingPolicy::WeightedJsq => sims
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| alive[*i])
-                .min_by(|(i, a), (j, b)| {
-                    let wa = usize_to_f64(a.queue_depth()) / self.replicas[*i].speed_weight();
-                    let wb = usize_to_f64(b.queue_depth()) / self.replicas[*j].speed_weight();
-                    wa.total_cmp(&wb)
-                })
-                .map(|(i, _)| i),
-        }
-    }
-
-    /// Catch every live replica's simulation up to instant `t` — the
-    /// full (eager) catch-up, forced by cluster-wide state reads:
-    /// state-reading routing policies, crash re-routing, and fabric
-    /// deliveries.
-    fn advance_live(&mut self, st: &mut RunState, t: f64) -> Result<()> {
-        for (i, (engine, sim)) in self.replicas.iter_mut().zip(st.sims.iter_mut()).enumerate() {
-            if st.alive[i] {
-                engine.sim_advance(sim, t)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Catch a single replica's simulation up to instant `t` (no-op for
-    /// a dead replica) — the targeted catch-up for events that read or
-    /// mutate one replica's state only (shedding checks, slowdown
-    /// edges).
-    fn catch_up(&mut self, st: &mut RunState, i: usize, t: f64) -> Result<()> {
-        if st.alive[i] {
-            self.replicas[i].sim_advance(&mut st.sims[i], t)?;
-        }
-        Ok(())
-    }
-
-    /// Re-route displaced request `id` at instant `t` under the retry
-    /// budget: the one path for crash-displaced work and for in-flight
-    /// dispatches to a dead replica. Counts the attempt, then either
-    /// records a retry and returns the chosen replica, or records a
-    /// failure (budget spent, or no live replica) and returns `None`. The
-    /// caller hands the request over. Displaced work is never shed: it
-    /// was already admitted once.
-    fn reroute(&self, st: &mut RunState, id: u64, t: f64, cfg: &ResilienceConfig) -> Option<usize> {
-        let tries = st.attempts.entry(id).or_insert(0);
-        *tries += 1;
-        let target = if *tries > cfg.max_retries {
-            None
-        } else {
-            self.route(&st.sims, &st.alive, st.rr)
-        };
-        match target {
-            None => {
-                st.failed += 1;
-                st.router_trace
-                    .instant(SpanKind::Route, "fail", t, Some(id), &[]);
-            }
-            Some(target) => {
-                st.retries += 1;
-                st.rr += 1;
-                st.dispatched[target] += 1;
-                st.router_trace.instant(
-                    SpanKind::Route,
-                    "retry",
-                    t,
-                    Some(id),
-                    &[("replica", usize_to_f64(target))],
-                );
-            }
-        }
-        target
-    }
-
-    /// Apply one fault-timeline event at instant `t`.
-    fn apply_fault(
-        &mut self,
-        st: &mut RunState,
-        t: f64,
-        kind: TimelineKind,
-        cfg: &ResilienceConfig,
-    ) -> Result<()> {
-        match kind {
-            TimelineKind::Crash { replica } => {
-                if !st.alive[replica] {
-                    return Ok(()); // already down
-                }
-                // Survivors' state must be current at the crash instant:
-                // re-routing decisions observe it.
-                self.advance_live(st, t)?;
-                st.alive[replica] = false;
-                st.crashes[replica] += 1;
-                st.router_trace.instant(
-                    SpanKind::Fault,
-                    "crash",
-                    t,
-                    None,
-                    &[("replica", usize_to_f64(replica))],
-                );
-                let (orphans, lost) = st.sims[replica].drain_unfinished()?;
-                st.lost_tokens += lost;
-                for r in orphans {
-                    if let Some(target) = self.reroute(st, r.id, t, cfg) {
-                        // Original arrival time kept: the retry's latency
-                        // is client-perceived, spanning the lost attempt.
-                        st.sims[target].enqueue(r);
-                    }
-                }
-            }
-            TimelineKind::Recover { replica } => {
-                // Cold rejoin: queues and KV were drained at the crash;
-                // the replica's clock catches up at its next dispatch.
-                st.alive[replica] = true;
-                st.router_trace.instant(
-                    SpanKind::Fault,
-                    "recover",
-                    t,
-                    None,
-                    &[("replica", usize_to_f64(replica))],
-                );
-            }
-            TimelineKind::SlowStart { replica, factor } => {
-                // Only the affected replica must be current: the scale
-                // applies to *its* steps from `t` on. Other replicas'
-                // deferred work replays identically later (two-stage
-                // advances with nothing enqueued in between execute the
-                // same step sequence).
-                self.catch_up(st, replica, t)?;
-                st.sims[replica].set_time_scale(factor);
-                st.router_trace.instant(
-                    SpanKind::Fault,
-                    "slow_start",
-                    t,
-                    None,
-                    &[("replica", usize_to_f64(replica)), ("factor", factor)],
-                );
-            }
-            TimelineKind::SlowEnd { replica } => {
-                self.catch_up(st, replica, t)?;
-                st.sims[replica].set_time_scale(1.0);
-                st.router_trace.instant(
-                    SpanKind::Fault,
-                    "slow_end",
-                    t,
-                    None,
-                    &[("replica", usize_to_f64(replica))],
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Process everything the control fabric owes at instant `t`: finish
-    /// due dispatch flows, time their deliveries, and enqueue every
-    /// delivery due at or before `t` into its target replica. A delivery
-    /// whose target died in flight is re-routed under the same retry
-    /// budget as crash displacement.
-    fn fabric_deliver(&mut self, st: &mut RunState, t: f64, cfg: &ResilienceConfig) -> Result<()> {
-        let Some(mut fr) = st.fabric.take() else {
-            return Ok(());
-        };
-        fr.sim.advance_to(t);
-        // Move finished flows into the delivery queue (delivery = finish
-        // + route latency), keeping it sorted by time.
-        let mut still = Vec::with_capacity(fr.pending.len());
-        for (flow, r, target) in fr.pending.drain(..) {
-            if fr.sim.finish_time(flow).is_nan() {
-                still.push((flow, r, target));
-            } else {
-                let due = fr.sim.delivery_time(flow);
-                let pos = fr
-                    .deliveries
-                    .partition_point(|d| d.0.total_cmp(&due).is_le());
-                fr.deliveries.insert(pos, (due, r, target));
-            }
-        }
-        fr.pending = still;
-        while fr.deliveries.first().is_some_and(|d| d.0 <= t) {
-            let (due, r, target) = fr.deliveries.remove(0);
-            self.advance_live(st, due)?;
-            if st.alive[target] {
-                st.sims[target].enqueue(r);
-                continue;
-            }
-            // In-flight dispatch toward a dead replica: same budgeted
-            // re-route as crash-displaced work.
-            if let Some(next) = self.reroute(st, r.id, due, cfg) {
-                fr.dispatch(r, next);
-            }
-        }
-        st.fabric = Some(fr);
-        Ok(())
     }
 
     /// Serve `requests` across the replicas to completion, fault-free.
@@ -685,19 +478,21 @@ impl Cluster {
     /// picks a replica, and the request joins its queue. After the last
     /// arrival every replica drains.
     ///
-    /// With one replica and an all-zero-arrival trace this is exactly
-    /// [`ServingEngine::run`] — the offline Figure 17 path. Equivalent to
-    /// [`Cluster::run_resilient`] with [`FaultPlan::none`] and the
+    /// With one replica under round-robin this is exactly
+    /// [`ServingEngine::run`], which serves through this loop. Equivalent
+    /// to [`Cluster::run_resilient`] with [`FaultPlan::none`] and the
     /// default [`ResilienceConfig`], bit for bit.
     ///
     /// # Errors
     /// Returns [`InvalidConfig`](dcm_core::error::DcmError::InvalidConfig)
-    /// for an invalid trace (empty, a non-finite or negative arrival, an
-    /// empty prompt, a request generating no token, or a duplicated id)
-    /// or an invalid [`FabricConfig`] (a
-    /// `link_bps` that is not finite and positive, a `latency_s` that is
-    /// not finite and non-negative), and propagates any replica error
-    /// (e.g. a request exceeding a replica's KV capacity).
+    /// for an empty cluster, a replica with a zero `max_decode_batch` or
+    /// KV block cap (naming the replica and the field), an invalid trace
+    /// (empty, a non-finite or negative arrival, an empty prompt, a
+    /// request generating no token, or a duplicated id) or an invalid
+    /// [`FabricConfig`] (a `link_bps` that is not finite and positive, a
+    /// `latency_s` that is not finite and non-negative), and propagates
+    /// any replica error (e.g. a request exceeding a replica's KV
+    /// capacity).
     pub fn run(&mut self, requests: &[Request]) -> Result<ClusterReport> {
         self.run_resilient(requests, &FaultPlan::none(), &ResilienceConfig::default())
     }
@@ -731,16 +526,24 @@ impl Cluster {
     ///
     /// # Errors
     /// Returns [`InvalidConfig`](dcm_core::error::DcmError::InvalidConfig)
-    /// for an invalid trace or fabric (see [`run`](Self::run)) or an
-    /// invalid plan (see [`FaultPlan::validate`]) and propagates any
-    /// replica error.
+    /// for an invalid cluster, trace or fabric (see [`run`](Self::run))
+    /// or an invalid plan (see [`FaultPlan::validate`]) and propagates
+    /// any replica error.
     pub fn run_resilient(
         &mut self,
         requests: &[Request],
         plan: &FaultPlan,
         cfg: &ResilienceConfig,
     ) -> Result<ClusterReport> {
-        Ok(self.run_resilient_impl(requests, plan, cfg, false)?.0)
+        let (report, _) = serve(
+            &mut self.replicas,
+            self.settings,
+            requests,
+            plan,
+            cfg,
+            false,
+        )?;
+        Ok(report)
     }
 
     /// Like [`run_resilient`](Self::run_resilient), additionally recording
@@ -757,153 +560,172 @@ impl Cluster {
         plan: &FaultPlan,
         cfg: &ResilienceConfig,
     ) -> Result<(ClusterReport, Trace)> {
-        let (report, spans) = self.run_resilient_impl(requests, plan, cfg, true)?;
+        let (report, spans) = serve(&mut self.replicas, self.settings, requests, plan, cfg, true)?;
         Ok((report, Trace::new(spans)))
     }
+}
 
-    fn run_resilient_impl(
-        &mut self,
-        requests: &[Request],
-        plan: &FaultPlan,
-        cfg: &ResilienceConfig,
-        traced: bool,
-    ) -> Result<(ClusterReport, Vec<Span>)> {
-        validate_trace(requests)?;
-        plan.validate(self.replicas.len())?;
-        if let Some(fabric) = &self.fabric {
-            fabric.validate()?;
-        }
+/// The one serving event loop: serve `requests` on `replicas` under
+/// `settings`, replaying `plan` under `cfg`, and return the report plus,
+/// when `traced`, every span. [`Cluster`]'s run entries pass their
+/// replicas; [`ServingEngine::run`] passes itself as the only replica.
+///
+/// # Errors
+/// Returns [`DcmError::InvalidConfig`] for an empty replica list, a
+/// replica with a zero `max_decode_batch` or KV block cap, or an invalid
+/// trace, plan or fabric, and propagates any replica error.
+pub(crate) fn serve(
+    replicas: &mut [ServingEngine],
+    settings: RunSettings,
+    requests: &[Request],
+    plan: &FaultPlan,
+    cfg: &ResilienceConfig,
+    traced: bool,
+) -> Result<(ClusterReport, Vec<Span>)> {
+    if replicas.is_empty() {
+        return Err(DcmError::InvalidConfig(
+            "replicas: a cluster needs at least one replica".to_owned(),
+        ));
+    }
+    validate_trace(requests)?;
+    plan.validate(replicas.len())?;
+    if let Some(fabric) = &settings.fabric {
+        fabric.validate()?;
+    }
 
-        let n = self.replicas.len();
-        let mut st = RunState {
-            sims: self
-                .replicas
-                .iter()
-                .map(|e| e.make_sim(requests.len()))
-                .collect::<Result<_>>()?,
-            alive: vec![true; n],
-            dispatched: vec![0usize; n],
-            crashes: vec![0usize; n],
-            attempts: BTreeMap::new(),
-            rr: 0,
-            shed: 0,
-            failed: 0,
-            retries: 0,
-            lost_tokens: 0,
-            router_trace: TraceRecorder::disabled(),
-            fabric: self.fabric.map(|cfg| FabricRun::new(cfg, n)),
-        };
-        if traced {
-            for (i, sim) in st.sims.iter_mut().enumerate() {
-                // dcm-lint: allow(P1) replica counts are far below u32::MAX
-                sim.trace = TraceRecorder::enabled(u32::try_from(i).expect("replica count"));
-            }
+    let n = replicas.len();
+    let sims = replicas
+        .iter()
+        .enumerate()
+        .map(|(i, e)| e.make_sim(i, requests.len(), &settings))
+        .collect::<Result<_>>()?;
+    let mut st = RunState {
+        replicas,
+        settings,
+        cfg,
+        sims,
+        alive: vec![true; n],
+        dispatched: vec![0usize; n],
+        crashes: vec![0usize; n],
+        attempts: BTreeMap::new(),
+        rr: 0,
+        shed: 0,
+        failed: 0,
+        retries: 0,
+        lost_tokens: 0,
+        router_trace: TraceRecorder::disabled(),
+        fabric: settings.fabric.map(|f| FabricRun::new(f, n)),
+    };
+    if traced {
+        for (i, sim) in st.sims.iter_mut().enumerate() {
             // dcm-lint: allow(P1) replica counts are far below u32::MAX
-            st.router_trace = TraceRecorder::enabled(u32::try_from(n).expect("replica count"));
+            sim.trace = TraceRecorder::enabled(u32::try_from(i).expect("replica count"));
         }
+        // dcm-lint: allow(P1) replica counts are far below u32::MAX
+        st.router_trace = TraceRecorder::enabled(u32::try_from(n).expect("replica count"));
+    }
 
-        // One merged timeline: fault edges carry their class rank as the
-        // priority (timeline order preserved by push order), arrivals
-        // `PRIO_ARRIVAL` in trace order. The queue's (time, priority, seq)
-        // total order then reproduces the old hand-merged rules — faults
-        // due at or before an arrival apply first, simultaneous arrivals
-        // keep trace order — by construction.
-        let timeline = plan.timeline();
-        let mut events: EventQueue<ClusterEvent> =
-            EventQueue::with_capacity(timeline.len() + requests.len());
-        for ev in timeline {
-            events.push(
-                ev.t,
-                u32::from(ev.kind.class_rank()),
-                ClusterEvent::Fault(ev.kind),
-            );
-        }
-        for r in requests {
-            events.push(r.arrival_s, PRIO_ARRIVAL, ClusterEvent::Arrival(*r));
-        }
+    // One merged timeline: fault edges carry their class rank as the
+    // priority (timeline order preserved by push order), arrivals
+    // `PRIO_ARRIVAL` in trace order. The queue's (time, priority, seq)
+    // total order then reproduces the old hand-merged rules — faults
+    // due at or before an arrival apply first, simultaneous arrivals
+    // keep trace order — by construction.
+    let timeline = plan.timeline();
+    let mut events: EventQueue<ClusterEvent> =
+        EventQueue::with_capacity(timeline.len() + requests.len());
+    for ev in timeline {
+        events.push(
+            ev.t,
+            u32::from(ev.kind.class_rank()),
+            ClusterEvent::Fault(ev.kind),
+        );
+    }
+    for r in requests {
+        events.push(r.arrival_s, PRIO_ARRIVAL, ClusterEvent::Arrival(*r));
+    }
 
-        // Hot loop: nothing here may allocate per event. Routing and
-        // advance_live are iterator-based, trace instants are no-ops when
-        // disabled, and the per-replica decode loops reuse engine-side
-        // scratch buffers; the only allocating path is the crash harvest
-        // (drain_unfinished), which runs once per fault edge, not per
-        // arrival.
-        while let Some(ev) = events.pop() {
-            match ev.payload {
-                ClusterEvent::Fault(kind) => self.apply_fault(&mut st, ev.time, kind, cfg)?,
-                ClusterEvent::FabricWake { version } => {
-                    let live = st
-                        .fabric
-                        .as_ref()
-                        .is_some_and(|fr| fr.wake_version == version);
-                    if live {
-                        self.fabric_deliver(&mut st, ev.time, cfg)?;
-                        reschedule_fabric(&mut st, &mut events);
-                    }
+    // Hot loop: nothing here may allocate per event. Routing and
+    // advance_live are iterator-based, trace instants are no-ops when
+    // disabled, and the per-replica decode loops reuse engine-side
+    // scratch buffers; the only allocating path is the crash harvest
+    // (drain_unfinished), which runs once per fault edge, not per
+    // arrival.
+    while let Some(ev) = events.pop() {
+        match ev.payload {
+            ClusterEvent::Fault(kind) => st.apply_fault(ev.time, kind)?,
+            ClusterEvent::FabricWake { version } => {
+                let live = st
+                    .fabric
+                    .as_ref()
+                    .is_some_and(|fr| fr.wake_version == version);
+                if live {
+                    st.fabric_deliver(ev.time)?;
+                    reschedule_fabric(&mut st, &mut events);
                 }
-                ClusterEvent::Arrival(r) => {
-                    // Lazy horizons: replicas catch up to the arrival
-                    // instant only when this dispatch is about to read
-                    // their state — a state-reading policy inspects all
-                    // of them, a shedding check inspects the target.
-                    // Round-robin with shedding off reads nothing and
-                    // dispatches without advancing anyone; the deferred
-                    // work replays bit-identically at the replica's
-                    // next read, fault edge, fabric delivery, or the
-                    // final drain (DESIGN.md §3.10).
-                    let policy_reads = self.policy.reads_replica_state();
-                    if policy_reads {
-                        self.advance_live(&mut st, r.arrival_s)?;
+            }
+            ClusterEvent::Arrival(r) => {
+                // Lazy horizons: replicas catch up to the arrival
+                // instant only when this dispatch is about to read
+                // their state — a state-reading policy inspects all
+                // of them, a shedding check inspects the target.
+                // Round-robin with shedding off reads nothing and
+                // dispatches without advancing anyone; the deferred
+                // work replays bit-identically at the replica's
+                // next read, fault edge, fabric delivery, or the
+                // final drain (DESIGN.md §3.10).
+                let policy_reads = settings.policy.reads_replica_state();
+                if policy_reads {
+                    st.advance_live(r.arrival_s)?;
+                }
+                match st.route() {
+                    // Total outage: no replica can accept the request.
+                    None => {
+                        st.failed += 1;
+                        st.router_trace.instant(
+                            SpanKind::Route,
+                            "fail",
+                            r.arrival_s,
+                            Some(r.id),
+                            &[],
+                        );
                     }
-                    match self.route(&st.sims, &st.alive, st.rr) {
-                        // Total outage: no replica can accept the request.
-                        None => {
-                            st.failed += 1;
+                    Some(target) => {
+                        if !policy_reads && cfg.shed.is_active() {
+                            // Shedding reads the target's queue/KV
+                            // pressure even when routing does not.
+                            st.catch_up(target, r.arrival_s)?;
+                        }
+                        let sim = &st.sims[target];
+                        if cfg.shed.rejects(sim.queue_depth(), sim.kv_used_fraction()) {
+                            st.shed += 1;
                             st.router_trace.instant(
                                 SpanKind::Route,
-                                "fail",
+                                "shed",
                                 r.arrival_s,
                                 Some(r.id),
-                                &[],
+                                &[("replica", usize_to_f64(target))],
                             );
-                        }
-                        Some(target) => {
-                            if !policy_reads && cfg.shed.is_active() {
-                                // Shedding reads the target's queue/KV
-                                // pressure even when routing does not.
-                                self.catch_up(&mut st, target, r.arrival_s)?;
-                            }
-                            let sim = &st.sims[target];
-                            if cfg.shed.rejects(sim.queue_depth(), sim.kv_used_fraction()) {
-                                st.shed += 1;
-                                st.router_trace.instant(
-                                    SpanKind::Route,
-                                    "shed",
-                                    r.arrival_s,
-                                    Some(r.id),
-                                    &[("replica", usize_to_f64(target))],
-                                );
-                            } else {
-                                st.rr += 1;
-                                st.dispatched[target] += 1;
-                                st.router_trace.instant(
-                                    SpanKind::Route,
-                                    "dispatch",
-                                    r.arrival_s,
-                                    Some(r.id),
-                                    &[("replica", usize_to_f64(target))],
-                                );
-                                match st.fabric.as_mut() {
-                                    // Instantaneous dispatch (default).
-                                    None => st.sims[target].enqueue(r),
-                                    // Costed dispatch: the request rides a
-                                    // flow and joins the replica's queue at
-                                    // the delivery instant.
-                                    Some(fr) => {
-                                        fr.sim.advance_to(r.arrival_s);
-                                        fr.dispatch(r, target);
-                                        reschedule_fabric(&mut st, &mut events);
-                                    }
+                        } else {
+                            st.rr += 1;
+                            st.dispatched[target] += 1;
+                            st.router_trace.instant(
+                                SpanKind::Route,
+                                "dispatch",
+                                r.arrival_s,
+                                Some(r.id),
+                                &[("replica", usize_to_f64(target))],
+                            );
+                            match st.fabric.as_mut() {
+                                // Instantaneous dispatch (default).
+                                None => st.sims[target].enqueue(r),
+                                // Costed dispatch: the request rides a
+                                // flow and joins the replica's queue at
+                                // the delivery instant.
+                                Some(fr) => {
+                                    fr.sim.advance_to(r.arrival_s);
+                                    fr.dispatch(r, target);
+                                    reschedule_fabric(&mut st, &mut events);
                                 }
                             }
                         }
@@ -911,110 +733,30 @@ impl Cluster {
                 }
             }
         }
-        debug_assert!(
-            st.fabric.as_ref().is_none_or(FabricRun::is_idle),
-            "dispatches left in flight"
-        );
-        for (i, (engine, sim)) in self.replicas.iter_mut().zip(st.sims.iter_mut()).enumerate() {
-            if st.alive[i] {
-                engine.sim_advance(sim, f64::INFINITY)?;
-            }
-            debug_assert!(sim.is_drained(), "run left work behind");
-        }
-        let report = self.aggregate(&st, cfg);
-        let mut spans = Vec::new();
-        if traced {
-            for sim in &mut st.sims {
-                spans.append(&mut sim.trace.take_spans());
-            }
-            spans.append(&mut st.router_trace.take_spans());
-        }
-        Ok((report, spans))
     }
-
-    fn aggregate(&self, st: &RunState, cfg: &ResilienceConfig) -> ClusterReport {
-        let total_time_s = st.sims.iter().map(SimState::now).fold(0.0_f64, f64::max);
-        // Aggregate recorders must share the replicas' metrics mode
-        // (`merge` refuses to mix exact samples with histogram bins); an
-        // empty cluster cannot happen (`Cluster::new` asserts replicas).
-        let mut ttft = LatencyRecorder::like(&st.sims[0].ttft);
-        let mut tpot = LatencyRecorder::like(&st.sims[0].tpot);
-        let mut queue_delay = LatencyRecorder::like(&st.sims[0].queue_delay);
-        let mut completed = 0;
-        let mut total_output = 0;
-        let mut peak_batch = 0;
-        let mut preemptions = 0;
-        let mut met_requests = 0;
-        let mut met_tokens = 0;
-        let mut per_replica = Vec::with_capacity(st.sims.len());
-        for (i, sim) in st.sims.iter().enumerate() {
-            ttft.merge(&sim.ttft);
-            tpot.merge(&sim.tpot);
-            queue_delay.merge(&sim.queue_delay);
-            completed += sim.completed();
-            total_output += sim.total_output_tokens();
-            peak_batch = peak_batch.max(sim.peak_batch());
-            preemptions += sim.preemptions();
-            let (mr, mt) = engine::slo_met(&sim.finished, &cfg.slo);
-            met_requests += mr;
-            met_tokens += mt;
-            per_replica.push(ReplicaStats {
-                dispatched: st.dispatched[i],
-                completed: sim.completed(),
-                output_tokens: sim.total_output_tokens(),
-                busy_s: sim.busy_s,
-                utilization: if total_time_s > 0.0 {
-                    sim.busy_s / total_time_s
-                } else {
-                    0.0
-                },
-                preemptions: sim.preemptions(),
-                crashes: st.crashes[i],
-            });
+    debug_assert!(
+        st.fabric.as_ref().is_none_or(FabricRun::is_idle),
+        "dispatches left in flight"
+    );
+    st.advance_live(f64::INFINITY)?;
+    debug_assert!(
+        st.sims.iter().all(SimState::is_drained),
+        "run left work behind"
+    );
+    let report = st.aggregate();
+    let mut spans = Vec::new();
+    if traced {
+        for sim in &mut st.sims {
+            spans.append(&mut sim.trace.take_spans());
         }
-        let (p50_ttft_s, p95_ttft_s, p99_ttft_s) = ttft.summary();
-        let (p50_tpot_s, p95_tpot_s, p99_tpot_s) = tpot.summary();
-        let offered = completed + st.shed + st.failed;
-        let serving = ServingReport {
-            completed,
-            total_output_tokens: total_output,
-            total_time_s,
-            throughput_tps: engine::safe_rate(total_output, total_time_s),
-            mean_ttft_s: ttft.mean(),
-            mean_tpot_s: tpot.mean(),
-            p50_ttft_s,
-            p95_ttft_s,
-            p99_ttft_s,
-            p50_tpot_s,
-            p95_tpot_s,
-            p99_tpot_s,
-            mean_queue_delay_s: queue_delay.mean(),
-            p99_queue_delay_s: queue_delay.quantile(99.0),
-            peak_batch,
-            preemptions,
-            shed: st.shed,
-            failed: st.failed,
-            retries: st.retries,
-            lost_tokens: st.lost_tokens,
-            goodput_tps: engine::safe_rate(met_tokens, total_time_s),
-            slo_attainment: engine::attainment(met_requests, offered),
-        };
-        ClusterReport {
-            serving,
-            per_replica,
-            replica_devices: self
-                .replicas
-                .iter()
-                .map(|e| e.device_name().to_owned())
-                .collect(),
-            policy: self.policy,
-        }
+        spans.append(&mut st.router_trace.take_spans());
     }
+    Ok((report, spans))
 }
 
 /// (Re)schedule the control fabric's wake-up in the merged event queue.
 /// Bumping the stamp invalidates any earlier wake still in the queue.
-fn reschedule_fabric(st: &mut RunState, events: &mut EventQueue<ClusterEvent>) {
+fn reschedule_fabric(st: &mut RunState<'_>, events: &mut EventQueue<ClusterEvent>) {
     if let Some(fr) = st.fabric.as_mut() {
         if let Some(t) = fr.next_time() {
             fr.wake_version += 1;
@@ -1029,10 +771,13 @@ fn reschedule_fabric(st: &mut RunState, events: &mut EventQueue<ClusterEvent>) {
     }
 }
 
-/// The mutable state of one resilient cluster run: per-replica
-/// simulations and liveness, dispatch bookkeeping, and the resilience
-/// counters that feed the report.
-struct RunState {
+/// The mutable state of one run: the replicas and their simulations,
+/// liveness, dispatch bookkeeping, and the resilience counters that feed
+/// the report. Its methods are the steps of `serve`'s event loop.
+struct RunState<'a> {
+    replicas: &'a mut [ServingEngine],
+    settings: RunSettings,
+    cfg: &'a ResilienceConfig,
     sims: Vec<SimState>,
     alive: Vec<bool>,
     dispatched: Vec<usize>,
@@ -1050,6 +795,334 @@ struct RunState {
     router_trace: TraceRecorder,
     /// Control fabric, when dispatch traffic is costed as flows.
     fabric: Option<FabricRun>,
+}
+
+impl RunState<'_> {
+    /// Pick a live replica for the next dispatch, or `None` during a
+    /// total outage. With every replica alive this reproduces the
+    /// fault-free policy decisions exactly (ties to the lowest index).
+    fn route(&self) -> Option<usize> {
+        let alive = &self.alive;
+        let live = alive.iter().filter(|a| **a).count();
+        if live == 0 {
+            return None;
+        }
+        match self.settings.policy {
+            RoutingPolicy::RoundRobin => {
+                // Stripe over the live replicas only, in index order.
+                let k = self.rr % live;
+                alive
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, a)| **a)
+                    .map(|(i, _)| i)
+                    .nth(k)
+            }
+            RoutingPolicy::JoinShortestQueue => self
+                .sims
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| alive[*i])
+                .min_by_key(|(_, s)| s.queue_depth())
+                .map(|(i, _)| i),
+            RoutingPolicy::LeastLoadedKv => self
+                .sims
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| alive[*i])
+                .min_by(|(_, a), (_, b)| a.kv_used_fraction().total_cmp(&b.kv_used_fraction()))
+                .map(|(i, _)| i),
+            RoutingPolicy::WeightedJsq => self
+                .sims
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| alive[*i])
+                .min_by(|(i, a), (j, b)| {
+                    let wa = usize_to_f64(a.queue_depth()) / self.replicas[*i].speed_weight();
+                    let wb = usize_to_f64(b.queue_depth()) / self.replicas[*j].speed_weight();
+                    wa.total_cmp(&wb)
+                })
+                .map(|(i, _)| i),
+        }
+    }
+
+    /// Catch every live replica's simulation up to instant `t` — the
+    /// full (eager) catch-up, forced by cluster-wide state reads:
+    /// state-reading routing policies, crash re-routing, fabric
+    /// deliveries and the final drain.
+    fn advance_live(&mut self, t: f64) -> Result<()> {
+        for (i, (engine, sim)) in self
+            .replicas
+            .iter_mut()
+            .zip(self.sims.iter_mut())
+            .enumerate()
+        {
+            if self.alive[i] {
+                engine.sim_advance(sim, t)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Catch a single replica's simulation up to instant `t` (no-op for
+    /// a dead replica) — the targeted catch-up for events that read or
+    /// mutate one replica's state only (shedding checks, slowdown
+    /// edges).
+    fn catch_up(&mut self, i: usize, t: f64) -> Result<()> {
+        if self.alive[i] {
+            self.replicas[i].sim_advance(&mut self.sims[i], t)?;
+        }
+        Ok(())
+    }
+
+    /// Re-route displaced request `id` at instant `t` under the retry
+    /// budget: the one path for crash-displaced work and for in-flight
+    /// dispatches to a dead replica. Counts the attempt, then either
+    /// records a retry and returns the chosen replica, or records a
+    /// failure (budget spent, or no live replica) and returns `None`. The
+    /// caller hands the request over. Displaced work is never shed: it
+    /// was already admitted once.
+    fn reroute(&mut self, id: u64, t: f64) -> Option<usize> {
+        let tries = self.attempts.entry(id).or_insert(0);
+        *tries += 1;
+        let target = if *tries > self.cfg.max_retries {
+            None
+        } else {
+            self.route()
+        };
+        match target {
+            None => {
+                self.failed += 1;
+                self.router_trace
+                    .instant(SpanKind::Route, "fail", t, Some(id), &[]);
+            }
+            Some(target) => {
+                self.retries += 1;
+                self.rr += 1;
+                self.dispatched[target] += 1;
+                self.router_trace.instant(
+                    SpanKind::Route,
+                    "retry",
+                    t,
+                    Some(id),
+                    &[("replica", usize_to_f64(target))],
+                );
+            }
+        }
+        target
+    }
+
+    /// Apply one fault-timeline event at instant `t`.
+    fn apply_fault(&mut self, t: f64, kind: TimelineKind) -> Result<()> {
+        match kind {
+            TimelineKind::Crash { replica } => {
+                if !self.alive[replica] {
+                    return Ok(()); // already down
+                }
+                // Survivors' state must be current at the crash instant:
+                // re-routing decisions observe it.
+                self.advance_live(t)?;
+                self.alive[replica] = false;
+                self.crashes[replica] += 1;
+                self.router_trace.instant(
+                    SpanKind::Fault,
+                    "crash",
+                    t,
+                    None,
+                    &[("replica", usize_to_f64(replica))],
+                );
+                let (orphans, lost) = self.sims[replica].drain_unfinished()?;
+                self.lost_tokens += lost;
+                for r in orphans {
+                    if let Some(target) = self.reroute(r.id, t) {
+                        // Original arrival time kept: the retry's latency
+                        // is client-perceived, spanning the lost attempt.
+                        self.sims[target].enqueue(r);
+                    }
+                }
+            }
+            TimelineKind::Recover { replica } => {
+                // Cold rejoin: queues and KV were drained at the crash;
+                // the replica's clock catches up at its next dispatch.
+                self.alive[replica] = true;
+                self.router_trace.instant(
+                    SpanKind::Fault,
+                    "recover",
+                    t,
+                    None,
+                    &[("replica", usize_to_f64(replica))],
+                );
+            }
+            TimelineKind::SlowStart { replica, factor } => {
+                // Only the affected replica must be current: the scale
+                // applies to *its* steps from `t` on. Other replicas'
+                // deferred work replays identically later (two-stage
+                // advances with nothing enqueued in between execute the
+                // same step sequence).
+                self.catch_up(replica, t)?;
+                self.sims[replica].set_time_scale(factor);
+                self.router_trace.instant(
+                    SpanKind::Fault,
+                    "slow_start",
+                    t,
+                    None,
+                    &[("replica", usize_to_f64(replica)), ("factor", factor)],
+                );
+            }
+            TimelineKind::SlowEnd { replica } => {
+                self.catch_up(replica, t)?;
+                self.sims[replica].set_time_scale(1.0);
+                self.router_trace.instant(
+                    SpanKind::Fault,
+                    "slow_end",
+                    t,
+                    None,
+                    &[("replica", usize_to_f64(replica))],
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Process everything the control fabric owes at instant `t`: finish
+    /// due dispatch flows, time their deliveries, and enqueue every
+    /// delivery due at or before `t` into its target replica. A delivery
+    /// whose target died in flight is re-routed under the same retry
+    /// budget as crash displacement.
+    fn fabric_deliver(&mut self, t: f64) -> Result<()> {
+        let Some(mut fr) = self.fabric.take() else {
+            return Ok(());
+        };
+        fr.sim.advance_to(t);
+        // Move finished flows into the delivery queue (delivery = finish
+        // + route latency), keeping it sorted by time.
+        let mut still = Vec::with_capacity(fr.pending.len());
+        for (flow, r, target) in fr.pending.drain(..) {
+            if fr.sim.finish_time(flow).is_nan() {
+                still.push((flow, r, target));
+            } else {
+                let due = fr.sim.delivery_time(flow);
+                let pos = fr
+                    .deliveries
+                    .partition_point(|d| d.0.total_cmp(&due).is_le());
+                fr.deliveries.insert(pos, (due, r, target));
+            }
+        }
+        fr.pending = still;
+        while fr.deliveries.first().is_some_and(|d| d.0 <= t) {
+            let (due, r, target) = fr.deliveries.remove(0);
+            self.advance_live(due)?;
+            if self.alive[target] {
+                self.sims[target].enqueue(r);
+                continue;
+            }
+            // In-flight dispatch toward a dead replica: same budgeted
+            // re-route as crash-displaced work.
+            if let Some(next) = self.reroute(r.id, due) {
+                fr.dispatch(r, next);
+            }
+        }
+        self.fabric = Some(fr);
+        Ok(())
+    }
+
+    /// Build the run's report: the one place a [`ServingReport`] is
+    /// made. Latency samples pool every replica's, goodput is judged
+    /// against `cfg.slo`, and the span is the longest replica clock.
+    fn aggregate(&self) -> ClusterReport {
+        let total_time_s = self.sims.iter().map(SimState::now).fold(0.0_f64, f64::max);
+        let mode = self.settings.metrics_mode;
+        let mut ttft = LatencyRecorder::with_mode(mode);
+        let mut tpot = LatencyRecorder::with_mode(mode);
+        let mut queue_delay = LatencyRecorder::with_mode(mode);
+        let mut completed = 0;
+        let mut total_output = 0;
+        let mut peak_batch = 0;
+        let mut preemptions = 0;
+        let mut met_requests = 0;
+        let mut met_tokens = 0;
+        let mut per_replica = Vec::with_capacity(self.sims.len());
+        for (i, sim) in self.sims.iter().enumerate() {
+            ttft.merge(&sim.ttft);
+            tpot.merge(&sim.tpot);
+            queue_delay.merge(&sim.queue_delay);
+            completed += sim.completed();
+            total_output += sim.total_output_tokens();
+            peak_batch = peak_batch.max(sim.peak_batch());
+            preemptions += sim.preemptions();
+            for f in &sim.finished {
+                if self.cfg.slo.met(f.ttft_s, f.tpot_s) {
+                    met_requests += 1;
+                    met_tokens += f.output_tokens;
+                }
+            }
+            per_replica.push(ReplicaStats {
+                dispatched: self.dispatched[i],
+                completed: sim.completed(),
+                output_tokens: sim.total_output_tokens(),
+                busy_s: sim.busy_s,
+                utilization: if total_time_s > 0.0 {
+                    sim.busy_s / total_time_s
+                } else {
+                    0.0
+                },
+                preemptions: sim.preemptions(),
+                crashes: self.crashes[i],
+            });
+        }
+        let (p50_ttft_s, p95_ttft_s, p99_ttft_s) = ttft.summary();
+        let (p50_tpot_s, p95_tpot_s, p99_tpot_s) = tpot.summary();
+        let offered = completed + self.shed + self.failed;
+        let serving = ServingReport {
+            completed,
+            total_output_tokens: total_output,
+            total_time_s,
+            throughput_tps: safe_rate(total_output, total_time_s),
+            mean_ttft_s: ttft.mean(),
+            mean_tpot_s: tpot.mean(),
+            p50_ttft_s,
+            p95_ttft_s,
+            p99_ttft_s,
+            p50_tpot_s,
+            p95_tpot_s,
+            p99_tpot_s,
+            mean_queue_delay_s: queue_delay.mean(),
+            p99_queue_delay_s: queue_delay.quantile(99.0),
+            peak_batch,
+            preemptions,
+            shed: self.shed,
+            failed: self.failed,
+            retries: self.retries,
+            lost_tokens: self.lost_tokens,
+            goodput_tps: safe_rate(met_tokens, total_time_s),
+            // Vacuously 1 when nothing was offered.
+            slo_attainment: if offered == 0 {
+                1.0
+            } else {
+                usize_to_f64(met_requests) / usize_to_f64(offered)
+            },
+        };
+        ClusterReport {
+            serving,
+            per_replica,
+            replica_devices: self
+                .replicas
+                .iter()
+                .map(|e| e.device_name().to_owned())
+                .collect(),
+            policy: self.settings.policy,
+        }
+    }
+}
+
+/// `tokens / span`, with a zero (or degenerate) span mapping to 0 instead
+/// of NaN/inf — no report field may ever be non-finite.
+fn safe_rate(tokens: usize, span_s: f64) -> f64 {
+    if span_s > 0.0 {
+        usize_to_f64(tokens) / span_s
+    } else {
+        0.0
+    }
 }
 
 #[cfg(test)]
@@ -1197,6 +1270,52 @@ mod tests {
     #[test]
     fn empty_trace_is_an_error() {
         assert!(cluster(2, RoutingPolicy::RoundRobin).run(&[]).is_err());
+    }
+
+    #[test]
+    fn empty_cluster_is_an_error() {
+        let reqs = online_trace(4, 3, 10.0);
+        let mut empty = Cluster::new(Vec::new(), RoutingPolicy::JoinShortestQueue);
+        assert!(empty.is_empty());
+        let err = empty.run(&reqs).unwrap_err();
+        assert!(
+            matches!(&err, DcmError::InvalidConfig(m) if m.contains("replicas")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn empty_homogeneous_cluster_is_an_error() {
+        let reqs = online_trace(4, 3, 10.0);
+        let err = cluster(0, RoutingPolicy::RoundRobin)
+            .run(&reqs)
+            .unwrap_err();
+        assert!(
+            matches!(&err, DcmError::InvalidConfig(m) if m.contains("replicas")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn bad_replica_setting_names_the_replica() {
+        let reqs = online_trace(4, 3, 10.0);
+        let engine = |max_batch| {
+            crate::engine::ServingEngine::new(
+                &Device::gaudi2(),
+                LlamaConfig::llama31_8b(),
+                1,
+                PagedBackend::GaudiOpt,
+                max_batch,
+            )
+        };
+        let err = Cluster::new(vec![engine(8), engine(0)], RoutingPolicy::RoundRobin)
+            .run(&reqs)
+            .unwrap_err();
+        assert!(
+            matches!(&err, DcmError::InvalidConfig(m)
+                if m.contains("replica 1") && m.contains("max_decode_batch")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1683,8 +1802,8 @@ mod tests {
     #[test]
     fn degenerate_reports_never_divide_by_zero() {
         // A constructed report with no replicas: the Cluster never
-        // produces one (new() rejects empty), but the aggregation helpers
-        // are documented to return 0.0, not NaN.
+        // produces one (a run rejects an empty cluster), but the
+        // aggregation helpers are documented to return 0.0, not NaN.
         let empty = ClusterReport {
             serving: zero_serving(),
             per_replica: vec![],

@@ -12,18 +12,23 @@
 //! `arrival_s` are all zero. Requests with later arrival times are held
 //! back until the simulated clock reaches them: admission only considers
 //! arrived requests, and an idle engine fast-forwards to the next arrival.
-//! The same event loop is exposed crate-internally as a steppable
-//! simulation ([`SimState`]) so `cluster` can advance several replicas on
-//! one shared clock.
+//!
+//! This module owns one replica's scheduler, a steppable simulation
+//! ([`SimState`]); `cluster` owns the one event loop that drives it.
+//! [`ServingEngine::run`] is a one-replica round-robin cluster run with
+//! no fabric and no faults, so it reports exactly what
+//! [`Cluster::run`](crate::cluster::Cluster::run) reports for the same
+//! engine alone. Fast-forward, histogram metrics, SLOs and tracing are
+//! set on the [`Cluster`](crate::cluster::Cluster).
 //!
 //! The simulation is built on the deterministic discrete-event core:
 //! arrivals live in a [`dcm_core::sim::EventQueue`] (total pop order on
 //! `(time, priority, seq)`) and the clock is a monotone
 //! [`dcm_core::sim::SimClock`], so a given trace replays bit-identically
 //! — pinned by `tests/tests/golden_serving.rs` against the pre-refactor
-//! loops. [`ServingEngine::run_traced`] additionally records structured
-//! spans (request lifecycle, prefill/decode steps, preemptions) into a
-//! [`Trace`] exportable as Chrome `trace_event` JSON or per-request CSV.
+//! loops. A traced run records structured spans (request lifecycle,
+//! prefill/decode steps, preemptions) into a
+//! [`Trace`](dcm_core::trace::Trace).
 //!
 //! Reported metrics follow the paper — end-to-end serving throughput
 //! (output tokens per second), mean TTFT (arrival to first token) and mean
@@ -33,16 +38,17 @@
 use crate::attention::{
     BatchGrowth, BatchStats, PagedAttention, PagedBackend, DEFAULT_BLOCK_TOKENS,
 };
+use crate::cluster::{self, RoutingPolicy, RunSettings};
 use crate::dataset::Request;
-use crate::fault::SloSpec;
+use crate::fault::{FaultPlan, ResilienceConfig};
 use crate::kv_cache::PagedKvCache;
 use crate::slab::{SeqSlab, SlotId};
 use dcm_compiler::{CompileOptions, Device};
 use dcm_core::cast::{f64_to_u64, u64_to_f64, usize_to_f64};
 use dcm_core::error::{DcmError, Result};
-use dcm_core::metrics::{LatencyRecorder, MetricsMode};
+use dcm_core::metrics::LatencyRecorder;
 use dcm_core::sim::{EventQueue, SimClock};
-use dcm_core::trace::{Span, SpanKind, Trace, TraceRecorder};
+use dcm_core::trace::{SpanKind, TraceRecorder};
 use dcm_core::DType;
 use dcm_workloads::llama::LlamaConfig;
 use serde::{Deserialize, Serialize};
@@ -210,6 +216,9 @@ pub(crate) struct SimState {
     /// Step-time multiplier (1.0 = nominal); the cluster layer raises it
     /// inside a [`FaultEvent::Slowdown`](crate::fault::FaultEvent) window.
     time_scale: f64,
+    /// Whether steady stretches advance in closed form (see
+    /// [`Cluster::with_fast_forward`](crate::cluster::Cluster::with_fast_forward)).
+    fast_forward: bool,
     pub(crate) ttft: LatencyRecorder,
     pub(crate) tpot: LatencyRecorder,
     pub(crate) queue_delay: LatencyRecorder,
@@ -450,71 +459,6 @@ impl SimState {
             self.ready.push_back(WorkItem::fresh(e.payload));
         }
     }
-
-    /// Summarize a completed run, judging goodput against `slo`.
-    pub(crate) fn report(&self, slo: &SloSpec) -> ServingReport {
-        let (p50_ttft_s, p95_ttft_s, p99_ttft_s) = self.ttft.summary();
-        let (p50_tpot_s, p95_tpot_s, p99_tpot_s) = self.tpot.summary();
-        let (met_requests, met_tokens) = slo_met(&self.finished, slo);
-        let t = self.clock.now();
-        ServingReport {
-            completed: self.completed,
-            total_output_tokens: self.total_output,
-            total_time_s: t,
-            throughput_tps: safe_rate(self.total_output, t),
-            mean_ttft_s: self.ttft.mean(),
-            mean_tpot_s: self.tpot.mean(),
-            p50_ttft_s,
-            p95_ttft_s,
-            p99_ttft_s,
-            p50_tpot_s,
-            p95_tpot_s,
-            p99_tpot_s,
-            mean_queue_delay_s: self.queue_delay.mean(),
-            p99_queue_delay_s: self.queue_delay.quantile(99.0),
-            peak_batch: self.peak_batch,
-            preemptions: self.preemptions,
-            shed: 0,
-            failed: 0,
-            retries: 0,
-            lost_tokens: 0,
-            goodput_tps: safe_rate(met_tokens, t),
-            slo_attainment: attainment(met_requests, self.completed),
-        }
-    }
-}
-
-/// `tokens / span`, with a zero (or degenerate) span mapping to 0 instead
-/// of NaN/inf — no report field may ever be non-finite.
-pub(crate) fn safe_rate(tokens: usize, span_s: f64) -> f64 {
-    if span_s > 0.0 {
-        usize_to_f64(tokens) / span_s
-    } else {
-        0.0
-    }
-}
-
-/// Fraction of `offered` requests that met the SLO; vacuously 1 when
-/// nothing was offered.
-pub(crate) fn attainment(met: usize, offered: usize) -> f64 {
-    if offered == 0 {
-        1.0
-    } else {
-        usize_to_f64(met) / usize_to_f64(offered)
-    }
-}
-
-/// Count SLO-meeting completed requests and their output tokens.
-pub(crate) fn slo_met(finished: &[FinishedRequest], slo: &SloSpec) -> (usize, usize) {
-    let mut requests = 0;
-    let mut tokens = 0;
-    for f in finished {
-        if slo.met(f.ttft_s, f.tpot_s) {
-            requests += 1;
-            tokens += f.output_tokens;
-        }
-    }
-    (requests, tokens)
 }
 
 /// Which step graph a memo entry prices.
@@ -643,9 +587,6 @@ pub struct ServingEngine {
     max_decode_batch: usize,
     block_tokens: usize,
     kv_blocks_override: Option<usize>,
-    slo: SloSpec,
-    metrics_mode: MetricsMode,
-    fast_forward: bool,
     /// Non-attention decode-step time by batch size (index): the decode
     /// loop reads it every step, so it sits in front of the memo.
     nonattn_cache: Vec<Option<f64>>,
@@ -653,11 +594,11 @@ pub struct ServingEngine {
 
 impl ServingEngine {
     /// Create an engine for `model` on `device` with `tp`-way tensor
-    /// parallelism and the given PagedAttention backend.
+    /// parallelism and the given PagedAttention backend. A zero
+    /// `max_decode_batch` is rejected when a run starts.
     ///
     /// # Panics
-    /// Panics if `max_decode_batch` is zero or `tp` does not divide the
-    /// query heads.
+    /// Panics if `tp` does not divide the query heads.
     #[must_use]
     pub fn new(
         device: &Device,
@@ -666,7 +607,6 @@ impl ServingEngine {
         backend: PagedBackend,
         max_decode_batch: usize,
     ) -> Self {
-        assert!(max_decode_batch > 0, "max_decode_batch must be positive");
         let attention = PagedAttention::new(device, backend, &model, tp);
         let family = resolve_family(device, &model, tp);
         ServingEngine {
@@ -678,58 +618,15 @@ impl ServingEngine {
             max_decode_batch,
             block_tokens: DEFAULT_BLOCK_TOKENS,
             kv_blocks_override: None,
-            slo: SloSpec::default(),
-            metrics_mode: MetricsMode::Exact,
-            fast_forward: false,
             nonattn_cache: Vec::new(),
         }
     }
 
-    /// Record TTFT/TPOT/queue-delay in the given mode. The default
-    /// [`MetricsMode::Exact`] stores every sample (bit-identical to the
-    /// pre-histogram engine, golden-pinned); [`MetricsMode::Histogram`]
-    /// uses O(1)-memory log histograms whose quantiles carry a proven
-    /// ±[`HISTOGRAM_MAX_RELATIVE_ERROR`] bound — the mode for
-    /// million-request runs.
-    ///
-    /// [`HISTOGRAM_MAX_RELATIVE_ERROR`]: dcm_core::metrics::HISTOGRAM_MAX_RELATIVE_ERROR
-    #[must_use]
-    pub fn with_metrics_mode(mut self, mode: MetricsMode) -> Self {
-        self.metrics_mode = mode;
-        self
-    }
-
-    /// Enable analytic fast-forward: when the engine is in a steady
-    /// decode stretch (no admission possible, no arrival or completion
-    /// due), it advances the clock in one closed-form step instead of
-    /// pricing every iteration. Completed/shed/failed counts and produced
-    /// token totals are exact (the stretch never crosses a completion,
-    /// admission or KV-exhaustion boundary — see DESIGN.md §3.8);
-    /// timestamps are approximated by a trapezoid over the stretch, so
-    /// latency metrics are no longer bit-identical to the step-by-step
-    /// engine. Off by default; equivalence is property-pinned by
-    /// `tests/tests/prop_fast_forward.rs`.
-    #[must_use]
-    pub fn with_fast_forward(mut self, enabled: bool) -> Self {
-        self.fast_forward = enabled;
-        self
-    }
-
-    /// Judge goodput/SLO attainment against `slo` instead of the default.
-    #[must_use]
-    pub fn with_slo(mut self, slo: SloSpec) -> Self {
-        self.slo = slo;
-        self
-    }
-
     /// Cap the KV cache at `blocks` blocks regardless of HBM capacity —
-    /// for studying preemption behaviour under memory pressure.
-    ///
-    /// # Panics
-    /// Panics if `blocks` is zero.
+    /// for studying preemption behaviour under memory pressure. Zero
+    /// blocks are rejected when a run starts.
     #[must_use]
     pub fn with_kv_blocks(mut self, blocks: usize) -> Self {
-        assert!(blocks > 0, "need at least one KV block");
         self.kv_blocks_override = Some(blocks);
         self
     }
@@ -782,16 +679,35 @@ impl ServingEngine {
         t
     }
 
-    /// Start a fresh simulation: size the KV cache and reset all state.
-    /// `expected_requests` pre-sizes the arrival queue (large sweeps
-    /// enqueue the whole trace up front; repeated growth there is pure
-    /// waste), and the slab/active-set/scratch buffers are pre-sized to
+    /// Start a fresh simulation of this engine as replica `replica` under
+    /// the run's `settings` (fast-forward, metrics mode): size the KV
+    /// cache and reset all state. `expected_requests` pre-sizes
+    /// the arrival queue (large sweeps enqueue the whole trace up front;
+    /// repeated growth there is pure waste), and the
+    /// slab/active-set/scratch buffers are pre-sized to
     /// `max_decode_batch` so steady-state serving never reallocates.
     ///
     /// # Errors
-    /// Returns [`DcmError::ResourceExhausted`] if the KV cache cannot hold
-    /// a single block.
-    pub(crate) fn make_sim(&self, expected_requests: usize) -> Result<SimState> {
+    /// Returns [`DcmError::InvalidConfig`] naming `replica` and the field
+    /// if `max_decode_batch` or the KV block cap is zero, and
+    /// [`DcmError::ResourceExhausted`] if the KV cache cannot hold a
+    /// single block.
+    pub(crate) fn make_sim(
+        &self,
+        replica: usize,
+        expected_requests: usize,
+        settings: &RunSettings,
+    ) -> Result<SimState> {
+        if self.max_decode_batch == 0 {
+            return Err(DcmError::InvalidConfig(format!(
+                "replica {replica}: max_decode_batch must be at least 1"
+            )));
+        }
+        if self.kv_blocks_override == Some(0) {
+            return Err(DcmError::InvalidConfig(format!(
+                "replica {replica}: kv_blocks must be at least 1"
+            )));
+        }
         let weights = self.model.param_count() * usize_to_f64(DType::Bf16.size_bytes())
             / usize_to_f64(self.tp);
         let hbm = self.device.spec().memory.hbm_capacity_bytes;
@@ -818,9 +734,10 @@ impl ServingEngine {
             clock: SimClock::new(),
             busy_s: 0.0,
             time_scale: 1.0,
-            ttft: LatencyRecorder::with_mode(self.metrics_mode),
-            tpot: LatencyRecorder::with_mode(self.metrics_mode),
-            queue_delay: LatencyRecorder::with_mode(self.metrics_mode),
+            fast_forward: settings.fast_forward,
+            ttft: LatencyRecorder::with_mode(settings.metrics_mode),
+            tpot: LatencyRecorder::with_mode(settings.metrics_mode),
+            queue_delay: LatencyRecorder::with_mode(settings.metrics_mode),
             finished: Vec::new(),
             trace: TraceRecorder::disabled(),
             total_output: 0,
@@ -1199,7 +1116,7 @@ impl ServingEngine {
             if sim.clock.now() >= limit {
                 return Ok(());
             }
-            if self.fast_forward && self.try_fast_forward(sim, limit)? {
+            if sim.fast_forward && self.try_fast_forward(sim, limit)? {
                 continue;
             }
             if self.sim_step(sim)? {
@@ -1227,55 +1144,37 @@ impl ServingEngine {
     /// preempt the youngest active sequence, whose progress is recomputed
     /// at re-admission (recompute-mode preemption).
     ///
+    /// This is the cluster event loop with this engine as its only
+    /// replica: round-robin, no fabric, [`FaultPlan::none`], the default
+    /// [`ResilienceConfig`] (its SLO judges goodput), exact stepping and
+    /// exact metrics. Simultaneous arrivals are served in trace order.
+    ///
     /// # Errors
     /// Returns [`DcmError::ResourceExhausted`] if a single request alone
     /// cannot fit in the KV cache, at admission or as it grows, or
     /// [`DcmError::InvalidConfig`] naming the offending request for an
-    /// invalid trace: empty, a non-finite or negative arrival, an empty
-    /// prompt, a request generating no token, or a duplicated id.
+    /// invalid trace (empty, a non-finite or negative arrival, an empty
+    /// prompt, a request generating no token, or a duplicated id) or the
+    /// field for a zero `max_decode_batch` or KV block cap.
     pub fn run(&mut self, requests: &[Request]) -> Result<ServingReport> {
-        Ok(self.run_impl(requests, false)?.0)
-    }
-
-    /// Like [`run`](Self::run), additionally recording a structured
-    /// [`Trace`] of the run: one lifecycle span per completed request plus
-    /// every prefill, decode step and preemption. Tracing is observational
-    /// only — the report is bit-identical to an untraced [`run`](Self::run)
-    /// on the same trace (property-pinned in `tests/tests/prop_trace.rs`).
-    ///
-    /// # Errors
-    /// Same failure modes as [`run`](Self::run).
-    pub fn run_traced(&mut self, requests: &[Request]) -> Result<(ServingReport, Trace)> {
-        let (report, spans) = self.run_impl(requests, true)?;
-        Ok((report, Trace::new(spans)))
-    }
-
-    fn run_impl(
-        &mut self,
-        requests: &[Request],
-        traced: bool,
-    ) -> Result<(ServingReport, Vec<Span>)> {
-        validate_trace(requests)?;
-        let mut sim = self.make_sim(requests.len())?;
-        if traced {
-            sim.trace = TraceRecorder::enabled(0);
-        }
-        // The event queue pops by (arrival, enqueue order) — exactly the
-        // stable sort the pre-refactor path applied here — so an all-zero
-        // trace is served in exactly the given order.
-        for r in requests {
-            sim.enqueue(*r);
-        }
-        self.sim_advance(&mut sim, f64::INFINITY)?;
-        let report = sim.report(&self.slo);
-        Ok((report, sim.trace.take_spans()))
+        let (report, _) = cluster::serve(
+            std::slice::from_mut(self),
+            RunSettings::new(RoutingPolicy::RoundRobin),
+            requests,
+            &FaultPlan::none(),
+            &ResilienceConfig::default(),
+            false,
+        )?;
+        Ok(report.serving)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Cluster;
     use crate::dataset::{ArrivalProcess, SyntheticDataset};
+    use dcm_core::metrics::MetricsMode;
 
     fn engine(backend: PagedBackend, max_batch: usize) -> ServingEngine {
         let device = match backend {
@@ -1283,6 +1182,12 @@ mod tests {
             _ => Device::gaudi2(),
         };
         ServingEngine::new(&device, LlamaConfig::llama31_8b(), 1, backend, max_batch)
+    }
+
+    /// `e` as the only replica of a round-robin cluster, which is where
+    /// fast-forward, histogram metrics and SLOs are set.
+    fn solo(e: ServingEngine) -> Cluster {
+        Cluster::new(vec![e], RoutingPolicy::RoundRobin)
     }
 
     #[test]
@@ -1377,9 +1282,7 @@ mod tests {
     #[test]
     fn zero_output_len_is_an_error_naming_the_request() {
         let reqs = [Request::new(1, 128, 4), Request::new(9, 128, 0)];
-        let err = engine(PagedBackend::GaudiOpt, 4)
-            .run_traced(&reqs)
-            .unwrap_err();
+        let err = engine(PagedBackend::GaudiOpt, 4).run(&reqs).unwrap_err();
         assert!(
             matches!(&err, DcmError::InvalidConfig(m) if m.contains("request 9")),
             "{err}"
@@ -1415,6 +1318,31 @@ mod tests {
     }
 
     #[test]
+    fn zero_max_decode_batch_is_an_error_naming_the_field() {
+        let reqs = SyntheticDataset::fixed(2, 128, 4);
+        let err = engine(PagedBackend::GaudiOpt, 0).run(&reqs).unwrap_err();
+        assert!(
+            matches!(&err, DcmError::InvalidConfig(m)
+                if m.contains("replica 0") && m.contains("max_decode_batch")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_kv_blocks_is_an_error_naming_the_field() {
+        let reqs = SyntheticDataset::fixed(2, 128, 4);
+        let err = engine(PagedBackend::GaudiOpt, 4)
+            .with_kv_blocks(0)
+            .run(&reqs)
+            .unwrap_err();
+        assert!(
+            matches!(&err, DcmError::InvalidConfig(m)
+                if m.contains("replica 0") && m.contains("kv_blocks")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn lone_sequence_outgrowing_the_cache_is_an_error_not_a_livelock() {
         // Request 1 is preempted once by request 0's growth and later
         // resumed. Alone, it then needs more than the 2,048-token cache.
@@ -1425,16 +1353,9 @@ mod tests {
             let (tx, rx) = channel();
             let worker = std::thread::spawn(move || {
                 let reqs = [Request::new(0, 900, 600), Request::new(1, 900, 3000)];
-                let result = ServingEngine::new(
-                    &Device::gaudi2(),
-                    LlamaConfig::llama31_8b(),
-                    1,
-                    PagedBackend::GaudiOpt,
-                    4,
-                )
-                .with_kv_blocks(16)
-                .with_fast_forward(fast_forward)
-                .run(&reqs);
+                let result = solo(engine(PagedBackend::GaudiOpt, 4).with_kv_blocks(16))
+                    .with_fast_forward(fast_forward)
+                    .run(&reqs);
                 let _ = tx.send(result);
             });
             // On a timeout the worker is left spinning; the test fails.
@@ -1636,9 +1557,14 @@ mod tests {
     #[test]
     fn unattainable_slo_zeroes_goodput_but_not_throughput() {
         let reqs = SyntheticDataset::fixed(4, 128, 16);
-        let mut eng =
-            engine(PagedBackend::GaudiOpt, 4).with_slo(crate::fault::SloSpec::new(1e-12, 1e-12));
-        let report = eng.run(&reqs).unwrap();
+        let cfg = ResilienceConfig {
+            slo: crate::fault::SloSpec::new(1e-12, 1e-12),
+            ..ResilienceConfig::default()
+        };
+        let report = solo(engine(PagedBackend::GaudiOpt, 4))
+            .run_resilient(&reqs, &FaultPlan::none(), &cfg)
+            .unwrap()
+            .serving;
         assert_eq!(report.slo_attainment, 0.0);
         assert_eq!(report.goodput_tps, 0.0);
         assert!(report.throughput_tps > 0.0);
@@ -1702,10 +1628,11 @@ mod tests {
         // a small relative error against the step-by-step engine.
         let reqs = SyntheticDataset::fixed(8, 128, 512);
         let exact = engine(PagedBackend::GaudiOpt, 8).run(&reqs).unwrap();
-        let ff = engine(PagedBackend::GaudiOpt, 8)
+        let ff = solo(engine(PagedBackend::GaudiOpt, 8))
             .with_fast_forward(true)
             .run(&reqs)
-            .unwrap();
+            .unwrap()
+            .serving;
         assert_eq!(ff.completed, exact.completed);
         assert_eq!(ff.total_output_tokens, exact.total_output_tokens);
         assert_eq!(ff.peak_batch, exact.peak_batch);
@@ -1719,18 +1646,13 @@ mod tests {
         // The capacity cap must stop every stretch before KV exhaustion;
         // preemption then happens step-by-step, identically placed.
         let reqs = SyntheticDataset::fixed(4, 256, 200);
-        let mk = || {
-            ServingEngine::new(
-                &Device::gaudi2(),
-                LlamaConfig::llama31_8b(),
-                1,
-                PagedBackend::GaudiOpt,
-                4,
-            )
-            .with_kv_blocks(12)
-        };
+        let mk = || engine(PagedBackend::GaudiOpt, 4).with_kv_blocks(12);
         let exact = mk().run(&reqs).unwrap();
-        let ff = mk().with_fast_forward(true).run(&reqs).unwrap();
+        let ff = solo(mk())
+            .with_fast_forward(true)
+            .run(&reqs)
+            .unwrap()
+            .serving;
         assert_eq!(ff.completed, exact.completed);
         assert_eq!(ff.total_output_tokens, exact.total_output_tokens);
         assert_eq!(ff.preemptions, exact.preemptions);
@@ -1747,10 +1669,11 @@ mod tests {
             Request::new(1, 128, 64).with_arrival(0.5),
         ];
         let exact = engine(PagedBackend::GaudiOpt, 4).run(&reqs).unwrap();
-        let ff = engine(PagedBackend::GaudiOpt, 4)
+        let ff = solo(engine(PagedBackend::GaudiOpt, 4))
             .with_fast_forward(true)
             .run(&reqs)
-            .unwrap();
+            .unwrap()
+            .serving;
         assert_eq!(ff.completed, 2);
         assert_eq!(ff.total_output_tokens, exact.total_output_tokens);
     }
@@ -1760,10 +1683,11 @@ mod tests {
         use dcm_core::metrics::HISTOGRAM_MAX_RELATIVE_ERROR;
         let reqs = SyntheticDataset::dynamic_sonnet(24, 7);
         let exact = engine(PagedBackend::GaudiOpt, 8).run(&reqs).unwrap();
-        let hist = engine(PagedBackend::GaudiOpt, 8)
+        let hist = solo(engine(PagedBackend::GaudiOpt, 8))
             .with_metrics_mode(MetricsMode::Histogram)
             .run(&reqs)
-            .unwrap();
+            .unwrap()
+            .serving;
         // Counts, clock and means are mode-independent (sums are exact).
         assert_eq!(hist.completed, exact.completed);
         assert_eq!(hist.total_output_tokens, exact.total_output_tokens);

@@ -24,7 +24,9 @@
 //!   sweep compiles each step graph once.
 //! * [`cluster`] — a multi-replica router (round-robin /
 //!   join-shortest-queue / least-loaded-KV) dispatching an arrival
-//!   stream across N engines on one shared simulated clock.
+//!   stream across N engines on one shared simulated clock. Its event
+//!   loop is the only one: a single engine's `run` is a one-replica
+//!   cluster run.
 //! * [`fault`] — deterministic fault injection (seeded crash / recovery /
 //!   slowdown plans), admission-control shedding policies and SLO specs;
 //!   [`Cluster::run_resilient`](cluster::Cluster::run_resilient) replays

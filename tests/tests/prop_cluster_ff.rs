@@ -1,14 +1,17 @@
 //! Differential properties for cluster-scale fast-forward (DESIGN.md
-//! §3.10): with `Cluster::with_fast_forward(true)` every replica advances
-//! steady decode stretches in closed form under lazy per-replica
-//! horizons, so wall-clock *timestamps* carry a bounded drift — but every
-//! *count* must be exact. Across offline, online, seeded-fault and
-//! fabric-on workloads the fast-forward and exact cluster runs must agree
-//! on all conservation counters, the total-time drift must stay inside
+//! §3.8/§3.10): with `Cluster::with_fast_forward(true)` every replica
+//! advances steady decode stretches in closed form under lazy
+//! per-replica horizons, so wall-clock *timestamps* carry a bounded
+//! drift — but every *count* must be exact. Across offline, online
+//! (Poisson and bursty), preemption-pressure, seeded-fault and fabric-on
+//! workloads on one to three replicas the fast-forward and exact cluster
+//! runs must agree on all conservation counters (on one replica also on
+//! preemptions and peak batch), the total-time drift must stay inside
 //! the documented 5% bound, and the ambient `DCM_THREADS` must never
-//! move a bit of either mode. (The five exact-mode golden cluster
-//! reports are pinned separately in `golden_serving.rs`; fast-forward is
-//! opt-in and never touches them.)
+//! move a bit of either mode. (The single engine's fast-forward cases
+//! are in `prop_fast_forward.rs`; the five exact-mode golden reports are
+//! pinned separately in `golden_serving.rs`; fast-forward is opt-in and
+//! never touches them.)
 
 use dcm_compiler::Device;
 use dcm_core::metrics::MetricsMode;
@@ -30,17 +33,27 @@ const POLICIES: [RoutingPolicy; 4] = [
     RoutingPolicy::WeightedJsq,
 ];
 
-fn cluster(n: usize, policy: RoutingPolicy, fast_forward: bool) -> Cluster {
-    Cluster::homogeneous(
+fn cluster(
+    n: usize,
+    policy: RoutingPolicy,
+    max_batch: usize,
+    kv_blocks: Option<usize>,
+    fast_forward: bool,
+) -> Cluster {
+    let c = Cluster::homogeneous(
         &Device::gaudi2(),
         &LlamaConfig::llama31_8b(),
         1,
         PagedBackend::GaudiOpt,
-        8,
+        max_batch,
         n,
         policy,
     )
-    .with_fast_forward(fast_forward)
+    .with_fast_forward(fast_forward);
+    match kv_blocks {
+        Some(b) => c.with_kv_blocks(b),
+        None => c,
+    }
 }
 
 /// Per-mode conservation identities that hold regardless of drift: every
@@ -56,7 +69,8 @@ fn assert_conserved(report: &ClusterReport, offered: usize) {
 /// workloads whose counts are trace-determined (fault-free, no shedding):
 /// there completed/shed/failed and the token total do not depend on
 /// which replica served which request, so drifted routing cannot move
-/// them.
+/// them. One replica has no routing to drift, so its preemptions and
+/// peak batch must match too.
 fn assert_counts_equal(ff: &ClusterReport, exact: &ClusterReport) {
     assert_eq!(ff.serving.completed, exact.serving.completed, "completed");
     assert_eq!(
@@ -65,6 +79,13 @@ fn assert_counts_equal(ff: &ClusterReport, exact: &ClusterReport) {
     );
     assert_eq!(ff.serving.shed, exact.serving.shed);
     assert_eq!(ff.serving.failed, exact.serving.failed);
+    if exact.per_replica.len() == 1 {
+        assert_eq!(
+            ff.serving.preemptions, exact.serving.preemptions,
+            "preemption placement"
+        );
+        assert_eq!(ff.serving.peak_batch, exact.serving.peak_batch);
+    }
     if exact.serving.total_time_s > 0.0 {
         let drift = (ff.serving.total_time_s / exact.serving.total_time_s - 1.0).abs();
         assert!(drift < 0.05, "clock drift {drift} exceeds 5%");
@@ -72,46 +93,71 @@ fn assert_counts_equal(ff: &ClusterReport, exact: &ClusterReport) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Offline traces (everything arrives at t=0) across replica counts
-    /// and every routing policy: counts exact, drift bounded,
-    /// conservation in both modes.
+    /// Offline traces (everything arrives at t=0, the paper's Figure 17
+    /// setup) across replica counts, batch caps and every routing
+    /// policy: counts exact, drift bounded, conservation in both modes.
     #[test]
     fn offline_cluster_counts_are_identical(
-        n in 1usize..20,
+        n in 1usize..24,
         seed in 0u64..1000,
         replicas in 1usize..4,
         policy_idx in 0usize..4,
+        max_batch in 1usize..12,
     ) {
         let reqs = SyntheticDataset::dynamic_sonnet(n, seed);
         let policy = POLICIES[policy_idx];
-        let exact = cluster(replicas, policy, false).run(&reqs).unwrap();
-        let ff = cluster(replicas, policy, true).run(&reqs).unwrap();
+        let exact = cluster(replicas, policy, max_batch, None, false).run(&reqs).unwrap();
+        let ff = cluster(replicas, policy, max_batch, None, true).run(&reqs).unwrap();
         assert_conserved(&exact, n);
         assert_conserved(&ff, n);
         assert_counts_equal(&ff, &exact);
     }
 
-    /// Online traces with seeded Poisson arrivals: every stretch must
-    /// stop at (or before) the next arrival that could change the
-    /// schedule, on every replica, under every policy.
+    /// Online traces with seeded Poisson and bursty arrivals: every
+    /// stretch must stop at (or before) the next arrival that could
+    /// change the schedule, on every replica, under every policy.
     #[test]
     fn online_cluster_counts_are_identical(
-        n in 1usize..16,
+        n in 1usize..20,
         seed in 0u64..1000,
-        rate_x10 in 5u32..200,
+        rate_x10 in 1u32..200,
+        bursty in 0u8..2,
         replicas in 1usize..4,
         policy_idx in 0usize..4,
     ) {
-        let reqs = SyntheticDataset::dynamic_sonnet_online(
-            n,
-            seed,
-            &ArrivalProcess::Poisson { rate_rps: f64::from(rate_x10) / 10.0 },
-        );
+        let rate_rps = f64::from(rate_x10) / 10.0;
+        let process = if bursty == 0 {
+            ArrivalProcess::Poisson { rate_rps }
+        } else {
+            ArrivalProcess::Bursty { rate_rps, burst: 4 }
+        };
+        let reqs = SyntheticDataset::dynamic_sonnet_online(n, seed, &process);
         let policy = POLICIES[policy_idx];
-        let exact = cluster(replicas, policy, false).run(&reqs).unwrap();
-        let ff = cluster(replicas, policy, true).run(&reqs).unwrap();
+        let exact = cluster(replicas, policy, 8, None, false).run(&reqs).unwrap();
+        let ff = cluster(replicas, policy, 8, None, true).run(&reqs).unwrap();
+        assert_conserved(&exact, n);
+        assert_conserved(&ff, n);
+        assert_counts_equal(&ff, &exact);
+    }
+
+    /// Tight KV caches force preemptions; the capacity cap must stop
+    /// every stretch before exhaustion so preemptions land identically.
+    #[test]
+    fn preemption_pressure_counts_are_identical(
+        n in 2usize..8,
+        gen in 50usize..300,
+        blocks in 6usize..20,
+        replicas in 1usize..3,
+    ) {
+        // Bounded request shape (256-token prompt, ≤300-token generation)
+        // so even the smallest cache fits one request — the pressure comes
+        // from concurrency, forcing mid-run preemptions.
+        let reqs = SyntheticDataset::fixed(n, 256, gen);
+        let policy = RoutingPolicy::RoundRobin;
+        let exact = cluster(replicas, policy, 4, Some(blocks), false).run(&reqs).unwrap();
+        let ff = cluster(replicas, policy, 4, Some(blocks), true).run(&reqs).unwrap();
         assert_conserved(&exact, n);
         assert_conserved(&ff, n);
         assert_counts_equal(&ff, &exact);
@@ -131,7 +177,7 @@ fn seeded_fault_cluster_counts_are_identical() {
         .with_slowdown(0, 0.5, 1.5, 2.0);
     let cfg = ResilienceConfig::default();
     let run = |fast_forward: bool| {
-        cluster(3, RoutingPolicy::JoinShortestQueue, fast_forward)
+        cluster(3, RoutingPolicy::JoinShortestQueue, 8, None, fast_forward)
             .run_resilient(&reqs, &plan, &cfg)
             .unwrap()
     };
@@ -169,7 +215,7 @@ fn fabric_on_cluster_counts_are_identical() {
         latency_s: 1.0e-3,
     };
     let run = |fast_forward: bool| {
-        cluster(3, RoutingPolicy::LeastLoadedKv, fast_forward)
+        cluster(3, RoutingPolicy::LeastLoadedKv, 8, None, fast_forward)
             .with_fabric(fabric)
             .run(&reqs)
             .unwrap()
@@ -188,10 +234,10 @@ fn fabric_on_cluster_counts_are_identical() {
 fn histogram_metrics_cluster_preserves_counts() {
     let reqs =
         SyntheticDataset::dynamic_sonnet_online(16, 7, &ArrivalProcess::Poisson { rate_rps: 10.0 });
-    let exact = cluster(2, RoutingPolicy::JoinShortestQueue, false)
+    let exact = cluster(2, RoutingPolicy::JoinShortestQueue, 8, None, false)
         .run(&reqs)
         .unwrap();
-    let both = cluster(2, RoutingPolicy::JoinShortestQueue, true)
+    let both = cluster(2, RoutingPolicy::JoinShortestQueue, 8, None, true)
         .with_metrics_mode(MetricsMode::Histogram)
         .run(&reqs)
         .unwrap();
@@ -209,7 +255,8 @@ fn histogram_metrics_cluster_preserves_counts() {
 /// and arrivals in waves of one full cluster batch, every replica's
 /// decode plateaus are steady, so the traced run records at least 100×
 /// fewer decode spans than exact stepping. Counts, not wall time, so the
-/// floor holds on any host.
+/// floor holds on any host. (The one-replica plateau is
+/// `prop_fast_forward.rs`'s `fast_forward_collapses_a_steady_decode_plateau`.)
 #[test]
 fn cluster_ff_collapses_wave_aligned_decode_plateaus() {
     const REPLICAS: usize = 4;
@@ -219,7 +266,7 @@ fn cluster_ff_collapses_wave_aligned_decode_plateaus() {
         r.arrival_s = if i < wave { 0.0 } else { 4.0 };
     }
     let run = |fast_forward: bool| {
-        cluster(REPLICAS, RoutingPolicy::RoundRobin, fast_forward)
+        cluster(REPLICAS, RoutingPolicy::RoundRobin, 8, None, fast_forward)
             .run_traced(&reqs)
             .unwrap()
     };
@@ -253,7 +300,7 @@ fn cluster_ff_is_bit_identical_across_thread_counts() {
             seed,
             &ArrivalProcess::Poisson { rate_rps: 10.0 },
         );
-        let report = cluster(3, POLICIES[policy_idx], fast_forward)
+        let report = cluster(3, POLICIES[policy_idx], 8, None, fast_forward)
             .run(&reqs)
             .unwrap();
         (

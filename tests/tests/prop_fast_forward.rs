@@ -1,14 +1,20 @@
-//! Equivalence tests for the analytic fast-forward path: with
-//! `with_fast_forward(true)` the engine advances steady decode stretches
-//! in closed form, so wall-clock *timestamps* are approximate — but every
-//! *count* must be exact. Across randomized offline, online (seeded
-//! Poisson/bursty arrivals), preemption-pressure and seeded-fault
-//! workloads, the completed/shed/failed counts and the token totals of
-//! completed requests must be identical with fast-forward on and off.
-//! (The five exact-mode golden reports are pinned separately in
+//! Equivalence tests for the analytic fast-forward path on the single
+//! engine. `ServingEngine::run` is a one-replica round-robin run of the
+//! cluster loop with exact stepping, so fast-forward is switched on
+//! through a one-replica `Cluster::with_fast_forward(true)` and checked
+//! against the engine's own `run`. Steady decode stretches advance in
+//! closed form, so wall-clock *timestamps* are approximate — but every
+//! *count* must be exact. Across randomized offline and online (seeded
+//! Poisson/bursty arrivals) traces, a seeded-fault cluster, a steady
+//! decode plateau and histogram metrics, the completed/shed/failed
+//! counts and the token totals of completed requests must be identical
+//! with fast-forward on and off. (Properties on several replicas, and
+//! the preemption-pressure property, are in `prop_cluster_ff.rs`; the
+//! five exact-mode golden reports are pinned separately in
 //! `golden_serving.rs`; fast-forward is opt-in and never touches them.)
 
 use dcm_compiler::Device;
+use dcm_core::metrics::MetricsMode;
 use dcm_core::trace::SpanKind;
 use dcm_vllm::attention::PagedBackend;
 use dcm_vllm::cluster::{Cluster, RoutingPolicy};
@@ -18,26 +24,28 @@ use dcm_vllm::fault::{FaultPlan, ResilienceConfig};
 use dcm_workloads::llama::LlamaConfig;
 use proptest::prelude::*;
 
-fn engine(max_batch: usize, kv_blocks: Option<usize>, fast_forward: bool) -> ServingEngine {
-    let e = ServingEngine::new(
+fn engine(max_batch: usize) -> ServingEngine {
+    ServingEngine::new(
         &Device::gaudi2(),
         LlamaConfig::llama31_8b(),
         1,
         PagedBackend::GaudiOpt,
         max_batch,
     )
-    .with_fast_forward(fast_forward);
-    match kv_blocks {
-        Some(b) => e.with_kv_blocks(b),
-        None => e,
-    }
 }
 
-/// Run the trace with fast-forward off and on; assert count equivalence
-/// and bounded clock drift.
-fn assert_equivalent(reqs: &[Request], max_batch: usize, kv_blocks: Option<usize>) {
-    let exact = engine(max_batch, kv_blocks, false).run(reqs).unwrap();
-    let ff = engine(max_batch, kv_blocks, true).run(reqs).unwrap();
+/// The engine as a one-replica cluster, so the fast-forward and metrics
+/// knobs (which live on `Cluster`) can be set.
+fn solo(max_batch: usize, fast_forward: bool) -> Cluster {
+    Cluster::new(vec![engine(max_batch)], RoutingPolicy::RoundRobin).with_fast_forward(fast_forward)
+}
+
+/// Run the trace exactly on the engine and fast-forwarded on its
+/// one-replica cluster; assert count equivalence and bounded clock
+/// drift.
+fn assert_equivalent(reqs: &[Request], max_batch: usize) {
+    let exact = engine(max_batch).run(reqs).unwrap();
+    let ff = solo(max_batch, true).run(reqs).unwrap().serving;
     assert_eq!(ff.completed, exact.completed, "completed count");
     assert_eq!(
         ff.total_output_tokens, exact.total_output_tokens,
@@ -65,7 +73,7 @@ proptest! {
         max_batch in 1usize..12,
     ) {
         let reqs = SyntheticDataset::dynamic_sonnet(n, seed);
-        assert_equivalent(&reqs, max_batch, None);
+        assert_equivalent(&reqs, max_batch);
     }
 
     /// Online traces with seeded Poisson and bursty arrival processes:
@@ -84,22 +92,7 @@ proptest! {
             ArrivalProcess::Bursty { rate_rps, burst: 4 }
         };
         let reqs = SyntheticDataset::dynamic_sonnet_online(n, seed, &process);
-        assert_equivalent(&reqs, 8, None);
-    }
-
-    /// Tight KV caches force preemptions; the capacity cap must stop
-    /// every stretch before exhaustion so preemptions land identically.
-    #[test]
-    fn preemption_pressure_counts_are_identical(
-        n in 2usize..8,
-        gen in 50usize..300,
-        blocks in 6usize..20,
-    ) {
-        // Bounded request shape (256-token prompt, ≤300-token generation)
-        // so even the smallest cache fits one request — the pressure comes
-        // from concurrency, forcing mid-run preemptions.
-        let reqs = SyntheticDataset::fixed(n, 256, gen);
-        assert_equivalent(&reqs, 4, Some(blocks));
+        assert_equivalent(&reqs, 8);
     }
 }
 
@@ -120,9 +113,11 @@ fn seeded_fault_cluster_counts_are_identical() {
         .with_slowdown(0, 0.5, 1.5, 2.0);
     let cfg = ResilienceConfig::default();
     let run = |fast_forward: bool| {
-        let replicas: Vec<ServingEngine> = (0..3).map(|_| engine(4, None, fast_forward)).collect();
-        let mut cluster = Cluster::new(replicas, RoutingPolicy::JoinShortestQueue);
-        cluster.run_resilient(&reqs, &plan, &cfg).unwrap()
+        let replicas: Vec<ServingEngine> = (0..3).map(|_| engine(4)).collect();
+        Cluster::new(replicas, RoutingPolicy::JoinShortestQueue)
+            .with_fast_forward(fast_forward)
+            .run_resilient(&reqs, &plan, &cfg)
+            .unwrap()
     };
     let exact = run(false);
     let ff = run(true);
@@ -152,9 +147,12 @@ fn seeded_fault_cluster_counts_are_identical() {
 #[test]
 fn fast_forward_collapses_a_steady_decode_plateau() {
     let reqs = SyntheticDataset::fixed(8, 128, 1024);
-    let (exact, exact_trace) = engine(8, None, false).run_traced(&reqs).unwrap();
-    let (ff, ff_trace) = engine(8, None, true).run_traced(&reqs).unwrap();
-    assert_eq!(ff.total_output_tokens, exact.total_output_tokens);
+    let (exact, exact_trace) = solo(8, false).run_traced(&reqs).unwrap();
+    let (ff, ff_trace) = solo(8, true).run_traced(&reqs).unwrap();
+    assert_eq!(
+        ff.serving.total_output_tokens,
+        exact.serving.total_output_tokens
+    );
     let (exact_steps, ff_steps) = (
         exact_trace.count_of(SpanKind::Decode),
         ff_trace.count_of(SpanKind::Decode),
@@ -169,13 +167,13 @@ fn fast_forward_collapses_a_steady_decode_plateau() {
 /// configuration — without disturbing any count.
 #[test]
 fn fast_forward_with_histogram_metrics_preserves_counts() {
-    use dcm_core::metrics::MetricsMode;
     let reqs = SyntheticDataset::fixed(16, 128, 256);
-    let exact = engine(8, None, false).run(&reqs).unwrap();
-    let both = {
-        let mut e = engine(8, None, true).with_metrics_mode(MetricsMode::Histogram);
-        e.run(&reqs).unwrap()
-    };
+    let exact = engine(8).run(&reqs).unwrap();
+    let both = solo(8, true)
+        .with_metrics_mode(MetricsMode::Histogram)
+        .run(&reqs)
+        .unwrap()
+        .serving;
     assert_eq!(both.completed, exact.completed);
     assert_eq!(both.total_output_tokens, exact.total_output_tokens);
     assert_eq!(both.peak_batch, exact.peak_batch);

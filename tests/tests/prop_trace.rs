@@ -3,9 +3,10 @@
 //! Tracing is observational: a traced run must produce a bit-identical
 //! report to the same run untraced, the trace must carry exactly one
 //! lifecycle span per completed request, and the Chrome `trace_event`
-//! export must be valid JSON. These are verified for the single engine,
-//! the fault-free cluster, the seeded-fault cluster, and a heterogeneous
-//! (Gaudi-2 + A100) cluster under the device-aware routing policy.
+//! export must be valid JSON. These are verified for a single engine
+//! (a one-replica cluster), the fault-free cluster, the seeded-fault
+//! cluster, and a heterogeneous (Gaudi-2 + A100) cluster under the
+//! device-aware routing policy.
 
 use dcm_compiler::Device;
 use dcm_core::trace::{SpanKind, Trace};
@@ -191,24 +192,36 @@ fn check_export(trace: &Trace, completed: usize) {
 
 // ---- engine ------------------------------------------------------------
 
+/// `e` as the only replica of a round-robin cluster: the traced form of
+/// `ServingEngine::run`.
+fn solo(e: ServingEngine) -> Cluster {
+    Cluster::new(vec![e], RoutingPolicy::RoundRobin)
+}
+
 #[test]
 fn traced_engine_report_is_bit_identical_to_untraced() {
     let reqs = online_trace(24, 5, 8.0);
     let untraced = engine(4).run(&reqs).unwrap();
-    let (traced, trace) = engine(4).run_traced(&reqs).unwrap();
+    let (traced, trace) = solo(engine(4)).run_traced(&reqs).unwrap();
+    let traced = traced.serving;
     assert_eq!(untraced, traced);
     check_export(&trace, traced.completed);
-    // Engine spans exist and sit on track 0.
+    // Engine spans exist and sit on track 0, router instants on track 1.
     assert!(trace.count_of(SpanKind::Prefill) >= traced.completed);
     assert!(trace.count_of(SpanKind::Decode) > 0);
-    assert!(trace.spans().iter().all(|s| s.track == 0));
+    assert!(trace
+        .spans()
+        .iter()
+        .all(|s| s.track == u32::from(s.kind == SpanKind::Route)));
 }
 
 #[test]
 fn preempting_engine_trace_records_preemptions() {
     let reqs = SyntheticDataset::fixed(4, 256, 200);
-    let mut eng = engine(4).with_kv_blocks(12);
-    let (report, trace) = eng.run_traced(&reqs).unwrap();
+    let (report, trace) = solo(engine(4).with_kv_blocks(12))
+        .run_traced(&reqs)
+        .unwrap();
+    let report = report.serving;
     assert_eq!(trace.count_of(SpanKind::Preemption), report.preemptions);
     assert!(report.preemptions > 0, "fixture must preempt");
     // A preempted request is prefilled more than once (recompute mode).

@@ -44,6 +44,16 @@ for bin in crates/bench/src/bin/*.rs; do
     DCM_SMOKE=1 DCM_THREADS=2 cargo run -q --release -p dcm-bench --bin "$name" >/dev/null
 done
 
+# Run every example once: they walk through the public API (the serving
+# example through the single-engine and cluster entry points) and are
+# otherwise only compiled, by clippy --all-targets.
+echo "==> running examples"
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    echo "==> example: $name"
+    cargo run -q --release -p dcm-examples --example "$name" >/dev/null
+done
+
 # Determinism cross-check: a sweep binary must emit byte-identical CSVs
 # (and stdout) regardless of thread count. Run one representative sweep
 # serially and at 8 threads and diff everything it produced. At 8 threads
@@ -64,12 +74,12 @@ done
 echo "==> determinism OK"
 
 # Differential suite under an explicit 2-thread override: the
-# queue-vs-list-model, slab-vs-map, histogram, fast-forward (engine- and
-# cluster-level) and flow-vs-closed-form fabric equivalence properties,
-# the MME geometry search against its f64 argmin spec, the step-cost
-# memo's report invariance and compile counts, plus the steady-state
-# allocation audit must hold regardless of the parallelism the host
-# advertises.
+# queue-vs-list-model, slab-vs-map, histogram, fast-forward (on one
+# replica, i.e. the single engine, and on several) and
+# flow-vs-closed-form fabric equivalence properties, the MME geometry
+# search against its f64 argmin spec, the step-cost memo's report
+# invariance and compile counts, plus the steady-state allocation audit
+# must hold regardless of the parallelism the host advertises.
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
