@@ -7,6 +7,7 @@
 //! blocks; this sweep shows why.
 
 use dcm_bench::banner;
+use dcm_compiler::Device;
 use dcm_core::metrics::Table;
 use dcm_vllm::attention::{PagedAttention, PagedBackend};
 use dcm_vllm::kv_cache::PagedKvCache;
@@ -17,7 +18,7 @@ fn main() {
         "Ablation: KV-cache block size (tokens per block)",
         "the Gaudi vLLM fork defaults to 128-token blocks",
     );
-    let gaudi = dcm_bench::device("gaudi2");
+    let gaudi = Device::gaudi2();
     let model = LlamaConfig::llama31_8b();
     // Mixed-length batch: padding waste matters.
     let lens: Vec<usize> = (0..32).map(|i| 257 + i * 120).collect();

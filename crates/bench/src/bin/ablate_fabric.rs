@@ -54,7 +54,7 @@ fn main() {
         "Llama-3.1-70B serving latency (ms), batch 128, 100 in / 100 out",
         &["devices", "Gaudi-2 (P2P)", "Gaudi-2+switch", "gain"],
     );
-    let p2p = dcm_bench::device("gaudi2");
+    let p2p = Device::gaudi2();
     let sw = Device::gaudi_like(switched_gaudi());
     for tp in [2usize, 4, 8] {
         let server = LlamaServer::new(LlamaConfig::llama31_70b(), tp);
@@ -77,11 +77,7 @@ fn main() {
     // out of device 0 through one shared uplink.
     let flow_stock = FlowTransport::new(&DeviceSpec::gaudi2());
     let flow_sw = FlowTransport::new(&switched_gaudi());
-    let payload: u64 = if dcm_bench::smoke() {
-        2 << 20
-    } else {
-        32 << 20
-    };
+    let payload: u64 = 32 << 20;
     let mut g = Table::new(
         "emergent AllReduce slowdown at 8 devices under background elephants",
         &["bg flows from dev 0", "Gaudi-2 (P2P)", "Gaudi-2+switch"],

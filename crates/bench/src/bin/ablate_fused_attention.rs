@@ -10,6 +10,7 @@
 //! gap it closes, at the kernel and end-to-end level.
 
 use dcm_bench::banner;
+use dcm_compiler::Device;
 use dcm_core::metrics::Table;
 use dcm_vllm::attention::{PagedAttention, PagedBackend};
 use dcm_vllm::dataset::SyntheticDataset;
@@ -21,8 +22,8 @@ fn main() {
         "Ablation: hypothetical FlashAttention-style fused kernel on Gaudi-2",
         "§5 Discussion: direct MME access would enable kernel fusion; today's gap is ~2.2x",
     );
-    let gaudi = dcm_bench::device("gaudi2");
-    let a100 = dcm_bench::device("a100");
+    let gaudi = Device::gaudi2();
+    let a100 = Device::a100();
     let model = LlamaConfig::llama31_8b();
     let opt = PagedAttention::new(&gaudi, PagedBackend::GaudiOpt, &model, 1);
     let fused = PagedAttention::new(&gaudi, PagedBackend::GaudiFusedHypothetical, &model, 1);

@@ -57,9 +57,9 @@ fn main() {
         &["vector B", "Gaudi-2", "Gaudi-2+32B", "A100", "recovered"],
     );
     let devices = [
-        dcm_bench::device("gaudi2"),
+        Device::gaudi2(),
         Device::gaudi_like(sectored),
-        dcm_bench::device("a100"),
+        Device::a100(),
     ];
     for &vb in &[32usize, 64, 128, 256] {
         let cfg = DlrmConfig::rm2(vb);

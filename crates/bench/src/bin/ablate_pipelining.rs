@@ -5,7 +5,7 @@
 //! ablation toggles each pass independently across representative graphs.
 
 use dcm_bench::banner;
-use dcm_compiler::{CompileOptions, Graph};
+use dcm_compiler::{CompileOptions, Device, Graph};
 use dcm_core::metrics::Table;
 use dcm_workloads::dlrm::DlrmConfig;
 use dcm_workloads::llama::LlamaConfig;
@@ -43,7 +43,7 @@ fn main() {
         ("both (default)", options(true, 16)),
     ];
 
-    for device in [dcm_bench::device("gaudi2"), dcm_bench::device("a100")] {
+    for device in [Device::gaudi2(), Device::a100()] {
         let mut t = Table::new(
             format!(
                 "{}: graph latency (us) under each pass combination",

@@ -33,30 +33,12 @@ use dcm_vllm::dataset::{ArrivalProcess, SyntheticDataset};
 use dcm_vllm::fault::{FaultPlan, ResilienceConfig, ShedPolicy, SloSpec};
 use dcm_workloads::llama::LlamaConfig;
 
-/// Replica counts for the crash sweep; `DCM_SMOKE=1` shrinks it.
-fn replica_counts() -> &'static [usize] {
-    if dcm_bench::smoke() {
-        &[2]
-    } else {
-        &[2, 4, 8]
-    }
-}
+/// Replica counts for the crash sweep.
+const REPLICA_COUNTS: [usize; 3] = [2, 4, 8];
 /// Crash instants as fractions of the arrival-trace span.
-fn crash_fractions() -> &'static [f64] {
-    if dcm_bench::smoke() {
-        &[0.5]
-    } else {
-        &[0.25, 0.5, 0.75]
-    }
-}
-/// Per-replica requests in the synthetic trace; smoke mode shrinks it.
-fn trace_len() -> usize {
-    if dcm_bench::smoke() {
-        8
-    } else {
-        64
-    }
-}
+const CRASH_FRACTIONS: [f64; 3] = [0.25, 0.5, 0.75];
+/// Per-replica requests in the synthetic trace.
+const TRACE_LEN: usize = 64;
 const TRACE_SEED: u64 = 2026;
 const MAX_DECODE_BATCH: usize = 16;
 /// Per-replica offered load for the crash sweep, as a fraction of
@@ -89,12 +71,12 @@ fn setups() -> Vec<DeviceSetup> {
     vec![
         DeviceSetup {
             label: "Gaudi-2 (vLLMopt)",
-            device: dcm_bench::device("gaudi2"),
+            device: Device::gaudi2(),
             backend: PagedBackend::GaudiOpt,
         },
         DeviceSetup {
             label: "A100 (fused)",
-            device: dcm_bench::device("a100"),
+            device: Device::a100(),
             backend: PagedBackend::A100Fused,
         },
     ]
@@ -116,7 +98,7 @@ fn cluster(setup: &DeviceSetup, model: &LlamaConfig, replicas: usize) -> Cluster
 /// span of its arrivals — the clock the crash fractions index into.
 fn trace_for(replicas: usize, rate_rps: f64) -> (Vec<dcm_vllm::dataset::Request>, f64) {
     let trace = SyntheticDataset::dynamic_sonnet_online(
-        trace_len() * replicas,
+        TRACE_LEN * replicas,
         TRACE_SEED,
         &ArrivalProcess::Poisson { rate_rps },
     );
@@ -149,7 +131,7 @@ fn main() {
     // 1. Crash sweep: failure time x replica count.
     for setup in setups() {
         let capacity_rps =
-            dcm_bench::offline_capacity_rps(&setup.device, setup.backend, &model, trace_len());
+            dcm_bench::offline_capacity_rps(&setup.device, setup.backend, &model, TRACE_LEN);
         println!(
             "\n{}: single-replica offline capacity {:.2} req/s",
             setup.label, capacity_rps
@@ -172,9 +154,9 @@ fn main() {
         );
         // Independent (replicas, crash-fraction) cells — evaluate on
         // DCM_THREADS workers, tabulate serially in input order.
-        let points: Vec<(usize, f64)> = replica_counts()
-            .iter()
-            .flat_map(|&replicas| crash_fractions().iter().map(move |&frac| (replicas, frac)))
+        let points: Vec<(usize, f64)> = REPLICA_COUNTS
+            .into_iter()
+            .flat_map(|replicas| CRASH_FRACTIONS.map(|frac| (replicas, frac)))
             .collect();
         let reports = dcm_bench::sweep(&points, |&(replicas, frac)| {
             let rate = CRASH_SWEEP_LOAD * capacity_rps * replicas as f64;
@@ -203,7 +185,7 @@ fn main() {
     //    requests.
     for setup in setups() {
         let capacity_rps =
-            dcm_bench::offline_capacity_rps(&setup.device, setup.backend, &model, trace_len());
+            dcm_bench::offline_capacity_rps(&setup.device, setup.backend, &model, TRACE_LEN);
         let replicas = 4;
         let rate = OVERLOAD * capacity_rps * replicas as f64;
         let mut t = Table::new(
@@ -254,7 +236,7 @@ fn main() {
     // 3. Recovery claws back goodput after a crash.
     let gaudi = &setups()[0];
     let capacity_rps =
-        dcm_bench::offline_capacity_rps(&gaudi.device, gaudi.backend, &model, trace_len());
+        dcm_bench::offline_capacity_rps(&gaudi.device, gaudi.backend, &model, TRACE_LEN);
     let replicas = 4;
     let rate = CRASH_SWEEP_LOAD * capacity_rps * replicas as f64;
     let (_, span) = trace_for(replicas, rate);

@@ -9,6 +9,7 @@
 //! not a rivalry claim.)
 
 use dcm_bench::banner;
+use dcm_compiler::Device;
 use dcm_core::metrics::Table;
 use dcm_core::DType;
 use dcm_mme::GemmShape;
@@ -19,9 +20,9 @@ fn main() {
         "Extension: Gaudi-3 projection (footnote 1)",
         "same architecture, chiplet-scaled: ~4.2x matrix compute, 1.5x bandwidth, 2x links",
     );
-    let g2 = dcm_bench::device("gaudi2");
-    let g3 = dcm_bench::device("gaudi3");
-    let a100 = dcm_bench::device("a100");
+    let g2 = Device::gaudi2();
+    let g3 = Device::gaudi3();
+    let a100 = Device::a100();
 
     let mut t = Table::new(
         "GEMM: achieved TFLOPS (BF16)",

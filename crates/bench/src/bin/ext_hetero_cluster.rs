@@ -19,10 +19,10 @@
 //!    run for chrome://tracing / Perfetto (see EXPERIMENTS.md).
 //!
 //! Every report is checked for conservation (completed + shed + failed
-//! equals offered) and finiteness before it is tabulated. `DCM_SMOKE=1`
-//! shrinks the sweep to seconds for CI.
+//! equals offered) and finiteness before it is tabulated.
 
 use dcm_bench::banner;
+use dcm_compiler::Device;
 use dcm_core::metrics::{Heatmap, Table};
 use dcm_vllm::attention::PagedBackend;
 use dcm_vllm::cluster::{Cluster, ClusterReport, RoutingPolicy};
@@ -45,30 +45,20 @@ const POLICIES: [RoutingPolicy; 4] = [
     RoutingPolicy::WeightedJsq,
 ];
 
-/// Per-replica requests in the synthetic trace; smoke mode shrinks it.
-fn trace_len() -> usize {
-    if dcm_bench::smoke() {
-        8
-    } else {
-        48
-    }
+/// Per-replica requests in the synthetic trace.
+const TRACE_LEN: usize = 48;
+
+/// Pool size to sweep mixes over.
+const POOL_SIZE: usize = 4;
+
+/// A Gaudi-2 replica with vLLMopt attention.
+fn gaudi_replica() -> (Device, PagedBackend) {
+    (Device::gaudi2(), PagedBackend::GaudiOpt)
 }
 
-/// Pool size to sweep mixes over; smoke mode uses a 2-device pool.
-fn pool_size() -> usize {
-    if dcm_bench::smoke() {
-        2
-    } else {
-        4
-    }
-}
-
-fn backend_for(device_name: &str) -> PagedBackend {
-    if device_name.starts_with("Gaudi") {
-        PagedBackend::GaudiOpt
-    } else {
-        PagedBackend::A100Fused
-    }
+/// An A100 replica with the fused attention kernel.
+fn a100_replica() -> (Device, PagedBackend) {
+    (Device::a100(), PagedBackend::A100Fused)
 }
 
 /// A mixed pool: `n_gaudi` Gaudi-2 replicas followed by `n_a100` A100
@@ -79,18 +69,13 @@ fn mixed_cluster(
     model: &LlamaConfig,
     policy: RoutingPolicy,
 ) -> Cluster {
-    let mut replicas = Vec::new();
-    for name in std::iter::repeat_n("gaudi2", n_gaudi).chain(std::iter::repeat_n("a100", n_a100)) {
-        let device = dcm_bench::device(name);
-        let backend = backend_for(device.name());
-        replicas.push(ServingEngine::new(
-            &device,
-            model.clone(),
-            1,
-            backend,
-            MAX_DECODE_BATCH,
-        ));
-    }
+    let (gaudi, a100) = (gaudi_replica(), a100_replica());
+    let replicas = std::iter::repeat_n(&gaudi, n_gaudi)
+        .chain(std::iter::repeat_n(&a100, n_a100))
+        .map(|(device, backend)| {
+            ServingEngine::new(device, model.clone(), 1, *backend, MAX_DECODE_BATCH)
+        })
+        .collect();
     Cluster::new(replicas, policy)
 }
 
@@ -122,7 +107,7 @@ fn run_mix(
 ) -> ClusterReport {
     let n = n_gaudi + n_a100;
     let trace = SyntheticDataset::dynamic_sonnet_online(
-        trace_len() * n,
+        TRACE_LEN * n,
         TRACE_SEED,
         &ArrivalProcess::Poisson { rate_rps },
     );
@@ -145,16 +130,14 @@ fn main() {
          policies on skewed mixes",
     );
     let model = LlamaConfig::llama31_8b();
-    let caps = dcm_bench::sweep(&["gaudi2", "a100"], |name| {
-        let device = dcm_bench::device(name);
-        dcm_bench::offline_capacity_rps(&device, backend_for(device.name()), &model, trace_len())
+    let caps = dcm_bench::sweep(&[gaudi_replica(), a100_replica()], |(device, backend)| {
+        dcm_bench::offline_capacity_rps(device, *backend, &model, TRACE_LEN)
     });
     let (gaudi_rps, a100_rps) = (caps[0], caps[1]);
     println!(
         "\nsingle-replica offline capacity: Gaudi-2 {gaudi_rps:.2} req/s, A100 {a100_rps:.2} req/s"
     );
 
-    let pool = pool_size();
     let results_dir = Path::new("results");
     let policy_cols: Vec<String> = POLICIES.iter().map(|p| p.name().to_owned()).collect();
     let mut p99_map = Heatmap::new(
@@ -171,7 +154,7 @@ fn main() {
     );
 
     let mut t = Table::new(
-        format!("Mix sweep — {pool}-replica pool at {LOAD_FACTOR:.2}x aggregate capacity"),
+        format!("Mix sweep — {POOL_SIZE}-replica pool at {LOAD_FACTOR:.2}x aggregate capacity"),
         &[
             "mix",
             "policy",
@@ -185,18 +168,18 @@ fn main() {
     // Flatten the mix x policy grid into independent sweep points; each
     // point builds its own cluster and trace from seeds, so the grid can
     // run on any DCM_THREADS with byte-identical tables and CSVs.
-    let points: Vec<(usize, RoutingPolicy)> = (0..=pool)
+    let points: Vec<(usize, RoutingPolicy)> = (0..=POOL_SIZE)
         .rev()
         .flat_map(|n_gaudi| POLICIES.into_iter().map(move |p| (n_gaudi, p)))
         .collect();
     let reports = dcm_bench::sweep(&points, |&(n_gaudi, policy)| {
-        let n_a100 = pool - n_gaudi;
+        let n_a100 = POOL_SIZE - n_gaudi;
         let aggregate = gaudi_rps * n_gaudi as f64 + a100_rps * n_a100 as f64;
         run_mix(n_gaudi, n_a100, &model, policy, LOAD_FACTOR * aggregate)
     });
     for (mix_idx, chunk) in reports.chunks(POLICIES.len()).enumerate() {
-        let n_gaudi = pool - mix_idx;
-        let mix = format!("{n_gaudi}G+{}A", pool - n_gaudi);
+        let n_gaudi = POOL_SIZE - mix_idx;
+        let mix = format!("{n_gaudi}G+{}A", POOL_SIZE - n_gaudi);
         let mut p99_row = Vec::new();
         let mut tput_row = Vec::new();
         for (policy, report) in POLICIES.iter().zip(chunk) {
@@ -229,7 +212,7 @@ fn main() {
     // Device-aware routing headline: on the most skewed mixed pool,
     // how much load does each policy send to the fast device?
     let n_gaudi = 1;
-    let n_a100 = pool - 1;
+    let n_a100 = POOL_SIZE - 1;
     let aggregate = gaudi_rps * n_gaudi as f64 + a100_rps * n_a100 as f64;
     let mut t = Table::new(
         format!("Dispatch split on the skewed mix ({n_gaudi}G+{n_a100}A)"),
@@ -239,20 +222,10 @@ fn main() {
         run_mix(n_gaudi, n_a100, &model, policy, LOAD_FACTOR * aggregate)
     });
     for (policy, report) in POLICIES.iter().zip(&split_reports) {
-        let to_gaudi: usize = report
-            .per_replica
-            .iter()
-            .zip(&report.replica_devices)
-            .filter(|(_, d)| d.starts_with("Gaudi"))
-            .map(|(r, _)| r.dispatched)
-            .sum();
-        let to_a100: usize = report
-            .per_replica
-            .iter()
-            .zip(&report.replica_devices)
-            .filter(|(_, d)| !d.starts_with("Gaudi"))
-            .map(|(r, _)| r.dispatched)
-            .sum();
+        // Gaudi-2 replicas come first in every mixed pool.
+        let (gaudi_reps, a100_reps) = report.per_replica.split_at(n_gaudi);
+        let to_gaudi: usize = gaudi_reps.iter().map(|r| r.dispatched).sum();
+        let to_a100: usize = a100_reps.iter().map(|r| r.dispatched).sum();
         t.push(&[
             policy.name().to_owned(),
             to_gaudi.to_string(),
@@ -263,11 +236,11 @@ fn main() {
     print!("\n{}", t.render());
 
     // Traced run of an even mix: Chrome trace JSON + per-request CSV.
-    let n_gaudi = pool.div_ceil(2);
-    let n_a100 = pool - n_gaudi;
+    let n_gaudi = POOL_SIZE.div_ceil(2);
+    let n_a100 = POOL_SIZE - n_gaudi;
     let aggregate = gaudi_rps * n_gaudi as f64 + a100_rps * n_a100 as f64;
     let trace_in = SyntheticDataset::dynamic_sonnet_online(
-        trace_len() * pool,
+        TRACE_LEN * POOL_SIZE,
         TRACE_SEED,
         &ArrivalProcess::Poisson {
             rate_rps: LOAD_FACTOR * aggregate,

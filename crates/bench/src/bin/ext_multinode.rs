@@ -7,6 +7,7 @@
 //! 3×100 GbE of its 24 RoCE ports; DGX A100: one HDR200 NIC per GPU).
 
 use dcm_bench::banner;
+use dcm_compiler::Device;
 use dcm_core::metrics::Table;
 use dcm_net::{MultiNodeFlowTransport, MultiNodeModel};
 use dcm_workloads::training::{cluster_tokens_per_second, TrainingConfig};
@@ -16,8 +17,8 @@ fn main() {
         "Extension: cluster-scale training (hierarchical all-reduce)",
         "§5 future work: hundreds to thousands of devices",
     );
-    let gaudi = dcm_bench::device("gaudi2");
-    let a100 = dcm_bench::device("a100");
+    let gaudi = Device::gaudi2();
+    let a100 = Device::a100();
 
     // Raw scale-out all-reduce of an 8B model's gradients (16 GB).
     let mut ar = Table::new(
@@ -48,11 +49,7 @@ fn main() {
     // on each device's scale-out rail). The hierarchical schedule is
     // constructed to match the closed form, so deviation here means the
     // fabric layers drifted from the spec.
-    let em_nodes: &[usize] = if dcm_bench::smoke() {
-        &[1, 2, 4]
-    } else {
-        &[1, 2, 4, 16, 64]
-    };
+    let em_nodes = [1usize, 2, 4, 16, 64];
     let mut em = Table::new(
         "16 GB gradient all-reduce (ms): closed form vs emergent fabric",
         &[
@@ -63,7 +60,7 @@ fn main() {
             "A100 flow",
         ],
     );
-    let em_rows = dcm_bench::sweep(em_nodes, |&nodes| {
+    let em_rows = dcm_bench::sweep(&em_nodes, |&nodes| {
         (
             MultiNodeModel::new(gaudi.spec(), nodes).allreduce_time(16 << 30) * 1e3,
             MultiNodeFlowTransport::new(gaudi.spec(), nodes).allreduce_time(16 << 30) * 1e3,

@@ -28,29 +28,11 @@ use dcm_vllm::dataset::{ArrivalProcess, SyntheticDataset};
 use dcm_workloads::llama::LlamaConfig;
 
 /// Offered load as a fraction of aggregate (replicas x single-replica)
-/// offline capacity. 1.0 is the saturation knee. `DCM_SMOKE=1` shrinks
-/// every sweep below to a cheap CI configuration.
-fn load_factors() -> &'static [f64] {
-    if dcm_bench::smoke() {
-        &[0.5, 1.5]
-    } else {
-        &[0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
-    }
-}
-fn replica_counts() -> &'static [usize] {
-    if dcm_bench::smoke() {
-        &[1, 2]
-    } else {
-        &[1, 2, 4, 8]
-    }
-}
-fn trace_len() -> usize {
-    if dcm_bench::smoke() {
-        8
-    } else {
-        64
-    }
-}
+/// offline capacity. 1.0 is the saturation knee.
+const LOAD_FACTORS: [f64; 6] = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0];
+const REPLICA_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Per-replica requests in the synthetic trace.
+const TRACE_LEN: usize = 64;
 const TRACE_SEED: u64 = 2026;
 const MAX_DECODE_BATCH: usize = 16;
 
@@ -64,12 +46,12 @@ fn setups() -> Vec<DeviceSetup> {
     vec![
         DeviceSetup {
             label: "Gaudi-2 (vLLMopt)",
-            device: dcm_bench::device("gaudi2"),
+            device: Device::gaudi2(),
             backend: PagedBackend::GaudiOpt,
         },
         DeviceSetup {
             label: "A100 (fused)",
-            device: dcm_bench::device("a100"),
+            device: Device::a100(),
             backend: PagedBackend::A100Fused,
         },
     ]
@@ -86,7 +68,7 @@ fn run_cluster(
     // comparable across cluster sizes (otherwise a large cluster swallows
     // a short trace in its aggregate batch slots and no queue ever forms).
     let trace = SyntheticDataset::dynamic_sonnet_online(
-        trace_len() * replicas,
+        TRACE_LEN * replicas,
         TRACE_SEED,
         &ArrivalProcess::Poisson { rate_rps },
     );
@@ -113,7 +95,7 @@ fn main() {
 
     for setup in setups() {
         let capacity_rps =
-            dcm_bench::offline_capacity_rps(&setup.device, setup.backend, &model, trace_len());
+            dcm_bench::offline_capacity_rps(&setup.device, setup.backend, &model, TRACE_LEN);
         println!(
             "\n{}: single-replica offline capacity {:.2} req/s",
             setup.label, capacity_rps
@@ -135,9 +117,9 @@ fn main() {
         // Flatten the replicas x load grid into independent sweep points
         // (each builds its own cluster + trace from seeds), evaluate on
         // DCM_THREADS workers, assemble the table serially in input order.
-        let points: Vec<(usize, f64)> = replica_counts()
-            .iter()
-            .flat_map(|&replicas| load_factors().iter().map(move |&load| (replicas, load)))
+        let points: Vec<(usize, f64)> = REPLICA_COUNTS
+            .into_iter()
+            .flat_map(|replicas| LOAD_FACTORS.map(|load| (replicas, load)))
             .collect();
         let reports = dcm_bench::sweep(&points, |&(replicas, load)| {
             let offered = load * capacity_rps * replicas as f64;
@@ -170,7 +152,7 @@ fn main() {
     // Routing policies at saturation, where dispatch decisions matter.
     let gaudi = &setups()[0];
     let capacity_rps =
-        dcm_bench::offline_capacity_rps(&gaudi.device, gaudi.backend, &model, trace_len());
+        dcm_bench::offline_capacity_rps(&gaudi.device, gaudi.backend, &model, TRACE_LEN);
     let replicas = 4;
     let offered = 1.5 * capacity_rps * replicas as f64;
     let mut t = Table::new(

@@ -6,6 +6,7 @@
 //! future work." One node, data-parallel Llama-3.1-8B pre-training steps.
 
 use dcm_bench::banner;
+use dcm_compiler::Device;
 use dcm_core::metrics::Table;
 use dcm_workloads::llama::LlamaConfig;
 use dcm_workloads::training::{train_step, TrainingConfig};
@@ -15,11 +16,7 @@ fn main() {
         "Extension: Llama-3.1-8B training step, 8-device data parallel",
         "future work of §5 — training leans on Gaudi's strengths (big GEMMs, all-8 collectives)",
     );
-    let devices = [
-        dcm_bench::device("gaudi2"),
-        dcm_bench::device("a100"),
-        dcm_bench::device("gaudi3"),
-    ];
+    let devices = [Device::gaudi2(), Device::a100(), Device::gaudi3()];
     let mut t = Table::new(
         "training step breakdown",
         &[
@@ -61,8 +58,8 @@ fn main() {
 
     // Headline: speedup at the realistic configuration.
     let cfg = TrainingConfig::llama8b_node();
-    let g = train_step(&dcm_bench::device("gaudi2"), &cfg);
-    let a = train_step(&dcm_bench::device("a100"), &cfg);
+    let g = train_step(&Device::gaudi2(), &cfg);
+    let a = train_step(&Device::a100(), &cfg);
     println!(
         "\nGaudi-2 training speedup over A100 at seq 2048 / micro-batch 2: {:.2}x",
         a.step_time_s / g.step_time_s

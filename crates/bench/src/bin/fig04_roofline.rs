@@ -3,6 +3,7 @@
 //! 16) on both devices.
 
 use dcm_bench::{banner, compare};
+use dcm_compiler::Device;
 use dcm_core::metrics::Table;
 use dcm_core::roofline::Roofline;
 use dcm_core::DType;
@@ -13,8 +14,8 @@ fn main() {
         "Figure 4: Roofline of achieved BF16 TFLOPS (square + N=16 GEMMs)",
         "Gaudi-2 outperforms A100 on every shape; 429 TFLOPS (99.3% of peak) at 8192^3",
     );
-    let gaudi = dcm_bench::device("gaudi2");
-    let a100 = dcm_bench::device("a100");
+    let gaudi = Device::gaudi2();
+    let a100 = Device::a100();
     let g_roof = Roofline::matrix(gaudi.spec(), DType::Bf16);
     let a_roof = Roofline::matrix(a100.spec(), DType::Bf16);
     println!(

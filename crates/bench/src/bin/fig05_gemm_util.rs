@@ -60,8 +60,8 @@ fn main() {
         "Figure 5: GEMM compute utilization (achieved/peak)",
         "Gaudi-2 averages ~4.5pp higher utilization than A100, max ~32pp at 2048^3",
     );
-    let gaudi = dcm_bench::device("gaudi2");
-    let a100 = dcm_bench::device("a100");
+    let gaudi = Device::gaudi2();
+    let a100 = Device::a100();
     let sizes = [512usize, 1024, 2048, 4096, 8192];
     let dims = [2048usize, 4096, 8192, 16384];
 

@@ -48,7 +48,7 @@ fn main() {
     // within the documented 2x band (see DESIGN.md §3.9).
     let flow_gaudi = FlowTransport::new(&DeviceSpec::gaudi2());
     let flow_a100 = FlowTransport::new(&DeviceSpec::a100());
-    let xkb: u64 = if dcm_bench::smoke() { 512 } else { 32768 };
+    let xkb: u64 = 32768;
     let mut x = Table::new(
         format!("emergent/closed-form time ratio at {xkb} KB, 8 devices"),
         &["collective", "Gaudi-2 (P2P)", "A100 (switch)"],

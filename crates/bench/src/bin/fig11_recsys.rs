@@ -3,13 +3,14 @@
 //! device, swept over embedding vector size and batch size.
 
 use dcm_bench::{banner, compare, RECSYS_BATCHES, VECTOR_SIZES};
+use dcm_compiler::Device;
 use dcm_core::metrics::Heatmap;
 use dcm_embedding::BatchedTableOp;
 use dcm_workloads::dlrm::{DlrmConfig, DlrmServer};
 
 fn heatmaps(model: &str) -> (Heatmap, Heatmap) {
-    let gaudi = dcm_bench::device("gaudi2");
-    let a100 = dcm_bench::device("a100");
+    let gaudi = Device::gaudi2();
+    let a100 = Device::a100();
     let g_op = BatchedTableOp::new(gaudi.spec());
     let a_op = BatchedTableOp::new(a100.spec());
     let cols: Vec<String> = RECSYS_BATCHES.iter().map(|b| b.to_string()).collect();

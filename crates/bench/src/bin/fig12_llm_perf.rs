@@ -3,14 +3,15 @@
 //! batch size × output length; (b) the prefill/decode latency breakdown.
 
 use dcm_bench::{banner, compare, LLM_BATCHES, OUTPUT_LENS};
+use dcm_compiler::Device;
 use dcm_core::metrics::Heatmap;
 use dcm_workloads::llama::{LlamaConfig, LlamaServer};
 
 const INPUT_LEN: usize = 100;
 
 fn speedup_heatmap(cfg: &LlamaConfig, tp: usize) -> Heatmap {
-    let gaudi = dcm_bench::device("gaudi2");
-    let a100 = dcm_bench::device("a100");
+    let gaudi = Device::gaudi2();
+    let a100 = Device::a100();
     let server = LlamaServer::new(cfg.clone(), tp);
     let mut h = Heatmap::new(
         format!(
@@ -55,7 +56,7 @@ fn main() {
     }
 
     // (b) latency breakdown, batch 64.
-    let gaudi = dcm_bench::device("gaudi2");
+    let gaudi = Device::gaudi2();
     let server = LlamaServer::new(LlamaConfig::llama31_8b(), 1);
     let mut left = Heatmap::new(
         "Figure 12(b) left: latency split, input=100, varying output",

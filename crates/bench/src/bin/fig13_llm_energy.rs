@@ -2,14 +2,15 @@
 //! A100 for single- and multi-device Llama serving.
 
 use dcm_bench::{banner, compare, LLM_BATCHES, OUTPUT_LENS};
+use dcm_compiler::Device;
 use dcm_core::metrics::Heatmap;
 use dcm_workloads::llama::{LlamaConfig, LlamaServer};
 
 const INPUT_LEN: usize = 100;
 
 fn energy_heatmap(cfg: &LlamaConfig, tp: usize) -> (Heatmap, f64, f64) {
-    let gaudi = dcm_bench::device("gaudi2");
-    let a100 = dcm_bench::device("a100");
+    let gaudi = Device::gaudi2();
+    let a100 = Device::a100();
     let server = LlamaServer::new(cfg.clone(), tp);
     let mut h = Heatmap::new(
         format!(

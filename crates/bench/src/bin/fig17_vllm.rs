@@ -3,6 +3,7 @@
 //! Dynamic-Sonnet-like trace (d, e).
 
 use dcm_bench::{banner, compare};
+use dcm_compiler::Device;
 use dcm_core::metrics::{Heatmap, Table};
 use dcm_vllm::attention::{PagedAttention, PagedBackend};
 use dcm_vllm::dataset::SyntheticDataset;
@@ -18,8 +19,8 @@ fn main() {
         "vLLMopt 7.4x over base (0% padding), up to 55.7x with padding (avg 21x); 45% of A100 kernel; \
          end-to-end competitive with A100",
     );
-    let gaudi = dcm_bench::device("gaudi2");
-    let a100 = dcm_bench::device("a100");
+    let gaudi = Device::gaudi2();
+    let a100 = Device::a100();
     let model = LlamaConfig::llama31_8b();
     let base = PagedAttention::new(&gaudi, PagedBackend::GaudiBase, &model, 1);
     let opt = PagedAttention::new(&gaudi, PagedBackend::GaudiOpt, &model, 1);

@@ -11,6 +11,7 @@
 //! cargo run --release -p dcm-bench --bin golden_capture
 //! ```
 
+use dcm_compiler::Device;
 use dcm_vllm::attention::PagedBackend;
 use dcm_vllm::cluster::{Cluster, ClusterReport, RoutingPolicy};
 use dcm_vllm::dataset::{ArrivalProcess, SyntheticDataset};
@@ -20,7 +21,7 @@ use dcm_workloads::llama::LlamaConfig;
 
 fn engine(max_batch: usize) -> ServingEngine {
     ServingEngine::new(
-        &dcm_bench::device("gaudi2"),
+        &Device::gaudi2(),
         LlamaConfig::llama31_8b(),
         1,
         PagedBackend::GaudiOpt,
@@ -96,7 +97,7 @@ fn main() {
         &ArrivalProcess::Poisson { rate_rps: 10.0 },
     );
     let d = Cluster::homogeneous(
-        &dcm_bench::device("gaudi2"),
+        &Device::gaudi2(),
         &LlamaConfig::llama31_8b(),
         1,
         PagedBackend::GaudiOpt,
@@ -115,7 +116,7 @@ fn main() {
         ..ResilienceConfig::default()
     };
     let e = Cluster::homogeneous(
-        &dcm_bench::device("gaudi2"),
+        &Device::gaudi2(),
         &LlamaConfig::llama31_8b(),
         1,
         PagedBackend::GaudiOpt,

@@ -6,13 +6,13 @@
 //! ```
 
 use dcm_bench::{LLM_BATCHES, OUTPUT_LENS, RECSYS_BATCHES, VECTOR_SIZES};
+use dcm_compiler::Device;
 use dcm_core::metrics::Heatmap;
 use dcm_embedding::{BatchedTableOp, EmbeddingConfig, EmbeddingOp};
 use dcm_mem::GatherScatterEngine;
 use dcm_vllm::attention::{PagedAttention, PagedBackend};
 use dcm_vllm::cluster::{Cluster, RoutingPolicy};
 use dcm_vllm::dataset::{ArrivalProcess, SyntheticDataset};
-use dcm_vllm::engine::ServingEngine;
 use dcm_vllm::fault::{FaultPlan, ResilienceConfig, ShedPolicy, SloSpec};
 use dcm_workloads::dlrm::{DlrmConfig, DlrmServer};
 use dcm_workloads::llama::{LlamaConfig, LlamaServer};
@@ -24,9 +24,8 @@ fn write_csv(dir: &Path, name: &str, h: &Heatmap) {
 
 fn main() {
     let dir = Path::new("results");
-    let smoke = dcm_bench::smoke();
-    let gaudi = dcm_bench::device("gaudi2");
-    let a100 = dcm_bench::device("a100");
+    let gaudi = Device::gaudi2();
+    let a100 = Device::a100();
 
     // Figure 9: gather utilization per device.
     for device in [&gaudi, &a100] {
@@ -145,23 +144,12 @@ fn main() {
     // Online serving extension: achieved throughput and p99 TTFT versus
     // offered load x replica count (Gaudi-2 vLLMopt, JSQ routing) — the
     // curves behind `ext_online_serving`.
-    let load_factors: &[f64] = if smoke {
-        &[0.5, 1.5]
-    } else {
-        &[0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
-    };
-    let replica_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-    let per_replica_trace = if smoke { 8 } else { 64 };
+    let load_factors = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0];
+    let replica_counts = [1usize, 2, 4, 8];
+    let per_replica_trace = 64;
     let seed = 2026;
-    let offline = SyntheticDataset::dynamic_sonnet(per_replica_trace, seed);
-    let capacity_rps = {
-        let r = ServingEngine::new(&gaudi, model.clone(), 1, PagedBackend::GaudiOpt, 16)
-            .run(&offline)
-            .expect("offline trace fits");
-        let mean_out: f64 =
-            offline.iter().map(|q| q.output_len as f64).sum::<f64>() / offline.len() as f64;
-        r.throughput_tps / mean_out
-    };
+    let capacity_rps =
+        dcm_bench::offline_capacity_rps(&gaudi, PagedBackend::GaudiOpt, &model, per_replica_trace);
     let mut online_tput = Heatmap::new(
         "ext online serving: achieved throughput (tokens/s)",
         "load_factor",
@@ -174,10 +162,10 @@ fn main() {
         "replicas",
         replica_counts.iter().map(|r| r.to_string()).collect(),
     );
-    for &load in load_factors {
+    for load in load_factors {
         let mut tput_row = Vec::new();
         let mut p99_row = Vec::new();
-        for &replicas in replica_counts {
+        for replicas in replica_counts {
             let trace = SyntheticDataset::dynamic_sonnet_online(
                 per_replica_trace * replicas,
                 seed,
@@ -210,17 +198,17 @@ fn main() {
     // control (queue cap x overload) — the curves behind
     // `ext_fault_tolerance`. Both use a 2.5 s TTFT / 0.5 s TPOT SLO.
     let slo = SloSpec::new(2.5, 0.5);
-    let fault_replicas: &[usize] = if smoke { &[2] } else { &[2, 4, 8] };
-    let crash_fracs: &[f64] = if smoke { &[0.5] } else { &[0.25, 0.5, 0.75] };
+    let fault_replicas = [2usize, 4, 8];
+    let crash_fracs = [0.25, 0.5, 0.75];
     let mut fault_goodput = Heatmap::new(
         "ext fault tolerance: goodput (tokens/s) after a replica crash",
         "crash_frac",
         "replicas",
         fault_replicas.iter().map(|r| r.to_string()).collect(),
     );
-    for &frac in crash_fracs {
+    for frac in crash_fracs {
         let mut row = Vec::new();
-        for &replicas in fault_replicas {
+        for replicas in fault_replicas {
             let rate = 0.75 * capacity_rps * replicas as f64;
             let trace = SyntheticDataset::dynamic_sonnet_online(
                 per_replica_trace * replicas,
@@ -252,17 +240,17 @@ fn main() {
     }
     write_csv(dir, "ext_fault_goodput", &fault_goodput);
 
-    let queue_caps: &[usize] = if smoke { &[8] } else { &[4, 8, 16, 32] };
-    let overloads: &[f64] = if smoke { &[1.5] } else { &[1.5, 2.0] };
+    let queue_caps = [4usize, 8, 16, 32];
+    let overloads = [1.5, 2.0];
     let mut shed_p99 = Heatmap::new(
         "ext fault tolerance: p99 TTFT (s) under admission control",
         "queue_cap",
         "load_factor",
         overloads.iter().map(|l| format!("{l:.1}")).collect(),
     );
-    for &cap in queue_caps {
+    for cap in queue_caps {
         let mut row = Vec::new();
-        for &load in overloads {
+        for load in overloads {
             let rate = load * capacity_rps * 4.0;
             let trace = SyntheticDataset::dynamic_sonnet_online(
                 per_replica_trace * 4,

@@ -2,6 +2,7 @@
 //! simulation, printing PASS/FAIL for each.
 
 use dcm_bench::banner;
+use dcm_compiler::Device;
 use dcm_core::DType;
 use dcm_embedding::{BatchedTableOp, EmbeddingConfig, EmbeddingOp};
 use dcm_mem::GatherScatterEngine;
@@ -23,8 +24,8 @@ fn main() {
         "Key takeaways #1-#7",
         "directional checks of every takeaway in the paper",
     );
-    let gaudi = dcm_bench::device("gaudi2");
-    let a100 = dcm_bench::device("a100");
+    let gaudi = Device::gaudi2();
+    let a100 = Device::a100();
     let mut all = true;
 
     // KT#1: Gaudi-2 wins GEMM on performance and utilization, thanks to

@@ -21,6 +21,9 @@
 //! | `ext_online_serving` | extension: online multi-replica serving sweep |
 //! | `ext_hetero_cluster` | extension: heterogeneous Gaudi-2 + A100 cluster sweep |
 //! | `takeaways` | Key takeaways #1–#7 (directional checks) |
+//!
+//! Each binary has one configuration, the full sweep, and its output is
+//! byte-identical at any `DCM_THREADS`.
 
 use dcm_compiler::Device;
 use dcm_core::cast::usize_to_f64;
@@ -40,23 +43,6 @@ pub const LLM_BATCHES: [usize; 4] = [8, 16, 32, 64];
 
 /// Standard output-length sweep for LLM figures (Figure 12).
 pub const OUTPUT_LENS: [usize; 5] = [25, 50, 100, 200, 400];
-
-/// Preset device lookup for the bench binaries — [`Device::by_name`]
-/// with a panic naming the offender and the valid choices (a
-/// figure-regeneration binary has no better recovery than telling the
-/// operator what it accepts).
-///
-/// # Panics
-/// Panics on an unknown device name.
-#[must_use]
-pub fn device(name: &str) -> Device {
-    Device::by_name(name).unwrap_or_else(|| {
-        panic!(
-            "unknown device {name:?}; valid presets: {:?}",
-            Device::preset_names()
-        )
-    })
-}
 
 /// Single-replica offline capacity in requests per second, the unit
 /// the online-serving extensions scale arrival rates by: `model` on
@@ -83,14 +69,6 @@ pub fn offline_capacity_rps(
         .sum::<f64>()
         / usize_to_f64(trace.len());
     report.throughput_tps / mean_output
-}
-
-/// Whether the binary should run in cheap smoke-test mode (CI sets
-/// `DCM_SMOKE=1` to exercise every binary without paying for the full
-/// sweeps).
-#[must_use]
-pub fn smoke() -> bool {
-    std::env::var_os("DCM_SMOKE").is_some_and(|v| v == "1")
 }
 
 /// Write a result artifact, panicking with the offending path on

@@ -129,29 +129,6 @@ impl Device {
         Self::a100_like(DeviceSpec::a100())
     }
 
-    /// Canonical names of every preset device, as accepted by
-    /// [`Device::by_name`] — the sweep axis for heterogeneous experiments.
-    #[must_use]
-    pub fn preset_names() -> &'static [&'static str] {
-        &DeviceSpec::PRESET_NAMES
-    }
-
-    /// Look up a preset device by name, replacing the scattered
-    /// `match`-on-string constructor chains the bench binaries used to
-    /// carry. Matching follows [`DeviceSpec::by_name`] (case-insensitive,
-    /// separators ignored): `"gaudi2"`/`"Gaudi-2"`, `"gaudi3"`, `"a100"`.
-    /// The architecture (MME-based Gaudi vs tensor-core GPU backend) is
-    /// inferred from the spec's name. Returns `None` for an unknown name.
-    #[must_use]
-    pub fn by_name(name: &str) -> Option<Self> {
-        let spec = DeviceSpec::by_name(name)?;
-        Some(if spec.name.starts_with("Gaudi") {
-            Self::gaudi_like(spec)
-        } else {
-            Self::a100_like(spec)
-        })
-    }
-
     /// A Gaudi-architecture device with a custom spec — the hook for
     /// what-if ablations (e.g. a hypothetical Gaudi with 32 B memory
     /// sectors or a switched fabric).
@@ -722,33 +699,5 @@ mod tests {
         let mut renamed = DeviceSpec::gaudi2();
         renamed.name = "Gaudi-2b".to_owned();
         assert!(!g2.exact_eq(&Device::gaudi_like(renamed)));
-    }
-
-    #[test]
-    fn registry_matches_the_preset_constructors() {
-        // by_name must pick both the right spec and the right backend
-        // architecture: a GEMM costed through the registry device is
-        // identical to one costed through the preset constructor.
-        let op = Op::Gemm {
-            shape: GemmShape {
-                m: 512,
-                k: 512,
-                n: 512,
-            },
-            dtype: DType::Bf16,
-        };
-        for (name, preset) in [
-            ("gaudi2", Device::gaudi2()),
-            ("gaudi3", Device::gaudi3()),
-            ("a100", Device::a100()),
-        ] {
-            let via_registry = Device::by_name(name).unwrap_or_else(|| panic!("preset {name}"));
-            assert_eq!(via_registry.spec(), preset.spec(), "{name}");
-            let (c_reg, _) = via_registry.op_cost(&op);
-            let (c_pre, _) = preset.op_cost(&op);
-            assert_eq!(c_reg.time().to_bits(), c_pre.time().to_bits(), "{name}");
-        }
-        assert!(Device::by_name("tpu").is_none());
-        assert_eq!(Device::preset_names().len(), 3);
     }
 }

@@ -14,7 +14,6 @@
 //!   Fig. 7(a) caption). The model therefore scales MME dynamic power by the
 //!   fraction of the MAC array that is powered when `power_gating` is set.
 
-use crate::cast::usize_to_f64;
 use crate::cost::ExecStats;
 use crate::specs::DeviceSpec;
 use serde::{Deserialize, Serialize};
@@ -124,21 +123,6 @@ impl PowerModel {
                     + MEMORY_SHARE * memory_act)
     }
 
-    /// Energy in joules for running at `activity` for the wall time recorded
-    /// in `stats`.
-    #[must_use]
-    pub fn energy_joules(&self, stats: &ExecStats, activity: Activity) -> f64 {
-        self.power_watts(activity) * stats.time_s
-    }
-
-    /// Convenience: energy for `stats` with activity derived from the stats
-    /// themselves and an optional powered MAC fraction.
-    #[must_use]
-    pub fn energy_of(&self, stats: &ExecStats, matrix_powered_fraction: f64) -> f64 {
-        let a = Activity::from_stats_with_gating(stats, matrix_powered_fraction);
-        self.energy_joules(stats, a)
-    }
-
     /// Peak (TDP) power in watts.
     #[must_use]
     pub fn tdp_watts(&self) -> f64 {
@@ -150,74 +134,6 @@ impl PowerModel {
     pub fn idle_watts(&self) -> f64 {
         self.idle_watts
     }
-}
-
-/// A sampled power trace — the stand-in for polling `hl-smi` / `nvidia-smi`
-/// during a run (§3.1 methodology). Phases of an execution are laid on a
-/// time axis and sampled at a fixed period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PowerTrace {
-    samples: Vec<(f64, f64)>,
-}
-
-impl PowerTrace {
-    /// Sample `phases` — `(duration_s, activity)` segments executed back to
-    /// back — every `period_s` seconds under `model`.
-    ///
-    /// # Panics
-    /// Panics if `period_s` is not positive.
-    #[must_use]
-    pub fn sample(model: &PowerModel, phases: &[(f64, Activity)], period_s: f64) -> Self {
-        assert!(period_s > 0.0, "sampling period must be positive");
-        let total: f64 = phases.iter().map(|(d, _)| d).sum();
-        let mut samples = Vec::new();
-        let mut t = 0.0;
-        while t < total {
-            // Find the phase containing t.
-            let mut acc = 0.0;
-            for &(dur, act) in phases {
-                if t < acc + dur {
-                    samples.push((t, model.power_watts(act)));
-                    break;
-                }
-                acc += dur;
-            }
-            t += period_s;
-        }
-        PowerTrace { samples }
-    }
-
-    /// The `(time_s, watts)` samples.
-    #[must_use]
-    pub fn samples(&self) -> &[(f64, f64)] {
-        &self.samples
-    }
-
-    /// Mean sampled power in watts (what the paper averages from the SMI
-    /// tools). Returns 0 for an empty trace.
-    #[must_use]
-    pub fn mean_watts(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|(_, w)| w).sum::<f64>() / usize_to_f64(self.samples.len())
-    }
-
-    /// Peak sampled power in watts.
-    #[must_use]
-    pub fn peak_watts(&self) -> f64 {
-        self.samples.iter().map(|&(_, w)| w).fold(0.0, f64::max)
-    }
-}
-
-/// Energy efficiency of a run: useful work per joule. Higher is better.
-/// The paper reports Gaudi-2's *improvement* in energy-efficiency over A100,
-/// i.e. `(work/J)_gaudi / (work/J)_a100`, which for equal work reduces to
-/// `E_a100 / E_gaudi`.
-#[must_use]
-pub fn efficiency_improvement(energy_gaudi_j: f64, energy_a100_j: f64) -> f64 {
-    assert!(energy_gaudi_j > 0.0 && energy_a100_j > 0.0);
-    energy_a100_j / energy_gaudi_j
 }
 
 #[cfg(test)]
@@ -251,6 +167,12 @@ mod tests {
             wall,
         );
         s
+    }
+
+    /// Energy in joules of running at the activity `stats` records, with
+    /// `powered` of the MAC array powered, for its wall time.
+    fn energy(model: &PowerModel, stats: &ExecStats, powered: f64) -> f64 {
+        model.power_watts(Activity::from_stats_with_gating(stats, powered)) * stats.time_s
     }
 
     #[test]
@@ -305,8 +227,8 @@ mod tests {
         let g = PowerModel::new(&DeviceSpec::gaudi2());
         let a = PowerModel::new(&DeviceSpec::a100());
         let stats = busy_stats(0.4, 0.3, 0.7, 1.0);
-        let eg = g.energy_of(&stats, 0.5); // half the MME powered
-        let ea = a.energy_of(&stats, 1.0);
+        let eg = energy(&g, &stats, 0.5); // half the MME powered
+        let ea = energy(&a, &stats, 1.0);
         let gap = eg / ea;
         assert!(
             gap < 1.35,
@@ -320,8 +242,8 @@ mod tests {
         let g = PowerModel::new(&DeviceSpec::gaudi2());
         let s1 = busy_stats(0.5, 0.5, 0.5, 1.0);
         let s2 = busy_stats(0.5, 0.5, 0.5, 2.0);
-        let e1 = g.energy_of(&s1, 1.0);
-        let e2 = g.energy_of(&s2, 1.0);
+        let e1 = energy(&g, &s1, 1.0);
+        let e2 = energy(&g, &s2, 1.0);
         assert!((e2 / e1 - 2.0).abs() < 1e-9);
     }
 
@@ -336,56 +258,5 @@ mod tests {
         });
         assert!(p <= g.tdp_watts() + 1e-9);
         assert!(p >= g.idle_watts());
-    }
-
-    #[test]
-    fn power_trace_samples_phases() {
-        let m = PowerModel::new(&DeviceSpec::a100());
-        let hot = Activity {
-            matrix: 1.0,
-            vector: 1.0,
-            memory: 1.0,
-            matrix_powered_fraction: 1.0,
-        };
-        let cold = Activity {
-            matrix: 0.0,
-            vector: 0.0,
-            memory: 0.0,
-            matrix_powered_fraction: 1.0,
-        };
-        let trace = PowerTrace::sample(&m, &[(1.0, hot), (1.0, cold)], 0.25);
-        assert_eq!(trace.samples().len(), 8);
-        assert!((trace.peak_watts() - m.tdp_watts()).abs() < 1e-9);
-        // Mean sits between the two phase powers.
-        let mean = trace.mean_watts();
-        assert!(mean < m.tdp_watts() && mean > m.power_watts(cold));
-        // Samples are time ordered.
-        assert!(trace.samples().windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn empty_trace_is_zero() {
-        let m = PowerModel::new(&DeviceSpec::gaudi2());
-        let trace = PowerTrace::sample(&m, &[], 0.1);
-        assert_eq!(trace.mean_watts(), 0.0);
-        assert_eq!(trace.peak_watts(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "period")]
-    fn bad_period_rejected() {
-        let m = PowerModel::new(&DeviceSpec::gaudi2());
-        let _ = PowerTrace::sample(&m, &[], 0.0);
-    }
-
-    #[test]
-    fn efficiency_improvement_is_energy_ratio() {
-        assert!((efficiency_improvement(100.0, 148.0) - 1.48).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn efficiency_rejects_zero_energy() {
-        let _ = efficiency_improvement(0.0, 1.0);
     }
 }

@@ -15,8 +15,8 @@
 //!   exactness; see `dcm-lint` rule `C1`).
 //! * [`cost`] — the cost algebra every simulated operator reports into
 //!   ([`OpCost`]: compute time, memory time, flops, bytes).
-//! * [`timeline`] — schedule composition: serial chains and the two-stage
-//!   MME/TPC pipelines the Gaudi graph compiler builds.
+//! * [`timeline`] — schedule composition: the two-stage MME/TPC pipelines
+//!   the Gaudi graph compiler builds.
 //! * [`energy`] — activity-based power/energy model standing in for
 //!   `nvidia-smi` / `hl-smi` sampling.
 //! * [`roofline`] — the roofline model used for Figure 4.

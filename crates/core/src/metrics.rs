@@ -336,7 +336,7 @@ impl Default for Samples {
 ///
 /// Recorders from replica shards can be [`merged`](Self::merge) into a
 /// cluster-wide distribution; merging requires matching modes (build the
-/// aggregate with [`LatencyRecorder::like`]).
+/// aggregate with [`LatencyRecorder::with_mode`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyRecorder {
     samples: Samples,
@@ -364,13 +364,6 @@ impl LatencyRecorder {
     #[must_use]
     pub fn histogram_mode() -> Self {
         Self::with_mode(MetricsMode::Histogram)
-    }
-
-    /// An empty recorder in the same mode as `other` — for building
-    /// cluster-wide aggregates that can [`merge`](Self::merge) shards.
-    #[must_use]
-    pub fn like(other: &Self) -> Self {
-        Self::with_mode(other.mode())
     }
 
     /// This recorder's storage mode.
@@ -893,6 +886,7 @@ mod tests {
     #[test]
     fn recorder_empty_and_merge() {
         let empty = LatencyRecorder::new();
+        assert_eq!(empty.mode(), MetricsMode::Exact);
         assert!(empty.is_empty());
         assert_eq!(empty.quantile(99.0), 0.0);
         assert_eq!(empty.mean(), 0.0);
@@ -1007,23 +1001,6 @@ mod tests {
             let (lo, hi) = LogHistogram::bin_bounds(idx);
             assert!(lo <= v && v < hi, "{v} outside its bin [{lo}, {hi})");
         }
-    }
-
-    #[test]
-    fn like_copies_the_mode_and_merge_requires_it() {
-        let h = LatencyRecorder::histogram_mode();
-        let mut agg = LatencyRecorder::like(&h);
-        assert_eq!(agg.mode(), MetricsMode::Histogram);
-        let mut shard = LatencyRecorder::histogram_mode();
-        shard.record(1.0);
-        shard.record(2.0);
-        agg.merge(&shard);
-        assert_eq!(agg.count(), 2);
-        assert_eq!(agg.max(), 2.0);
-        assert_eq!(
-            LatencyRecorder::like(&LatencyRecorder::new()).mode(),
-            MetricsMode::Exact
-        );
     }
 
     #[test]

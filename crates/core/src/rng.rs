@@ -4,7 +4,6 @@
 //! synthetic datasets) flow through seeded generators so every figure
 //! regenerates bit-identically.
 
-use crate::cast::{f64_to_usize, usize_to_f64};
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,40 +29,6 @@ pub fn uniform_vec<R: Rng + ?Sized>(rng: &mut R, n: usize, lo: f32, hi: f32) -> 
 pub fn uniform_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, max: usize) -> Vec<usize> {
     assert!(max > 0, "index range must be non-empty");
     (0..n).map(|_| rng.gen_range(0..max)).collect()
-}
-
-/// `n` indices from `[0, max)` drawn from a truncated power-law with
-/// exponent `alpha`, approximating the skewed popularity of RecSys embedding
-/// rows [43, 41]. `alpha = 0` degenerates to uniform.
-///
-/// # Panics
-/// Panics if `max == 0` or `alpha < 0`.
-#[must_use]
-pub fn powerlaw_indices<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: usize,
-    max: usize,
-    alpha: f64,
-) -> Vec<usize> {
-    assert!(max > 0, "index range must be non-empty");
-    assert!(alpha >= 0.0, "alpha must be non-negative");
-    // dcm-lint: allow(F2) alpha == 0.0 is an exact sentinel for "uniform"
-    if alpha == 0.0 {
-        return uniform_indices(rng, n, max);
-    }
-    // Inverse-CDF sampling of p(x) ~ x^-alpha over [1, max].
-    let one_minus = 1.0 - alpha;
-    (0..n)
-        .map(|_| {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            let x = if (one_minus).abs() < 1e-9 {
-                usize_to_f64(max).powf(u)
-            } else {
-                (usize_to_f64(max).powf(one_minus) * u + (1.0 - u)).powf(1.0 / one_minus)
-            };
-            f64_to_usize(x.floor()).clamp(1, max) - 1
-        })
-        .collect()
 }
 
 /// Sample from a discrete distribution given by (value, weight) pairs.
@@ -104,27 +69,6 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn uniform_indices_rejects_empty_range() {
         let _ = uniform_indices(&mut seeded(1), 4, 0);
-    }
-
-    #[test]
-    fn powerlaw_is_skewed_toward_small_indices() {
-        let mut rng = seeded(5);
-        let idx = powerlaw_indices(&mut rng, 20_000, 1_000_000, 1.05);
-        assert!(idx.iter().all(|&i| i < 1_000_000));
-        let small = idx.iter().filter(|&&i| i < 1000).count();
-        let frac = small as f64 / idx.len() as f64;
-        // A uniform draw would put ~0.1% below 1000; the power law puts far
-        // more mass there.
-        assert!(frac > 0.05, "power-law skew too weak: {frac}");
-    }
-
-    #[test]
-    fn powerlaw_alpha_zero_is_uniform() {
-        let mut rng = seeded(6);
-        let idx = powerlaw_indices(&mut rng, 10_000, 100, 0.0);
-        let low = idx.iter().filter(|&&i| i < 50).count();
-        let frac = low as f64 / idx.len() as f64;
-        assert!((frac - 0.5).abs() < 0.05);
     }
 
     #[test]

@@ -477,27 +477,6 @@ impl DeviceSpec {
         }
     }
 
-    /// Canonical names of every preset spec, in [`DeviceSpec::by_name`]
-    /// lookup form.
-    pub const PRESET_NAMES: [&'static str; 3] = ["gaudi2", "gaudi3", "a100"];
-
-    /// Look up a preset spec by name.
-    ///
-    /// Matching is forgiving: case-insensitive, with `-`/`_`/space
-    /// ignored, so `"gaudi2"`, `"Gaudi-2"` and `"GAUDI_2"` all resolve to
-    /// [`DeviceSpec::gaudi2`]. Returns `None` for an unknown name — the
-    /// caller decides whether that is an error (CLI parsing) or a
-    /// fall-through (optional config).
-    #[must_use]
-    pub fn by_name(name: &str) -> Option<Self> {
-        match canonical_device_name(name).as_str() {
-            "gaudi2" => Some(Self::gaudi2()),
-            "gaudi3" => Some(Self::gaudi3()),
-            "a100" => Some(Self::a100()),
-            _ => None,
-        }
-    }
-
     /// Peak matrix throughput for `dtype` in FLOP/s.
     #[must_use]
     pub fn matrix_peak_flops(&self, dtype: DType) -> f64 {
@@ -529,17 +508,6 @@ impl DeviceSpec {
     pub fn ridge_point(&self, dtype: DType) -> f64 {
         self.matrix_peak_flops(dtype) / self.hbm_bandwidth()
     }
-}
-
-/// Normalize a user-supplied device name for registry lookup: lowercase,
-/// with separators (`-`, `_`, spaces — anything non-alphanumeric)
-/// stripped.
-#[must_use]
-pub fn canonical_device_name(name: &str) -> String {
-    name.chars()
-        .filter(char::is_ascii_alphanumeric)
-        .map(|c| c.to_ascii_lowercase())
-        .collect()
 }
 
 impl fmt::Display for DeviceSpec {
@@ -667,30 +635,5 @@ mod tests {
     // enough to verify the derives compile and fields are preserved.
     fn serde_json_like(spec: &DeviceSpec) -> String {
         format!("{spec:?}")
-    }
-
-    #[test]
-    fn registry_resolves_every_preset() {
-        for name in DeviceSpec::PRESET_NAMES {
-            let spec = DeviceSpec::by_name(name).unwrap_or_else(|| panic!("preset {name}"));
-            // The canonical lookup name round-trips through the spec's
-            // display name.
-            assert_eq!(canonical_device_name(&spec.name), name);
-        }
-    }
-
-    #[test]
-    fn registry_is_forgiving_about_spelling() {
-        assert_eq!(
-            DeviceSpec::by_name("Gaudi-2"),
-            DeviceSpec::by_name("gaudi2")
-        );
-        assert_eq!(
-            DeviceSpec::by_name("GAUDI_2"),
-            DeviceSpec::by_name("gaudi2")
-        );
-        assert_eq!(DeviceSpec::by_name("A100"), DeviceSpec::by_name("a100"));
-        assert!(DeviceSpec::by_name("h100").is_none());
-        assert!(DeviceSpec::by_name("").is_none());
     }
 }

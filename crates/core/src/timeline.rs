@@ -1,55 +1,24 @@
-//! Schedule composition: serial chains, two-stage pipelines, and labeled
-//! phase timelines.
+//! Schedule composition: the two-stage MME/TPC pipelines the Gaudi graph
+//! compiler builds.
 //!
 //! The Gaudi graph compiler "breaks [an MME op followed by a TPC op] into
 //! smaller, independent sub-operations to enable pipelined execution" (§2.2).
-//! [`pipeline_makespan`] computes the wall time of such a two-stage pipeline
-//! over operator slices; [`Timeline`] records labeled phases (e.g. prefill
-//! vs. decode) for latency-breakdown figures like Figure 12(b).
+//! [`even_pipeline_makespan`] computes the wall time of such a two-stage
+//! pipeline over equal operator slices.
 
 use crate::cast::usize_to_f64;
-use crate::cost::ExecStats;
-use serde::{Deserialize, Serialize};
 
-/// Wall time of a two-stage pipeline over `slices`, where each slice first
-/// occupies stage A for `a` seconds and then stage B for `b` seconds, and a
-/// slice may enter a stage only when the previous slice has left it.
+/// Wall time of a two-stage operator of stage times `(a, b)` split into
+/// `n` equal slices — the graph compiler's sub-operation slicing. Each
+/// slice first occupies stage A for `a / n` seconds and then stage B for
+/// `b / n` seconds, and a slice may enter a stage only when the previous
+/// slice has left it.
 ///
 /// With a single slice this degrades to `a + b` (no overlap — exactly the
 /// penalty `vLLM_base` pays in §4.2); with many fine slices it approaches
-/// `max(Σa, Σb)` (full MME/TPC overlap).
-///
-/// ```
-/// use dcm_core::timeline::pipeline_makespan;
-/// // One coarse slice: no overlap.
-/// assert_eq!(pipeline_makespan(&[(3.0, 2.0)]), 5.0);
-/// // Many fine slices: overlap hides the shorter stage.
-/// let fine: Vec<(f64, f64)> = (0..100).map(|_| (0.03, 0.02)).collect();
-/// let t = pipeline_makespan(&fine);
-/// assert!(t < 3.1);
-/// ```
-#[must_use]
-pub fn pipeline_makespan(slices: &[(f64, f64)]) -> f64 {
-    let mut a_done = 0.0_f64;
-    let mut b_done = 0.0_f64;
-    for &(a, b) in slices {
-        a_done += a;
-        b_done = a_done.max(b_done) + b;
-    }
-    b_done
-}
-
-/// Wall time of the same work executed without pipelining: every slice's two
-/// stages run back-to-back.
-#[must_use]
-pub fn serial_makespan(slices: &[(f64, f64)]) -> f64 {
-    slices.iter().map(|&(a, b)| a + b).sum()
-}
-
-/// [`pipeline_makespan`] of a two-stage operator of stage times `(a, b)`
-/// split into `n` equal slices — the graph compiler's sub-operation
-/// slicing. Bit-identical to running [`pipeline_makespan`] over `n` copies
-/// of `(a / n, b / n)`, without building that list.
+/// `max(a, b)` (full MME/TPC overlap). The adds and maxes run in the
+/// order of the general per-slice recurrence, without building the slice
+/// list, so the result is bit-identical to it.
 ///
 /// # Panics
 /// Panics if `n` is zero.
@@ -67,99 +36,9 @@ pub fn even_pipeline_makespan(a: f64, b: f64, n: usize) -> f64 {
     b_done
 }
 
-/// One labeled phase of an execution (e.g. "prefill" or "decode step").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Phase {
-    /// Human-readable phase label.
-    pub label: String,
-    /// Statistics accumulated during the phase.
-    pub stats: ExecStats,
-}
-
-impl Phase {
-    /// Create a phase from a label and statistics.
-    #[must_use]
-    pub fn new(label: impl Into<String>, stats: ExecStats) -> Self {
-        Phase {
-            label: label.into(),
-            stats,
-        }
-    }
-}
-
-/// An ordered list of labeled phases, convertible into total statistics.
-///
-/// Used for the paper's latency breakdowns (Figure 12(b) splits end-to-end
-/// LLM latency into prefill and decoding stages).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Timeline {
-    phases: Vec<Phase>,
-}
-
-impl Timeline {
-    /// An empty timeline.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a phase at the end of the timeline.
-    pub fn push(&mut self, label: impl Into<String>, stats: ExecStats) {
-        self.phases.push(Phase::new(label, stats));
-    }
-
-    /// All phases, in execution order.
-    #[must_use]
-    pub fn phases(&self) -> &[Phase] {
-        &self.phases
-    }
-
-    /// Total statistics over all phases, executed serially.
-    #[must_use]
-    pub fn total(&self) -> ExecStats {
-        let mut t = ExecStats::new();
-        for p in &self.phases {
-            t.merge_serial(&p.stats);
-        }
-        t
-    }
-
-    /// Sum of wall times of all phases whose label equals `label`.
-    /// A label that matches no phase sums to 0.0 — an unknown label is
-    /// "no time spent there", not an error.
-    #[must_use]
-    pub fn time_of(&self, label: &str) -> f64 {
-        self.phases
-            .iter()
-            .filter(|p| p.label == label)
-            .map(|p| p.stats.time_s)
-            .sum()
-    }
-
-    /// Fraction of total time spent in phases labeled `label`. Defined
-    /// as 0.0 both for an unknown label and for an empty (zero-time)
-    /// timeline, so callers never see NaN.
-    #[must_use]
-    pub fn fraction_of(&self, label: &str) -> f64 {
-        let total = self.total().time_s;
-        if total > 0.0 {
-            self.time_of(label) / total
-        } else {
-            0.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{Engine, OpCost};
-
-    #[test]
-    fn single_slice_has_no_overlap() {
-        assert_eq!(pipeline_makespan(&[(3.0, 2.0)]), 5.0);
-        assert_eq!(serial_makespan(&[(3.0, 2.0)]), 5.0);
-    }
 
     #[test]
     fn fine_slicing_approaches_max_of_sums() {
@@ -187,77 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn uneven_slices_dp_is_correct() {
-        // Hand-computed schedule:
-        // slice0: A [0,2) B [2,3)
-        // slice1: A [2,3) B [3,7)
-        // slice2: A [3,8) B [8,9)
-        let t = pipeline_makespan(&[(2.0, 1.0), (1.0, 4.0), (5.0, 1.0)]);
-        assert_eq!(t, 9.0);
-    }
-
-    #[test]
-    fn empty_pipeline_is_instant() {
-        assert_eq!(pipeline_makespan(&[]), 0.0);
-        assert_eq!(serial_makespan(&[]), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "zero pieces")]
     fn slice_zero_panics() {
         let _ = even_pipeline_makespan(1.0, 1.0, 0);
-    }
-
-    fn stats_with_time(t: f64) -> ExecStats {
-        let mut s = ExecStats::new();
-        s.push_serial(&OpCost {
-            engine: Engine::Vector,
-            compute_s: t,
-            memory_s: 0.0,
-            flops: 1.0,
-            bus_bytes: 0,
-            useful_bytes: 0,
-        });
-        s
-    }
-
-    #[test]
-    fn timeline_phases_and_fractions() {
-        let mut tl = Timeline::new();
-        tl.push("prefill", stats_with_time(1.0));
-        tl.push("decode", stats_with_time(2.0));
-        tl.push("decode", stats_with_time(1.0));
-        assert_eq!(tl.phases().len(), 3);
-        assert!((tl.total().time_s - 4.0).abs() < 1e-12);
-        assert!((tl.time_of("decode") - 3.0).abs() < 1e-12);
-        assert!((tl.fraction_of("prefill") - 0.25).abs() < 1e-12);
-        assert_eq!(tl.time_of("missing"), 0.0);
-    }
-
-    #[test]
-    fn empty_timeline_fraction_is_zero() {
-        let tl = Timeline::new();
-        assert_eq!(tl.fraction_of("x"), 0.0);
-    }
-
-    #[test]
-    fn unknown_labels_are_zero_never_nan() {
-        // The documented degenerate-input contract: an unknown label is
-        // "no time spent there" (0.0), on empty, zero-time and populated
-        // timelines alike — callers must never see NaN from either query.
-        let mut tl = Timeline::new();
-        assert_eq!(tl.time_of("nope"), 0.0);
-        assert_eq!(tl.fraction_of("nope"), 0.0);
-        // A phase with zero wall time: total is 0, fraction still 0.
-        tl.push("idle", stats_with_time(0.0));
-        assert_eq!(tl.time_of("idle"), 0.0);
-        assert_eq!(tl.fraction_of("idle"), 0.0);
-        assert!(!tl.fraction_of("idle").is_nan());
-        // Populated timeline, label that differs only by case: labels are
-        // exact-match, so this is still "unknown".
-        tl.push("decode", stats_with_time(2.0));
-        assert_eq!(tl.time_of("Decode"), 0.0);
-        assert_eq!(tl.fraction_of("Decode"), 0.0);
-        assert!((tl.fraction_of("decode") - 1.0).abs() < 1e-12);
     }
 }

@@ -93,23 +93,6 @@ impl LookupBatch {
         LookupBatch { batch, indices }
     }
 
-    /// Draw a power-law (skewed popularity) lookup batch, closer to
-    /// production RecSys traffic [41, 43].
-    #[must_use]
-    pub fn powerlaw<R: Rng + ?Sized>(
-        cfg: &EmbeddingConfig,
-        batch: usize,
-        alpha: f64,
-        r: &mut R,
-    ) -> Self {
-        let indices = (0..cfg.tables)
-            .map(|_| {
-                rng::powerlaw_indices(r, cfg.gathers_per_table(batch), cfg.rows_per_table, alpha)
-            })
-            .collect();
-        LookupBatch { batch, indices }
-    }
-
     /// Validate the batch against a configuration.
     ///
     /// # Errors
@@ -171,16 +154,6 @@ mod tests {
         b.validate(&cfg).unwrap();
         assert_eq!(b.indices.len(), 10);
         assert_eq!(b.indices[0].len(), 160);
-    }
-
-    #[test]
-    fn powerlaw_batch_validates_and_skews() {
-        let cfg = EmbeddingConfig::rm2_like(64);
-        let mut r = rng::seeded(2);
-        let b = LookupBatch::powerlaw(&cfg, 32, 1.05, &mut r);
-        b.validate(&cfg).unwrap();
-        let hot = b.indices[0].iter().filter(|&&i| i < 10_000).count();
-        assert!(hot * 10 > b.indices[0].len(), "power-law not skewed");
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl CallGraph {
     /// names like `push`/`insert`/`collect` are overwhelmingly std
     /// container calls, and resolving them to every same-named workspace
     /// method would wire, say, a `Vec::push` on a local into
-    /// `Timeline::push` — an edge the program cannot take. Call *sites*
+    /// `EventQueue::push` — an edge the program cannot take. Call *sites*
     /// with these names are still visible to rules (they stay in
     /// `FnDef::calls`); only the traversal edge is dropped.
     #[must_use]

@@ -1,9 +1,9 @@
 //! # dcm-mem
 //!
 //! Memory-subsystem models for the `dcm` suite: the HBM timing model with
-//! per-device minimum access granularity (§3.3 of the paper), the vector
-//! gather/scatter engine behind Figure 9, and the on-chip SRAM scratchpad
-//! the Gaudi graph compiler uses as an intermediate buffer (§2.2).
+//! per-device minimum access granularity (§3.3 of the paper) and the
+//! vector gather/scatter engine behind Figure 9. The on-chip SRAM is not
+//! modelled: its capacity is a Table 1 spec field only.
 //!
 //! The one parameter doing most of the work in the paper is the minimum
 //! access granularity: 256 B on Gaudi-2 versus 32 B sectors on the A100.
@@ -24,8 +24,6 @@
 
 pub mod gather;
 pub mod hbm;
-pub mod sram;
 
 pub use gather::GatherScatterEngine;
 pub use hbm::{AccessPattern, HbmModel, MemCost};
-pub use sram::SramScratchpad;

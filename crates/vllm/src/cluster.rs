@@ -597,7 +597,7 @@ pub(crate) fn serve(
     let sims = replicas
         .iter()
         .enumerate()
-        .map(|(i, e)| e.make_sim(i, requests.len(), &settings))
+        .map(|(i, e)| e.make_sim(i, requests.len(), &settings, cfg.slo))
         .collect::<Result<_>>()?;
     let mut st = RunState {
         replicas,
@@ -1027,8 +1027,9 @@ impl RunState<'_> {
     }
 
     /// Build the run's report: the one place a [`ServingReport`] is
-    /// made. Latency samples pool every replica's, goodput is judged
-    /// against `cfg.slo`, and the span is the longest replica clock.
+    /// made. Latency samples pool every replica's, goodput and SLO
+    /// attainment sum the counts each replica judged against `cfg.slo`
+    /// at completion, and the span is the longest replica clock.
     fn aggregate(&self) -> ClusterReport {
         let total_time_s = self.sims.iter().map(SimState::now).fold(0.0_f64, f64::max);
         let mode = self.settings.metrics_mode;
@@ -1050,12 +1051,8 @@ impl RunState<'_> {
             total_output += sim.total_output_tokens();
             peak_batch = peak_batch.max(sim.peak_batch());
             preemptions += sim.preemptions();
-            for f in &sim.finished {
-                if self.cfg.slo.met(f.ttft_s, f.tpot_s) {
-                    met_requests += 1;
-                    met_tokens += f.output_tokens;
-                }
-            }
+            met_requests += sim.slo_met_requests;
+            met_tokens += sim.slo_met_tokens;
             per_replica.push(ReplicaStats {
                 dispatched: self.dispatched[i],
                 completed: sim.completed(),

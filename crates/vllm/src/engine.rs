@@ -40,7 +40,7 @@ use crate::attention::{
 };
 use crate::cluster::{self, RoutingPolicy, RunSettings};
 use crate::dataset::Request;
-use crate::fault::{FaultPlan, ResilienceConfig};
+use crate::fault::{FaultPlan, ResilienceConfig, SloSpec};
 use crate::kv_cache::PagedKvCache;
 use crate::slab::{SeqSlab, SlotId};
 use dcm_compiler::{CompileOptions, Device};
@@ -133,17 +133,6 @@ impl ServingReport {
     }
 }
 
-/// Per-request outcome captured at completion — the basis for SLO
-/// attainment and goodput accounting. TTFT is client-perceived: measured
-/// from the request's original arrival, through any crashed attempts.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FinishedRequest {
-    pub(crate) ttft_s: f64,
-    /// `None` for single-output-token requests (no decode interval).
-    pub(crate) tpot_s: Option<f64>,
-    pub(crate) output_tokens: usize,
-}
-
 struct ActiveSeq {
     remaining: usize,
     first_token_t: f64,
@@ -222,8 +211,14 @@ pub(crate) struct SimState {
     pub(crate) ttft: LatencyRecorder,
     pub(crate) tpot: LatencyRecorder,
     pub(crate) queue_delay: LatencyRecorder,
-    /// One entry per completed request — SLO/goodput accounting.
-    pub(crate) finished: Vec<FinishedRequest>,
+    /// The run's SLO, judged once per request at completion. TTFT is
+    /// client-perceived: measured from the request's original arrival,
+    /// through any crashed attempts.
+    slo: SloSpec,
+    /// Completed requests that met `slo` — SLO attainment.
+    pub(crate) slo_met_requests: usize,
+    /// Output tokens of the requests that met `slo` — goodput.
+    pub(crate) slo_met_tokens: usize,
     /// Span recorder — [`TraceRecorder::disabled`] (free) unless the run
     /// was started through a traced entry point. Purely observational:
     /// recording must never influence scheduling or the report.
@@ -378,9 +373,8 @@ impl SimState {
     /// Completed requests and their metrics are untouched: they were
     /// delivered before the crash. TTFT/queue-delay samples already
     /// recorded for an *unfinished* request stay in the recorders — the
-    /// latency distributions are per-attempt — while the per-request
-    /// [`FinishedRequest`] accounting (SLO, goodput) only ever sees the
-    /// attempt that completes.
+    /// latency distributions are per-attempt — while the SLO counts
+    /// (attainment, goodput) only ever see the attempt that completes.
     ///
     /// # Errors
     /// Propagates a KV-cache inconsistency (an active sequence without a
@@ -431,11 +425,7 @@ impl SimState {
         self.active_remove(id);
         let req = self.slab.remove(slot);
         let ttft_s = first_token_t - req.arrival_s;
-        self.finished.push(FinishedRequest {
-            ttft_s,
-            tpot_s: Some(tpot),
-            output_tokens: produced,
-        });
+        self.judge_slo(ttft_s, Some(tpot), produced);
         self.stats.remove(kv_tokens);
         self.kv.release(id)?;
         self.completed += 1;
@@ -451,6 +441,15 @@ impl SimState {
             ],
         );
         Ok(())
+    }
+
+    /// Count a completed request against the run's SLO. `tpot_s` is
+    /// `None` for a single-output-token request (no decode interval).
+    fn judge_slo(&mut self, ttft_s: f64, tpot_s: Option<f64>, output_tokens: usize) {
+        if self.slo.met(ttft_s, tpot_s) {
+            self.slo_met_requests += 1;
+            self.slo_met_tokens += output_tokens;
+        }
     }
 
     fn promote_arrivals(&mut self) {
@@ -680,11 +679,11 @@ impl ServingEngine {
     }
 
     /// Start a fresh simulation of this engine as replica `replica` under
-    /// the run's `settings` (fast-forward, metrics mode): size the KV
-    /// cache and reset all state. `expected_requests` pre-sizes
-    /// the arrival queue (large sweeps enqueue the whole trace up front;
-    /// repeated growth there is pure waste), and the
-    /// slab/active-set/scratch buffers are pre-sized to
+    /// the run's `settings` (fast-forward, metrics mode), judging
+    /// completions against `slo`: size the KV cache and reset all state.
+    /// `expected_requests` pre-sizes the arrival queue (large sweeps
+    /// enqueue the whole trace up front; repeated growth there is pure
+    /// waste), and the slab/active-set/scratch buffers are pre-sized to
     /// `max_decode_batch` so steady-state serving never reallocates.
     ///
     /// # Errors
@@ -697,6 +696,7 @@ impl ServingEngine {
         replica: usize,
         expected_requests: usize,
         settings: &RunSettings,
+        slo: SloSpec,
     ) -> Result<SimState> {
         if self.max_decode_batch == 0 {
             return Err(DcmError::InvalidConfig(format!(
@@ -738,7 +738,9 @@ impl ServingEngine {
             ttft: LatencyRecorder::with_mode(settings.metrics_mode),
             tpot: LatencyRecorder::with_mode(settings.metrics_mode),
             queue_delay: LatencyRecorder::with_mode(settings.metrics_mode),
-            finished: Vec::new(),
+            slo,
+            slo_met_requests: 0,
+            slo_met_tokens: 0,
             trace: TraceRecorder::disabled(),
             total_output: 0,
             completed: 0,
@@ -760,9 +762,8 @@ impl ServingEngine {
 
     /// Admit the head of the ready queue: prefill it at the current
     /// clock and either retire it (single-output-token request) or place
-    /// it in the active batch. The one admission path — `sim_step` and
-    /// the fast-forward prefill stretch both call it, so admissions
-    /// carry bit-identical timestamps in both modes.
+    /// it in the active batch. `sim_step` is its only caller, in exact
+    /// and fast-forward mode alike.
     ///
     /// Caller must have checked [`Self::admission_possible`].
     fn admit_one(&self, sim: &mut SimState) -> Result<()> {
@@ -809,11 +810,7 @@ impl ServingEngine {
             // A single-output-token request has no decode interval:
             // it contributes no TPOT sample (a 0.0 here would drag
             // the whole TPOT distribution toward zero).
-            sim.finished.push(FinishedRequest {
-                ttft_s: seq.first_token_t - r.arrival_s,
-                tpot_s: None,
-                output_tokens: seq.produced,
-            });
+            sim.judge_slo(seq.first_token_t - r.arrival_s, None, seq.produced);
             sim.trace.span(
                 SpanKind::Request,
                 "request",
@@ -948,9 +945,10 @@ impl ServingEngine {
         Ok(true)
     }
 
-    /// Execute one fast-forward stretch — a prefill stretch (bulk
-    /// admission, exact timestamps) or a closed-form decode stretch —
-    /// and advance the clock over it; `Ok(false)` if neither applies.
+    /// Execute one closed-form decode stretch and advance the clock over
+    /// it; `Ok(false)` if none applies. An admission that is possible
+    /// declines the stretch, so `sim_step` admits: there is one admission
+    /// path in both modes.
     ///
     /// A decode stretch is `n` consecutive decode steps during which the
     /// batch composition cannot change: admission is blocked (and KV
@@ -964,30 +962,12 @@ impl ServingEngine {
     /// integrated by a trapezoid over the first and last step (see
     /// DESIGN.md §3.8 and §3.10 for the soundness arguments).
     fn try_fast_forward(&mut self, sim: &mut SimState, limit: f64) -> Result<bool> {
-        // Prefill stretch: drain consecutive admissions in one tight
-        // loop instead of bouncing through the outer scheduler loop per
-        // admission. Admission timestamps are *exact* — `admit_one` is
-        // the very code the step path runs — so the stretch contributes
-        // zero drift. Arrivals that fall due while the clock advances
-        // are promoted by the caller's next `promote_arrivals` before
-        // any further work; admission is strictly head-of-queue and
-        // promotions append behind existing entries, so the admitted
-        // sequence is identical to step mode (DESIGN.md §3.10).
-        let mut admitted = false;
-        while sim.clock.now() < limit && self.admission_possible(sim) {
-            self.admit_one(sim)?;
-            admitted = true;
-        }
-        if admitted {
-            return Ok(true);
-        }
-        if sim.active.is_empty() {
+        if self.admission_possible(sim) || sim.active.is_empty() {
             return Ok(false);
         }
-        // Admission has priority in `sim_step` and is blocked here (the
-        // loop above drained every possible admission); free blocks only
-        // shrink mid-stretch and the batch never drains, so a blocked
-        // ready head stays blocked for the whole stretch.
+        // Admission has priority in `sim_step` and is blocked here; free
+        // blocks only shrink mid-stretch and the batch never drains, so a
+        // blocked ready head stays blocked for the whole stretch.
         let batch = sim.active.len();
         // Cap 1: no completion strictly inside the stretch (completions
         // land exactly at the stretch end).

@@ -5,12 +5,17 @@
 //! DLRM serving, paged attention inside the serving engine, and the
 //! directional claims of the paper's key takeaways.
 //!
-//! The crate also holds [`ListQueue`], the model `prop_queue_diff.rs`
-//! checks `dcm_core::sim::EventQueue` against. It lives here, not in
-//! `dcm-core`, because nothing but that differential suite uses it.
+//! The crate also holds the models the property suites check fast paths
+//! against: [`ListQueue`] for `dcm_core::sim::EventQueue`
+//! (`prop_queue_diff.rs`), and [`timeline`]'s per-slice recurrences for
+//! `dcm_core::timeline::even_pipeline_makespan` (`prop_models.rs`). They
+//! live here, not in `dcm-core`, because nothing but those suites uses
+//! them.
 
 use dcm_core::sim::Event;
 use std::cmp::Ordering;
+
+pub mod timeline;
 
 /// An event queue kept as a plain list: the executable specification of
 /// `dcm_core::sim::EventQueue`. A pop finds the minimum by a linear scan

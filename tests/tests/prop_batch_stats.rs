@@ -19,7 +19,7 @@ fn attention(backend: PagedBackend) -> PagedAttention {
     PagedAttention::new(&device, backend, &LlamaConfig::llama31_8b(), 1)
 }
 
-fn backend_for(idx: usize) -> PagedBackend {
+fn nth_backend(idx: usize) -> PagedBackend {
     [
         PagedBackend::GaudiBase,
         PagedBackend::GaudiOpt,
@@ -90,7 +90,7 @@ proptest! {
         lens in proptest::collection::vec(0usize..8192, 1..96),
         padding_pct in 0usize..100,
     ) {
-        let pa = attention(backend_for(backend_idx));
+        let pa = attention(nth_backend(backend_idx));
         let padding = padding_pct as f64 / 100.0;
         let stats = BatchStats::from_lens(&lens, pa.batch_stats().block_tokens());
         let a = pa.decode_cost(&lens, padding);

@@ -1,9 +1,10 @@
 //! Property tests on the timing-model invariants: pipeline bounds, GEMM
 //! geometry selection, and vector-engine monotonicity.
 
-use dcm_core::timeline::{even_pipeline_makespan, pipeline_makespan, serial_makespan};
+use dcm_core::timeline::even_pipeline_makespan;
 use dcm_core::{DType, DeviceSpec};
 use dcm_mme::{A100TensorCore, FixedSystolicBaseline, GaudiMme, GemmEngine, GemmShape};
+use dcm_tests::timeline::{pipeline_makespan, serial_makespan};
 use dcm_tpc::engine::{StreamKernel, VectorEngineModel};
 use proptest::prelude::*;
 

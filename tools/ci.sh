@@ -31,18 +31,29 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-# Smoke-run every figure/extension binary with the cheap DCM_SMOKE=1
-# configuration: sweeps shrink to a handful of points, but every code
-# path (tables, CSV export, trace export) still executes end to end.
-# DCM_THREADS=2 exercises the parallel sweep harness even on 1-core CI
-# boxes (thread count is an explicit override, not a host probe).
-echo "==> smoke-running bench binaries (DCM_SMOKE=1 DCM_THREADS=2)"
+# Determinism: run every figure/extension binary, in its one (full)
+# configuration, serially and at 8 threads, each run in a fresh working
+# directory (binaries write results/ relative to the cwd), and diff
+# everything the two runs produced: stdout, stderr and every written
+# file. The thread count is an explicit override, not a host probe, so
+# this exercises the parallel sweep harness even on 1-core CI boxes. At
+# 8 threads the sweep points also share the process-wide step-cost memo.
+echo "==> determinism: every bench binary at DCM_THREADS=1 vs 8"
 cargo build -q --release -p dcm-bench
+bin_dir=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)
+det_tmp=$(mktemp -d)
+trap 'rm -rf "$det_tmp"' EXIT
 for bin in crates/bench/src/bin/*.rs; do
     name=$(basename "$bin" .rs)
-    echo "==> smoke: $name"
-    DCM_SMOKE=1 DCM_THREADS=2 cargo run -q --release -p dcm-bench --bin "$name" >/dev/null
+    echo "==> determinism: $name"
+    for threads in 1 8; do
+        mkdir "$det_tmp/$name.$threads"
+        (cd "$det_tmp/$name.$threads" &&
+            DCM_THREADS=$threads "$bin_dir/$name" >stdout 2>stderr)
+    done
+    diff -r "$det_tmp/$name.1" "$det_tmp/$name.8"
 done
+echo "==> determinism OK"
 
 # Run every example once: they walk through the public API (the serving
 # example through the single-engine and cluster entry points) and are
@@ -53,25 +64,6 @@ for ex in examples/*.rs; do
     echo "==> example: $name"
     cargo run -q --release -p dcm-examples --example "$name" >/dev/null
 done
-
-# Determinism cross-check: a sweep binary must emit byte-identical CSVs
-# (and stdout) regardless of thread count. Run one representative sweep
-# serially and at 8 threads and diff everything it produced. At 8 threads
-# its sweep points also share the process-wide step-cost memo.
-echo "==> determinism cross-check: ext_hetero_cluster at DCM_THREADS=1 vs 8"
-det_tmp=$(mktemp -d)
-trap 'rm -rf "$det_tmp"' EXIT
-DCM_SMOKE=1 DCM_THREADS=1 cargo run -q --release -p dcm-bench \
-    --bin ext_hetero_cluster >"$det_tmp/stdout.1"
-cp results/ext_hetero_p99_ttft.csv results/ext_hetero_throughput.csv \
-    results/ext_hetero_requests.csv "$det_tmp"
-DCM_SMOKE=1 DCM_THREADS=8 cargo run -q --release -p dcm-bench \
-    --bin ext_hetero_cluster >"$det_tmp/stdout.8"
-diff "$det_tmp/stdout.1" "$det_tmp/stdout.8"
-for csv in ext_hetero_p99_ttft.csv ext_hetero_throughput.csv ext_hetero_requests.csv; do
-    diff "$det_tmp/$csv" "results/$csv"
-done
-echo "==> determinism OK"
 
 # Differential suite under an explicit 2-thread override: the
 # queue-vs-list-model, slab-vs-map, histogram, fast-forward (on one
