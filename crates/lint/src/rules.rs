@@ -129,6 +129,8 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("PagedAttention", "decode_cost"),
     ("PagedAttention", "decode_cost_from_stats"),
     ("PagedAttention", "decode_cost_of"),
+    ("PagedAttention", "decode_time_from_stats"),
+    ("PagedAttention", "decode_time_of"),
     ("GaudiMme", "batched_gemm"),
     ("PagedKvCache", "append_token"),
     ("PagedKvCache", "append_tokens"),

@@ -486,52 +486,76 @@ impl PagedAttention {
     /// size, or `extra_padding` is out of range.
     #[must_use]
     pub fn decode_cost_from_stats(&self, stats: &BatchStats, extra_padding: f64) -> OpCost {
-        assert!(
-            stats.block_tokens() == self.block_tokens,
-            "BatchStats block size {} != model block size {}",
-            stats.block_tokens(),
-            self.block_tokens
-        );
-        self.decode_cost_of(stats.shape(), extra_padding)
+        self.decode_cost_of(self.shape_of(stats), extra_padding)
     }
 
     /// The cost model proper: the attention cost of one decode step over
     /// a batch of `shape`, whose blocks are this model's
     /// ([`batch_stats`](Self::batch_stats)`().block_tokens()` tokens).
-    /// Allocation-free: the serving engine prices every decode step and
-    /// every fast-forward probe through here.
+    /// Allocation-free and memo-free: it prices the batched-GEMM pair
+    /// itself, so it is the reference the memoized
+    /// [`decode_time_of`](Self::decode_time_of) is checked against.
     ///
     /// # Panics
     /// Panics if the batch is empty or `extra_padding` is out of range.
     #[must_use]
     pub fn decode_cost_of(&self, shape: BatchShape, extra_padding: f64) -> OpCost {
-        assert!(shape.count > 0, "need at least one sequence");
-        assert!((0.0..1.0).contains(&extra_padding), "padding out of range");
-        let batch = shape.count;
-        let effectual = shape.sum_blocks;
-        let natural_padded = batch * shape.max_blocks;
-        // `.floor()` makes the former truncating `as usize` casts explicit.
-        let padded = f64_to_usize((usize_to_f64(effectual) / (1.0 - extra_padding)).floor())
-            .max(natural_padded);
-        let mean_len = shape.sum_lens / batch;
-        let padded_len = f64_to_usize(
-            (usize_to_f64(padded) / usize_to_f64(batch) * usize_to_f64(self.block_tokens)).floor(),
-        );
+        let g = self.geometry(shape, extra_padding);
+        let (scores, values) = self.gemm_pair(self.gemm_key(&g));
+        let mut layer = self.layer_cost(&g, self.gemm_term(&scores, &values));
+        let (flops, bus_bytes, useful_bytes) = self.gemm_work(g.batch, &scores, &values);
+        layer.flops = flops;
+        layer.bus_bytes += bus_bytes;
+        layer.useful_bytes += useful_bytes;
+        scale_cost(layer, usize_to_f64(self.layers))
+    }
 
-        let per_layer = match self.backend {
-            PagedBackend::GaudiBase => self.base_layer_cost(batch, padded, padded_len),
-            PagedBackend::GaudiOpt => self.opt_layer_cost(batch, effectual, mean_len),
-            PagedBackend::A100Fused | PagedBackend::GaudiFusedHypothetical => {
-                self.fused_layer_cost(batch, effectual, mean_len)
-            }
-        };
-        scale_cost(per_layer, usize_to_f64(self.layers))
+    /// [`decode_time_of`](Self::decode_time_of) from incrementally
+    /// maintained batch aggregates: the serving engine's exact decode step.
+    ///
+    /// # Panics
+    /// Panics if `stats` is empty or was built under a different KV block
+    /// size.
+    #[must_use]
+    pub fn decode_time_from_stats(&self, stats: &BatchStats, terms: &mut GemmTerms) -> f64 {
+        self.decode_time_of(self.shape_of(stats), terms)
+    }
+
+    /// `decode_cost_of(shape, 0.0).time()`, bit for bit, with the GEMM
+    /// term read from `terms`: a price is a table read, the backend's HBM
+    /// accesses and its wall formula. Only a miss prices the batched-GEMM
+    /// pair (on Gaudi, two MME geometry searches). `terms` must only ever
+    /// serve models of this one (device, model, tp) family and backend:
+    /// it is keyed by GEMM shape alone. Allocates only when a cell lands
+    /// on a page not touched before.
+    ///
+    /// # Panics
+    /// Panics if the batch is empty.
+    #[must_use]
+    pub fn decode_time_of(&self, shape: BatchShape, terms: &mut GemmTerms) -> f64 {
+        let g = self.geometry(shape, 0.0);
+        let term = terms.get_or_price(self.gemm_key(&g), |key| {
+            let (scores, values) = self.gemm_pair(key);
+            self.gemm_term(&scores, &values)
+        });
+        scale_cost(self.layer_cost(&g, term), usize_to_f64(self.layers)).time()
     }
 
     /// Decode throughput in generated tokens per second at `seq_lens`.
     #[must_use]
     pub fn decode_throughput(&self, seq_lens: &[usize], extra_padding: f64) -> f64 {
         usize_to_f64(seq_lens.len()) / self.decode_cost(seq_lens, extra_padding).time()
+    }
+
+    /// The shape of `stats`, which must use this model's block size.
+    fn shape_of(&self, stats: &BatchStats) -> BatchShape {
+        assert!(
+            stats.block_tokens() == self.block_tokens,
+            "BatchStats block size {} != model block size {}",
+            stats.block_tokens(),
+            self.block_tokens
+        );
+        stats.shape()
     }
 
     fn heads_local(&self) -> usize {
@@ -547,106 +571,251 @@ impl PagedAttention {
         self.heads_local() / self.kv_local()
     }
 
+    /// The block counts and lengths a decode step over `shape` is priced
+    /// at, with `extra_padding` injected into the padded table.
+    fn geometry(&self, shape: BatchShape, extra_padding: f64) -> Geometry {
+        assert!(shape.count > 0, "need at least one sequence");
+        assert!((0.0..1.0).contains(&extra_padding), "padding out of range");
+        let batch = shape.count;
+        let effectual = shape.sum_blocks;
+        let natural_padded = batch * shape.max_blocks;
+        // `.floor()` makes the former truncating `as usize` casts explicit.
+        let padded = f64_to_usize((usize_to_f64(effectual) / (1.0 - extra_padding)).floor())
+            .max(natural_padded);
+        let padded_len = f64_to_usize(
+            (usize_to_f64(padded) / usize_to_f64(batch) * usize_to_f64(self.block_tokens)).floor(),
+        );
+        Geometry {
+            batch,
+            effectual,
+            padded,
+            mean_len: shape.sum_lens / batch,
+            padded_len,
+        }
+    }
+
+    /// The (GEMM batch, GEMM length) of the backend's batched-GEMM pair:
+    /// the baseline runs SDPA per request over the padded length, the
+    /// others batch every request at the mean length.
+    fn gemm_key(&self, g: &Geometry) -> (usize, usize) {
+        match self.backend {
+            PagedBackend::GaudiBase => (self.kv_local(), g.padded_len.max(1)),
+            PagedBackend::GaudiOpt
+            | PagedBackend::A100Fused
+            | PagedBackend::GaudiFusedHypothetical => {
+                (g.batch * self.kv_local(), g.mean_len.max(1))
+            }
+        }
+    }
+
+    /// The score and value products of one layer at `(batch, len)`: one
+    /// pair of GEMMs per KV-head group.
+    fn gemm_pair(&self, (batch, len): (usize, usize)) -> (OpCost, OpCost) {
+        let (scores, _) = self.device.op_cost(&Op::batched_gemm(
+            batch,
+            GemmShape::new(self.q_group(), self.head_dim, len),
+            DType::Bf16,
+        ));
+        let (values, _) = self.device.op_cost(&Op::batched_gemm(
+            batch,
+            GemmShape::new(self.q_group(), len, self.head_dim),
+            DType::Bf16,
+        ));
+        (scores, values)
+    }
+
+    /// The one number the wall formula takes from the GEMM pair: its
+    /// time on the staged Gaudi backends, its arithmetic time in the
+    /// fused kernels, whose block reads are priced separately.
+    fn gemm_term(&self, scores: &OpCost, values: &OpCost) -> f64 {
+        match self.backend {
+            PagedBackend::GaudiBase | PagedBackend::GaudiOpt => scores.time() + values.time(),
+            PagedBackend::A100Fused | PagedBackend::GaudiFusedHypothetical => {
+                scores.compute_s + values.compute_s
+            }
+        }
+    }
+
+    /// The flops and (bus, useful) bytes the GEMM pair adds to one layer:
+    /// the baseline runs it once per request, and the fused kernels count
+    /// only their in-kernel block reads.
+    fn gemm_work(&self, batch: usize, scores: &OpCost, values: &OpCost) -> (f64, u64, u64) {
+        let flops = scores.flops + values.flops;
+        match self.backend {
+            PagedBackend::GaudiBase => {
+                let bytes = (scores.useful_bytes + values.useful_bytes)
+                    * u64::try_from(batch).unwrap_or(u64::MAX);
+                (flops * usize_to_f64(batch), bytes, bytes)
+            }
+            PagedBackend::GaudiOpt => (
+                flops,
+                scores.bus_bytes + values.bus_bytes,
+                scores.useful_bytes + values.useful_bytes,
+            ),
+            PagedBackend::A100Fused | PagedBackend::GaudiFusedHypothetical => (flops, 0, 0),
+        }
+    }
+
+    /// One layer's wall time and KV traffic from the GEMM term `gemm` —
+    /// each backend's one wall formula. The GEMM pair's own flops and
+    /// bytes are [`gemm_work`](Self::gemm_work)'s.
+    fn layer_cost(&self, g: &Geometry, gemm: f64) -> OpCost {
+        match self.backend {
+            PagedBackend::GaudiBase => self.base_layer_cost(g.batch, g.padded, gemm),
+            PagedBackend::GaudiOpt => self.opt_layer_cost(g.effectual, gemm),
+            PagedBackend::A100Fused | PagedBackend::GaudiFusedHypothetical => {
+                self.fused_layer_cost(g.effectual, gemm)
+            }
+        }
+    }
+
     /// Baseline: per-block gather ops + contiguous staging + per-request
-    /// serial SDPA on the padded length.
-    fn base_layer_cost(&self, batch: usize, padded_blocks: usize, padded_len: usize) -> OpCost {
+    /// serial SDPA on the padded length (`gemm` per request).
+    fn base_layer_cost(&self, batch: usize, padded_blocks: usize, gemm: f64) -> OpCost {
         let bb = self.block_bytes();
         let gathers = padded_blocks * 2; // K and V
         let reads = self.hbm.access(gathers, bb, AccessPattern::Random);
         let writes = self.hbm.access(gathers, bb, AccessPattern::Stream);
         let gather_wall =
             usize_to_f64(gathers) * PYTORCH_OP_OVERHEAD_S + reads.time_s + writes.time_s;
-
-        // FusedSDPA per request over the padded, contiguous KV: one
-        // score/value product per KV-head group, launched per request.
-        let (scores, _) = self.device.op_cost(&Op::batched_gemm(
-            self.kv_local(),
-            GemmShape::new(self.q_group(), self.head_dim, padded_len.max(1)),
-            DType::Bf16,
-        ));
-        let (values, _) = self.device.op_cost(&Op::batched_gemm(
-            self.kv_local(),
-            GemmShape::new(self.q_group(), padded_len.max(1), self.head_dim),
-            DType::Bf16,
-        ));
-        let sdpa_wall = (scores.time() + values.time()) * usize_to_f64(batch);
-        let flops = (scores.flops + values.flops) * usize_to_f64(batch);
-        let gemm_bytes =
-            (scores.useful_bytes + values.useful_bytes) * u64::try_from(batch).unwrap_or(u64::MAX);
-
+        // FusedSDPA per request over the padded, contiguous KV, launched
+        // per request.
+        let sdpa_wall = gemm * usize_to_f64(batch);
         OpCost {
             engine: Engine::Vector,
             compute_s: gather_wall + sdpa_wall,
             memory_s: (reads.time_s + writes.time_s).min(gather_wall + sdpa_wall),
-            flops,
-            bus_bytes: reads.bus_bytes + writes.bus_bytes + gemm_bytes,
-            useful_bytes: reads.useful_bytes + writes.useful_bytes + gemm_bytes,
+            flops: 0.0,
+            bus_bytes: reads.bus_bytes + writes.bus_bytes,
+            useful_bytes: reads.useful_bytes + writes.useful_bytes,
         }
     }
 
     /// Optimized: one batched gather over effectual blocks, pipelined with
-    /// one batched GEMM pair.
-    fn opt_layer_cost(&self, batch: usize, effectual_blocks: usize, mean_len: usize) -> OpCost {
+    /// one batched GEMM pair (`gemm`).
+    fn opt_layer_cost(&self, effectual_blocks: usize, gemm: f64) -> OpCost {
         let bb = self.block_bytes();
         let gathers = effectual_blocks * 2;
         let reads = self.hbm.access(gathers, bb, AccessPattern::Random);
         let writes = self.hbm.access(gathers, bb, AccessPattern::Stream);
         let gather_stage = PYTORCH_OP_OVERHEAD_S + reads.time_s + writes.time_s;
-
-        let (scores, _) = self.device.op_cost(&Op::batched_gemm(
-            batch * self.kv_local(),
-            GemmShape::new(self.q_group(), self.head_dim, mean_len.max(1)),
-            DType::Bf16,
-        ));
-        let (values, _) = self.device.op_cost(&Op::batched_gemm(
-            batch * self.kv_local(),
-            GemmShape::new(self.q_group(), mean_len.max(1), self.head_dim),
-            DType::Bf16,
-        ));
-        let gemm_stage = scores.time() + values.time();
-        let wall = even_pipeline_makespan(gather_stage, gemm_stage, PIPELINE_SLICES);
+        let wall = even_pipeline_makespan(gather_stage, gemm, PIPELINE_SLICES);
         OpCost {
             engine: Engine::Vector,
             compute_s: wall,
             memory_s: (reads.time_s + writes.time_s).min(wall),
-            flops: scores.flops + values.flops,
-            bus_bytes: reads.bus_bytes + writes.bus_bytes + scores.bus_bytes + values.bus_bytes,
-            useful_bytes: reads.useful_bytes
-                + writes.useful_bytes
-                + scores.useful_bytes
-                + values.useful_bytes,
+            flops: 0.0,
+            bus_bytes: reads.bus_bytes + writes.bus_bytes,
+            useful_bytes: reads.useful_bytes + writes.useful_bytes,
         }
     }
 
     /// A100 fused kernel: blocks read in-kernel (random block-granular
-    /// reads, no staging), batched across requests.
-    fn fused_layer_cost(&self, batch: usize, effectual_blocks: usize, mean_len: usize) -> OpCost {
+    /// reads, no staging), batched across requests; `gemm` is the pair's
+    /// arithmetic time.
+    fn fused_layer_cost(&self, effectual_blocks: usize, gemm: f64) -> OpCost {
         let bb = self.block_bytes();
         let reads = self
             .hbm
             .access(effectual_blocks * 2, bb, AccessPattern::Random);
-        let (scores, _) = self.device.op_cost(&Op::batched_gemm(
-            batch * self.kv_local(),
-            GemmShape::new(self.q_group(), self.head_dim, mean_len.max(1)),
-            DType::Bf16,
-        ));
-        let (values, _) = self.device.op_cost(&Op::batched_gemm(
-            batch * self.kv_local(),
-            GemmShape::new(self.q_group(), mean_len.max(1), self.head_dim),
-            DType::Bf16,
-        ));
         // One kernel: compute overlaps the block reads; the wall time is
         // whichever is longer, plus one dispatch.
-        let compute = scores.compute_s + values.compute_s;
-        let wall = compute.max(reads.time_s) + PYTORCH_OP_OVERHEAD_S;
+        let wall = gemm.max(reads.time_s) + PYTORCH_OP_OVERHEAD_S;
         OpCost {
             engine: Engine::Vector,
             compute_s: wall,
             memory_s: reads.time_s.min(wall),
-            flops: scores.flops + values.flops,
+            flops: 0.0,
             bus_bytes: reads.bus_bytes,
             useful_bytes: reads.useful_bytes,
         }
+    }
+}
+
+/// The block counts and lengths of one decode step: what
+/// [`PagedAttention`] prices besides its batched-GEMM pair.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    batch: usize,
+    /// Σ per-sequence KV blocks.
+    effectual: usize,
+    /// Blocks of the padded table: `batch ×` the widest sequence's, or
+    /// more under injected padding.
+    padded: usize,
+    /// Mean cached length, rounded down.
+    mean_len: usize,
+    /// Per-request length of the padded table, in tokens.
+    padded_len: usize,
+}
+
+/// Cells per [`GemmTerms`] page: 1 KiB of `f64`.
+const PAGE_CELLS: usize = 128;
+
+/// Page slots a [`GemmTerms`] row's directory grows by: lengths below
+/// 8,192 need one directory allocation. Growing it slot by slot scattered
+/// small reallocations among the pages and raised the peak RSS of a
+/// 10⁵-request cluster run by about 0.5 MiB.
+const DIRECTORY_STEP: usize = 64;
+
+/// A memo of the GEMM terms [`PagedAttention::decode_time_of`] prices
+/// from, for one (device, model, tp) family under one backend, keyed by
+/// the (GEMM batch, GEMM length) the backend passes to
+/// `Op::batched_gemm`. A value is a pure function of its key, so a
+/// read returns the bits pricing the pair would.
+///
+/// Rows by GEMM batch, indexed by GEMM length, in fixed-size pages of
+/// [`PAGE_CELLS`] cells allocated on first touch: growth never copies a
+/// cell, and memory is bounded by the pages touched (a few hundred KiB
+/// for a 10⁵-request cluster run). Nothing is evicted and there is no
+/// size knob: a table lives as long as its owner.
+#[derive(Debug, Default)]
+pub struct GemmTerms {
+    /// `rows[batch][len / PAGE_CELLS][len % PAGE_CELLS]`; an unpriced
+    /// cell holds NaN.
+    rows: Vec<Vec<Option<Box<[f64; PAGE_CELLS]>>>>,
+    misses: u64,
+}
+
+impl GemmTerms {
+    /// Cells priced so far (a full scan; not for the hot path).
+    #[must_use]
+    pub fn cells(&self) -> usize {
+        self.rows
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|page| page.iter().filter(|t| !t.is_nan()).count())
+            .sum()
+    }
+
+    /// Reads that found their cell unpriced and priced it.
+    #[must_use]
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// The term at `key`, from `price(key)` on the first read.
+    fn get_or_price(
+        &mut self,
+        key: (usize, usize),
+        price: impl FnOnce((usize, usize)) -> f64,
+    ) -> f64 {
+        let (batch, len) = key;
+        if batch >= self.rows.len() {
+            self.rows.resize_with(batch + 1, Vec::new);
+        }
+        let row = &mut self.rows[batch];
+        let (page, cell) = (len / PAGE_CELLS, len % PAGE_CELLS);
+        if page >= row.len() {
+            row.resize_with((page + 1).next_multiple_of(DIRECTORY_STEP), || None);
+        }
+        // dcm-lint: allow(A1) one 1 KiB page per PAGE_CELLS lengths of a GEMM batch, on first touch only: bounded by the shapes a run prices
+        let page = row[page].get_or_insert_with(|| Box::new([f64::NAN; PAGE_CELLS]));
+        if page[cell].is_nan() {
+            self.misses += 1;
+            page[cell] = price(key);
+        }
+        page[cell]
     }
 }
 

@@ -36,7 +36,7 @@
 //! percentiles and queueing delay for the online experiments.
 
 use crate::attention::{
-    BatchGrowth, BatchStats, PagedAttention, PagedBackend, DEFAULT_BLOCK_TOKENS,
+    BatchGrowth, BatchStats, GemmTerms, PagedAttention, PagedBackend, DEFAULT_BLOCK_TOKENS,
 };
 use crate::cluster::{self, RoutingPolicy, RunSettings};
 use crate::dataset::Request;
@@ -52,6 +52,7 @@ use dcm_core::trace::{SpanKind, TraceRecorder};
 use dcm_core::DType;
 use dcm_workloads::llama::LlamaConfig;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -60,8 +61,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 const ACTIVATION_HEADROOM: f64 = 0.08;
 
 /// Shortest steady decode stretch worth fast-forwarding analytically: a
-/// stretch of 0 or 1 steps costs as much to price (two cost-model
-/// evaluations) as to execute normally.
+/// stretch of 0 or 1 steps costs as much to price (two attention prices)
+/// as to execute normally.
 const MIN_FF_STEPS: usize = 2;
 
 /// Aggregate metrics of one serving run.
@@ -569,11 +570,94 @@ pub fn step_cost_memo_stats() -> StepCostMemoStats {
     }
 }
 
+/// One family's step tables on one thread (see [`THREAD_TABLES`]).
+#[derive(Debug, Default)]
+struct FamilyTables {
+    /// Non-attention decode-step time by batch size, read through from
+    /// the step-cost memo; NaN until first read.
+    nonattn: Vec<f64>,
+    /// GEMM terms, one table per backend (see [`Self::gemm_terms`]).
+    gemm_terms: [GemmTerms; 4],
+}
+
+impl FamilyTables {
+    /// The GEMM-term table of `backend`. The backend is part of the
+    /// choice: GaudiOpt memoizes the pair's time, GaudiFusedHypothetical
+    /// on the same family its arithmetic time.
+    fn gemm_terms(&mut self, backend: PagedBackend) -> &mut GemmTerms {
+        let slot = match backend {
+            PagedBackend::GaudiBase => 0,
+            PagedBackend::GaudiOpt => 1,
+            PagedBackend::A100Fused => 2,
+            PagedBackend::GaudiFusedHypothetical => 3,
+        };
+        &mut self.gemm_terms[slot]
+    }
+}
+
+thread_local! {
+    /// The per-thread step tables, indexed by family handle: every
+    /// replica and every engine of a family on this thread reads its
+    /// decode-step prices here, lock-free, in front of the step-cost memo.
+    ///
+    /// * **Key and value.** A family's [`GemmTerms`] for a backend map the
+    ///   (GEMM batch, GEMM length) the backend passes to
+    ///   `Op::batched_gemm` to the one number its attention time takes
+    ///   from that pair; `nonattn` maps a batch size to the memo's
+    ///   non-attention step time. Both are pure functions of family,
+    ///   backend and key, so which thread priced a cell, and what ran on
+    ///   it before, cannot move a report bit.
+    /// * **Per thread.** Not per engine, whose replicas would each fill a
+    ///   copy; not behind the memo's lock, which a decode step would take
+    ///   every time (DESIGN.md §3.6).
+    /// * **Growth.** Pages of 128 cells on first touch, bounded by the
+    ///   shapes the thread prices. Nothing is evicted and there is no size
+    ///   knob: the tables live as long as the thread.
+    static THREAD_TABLES: RefCell<Vec<FamilyTables>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `f` on this thread's tables for `family`.
+fn with_family_tables<R>(family: usize, f: impl FnOnce(&mut FamilyTables) -> R) -> R {
+    THREAD_TABLES.with(|tables| {
+        let mut tables = tables.borrow_mut();
+        if family >= tables.len() {
+            tables.resize_with(family + 1, FamilyTables::default);
+        }
+        f(&mut tables[family])
+    })
+}
+
+/// The calling thread's attention-memo counts, over every family and
+/// backend. They depend on what ran earlier on the thread, so they are
+/// not part of any report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AttentionMemoStats {
+    /// GEMM terms priced and held.
+    pub cells: usize,
+    /// Reads that priced a GEMM pair.
+    pub misses: u64,
+}
+
+/// Read the calling thread's attention-memo counts.
+#[must_use]
+pub fn attention_memo_stats() -> AttentionMemoStats {
+    THREAD_TABLES.with(|tables| {
+        let tables = tables.borrow();
+        let terms = tables.iter().flat_map(|t| &t.gemm_terms);
+        AttentionMemoStats {
+            cells: terms.clone().map(GemmTerms::cells).sum(),
+            misses: terms.map(GemmTerms::misses).sum(),
+        }
+    })
+}
+
 /// Continuous-batching LLM serving engine over one device group.
 ///
 /// Prefill and non-attention decode-step times come from a process-wide
 /// memo shared by every engine of the same device, model and `tp`, so a
-/// sweep compiles each step graph once per process.
+/// sweep compiles each step graph once per process. Decode steps read
+/// their non-attention and attention prices from per-thread tables in
+/// front of it.
 #[derive(Debug)]
 pub struct ServingEngine {
     device: Device,
@@ -586,9 +670,6 @@ pub struct ServingEngine {
     max_decode_batch: usize,
     block_tokens: usize,
     kv_blocks_override: Option<usize>,
-    /// Non-attention decode-step time by batch size (index): the decode
-    /// loop reads it every step, so it sits in front of the memo.
-    nonattn_cache: Vec<Option<f64>>,
 }
 
 impl ServingEngine {
@@ -617,7 +698,6 @@ impl ServingEngine {
             max_decode_batch,
             block_tokens: DEFAULT_BLOCK_TOKENS,
             kv_blocks_override: None,
-            nonattn_cache: Vec::new(),
         }
     }
 
@@ -645,16 +725,29 @@ impl ServingEngine {
         self.device.matrix_peak_flops(DType::Bf16)
     }
 
-    fn nonattn_step_time(&mut self, batch: usize) -> f64 {
-        if let Some(&Some(t)) = self.nonattn_cache.get(batch) {
-            return t;
-        }
-        let t = self.step_time(StepKind::DecodeNonAttn, batch);
-        if batch >= self.nonattn_cache.len() {
-            self.nonattn_cache.resize(batch + 1, None);
-        }
-        self.nonattn_cache[batch] = Some(t);
-        t
+    /// The non-attention time of a decode step at `batch`, from this
+    /// thread's tables for the engine's family; a miss reads the memo.
+    fn nonattn_step_time(&self, batch: usize) -> f64 {
+        with_family_tables(self.family, |tables| {
+            if let Some(&t) = tables.nonattn.get(batch).filter(|t| !t.is_nan()) {
+                return t;
+            }
+            let t = self.step_time(StepKind::DecodeNonAttn, batch);
+            if batch >= tables.nonattn.len() {
+                tables.nonattn.resize(batch + 1, f64::NAN);
+            }
+            tables.nonattn[batch] = t;
+            t
+        })
+    }
+
+    /// An attention time from `price`, which reads the GEMM terms of this
+    /// thread's table for the engine's family and backend.
+    fn with_gemm_terms(&self, price: impl FnOnce(&PagedAttention, &mut GemmTerms) -> f64) -> f64 {
+        let backend = self.attention.backend();
+        with_family_tables(self.family, |tables| {
+            price(&self.attention, tables.gemm_terms(backend))
+        })
     }
 
     /// The time of step graph `kind` at `length` on this engine's family,
@@ -838,7 +931,7 @@ impl ServingEngine {
     /// arrived: admit the head of the ready queue (prefill), or execute
     /// one decode step for every active sequence. Returns `Ok(false)` when
     /// the engine is idle (nothing arrived and nothing active).
-    fn sim_step(&mut self, sim: &mut SimState) -> Result<bool> {
+    fn sim_step(&self, sim: &mut SimState) -> Result<bool> {
         // Admission: prefill one ready item per iteration if the decode
         // batch has room and its current tokens fit.
         if self.admission_possible(sim) {
@@ -863,10 +956,7 @@ impl ServingEngine {
         let batch = sim.active.len();
         sim.peak_batch = sim.peak_batch.max(batch);
         debug_assert_eq!(sim.stats.count(), batch, "stats desynced from active set");
-        let attn = self
-            .attention
-            .decode_cost_from_stats(&sim.stats, 0.0)
-            .time();
+        let attn = self.with_gemm_terms(|pa, terms| pa.decode_time_from_stats(&sim.stats, terms));
         let step = (self.nonattn_step_time(batch) + attn) * sim.time_scale;
         let t0 = sim.clock.now();
         sim.clock.advance_by(step);
@@ -961,7 +1051,7 @@ impl ServingEngine {
     /// monotonically with sequence length, so the stretch time is
     /// integrated by a trapezoid over the first and last step (see
     /// DESIGN.md §3.8 and §3.10 for the soundness arguments).
-    fn try_fast_forward(&mut self, sim: &mut SimState, limit: f64) -> Result<bool> {
+    fn try_fast_forward(&self, sim: &mut SimState, limit: f64) -> Result<bool> {
         if self.admission_possible(sim) || sim.active.is_empty() {
             return Ok(false);
         }
@@ -1021,12 +1111,19 @@ impl ServingEngine {
         let now = sim.clock.now();
         let step = StepCost {
             nonattn: self.nonattn_step_time(batch),
-            attn_start: self.attention.decode_cost_of(sim.stats.shape(), 0.0).time(),
+            attn_start: self
+                .with_gemm_terms(|pa, terms| pa.decode_time_of(sim.stats.shape(), terms)),
             scale: sim.time_scale,
         };
         let mut span = self.stretch_time(growth, step, n);
         if now + span > horizon {
-            let (mut lo, mut hi) = (0usize, n);
+            // The shortest worthwhile stretch first: if even that crosses
+            // the horizon, decline after one price.
+            span = self.stretch_time(growth, step, MIN_FF_STEPS);
+            if now + span > horizon {
+                return Ok(false);
+            }
+            let (mut lo, mut hi) = (MIN_FF_STEPS, n);
             while lo < hi {
                 let mid = lo + (hi - lo).div_ceil(2);
                 let t = self.stretch_time(growth, step, mid);
@@ -1037,9 +1134,6 @@ impl ServingEngine {
                 }
             }
             n = lo;
-            if n < MIN_FF_STEPS {
-                return Ok(false);
-            }
         }
         // Execute the stretch: one clock advance, then bulk per-sequence
         // bookkeeping via the O(1)-amortized batch paths.
@@ -1082,7 +1176,7 @@ impl ServingEngine {
     /// over the stretch), attention cost is evaluated at the stretch's
     /// first and last step and averaged.
     fn stretch_time(&self, growth: &BatchGrowth, step: StepCost, n: usize) -> f64 {
-        let attn_end = self.attention.decode_cost_of(growth.after(n), 0.0).time();
+        let attn_end = self.with_gemm_terms(|pa, terms| pa.decode_time_of(growth.after(n), terms));
         (step.nonattn + 0.5 * (step.attn_start + attn_end)) * usize_to_f64(n) * step.scale
     }
 
@@ -1090,7 +1184,7 @@ impl ServingEngine {
     /// start strictly before `limit`, fast-forwarding an idle clock to the
     /// next arrival. Stops when the clock reaches `limit`, or when no work
     /// can start before it. Pass `f64::INFINITY` to drain completely.
-    pub(crate) fn sim_advance(&mut self, sim: &mut SimState, limit: f64) -> Result<()> {
+    pub(crate) fn sim_advance(&self, sim: &mut SimState, limit: f64) -> Result<()> {
         loop {
             sim.promote_arrivals();
             if sim.clock.now() >= limit {

@@ -21,7 +21,8 @@
 //!   accounting (mean and p50/p95/p99 tails), driving Figure 17(d,e);
 //!   arrival-aware, with the offline experiment as the all-zero-arrival
 //!   special case. Its step costs come from one process-wide memo, so a
-//!   sweep compiles each step graph once.
+//!   sweep compiles each step graph once, and its decode-attention GEMM
+//!   terms from per-thread tables, so a thread prices each shape once.
 //! * [`cluster`] — a multi-replica router (round-robin /
 //!   join-shortest-queue / least-loaded-KV) dispatching an arrival
 //!   stream across N engines on one shared simulated clock. Its event
@@ -61,7 +62,10 @@ pub use attention::{BatchStats, PagedAttention, PagedBackend};
 pub use block::{BlockList, BlockTable};
 pub use cluster::{Cluster, ClusterReport, FabricConfig, ReplicaStats, RoutingPolicy};
 pub use dataset::{ArrivalProcess, Request, SyntheticDataset};
-pub use engine::{step_cost_memo_stats, ServingEngine, ServingReport, StepCostMemoStats};
+pub use engine::{
+    attention_memo_stats, step_cost_memo_stats, AttentionMemoStats, ServingEngine, ServingReport,
+    StepCostMemoStats,
+};
 pub use fault::{FaultEvent, FaultPlan, ResilienceConfig, ShedPolicy, SloSpec};
 pub use kv_cache::PagedKvCache;
 pub use slab::{SeqSlab, SlotId};

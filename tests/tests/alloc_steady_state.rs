@@ -15,6 +15,8 @@
 //! * PagedAttention decode-step pricing on every backend, from a
 //!   `BatchStats` and from a length slice — no warm-up at all: the cost
 //!   model never allocates;
+//! * the memoized price on every backend, once one pass over a fixed set
+//!   of shapes has allocated the table's pages;
 //! * the fast-forward's `BatchGrowth` projection, reloaded into its
 //!   pre-sized buffer;
 //! * the Gaudi MME geometry search (`GaudiMme::batched_gemm`).
@@ -26,7 +28,9 @@ use dcm_compiler::Device;
 use dcm_core::sim::EventQueue;
 use dcm_core::{DType, DeviceSpec};
 use dcm_mme::{GaudiMme, GemmEngine, GemmShape};
-use dcm_vllm::attention::{BatchGrowth, BatchStats, PagedAttention, PagedBackend};
+use dcm_vllm::attention::{
+    BatchGrowth, BatchShape, BatchStats, GemmTerms, PagedAttention, PagedBackend,
+};
 use dcm_vllm::dataset::Request;
 use dcm_vllm::slab::SeqSlab;
 use dcm_workloads::llama::LlamaConfig;
@@ -198,6 +202,36 @@ fn hot_paths_are_allocation_free_after_warmup() {
         assert_eq!(
             attn_allocs, 0,
             "{backend:?} decode pricing allocated {attn_allocs} times"
+        );
+    }
+
+    // --- Memoized attention pricing: a warm table reads in place -------
+    let shapes: Vec<BatchShape> = (0..64)
+        .map(|d| {
+            let grown: Vec<usize> = lens.iter().map(|&l| l + 37 * d).collect();
+            BatchStats::from_lens(&grown, 128).shape()
+        })
+        .collect();
+    for (device, backend) in [
+        (&gaudi, PagedBackend::GaudiBase),
+        (&gaudi, PagedBackend::GaudiOpt),
+        (&a100, PagedBackend::A100Fused),
+        (&gaudi, PagedBackend::GaudiFusedHypothetical),
+    ] {
+        let pa = PagedAttention::new(device, backend, &LlamaConfig::llama31_8b(), 1);
+        let mut terms = GemmTerms::default();
+        let price_all = |terms: &mut GemmTerms| {
+            shapes
+                .iter()
+                .map(|&shape| pa.decode_time_of(shape, terms))
+                .sum::<f64>()
+        };
+        let cold = price_all(&mut terms);
+        let (memo_allocs, warm) = allocations_in(|| price_all(&mut terms));
+        assert_eq!(warm.to_bits(), cold.to_bits());
+        assert_eq!(
+            memo_allocs, 0,
+            "{backend:?} memoized pricing allocated {memo_allocs} times once warm"
         );
     }
 

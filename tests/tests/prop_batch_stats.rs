@@ -2,14 +2,19 @@
 //! incrementally maintained [`BatchStats`] must agree with aggregates
 //! recomputed from scratch under arbitrary admit/grow/remove
 //! interleavings, [`PagedAttention::decode_cost_from_stats`] must be
-//! bit-identical to the historical slice path, and the fast-forward's
-//! [`BatchGrowth`] projection must equal a grown copy of the stats — the
-//! invariants the engine hot loop and the golden serving fixtures lean on.
+//! bit-identical to the historical slice path, the memoized
+//! [`PagedAttention::decode_time_of`] to the cost model, and the
+//! fast-forward's [`BatchGrowth`] projection must equal a grown copy of
+//! the stats — the invariants the engine hot loop and the golden serving
+//! fixtures lean on.
 
 use dcm_compiler::Device;
-use dcm_vllm::attention::{BatchGrowth, BatchStats, PagedAttention, PagedBackend};
+use dcm_vllm::attention::{
+    BatchGrowth, BatchShape, BatchStats, GemmTerms, PagedAttention, PagedBackend,
+};
 use dcm_workloads::llama::LlamaConfig;
 use proptest::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
 fn attention(backend: PagedBackend) -> PagedAttention {
     let device = match backend {
@@ -27,6 +32,32 @@ fn nth_backend(idx: usize) -> PagedBackend {
         PagedBackend::GaudiFusedHypothetical,
     ][idx % 4]
 }
+
+/// Attention configurations the memo is checked on: the four backends on
+/// Gaudi-2, Gaudi-3 and A100, each with Llama-8B at tp 1 and Llama-70B
+/// at tp 2, 4 and 8.
+const MEMO_CONFIGS: usize = 3 * 4 * 4;
+
+/// Configuration `idx` of [`MEMO_CONFIGS`], with `block_tokens`-token
+/// KV blocks.
+fn memo_config(idx: usize, block_tokens: usize) -> PagedAttention {
+    let device = match idx / 16 {
+        0 => Device::gaudi2(),
+        1 => Device::gaudi3(),
+        _ => Device::a100(),
+    };
+    let (model, tp) = match idx % 4 {
+        0 => (LlamaConfig::llama31_8b(), 1),
+        split => (LlamaConfig::llama31_70b(), 1 << split),
+    };
+    PagedAttention::new(&device, nth_backend(idx / 4 % 4), &model, tp)
+        .with_block_tokens(block_tokens)
+}
+
+/// One table per configuration, reused by every case: each case reads
+/// cells that earlier cases priced, under other block sizes too (the
+/// GEMM term does not depend on them).
+static WARM: Mutex<Vec<GemmTerms>> = Mutex::new(Vec::new());
 
 /// Replay an op sequence against both the incremental accumulator and a
 /// plain `Vec<usize>` model, checking the aggregates after every step.
@@ -101,6 +132,51 @@ proptest! {
         prop_assert_eq!(a.flops.to_bits(), b.flops.to_bits());
         prop_assert_eq!(a.bus_bytes, b.bus_bytes);
         prop_assert_eq!(a.useful_bytes, b.useful_bytes);
+    }
+
+    /// The memoized price equals `decode_cost_of(shape, 0.0).time()` bit
+    /// for bit, read from a cold table, again once it is warm, and from a
+    /// table every earlier case of the configuration has filled. The
+    /// batches grow token by token from lengths that include zero, alone
+    /// and doubled.
+    #[test]
+    fn memoized_price_is_bit_identical_to_the_cost_model(
+        config in 0usize..MEMO_CONFIGS,
+        block_idx in 0usize..3,
+        lens in proptest::collection::vec((0u8..4, 0usize..4096), 1..48),
+        steps in 1usize..24,
+    ) {
+        let block_tokens = [16, 128, 256][block_idx];
+        let pa = memo_config(config, block_tokens);
+        let lens: Vec<usize> = lens.iter().map(|&(z, l)| if z == 0 { 0 } else { l }).collect();
+        // The batch grown by `d` tokens per sequence, `copies` times over:
+        // two copies share one mean length under a doubled GEMM batch.
+        let grown = |d: usize, copies: usize| {
+            let lens: Vec<usize> = (0..copies).flat_map(|_| lens.iter().map(|&l| l + d)).collect();
+            BatchStats::from_lens(&lens, block_tokens).shape()
+        };
+        let shapes: Vec<BatchShape> = (0..steps).flat_map(|d| [grown(d, 1), grown(d, 2)]).collect();
+        let mut warm = WARM.lock().unwrap_or_else(PoisonError::into_inner);
+        warm.resize_with(MEMO_CONFIGS, GemmTerms::default);
+        let mut cold = GemmTerms::default();
+        let mut cold_misses = 0;
+        for pass in 0..2 {
+            for &shape in &shapes {
+                let want = pa.decode_cost_of(shape, 0.0).time().to_bits();
+                prop_assert_eq!(pa.decode_time_of(shape, &mut cold).to_bits(), want);
+                prop_assert_eq!(pa.decode_time_of(shape, &mut warm[config]).to_bits(), want);
+            }
+            if pass == 0 {
+                cold_misses = cold.misses();
+            }
+        }
+        prop_assert_eq!(cold.misses(), cold_misses, "a warm table prices nothing");
+        prop_assert_eq!(cold.cells() as u64, cold_misses, "one miss per cell");
+        let stats = BatchStats::from_lens(&lens, block_tokens);
+        prop_assert_eq!(
+            pa.decode_time_from_stats(&stats, &mut cold).to_bits(),
+            pa.decode_cost_from_stats(&stats, 0.0).time().to_bits()
+        );
     }
 
     /// The fast-forward's end-of-stretch projection is exactly the shape

@@ -1,6 +1,7 @@
-//! The process-wide step-cost memo (DESIGN.md §3.6) must be invisible: a
-//! family's `ServingReport` is a pure function of its device, model, `tp`
-//! and trace, whichever families ran before it in the process and whether
+//! The process-wide step-cost memo and the per-thread attention tables
+//! (DESIGN.md §3.6) must be invisible: a family's `ServingReport` is a
+//! pure function of its device, model, `tp`, backend and trace, whichever
+//! families ran before it in the process or on its thread, and whether
 //! its siblings ran serially or on 8 threads.
 //!
 //! One process cannot empty the memo, so each family's oracle is a
@@ -9,6 +10,8 @@
 //! starts as a family of its own and compiles every step it prices. A
 //! key that conflated a family with one that prices differently would
 //! hand it the other's step times, and its report would leave its twin's.
+//! Three backends share the Gaudi-2 Llama-8B family, so its attention
+//! tables must be chosen by backend as well.
 
 use dcm_compiler::Device;
 use dcm_core::par::par_map;
@@ -30,7 +33,8 @@ struct Family {
 }
 
 /// Families that share graphs and lengths but not step times, including
-/// two mutated Gaudi-2 specs that keep the name "Gaudi-2".
+/// two mutated Gaudi-2 specs that keep the name "Gaudi-2", and every
+/// backend's attention tables.
 fn families() -> Vec<Family> {
     let gaudi = |spec, model, tp| Family {
         spec,
@@ -47,6 +51,10 @@ fn families() -> Vec<Family> {
         tp: 1,
     };
     let small = LlamaConfig::llama31_8b;
+    let on_gaudi2 = |backend| Family {
+        backend,
+        ..gaudi(DeviceSpec::gaudi2(), small(), 1)
+    };
     let mut sectors = DeviceSpec::gaudi2();
     sectors.memory.min_access_bytes = 32;
     let mut slow_hbm = DeviceSpec::gaudi2();
@@ -60,6 +68,8 @@ fn families() -> Vec<Family> {
         gaudi(slow_hbm, small(), 1),
         gaudi(DeviceSpec::gaudi2(), LlamaConfig::llama31_70b(), 4),
         gaudi(DeviceSpec::gaudi2(), LlamaConfig::llama31_70b(), 8),
+        on_gaudi2(PagedBackend::GaudiBase),
+        on_gaudi2(PagedBackend::GaudiFusedHypothetical),
     ]
 }
 
@@ -87,7 +97,7 @@ proptest! {
     #[test]
     fn reports_ignore_family_order_and_threads(
         shape in proptest::collection::vec((1usize..700, 1usize..24, 0.0f64..0.05), 1..7),
-        order_keys in proptest::collection::vec(0u32..1000, 16..17),
+        order_keys in proptest::collection::vec(0u32..1000, 20..21),
         max_batch in 1usize..6,
         wide in 0u8..2,
     ) {

@@ -1,16 +1,18 @@
 //! Step-cost memo counts (DESIGN.md §3.6), a host-independent guard for
-//! the memo's speedup: every step graph is compiled once per process.
+//! the memo's speedup: every step graph is compiled once per process, and
+//! every decode-attention GEMM term is priced once per thread.
 //!
-//! The counts are process-wide, and the tests of one file run on parallel
-//! threads of one process. So this file holds a single test: no other
-//! test can move the counts it reads.
+//! The compile counts are process-wide, and the tests of one file run on
+//! parallel threads of one process. So this file holds a single test: no
+//! other test can move the counts it reads. The attention counts are the
+//! test thread's own, and a cluster run serves on the calling thread.
 
 use dcm_compiler::Device;
 use dcm_core::trace::SpanKind;
 use dcm_vllm::attention::PagedBackend;
 use dcm_vllm::cluster::{Cluster, RoutingPolicy};
 use dcm_vllm::dataset::{ArrivalProcess, SyntheticDataset};
-use dcm_vllm::{step_cost_memo_stats, StepCostMemoStats};
+use dcm_vllm::{attention_memo_stats, step_cost_memo_stats, AttentionMemoStats, StepCostMemoStats};
 use dcm_workloads::llama::LlamaConfig;
 use std::collections::BTreeSet;
 
@@ -29,6 +31,7 @@ fn four_replicas() -> Cluster {
 #[test]
 fn each_step_graph_compiles_once_per_process() {
     assert_eq!(step_cost_memo_stats(), StepCostMemoStats::default());
+    assert_eq!(attention_memo_stats(), AttentionMemoStats::default());
     let trace = SyntheticDataset::dynamic_sonnet_online(
         64,
         2026,
@@ -57,6 +60,12 @@ fn each_step_graph_compiles_once_per_process() {
         "one compile per distinct key"
     );
     assert!(after_first.hits > 0, "replicas share what a sibling priced");
+    let attention_first = attention_memo_stats();
+    assert!(attention_first.cells > 0);
+    assert_eq!(
+        attention_first.misses, attention_first.cells as u64,
+        "one GEMM pair priced per cell, whichever replica read it"
+    );
 
     // A second identical cluster in the same process compiles nothing.
     let second = four_replicas().run(&trace).unwrap();
@@ -66,4 +75,9 @@ fn each_step_graph_compiles_once_per_process() {
     assert_eq!(after_second.entries, after_first.entries);
     assert_eq!(after_second.families, 1);
     assert!(after_second.hits > after_first.hits);
+    assert_eq!(
+        attention_memo_stats(),
+        attention_first,
+        "a warm thread prices no GEMM pair"
+    );
 }

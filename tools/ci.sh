@@ -37,7 +37,8 @@ cargo test -q --workspace
 # everything the two runs produced: stdout, stderr and every written
 # file. The thread count is an explicit override, not a host probe, so
 # this exercises the parallel sweep harness even on 1-core CI boxes. At
-# 8 threads the sweep points also share the process-wide step-cost memo.
+# 8 threads the sweep points also share the process-wide step-cost memo,
+# and each worker thread fills attention tables of its own.
 echo "==> determinism: every bench binary at DCM_THREADS=1 vs 8"
 cargo build -q --release -p dcm-bench
 bin_dir=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)
@@ -68,13 +69,16 @@ done
 # Differential suite under an explicit 2-thread override: the
 # queue-vs-list-model, slab-vs-map, histogram, fast-forward (on one
 # replica, i.e. the single engine, and on several) and
-# flow-vs-closed-form fabric equivalence properties, the MME geometry
-# search against its f64 argmin spec, the step-cost memo's report
-# invariance and compile counts, plus the steady-state allocation audit
-# must hold regardless of the parallelism the host advertises.
+# flow-vs-closed-form fabric equivalence properties, the attention
+# pricing paths (slice, stats and memoized) against each other, the MME
+# geometry search against its f64 argmin spec, the step-cost memo's and
+# attention tables' report invariance and counts, plus the steady-state
+# allocation audit must hold regardless of the parallelism the host
+# advertises.
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
+    --test prop_batch_stats \
     --test prop_fast_forward --test prop_cluster_ff --test prop_fabric_diff \
     --test prop_mme_select --test prop_step_cost_memo \
     --test step_cost_memo_counts --test alloc_steady_state
