@@ -186,7 +186,7 @@ impl BatchStats {
     }
 
     /// A tracked sequence of `len` cached tokens grows by `n` decoded
-    /// tokens in one step — the analytic fast-forward's bulk update.
+    /// tokens in one step — a decode stretch's bulk update.
     /// Equivalent to `n` successive [`grow`](Self::grow) calls (which is
     /// itself `remove(len); add(len + n)`), but touches the multiset at
     /// most once.
@@ -268,7 +268,7 @@ impl BatchStats {
 /// The four aggregates [`PagedAttention`] prices a decode step from
 /// (DESIGN.md §3.6), as a `Copy` value: the [`shape`](BatchStats::shape)
 /// of a [`BatchStats`], of a length slice, or of a batch that does not
-/// exist yet — the fast-forward's end-of-stretch batch ([`BatchGrowth`]).
+/// exist yet — a decode stretch's projected batch ([`BatchGrowth`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchShape {
     /// Sequences in the batch.
@@ -302,8 +302,9 @@ impl BatchShape {
 
 /// A decode batch projected forward: the [`BatchShape`] it has after
 /// every sequence grows by `n` tokens, in O(log batch) per `n` and
-/// without copying a [`BatchStats`]. The fast-forward's two binary
-/// searches probe about ten stretch lengths per stretch.
+/// without copying a [`BatchStats`]. A closed-form stretch's binary
+/// searches probe about ten stretch lengths; an exact stretch prices
+/// each of its steps from it.
 ///
 /// A sequence of `t ≥ 1` tokens holds `⌈t/B⌉ = q + 1` blocks of `B`
 /// tokens, where `t − 1 = q·B + r` and `0 ≤ r < B`. Grown by

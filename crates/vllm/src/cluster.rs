@@ -429,10 +429,10 @@ impl Cluster {
     /// Enable analytic fast-forward on every replica. In a steady
     /// stretch (no admission possible, no arrival or completion due) a
     /// replica advances its clock in one closed-form step instead of
-    /// pricing every iteration. Off by default. With it on, every count
-    /// in the report (completed / shed / failed / retries, token totals)
-    /// stays exact: a stretch never crosses a completion, admission or
-    /// KV-exhaustion boundary. Timestamps are a trapezoid over each
+    /// pricing every step of the stretch. Off by default. With it on,
+    /// every count in the report (completed / shed / failed / retries,
+    /// token totals) stays exact: a stretch never crosses a completion,
+    /// admission or KV-exhaustion boundary. Timestamps are a trapezoid over each
     /// stretch, so latency percentiles and `total_time_s` carry the
     /// documented drift (DESIGN.md §3.8/§3.10), property-pinned by
     /// `tests/tests/prop_cluster_ff.rs`. The five golden exact-mode
@@ -995,20 +995,24 @@ impl RunState<'_> {
         };
         fr.sim.advance_to(t);
         // Move finished flows into the delivery queue (delivery = finish
-        // + route latency), keeping it sorted by time.
-        let mut still = Vec::with_capacity(fr.pending.len());
-        for (flow, r, target) in fr.pending.drain(..) {
-            if fr.sim.finish_time(flow).is_nan() {
-                still.push((flow, r, target));
-            } else {
-                let due = fr.sim.delivery_time(flow);
-                let pos = fr
-                    .deliveries
-                    .partition_point(|d| d.0.total_cmp(&due).is_le());
-                fr.deliveries.insert(pos, (due, r, target));
+        // + route latency), keeping it sorted by time. Partitioned in
+        // place, in order: flows in flight keep theirs, and deliveries
+        // are inserted in the order their flows were dispatched.
+        let FabricRun {
+            sim,
+            pending,
+            deliveries,
+            ..
+        } = &mut fr;
+        pending.retain(|&(flow, r, target)| {
+            if sim.finish_time(flow).is_nan() {
+                return true;
             }
-        }
-        fr.pending = still;
+            let due = sim.delivery_time(flow);
+            let pos = deliveries.partition_point(|d| d.0.total_cmp(&due).is_le());
+            deliveries.insert(pos, (due, r, target));
+            false
+        });
         while fr.deliveries.first().is_some_and(|d| d.0 <= t) {
             let (due, r, target) = fr.deliveries.remove(0);
             self.advance_live(due)?;

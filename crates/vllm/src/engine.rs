@@ -13,6 +13,14 @@
 //! back until the simulated clock reaches them: admission only considers
 //! arrived requests, and an idle engine fast-forwards to the next arrival.
 //!
+//! Between two changes of the batch (an admission, a completion, a
+//! preemption, an admissible arrival or the caller's horizon) every
+//! decode step's shape follows from the batch at the stretch start, so
+//! the scheduler advances such a *stretch* in one pass: it prices each
+//! step from a projection of the batch, adds the steps to the clock in
+//! order, and updates each sequence once at the end. Only the step in
+//! which an append fails and preempts runs token by token.
+//!
 //! This module owns one replica's scheduler, a steppable simulation
 //! ([`SimState`]); `cluster` owns the one event loop that drives it.
 //! [`ServingEngine::run`] is a one-replica round-robin cluster run with
@@ -60,9 +68,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// KV cache.
 const ACTIVATION_HEADROOM: f64 = 0.08;
 
-/// Shortest steady decode stretch worth fast-forwarding analytically: a
-/// stretch of 0 or 1 steps costs as much to price (two attention prices)
-/// as to execute normally.
+/// Shortest decode stretch fast-forward integrates in closed form: a
+/// trapezoid over one step costs two attention prices, where exact steps
+/// price it once. Shorter stretches, and stretches whose closed form
+/// would cross the horizon, run as exact steps.
 const MIN_FF_STEPS: usize = 2;
 
 /// Aggregate metrics of one serving run.
@@ -170,17 +179,19 @@ pub(crate) struct SimState {
     kv: PagedKvCache,
     /// Incrementally maintained aggregates of the active batch's KV
     /// token counts — mirrors `kv.tokens_of` for every id in `active`
-    /// (including the failed-append inflation the cache exhibits), so a
-    /// decode step prices in O(1) via
-    /// [`PagedAttention::decode_cost_from_stats`] instead of re-walking
-    /// the batch. Invariant pinned by `tests/tests/prop_batch_stats.rs`.
+    /// (including the failed-append inflation the cache exhibits), so the
+    /// preemption step prices in O(1) via
+    /// [`PagedAttention::decode_time_from_stats`] instead of re-walking
+    /// the batch, and a stretch's first step via its shape. Invariant
+    /// pinned by `tests/tests/prop_batch_stats.rs`.
     stats: BatchStats,
-    /// Reusable snapshot buffer for the decode loop — avoids a per-step
-    /// `Vec` allocation (the batch must be snapshotted: preemption mutates
-    /// `active` mid-iteration).
+    /// Reusable snapshot buffer for the decode bookkeeping — avoids a
+    /// per-step `Vec` allocation (the batch must be snapshotted:
+    /// preemption and completion mutate `active` mid-iteration).
     scratch_ids: Vec<(u64, SlotId)>,
-    /// The fast-forward's projection of the active batch, reloaded per
-    /// stretch into retained capacity.
+    /// A stretch's projection of the active batch, from which every step
+    /// of the stretch is priced; reloaded per stretch into retained
+    /// capacity.
     growth: BatchGrowth,
     /// Requests whose arrival time the clock has not reached. The event
     /// queue's `(time, priority, seq)` total order makes simultaneous
@@ -206,7 +217,8 @@ pub(crate) struct SimState {
     /// Step-time multiplier (1.0 = nominal); the cluster layer raises it
     /// inside a [`FaultEvent::Slowdown`](crate::fault::FaultEvent) window.
     time_scale: f64,
-    /// Whether steady stretches advance in closed form (see
+    /// Whether decode stretches advance in closed form rather than by
+    /// exact steps (see
     /// [`Cluster::with_fast_forward`](crate::cluster::Cluster::with_fast_forward)).
     fast_forward: bool,
     pub(crate) ttft: LatencyRecorder,
@@ -230,9 +242,9 @@ pub(crate) struct SimState {
     preemptions: usize,
 }
 
-/// The per-step costs a decode stretch's time is integrated from: the
-/// batch-shaped non-attention time, the first step's attention time and
-/// the slowdown multiplier. Fixed over a stretch.
+/// The per-step costs a closed-form stretch's time is integrated from:
+/// the batch-shaped non-attention time, the first step's attention time
+/// and the slowdown multiplier. Fixed over a stretch.
 #[derive(Debug, Clone, Copy)]
 struct StepCost {
     nonattn: f64,
@@ -414,8 +426,8 @@ impl SimState {
     /// Retire the active sequence `id` (in `slot`) that has just produced
     /// its last token at the current clock: record its TPOT sample and
     /// outcome, free its batch slot and KV blocks, and emit its `Request`
-    /// span. The one decode-completion path — a decode step and a
-    /// fast-forward stretch end both call it. `produced >= 2` here:
+    /// span. The one decode-completion path — a stretch end and the
+    /// preemption step both call it. `produced >= 2` here:
     /// admission emitted the first token and decoding at least one more.
     fn retire(&mut self, id: u64, slot: SlotId) -> Result<()> {
         let produced = self.slab.produced(slot);
@@ -741,9 +753,9 @@ impl ServingEngine {
         })
     }
 
-    /// An attention time from `price`, which reads the GEMM terms of this
-    /// thread's table for the engine's family and backend.
-    fn with_gemm_terms(&self, price: impl FnOnce(&PagedAttention, &mut GemmTerms) -> f64) -> f64 {
+    /// `price` on this engine's attention model and this thread's GEMM
+    /// terms for the engine's family and backend.
+    fn with_gemm_terms<R>(&self, price: impl FnOnce(&PagedAttention, &mut GemmTerms) -> R) -> R {
         let backend = self.attention.backend();
         with_family_tables(self.family, |tables| {
             price(&self.attention, tables.gemm_terms(backend))
@@ -929,8 +941,11 @@ impl ServingEngine {
 
     /// Run one scheduler iteration at the current clock, if any work has
     /// arrived: admit the head of the ready queue (prefill), or execute
-    /// one decode step for every active sequence. Returns `Ok(false)` when
-    /// the engine is idle (nothing arrived and nothing active).
+    /// one decode step for every active sequence, token by token. Returns
+    /// `Ok(false)` when the engine is idle (nothing arrived and nothing
+    /// active). `sim_advance` calls it only where [`Self::try_stretch`]
+    /// declines, so its decode step is the one in which an append fails
+    /// and preempts.
     fn sim_step(&self, sim: &mut SimState) -> Result<bool> {
         // Admission: prefill one ready item per iteration if the decode
         // batch has room and its current tokens fit.
@@ -1035,10 +1050,11 @@ impl ServingEngine {
         Ok(true)
     }
 
-    /// Execute one closed-form decode stretch and advance the clock over
-    /// it; `Ok(false)` if none applies. An admission that is possible
-    /// declines the stretch, so `sim_step` admits: there is one admission
-    /// path in both modes.
+    /// Advance the active batch `k ≥ 1` decode steps, up to its next
+    /// batch change, in one pass; `Ok(false)` if no stretch applies. An
+    /// admission that is possible declines the stretch, so `sim_step`
+    /// admits: there is one admission path. So does a batch whose next
+    /// append must fail: `sim_step` runs that preemption step.
     ///
     /// A decode stretch is `n` consecutive decode steps during which the
     /// batch composition cannot change: admission is blocked (and KV
@@ -1046,12 +1062,23 @@ impl ServingEngine {
     /// before the end, the KV cache cannot run out of blocks (so no
     /// preemption), and neither the caller horizon nor — when an arrival
     /// could actually be admitted mid-stretch — the next arrival is
-    /// crossed. Under those caps every produced-token count is exact;
-    /// only the clock is approximate — the per-step cost rises
-    /// monotonically with sequence length, so the stretch time is
-    /// integrated by a trapezoid over the first and last step (see
-    /// DESIGN.md §3.8 and §3.10 for the soundness arguments).
-    fn try_fast_forward(&self, sim: &mut SimState, limit: f64) -> Result<bool> {
+    /// crossed. The caps are computed once; then one of two pricing rules
+    /// advances the clock (DESIGN.md §3.8 and §3.10 give the soundness
+    /// arguments):
+    ///
+    /// * **Closed form.** With fast-forward on, when a stretch of at least
+    ///   [`MIN_FF_STEPS`] fits the horizon, the longest one that fits is
+    ///   integrated by a trapezoid over its first and last step (see
+    ///   [`Self::closed_form`]). Only the clock is approximate.
+    /// * **Exact steps.** Otherwise step `i` is priced as `sim_step` would
+    ///   price the batch grown `i` times, from the projection
+    ///   `growth.after(i)`, and added to the clock in order. A step starts
+    ///   only while the clock is below the horizon, `sim_advance`'s own
+    ///   loop-head rule, so the clock is bit-identical to stepping.
+    ///
+    /// Either way every produced-token count is exact, and each sequence
+    /// is updated once for the whole stretch.
+    fn try_stretch(&self, sim: &mut SimState, limit: f64) -> Result<bool> {
         if self.admission_possible(sim) || sim.active.is_empty() {
             return Ok(false);
         }
@@ -1088,19 +1115,18 @@ impl ServingEngine {
             }
             n = lo;
         }
-        if n < MIN_FF_STEPS {
-            return Ok(false);
+        if n == 0 {
+            return Ok(false); // the next step's append must fail
         }
         // Cap 3: never cross the caller's horizon, nor — when a new
         // arrival could actually be admitted mid-stretch — the next
-        // arrival (stretch time is monotone in n — binary search again).
-        // An arrival can only change the schedule by being admitted,
-        // which needs batch room and an empty ready queue (a waiting
-        // ready head shields it: the head is KV-blocked here and free
-        // blocks only shrink mid-stretch, so arrivals queue behind it).
-        // With a full batch or a waiting head the stretch runs straight
-        // through arrival instants; they are promoted at the stretch
-        // end, bit-identically to step mode.
+        // arrival. An arrival can only change the schedule by being
+        // admitted, which needs batch room and an empty ready queue (a
+        // waiting ready head shields it: the head is KV-blocked here and
+        // free blocks only shrink mid-stretch, so arrivals queue behind
+        // it). With a full batch or a waiting head the stretch runs
+        // straight through arrival instants; they are promoted at the
+        // stretch end, bit-identically to step mode.
         let arrival_can_admit = sim.active.len() < self.max_decode_batch && sim.ready.is_empty();
         let next_arrival = if arrival_can_admit {
             sim.arrivals.peek_time().unwrap_or(f64::INFINITY)
@@ -1109,56 +1135,47 @@ impl ServingEngine {
         };
         let horizon = limit.min(next_arrival);
         let now = sim.clock.now();
-        let step = StepCost {
-            nonattn: self.nonattn_step_time(batch),
-            attn_start: self
-                .with_gemm_terms(|pa, terms| pa.decode_time_of(sim.stats.shape(), terms)),
-            scale: sim.time_scale,
+        let nonattn = self.nonattn_step_time(batch);
+        let closed = if sim.fast_forward && n >= MIN_FF_STEPS {
+            let step = StepCost {
+                nonattn,
+                attn_start: self
+                    .with_gemm_terms(|pa, terms| pa.decode_time_of(sim.stats.shape(), terms)),
+                scale: sim.time_scale,
+            };
+            self.closed_form(growth, step, n, now, horizon)
+        } else {
+            None
         };
-        let mut span = self.stretch_time(growth, step, n);
-        if now + span > horizon {
-            // The shortest worthwhile stretch first: if even that crosses
-            // the horizon, decline after one price.
-            span = self.stretch_time(growth, step, MIN_FF_STEPS);
-            if now + span > horizon {
-                return Ok(false);
+        let k = match closed {
+            Some((k, span)) => {
+                sim.clock.advance_by(span);
+                sim.busy_s += span;
+                sim.trace.span(
+                    SpanKind::Decode,
+                    "decode_ff",
+                    now,
+                    span,
+                    None,
+                    &[("batch", usize_to_f64(batch)), ("steps", usize_to_f64(k))],
+                );
+                k
             }
-            let (mut lo, mut hi) = (MIN_FF_STEPS, n);
-            while lo < hi {
-                let mid = lo + (hi - lo).div_ceil(2);
-                let t = self.stretch_time(growth, step, mid);
-                if now + t <= horizon {
-                    (lo, span) = (mid, t);
-                } else {
-                    hi = mid - 1;
-                }
-            }
-            n = lo;
-        }
-        // Execute the stretch: one clock advance, then bulk per-sequence
-        // bookkeeping via the O(1)-amortized batch paths.
-        sim.clock.advance_by(span);
-        sim.busy_s += span;
+            None => self.exact_steps(sim, nonattn, n, horizon),
+        };
+        // Bulk per-sequence bookkeeping via the O(1)-amortized batch paths.
         sim.peak_batch = sim.peak_batch.max(batch);
-        sim.trace.span(
-            SpanKind::Decode,
-            "decode_ff",
-            now,
-            span,
-            None,
-            &[("batch", usize_to_f64(batch)), ("steps", usize_to_f64(n))],
-        );
-        sim.total_output += n * batch;
+        sim.total_output += k * batch;
         let mut ids = std::mem::take(&mut sim.scratch_ids);
         ids.clear();
         ids.extend(sim.active.iter().copied());
         for &(id, slot) in &ids {
             let t = sim.slab.kv_tokens(slot);
-            sim.kv.append_tokens(id, n)?; // cannot fail: cap 2
-            sim.stats.grow_by(t, n);
-            sim.slab.set_kv_tokens(slot, t + n);
-            sim.slab.set_remaining(slot, sim.slab.remaining(slot) - n);
-            sim.slab.set_produced(slot, sim.slab.produced(slot) + n);
+            sim.kv.append_tokens(id, k)?; // cannot fail: cap 2
+            sim.stats.grow_by(t, k);
+            sim.slab.set_kv_tokens(slot, t + k);
+            sim.slab.set_remaining(slot, sim.slab.remaining(slot) - k);
+            sim.slab.set_produced(slot, sim.slab.produced(slot) + k);
         }
         // Completions land at the stretch end, in ascending-id order —
         // the same order a step-by-step run retires them in.
@@ -1169,6 +1186,81 @@ impl ServingEngine {
         }
         sim.scratch_ids = ids;
         Ok(true)
+    }
+
+    /// The longest closed-form stretch of at most `n` steps that starts
+    /// at `now` and ends by `horizon`, with its time; `None` if even
+    /// [`MIN_FF_STEPS`] steps would cross the horizon. Stretch time is
+    /// monotone in its length, so the longest fit is binary-searched,
+    /// from the shortest worthwhile stretch: a hopeless one is declined
+    /// after one price.
+    fn closed_form(
+        &self,
+        growth: &BatchGrowth,
+        step: StepCost,
+        n: usize,
+        now: f64,
+        horizon: f64,
+    ) -> Option<(usize, f64)> {
+        let mut span = self.stretch_time(growth, step, n);
+        if now + span <= horizon {
+            return Some((n, span));
+        }
+        span = self.stretch_time(growth, step, MIN_FF_STEPS);
+        if now + span > horizon {
+            return None;
+        }
+        let (mut lo, mut hi) = (MIN_FF_STEPS, n);
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            let t = self.stretch_time(growth, step, mid);
+            if now + t <= horizon {
+                (lo, span) = (mid, t);
+            } else {
+                hi = mid - 1;
+            }
+        }
+        Some((lo, span))
+    }
+
+    /// Run exact decode steps of the batch `sim.growth` projects, at
+    /// least one and at most `n`, while the clock is below `horizon`;
+    /// return how many ran. Step `i` costs `(nonattn + attention of
+    /// growth.after(i)) × time_scale`, the float operations `sim_step`
+    /// performs on the stats after `i` grows, and the clock and busy time
+    /// add the steps in order. The per-sequence state is left to the
+    /// caller.
+    fn exact_steps(&self, sim: &mut SimState, nonattn: f64, n: usize, horizon: f64) -> usize {
+        let batch = usize_to_f64(sim.active.len());
+        let SimState {
+            growth,
+            clock,
+            busy_s,
+            trace,
+            time_scale,
+            ..
+        } = sim;
+        self.with_gemm_terms(|pa, terms| {
+            let mut k = 0;
+            loop {
+                let step = (nonattn + pa.decode_time_of(growth.after(k), terms)) * *time_scale;
+                let t0 = clock.now();
+                clock.advance_by(step);
+                *busy_s += step;
+                trace.span(
+                    SpanKind::Decode,
+                    "decode",
+                    t0,
+                    step,
+                    None,
+                    &[("batch", batch)],
+                );
+                k += 1;
+                if k == n || clock.now() >= horizon {
+                    return k;
+                }
+            }
+        })
     }
 
     /// Trapezoid estimate of the wall time of `n` decode steps from the
@@ -1190,10 +1282,7 @@ impl ServingEngine {
             if sim.clock.now() >= limit {
                 return Ok(());
             }
-            if sim.fast_forward && self.try_fast_forward(sim, limit)? {
-                continue;
-            }
-            if self.sim_step(sim)? {
+            if self.try_stretch(sim, limit)? || self.sim_step(sim)? {
                 continue;
             }
             // Idle: fast-forward to the next arrival if it is within the
@@ -1507,6 +1596,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_exact_stretch_runs_the_batch_to_its_first_completion() {
+        // Four active sequences and nothing pending, in exact mode: one
+        // stretch call advances the whole batch to its first completion,
+        // not one step, and reaches the clock stepping reaches.
+        let e = engine(PagedBackend::GaudiOpt, 4);
+        let settings = RunSettings::new(RoutingPolicy::RoundRobin);
+        let admitted = || {
+            let slo = ResilienceConfig::default().slo;
+            let mut sim = e.make_sim(0, 4, &settings, slo).unwrap();
+            for (id, input_len, output_len) in
+                [(0, 128, 40), (1, 700, 25), (2, 300, 60), (3, 64, 33)]
+            {
+                sim.enqueue(Request::new(id, input_len, output_len));
+            }
+            sim.promote_arrivals();
+            for _ in 0..4 {
+                assert!(e.sim_step(&mut sim).unwrap(), "admission");
+            }
+            sim
+        };
+        let mut sim = admitted();
+        assert_eq!((sim.active.len(), sim.total_output), (4, 4));
+        // Prefill emitted every first token: 24 steps remain until
+        // request 1 completes.
+        assert!(e.try_stretch(&mut sim, f64::INFINITY).unwrap());
+        assert_eq!(sim.total_output, 4 + 4 * 24);
+        assert_eq!((sim.completed, sim.active.len()), (1, 3));
+        let mut stepped = admitted();
+        for _ in 0..24 {
+            assert!(e.sim_step(&mut stepped).unwrap());
+        }
+        assert_eq!(stepped.now().to_bits(), sim.now().to_bits());
+        assert_eq!(stepped.busy_s.to_bits(), sim.busy_s.to_bits());
+        assert_eq!(
+            (
+                stepped.completed,
+                stepped.total_output,
+                stepped.stats.shape()
+            ),
+            (sim.completed, sim.total_output, sim.stats.shape())
+        );
     }
 
     #[test]

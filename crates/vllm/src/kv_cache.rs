@@ -142,8 +142,8 @@ impl PagedKvCache {
         Ok(())
     }
 
-    /// Append `n` generated tokens to a sequence at once — the analytic
-    /// fast-forward's bulk path. Exactly equivalent to `n` successive
+    /// Append `n` generated tokens to a sequence at once — a decode
+    /// stretch's bulk path. Exactly equivalent to `n` successive
     /// [`append_token`](Self::append_token) calls stopping at the first
     /// error, including the count-before-fail accounting (the token that
     /// found no block is still counted) and the block pop order.
@@ -156,34 +156,30 @@ impl PagedKvCache {
         if n == 0 {
             return Ok(());
         }
-        let start = self
-            .tokens_of(id)
-            // dcm-lint: allow(A1) format! sits in the ok_or_else closure: cold error path, never runs steady-state
-            .ok_or_else(|| DcmError::InvalidConfig(format!("unknown sequence {id}")))?;
-        let have = self.allocated[&id].len();
-        let target = start + n;
-        let extra = self.blocks_for(target).saturating_sub(have);
+        // One lookup per map: a stretch updates every sequence this way.
+        let (Some(tokens), Some(alloc)) =
+            (self.seq_tokens.get_mut(&id), self.allocated.get_mut(&id))
+        else {
+            // dcm-lint: allow(A1) format! on the unknown-sequence error path: cold, never runs steady-state
+            return Err(DcmError::InvalidConfig(format!("unknown sequence {id}")));
+        };
+        let target = *tokens + n;
+        let extra = target
+            .div_ceil(self.block_tokens)
+            .saturating_sub(alloc.len());
         if extra > self.free.len() {
             // Mirror the per-token loop's first failure: every free block
             // was consumed on the way there, and the token that found none
             // is counted.
-            let capacity_tokens = (have + self.free.len()) * self.block_tokens;
-            // dcm-lint: allow(A1) insert overwrites an existing key (seq verified live above): no node allocation
-            self.seq_tokens.insert(id, capacity_tokens + 1);
-            let blocks = std::mem::take(&mut self.free);
-            // dcm-lint: allow(P1) id verified live above
-            let alloc = self.allocated.get_mut(&id).expect("checked live");
-            alloc.extend(blocks.into_iter().rev()); // pop order
+            *tokens = (alloc.len() + self.free.len()) * self.block_tokens + 1;
+            alloc.extend(self.free.drain(..).rev()); // pop order
             return Err(DcmError::ResourceExhausted(
                 "KV cache out of blocks".to_owned(),
             ));
         }
-        // dcm-lint: allow(A1) insert overwrites an existing key (seq verified live above): no node allocation
-        self.seq_tokens.insert(id, target);
+        *tokens = target;
         if extra > 0 {
             let from = self.free.len() - extra;
-            // dcm-lint: allow(P1) id verified live above
-            let alloc = self.allocated.get_mut(&id).expect("checked live");
             alloc.extend(self.free.drain(from..).rev()); // pop order
         }
         Ok(())

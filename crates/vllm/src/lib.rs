@@ -23,6 +23,8 @@
 //!   special case. Its step costs come from one process-wide memo, so a
 //!   sweep compiles each step graph once, and its decode-attention GEMM
 //!   terms from per-thread tables, so a thread prices each shape once.
+//!   Between two batch changes it advances the whole decode stretch in
+//!   one pass, exactly or, with fast-forward, in closed form.
 //! * [`cluster`] — a multi-replica router (round-robin /
 //!   join-shortest-queue / least-loaded-KV) dispatching an arrival
 //!   stream across N engines on one shared simulated clock. Its event

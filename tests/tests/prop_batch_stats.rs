@@ -3,10 +3,11 @@
 //! recomputed from scratch under arbitrary admit/grow/remove
 //! interleavings, [`PagedAttention::decode_cost_from_stats`] must be
 //! bit-identical to the historical slice path, the memoized
-//! [`PagedAttention::decode_time_of`] to the cost model, and the
-//! fast-forward's [`BatchGrowth`] projection must equal a grown copy of
-//! the stats — the invariants the engine hot loop and the golden serving
-//! fixtures lean on.
+//! [`PagedAttention::decode_time_of`] to the cost model, and
+//! a stretch's [`BatchGrowth`] projection must equal a grown copy of the
+//! stats and price like it, step by step and summed, without ever
+//! falling as the batch grows — the invariants the engine hot loop and
+//! the golden serving fixtures lean on.
 
 use dcm_compiler::Device;
 use dcm_vllm::attention::{
@@ -179,9 +180,9 @@ proptest! {
         );
     }
 
-    /// The fast-forward's end-of-stretch projection is exactly the shape
-    /// the batch has after `grow_by(t, n)` on every member, and its block
-    /// demand is what the KV cache would newly allocate.
+    /// A stretch's projection is exactly the shape the batch has after
+    /// `grow_by(t, n)` on every member, and its block demand is what the
+    /// KV cache would newly allocate.
     #[test]
     fn growth_projection_matches_grow_by(
         block_tokens in 1usize..300,
@@ -202,6 +203,66 @@ proptest! {
             .map(|&t| (t + n).div_ceil(block_tokens) - t.div_ceil(block_tokens))
             .sum();
         prop_assert_eq!(growth.extra_blocks(n), extra);
+    }
+
+    /// An exact stretch's clock is stepping's, bit for bit: adding up in
+    /// order the memoized prices of `growth.after(i)` for `i < k`, as
+    /// `(nonattn + attention) × scale` steps onto a start time, gives the
+    /// same `f64` at every step as growing a `BatchStats` token by token
+    /// and pricing each step from the stats.
+    #[test]
+    fn stretch_prices_add_up_like_token_by_token_steps(
+        config in 0usize..MEMO_CONFIGS,
+        block_tokens in 1usize..300,
+        lens in proptest::collection::vec(1usize..4096, 1..32),
+        k in 1usize..300,
+        nonattn_us in 1u32..50_000,
+        scale_x8 in 8u32..40,
+        start_ms in 0u32..100_000,
+    ) {
+        let pa = memo_config(config, block_tokens);
+        let nonattn = f64::from(nonattn_us) * 1e-6;
+        let scale = f64::from(scale_x8) / 8.0;
+        let mut growth = BatchGrowth::with_capacity(block_tokens, lens.len());
+        growth.reset(lens.iter().copied());
+        let mut stats = BatchStats::from_lens(&lens, block_tokens);
+        let mut grown = lens.clone();
+        let (mut projected_terms, mut stepped_terms) = (GemmTerms::default(), GemmTerms::default());
+        let start = f64::from(start_ms) * 1e-3;
+        let (mut projected, mut stepped) = (start, start);
+        for i in 0..k {
+            projected += (nonattn + pa.decode_time_of(growth.after(i), &mut projected_terms)) * scale;
+            stepped += (nonattn + pa.decode_time_from_stats(&stats, &mut stepped_terms)) * scale;
+            prop_assert_eq!(projected.to_bits(), stepped.to_bits(), "step {}", i);
+            for len in &mut grown {
+                stats.grow(*len);
+                *len += 1;
+            }
+        }
+    }
+
+    /// A price never falls as its batch grows: the attention time of
+    /// `growth.after(i)` is non-decreasing in `i`. So with fast-forward
+    /// on, a closed form declined at the horizon stays declined at every
+    /// later step before it, and the exact steps up to the horizon may
+    /// run as one stretch.
+    #[test]
+    fn price_never_falls_as_the_batch_grows(
+        config in 0usize..MEMO_CONFIGS,
+        block_tokens in 1usize..300,
+        lens in proptest::collection::vec(1usize..6000, 1..32),
+        k in 1usize..400,
+    ) {
+        let pa = memo_config(config, block_tokens);
+        let mut growth = BatchGrowth::with_capacity(block_tokens, lens.len());
+        growth.reset(lens.iter().copied());
+        let mut terms = GemmTerms::default();
+        let mut prev = pa.decode_time_of(growth.after(0), &mut terms);
+        for i in 1..=k {
+            let t = pa.decode_time_of(growth.after(i), &mut terms);
+            prop_assert!(t >= prev, "step {}: {} < {}", i, t, prev);
+            prev = t;
+        }
     }
 
     /// Growing a sequence one token at a time equals rebuilding the

@@ -70,15 +70,17 @@ done
 # queue-vs-list-model, slab-vs-map, histogram, fast-forward (on one
 # replica, i.e. the single engine, and on several) and
 # flow-vs-closed-form fabric equivalence properties, the attention
-# pricing paths (slice, stats and memoized) against each other, the MME
-# geometry search against its f64 argmin spec, the step-cost memo's and
-# attention tables' report invariance and counts, plus the steady-state
-# allocation audit must hold regardless of the parallelism the host
-# advertises.
+# pricing paths (slice, stats and memoized) against each other and an
+# exact stretch's summed prices against token-by-token steps, the
+# exact-stretch cut invariance (lazy, eager and slowdown-window
+# catch-ups give one report), the MME geometry search against its f64
+# argmin spec, the step-cost memo's and attention tables' report
+# invariance and counts, plus the steady-state allocation audit must
+# hold regardless of the parallelism the host advertises.
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
-    --test prop_batch_stats \
+    --test prop_batch_stats --test prop_stretch_cuts \
     --test prop_fast_forward --test prop_cluster_ff --test prop_fabric_diff \
     --test prop_mme_select --test prop_step_cost_memo \
     --test step_cost_memo_counts --test alloc_steady_state
