@@ -1,7 +1,7 @@
 //! The unified device model: op pricing, compiled-graph execution, and
 //! energy accounting for both chips.
 
-use crate::ir::{EwKind, Graph, Op};
+use crate::ir::{Block, EwKind, Graph, Op};
 use crate::passes::{compile, CompileOptions, CompiledGraph, Scheduled};
 use dcm_core::cast::{u64_to_f64, usize_to_f64, usize_to_u64};
 use dcm_core::cost::{ExecStats, OpCost};
@@ -59,8 +59,9 @@ pub struct GraphRun {
     /// Time-weighted fraction of the MAC array powered (drives the energy
     /// model's power gating).
     pub matrix_powered_fraction: f64,
-    /// Wall time of each schedule unit, labeled.
-    pub unit_times: Vec<(String, f64)>,
+    /// Wall time of each schedule unit, in the order of
+    /// [`CompiledGraph::units`].
+    pub unit_walls: Vec<f64>,
 }
 
 impl GraphRun {
@@ -70,25 +71,21 @@ impl GraphRun {
         self.stats.time_s
     }
 
-    /// Throughput in units of `work` items per second.
-    #[must_use]
-    pub fn throughput(&self, work: f64) -> f64 {
-        work / self.stats.time_s
-    }
-
     /// Render the `top` most expensive schedule units as a profiler-style
-    /// breakdown table (what `hl-prof` / Nsight would show).
+    /// breakdown table (what `hl-prof` / Nsight would show). `graph` is
+    /// the compiled graph this run executed; it supplies the labels.
     #[must_use]
-    pub fn breakdown(&self, top: usize) -> dcm_core::metrics::Table {
-        let mut units: Vec<(String, f64)> = self.unit_times.clone();
+    pub fn breakdown(&self, graph: &CompiledGraph, top: usize) -> dcm_core::metrics::Table {
+        let mut units: Vec<(&Scheduled, f64)> =
+            graph.units().zip(self.unit_walls.iter().copied()).collect();
         units.sort_by(|a, b| b.1.total_cmp(&a.1));
         let mut t = dcm_core::metrics::Table::new(
             format!("top {} schedule units by wall time", top.min(units.len())),
             &["unit", "time us", "share"],
         );
-        for (label, time) in units.into_iter().take(top) {
+        for (unit, time) in units.into_iter().take(top) {
             t.push(&[
-                label,
+                unit.to_string(),
                 format!("{:.1}", time * 1e6),
                 format!("{:.1}%", 100.0 * time / self.stats.time_s),
             ]);
@@ -366,17 +363,20 @@ impl Device {
         self.vector.run_cost(&kernel, cores, elems, dtype)
     }
 
-    fn scheduled_cost(&self, unit: &Scheduled) -> (Vec<(OpCost, f64)>, f64, String) {
+    /// Price one schedule unit: append each of its ops' cost and powered
+    /// MAC fraction to `costs` in execution order, and return the unit's
+    /// wall time.
+    fn scheduled_cost(&self, unit: &Scheduled, costs: &mut Vec<(OpCost, f64)>) -> f64 {
         match unit {
             Scheduled::Single(op) => {
                 let (c, pf) = self.op_cost(op);
-                let wall = c.time();
-                (vec![(c, pf)], wall, op.to_string())
+                costs.push((c, pf));
+                c.time()
             }
             Scheduled::FusedElementwise(ops) => {
                 let c = self.fused_cost(ops);
-                let wall = c.time();
-                (vec![(c, 0.0)], wall, format!("fused[{}]", ops.len()))
+                costs.push((c, 0.0));
+                c.time()
             }
             Scheduled::Pipelined {
                 producer,
@@ -384,35 +384,46 @@ impl Device {
                 slices,
             } => {
                 let (pc, pf) = self.op_cost(producer);
-                let (mut parts, consumer_wall, clabel) = self.scheduled_cost(consumer);
-                let wall = even_pipeline_makespan(pc.time(), consumer_wall, *slices);
-                let label = format!("{producer} ~> {clabel} (x{slices})");
-                let mut all = vec![(pc, pf)];
-                all.append(&mut parts);
-                (all, wall, label)
+                costs.push((pc, pf));
+                let consumer_wall = self.scheduled_cost(consumer, costs);
+                even_pipeline_makespan(pc.time(), consumer_wall, *slices)
             }
         }
     }
 
-    /// Execute a compiled graph.
+    /// Execute a compiled graph. Each unit of a block is priced once; its
+    /// costs are then accumulated once per repetition, in schedule order,
+    /// so the sums are those of pricing the flat schedule unit by unit.
     #[must_use]
     pub fn execute(&self, graph: &CompiledGraph) -> GraphRun {
         let mut stats = ExecStats::new();
-        let mut unit_times = Vec::with_capacity(graph.schedule().len());
+        let mut unit_walls = Vec::with_capacity(graph.blocks().iter().map(Block::len).sum());
         let mut powered_weight = 0.0;
         let mut matrix_time = 0.0;
-        for unit in graph.schedule() {
-            let (costs, wall, label) = self.scheduled_cost(unit);
-            let mut first = true;
-            for (c, pf) in costs {
-                if c.engine == dcm_core::cost::Engine::Matrix {
-                    powered_weight += pf * c.compute_s;
-                    matrix_time += c.compute_s;
-                }
-                stats.push_overlapped(&c, if first { wall } else { 0.0 });
-                first = false;
+        let mut costs = Vec::new();
+        // Per body unit: the end of its run in `costs`, and its wall.
+        let mut units = Vec::new();
+        for block in graph.blocks() {
+            costs.clear();
+            units.clear();
+            for unit in block.body() {
+                let wall = self.scheduled_cost(unit, &mut costs);
+                units.push((costs.len(), wall));
             }
-            unit_times.push((label, wall));
+            for _ in 0..block.repeat() {
+                let mut start = 0;
+                for &(end, wall) in &units {
+                    for (i, (c, pf)) in costs[start..end].iter().enumerate() {
+                        if c.engine == dcm_core::cost::Engine::Matrix {
+                            powered_weight += pf * c.compute_s;
+                            matrix_time += c.compute_s;
+                        }
+                        stats.push_overlapped(c, if i == 0 { wall } else { 0.0 });
+                    }
+                    unit_walls.push(wall);
+                    start = end;
+                }
+            }
         }
         let powered = if matrix_time > 0.0 {
             powered_weight / matrix_time
@@ -426,7 +437,7 @@ impl Device {
             power_w,
             matrix_powered_fraction: powered,
             stats,
-            unit_times,
+            unit_walls,
         }
     }
 
@@ -631,23 +642,29 @@ mod tests {
     #[test]
     fn unit_times_are_labeled() {
         let g = mlp_graph(1024, 1024);
-        let run = Device::gaudi2().run_graph(&g, &CompileOptions::default());
-        assert_eq!(run.unit_times.len(), 2); // two pipelined pairs
-        assert!(run.unit_times[0].0.contains("~>"));
-        let total: f64 = run.unit_times.iter().map(|(_, t)| t).sum();
+        let c = compile(&g, &CompileOptions::default());
+        let run = Device::gaudi2().execute(&c);
+        assert_eq!(run.unit_walls.len(), 2); // two pipelined pairs
+        let labels: Vec<String> = c.units().map(ToString::to_string).collect();
+        assert!(labels[0].contains("~>"));
+        let pair = "gemm(1024x1024x1024):bf16 ~> ew:Relu[1048576] (x16)";
+        assert_eq!(labels, [pair, pair]);
+        let total: f64 = run.unit_walls.iter().sum();
         assert!((total - run.time_s()).abs() < 1e-12);
     }
 
     #[test]
     fn breakdown_lists_units_by_cost() {
         let g = mlp_graph(2048, 2048);
-        let run = Device::gaudi2().run_graph(&g, &CompileOptions::default());
-        let table = run.breakdown(1);
+        let c = compile(&g, &CompileOptions::default());
+        let run = Device::gaudi2().execute(&c);
+        let table = run.breakdown(&c, 1);
         assert_eq!(table.len(), 1);
         let rendered = table.render();
         assert!(rendered.contains('%'));
-        let all = run.breakdown(100);
-        assert_eq!(all.len(), run.unit_times.len());
+        assert!(rendered.contains("gemm(2048x2048x2048):bf16 ~> ew:Relu[4194304] (x16)"));
+        let all = run.breakdown(&c, 100);
+        assert_eq!(all.len(), run.unit_walls.len());
     }
 
     #[test]

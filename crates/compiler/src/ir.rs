@@ -196,11 +196,63 @@ impl fmt::Display for Op {
     }
 }
 
-/// A lowered model: a linear sequence of operators in execution order.
+/// Whether compiling the ops up to `x` and the ops from `y` on apart
+/// gives the schedule of compiling them together: fusion cannot merge
+/// two element-wise ops across the junction, and pipelining cannot pair
+/// a matrix op with the vector op after it. The rule ignores
+/// [`CompileOptions`](crate::CompileOptions), so it holds under every one.
+fn clean_junction(x: &Op, y: &Op) -> bool {
+    let fuse = x.is_elementwise() && y.is_elementwise();
+    let pipeline = x.is_matrix() && y.is_vector();
+    !(fuse || pipeline)
+}
+
+/// A run of items executed `repeat` times in a row: a graph's repeated
+/// layer, or the schedule compiled from it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Block<T> {
+    body: Vec<T>,
+    repeat: usize,
+}
+
+impl<T> Block<T> {
+    pub(crate) fn new(body: Vec<T>, repeat: usize) -> Self {
+        Block { body, repeat }
+    }
+
+    /// One repetition, in execution order.
+    #[must_use]
+    pub fn body(&self) -> &[T] {
+        &self.body
+    }
+
+    /// How many times the body runs in a row.
+    #[must_use]
+    pub fn repeat(&self) -> usize {
+        self.repeat
+    }
+
+    /// Items in the flat expansion.
+    pub(crate) fn len(&self) -> usize {
+        self.body.len() * self.repeat
+    }
+
+    /// The flat expansion: the body `repeat` times over.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        std::iter::repeat_n(self.body.as_slice(), self.repeat).flatten()
+    }
+}
+
+/// A lowered model: operators in execution order, held as blocks so that
+/// a model's repeated layer is stored, compiled and priced once.
+///
+/// Every junction between two blocks, and every repeated block's junction
+/// with itself, is clean (see [`Graph::push_repeated`]), so compiling the
+/// blocks one by one gives the schedule of compiling the flat expansion.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Graph {
     name: String,
-    ops: Vec<Op>,
+    blocks: Vec<Block<Op>>,
 }
 
 impl Graph {
@@ -209,7 +261,7 @@ impl Graph {
     pub fn new(name: impl Into<String>) -> Self {
         Graph {
             name: name.into(),
-            ops: Vec::new(),
+            blocks: Vec::new(),
         }
     }
 
@@ -219,39 +271,72 @@ impl Graph {
         &self.name
     }
 
-    /// Append an operator.
+    /// Append an operator. After a repeated block whose last op meets
+    /// `op` at an unclean junction, that block's last repetition is
+    /// peeled off into the block `op` joins.
     pub fn push(&mut self, op: Op) {
-        self.ops.push(op);
+        match self.blocks.last_mut() {
+            Some(last) if last.repeat == 1 => last.body.push(op),
+            Some(last) if last.body.last().is_some_and(|x| !clean_junction(x, &op)) => {
+                last.repeat -= 1;
+                let mut body = last.body.clone();
+                body.push(op);
+                self.blocks.push(Block::new(body, 1));
+            }
+            _ => self.blocks.push(Block::new(vec![op], 1)),
+        }
     }
 
-    /// Append every operator of `other` (layer composition).
-    pub fn extend(&mut self, other: &Graph) {
-        self.ops.extend(other.ops.iter().cloned());
+    /// Append `body` `n` times over. It is stored once, as a repeated
+    /// block, when its junction with itself and with the preceding op
+    /// are both clean; otherwise its flat expansion is appended.
+    pub fn push_repeated(&mut self, body: &[Op], n: usize) {
+        let (Some(first), Some(last)) = (body.first(), body.last()) else {
+            return;
+        };
+        let after_clean = self
+            .blocks
+            .last()
+            .and_then(|b| b.body.last())
+            .is_none_or(|x| clean_junction(x, first));
+        if n >= 2 && after_clean && clean_junction(last, first) {
+            self.blocks.push(Block::new(body.to_vec(), n));
+        } else {
+            for _ in 0..n {
+                for op in body {
+                    self.push(op.clone());
+                }
+            }
+        }
     }
 
-    /// Operators in execution order.
+    /// The blocks in execution order.
     #[must_use]
-    pub fn ops(&self) -> &[Op] {
-        &self.ops
+    pub fn blocks(&self) -> &[Block<Op>] {
+        &self.blocks
     }
 
-    /// Number of operators.
+    /// Operators in execution order: the flat expansion of the blocks.
+    pub fn ops(&self) -> impl Iterator<Item = &Op> + '_ {
+        self.blocks.iter().flat_map(Block::iter)
+    }
+
+    /// Number of operators in the flat expansion.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.blocks.iter().map(Block::len).sum()
     }
 
     /// Whether the graph is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.blocks.is_empty()
     }
 
     /// Total FLOPs of all matrix ops (for reporting).
     #[must_use]
     pub fn matrix_flops(&self) -> f64 {
-        self.ops
-            .iter()
+        self.ops()
             .map(|op| match op {
                 Op::Gemm { shape, .. } => shape.flops(),
                 Op::BatchedGemm { batch, shape, .. } => shape.flops() * usize_to_f64(*batch),
@@ -289,15 +374,68 @@ mod tests {
 
     #[test]
     fn graph_composition_and_flops() {
-        let mut g = Graph::new("test");
-        g.push(Op::gemm(GemmShape::new(2, 3, 4), DType::Bf16));
-        g.push(Op::batched_gemm(10, GemmShape::new(1, 1, 1), DType::Bf16));
+        let layer = [
+            Op::gemm(GemmShape::new(2, 3, 4), DType::Bf16),
+            Op::batched_gemm(10, GemmShape::new(1, 1, 1), DType::Bf16),
+        ];
         let mut h = Graph::new("outer");
-        h.extend(&g);
-        h.extend(&g);
+        h.push_repeated(&layer, 2);
         assert_eq!(h.len(), 4);
         assert!(!h.is_empty());
         assert_eq!(h.matrix_flops(), 2.0 * (48.0 + 20.0));
+    }
+
+    fn repeats(g: &Graph) -> Vec<usize> {
+        g.blocks().iter().map(Block::repeat).collect()
+    }
+
+    #[test]
+    fn push_repeated_stores_a_body_once_only_at_clean_junctions() {
+        let gemm = || Op::gemm(GemmShape::square(8), DType::Bf16);
+        let relu = || Op::relu(64, DType::Bf16);
+        // gemm -> relu pipelines inside the body; relu -> gemm is clean.
+        let layer = [gemm(), relu()];
+        let mut g = Graph::new("clean");
+        g.push(relu());
+        g.push_repeated(&layer, 3);
+        assert_eq!(repeats(&g), [1, 3]);
+        // A clean push after the block starts a new one.
+        g.push(gemm());
+        assert_eq!(repeats(&g), [1, 3, 1]);
+
+        // relu -> relu would fuse across repetitions: stored flat.
+        let mut g = Graph::new("self");
+        g.push_repeated(&[relu(), gemm(), relu()], 3);
+        assert_eq!(repeats(&g), [1]);
+        assert_eq!(g.len(), 9);
+
+        // gemm -> relu would pipeline across the junction: stored flat.
+        let mut g = Graph::new("after");
+        g.push(gemm());
+        g.push_repeated(&[relu(), gemm()], 3);
+        assert_eq!(repeats(&g), [1]);
+        assert_eq!(g.len(), 7);
+    }
+
+    #[test]
+    fn an_unclean_push_peels_the_last_repetition() {
+        let gemm = Op::gemm(GemmShape::square(8), DType::Bf16);
+        let relu = Op::relu(64, DType::Bf16);
+        let mut g = Graph::new("peel");
+        g.push_repeated(&[gemm.clone(), relu.clone()], 3);
+        // relu -> relu would fuse across the junction.
+        g.push(relu.clone());
+        assert_eq!(repeats(&g), [2, 1]);
+        assert_eq!(
+            g.blocks()[1].body(),
+            [gemm.clone(), relu.clone(), relu.clone()]
+        );
+        let expected = [&gemm, &relu, &gemm, &relu, &gemm, &relu, &relu];
+        assert!(g.ops().eq(expected));
+        // Nothing to repeat appends nothing.
+        g.push_repeated(&[], 5);
+        g.push_repeated(&[gemm], 0);
+        assert_eq!(g.len(), 7);
     }
 
     #[test]

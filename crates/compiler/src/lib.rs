@@ -21,14 +21,21 @@
 //! (`dcm-vllm`) shows how data-layout choices at the framework level change
 //! whether the pipelining pass fires.
 //!
+//! A [`Graph`] stores a model's repeated layer once, as a block with a
+//! repeat count; the device compiles and prices that block once.
+//!
 //! ```
 //! use dcm_compiler::{CompileOptions, Device, Graph, Op};
 //! use dcm_core::DType;
 //! use dcm_mme::GemmShape;
 //!
+//! let layer = [
+//!     Op::gemm(GemmShape::new(1024, 1024, 1024), DType::Bf16),
+//!     Op::relu(1024 * 1024, DType::Bf16),
+//! ];
 //! let mut g = Graph::new("mlp");
-//! g.push(Op::gemm(GemmShape::new(1024, 1024, 1024), DType::Bf16));
-//! g.push(Op::relu(1024 * 1024, DType::Bf16));
+//! g.push_repeated(&layer, 4);
+//! assert_eq!((g.len(), g.blocks().len()), (8, 1));
 //! let gaudi = Device::gaudi2();
 //! let run = gaudi.run_graph(&g, &CompileOptions::default());
 //! assert!(run.stats.time_s > 0.0);
@@ -39,5 +46,5 @@ pub mod ir;
 pub mod passes;
 
 pub use device::{Device, GraphRun};
-pub use ir::{EwKind, Graph, Op};
+pub use ir::{Block, EwKind, Graph, Op};
 pub use passes::{compile, CompileOptions, CompiledGraph, Scheduled};

@@ -1,6 +1,6 @@
 //! Graph-compiler passes: element-wise fusion and MME→TPC pipelining.
 //!
-//! The pass pipeline runs over the linear op sequence:
+//! The pass pipeline runs over each block's op sequence:
 //!
 //! 1. **Fusion** — maximal runs of consecutive element-wise ops collapse
 //!    into one fused vector kernel (the MLIR fuser of §2.2); the
@@ -11,8 +11,9 @@
 //!    serial execution — the schedule `vLLM_base` effectively gets when its
 //!    data layout defeats the pass (§4.2).
 
-use crate::ir::{Graph, Op};
+use crate::ir::{Block, Graph, Op};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Knobs describing what the (black-box) graph compiler does to a graph.
 /// Programmers cannot set these on real hardware; the vLLM case study
@@ -65,36 +66,55 @@ pub enum Scheduled {
     },
 }
 
-/// A compiled graph: the schedule the device executes.
+/// The unit's profiler label, e.g.
+/// `gemm(1024x1024x1024):bf16 ~> ew:Relu[1048576] (x16)`.
+impl fmt::Display for Scheduled {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Scheduled::Single(op) => write!(f, "{op}"),
+            Scheduled::FusedElementwise(ops) => write!(f, "fused[{}]", ops.len()),
+            Scheduled::Pipelined {
+                producer,
+                consumer,
+                slices,
+            } => write!(f, "{producer} ~> {consumer} (x{slices})"),
+        }
+    }
+}
+
+/// A compiled graph: the schedule the device executes, one compiled
+/// block per block of the source [`Graph`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledGraph {
-    name: String,
-    schedule: Vec<Scheduled>,
+    blocks: Vec<Block<Scheduled>>,
 }
 
 impl CompiledGraph {
-    /// Schedule units in execution order.
+    /// Compiled blocks in execution order.
     #[must_use]
-    pub fn schedule(&self) -> &[Scheduled] {
-        &self.schedule
+    pub fn blocks(&self) -> &[Block<Scheduled>] {
+        &self.blocks
     }
 
-    /// Graph name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    /// Schedule units in execution order: the flat expansion of the blocks.
+    pub fn units(&self) -> impl Iterator<Item = &Scheduled> + '_ {
+        self.blocks.iter().flat_map(Block::iter)
     }
 }
 
-/// Run the pass pipeline.
+/// Run the pass pipeline over each block of `graph`. The graph's
+/// junction rule makes this the schedule of its flat expansion.
 #[must_use]
 pub fn compile(graph: &Graph, opts: &CompileOptions) -> CompiledGraph {
-    let fused = fuse_elementwise(graph.ops(), opts.fuse_elementwise);
-    let schedule = pipeline(fused, opts.pipeline_slices.max(1));
-    CompiledGraph {
-        name: graph.name().to_owned(),
-        schedule,
-    }
+    let blocks = graph
+        .blocks()
+        .iter()
+        .map(|b| {
+            let fused = fuse_elementwise(b.body(), opts.fuse_elementwise);
+            Block::new(pipeline(fused, opts.pipeline_slices.max(1)), b.repeat())
+        })
+        .collect();
+    CompiledGraph { blocks }
 }
 
 fn fuse_elementwise(ops: &[Op], enabled: bool) -> Vec<Scheduled> {
@@ -165,12 +185,20 @@ mod tests {
         Op::gemm(GemmShape::square(512), DType::Bf16)
     }
 
+    /// The schedule of a graph built by `push` alone: one flat block.
+    fn only_block(c: &CompiledGraph) -> &[Scheduled] {
+        match c.blocks() {
+            [b] if b.repeat() == 1 => b.body(),
+            other => panic!("expected one flat block, got {other:?}"),
+        }
+    }
+
     #[test]
     fn lone_elementwise_stays_single() {
         let mut g = Graph::new("t");
         g.push(Op::relu(100, DType::Bf16));
         let c = compile(&g, &CompileOptions::default());
-        assert!(matches!(c.schedule(), [Scheduled::Single(_)]));
+        assert!(matches!(only_block(&c), [Scheduled::Single(_)]));
     }
 
     #[test]
@@ -180,8 +208,8 @@ mod tests {
         g.push(Op::add(100, DType::Bf16));
         g.push(Op::relu(100, DType::Bf16));
         let c = compile(&g, &CompileOptions::default());
-        assert_eq!(c.schedule().len(), 1);
-        assert!(matches!(&c.schedule()[0], Scheduled::FusedElementwise(v) if v.len() == 3));
+        assert_eq!(only_block(&c).len(), 1);
+        assert!(matches!(&only_block(&c)[0], Scheduled::FusedElementwise(v) if v.len() == 3));
     }
 
     #[test]
@@ -190,8 +218,8 @@ mod tests {
         g.push(gemm());
         g.push(Op::relu(512 * 512, DType::Bf16));
         let c = compile(&g, &CompileOptions::default());
-        assert_eq!(c.schedule().len(), 1);
-        match &c.schedule()[0] {
+        assert_eq!(only_block(&c).len(), 1);
+        match &only_block(&c)[0] {
             Scheduled::Pipelined {
                 producer, slices, ..
             } => {
@@ -209,8 +237,8 @@ mod tests {
         g.push(Op::relu(512 * 512, DType::Bf16));
         g.push(Op::add(512 * 512, DType::Bf16));
         let c = compile(&g, &CompileOptions::default());
-        assert_eq!(c.schedule().len(), 1);
-        match &c.schedule()[0] {
+        assert_eq!(only_block(&c).len(), 1);
+        match &only_block(&c)[0] {
             Scheduled::Pipelined { consumer, .. } => {
                 assert!(matches!(**consumer, Scheduled::FusedElementwise(_)));
             }
@@ -225,9 +253,8 @@ mod tests {
         g.push(Op::relu(512 * 512, DType::Bf16));
         g.push(Op::add(512 * 512, DType::Bf16));
         let c = compile(&g, &CompileOptions::unoptimized());
-        assert_eq!(c.schedule().len(), 3);
-        assert!(c
-            .schedule()
+        assert_eq!(only_block(&c).len(), 3);
+        assert!(only_block(&c)
             .iter()
             .all(|s| matches!(s, Scheduled::Single(_))));
     }
@@ -238,7 +265,30 @@ mod tests {
         g.push(gemm());
         g.push(gemm());
         let c = compile(&g, &CompileOptions::default());
-        assert_eq!(c.schedule().len(), 2);
+        assert_eq!(only_block(&c).len(), 2);
+    }
+
+    #[test]
+    fn a_repeated_block_compiles_once_to_the_flat_schedule() {
+        let layer = [
+            gemm(),
+            Op::relu(512 * 512, DType::Bf16),
+            Op::add(512 * 512, DType::Bf16),
+        ];
+        let mut g = Graph::new("t");
+        g.push(Op::relu(64, DType::Bf16));
+        g.push_repeated(&layer, 4);
+        g.push(gemm());
+        let mut flat = Graph::new("flat");
+        for op in g.ops() {
+            flat.push(op.clone());
+        }
+        for opts in [CompileOptions::default(), CompileOptions::unoptimized()] {
+            let c = compile(&g, &opts);
+            let repeats: Vec<usize> = c.blocks().iter().map(Block::repeat).collect();
+            assert_eq!(repeats, [1, 4, 1]);
+            assert!(c.units().eq(compile(&flat, &opts).units()));
+        }
     }
 
     #[test]
@@ -251,6 +301,6 @@ mod tests {
         });
         g.push(Op::relu(64, DType::Bf16));
         let c = compile(&g, &CompileOptions::default());
-        assert_eq!(c.schedule().len(), 3);
+        assert_eq!(only_block(&c).len(), 3);
     }
 }

@@ -261,7 +261,7 @@ mod tests {
         );
         // And the graph's first cross GEMM uses exactly this dimension.
         let g = cfg.dense_graph(4);
-        let has_cross_gemm = g.ops().iter().any(|op| match op {
+        let has_cross_gemm = g.ops().any(|op| match op {
             dcm_compiler::Op::Gemm { shape, .. } => {
                 shape.k == cfg.interaction_dim() && shape.n == cfg.cross_rank
             }

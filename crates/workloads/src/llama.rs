@@ -108,19 +108,30 @@ impl LlamaConfig {
     /// PagedAttention implementation in their place.
     #[must_use]
     pub fn decode_nonattn_graph(&self, batch: usize, tp: usize) -> Graph {
-        let full = self.step_graph(batch, 1, 1, tp, format!("{}-nonattn", self.name));
-        let mut g = Graph::new(format!("{}-nonattn", self.name));
-        for op in full.ops() {
-            match op {
-                Op::BatchedGemm { .. } | Op::Softmax { .. } => {}
-                other => g.push(other.clone()),
-            }
+        let name = format!("{}-nonattn", self.name);
+        let full = self.step_graph(batch, 1, 1, tp, name.clone());
+        let mut g = Graph::new(name);
+        for block in full.blocks() {
+            let body: Vec<Op> = block
+                .body()
+                .iter()
+                .filter(|op| !matches!(op, Op::BatchedGemm { .. } | Op::Softmax { .. }))
+                .cloned()
+                .collect();
+            g.push_repeated(&body, block.repeat());
         }
         g
     }
 
     /// Shared lowering: `new_tokens` query tokens per sequence attending
     /// over `ctx` cached tokens.
+    ///
+    /// A layer runs RmsNorm, attention, residual add, RmsNorm, MLP and
+    /// residual add. The graph cuts it after the next layer's first
+    /// RmsNorm instead, so the add and the norm it fuses with sit in one
+    /// repeated block: the first RmsNorm, `layers - 1` copies of [QKV
+    /// projection … residual add, RmsNorm], then the last layer, whose
+    /// add meets the LM head's RmsNorm.
     fn step_graph(
         &self,
         batch: usize,
@@ -143,77 +154,73 @@ impl LlamaConfig {
         let qkv_out = (self.q_heads + 2 * self.kv_heads) * self.head_dim / tp;
         let o_in = self.q_heads * self.head_dim / tp;
         let inter = self.intermediate / tp;
+        let rms_norm = |elems| Op::Elementwise {
+            kind: EwKind::RmsNorm,
+            elems,
+            dtype: dt,
+        };
+        let all_reduce = |elems: usize| Op::AllReduce {
+            bytes: usize_to_u64(elems * dt.size_bytes()),
+            participants: tp,
+        };
         let mut g = Graph::new(name);
-        for _ in 0..self.layers {
-            // Attention block.
-            g.push(Op::Elementwise {
-                kind: EwKind::RmsNorm,
-                elems: m * self.hidden,
-                dtype: dt,
-            });
-            g.push(Op::gemm(GemmShape::new(m, self.hidden, qkv_out), dt));
-            // Scores: per (sequence, kv head): the group's queries share
-            // the K matrix: (q_group * new x head_dim) x (head_dim x ctx).
-            g.push(Op::batched_gemm(
-                batch * kv_local,
-                GemmShape::new(q_group * new_tokens, self.head_dim, ctx),
-                dt,
-            ));
-            g.push(Op::Softmax {
-                rows: batch * heads * new_tokens,
-                cols: ctx,
-                dtype: dt,
-            });
-            // Values: (q_group * new x ctx) x (ctx x head_dim), shared V.
-            g.push(Op::batched_gemm(
-                batch * kv_local,
-                GemmShape::new(q_group * new_tokens, ctx, self.head_dim),
-                dt,
-            ));
-            g.push(Op::gemm(GemmShape::new(m, o_in, self.hidden), dt));
-            g.push(Op::AllReduce {
-                bytes: usize_to_u64(m * self.hidden * dt.size_bytes()),
-                participants: tp,
-            });
-            g.push(Op::add(m * self.hidden, dt)); // residual
-                                                  // MLP block (gate and up projections fused into one GEMM).
-            g.push(Op::Elementwise {
-                kind: EwKind::RmsNorm,
-                elems: m * self.hidden,
-                dtype: dt,
-            });
-            g.push(Op::gemm(GemmShape::new(m, self.hidden, 2 * inter), dt));
-            g.push(Op::Elementwise {
-                kind: EwKind::Silu,
-                elems: m * inter,
-                dtype: dt,
-            });
-            g.push(Op::Elementwise {
-                kind: EwKind::Mul,
-                elems: m * inter,
-                dtype: dt,
-            });
-            g.push(Op::gemm(GemmShape::new(m, inter, self.hidden), dt));
-            g.push(Op::AllReduce {
-                bytes: usize_to_u64(m * self.hidden * dt.size_bytes()),
-                participants: tp,
-            });
-            g.push(Op::add(m * self.hidden, dt)); // residual
+        if self.layers > 0 {
+            g.push(rms_norm(m * self.hidden));
+            let mut layer = vec![
+                // Attention block.
+                Op::gemm(GemmShape::new(m, self.hidden, qkv_out), dt),
+                // Scores: per (sequence, kv head): the group's queries share
+                // the K matrix: (q_group * new x head_dim) x (head_dim x ctx).
+                Op::batched_gemm(
+                    batch * kv_local,
+                    GemmShape::new(q_group * new_tokens, self.head_dim, ctx),
+                    dt,
+                ),
+                Op::Softmax {
+                    rows: batch * heads * new_tokens,
+                    cols: ctx,
+                    dtype: dt,
+                },
+                // Values: (q_group * new x ctx) x (ctx x head_dim), shared V.
+                Op::batched_gemm(
+                    batch * kv_local,
+                    GemmShape::new(q_group * new_tokens, ctx, self.head_dim),
+                    dt,
+                ),
+                Op::gemm(GemmShape::new(m, o_in, self.hidden), dt),
+                all_reduce(m * self.hidden),
+                Op::add(m * self.hidden, dt), // residual
+                // MLP block (gate and up projections fused into one GEMM).
+                rms_norm(m * self.hidden),
+                Op::gemm(GemmShape::new(m, self.hidden, 2 * inter), dt),
+                Op::Elementwise {
+                    kind: EwKind::Silu,
+                    elems: m * inter,
+                    dtype: dt,
+                },
+                Op::Elementwise {
+                    kind: EwKind::Mul,
+                    elems: m * inter,
+                    dtype: dt,
+                },
+                Op::gemm(GemmShape::new(m, inter, self.hidden), dt),
+                all_reduce(m * self.hidden),
+                Op::add(m * self.hidden, dt), // residual
+                rms_norm(m * self.hidden),    // the next layer's first
+            ];
+            g.push_repeated(&layer, self.layers - 1);
+            layer.pop();
+            for op in layer {
+                g.push(op);
+            }
         }
         // LM head over the last token of each sequence.
-        g.push(Op::Elementwise {
-            kind: EwKind::RmsNorm,
-            elems: batch * self.hidden,
-            dtype: dt,
-        });
+        g.push(rms_norm(batch * self.hidden));
         g.push(Op::gemm(
             GemmShape::new(batch, self.hidden, self.vocab / tp),
             dt,
         ));
-        g.push(Op::AllReduce {
-            bytes: usize_to_u64(batch * self.vocab / tp * dt.size_bytes()),
-            participants: tp,
-        });
+        g.push(all_reduce(batch * self.vocab / tp));
         g
     }
 }

@@ -2,7 +2,7 @@
 //! identical work accounting and the directional outcomes the paper
 //! reports.
 
-use dcm_compiler::{CompileOptions, Device, Graph, Op};
+use dcm_compiler::{compile, CompileOptions, Device, Graph, Op};
 use dcm_core::{DType, DeviceSpec};
 use dcm_mme::GemmShape;
 use dcm_workloads::dlrm::DlrmConfig;
@@ -121,12 +121,14 @@ fn custom_spec_devices_are_constructible() {
 #[test]
 fn graph_run_reports_unit_level_timing() {
     let g = DlrmConfig::rm2(256).dense_graph(512);
-    let run = Device::gaudi2().run_graph(&g, &CompileOptions::default());
-    assert!(!run.unit_times.is_empty());
-    let sum: f64 = run.unit_times.iter().map(|(_, t)| t).sum();
+    let c = compile(&g, &CompileOptions::default());
+    let run = Device::gaudi2().execute(&c);
+    assert!(!run.unit_walls.is_empty());
+    assert_eq!(run.unit_walls.len(), c.units().count());
+    let sum: f64 = run.unit_walls.iter().sum();
     assert!((sum - run.time_s()).abs() < 1e-12);
-    assert!(run
-        .unit_times
-        .iter()
-        .all(|(label, t)| !label.is_empty() && *t >= 0.0));
+    assert!(c
+        .units()
+        .zip(&run.unit_walls)
+        .all(|(unit, t)| !unit.to_string().is_empty() && *t >= 0.0));
 }

@@ -32,13 +32,7 @@ proptest! {
         extra_count in 1usize..10_000,
         extra_size in 1usize..1024,
     ) {
-        let m = HbmModel::new(&DeviceSpec::gaudi2());
-        for pattern in [AccessPattern::Stream, AccessPattern::Random] {
-            let base = m.access(count, size, pattern).time_s;
-            prop_assert!(m.access(count + extra_count, size, pattern).time_s >= base);
-        }
-        let base = m.access(count, size, AccessPattern::Stream).time_s;
-        prop_assert!(m.access(count, size + extra_size, AccessPattern::Stream).time_s >= base);
+        check_access_time_monotone(count, size, extra_count, extra_size);
     }
 
     /// Random-access time IS monotone in size once the pipeline is
@@ -119,4 +113,26 @@ proptest! {
         let a = GatherScatterEngine::new(&DeviceSpec::a100());
         prop_assert!(g.gather_utilization(count, size) <= a.gather_utilization(count, size));
     }
+}
+
+fn check_access_time_monotone(count: usize, size: usize, extra_count: usize, extra_size: usize) {
+    let m = HbmModel::new(&DeviceSpec::gaudi2());
+    for pattern in [AccessPattern::Stream, AccessPattern::Random] {
+        let base = m.access(count, size, pattern).time_s;
+        assert!(m.access(count + extra_count, size, pattern).time_s >= base);
+    }
+    let base = m.access(count, size, AccessPattern::Stream).time_s;
+    assert!(
+        m.access(count, size + extra_size, AccessPattern::Stream)
+            .time_s
+            >= base
+    );
+}
+
+/// One 1-byte access and two take the same time on both patterns, so
+/// the count check holds with equality; growing the access to 257 bytes
+/// crosses the 256 B granularity into a second chunk.
+#[test]
+fn access_time_is_monotone_across_a_chunk_boundary() {
+    check_access_time_monotone(1, 1, 1, 256);
 }

@@ -97,14 +97,7 @@ proptest! {
     /// the peak.
     #[test]
     fn vector_scaling_monotone(cores in 1usize..24, intensity in 1usize..64) {
-        let gaudi = VectorEngineModel::new(&DeviceSpec::gaudi2());
-        let k = StreamKernel::triad()
-            .with_intensity_scale(intensity)
-            .with_unroll(4);
-        let t1 = gaudi.throughput(&k, cores, DType::Bf16);
-        let t2 = gaudi.throughput(&k, cores.min(23) + 1, DType::Bf16);
-        prop_assert!(t2 >= t1 * (1.0 - 1e-9));
-        prop_assert!(t2 <= gaudi.peak_flops(DType::Bf16) * 1.001);
+        check_vector_scaling(cores, intensity);
     }
 
     /// Unrolling never reduces single-core throughput.
@@ -116,4 +109,23 @@ proptest! {
         let t2 = gaudi.single_core_throughput(&base.with_unroll(u + 1), DType::Bf16);
         prop_assert!(t2 >= t1 * (1.0 - 1e-9));
     }
+}
+
+fn check_vector_scaling(cores: usize, intensity: usize) {
+    let gaudi = VectorEngineModel::new(&DeviceSpec::gaudi2());
+    let k = StreamKernel::triad()
+        .with_intensity_scale(intensity)
+        .with_unroll(4);
+    let t1 = gaudi.throughput(&k, cores, DType::Bf16);
+    let t2 = gaudi.throughput(&k, cores.min(23) + 1, DType::Bf16);
+    assert!(t2 >= t1 * (1.0 - 1e-9), "{t1} -> {t2}");
+    assert!(t2 <= gaudi.peak_flops(DType::Bf16) * 1.001);
+}
+
+/// Past bandwidth saturation, TRIAD at 23 cores reads 735000000000.0001
+/// FLOP/s, a rounding step above 24 cores: the relative tolerance of
+/// `vector_scaling_monotone` is what holds this case.
+#[test]
+fn vector_scaling_monotone_across_a_rounding_step() {
+    check_vector_scaling(23, 1);
 }

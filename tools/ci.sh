@@ -75,14 +75,16 @@ done
 # exact-stretch cut invariance (lazy, eager and slowdown-window
 # catch-ups give one report), the MME geometry search against its f64
 # argmin spec, the step-cost memo's and attention tables' report
-# invariance and counts, plus the steady-state allocation audit must
-# hold regardless of the parallelism the host advertises.
+# invariance and counts, graphs with repeated blocks against their flat
+# twins (bit for bit) and the Llama lowerings' block structure, plus the
+# steady-state allocation audit must hold regardless of the parallelism
+# the host advertises.
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
     --test prop_batch_stats --test prop_stretch_cuts \
     --test prop_fast_forward --test prop_cluster_ff --test prop_fabric_diff \
-    --test prop_mme_select --test prop_step_cost_memo \
+    --test prop_mme_select --test prop_step_cost_memo --test prop_graph_blocks \
     --test step_cost_memo_counts --test alloc_steady_state
 
 # Host-time benchmark (dcmbench/, a package of its own; see its README).
