@@ -4,7 +4,8 @@
 //! The Gaudi graph compiler "breaks [an MME op followed by a TPC op] into
 //! smaller, independent sub-operations to enable pipelined execution" (§2.2).
 //! [`even_pipeline_makespan`] computes the wall time of such a two-stage
-//! pipeline over equal operator slices.
+//! pipeline over equal operator slices, through [`EvenPipeline`], which
+//! keeps the producer half so one producer prices against many consumers.
 
 use crate::cast::usize_to_f64;
 
@@ -16,24 +17,73 @@ use crate::cast::usize_to_f64;
 ///
 /// With a single slice this degrades to `a + b` (no overlap — exactly the
 /// penalty `vLLM_base` pays in §4.2); with many fine slices it approaches
-/// `max(a, b)` (full MME/TPC overlap). The adds and maxes run in the
-/// order of the general per-slice recurrence, without building the slice
-/// list, so the result is bit-identical to it.
+/// `max(a, b)` (full MME/TPC overlap). The result is bit-identical to the
+/// general per-slice recurrence (see [`EvenPipeline`]).
 ///
 /// # Panics
 /// Panics if `n` is zero.
 #[must_use]
 pub fn even_pipeline_makespan(a: f64, b: f64, n: usize) -> f64 {
-    assert!(n > 0, "cannot slice into zero pieces");
-    let n_f = usize_to_f64(n);
-    let (a, b) = (a / n_f, b / n_f);
-    let mut a_done = 0.0_f64;
-    let mut b_done = 0.0_f64;
-    for _ in 0..n {
-        a_done += a;
-        b_done = a_done.max(b_done) + b;
+    EvenPipeline::new(a, n).makespan(b)
+}
+
+/// The producer half of [`even_pipeline_makespan`], for pricing one
+/// producer stage against many consumer stages: the slice time `a / n`
+/// and the time `A_n` the producer finishes its last slice, each added
+/// up in the order of the per-slice recurrence
+/// `A_i = A_{i−1} + a/n`, `B_i = max(A_i, B_{i−1}) + b/n`.
+///
+/// Rounded addition is monotone, which settles every `max` when the
+/// producer is not slower per slice than the consumer (DESIGN.md §3.8):
+/// if `a/n ≥ b/n` (both rounded) and `a/n ≥ 0`, then by induction
+/// `B_i = A_i + b/n ≤ A_i + a/n = A_{i+1}` (from `B_0 = 0 ≤ A_1`), so
+/// every `max` picks `A_i` and the recurrence ends at `A_n + b/n`,
+/// rounded once. Other inputs run the recurrence itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EvenPipeline {
+    slices: usize,
+    /// `a / n`.
+    slice: f64,
+    /// `A_n`: `slice` added `n` times onto zero.
+    done: f64,
+}
+
+impl EvenPipeline {
+    /// The producer stage of `a` seconds in `n` equal slices.
+    ///
+    /// # Panics
+    /// Panics if `n` is zero.
+    #[must_use]
+    pub fn new(a: f64, n: usize) -> Self {
+        assert!(n > 0, "cannot slice into zero pieces");
+        let slice = a / usize_to_f64(n);
+        let mut done = 0.0_f64;
+        for _ in 0..n {
+            done += slice;
+        }
+        EvenPipeline {
+            slices: n,
+            slice,
+            done,
+        }
     }
-    b_done
+
+    /// Wall time of this producer followed by a consumer stage of `b`
+    /// seconds: [`even_pipeline_makespan`]`(a, b, n)`, bit for bit.
+    #[must_use]
+    pub fn makespan(&self, b: f64) -> f64 {
+        let b = b / usize_to_f64(self.slices);
+        if self.slice >= 0.0 && self.slice >= b {
+            return self.done + b;
+        }
+        let mut a_done = 0.0_f64;
+        let mut b_done = 0.0_f64;
+        for _ in 0..self.slices {
+            a_done += self.slice;
+            b_done = a_done.max(b_done) + b;
+        }
+        b_done
+    }
 }
 
 #[cfg(test)]

@@ -124,13 +124,17 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("BatchStats", "remove"),
     ("BatchStats", "grow"),
     ("BatchStats", "grow_by"),
+    ("BatchGrowth", "insert"),
+    ("BatchGrowth", "remove"),
+    ("BatchGrowth", "grow_all"),
+    ("BatchGrowth", "clear"),
     ("BatchGrowth", "extra_blocks"),
     ("BatchGrowth", "after"),
     ("PagedAttention", "decode_cost"),
     ("PagedAttention", "decode_cost_from_stats"),
     ("PagedAttention", "decode_cost_of"),
-    ("PagedAttention", "decode_time_from_stats"),
     ("PagedAttention", "decode_time_of"),
+    ("StretchPricer", "step"),
     ("GaudiMme", "batched_gemm"),
     ("PagedKvCache", "append_token"),
     ("PagedKvCache", "append_tokens"),

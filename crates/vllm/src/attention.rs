@@ -17,7 +17,7 @@
 use dcm_compiler::{Device, Op};
 use dcm_core::cast::{f64_to_u64, f64_to_usize, u64_to_f64, usize_to_f64};
 use dcm_core::cost::{Engine, OpCost};
-use dcm_core::timeline::even_pipeline_makespan;
+use dcm_core::timeline::EvenPipeline;
 use dcm_core::DType;
 use dcm_mem::hbm::{AccessPattern, HbmModel};
 use dcm_mme::GemmShape;
@@ -68,12 +68,13 @@ pub enum PagedBackend {
 /// the current maximum are O(log distinct-block-counts), with the number
 /// of distinct counts bounded by max-seq-len / block-size).
 ///
-/// This is the hot-path costing contract (DESIGN.md §3.6): a decode step
-/// over a batch of N sequences prices in O(1) instead of O(N), which is
-/// what lets the engine simulate large batches at fixed per-step cost.
+/// A decode step over a batch of N sequences prices from these in O(1)
+/// instead of O(N) (DESIGN.md §3.6).
 /// [`PagedAttention::decode_cost_from_stats`] is bit-identical to
 /// [`PagedAttention::decode_cost`] on the equivalent length slice
-/// (property-pinned in `tests/tests/prop_batch_stats.rs`).
+/// (property-pinned in `tests/tests/prop_batch_stats.rs`). The serving
+/// engine keeps a [`BatchGrowth`] instead, which also projects the batch
+/// forward.
 ///
 /// [`add`]: BatchStats::add
 /// [`grow`]: BatchStats::grow
@@ -285,13 +286,11 @@ impl BatchShape {
     /// The shape of `seq_lens` under `block_tokens`-token blocks — what
     /// [`BatchStats::from_lens`] accumulates, in one pass and without its
     /// histogram.
-    fn of_lens(seq_lens: &[usize], block_tokens: usize) -> Self {
-        let mut s = BatchShape {
-            count: seq_lens.len(),
-            ..BatchShape::default()
-        };
-        for &len in seq_lens {
+    pub(crate) fn of_lens(seq_lens: impl IntoIterator<Item = usize>, block_tokens: usize) -> Self {
+        let mut s = BatchShape::default();
+        for len in seq_lens {
             let blocks = len.max(1).div_ceil(block_tokens);
+            s.count += 1;
             s.sum_lens += len;
             s.sum_blocks += blocks;
             s.max_blocks = s.max_blocks.max(blocks);
@@ -300,11 +299,11 @@ impl BatchShape {
     }
 }
 
-/// A decode batch projected forward: the [`BatchShape`] it has after
-/// every sequence grows by `n` tokens, in O(log batch) per `n` and
-/// without copying a [`BatchStats`]. A closed-form stretch's binary
-/// searches probe about ten stretch lengths; an exact stretch prices
-/// each of its steps from it.
+/// A decode batch's projection, kept up to date as the batch changes:
+/// the [`BatchShape`] it has after every sequence grows by `n` tokens, in
+/// one binary search per `n`. A closed-form stretch's searches probe
+/// about ten stretch lengths, an exact stretch's [`StretchPricer`] prices
+/// each of its steps from it, and `after(0)` is the batch's own shape.
 ///
 /// A sequence of `t ≥ 1` tokens holds `⌈t/B⌉ = q + 1` blocks of `B`
 /// tokens, where `t − 1 = q·B + r` and `0 ≤ r < B`. Grown by
@@ -312,22 +311,40 @@ impl BatchShape {
 /// blocks. Over the batch that is `Σq + count·(a + 1) + #{r ≥ B − c}`:
 /// one binary search over the sorted remainders. The widest sequence
 /// stays the widest, so `max_blocks` is `⌈(max t + n)/B⌉`.
+///
+/// Growing every sequence by `k` tokens adds `k` to every `r` modulo `B`,
+/// which rotates their sorted order. So the remainders are stored as
+/// `(r − rot) mod B`, ascending, and [`grow_all`](Self::grow_all) moves
+/// `rot` and adds the carries to `Σq` in O(log batch); the token counts
+/// are stored as `t + lift`, ascending, and a grow-all lowers `lift`.
+/// [`insert`](Self::insert) and [`remove`](Self::remove) move one
+/// sequence each, in memmoves bounded by the batch cap.
 #[derive(Debug, Clone)]
 pub struct BatchGrowth {
     block_tokens: usize,
-    /// `r` of every sequence, ascending.
+    /// Every sequence's `(r − rot) mod B`, ascending.
     rems: Vec<usize>,
+    /// What grow-alls have added to every remainder, modulo `B`.
+    rot: usize,
+    /// Every sequence's `t + lift`, ascending.
+    lifted: Vec<usize>,
+    /// [`LIFT`] minus the tokens grow-alls have added since the batch
+    /// was last empty.
+    lift: usize,
     /// `Σq` over the batch.
     sum_q: usize,
     /// `Σt` over the batch.
     sum_lens: usize,
-    /// The longest sequence, in tokens.
-    max_tokens: usize,
 }
+
+/// `lift` of an empty [`BatchGrowth`]: grow-alls can add `usize::MAX / 2`
+/// tokens (2⁶³ on a 64-bit target) before the batch next empties.
+const LIFT: usize = usize::MAX / 2;
 
 impl BatchGrowth {
     /// An empty batch over KV blocks of `block_tokens` tokens, with room
-    /// for `capacity` sequences before [`reset`](Self::reset) allocates.
+    /// for `capacity` sequences before [`insert`](Self::insert)
+    /// allocates.
     ///
     /// # Panics
     /// Panics if `block_tokens` is zero.
@@ -337,35 +354,128 @@ impl BatchGrowth {
         BatchGrowth {
             block_tokens,
             rems: Vec::with_capacity(capacity),
+            rot: 0,
+            lifted: Vec::with_capacity(capacity),
+            lift: LIFT,
             sum_q: 0,
             sum_lens: 0,
-            max_tokens: 0,
         }
     }
 
-    /// Load the batch of sequences holding `tokens` cached tokens each.
+    /// The stored remainder and `q` of a sequence of `t` tokens.
+    fn split(&self, t: usize) -> (usize, usize) {
+        let b = self.block_tokens;
+        (((t - 1) % b + b - self.rot) % b, (t - 1) / b)
+    }
+
+    /// Stored remainders below `v`.
+    fn below(&self, v: usize) -> usize {
+        self.rems.partition_point(|&x| x < v)
+    }
+
+    /// A sequence of `t` cached tokens joins the batch.
     ///
     /// # Panics
-    /// Panics if a sequence holds no token.
-    pub fn reset(&mut self, tokens: impl IntoIterator<Item = usize>) {
-        let b = self.block_tokens;
-        self.rems.clear();
-        (self.sum_q, self.sum_lens, self.max_tokens) = (0, 0, 0);
-        for t in tokens {
-            assert!(t > 0, "a growing sequence holds at least one token");
-            self.sum_q += (t - 1) / b;
-            self.rems.push((t - 1) % b);
-            self.sum_lens += t;
-            self.max_tokens = self.max_tokens.max(t);
+    /// Panics if the sequence holds no token.
+    pub fn insert(&mut self, t: usize) {
+        assert!(t > 0, "a growing sequence holds at least one token");
+        let (v, q) = self.split(t);
+        let i = self.below(v);
+        // dcm-lint: allow(A1) one remainder per active sequence, bounded by the decode batch cap the capacity was sized to
+        self.rems.insert(i, v);
+        let key = t + self.lift;
+        let j = self.lifted.partition_point(|&x| x < key);
+        // dcm-lint: allow(A1) one token count per active sequence, bounded by the decode batch cap the capacity was sized to
+        self.lifted.insert(j, key);
+        self.sum_q += q;
+        self.sum_lens += t;
+    }
+
+    /// A sequence of `t` cached tokens leaves the batch: `t` is the
+    /// length the batch accounts for it, as inserted and grown since.
+    ///
+    /// # Panics
+    /// Panics if no sequence of `t` tokens is in the batch — a
+    /// desynchronized caller would silently corrupt every later price.
+    pub fn remove(&mut self, t: usize) {
+        let (v, q) = self.split(t);
+        let (Ok(i), Ok(j)) = (
+            self.rems.binary_search(&v),
+            self.lifted.binary_search(&(t + self.lift)),
+        ) else {
+            panic!("BatchGrowth desync: no sequence of {t} tokens");
+        };
+        self.rems.remove(i);
+        self.lifted.remove(j);
+        self.sum_q -= q;
+        self.sum_lens -= t;
+        if self.rems.is_empty() {
+            self.clear();
         }
-        self.rems.sort_unstable();
+    }
+
+    /// Every sequence grows by `k` tokens: a stretch's `k` decode steps.
+    pub fn grow_all(&mut self, k: usize) {
+        let (b, count) = (self.block_tokens, self.rems.len());
+        if count == 0 {
+            return;
+        }
+        self.sum_q += count * (k / b) + self.carries(k % b);
+        self.sum_lens += count * k;
+        self.lift -= k;
+        self.rot = (self.rot + k % b) % b;
+    }
+
+    /// Forget every sequence (a replica crash drains the batch at once).
+    /// Keeps the block size and the capacity.
+    pub fn clear(&mut self) {
+        self.rems.clear();
+        self.lifted.clear();
+        (self.rot, self.lift) = (0, LIFT);
+        (self.sum_q, self.sum_lens) = (0, 0);
+    }
+
+    /// Sequences whose remainder is at least `B − c`, for `c < B`: those
+    /// that `c` more tokens carry into a new block.
+    fn carries(&self, c: usize) -> usize {
+        if c == 0 {
+            return 0;
+        }
+        let (b, rot) = (self.block_tokens, self.rot);
+        // Stored remainders below `B − rot`, which `rot` has not wrapped.
+        let unwrapped = self.below(b - rot);
+        let floor = b - c;
+        if floor >= rot {
+            // Only unwrapped remainders, `r = v + rot`, reach `floor`.
+            unwrapped - self.below(floor - rot)
+        } else {
+            // Every unwrapped one does, and wrapped ones from `v + rot − B`.
+            unwrapped + self.rems.len() - self.below(floor + b - rot)
+        }
     }
 
     /// KV blocks the batch holds once every sequence has grown by `n`.
     fn blocks_after(&self, n: usize) -> usize {
         let b = self.block_tokens;
-        let carries = self.rems.len() - self.rems.partition_point(|&r| r < b - n % b);
-        self.sum_q + self.rems.len() * (n / b + 1) + carries
+        self.sum_q + self.rems.len() * (n / b + 1) + self.carries(n % b)
+    }
+
+    /// The least growth `m > n` at which some sequence needs a new block,
+    /// where `(r + m) mod B = 0`: the block counts of `after(n)` hold up
+    /// to `m − 1`. `(r + n) mod B` is `(v + s) mod B` for the rotation
+    /// `s = (rot + n) mod B`, and its largest value `x` puts `m` at
+    /// `n + B − x`.
+    ///
+    /// # Panics
+    /// Panics if the batch is empty.
+    fn next_crossing(&self, n: usize) -> usize {
+        let b = self.block_tokens;
+        let s = (self.rot + n % b) % b;
+        let x = match self.below(b - s) {
+            0 => self.rems[self.rems.len() - 1] + s - b,
+            i => self.rems[i - 1] + s,
+        };
+        n + b - x
     }
 
     /// KV blocks that growing every sequence by `n` tokens newly needs.
@@ -383,11 +493,10 @@ impl BatchGrowth {
             count,
             sum_lens: self.sum_lens + n * count,
             sum_blocks: self.blocks_after(n),
-            max_blocks: if count == 0 {
-                0
-            } else {
-                (self.max_tokens + n).div_ceil(self.block_tokens)
-            },
+            max_blocks: self
+                .lifted
+                .last()
+                .map_or(0, |&top| (top - self.lift + n).div_ceil(self.block_tokens)),
         }
     }
 }
@@ -465,13 +574,13 @@ impl PagedAttention {
     #[must_use]
     pub fn decode_cost(&self, seq_lens: &[usize], extra_padding: f64) -> OpCost {
         self.decode_cost_of(
-            BatchShape::of_lens(seq_lens, self.block_tokens),
+            BatchShape::of_lens(seq_lens.iter().copied(), self.block_tokens),
             extra_padding,
         )
     }
 
     /// An empty [`BatchStats`] accumulator with this model's KV block
-    /// size, ready for the engine to maintain incrementally.
+    /// size, ready to maintain incrementally.
     #[must_use]
     pub fn batch_stats(&self) -> BatchStats {
         BatchStats::new(self.block_tokens)
@@ -503,23 +612,18 @@ impl PagedAttention {
     pub fn decode_cost_of(&self, shape: BatchShape, extra_padding: f64) -> OpCost {
         let g = self.geometry(shape, extra_padding);
         let (scores, values) = self.gemm_pair(self.gemm_key(&g));
-        let mut layer = self.layer_cost(&g, self.gemm_term(&scores, &values));
+        let gather = self.gather(&g);
+        let wall = gather.stage.wall(g.batch, self.gemm_term(&scores, &values));
         let (flops, bus_bytes, useful_bytes) = self.gemm_work(g.batch, &scores, &values);
-        layer.flops = flops;
-        layer.bus_bytes += bus_bytes;
-        layer.useful_bytes += useful_bytes;
+        let layer = OpCost {
+            engine: Engine::Vector,
+            compute_s: wall,
+            memory_s: gather.mem_s.min(wall),
+            flops,
+            bus_bytes: gather.bus_bytes + bus_bytes,
+            useful_bytes: gather.useful_bytes + useful_bytes,
+        };
         scale_cost(layer, usize_to_f64(self.layers))
-    }
-
-    /// [`decode_time_of`](Self::decode_time_of) from incrementally
-    /// maintained batch aggregates: the serving engine's exact decode step.
-    ///
-    /// # Panics
-    /// Panics if `stats` is empty or was built under a different KV block
-    /// size.
-    #[must_use]
-    pub fn decode_time_from_stats(&self, stats: &BatchStats, terms: &mut GemmTerms) -> f64 {
-        self.decode_time_of(self.shape_of(stats), terms)
     }
 
     /// `decode_cost_of(shape, 0.0).time()`, bit for bit, with the GEMM
@@ -535,17 +639,28 @@ impl PagedAttention {
     #[must_use]
     pub fn decode_time_of(&self, shape: BatchShape, terms: &mut GemmTerms) -> f64 {
         let g = self.geometry(shape, 0.0);
-        let term = terms.get_or_price(self.gemm_key(&g), |key| {
-            let (scores, values) = self.gemm_pair(key);
-            self.gemm_term(&scores, &values)
-        });
-        scale_cost(self.layer_cost(&g, term), usize_to_f64(self.layers)).time()
+        let term = terms.get_or_price(self.gemm_key(&g), |key| self.priced_term(key));
+        self.time_of(&self.gather(&g), g.batch, term)
     }
 
-    /// Decode throughput in generated tokens per second at `seq_lens`.
+    /// The prices of a decode stretch's steps over the batch `growth`
+    /// projects: see [`StretchPricer`].
+    ///
+    /// # Panics
+    /// Panics if the batch is empty.
     #[must_use]
-    pub fn decode_throughput(&self, seq_lens: &[usize], extra_padding: f64) -> f64 {
-        usize_to_f64(seq_lens.len()) / self.decode_cost(seq_lens, extra_padding).time()
+    pub fn stretch_pricer<'a>(&'a self, growth: &'a BatchGrowth) -> StretchPricer<'a> {
+        let g = self.geometry(growth.after(0), 0.0);
+        StretchPricer {
+            attention: self,
+            growth,
+            k: 0,
+            crossing: growth.next_crossing(0),
+            batch: g.batch,
+            mean_len: g.mean_len,
+            key: self.gemm_key(&g),
+            gather: self.gather(&g),
+        }
     }
 
     /// The shape of `stats`, which must use this model's block size.
@@ -657,79 +772,65 @@ impl PagedAttention {
         }
     }
 
-    /// One layer's wall time and KV traffic from the GEMM term `gemm` —
-    /// each backend's one wall formula. The GEMM pair's own flops and
-    /// bytes are [`gemm_work`](Self::gemm_work)'s.
-    fn layer_cost(&self, g: &Geometry, gemm: f64) -> OpCost {
+    /// The GEMM term at `key`, priced from the batched-GEMM pair: what a
+    /// [`GemmTerms`] miss stores.
+    fn priced_term(&self, key: (usize, usize)) -> f64 {
+        let (scores, values) = self.gemm_pair(key);
+        self.gemm_term(&scores, &values)
+    }
+
+    /// One layer's KV gather at geometry `g`: the backend's HBM accesses,
+    /// the stage they form, and their time and bytes. The GEMM pair's own
+    /// flops and bytes are [`gemm_work`](Self::gemm_work)'s.
+    fn gather(&self, g: &Geometry) -> Gather {
+        let bb = self.block_bytes();
         match self.backend {
-            PagedBackend::GaudiBase => self.base_layer_cost(g.batch, g.padded, gemm),
-            PagedBackend::GaudiOpt => self.opt_layer_cost(g.effectual, gemm),
+            PagedBackend::GaudiBase | PagedBackend::GaudiOpt => {
+                let base = self.backend == PagedBackend::GaudiBase;
+                // The baseline copies the padded table block by block, the
+                // optimized one gathers the effectual blocks at once; K and
+                // V each.
+                let gathers = 2 * if base { g.padded } else { g.effectual };
+                let reads = self.hbm.access(gathers, bb, AccessPattern::Random);
+                let writes = self.hbm.access(gathers, bb, AccessPattern::Stream);
+                let stage = if base {
+                    Stage::Serial(
+                        usize_to_f64(gathers) * PYTORCH_OP_OVERHEAD_S
+                            + reads.time_s
+                            + writes.time_s,
+                    )
+                } else {
+                    Stage::Pipelined(EvenPipeline::new(
+                        PYTORCH_OP_OVERHEAD_S + reads.time_s + writes.time_s,
+                        PIPELINE_SLICES,
+                    ))
+                };
+                Gather {
+                    stage,
+                    mem_s: reads.time_s + writes.time_s,
+                    bus_bytes: reads.bus_bytes + writes.bus_bytes,
+                    useful_bytes: reads.useful_bytes + writes.useful_bytes,
+                }
+            }
             PagedBackend::A100Fused | PagedBackend::GaudiFusedHypothetical => {
-                self.fused_layer_cost(g.effectual, gemm)
+                let reads = self.hbm.access(g.effectual * 2, bb, AccessPattern::Random);
+                Gather {
+                    stage: Stage::Overlapped(reads.time_s),
+                    mem_s: reads.time_s,
+                    bus_bytes: reads.bus_bytes,
+                    useful_bytes: reads.useful_bytes,
+                }
             }
         }
     }
 
-    /// Baseline: per-block gather ops + contiguous staging + per-request
-    /// serial SDPA on the padded length (`gemm` per request).
-    fn base_layer_cost(&self, batch: usize, padded_blocks: usize, gemm: f64) -> OpCost {
-        let bb = self.block_bytes();
-        let gathers = padded_blocks * 2; // K and V
-        let reads = self.hbm.access(gathers, bb, AccessPattern::Random);
-        let writes = self.hbm.access(gathers, bb, AccessPattern::Stream);
-        let gather_wall =
-            usize_to_f64(gathers) * PYTORCH_OP_OVERHEAD_S + reads.time_s + writes.time_s;
-        // FusedSDPA per request over the padded, contiguous KV, launched
-        // per request.
-        let sdpa_wall = gemm * usize_to_f64(batch);
-        OpCost {
-            engine: Engine::Vector,
-            compute_s: gather_wall + sdpa_wall,
-            memory_s: (reads.time_s + writes.time_s).min(gather_wall + sdpa_wall),
-            flops: 0.0,
-            bus_bytes: reads.bus_bytes + writes.bus_bytes,
-            useful_bytes: reads.useful_bytes + writes.useful_bytes,
-        }
-    }
-
-    /// Optimized: one batched gather over effectual blocks, pipelined with
-    /// one batched GEMM pair (`gemm`).
-    fn opt_layer_cost(&self, effectual_blocks: usize, gemm: f64) -> OpCost {
-        let bb = self.block_bytes();
-        let gathers = effectual_blocks * 2;
-        let reads = self.hbm.access(gathers, bb, AccessPattern::Random);
-        let writes = self.hbm.access(gathers, bb, AccessPattern::Stream);
-        let gather_stage = PYTORCH_OP_OVERHEAD_S + reads.time_s + writes.time_s;
-        let wall = even_pipeline_makespan(gather_stage, gemm, PIPELINE_SLICES);
-        OpCost {
-            engine: Engine::Vector,
-            compute_s: wall,
-            memory_s: (reads.time_s + writes.time_s).min(wall),
-            flops: 0.0,
-            bus_bytes: reads.bus_bytes + writes.bus_bytes,
-            useful_bytes: reads.useful_bytes + writes.useful_bytes,
-        }
-    }
-
-    /// A100 fused kernel: blocks read in-kernel (random block-granular
-    /// reads, no staging), batched across requests; `gemm` is the pair's
-    /// arithmetic time.
-    fn fused_layer_cost(&self, effectual_blocks: usize, gemm: f64) -> OpCost {
-        let bb = self.block_bytes();
-        let reads = self
-            .hbm
-            .access(effectual_blocks * 2, bb, AccessPattern::Random);
-        // One kernel: compute overlaps the block reads; the wall time is
-        // whichever is longer, plus one dispatch.
-        let wall = gemm.max(reads.time_s) + PYTORCH_OP_OVERHEAD_S;
-        OpCost {
-            engine: Engine::Vector,
-            compute_s: wall,
-            memory_s: reads.time_s.min(wall),
-            flops: 0.0,
-            bus_bytes: reads.bus_bytes,
-            useful_bytes: reads.useful_bytes,
-        }
+    /// A decode step's time from its gather, batch and GEMM term: the
+    /// float operations of `scale_cost(layer, layers).time()` on the layer
+    /// [`decode_cost_of`](Self::decode_cost_of) builds, without its bytes.
+    fn time_of(&self, gather: &Gather, batch: usize, gemm: f64) -> f64 {
+        let wall = gather.stage.wall(batch, gemm);
+        let layers = usize_to_f64(self.layers);
+        (wall * layers).max(gather.mem_s.min(wall) * layers)
     }
 }
 
@@ -747,6 +848,95 @@ struct Geometry {
     mean_len: usize,
     /// Per-request length of the padded table, in tokens.
     padded_len: usize,
+}
+
+/// One layer's KV gather at one block geometry (see
+/// [`PagedAttention::gather`]).
+#[derive(Debug, Clone, Copy)]
+struct Gather {
+    stage: Stage,
+    /// HBM time of the gather's accesses: the layer's memory-time bound.
+    mem_s: f64,
+    bus_bytes: u64,
+    useful_bytes: u64,
+}
+
+/// How a backend's gather meets its GEMM pair: each backend's one wall
+/// formula.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// GaudiBase: the per-block copies (dispatch plus HBM time), then
+    /// FusedSDPA launched per request on the padded length, in series.
+    Serial(f64),
+    /// GaudiOpt: the batched gather, pipelined with the batched GEMM pair
+    /// over [`PIPELINE_SLICES`] sub-operations.
+    Pipelined(EvenPipeline),
+    /// Fused kernels: the in-kernel block reads' time, overlapped with
+    /// the pair's arithmetic, plus one dispatch.
+    Overlapped(f64),
+}
+
+impl Stage {
+    /// One layer's wall time with GEMM term `gemm` over `batch` requests.
+    fn wall(&self, batch: usize, gemm: f64) -> f64 {
+        match self {
+            Stage::Serial(copies) => copies + gemm * usize_to_f64(batch),
+            Stage::Pipelined(gather) => gather.makespan(gemm),
+            Stage::Overlapped(reads) => gemm.max(*reads) + PYTORCH_OP_OVERHEAD_S,
+        }
+    }
+}
+
+/// The attention prices of a decode stretch's steps, in order: the
+/// `k`-th [`step`](Self::step) returns the bits of
+/// [`PagedAttention::decode_time_of`]`(growth.after(k), terms)` on every
+/// backend, recomputing only what moved (DESIGN.md §3.8).
+///
+/// Over a stretch the batch and the GEMM batch are fixed, and the mean
+/// length rises by exactly one per step (`⌊(S + k·c)/c⌋ = ⌊S/c⌋ + k`), so
+/// the GEMM term is the next cell of one [`GemmTerms`] row. The block
+/// counts, and with them the geometry, the baseline's GEMM key and the
+/// backend's HBM gather, change only at a step where some sequence needs
+/// a new block; the pricer reprices them there. On GaudiOpt the gather's
+/// producer prefix is kept, so a gather-bound step's makespan is one add
+/// ([`EvenPipeline`]).
+#[derive(Debug)]
+pub struct StretchPricer<'a> {
+    attention: &'a PagedAttention,
+    growth: &'a BatchGrowth,
+    /// The step the next [`step`](Self::step) prices.
+    k: usize,
+    /// The first step whose block counts differ from `gather`'s.
+    crossing: usize,
+    batch: usize,
+    /// Mean cached length at step 0, rounded down.
+    mean_len: usize,
+    /// The GEMM key: the baseline's until `crossing`, the GEMM batch of
+    /// the others.
+    key: (usize, usize),
+    gather: Gather,
+}
+
+impl StretchPricer<'_> {
+    /// The attention time of the next step: the `k`-th call returns
+    /// `decode_time_of(growth.after(k), terms)`, reading `terms` as that
+    /// call would (same family and backend, same cells in the same order).
+    pub fn step(&mut self, terms: &mut GemmTerms) -> f64 {
+        let pa = self.attention;
+        if self.k == self.crossing {
+            let g = pa.geometry(self.growth.after(self.k), 0.0);
+            self.key = pa.gemm_key(&g);
+            self.gather = pa.gather(&g);
+            self.crossing = self.growth.next_crossing(self.k);
+        }
+        let key = match pa.backend {
+            PagedBackend::GaudiBase => self.key,
+            _ => (self.key.0, (self.mean_len + self.k).max(1)),
+        };
+        let term = terms.get_or_price(key, |key| pa.priced_term(key));
+        self.k += 1;
+        pa.time_of(&self.gather, self.batch, term)
+    }
 }
 
 /// Cells per [`GemmTerms`] page: 1 KiB of `f64`.
@@ -942,14 +1132,6 @@ mod tests {
         assert!(t_fused < t_opt, "fused {t_fused} vs opt {t_opt}");
         // With the staging copy gone, Gaudi's higher bandwidth competes.
         assert!(t_fused < t_a100 * 1.2, "fused {t_fused} vs a100 {t_a100}");
-    }
-
-    #[test]
-    fn throughput_helper() {
-        let opt = setup(PagedBackend::GaudiOpt);
-        let lens = vec![1024usize; 32];
-        let t = opt.decode_throughput(&lens, 0.0);
-        assert!((t - 32.0 / opt.decode_cost(&lens, 0.0).time()).abs() < 1e-6);
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! preemption, an admissible arrival or the caller's horizon) every
 //! decode step's shape follows from the batch at the stretch start, so
 //! the scheduler advances such a *stretch* in one pass: it prices each
-//! step from a projection of the batch, adds the steps to the clock in
-//! order, and updates each sequence once at the end. Only the step in
-//! which an append fails and preempts runs token by token.
+//! step from a projection of the batch, recomputing only what the step
+//! moved, adds the steps to the clock in order, and updates each
+//! sequence once at the end. The projection is kept current across
+//! stretches, one mutation per batch change, so a stretch starts
+//! without re-reading the batch. Only the step in which an append fails
+//! and preempts runs token by token.
 //!
 //! This module owns one replica's scheduler, a steppable simulation
 //! ([`SimState`]); `cluster` owns the one event loop that drives it.
@@ -44,7 +47,7 @@
 //! percentiles and queueing delay for the online experiments.
 
 use crate::attention::{
-    BatchGrowth, BatchStats, GemmTerms, PagedAttention, PagedBackend, DEFAULT_BLOCK_TOKENS,
+    BatchGrowth, BatchShape, GemmTerms, PagedAttention, PagedBackend, DEFAULT_BLOCK_TOKENS,
 };
 use crate::cluster::{self, RoutingPolicy, RunSettings};
 use crate::dataset::Request;
@@ -69,9 +72,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 const ACTIVATION_HEADROOM: f64 = 0.08;
 
 /// Shortest decode stretch fast-forward integrates in closed form: a
-/// trapezoid over one step costs two attention prices, where exact steps
-/// price it once. Shorter stretches, and stretches whose closed form
-/// would cross the horizon, run as exact steps.
+/// trapezoid over one step costs two full attention prices, where an
+/// exact step's price is a GEMM-table read and the wall formula.
+/// Shorter stretches, and stretches whose closed form would cross the
+/// horizon, run as exact steps.
 const MIN_FF_STEPS: usize = 2;
 
 /// Aggregate metrics of one serving run.
@@ -177,21 +181,17 @@ impl WorkItem {
 /// router can hold many of these and advance them on a shared clock.
 pub(crate) struct SimState {
     kv: PagedKvCache,
-    /// Incrementally maintained aggregates of the active batch's KV
-    /// token counts — mirrors `kv.tokens_of` for every id in `active`
-    /// (including the failed-append inflation the cache exhibits), so the
-    /// preemption step prices in O(1) via
-    /// [`PagedAttention::decode_time_from_stats`] instead of re-walking
-    /// the batch, and a stretch's first step via its shape. Invariant
-    /// pinned by `tests/tests/prop_batch_stats.rs`.
-    stats: BatchStats,
     /// Reusable snapshot buffer for the decode bookkeeping — avoids a
     /// per-step `Vec` allocation (the batch must be snapshotted:
     /// preemption and completion mutate `active` mid-iteration).
     scratch_ids: Vec<(u64, SlotId)>,
-    /// A stretch's projection of the active batch, from which every step
-    /// of the stretch is priced; reloaded per stretch into retained
-    /// capacity.
+    /// The active batch's KV token counts as a projection — mirrors
+    /// `kv.tokens_of` for every id in `active` (including the
+    /// failed-append inflation the cache exhibits). `after(0)` prices the
+    /// preemption step in O(1), and every step of a stretch is priced
+    /// from it. Kept up to date across stretches: one insert at
+    /// admission, one remove at completion and preemption, one move per
+    /// sequence in the preemption step and one grow-all at a stretch end.
     growth: BatchGrowth,
     /// Requests whose arrival time the clock has not reached. The event
     /// queue's `(time, priority, seq)` total order makes simultaneous
@@ -413,7 +413,7 @@ impl SimState {
             out.push(self.slab.remove(slot));
         }
         self.active.clear();
-        self.stats.clear(); // the active batch is gone wholesale
+        self.growth.clear(); // the active batch is gone wholesale
 
         out.sort_by(|a, b| {
             a.arrival_s
@@ -439,7 +439,7 @@ impl SimState {
         let req = self.slab.remove(slot);
         let ttft_s = first_token_t - req.arrival_s;
         self.judge_slo(ttft_s, Some(tpot), produced);
-        self.stats.remove(kv_tokens);
+        self.growth.remove(kv_tokens);
         self.kv.release(id)?;
         self.completed += 1;
         self.trace.span(
@@ -829,7 +829,6 @@ impl ServingEngine {
         };
         Ok(SimState {
             kv,
-            stats: self.attention.batch_stats(),
             scratch_ids: Vec::with_capacity(self.max_decode_batch),
             growth: BatchGrowth::with_capacity(self.block_tokens, self.max_decode_batch),
             arrivals: EventQueue::with_capacity(expected_requests),
@@ -930,7 +929,7 @@ impl ServingEngine {
         } else {
             // dcm-lint: allow(P1) admit(r.id, ..) succeeded just above
             let kv_tokens = sim.kv.tokens_of(r.id).expect("just admitted");
-            sim.stats.add(kv_tokens);
+            sim.growth.insert(kv_tokens);
             let slot =
                 sim.slab
                     .insert(r, seq.remaining, seq.first_token_t, seq.produced, kv_tokens);
@@ -966,12 +965,13 @@ impl ServingEngine {
             return Ok(false); // idle: awaiting future arrivals (or drained)
         }
         // One decode step for all active sequences, priced from the
-        // incrementally maintained batch aggregates — no O(batch) length
+        // incrementally maintained batch projection — no O(batch) length
         // re-walk, no per-step allocation.
         let batch = sim.active.len();
         sim.peak_batch = sim.peak_batch.max(batch);
-        debug_assert_eq!(sim.stats.count(), batch, "stats desynced from active set");
-        let attn = self.with_gemm_terms(|pa, terms| pa.decode_time_from_stats(&sim.stats, terms));
+        let shape = sim.growth.after(0);
+        debug_assert_eq!(shape.count, batch, "projection desynced from active set");
+        let attn = self.with_gemm_terms(|pa, terms| pa.decode_time_of(shape, terms));
         let step = (self.nonattn_step_time(batch) + attn) * sim.time_scale;
         let t0 = sim.clock.now();
         sim.clock.advance_by(step);
@@ -992,13 +992,13 @@ impl ServingEngine {
                 continue; // preempted earlier in this step (generation check)
             }
             // `known` shadows the cache's token count for `id` so the
-            // batch stats can be kept in lockstep: the cache counts a
+            // batch projection can be kept in lockstep: the cache counts a
             // token per append *attempt*, even a failed one. The slab
             // mirrors the cache count, so no map lookup is needed.
-            let mut known = sim.slab.kv_tokens(slot);
+            let start = sim.slab.kv_tokens(slot);
+            let mut known = start;
             loop {
                 let appended = sim.kv.append_token(id).is_ok();
-                sim.stats.grow(known);
                 known += 1;
                 if appended {
                     break;
@@ -1014,7 +1014,7 @@ impl ServingEngine {
                         "request {id} ({known} tokens) exceeds KV capacity"
                     )));
                 };
-                sim.stats.remove(sim.slab.kv_tokens(victim_slot));
+                sim.growth.remove(sim.slab.kv_tokens(victim_slot));
                 let state = ActiveSeq {
                     remaining: sim.slab.remaining(victim_slot),
                     first_token_t: sim.slab.first_token_t(victim_slot),
@@ -1036,6 +1036,8 @@ impl ServingEngine {
                     resumed: Some(state),
                 });
             }
+            sim.growth.remove(start);
+            sim.growth.insert(known);
             sim.slab.set_kv_tokens(slot, known);
             sim.total_output += 1;
             let remaining = sim.slab.remaining(slot) - 1;
@@ -1072,9 +1074,11 @@ impl ServingEngine {
     ///   [`Self::closed_form`]). Only the clock is approximate.
     /// * **Exact steps.** Otherwise step `i` is priced as `sim_step` would
     ///   price the batch grown `i` times, from the projection
-    ///   `growth.after(i)`, and added to the clock in order. A step starts
-    ///   only while the clock is below the horizon, `sim_advance`'s own
-    ///   loop-head rule, so the clock is bit-identical to stepping.
+    ///   `growth.after(i)` through a
+    ///   [`StretchPricer`](crate::attention::StretchPricer), and added to
+    ///   the clock in order. A step starts only while the clock is below
+    ///   the horizon, `sim_advance`'s own loop-head rule, so the clock is
+    ///   bit-identical to stepping.
     ///
     /// Either way every produced-token count is exact, and each sequence
     /// is updated once for the whole stretch.
@@ -1097,11 +1101,16 @@ impl ServingEngine {
         // monotone in n — binary search the largest feasible stretch).
         // Admission appends the first output token, so every active
         // sequence holds a token: there the cache's block count and the
-        // stats' agree.
-        sim.growth
-            .reset(sim.active.iter().map(|&(_, slot)| sim.slab.kv_tokens(slot)));
+        // projection's agree.
         let growth = &sim.growth;
-        debug_assert_eq!(growth.after(0), sim.stats.shape());
+        debug_assert_eq!(
+            growth.after(0),
+            BatchShape::of_lens(
+                sim.active.iter().map(|&(_, slot)| sim.slab.kv_tokens(slot)),
+                self.block_tokens
+            ),
+            "projection desynced from the slab"
+        );
         let free = sim.kv.free_blocks();
         if growth.extra_blocks(n) > free {
             let (mut lo, mut hi) = (0usize, n);
@@ -1140,7 +1149,7 @@ impl ServingEngine {
             let step = StepCost {
                 nonattn,
                 attn_start: self
-                    .with_gemm_terms(|pa, terms| pa.decode_time_of(sim.stats.shape(), terms)),
+                    .with_gemm_terms(|pa, terms| pa.decode_time_of(growth.after(0), terms)),
                 scale: sim.time_scale,
             };
             self.closed_form(growth, step, n, now, horizon)
@@ -1163,16 +1172,16 @@ impl ServingEngine {
             }
             None => self.exact_steps(sim, nonattn, n, horizon),
         };
-        // Bulk per-sequence bookkeeping via the O(1)-amortized batch paths.
+        // Bulk per-sequence bookkeeping; the projection grows in one call.
         sim.peak_batch = sim.peak_batch.max(batch);
         sim.total_output += k * batch;
+        sim.growth.grow_all(k);
         let mut ids = std::mem::take(&mut sim.scratch_ids);
         ids.clear();
         ids.extend(sim.active.iter().copied());
         for &(id, slot) in &ids {
             let t = sim.slab.kv_tokens(slot);
             sim.kv.append_tokens(id, k)?; // cannot fail: cap 2
-            sim.stats.grow_by(t, k);
             sim.slab.set_kv_tokens(slot, t + k);
             sim.slab.set_remaining(slot, sim.slab.remaining(slot) - k);
             sim.slab.set_produced(slot, sim.slab.produced(slot) + k);
@@ -1227,9 +1236,10 @@ impl ServingEngine {
     /// least one and at most `n`, while the clock is below `horizon`;
     /// return how many ran. Step `i` costs `(nonattn + attention of
     /// growth.after(i)) × time_scale`, the float operations `sim_step`
-    /// performs on the stats after `i` grows, and the clock and busy time
-    /// add the steps in order. The per-sequence state is left to the
-    /// caller.
+    /// performs on the batch after `i` grows, with the attention time
+    /// from a [`StretchPricer`](crate::attention::StretchPricer); the
+    /// clock and busy time add the steps in order. The per-sequence state
+    /// and the projection are left to the caller.
     fn exact_steps(&self, sim: &mut SimState, nonattn: f64, n: usize, horizon: f64) -> usize {
         let batch = usize_to_f64(sim.active.len());
         let SimState {
@@ -1241,9 +1251,10 @@ impl ServingEngine {
             ..
         } = sim;
         self.with_gemm_terms(|pa, terms| {
+            let mut prices = pa.stretch_pricer(growth);
             let mut k = 0;
             loop {
-                let step = (nonattn + pa.decode_time_of(growth.after(k), terms)) * *time_scale;
+                let step = (nonattn + prices.step(terms)) * *time_scale;
                 let t0 = clock.now();
                 clock.advance_by(step);
                 *busy_s += step;
@@ -1636,9 +1647,9 @@ mod tests {
             (
                 stepped.completed,
                 stepped.total_output,
-                stepped.stats.shape()
+                stepped.growth.after(0)
             ),
-            (sim.completed, sim.total_output, sim.stats.shape())
+            (sim.completed, sim.total_output, sim.growth.after(0))
         );
     }
 

@@ -99,56 +99,58 @@ impl TrainStepRun {
 
 /// Build the backward-pass graph: for every forward GEMM `(m, k, n)`, the
 /// grad-input product `(m, n, k)` and the grad-weight product `(k, m, n)`,
-/// plus element-wise derivative work.
+/// plus element-wise derivative work. Each forward block is lowered once
+/// and re-emitted with its repeat count, so the forward's repeated layer
+/// stays one block and compiles once.
 fn backward_graph(model: &LlamaConfig, batch: usize, seq: usize) -> Graph {
     let fwd = model.prefill_graph(batch, seq, 1);
     let mut g = Graph::new(format!("{}-backward", model.name));
-    for op in fwd.ops() {
-        match op {
-            Op::Gemm { shape, dtype } => {
-                g.push(Op::gemm(GemmShape::new(shape.m, shape.n, shape.k), *dtype));
-                g.push(Op::gemm(GemmShape::new(shape.k, shape.m, shape.n), *dtype));
-            }
-            Op::BatchedGemm {
-                batch: b,
-                shape,
-                dtype,
-            } => {
-                g.push(Op::batched_gemm(
-                    *b,
-                    GemmShape::new(shape.m, shape.n, shape.k),
-                    *dtype,
-                ));
-                g.push(Op::batched_gemm(
-                    *b,
-                    GemmShape::new(shape.k, shape.m, shape.n),
-                    *dtype,
-                ));
-            }
-            Op::Elementwise { kind, elems, dtype } => {
-                // Activation derivative + grad multiply.
-                g.push(Op::Elementwise {
-                    kind: *kind,
-                    elems: *elems,
-                    dtype: *dtype,
-                });
-                g.push(Op::Elementwise {
-                    kind: EwKind::Mul,
-                    elems: *elems,
-                    dtype: *dtype,
-                });
-            }
-            Op::Softmax { rows, cols, dtype } => {
-                g.push(Op::Softmax {
-                    rows: *rows,
-                    cols: *cols,
-                    dtype: *dtype,
-                });
-            }
-            Op::Gather { .. } | Op::AllReduce { .. } => {}
+    let mut body = Vec::new();
+    for block in fwd.blocks() {
+        body.clear();
+        for op in block.body() {
+            backward_ops(op, &mut body);
         }
+        g.push_repeated(&body, block.repeat());
     }
     g
+}
+
+/// Append the backward ops of forward op `op` to `out`.
+fn backward_ops(op: &Op, out: &mut Vec<Op>) {
+    match op {
+        Op::Gemm { shape, dtype } => {
+            out.push(Op::gemm(GemmShape::new(shape.m, shape.n, shape.k), *dtype));
+            out.push(Op::gemm(GemmShape::new(shape.k, shape.m, shape.n), *dtype));
+        }
+        Op::BatchedGemm {
+            batch: b,
+            shape,
+            dtype,
+        } => {
+            out.push(Op::batched_gemm(
+                *b,
+                GemmShape::new(shape.m, shape.n, shape.k),
+                *dtype,
+            ));
+            out.push(Op::batched_gemm(
+                *b,
+                GemmShape::new(shape.k, shape.m, shape.n),
+                *dtype,
+            ));
+        }
+        Op::Elementwise { elems, dtype, .. } => {
+            // Activation derivative + grad multiply.
+            out.push(op.clone());
+            out.push(Op::Elementwise {
+                kind: EwKind::Mul,
+                elems: *elems,
+                dtype: *dtype,
+            });
+        }
+        Op::Softmax { .. } => out.push(op.clone()),
+        Op::Gather { .. } | Op::AllReduce { .. } => {}
+    }
 }
 
 /// Adam update: read param + 2 moments + grad, write param + 2 moments;
@@ -286,6 +288,22 @@ mod tests {
         let run = train_step(&d, &cfg);
         let ratio = run.backward.flops / run.forward.flops;
         assert!(ratio > 1.8 && ratio < 2.2, "bwd/fwd flops {ratio}");
+    }
+
+    #[test]
+    fn backward_graph_lowers_each_block_once() {
+        let model = LlamaConfig::llama31_8b();
+        let fwd = model.prefill_graph(2, 2048, 1);
+        let bwd = backward_graph(&model, 2, 2048);
+        // The flat lowering: the forward's op sequence, op by op.
+        let mut flat = Vec::new();
+        for op in fwd.ops() {
+            backward_ops(op, &mut flat);
+        }
+        assert_eq!(bwd.ops().cloned().collect::<Vec<_>>(), flat);
+        let repeats = |g: &Graph| g.blocks().iter().map(|b| b.repeat()).collect::<Vec<_>>();
+        assert_eq!(repeats(&bwd), [1, model.layers - 1, 1]);
+        assert_eq!(repeats(&bwd), repeats(&fwd));
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!   model never allocates;
 //! * the memoized price on every backend, once one pass over a fixed set
 //!   of shapes has allocated the table's pages;
-//! * the fast-forward's `BatchGrowth` projection, reloaded into its
-//!   pre-sized buffer;
+//! * the engine's `BatchGrowth` projection under insert/remove/grow-all
+//!   churn, in its pre-sized buffers;
+//! * a stretch's prices through a `StretchPricer`, once its table's
+//!   pages are allocated;
 //! * the Gaudi MME geometry search (`GaudiMme::batched_gemm`).
 //!
 //! This file deliberately holds a single `#[test]` so the harness runs
@@ -235,17 +237,61 @@ fn hot_paths_are_allocation_free_after_warmup() {
         );
     }
 
-    // --- Fast-forward projection: reloads into retained capacity -------
+    // --- Batch projection: insert/remove/grow-all churn ----------------
+    // Each round retires the longest sequence, admits a fresh one and
+    // grows the batch by a stretch, as the serving engine does.
     let mut growth = BatchGrowth::with_capacity(128, BATCH);
-    let (growth_allocs, shape) = allocations_in(|| {
-        growth.reset(lens.iter().copied());
+    let mut held = lens;
+    for &t in &held {
+        growth.insert(t);
+    }
+    let churn_growth = |growth: &mut BatchGrowth, held: &mut [usize; BATCH], rounds: usize| {
+        for round in 0..rounds {
+            let (imax, &max) = held
+                .iter()
+                .enumerate()
+                .max_by_key(|&(_, &t)| t)
+                .expect("non-empty");
+            growth.remove(max);
+            held[imax] = 128 + round % 97;
+            growth.insert(held[imax]);
+            let k = 1 + round % 150;
+            growth.grow_all(k);
+            for t in held.iter_mut() {
+                *t += k;
+            }
+        }
         growth.after(1000)
-    });
+    };
+    churn_growth(&mut growth, &mut held, 16);
+    let (growth_allocs, shape) = allocations_in(|| churn_growth(&mut growth, &mut held, 512));
     assert_eq!(shape.count, BATCH);
     assert_eq!(
         growth_allocs, 0,
-        "BatchGrowth allocated {growth_allocs} times"
+        "BatchGrowth allocated {growth_allocs} times in steady state"
     );
+
+    // --- Stretch prices: every backend, once the table is warm ----------
+    for (device, backend) in [
+        (&gaudi, PagedBackend::GaudiBase),
+        (&gaudi, PagedBackend::GaudiOpt),
+        (&a100, PagedBackend::A100Fused),
+        (&gaudi, PagedBackend::GaudiFusedHypothetical),
+    ] {
+        let pa = PagedAttention::new(device, backend, &LlamaConfig::llama31_8b(), 1);
+        let mut terms = GemmTerms::default();
+        let stretch = |terms: &mut GemmTerms| {
+            let mut prices = pa.stretch_pricer(&growth);
+            (0..300).map(|_| prices.step(terms)).sum::<f64>()
+        };
+        let cold = stretch(&mut terms);
+        let (stretch_allocs, warm) = allocations_in(|| stretch(&mut terms));
+        assert_eq!(warm.to_bits(), cold.to_bits());
+        assert_eq!(
+            stretch_allocs, 0,
+            "{backend:?} stretch pricing allocated {stretch_allocs} times once warm"
+        );
+    }
 
     // --- MME geometry search over decode-shaped batched GEMMs ----------
     let mme = GaudiMme::new(&DeviceSpec::gaudi2());

@@ -6,10 +6,16 @@
 //! [`PagedAttention::decode_time_of`] to the cost model, and
 //! a stretch's [`BatchGrowth`] projection must equal a grown copy of the
 //! stats and price like it, step by step and summed, without ever
-//! falling as the batch grows — the invariants the engine hot loop and
-//! the golden serving fixtures lean on.
+//! falling as the batch grows. The projection kept up to date across
+//! insert, remove, grow-all and clear must equal one rebuilt from
+//! scratch, a `StretchPricer` must price every step of a stretch as
+//! `decode_time_of` prices the projection, and the split makespan
+//! [`EvenPipeline`] must equal the per-slice recurrence — the invariants
+//! the engine hot loop and the golden serving fixtures lean on.
 
 use dcm_compiler::Device;
+use dcm_core::timeline::{even_pipeline_makespan, EvenPipeline};
+use dcm_tests::timeline::pipeline_makespan;
 use dcm_vllm::attention::{
     BatchGrowth, BatchShape, BatchStats, GemmTerms, PagedAttention, PagedBackend,
 };
@@ -59,6 +65,41 @@ fn memo_config(idx: usize, block_tokens: usize) -> PagedAttention {
 /// cells that earlier cases priced, under other block sizes too (the
 /// GEMM term does not depend on them).
 static WARM: Mutex<Vec<GemmTerms>> = Mutex::new(Vec::new());
+
+/// A projection of `lens` built from scratch (`clear` plus one `insert`
+/// per sequence): the oracle the incrementally kept one is checked
+/// against.
+fn rebuilt(growth: &mut BatchGrowth, lens: &[usize]) {
+    growth.clear();
+    for &t in lens {
+        growth.insert(t);
+    }
+}
+
+/// Every observable of a projection: its shape and block demand at
+/// growths around the block size `b` and at `far`.
+fn observed(growth: &BatchGrowth, b: usize, far: usize) -> Vec<(BatchShape, usize)> {
+    [0, 1, b - 1, b, b + 1, 2 * b + 3, far]
+        .into_iter()
+        .map(|n| (growth.after(n), growth.extra_blocks(n)))
+        .collect()
+}
+
+/// A float of class `class` from `mantissa`: normal over a wide range
+/// (negative for class 5, which no stage time is), a zero, a subnormal,
+/// a huge value or an infinity.
+fn float_of(class: u8, mantissa: u64, exp: i32) -> f64 {
+    let normal = (1.0 + (mantissa % (1 << 52)) as f64 / (1u64 << 52) as f64) * 2f64.powi(exp);
+    match class {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from_bits(mantissa % (1 << 52) + 1), // subnormal
+        3 => f64::MAX / f64::from(1 + (exp.unsigned_abs() % 4)),
+        4 => f64::INFINITY,
+        5 => -normal,
+        _ => normal,
+    }
+}
 
 /// Replay an op sequence against both the incremental accumulator and a
 /// plain `Vec<usize>` model, checking the aggregates after every step.
@@ -175,7 +216,7 @@ proptest! {
         prop_assert_eq!(cold.cells() as u64, cold_misses, "one miss per cell");
         let stats = BatchStats::from_lens(&lens, block_tokens);
         prop_assert_eq!(
-            pa.decode_time_from_stats(&stats, &mut cold).to_bits(),
+            pa.decode_time_of(stats.shape(), &mut cold).to_bits(),
             pa.decode_cost_from_stats(&stats, 0.0).time().to_bits()
         );
     }
@@ -191,7 +232,7 @@ proptest! {
     ) {
         let stats = BatchStats::from_lens(&lens, block_tokens);
         let mut growth = BatchGrowth::with_capacity(block_tokens, lens.len());
-        growth.reset(lens.iter().copied());
+        rebuilt(&mut growth, &lens);
         prop_assert_eq!(growth.after(0), stats.shape());
         let mut grown = stats.clone();
         for &t in &lens {
@@ -224,7 +265,7 @@ proptest! {
         let nonattn = f64::from(nonattn_us) * 1e-6;
         let scale = f64::from(scale_x8) / 8.0;
         let mut growth = BatchGrowth::with_capacity(block_tokens, lens.len());
-        growth.reset(lens.iter().copied());
+        rebuilt(&mut growth, &lens);
         let mut stats = BatchStats::from_lens(&lens, block_tokens);
         let mut grown = lens.clone();
         let (mut projected_terms, mut stepped_terms) = (GemmTerms::default(), GemmTerms::default());
@@ -232,7 +273,7 @@ proptest! {
         let (mut projected, mut stepped) = (start, start);
         for i in 0..k {
             projected += (nonattn + pa.decode_time_of(growth.after(i), &mut projected_terms)) * scale;
-            stepped += (nonattn + pa.decode_time_from_stats(&stats, &mut stepped_terms)) * scale;
+            stepped += (nonattn + pa.decode_time_of(stats.shape(), &mut stepped_terms)) * scale;
             prop_assert_eq!(projected.to_bits(), stepped.to_bits(), "step {}", i);
             for len in &mut grown {
                 stats.grow(*len);
@@ -255,13 +296,133 @@ proptest! {
     ) {
         let pa = memo_config(config, block_tokens);
         let mut growth = BatchGrowth::with_capacity(block_tokens, lens.len());
-        growth.reset(lens.iter().copied());
+        rebuilt(&mut growth, &lens);
         let mut terms = GemmTerms::default();
         let mut prev = pa.decode_time_of(growth.after(0), &mut terms);
         for i in 1..=k {
             let t = pa.decode_time_of(growth.after(i), &mut terms);
             prop_assert!(t >= prev, "step {}: {} < {}", i, t, prev);
             prev = t;
+        }
+    }
+
+    /// The projection kept up to date across a random interleaving of
+    /// inserts, removes, single-sequence regrows (a remove and an insert
+    /// of the grown length, as the preemption step moves a sequence),
+    /// grow-alls of zero to several blocks and clears equals one rebuilt
+    /// from the current lengths, after every operation.
+    #[test]
+    fn incremental_projection_matches_a_rebuild(
+        block_tokens in 1usize..300,
+        ops in proptest::collection::vec((0u8..12, 1usize..3000, 0usize..10_000), 0..160),
+        far in 0usize..5000,
+    ) {
+        let mut growth = BatchGrowth::with_capacity(block_tokens, 8);
+        let mut oracle = BatchGrowth::with_capacity(block_tokens, 8);
+        let mut lens: Vec<usize> = Vec::new();
+        for &(op, x, pick) in &ops {
+            match op {
+                0..=3 => {
+                    growth.insert(x);
+                    lens.push(x);
+                }
+                4 | 5 if !lens.is_empty() => growth.remove(lens.swap_remove(pick % lens.len())),
+                6 | 7 if !lens.is_empty() => {
+                    let i = pick % lens.len();
+                    let to = lens[i] + 1 + x % 3;
+                    growth.remove(lens[i]);
+                    growth.insert(to);
+                    lens[i] = to;
+                }
+                8..=10 => {
+                    let k = x % (4 * block_tokens);
+                    growth.grow_all(k);
+                    for t in &mut lens {
+                        *t += k;
+                    }
+                }
+                11 if pick % 4 == 0 => {
+                    growth.clear();
+                    lens.clear();
+                }
+                _ => {}
+            }
+            rebuilt(&mut oracle, &lens);
+            prop_assert_eq!(
+                observed(&growth, block_tokens, far),
+                observed(&oracle, block_tokens, far)
+            );
+        }
+    }
+
+    /// A stretch pricer returns, at every step `k`, the bits of
+    /// `decode_time_of(growth.after(k))`, and reads the same GEMM cells:
+    /// on every backend, on Gaudi-2, Gaudi-3 and A100 at four
+    /// tensor-parallel splits, block sizes 1–299, batches 1–64, for up to
+    /// 400 steps, across block boundaries and 128-cell `GemmTerms` pages.
+    /// The projection is the engine's kind: an earlier grow-all has
+    /// rotated it, then up to four sequences left and up to four joined
+    /// under that rotation, so fresh remainders sit among wrapped and
+    /// unwrapped ones.
+    #[test]
+    fn stretch_pricer_matches_projected_prices(
+        config in 0usize..MEMO_CONFIGS,
+        block_tokens in 1usize..300,
+        lens in proptest::collection::vec(1usize..4096, 1..65),
+        rotate in 0usize..600,
+        leaving in proptest::collection::vec(0usize..10_000, 0..5),
+        joining in proptest::collection::vec(1usize..4096, 0..5),
+        k in 1usize..400,
+    ) {
+        let pa = memo_config(config, block_tokens);
+        let mut growth = BatchGrowth::with_capacity(block_tokens, lens.len() + joining.len());
+        rebuilt(&mut growth, &lens);
+        growth.grow_all(rotate);
+        let mut lens: Vec<usize> = lens.iter().map(|&t| t + rotate).collect();
+        for &pick in &leaving {
+            if lens.len() > 1 {
+                growth.remove(lens.swap_remove(pick % lens.len()));
+            }
+        }
+        for &t in &joining {
+            growth.insert(t);
+        }
+        let (mut priced, mut projected) = (GemmTerms::default(), GemmTerms::default());
+        let mut prices = pa.stretch_pricer(&growth);
+        for i in 0..k {
+            let want = pa.decode_time_of(growth.after(i), &mut projected).to_bits();
+            prop_assert_eq!(prices.step(&mut priced).to_bits(), want, "step {}", i);
+        }
+        prop_assert_eq!(priced.misses(), projected.misses());
+        prop_assert_eq!(priced.cells(), projected.cells());
+    }
+
+    /// The split makespan equals the per-slice recurrence bit for bit,
+    /// through `EvenPipeline` and `even_pipeline_makespan` alike, with
+    /// either stage the longer: on stage times over a wide range, equal
+    /// ones, neighbouring floats, zeros of both signs, subnormals, huge
+    /// values, infinities and negative values.
+    #[test]
+    fn split_makespan_matches_the_recurrence(
+        class in 0u8..10,
+        mantissa in 0u64..u64::MAX,
+        exp in -1074i32..1000,
+        relation in 0u8..8,
+        other in (0u8..10, 0u64..u64::MAX, -60i32..60),
+        n in 1usize..40,
+    ) {
+        let a = float_of(class, mantissa, exp);
+        let b = match relation {
+            0 => a,
+            1 => a.next_up(),
+            2 => a.next_down(),
+            _ => float_of(other.0, other.1, other.2),
+        };
+        for (a, b) in [(a, b), (b, a)] {
+            let slices = vec![(a / n as f64, b / n as f64); n];
+            let want = pipeline_makespan(&slices).to_bits();
+            prop_assert_eq!(EvenPipeline::new(a, n).makespan(b).to_bits(), want, "{} {} {}", a, b, n);
+            prop_assert_eq!(even_pipeline_makespan(a, b, n).to_bits(), want);
         }
     }
 

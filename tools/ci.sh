@@ -72,6 +72,9 @@ done
 # flow-vs-closed-form fabric equivalence properties, the attention
 # pricing paths (slice, stats and memoized) against each other and an
 # exact stretch's summed prices against token-by-token steps, the
+# stretch pricer against pricing each step's projection, the batch
+# projection kept across inserts, removes and grow-alls against a
+# rebuild, the split pipeline makespan against its recurrence, the
 # exact-stretch cut invariance (lazy, eager and slowdown-window
 # catch-ups give one report), the MME geometry search against its f64
 # argmin spec, the step-cost memo's and attention tables' report
