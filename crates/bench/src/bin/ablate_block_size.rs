@@ -10,7 +10,6 @@ use dcm_bench::banner;
 use dcm_compiler::Device;
 use dcm_core::metrics::Table;
 use dcm_vllm::attention::{PagedAttention, PagedBackend};
-use dcm_vllm::kv_cache::PagedKvCache;
 use dcm_workloads::llama::LlamaConfig;
 
 fn main() {
@@ -41,8 +40,7 @@ fn main() {
         let opt_t = opt.decode_cost(&lens, 0.0).time();
         let base_t = base.decode_cost(&lens, 0.0).time();
         // Internal-fragmentation waste of the last block per sequence.
-        let cache = PagedKvCache::new(1 << 20, bt);
-        let total_blocks: usize = lens.iter().map(|&l| cache.blocks_for(l)).sum();
+        let total_blocks: usize = lens.iter().map(|&l| l.div_ceil(bt)).sum();
         let used_tokens: usize = lens.iter().sum();
         let alloc_tokens = total_blocks * bt;
         t.push(&[

@@ -136,8 +136,10 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("PagedAttention", "decode_time_of"),
     ("StretchPricer", "step"),
     ("GaudiMme", "batched_gemm"),
-    ("PagedKvCache", "append_token"),
-    ("PagedKvCache", "append_tokens"),
+    ("KvPool", "fits"),
+    ("KvPool", "take"),
+    ("KvPool", "give"),
+    ("KvPool", "append"),
     ("LatencyRecorder", "record"),
 ];
 

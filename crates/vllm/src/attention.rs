@@ -517,16 +517,10 @@ pub struct PagedAttention {
 
 impl PagedAttention {
     /// Build the model for `device` running `cfg` under `tp`-way tensor
-    /// parallelism.
-    ///
-    /// # Panics
-    /// Panics if `tp` does not divide the query heads.
+    /// parallelism. A `tp` that is zero or does not divide the query heads
+    /// panics at the first price, which a serving run checks for first.
     #[must_use]
     pub fn new(device: &Device, backend: PagedBackend, cfg: &LlamaConfig, tp: usize) -> Self {
-        assert!(
-            tp >= 1 && cfg.q_heads.is_multiple_of(tp),
-            "tp must divide q_heads"
-        );
         PagedAttention {
             hbm: HbmModel::new(device.spec()),
             device: device.clone(),
@@ -688,8 +682,13 @@ impl PagedAttention {
     }
 
     /// The block counts and lengths a decode step over `shape` is priced
-    /// at, with `extra_padding` injected into the padded table.
+    /// at, with `extra_padding` injected into the padded table. Every
+    /// price passes through here, so the head split is checked here.
     fn geometry(&self, shape: BatchShape, extra_padding: f64) -> Geometry {
+        assert!(
+            self.tp >= 1 && self.q_heads.is_multiple_of(self.tp),
+            "tp must divide q_heads"
+        );
         assert!(shape.count > 0, "need at least one sequence");
         assert!((0.0..1.0).contains(&extra_padding), "padding out of range");
         let batch = shape.count;

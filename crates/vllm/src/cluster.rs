@@ -385,9 +385,6 @@ impl Cluster {
     }
 
     /// Build `n` identical replicas, mirroring [`ServingEngine::new`].
-    ///
-    /// # Panics
-    /// Panics if `tp` does not divide the model's query heads.
     #[must_use]
     pub fn homogeneous(
         device: &dcm_compiler::Device,
@@ -931,7 +928,7 @@ impl RunState<'_> {
                     None,
                     &[("replica", usize_to_f64(replica))],
                 );
-                let (orphans, lost) = self.sims[replica].drain_unfinished()?;
+                let (orphans, lost) = self.sims[replica].drain_unfinished();
                 self.lost_tokens += lost;
                 for r in orphans {
                     if let Some(target) = self.reroute(r.id, t) {

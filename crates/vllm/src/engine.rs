@@ -52,9 +52,9 @@ use crate::attention::{
 use crate::cluster::{self, RoutingPolicy, RunSettings};
 use crate::dataset::Request;
 use crate::fault::{FaultPlan, ResilienceConfig, SloSpec};
-use crate::kv_cache::PagedKvCache;
+use crate::kv_cache::KvPool;
 use crate::slab::{SeqSlab, SlotId};
-use dcm_compiler::{CompileOptions, Device};
+use dcm_compiler::{CompileOptions, Device, Graph};
 use dcm_core::cast::{f64_to_u64, u64_to_f64, usize_to_f64};
 use dcm_core::error::{DcmError, Result};
 use dcm_core::metrics::LatencyRecorder;
@@ -65,7 +65,7 @@ use dcm_workloads::llama::LlamaConfig;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Fraction of HBM reserved for weights and activations before sizing the
 /// KV cache.
@@ -175,23 +175,26 @@ impl WorkItem {
     }
 }
 
-/// The mutable state of one serving run: queues, KV cache, clock and
+/// The mutable state of one serving run: queues, KV blocks, clock and
 /// metric recorders. Separated from [`ServingEngine`] (the immutable
-/// device/model configuration plus its cost caches) so the `cluster`
-/// router can hold many of these and advance them on a shared clock.
+/// device/model configuration) so the `cluster` router can hold many of
+/// these and advance them on a shared clock.
 pub(crate) struct SimState {
-    kv: PagedKvCache,
+    /// The replica's KV blocks, counted. An active sequence of `t` KV
+    /// tokens (its slab `kv_tokens`) holds `⌈t/B⌉` of them whenever the
+    /// scheduler reads the pool (DESIGN.md §3.6), so the slab's count is
+    /// the only per-sequence record.
+    kv: KvPool,
     /// Reusable snapshot buffer for the decode bookkeeping — avoids a
     /// per-step `Vec` allocation (the batch must be snapshotted:
     /// preemption and completion mutate `active` mid-iteration).
     scratch_ids: Vec<(u64, SlotId)>,
-    /// The active batch's KV token counts as a projection — mirrors
-    /// `kv.tokens_of` for every id in `active` (including the
-    /// failed-append inflation the cache exhibits). `after(0)` prices the
-    /// preemption step in O(1), and every step of a stretch is priced
-    /// from it. Kept up to date across stretches: one insert at
-    /// admission, one remove at completion and preemption, one move per
-    /// sequence in the preemption step and one grow-all at a stretch end.
+    /// The active batch's KV token counts (the slab's `kv_tokens`) as a
+    /// projection. `after(0)` prices the preemption step in O(1), and
+    /// every step of a stretch is priced from it. Kept up to date across
+    /// stretches: one insert at admission, one remove at completion and
+    /// preemption, one move per sequence in the preemption step and one
+    /// grow-all at a stretch end.
     growth: BatchGrowth,
     /// Requests whose arrival time the clock has not reached. The event
     /// queue's `(time, priority, seq)` total order makes simultaneous
@@ -345,7 +348,7 @@ impl SimState {
 
     /// Fraction of KV blocks in use — the least-loaded-KV routing signal.
     pub(crate) fn kv_used_fraction(&self) -> f64 {
-        1.0 - usize_to_f64(self.kv.free_blocks()) / usize_to_f64(self.kv.num_blocks())
+        self.kv.used_fraction()
     }
 
     /// Whether all enqueued work has completed.
@@ -388,11 +391,7 @@ impl SimState {
     /// recorded for an *unfinished* request stay in the recorders — the
     /// latency distributions are per-attempt — while the SLO counts
     /// (attainment, goodput) only ever see the attempt that completes.
-    ///
-    /// # Errors
-    /// Propagates a KV-cache inconsistency (an active sequence without a
-    /// live allocation), which would indicate an engine bug.
-    pub(crate) fn drain_unfinished(&mut self) -> Result<(Vec<Request>, usize)> {
+    pub(crate) fn drain_unfinished(&mut self) -> (Vec<Request>, usize) {
         let mut lost = 0usize;
         let mut out: Vec<Request> = self
             .arrivals
@@ -407,9 +406,9 @@ impl SimState {
         // Ascending-id order, matching the map-based harvest it replaces.
         // Index loop (not `drain`) so the vector keeps its capacity.
         for i in 0..self.active.len() {
-            let (id, slot) = self.active[i];
+            let slot = self.active[i].1;
             lost += self.slab.produced(slot);
-            self.kv.release(id)?;
+            self.kv.give(self.kv.blocks_for(self.slab.kv_tokens(slot)));
             out.push(self.slab.remove(slot));
         }
         self.active.clear();
@@ -420,7 +419,7 @@ impl SimState {
                 .total_cmp(&b.arrival_s)
                 .then_with(|| a.id.cmp(&b.id))
         });
-        Ok((out, lost))
+        (out, lost)
     }
 
     /// Retire the active sequence `id` (in `slot`) that has just produced
@@ -429,7 +428,7 @@ impl SimState {
     /// span. The one decode-completion path — a stretch end and the
     /// preemption step both call it. `produced >= 2` here:
     /// admission emitted the first token and decoding at least one more.
-    fn retire(&mut self, id: u64, slot: SlotId) -> Result<()> {
+    fn retire(&mut self, id: u64, slot: SlotId) {
         let produced = self.slab.produced(slot);
         let first_token_t = self.slab.first_token_t(slot);
         let kv_tokens = self.slab.kv_tokens(slot);
@@ -440,7 +439,7 @@ impl SimState {
         let ttft_s = first_token_t - req.arrival_s;
         self.judge_slo(ttft_s, Some(tpot), produced);
         self.growth.remove(kv_tokens);
-        self.kv.release(id)?;
+        self.kv.give(self.kv.blocks_for(kv_tokens));
         self.completed += 1;
         self.trace.span(
             SpanKind::Request,
@@ -453,7 +452,6 @@ impl SimState {
                 ("ttft_s", ttft_s),
             ],
         );
-        Ok(())
     }
 
     /// Count a completed request against the run's SLO. `tpot_s` is
@@ -473,121 +471,38 @@ impl SimState {
     }
 }
 
-/// Which step graph a memo entry prices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum StepKind {
-    /// A batch-1 prefill of `length` tokens.
-    Prefill,
-    /// The non-attention work of one decode step at batch size `length`.
-    DecodeNonAttn,
-}
+/// The (device, model, tp) families engines have registered, process-wide:
+/// a family's handle is its index, so it is valid on every thread. Engines
+/// of one family compile the same step graphs and price the same GEMM
+/// shapes, so they share one [`FamilyTables`] per thread. Families match
+/// exactly: [`Device::exact_eq`] (same backend and name, spec floats equal
+/// by bit pattern), `LlamaConfig ==` and the same `tp`. The lock is taken
+/// once per engine built, never while pricing; a poisoned lock is
+/// recovered as is, since its one update is a push.
+static FAMILIES: Mutex<Vec<(Device, LlamaConfig, usize)>> = Mutex::new(Vec::new());
 
-/// A step-cost memo key: family handle, graph kind and length.
-type MemoKey = (usize, StepKind, usize);
-
-/// The process-wide step-cost memo. A *family* is a (device, model, tp)
-/// group; engines of one family compile the same graphs, so every engine
-/// in the process reads and fills one table instead of each compiling its
-/// own copies.
-///
-/// * **Key.** Families match exactly: [`Device::exact_eq`] (same backend,
-///   spec floats equal by bit pattern), `LlamaConfig ==` and the same
-///   `tp`. A family's handle is its index in `families`, resolved once
-///   per engine; nothing is keyed on a device name.
-/// * **Purity.** A value is `device.run_graph(&graph,
-///   &CompileOptions::default()).time_s()` for the key's graph: a pure
-///   function of the key. A hit returns the bits a compile would, so
-///   what ran earlier in the process cannot move a report bit, and every
-///   `DCM_THREADS` worker can share the table.
-/// * **Locking.** The lock is never held while compiling: look up,
-///   unlock, compile, insert. Two threads that miss on one key both
-///   compile it and insert the same bits (and both count a miss). A
-///   poisoned lock is recovered as is: every update is one counter
-///   increment, push or insert, so the table is valid at every step.
-/// * **Growth.** One entry per distinct (family, kind, length) priced:
-///   about 20 per family on Dynamic-Sonnet traffic, and 493 on
-///   `dcmbench`'s `faults_fabric_kv`, where preempted sequences
-///   re-prefill at `input + produced` tokens. Nothing is evicted.
-struct StepCostMemo {
-    families: Vec<(Device, LlamaConfig, usize)>,
-    times: BTreeMap<MemoKey, f64>,
-    hits: u64,
-    misses: u64,
-}
-
-impl StepCostMemo {
-    /// The memoized time for `key`, counting the hit or miss.
-    fn lookup(&mut self, key: MemoKey) -> Option<f64> {
-        let t = self.times.get(&key).copied();
-        if t.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        t
-    }
-}
-
-static STEP_COST_MEMO: Mutex<StepCostMemo> = Mutex::new(StepCostMemo {
-    families: Vec::new(),
-    times: BTreeMap::new(),
-    hits: 0,
-    misses: 0,
-});
-
-fn step_cost_memo() -> MutexGuard<'static, StepCostMemo> {
-    STEP_COST_MEMO
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The memo handle of the (device, model, tp) family, registering it on
-/// first sight.
+/// The handle of the (device, model, tp) family, registering it on first
+/// sight.
 fn resolve_family(device: &Device, model: &LlamaConfig, tp: usize) -> usize {
-    let mut memo = step_cost_memo();
-    let known = memo
-        .families
+    let mut families = FAMILIES.lock().unwrap_or_else(PoisonError::into_inner);
+    let known = families
         .iter()
         .position(|(d, m, t)| *t == tp && m == model && d.exact_eq(device));
     known.unwrap_or_else(|| {
-        memo.families.push((device.clone(), model.clone(), tp));
-        memo.families.len() - 1
+        families.push((device.clone(), model.clone(), tp));
+        families.len() - 1
     })
 }
 
-/// Process-wide counts of the step-cost memo (see [`ServingEngine`]).
-/// They depend on what ran earlier in the process, so they are not part
-/// of any report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StepCostMemoStats {
-    /// (device, model, tp) families resolved.
-    pub families: usize,
-    /// Distinct (family, kind, length) step costs held.
-    pub entries: usize,
-    /// Lookups answered from the memo.
-    pub hits: u64,
-    /// Lookups that compiled a graph.
-    pub misses: u64,
-}
-
-/// Read the step-cost memo's counts.
-#[must_use]
-pub fn step_cost_memo_stats() -> StepCostMemoStats {
-    let memo = step_cost_memo();
-    StepCostMemoStats {
-        families: memo.families.len(),
-        entries: memo.times.len(),
-        hits: memo.hits,
-        misses: memo.misses,
-    }
-}
-
-/// One family's step tables on one thread (see [`THREAD_TABLES`]).
+/// One family's step prices on one thread (see [`THREAD_TABLES`]).
 #[derive(Debug, Default)]
 struct FamilyTables {
-    /// Non-attention decode-step time by batch size, read through from
-    /// the step-cost memo; NaN until first read.
+    /// Batch-1 prefill time by prompt length.
+    prefill: BTreeMap<usize, f64>,
+    /// Non-attention decode-step time by batch size; NaN until first read.
     nonattn: Vec<f64>,
+    /// Step graphs compiled into `prefill` and `nonattn`.
+    compiles: u64,
     /// GEMM terms, one table per backend (see [`Self::gemm_terms`]).
     gemm_terms: [GemmTerms; 4],
 }
@@ -610,21 +525,25 @@ impl FamilyTables {
 thread_local! {
     /// The per-thread step tables, indexed by family handle: every
     /// replica and every engine of a family on this thread reads its
-    /// decode-step prices here, lock-free, in front of the step-cost memo.
+    /// prefill, non-attention and attention prices here, lock-free.
     ///
-    /// * **Key and value.** A family's [`GemmTerms`] for a backend map the
-    ///   (GEMM batch, GEMM length) the backend passes to
-    ///   `Op::batched_gemm` to the one number its attention time takes
-    ///   from that pair; `nonattn` maps a batch size to the memo's
-    ///   non-attention step time. Both are pure functions of family,
-    ///   backend and key, so which thread priced a cell, and what ran on
+    /// * **Key and value.** `prefill` maps a prompt length and `nonattn`
+    ///   a batch size to `device.run_graph(&graph,
+    ///   &CompileOptions::default()).time_s()` of that step graph; a
+    ///   backend's [`GemmTerms`] map the (GEMM batch, GEMM length) it
+    ///   passes to `Op::batched_gemm` to the one number its attention
+    ///   time takes from that pair. Each is a pure function of family,
+    ///   backend and key, so which thread priced a value, and what ran on
     ///   it before, cannot move a report bit.
     /// * **Per thread.** Not per engine, whose replicas would each fill a
-    ///   copy; not behind the memo's lock, which a decode step would take
-    ///   every time (DESIGN.md §3.6).
-    /// * **Growth.** Pages of 128 cells on first touch, bounded by the
-    ///   shapes the thread prices. Nothing is evicted and there is no size
-    ///   knob: the tables live as long as the thread.
+    ///   copy; not behind a lock, which a decode step would take every
+    ///   time (DESIGN.md §3.6). A miss compiles on the thread that reads
+    ///   it, so a `DCM_THREADS` sweep compiles a key once per worker.
+    /// * **Growth.** One prefill entry per distinct length, one
+    ///   non-attention cell per batch size, and GEMM-term pages of 128
+    ///   cells on first touch, bounded by what the thread prices. Nothing
+    ///   is evicted and there is no size knob: the tables live as long as
+    ///   the thread.
     static THREAD_TABLES: RefCell<Vec<FamilyTables>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -639,24 +558,33 @@ fn with_family_tables<R>(family: usize, f: impl FnOnce(&mut FamilyTables) -> R) 
     })
 }
 
-/// The calling thread's attention-memo counts, over every family and
-/// backend. They depend on what ran earlier on the thread, so they are
-/// not part of any report.
+/// The calling thread's step-table counts, over every family and backend.
+/// They depend on what ran earlier on the thread, so they are not part of
+/// any report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AttentionMemoStats {
+pub struct StepTableStats {
+    /// Prefill and non-attention step times held.
+    pub steps: usize,
+    /// Step graphs compiled.
+    pub compiles: u64,
     /// GEMM terms priced and held.
     pub cells: usize,
     /// Reads that priced a GEMM pair.
     pub misses: u64,
 }
 
-/// Read the calling thread's attention-memo counts.
+/// Read the calling thread's step-table counts.
 #[must_use]
-pub fn attention_memo_stats() -> AttentionMemoStats {
+pub fn step_table_stats() -> StepTableStats {
     THREAD_TABLES.with(|tables| {
         let tables = tables.borrow();
         let terms = tables.iter().flat_map(|t| &t.gemm_terms);
-        AttentionMemoStats {
+        StepTableStats {
+            steps: tables
+                .iter()
+                .map(|t| t.prefill.len() + t.nonattn.iter().filter(|x| !x.is_nan()).count())
+                .sum(),
+            compiles: tables.iter().map(|t| t.compiles).sum(),
             cells: terms.clone().map(GemmTerms::cells).sum(),
             misses: terms.map(GemmTerms::misses).sum(),
         }
@@ -665,18 +593,16 @@ pub fn attention_memo_stats() -> AttentionMemoStats {
 
 /// Continuous-batching LLM serving engine over one device group.
 ///
-/// Prefill and non-attention decode-step times come from a process-wide
-/// memo shared by every engine of the same device, model and `tp`, so a
-/// sweep compiles each step graph once per process. Decode steps read
-/// their non-attention and attention prices from per-thread tables in
-/// front of it.
+/// Prefill, non-attention and attention step prices come from per-thread
+/// tables shared by every engine of the same device, model and `tp`, so a
+/// thread compiles each step graph and prices each GEMM shape once.
 #[derive(Debug)]
 pub struct ServingEngine {
     device: Device,
     model: LlamaConfig,
     tp: usize,
-    /// Handle of this engine's (device, model, tp) family in the
-    /// step-cost memo.
+    /// Handle of this engine's (device, model, tp) family (see
+    /// [`FAMILIES`]).
     family: usize,
     attention: PagedAttention,
     max_decode_batch: usize,
@@ -687,10 +613,8 @@ pub struct ServingEngine {
 impl ServingEngine {
     /// Create an engine for `model` on `device` with `tp`-way tensor
     /// parallelism and the given PagedAttention backend. A zero
-    /// `max_decode_batch` is rejected when a run starts.
-    ///
-    /// # Panics
-    /// Panics if `tp` does not divide the query heads.
+    /// `max_decode_batch`, and a `tp` that is zero or does not divide the
+    /// query heads, are rejected when a run starts.
     #[must_use]
     pub fn new(
         device: &Device,
@@ -737,20 +661,42 @@ impl ServingEngine {
         self.device.matrix_peak_flops(DType::Bf16)
     }
 
+    /// The time of a batch-1 prefill of `length` tokens, from this
+    /// thread's tables for the engine's family; a miss compiles.
+    fn prefill_time(&self, length: usize) -> f64 {
+        with_family_tables(self.family, |tables| {
+            if let Some(&t) = tables.prefill.get(&length) {
+                return t;
+            }
+            let t = self.compile(&self.model.prefill_graph(1, length, self.tp));
+            tables.compiles += 1;
+            tables.prefill.insert(length, t);
+            t
+        })
+    }
+
     /// The non-attention time of a decode step at `batch`, from this
-    /// thread's tables for the engine's family; a miss reads the memo.
+    /// thread's tables for the engine's family; a miss compiles.
     fn nonattn_step_time(&self, batch: usize) -> f64 {
         with_family_tables(self.family, |tables| {
             if let Some(&t) = tables.nonattn.get(batch).filter(|t| !t.is_nan()) {
                 return t;
             }
-            let t = self.step_time(StepKind::DecodeNonAttn, batch);
+            let t = self.compile(&self.model.decode_nonattn_graph(batch, self.tp));
+            tables.compiles += 1;
             if batch >= tables.nonattn.len() {
                 tables.nonattn.resize(batch + 1, f64::NAN);
             }
             tables.nonattn[batch] = t;
             t
         })
+    }
+
+    /// The time of one step graph on this engine's device.
+    fn compile(&self, graph: &Graph) -> f64 {
+        self.device
+            .run_graph(graph, &CompileOptions::default())
+            .time_s()
     }
 
     /// `price` on this engine's attention model and this thread's GEMM
@@ -760,27 +706,6 @@ impl ServingEngine {
         with_family_tables(self.family, |tables| {
             price(&self.attention, tables.gemm_terms(backend))
         })
-    }
-
-    /// The time of step graph `kind` at `length` on this engine's family,
-    /// from the step-cost memo; a miss compiles the graph outside the
-    /// lock and inserts its time.
-    fn step_time(&self, kind: StepKind, length: usize) -> f64 {
-        let key = (self.family, kind, length);
-        let hit = step_cost_memo().lookup(key);
-        if let Some(t) = hit {
-            return t;
-        }
-        let graph = match kind {
-            StepKind::Prefill => self.model.prefill_graph(1, length, self.tp),
-            StepKind::DecodeNonAttn => self.model.decode_nonattn_graph(length, self.tp),
-        };
-        let t = self
-            .device
-            .run_graph(&graph, &CompileOptions::default())
-            .time_s();
-        step_cost_memo().times.insert(key, t);
-        t
     }
 
     /// Start a fresh simulation of this engine as replica `replica` under
@@ -793,7 +718,8 @@ impl ServingEngine {
     ///
     /// # Errors
     /// Returns [`DcmError::InvalidConfig`] naming `replica` and the field
-    /// if `max_decode_batch` or the KV block cap is zero, and
+    /// if `max_decode_batch` or the KV block cap is zero or `tp` is zero
+    /// or does not divide the query heads, and
     /// [`DcmError::ResourceExhausted`] if the KV cache cannot hold a
     /// single block.
     pub(crate) fn make_sim(
@@ -813,14 +739,21 @@ impl ServingEngine {
                 "replica {replica}: kv_blocks must be at least 1"
             )));
         }
+        // Before the KV sizing below, which divides by `tp`.
+        if self.tp == 0 || !self.model.q_heads.is_multiple_of(self.tp) {
+            return Err(DcmError::InvalidConfig(format!(
+                "replica {replica}: tp {} must be at least 1 and divide the {} query heads",
+                self.tp, self.model.q_heads
+            )));
+        }
         let weights = self.model.param_count() * usize_to_f64(DType::Bf16.size_bytes())
             / usize_to_f64(self.tp);
         let hbm = self.device.spec().memory.hbm_capacity_bytes;
         let reserved = f64_to_u64(weights.floor())
             + f64_to_u64((u64_to_f64(hbm) * ACTIVATION_HEADROOM).floor());
         let kv = match self.kv_blocks_override {
-            Some(blocks) => PagedKvCache::new(blocks, self.block_tokens),
-            None => PagedKvCache::sized_for(
+            Some(blocks) => KvPool::new(blocks, self.block_tokens),
+            None => KvPool::sized_for(
                 hbm,
                 reserved,
                 self.model.kv_bytes_per_token(self.tp),
@@ -861,21 +794,21 @@ impl ServingEngine {
             && sim
                 .ready
                 .front()
-                .is_some_and(|w| sim.kv.can_admit(w.admit_tokens() + 1))
+                .is_some_and(|w| sim.kv.fits(w.admit_tokens() + 1))
     }
 
     /// Admit the head of the ready queue: prefill it at the current
     /// clock and either retire it (single-output-token request) or place
-    /// it in the active batch. `sim_step` is its only caller, in exact
-    /// and fast-forward mode alike.
+    /// it in the active batch, holding the blocks of its tokens plus the
+    /// first output token's. `sim_step` is its only caller, in exact and
+    /// fast-forward mode alike.
     ///
     /// Caller must have checked [`Self::admission_possible`].
-    fn admit_one(&self, sim: &mut SimState) -> Result<()> {
+    fn admit_one(&self, sim: &mut SimState) {
         // dcm-lint: allow(P1) admission_possible requires front() to be Some
         let w = sim.ready.pop_front().expect("checked non-empty");
         let r = w.request;
         let admit_tokens = w.admit_tokens();
-        sim.kv.admit(r.id, admit_tokens)?;
         if w.resumed.is_none() {
             sim.queue_delay.record(sim.clock.now() - r.arrival_s);
         }
@@ -883,7 +816,7 @@ impl ServingEngine {
         // recomputation of its already-generated tokens. The time
         // scale models transient slowdown windows (1.0 = nominal).
         let t0 = sim.clock.now();
-        let prefill = self.step_time(StepKind::Prefill, admit_tokens) * sim.time_scale;
+        let prefill = self.prefill_time(admit_tokens) * sim.time_scale;
         sim.clock.advance_by(prefill);
         sim.busy_s += prefill;
         sim.trace.span(
@@ -894,7 +827,6 @@ impl ServingEngine {
             Some(r.id),
             &[("tokens", usize_to_f64(admit_tokens))],
         );
-        sim.kv.append_token(r.id)?;
         let seq = match w.resumed {
             Some(state) => state,
             None => {
@@ -909,7 +841,6 @@ impl ServingEngine {
             }
         };
         if seq.remaining == 0 {
-            sim.kv.release(r.id)?;
             sim.completed += 1;
             // A single-output-token request has no decode interval:
             // it contributes no TPOT sample (a 0.0 here would drag
@@ -927,15 +858,15 @@ impl ServingEngine {
                 ],
             );
         } else {
-            // dcm-lint: allow(P1) admit(r.id, ..) succeeded just above
-            let kv_tokens = sim.kv.tokens_of(r.id).expect("just admitted");
+            // The prefilled tokens and the first output token's KV slot.
+            let kv_tokens = admit_tokens + 1;
+            sim.kv.take(sim.kv.blocks_for(kv_tokens));
             sim.growth.insert(kv_tokens);
             let slot =
                 sim.slab
                     .insert(r, seq.remaining, seq.first_token_t, seq.produced, kv_tokens);
             sim.active_insert(r.id, slot);
         }
-        Ok(())
     }
 
     /// Run one scheduler iteration at the current clock, if any work has
@@ -949,7 +880,7 @@ impl ServingEngine {
         // Admission: prefill one ready item per iteration if the decode
         // batch has room and its current tokens fit.
         if self.admission_possible(sim) {
-            self.admit_one(sim)?;
+            self.admit_one(sim);
             return Ok(true);
         }
         if sim.active.is_empty() {
@@ -991,18 +922,15 @@ impl ServingEngine {
             if !sim.slab.contains(slot) {
                 continue; // preempted earlier in this step (generation check)
             }
-            // `known` shadows the cache's token count for `id` so the
-            // batch projection can be kept in lockstep: the cache counts a
-            // token per append *attempt*, even a failed one. The slab
-            // mirrors the cache count, so no map lookup is needed.
+            // The pool counts a token per append *attempt*, even a failed
+            // one, and a failed append is followed by exactly one that
+            // succeeds: the victim gives back at least one block and the
+            // next token needs one. So `known` ends holding `⌈known/B⌉`
+            // blocks, and the slab and projection take it as the count.
             let start = sim.slab.kv_tokens(slot);
             let mut known = start;
-            loop {
-                let appended = sim.kv.append_token(id).is_ok();
-                known += 1;
-                if appended {
-                    break;
-                }
+            let mut held = sim.kv.blocks_for(start);
+            while !sim.kv.append(&mut known, &mut held) {
                 // Out of blocks: preempt the youngest active sequence
                 // (highest id) that is not `id` itself. If `id` is the
                 // only one, it holds every used block and still needs
@@ -1014,7 +942,9 @@ impl ServingEngine {
                         "request {id} ({known} tokens) exceeds KV capacity"
                     )));
                 };
-                sim.growth.remove(sim.slab.kv_tokens(victim_slot));
+                let victim_tokens = sim.slab.kv_tokens(victim_slot);
+                sim.growth.remove(victim_tokens);
+                sim.kv.give(sim.kv.blocks_for(victim_tokens));
                 let state = ActiveSeq {
                     remaining: sim.slab.remaining(victim_slot),
                     first_token_t: sim.slab.first_token_t(victim_slot),
@@ -1022,7 +952,6 @@ impl ServingEngine {
                 };
                 sim.active_remove(victim);
                 let victim_req = sim.slab.remove(victim_slot);
-                sim.kv.release(victim)?;
                 sim.preemptions += 1;
                 sim.trace.instant(
                     SpanKind::Preemption,
@@ -1036,6 +965,7 @@ impl ServingEngine {
                     resumed: Some(state),
                 });
             }
+            debug_assert_eq!(held, sim.kv.blocks_for(known), "request {id}'s blocks");
             sim.growth.remove(start);
             sim.growth.insert(known);
             sim.slab.set_kv_tokens(slot, known);
@@ -1045,7 +975,7 @@ impl ServingEngine {
             sim.slab.set_remaining(slot, remaining);
             sim.slab.set_produced(slot, produced);
             if remaining == 0 {
-                sim.retire(id, slot)?;
+                sim.retire(id, slot);
             }
         }
         sim.scratch_ids = ids;
@@ -1053,7 +983,7 @@ impl ServingEngine {
     }
 
     /// Advance the active batch `k ≥ 1` decode steps, up to its next
-    /// batch change, in one pass; `Ok(false)` if no stretch applies. An
+    /// batch change, in one pass; `false` if no stretch applies. An
     /// admission that is possible declines the stretch, so `sim_step`
     /// admits: there is one admission path. So does a batch whose next
     /// append must fail: `sim_step` runs that preemption step.
@@ -1082,9 +1012,9 @@ impl ServingEngine {
     ///
     /// Either way every produced-token count is exact, and each sequence
     /// is updated once for the whole stretch.
-    fn try_stretch(&self, sim: &mut SimState, limit: f64) -> Result<bool> {
+    fn try_stretch(&self, sim: &mut SimState, limit: f64) -> bool {
         if self.admission_possible(sim) || sim.active.is_empty() {
-            return Ok(false);
+            return false;
         }
         // Admission has priority in `sim_step` and is blocked here; free
         // blocks only shrink mid-stretch and the batch never drains, so a
@@ -1099,19 +1029,22 @@ impl ServingEngine {
         // Cap 2: growing every sequence by `n` tokens must fit the free
         // blocks, so no append can fail mid-stretch (block demand is
         // monotone in n — binary search the largest feasible stretch).
-        // Admission appends the first output token, so every active
-        // sequence holds a token: there the cache's block count and the
-        // projection's agree.
+        // Every active sequence holds `⌈t/B⌉` blocks for its `t ≥ 1` KV
+        // tokens, so the projection counts the blocks the pool has lent.
         let growth = &sim.growth;
-        debug_assert_eq!(
-            growth.after(0),
-            BatchShape::of_lens(
+        if cfg!(debug_assertions) {
+            let shape = BatchShape::of_lens(
                 sim.active.iter().map(|&(_, slot)| sim.slab.kv_tokens(slot)),
-                self.block_tokens
-            ),
-            "projection desynced from the slab"
-        );
-        let free = sim.kv.free_blocks();
+                self.block_tokens,
+            );
+            assert_eq!(growth.after(0), shape, "projection desynced from the slab");
+            assert_eq!(
+                sim.kv.free() + shape.sum_blocks,
+                sim.kv.blocks(),
+                "KV pool desynced from the slab"
+            );
+        }
+        let free = sim.kv.free();
         if growth.extra_blocks(n) > free {
             let (mut lo, mut hi) = (0usize, n);
             while lo < hi {
@@ -1125,7 +1058,7 @@ impl ServingEngine {
             n = lo;
         }
         if n == 0 {
-            return Ok(false); // the next step's append must fail
+            return false; // the next step's append must fail
         }
         // Cap 3: never cross the caller's horizon, nor — when a new
         // arrival could actually be admitted mid-stretch — the next
@@ -1172,17 +1105,18 @@ impl ServingEngine {
             }
             None => self.exact_steps(sim, nonattn, n, horizon),
         };
-        // Bulk per-sequence bookkeeping; the projection grows in one call.
+        // Bulk bookkeeping: the blocks the `k` steps need are taken in
+        // one call (cap 2 made room), the projection grows in one call,
+        // and each sequence is updated once.
         sim.peak_batch = sim.peak_batch.max(batch);
         sim.total_output += k * batch;
+        sim.kv.take(sim.growth.extra_blocks(k));
         sim.growth.grow_all(k);
         let mut ids = std::mem::take(&mut sim.scratch_ids);
         ids.clear();
         ids.extend(sim.active.iter().copied());
-        for &(id, slot) in &ids {
-            let t = sim.slab.kv_tokens(slot);
-            sim.kv.append_tokens(id, k)?; // cannot fail: cap 2
-            sim.slab.set_kv_tokens(slot, t + k);
+        for &(_, slot) in &ids {
+            sim.slab.set_kv_tokens(slot, sim.slab.kv_tokens(slot) + k);
             sim.slab.set_remaining(slot, sim.slab.remaining(slot) - k);
             sim.slab.set_produced(slot, sim.slab.produced(slot) + k);
         }
@@ -1190,11 +1124,11 @@ impl ServingEngine {
         // the same order a step-by-step run retires them in.
         for &(id, slot) in &ids {
             if sim.slab.remaining(slot) == 0 {
-                sim.retire(id, slot)?;
+                sim.retire(id, slot);
             }
         }
         sim.scratch_ids = ids;
-        Ok(true)
+        true
     }
 
     /// The longest closed-form stretch of at most `n` steps that starts
@@ -1293,7 +1227,7 @@ impl ServingEngine {
             if sim.clock.now() >= limit {
                 return Ok(());
             }
-            if self.try_stretch(sim, limit)? || self.sim_step(sim)? {
+            if self.try_stretch(sim, limit) || self.sim_step(sim)? {
                 continue;
             }
             // Idle: fast-forward to the next arrival if it is within the
@@ -1517,6 +1451,38 @@ mod tests {
     }
 
     #[test]
+    fn bad_tp_is_an_error_naming_the_replica() {
+        // Llama-3.1-8B has 32 query heads: a zero split, and one that does
+        // not divide them, build an engine and fail the run, KV cap or not.
+        let reqs = SyntheticDataset::fixed(2, 128, 4);
+        let model = LlamaConfig::llama31_8b;
+        for tp in [0, 3] {
+            let opt = PagedBackend::GaudiOpt;
+            let mut cluster = Cluster::homogeneous(
+                &Device::gaudi2(),
+                &model(),
+                tp,
+                opt,
+                4,
+                2,
+                RoutingPolicy::RoundRobin,
+            );
+            let capped =
+                ServingEngine::new(&Device::gaudi2(), model(), tp, opt, 4).with_kv_blocks(8);
+            for err in [
+                cluster.run(&reqs).unwrap_err(),
+                solo(capped).run(&reqs).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, DcmError::InvalidConfig(m)
+                        if m.contains("replica 0") && m.contains(&format!("tp {tp}"))),
+                    "{err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn lone_sequence_outgrowing_the_cache_is_an_error_not_a_livelock() {
         // Request 1 is preempted once by request 0's growth and later
         // resumed. Alone, it then needs more than the 2,048-token cache.
@@ -1596,13 +1562,13 @@ mod tests {
             for (e, (device, model, tp)) in engines.iter().zip(&families) {
                 for length in [1, 7, 128, 517] {
                     let direct = device.run_graph(&model.prefill_graph(1, length, *tp), &opts);
-                    let memo = e.step_time(StepKind::Prefill, length);
+                    let memo = e.prefill_time(length);
                     assert_eq!(memo.to_bits(), direct.time_s().to_bits(), "{round}");
                 }
                 for batch in [1, 3, 16] {
                     let graph = model.decode_nonattn_graph(batch, *tp);
                     let direct = device.run_graph(&graph, &opts);
-                    let memo = e.step_time(StepKind::DecodeNonAttn, batch);
+                    let memo = e.nonattn_step_time(batch);
                     assert_eq!(memo.to_bits(), direct.time_s().to_bits(), "{round}");
                 }
             }
@@ -1634,7 +1600,7 @@ mod tests {
         assert_eq!((sim.active.len(), sim.total_output), (4, 4));
         // Prefill emitted every first token: 24 steps remain until
         // request 1 completes.
-        assert!(e.try_stretch(&mut sim, f64::INFINITY).unwrap());
+        assert!(e.try_stretch(&mut sim, f64::INFINITY));
         assert_eq!(sim.total_output, 4 + 4 * 24);
         assert_eq!((sim.completed, sim.active.len()), (1, 3));
         let mut stepped = admitted();

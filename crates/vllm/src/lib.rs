@@ -8,7 +8,8 @@
 //!   of the optimized version (Figure 16), with functional attention over
 //!   both proving they are numerically identical.
 //! * [`kv_cache`] — the paged block manager (allocation on demand, the
-//!   core vLLM idea [42]).
+//!   core vLLM idea [42]), counting blocks rather than naming them: the
+//!   engine charges a block pool from its batch's token counts.
 //! * [`attention`] — timing of three PagedAttention implementations:
 //!   `GaudiBase` (per-block PyTorch-level gather ops, zero-padded,
 //!   unpipelined), `GaudiOpt` (single batched gather, effectual blocks
@@ -20,11 +21,11 @@
 //! * [`engine`] — a continuous-batching serving engine with TTFT/TPOT
 //!   accounting (mean and p50/p95/p99 tails), driving Figure 17(d,e);
 //!   arrival-aware, with the offline experiment as the all-zero-arrival
-//!   special case. Its step costs come from one process-wide memo, so a
-//!   sweep compiles each step graph once, and its decode-attention GEMM
-//!   terms from per-thread tables, so a thread prices each shape once.
-//!   Between two batch changes it advances the whole decode stretch in
-//!   one pass, exactly or, with fast-forward, in closed form.
+//!   special case. Its step prices come from per-thread tables shared by
+//!   every engine of a (device, model, tp) family, so a thread compiles
+//!   each step graph and prices each attention GEMM shape once. Between
+//!   two batch changes it advances the whole decode stretch in one pass,
+//!   exactly or, with fast-forward, in closed form.
 //! * [`cluster`] — a multi-replica router (round-robin /
 //!   join-shortest-queue / least-loaded-KV) dispatching an arrival
 //!   stream across N engines on one shared simulated clock. Its event
@@ -64,10 +65,7 @@ pub use attention::{BatchStats, PagedAttention, PagedBackend};
 pub use block::{BlockList, BlockTable};
 pub use cluster::{Cluster, ClusterReport, FabricConfig, ReplicaStats, RoutingPolicy};
 pub use dataset::{ArrivalProcess, Request, SyntheticDataset};
-pub use engine::{
-    attention_memo_stats, step_cost_memo_stats, AttentionMemoStats, ServingEngine, ServingReport,
-    StepCostMemoStats,
-};
+pub use engine::{step_table_stats, ServingEngine, ServingReport, StepTableStats};
 pub use fault::{FaultEvent, FaultPlan, ResilienceConfig, ShedPolicy, SloSpec};
 pub use kv_cache::PagedKvCache;
 pub use slab::{SeqSlab, SlotId};

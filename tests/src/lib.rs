@@ -7,14 +7,16 @@
 //!
 //! The crate also holds the models the property suites check fast paths
 //! against: [`ListQueue`] for `dcm_core::sim::EventQueue`
-//! (`prop_queue_diff.rs`), and [`timeline`]'s per-slice recurrences for
-//! `dcm_core::timeline::even_pipeline_makespan` (`prop_models.rs`). They
-//! live here, not in `dcm-core`, because nothing but those suites uses
-//! them.
+//! (`prop_queue_diff.rs`), [`timeline`]'s per-slice recurrences for
+//! `dcm_core::timeline::even_pipeline_makespan` (`prop_models.rs`), and
+//! [`kv_cache`]'s block-naming cache for `dcm_vllm`'s counting
+//! `PagedKvCache` (`prop_vllm.rs`). They live here, not in the library
+//! crates, because nothing but those suites uses them.
 
 use dcm_core::sim::Event;
 use std::cmp::Ordering;
 
+pub mod kv_cache;
 pub mod timeline;
 
 /// An event queue kept as a plain list: the executable specification of

@@ -1,17 +1,16 @@
-//! The process-wide step-cost memo and the per-thread attention tables
-//! (DESIGN.md §3.6) must be invisible: a family's `ServingReport` is a
-//! pure function of its device, model, `tp`, backend and trace, whichever
-//! families ran before it in the process or on its thread, and whether
-//! its siblings ran serially or on 8 threads.
+//! The per-thread step tables (DESIGN.md §3.6) must be invisible: a
+//! family's `ServingReport` is a pure function of its device, model, `tp`,
+//! backend and trace, whichever families ran before it on its thread, and
+//! whether its siblings ran serially or on 8 threads.
 //!
-//! One process cannot empty the memo, so each family's oracle is a
-//! *fresh twin*: the same device under a name no earlier run used. Names
-//! do not enter pricing, but they do enter the memo key, so the twin
-//! starts as a family of its own and compiles every step it prices. A
-//! key that conflated a family with one that prices differently would
-//! hand it the other's step times, and its report would leave its twin's.
-//! Three backends share the Gaudi-2 Llama-8B family, so its attention
-//! tables must be chosen by backend as well.
+//! A thread cannot empty its tables, so each family's oracle is a *fresh
+//! twin*: the same device under a name no earlier run used. Names do not
+//! enter pricing, but they do enter the family key, so the twin starts as
+//! a family of its own and compiles every step it prices. A key that
+//! conflated a family with one that prices differently would hand it the
+//! other's step times, and its report would leave its twin's. Three
+//! backends share the Gaudi-2 Llama-8B family, so its attention tables
+//! must be chosen by backend as well.
 
 use dcm_compiler::Device;
 use dcm_core::par::par_map;

@@ -1,9 +1,11 @@
 //! Property tests for the vLLM layer: block-layout equivalence over random
-//! batches, KV-cache conservation, and serving-engine accounting.
+//! batches, KV-cache conservation and agreement with a block-naming model,
+//! and serving-engine accounting.
 
 use dcm_compiler::Device;
 use dcm_core::tensor::Tensor;
 use dcm_core::{rng, DType};
+use dcm_tests::kv_cache::BlockIdCache;
 use dcm_vllm::attention::{PagedAttention, PagedBackend};
 use dcm_vllm::block::{BlockList, BlockStore, BlockTable};
 use dcm_vllm::dataset::Request;
@@ -92,7 +94,7 @@ proptest! {
             }
             let allocated: usize = live
                 .iter()
-                .map(|id| cache.blocks_of(*id).expect("live").len())
+                .map(|id| cache.blocks_of(*id).expect("live"))
                 .sum();
             prop_assert_eq!(allocated + cache.free_blocks(), 64);
         }
@@ -152,5 +154,54 @@ proptest! {
         prop_assert_eq!(report.completed, requests.len());
         prop_assert!(report.peak_batch <= max_batch);
         prop_assert!(report.throughput_tps > 0.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The counting cache tracks the block-naming model through random
+    /// scripts of admits, single and bulk appends and releases, on ids
+    /// live, released and never seen, through exhaustion and failed
+    /// appends: after every operation both agree on success, free blocks,
+    /// and each sequence's tokens and held blocks.
+    #[test]
+    fn kv_cache_matches_the_block_id_model(
+        seed in 0u64..10_000,
+        block_tokens in 1usize..9,
+        blocks in 1usize..65,
+        ops in 1usize..200,
+    ) {
+        const IDS: u64 = 6;
+        let mut r = rng::seeded(seed);
+        let mut pick = |n: usize| rng::uniform_indices(&mut r, 1, n)[0];
+        let mut cache = PagedKvCache::new(blocks, block_tokens);
+        let mut model = BlockIdCache::new(blocks, block_tokens);
+        for op in 0..ops {
+            let id = pick(IDS as usize) as u64;
+            let (ok, model_ok) = match pick(4) {
+                0 => {
+                    let tokens = pick(3 * block_tokens + 1);
+                    prop_assert_eq!(cache.can_admit(tokens), model.can_admit(tokens));
+                    (cache.admit(id, tokens).is_ok(), model.admit(id, tokens))
+                }
+                1 => (cache.append_token(id).is_ok(), model.append_token(id)),
+                2 => {
+                    let n = pick(3 * block_tokens + 2);
+                    (cache.append_tokens(id, n).is_ok(), model.append_tokens(id, n))
+                }
+                _ => (cache.release(id).is_ok(), model.release(id)),
+            };
+            prop_assert_eq!(ok, model_ok, "op {}", op);
+            prop_assert_eq!(cache.free_blocks(), model.free_blocks(), "op {}", op);
+            for id in 0..IDS {
+                prop_assert_eq!(cache.tokens_of(id), model.tokens_of(id), "op {} id {}", op, id);
+                prop_assert_eq!(
+                    cache.blocks_of(id),
+                    model.blocks_of(id).map(<[usize]>::len),
+                    "op {} id {}", op, id
+                );
+            }
+        }
     }
 }

@@ -1,18 +1,16 @@
-//! Step-cost memo counts (DESIGN.md §3.6), a host-independent guard for
-//! the memo's speedup: every step graph is compiled once per process, and
-//! every decode-attention GEMM term is priced once per thread.
+//! Step-table counts (DESIGN.md §3.6), a host-independent guard for the
+//! per-thread step tables' speedup: a thread compiles every step graph,
+//! and prices every decode-attention GEMM term, once.
 //!
-//! The compile counts are process-wide, and the tests of one file run on
-//! parallel threads of one process. So this file holds a single test: no
-//! other test can move the counts it reads. The attention counts are the
-//! test thread's own, and a cluster run serves on the calling thread.
+//! The counts are the calling thread's own, and a cluster run serves on
+//! the calling thread, so a fresh thread starts from zero.
 
 use dcm_compiler::Device;
 use dcm_core::trace::SpanKind;
 use dcm_vllm::attention::PagedBackend;
 use dcm_vllm::cluster::{Cluster, RoutingPolicy};
-use dcm_vllm::dataset::{ArrivalProcess, SyntheticDataset};
-use dcm_vllm::{attention_memo_stats, step_cost_memo_stats, AttentionMemoStats, StepCostMemoStats};
+use dcm_vllm::dataset::{ArrivalProcess, Request, SyntheticDataset};
+use dcm_vllm::{step_table_stats, ClusterReport, StepTableStats};
 use dcm_workloads::llama::LlamaConfig;
 use std::collections::BTreeSet;
 
@@ -28,10 +26,23 @@ fn four_replicas() -> Cluster {
     )
 }
 
+/// Serve `trace` on a fresh thread: its report, and that thread's counts
+/// before and after.
+fn on_fresh_thread(trace: &[Request]) -> (ClusterReport, StepTableStats, StepTableStats) {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let before = step_table_stats();
+            let report = four_replicas().run(trace).unwrap();
+            (report, before, step_table_stats())
+        })
+        .join()
+        .unwrap()
+    })
+}
+
 #[test]
-fn each_step_graph_compiles_once_per_process() {
-    assert_eq!(step_cost_memo_stats(), StepCostMemoStats::default());
-    assert_eq!(attention_memo_stats(), AttentionMemoStats::default());
+fn each_step_graph_compiles_once_per_thread() {
+    assert_eq!(step_table_stats(), StepTableStats::default());
     let trace = SyntheticDataset::dynamic_sonnet_online(
         64,
         2026,
@@ -52,32 +63,29 @@ fn each_step_graph_compiles_once_per_process() {
     };
     let keys =
         lengths(SpanKind::Prefill, "tokens").len() + lengths(SpanKind::Decode, "batch").len();
-    let after_first = step_cost_memo_stats();
-    assert_eq!(after_first.families, 1, "four replicas, one family");
-    assert_eq!(after_first.entries, keys);
+    let cold = step_table_stats();
+    assert_eq!(cold.steps, keys);
     assert_eq!(
-        after_first.misses, keys as u64,
-        "one compile per distinct key"
+        cold.compiles, keys as u64,
+        "one compile per distinct key, whichever replica read it"
     );
-    assert!(after_first.hits > 0, "replicas share what a sibling priced");
-    let attention_first = attention_memo_stats();
-    assert!(attention_first.cells > 0);
+    assert!(cold.cells > 0);
     assert_eq!(
-        attention_first.misses, attention_first.cells as u64,
+        cold.misses, cold.cells as u64,
         "one GEMM pair priced per cell, whichever replica read it"
     );
 
-    // A second identical cluster in the same process compiles nothing.
+    // A second identical cluster on the warm thread compiles and prices
+    // nothing.
     let second = four_replicas().run(&trace).unwrap();
     assert_eq!(second, first);
-    let after_second = step_cost_memo_stats();
-    assert_eq!(after_second.misses, after_first.misses);
-    assert_eq!(after_second.entries, after_first.entries);
-    assert_eq!(after_second.families, 1);
-    assert!(after_second.hits > after_first.hits);
-    assert_eq!(
-        attention_memo_stats(),
-        attention_first,
-        "a warm thread prices no GEMM pair"
-    );
+    assert_eq!(step_table_stats(), cold, "a warm thread compiles nothing");
+
+    // A fresh thread fills tables of its own, the same ones, and leaves
+    // this thread's alone.
+    let (third, before, after) = on_fresh_thread(&trace);
+    assert_eq!(third, first);
+    assert_eq!(before, StepTableStats::default());
+    assert_eq!(after, cold);
+    assert_eq!(step_table_stats(), cold);
 }

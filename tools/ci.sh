@@ -37,8 +37,8 @@ cargo test -q --workspace
 # everything the two runs produced: stdout, stderr and every written
 # file. The thread count is an explicit override, not a host probe, so
 # this exercises the parallel sweep harness even on 1-core CI boxes. At
-# 8 threads the sweep points also share the process-wide step-cost memo,
-# and each worker thread fills attention tables of its own.
+# 8 threads each worker thread compiles and prices into step tables of
+# its own.
 echo "==> determinism: every bench binary at DCM_THREADS=1 vs 8"
 cargo build -q --release -p dcm-bench
 bin_dir=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)
@@ -77,18 +77,18 @@ done
 # rebuild, the split pipeline makespan against its recurrence, the
 # exact-stretch cut invariance (lazy, eager and slowdown-window
 # catch-ups give one report), the MME geometry search against its f64
-# argmin spec, the step-cost memo's and attention tables' report
-# invariance and counts, graphs with repeated blocks against their flat
-# twins (bit for bit) and the Llama lowerings' block structure, plus the
-# steady-state allocation audit must hold regardless of the parallelism
-# the host advertises.
+# argmin spec, the per-thread step tables' report invariance and counts,
+# graphs with repeated blocks against their flat twins (bit for bit) and
+# the Llama lowerings' block structure, the never-panic, never-hang
+# cluster runs, plus the steady-state allocation audit must hold
+# regardless of the parallelism the host advertises.
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
     --test prop_batch_stats --test prop_stretch_cuts \
     --test prop_fast_forward --test prop_cluster_ff --test prop_fabric_diff \
     --test prop_mme_select --test prop_step_cost_memo --test prop_graph_blocks \
-    --test step_cost_memo_counts --test alloc_steady_state
+    --test step_cost_memo_counts --test prop_robustness --test alloc_steady_state
 
 # Host-time benchmark (dcmbench/, a package of its own; see its README).
 # Its in-process smoke tests run the serving workloads at a tiny size and
