@@ -65,18 +65,22 @@ pub fn min(xs: &[f64]) -> f64 {
 /// minimum, `p = 100` the maximum, and with two samples the split falls at
 /// `p = 50` (which rounds up to the larger sample). Returns 0 for an empty
 /// slice.
+///
+/// The rank is selected in a copy, in O(n), not sorted for: samples
+/// equal under [`f64::total_cmp`] have the same bits, so the selected
+/// sample is the sorted one, bit for bit.
 #[must_use]
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     debug_assert!(xs.iter().all(|x| !x.is_nan()), "NaN in percentile input");
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
     let rank = crate::cast::f64_to_usize(
-        ((p / 100.0) * (crate::cast::usize_to_f64(v.len()) - 1.0)).round(),
+        ((p / 100.0) * (crate::cast::usize_to_f64(xs.len()) - 1.0)).round(),
     );
-    v[rank.min(v.len() - 1)]
+    let mut v = xs.to_vec();
+    let (_, sample, _) = v.select_nth_unstable_by(rank.min(xs.len() - 1), f64::total_cmp);
+    *sample
 }
 
 /// Sub-octave resolution of [`LogHistogram`]: each power-of-two octave is
@@ -327,9 +331,10 @@ impl Default for Samples {
 /// Two modes (see [`MetricsMode`]):
 ///
 /// * **Exact** (the default, used by every golden-pinned report): samples
-///   are kept verbatim and sorted lazily, so quantiles are *exact* order
-///   statistics (the rounded-linear-rank definition of [`percentile`],
-///   no sketching or interpolation) and runs are bit-reproducible.
+///   are kept verbatim, in recording order, and each quantile selects its
+///   rank in a copy, so quantiles are *exact* order statistics (the
+///   rounded-linear-rank definition of [`percentile`], no sketching or
+///   interpolation) and runs are bit-reproducible.
 /// * **Histogram**: a [`LogHistogram`] — constant memory per distinct
 ///   scale, quantiles within [`HISTOGRAM_MAX_RELATIVE_ERROR`], exact
 ///   count/mean/max. For million-request sweeps.

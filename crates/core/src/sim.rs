@@ -30,9 +30,10 @@
 //! Priorities are small integers chosen by the simulation layer; lower
 //! pops first at equal times. The cluster layer, for example, orders a
 //! replica recovery (0) before a slowdown edge (1, 2) before a crash (3)
-//! before a fabric delivery (4) before an arrival (5) at the same
-//! instant, so a replica crashing exactly when a request arrives can
-//! never receive it.
+//! before a fabric delivery (4) at the same instant. It reads arrivals
+//! from the trace instead of queueing them and takes each only after
+//! every queued event at its instant, so a replica crashing exactly when
+//! a request arrives can never receive it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -74,7 +74,7 @@ pub struct VectorEngineSpec {
     /// Peak aggregate vector throughput for BF16, in FLOP/s (counting FMA as
     /// two operations).
     pub peak_flops_bf16: f64,
-    /// Architectural instruction latency in cycles (4 for the TPC [27]);
+    /// Architectural instruction latency in cycles (4 for the TPC \[27\]);
     /// 0 means the core hides latency through hardware multithreading
     /// (the GPU SIMT model) instead of software pipelining.
     pub instr_latency_cycles: u32,
@@ -359,7 +359,7 @@ impl DeviceSpec {
     /// software architecture of Intel's recently announced Gaudi-3 is
     /// virtually identical to that of Gaudi-2 … except that Gaudi-3 offers
     /// higher compute and memory throughput, thanks to its chiplet-based
-    /// design." Parameters follow Intel's Gaudi-3 white paper [30]: 8 MMEs
+    /// design." Parameters follow Intel's Gaudi-3 white paper \[30\]: 8 MMEs
     /// (as two Gaudi-2-like chiplets of 4×256×256 arrays), 64 TPCs, 128 GB
     /// HBM2E at 3.7 TB/s, 96 MB SRAM, 24×200 GbE RoCE, 900 W OAM.
     #[must_use]

@@ -128,13 +128,16 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("BatchGrowth", "remove"),
     ("BatchGrowth", "grow_all"),
     ("BatchGrowth", "clear"),
-    ("BatchGrowth", "extra_blocks"),
+    ("BatchGrowth", "blocks_after"),
     ("BatchGrowth", "after"),
     ("PagedAttention", "decode_cost"),
     ("PagedAttention", "decode_cost_from_stats"),
     ("PagedAttention", "decode_cost_of"),
     ("PagedAttention", "decode_time_of"),
     ("StretchPricer", "step"),
+    ("ServingEngine", "exact_steps"),
+    ("SimState", "settle_stretch"),
+    ("Timeline", "pop"),
     ("GaudiMme", "batched_gemm"),
     ("KvPool", "fits"),
     ("KvPool", "take"),

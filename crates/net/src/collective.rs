@@ -1,5 +1,5 @@
 //! α–β timing model for the six collectives of Figure 10, with NCCL-tests
-//! bus-bandwidth accounting [62].
+//! bus-bandwidth accounting \[62\].
 
 use dcm_core::cast::{f64_to_u64, u64_to_f64, usize_to_f64};
 use dcm_core::cost::{Engine, OpCost};
@@ -253,7 +253,7 @@ impl CollectiveModel {
         dcm_core::cast::u64_to_f64(bytes) / t
     }
 
-    /// Bus bandwidth per NCCL-tests: `algbw * bus_factor` [62].
+    /// Bus bandwidth per NCCL-tests: `algbw * bus_factor` \[62\].
     /// Degenerate inputs return `0.0` (the bus factor is only defined for
     /// `n >= 2`).
     #[must_use]

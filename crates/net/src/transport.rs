@@ -31,7 +31,7 @@
 //!   all-gather.
 //!
 //! The α term (per-step software/NIC latency) is charged analytically
-//! from the spec's own step rule ([`CollectiveModel::latency_steps`]) on
+//! from the spec's own step rule (`CollectiveModel::latency_steps`) on
 //! top of the simulated transfer time: link latency is a property of the
 //! *fabric*, per-step launch cost a property of the *software*, and the
 //! flow layer only models the former.
@@ -57,7 +57,7 @@ pub struct FlowTransport {
 
 impl FlowTransport {
     /// Build the transport for a device spec. Uses the same
-    /// [`FabricTuning`] constants as the closed-form model so the two
+    /// `FabricTuning` constants as the closed-form model so the two
     /// stay calibrated.
     #[must_use]
     pub fn new(spec: &DeviceSpec) -> Self {

@@ -7,7 +7,7 @@
 //!
 //! * **Gaudi TPC** — single-threaded VLIW: one instruction per slot
 //!   (load / store / vector) per cycle, results visible 4 cycles later
-//!   [27]. Without unrolling, the dependent load→compute→store chain stalls
+//!   \[27\]. Without unrolling, the dependent load→compute→store chain stalls
 //!   the pipeline; unrolling `U` independent iterations divides the stall.
 //! * **A100 SM** — SIMT: hardware multithreading hides latency
 //!   (`instr_latency_cycles = 0`), so the slot bound applies directly.

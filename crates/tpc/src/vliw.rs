@@ -4,7 +4,7 @@
 //! execute multiple types of instructions in parallel. Each instruction
 //! type is processed by dedicated units that handle load/store operations
 //! and scalar/vector operations" (§2.1), with a 4-cycle architectural
-//! latency [27]. The kernel DSL (`crate::program`) records every issued
+//! latency \[27\]. The kernel DSL (`crate::program`) records every issued
 //! instruction with its register dependencies; this module schedules the
 //! trace cycle by cycle:
 //!

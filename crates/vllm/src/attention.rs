@@ -455,7 +455,8 @@ impl BatchGrowth {
     }
 
     /// KV blocks the batch holds once every sequence has grown by `n`.
-    fn blocks_after(&self, n: usize) -> usize {
+    #[must_use]
+    pub fn blocks_after(&self, n: usize) -> usize {
         let b = self.block_tokens;
         self.sum_q + self.rems.len() * (n / b + 1) + self.carries(n % b)
     }
@@ -476,12 +477,6 @@ impl BatchGrowth {
             i => self.rems[i - 1] + s,
         };
         n + b - x
-    }
-
-    /// KV blocks that growing every sequence by `n` tokens newly needs.
-    #[must_use]
-    pub fn extra_blocks(&self, n: usize) -> usize {
-        self.blocks_after(n) - self.blocks_after(0)
     }
 
     /// The shape after every sequence grows by `n` tokens: what
@@ -643,11 +638,9 @@ impl PagedAttention {
     /// # Panics
     /// Panics if the batch is empty.
     #[must_use]
-    pub fn stretch_pricer<'a>(&'a self, growth: &'a BatchGrowth) -> StretchPricer<'a> {
+    pub fn stretch_pricer(&self, growth: &BatchGrowth) -> StretchPricer {
         let g = self.geometry(growth.after(0), 0.0);
         StretchPricer {
-            attention: self,
-            growth,
             k: 0,
             crossing: growth.next_crossing(0),
             batch: g.batch,
@@ -891,6 +884,10 @@ impl Stage {
 /// [`PagedAttention::decode_time_of`]`(growth.after(k), terms)` on every
 /// backend, recomputing only what moved (DESIGN.md §3.8).
 ///
+/// It borrows nothing: each step is handed the attention model and the
+/// projection the pricer was made from, so a stretch that a horizon cuts
+/// short keeps its pricer and resumes where it stopped.
+///
 /// Over a stretch the batch and the GEMM batch are fixed, and the mean
 /// length rises by exactly one per step (`⌊(S + k·c)/c⌋ = ⌊S/c⌋ + k`), so
 /// the GEMM term is the next cell of one [`GemmTerms`] row. The block
@@ -900,9 +897,7 @@ impl Stage {
 /// producer prefix is kept, so a gather-bound step's makespan is one add
 /// ([`EvenPipeline`]).
 #[derive(Debug)]
-pub struct StretchPricer<'a> {
-    attention: &'a PagedAttention,
-    growth: &'a BatchGrowth,
+pub struct StretchPricer {
     /// The step the next [`step`](Self::step) prices.
     k: usize,
     /// The first step whose block counts differ from `gather`'s.
@@ -916,17 +911,24 @@ pub struct StretchPricer<'a> {
     gather: Gather,
 }
 
-impl StretchPricer<'_> {
+impl StretchPricer {
     /// The attention time of the next step: the `k`-th call returns
-    /// `decode_time_of(growth.after(k), terms)`, reading `terms` as that
-    /// call would (same family and backend, same cells in the same order).
-    pub fn step(&mut self, terms: &mut GemmTerms) -> f64 {
-        let pa = self.attention;
+    /// `pa.decode_time_of(growth.after(k), terms)`, reading `terms` as
+    /// that call would (same family and backend, same cells in the same
+    /// order). `pa` and `growth` must be the model and the projection the
+    /// pricer was made from, `growth` unchanged since.
+    pub fn step(
+        &mut self,
+        pa: &PagedAttention,
+        growth: &BatchGrowth,
+        terms: &mut GemmTerms,
+    ) -> f64 {
+        debug_assert_eq!(growth.after(0).count, self.batch, "projection changed");
         if self.k == self.crossing {
-            let g = pa.geometry(self.growth.after(self.k), 0.0);
+            let g = pa.geometry(growth.after(self.k), 0.0);
             self.key = pa.gemm_key(&g);
             self.gather = pa.gather(&g);
-            self.crossing = self.growth.next_crossing(self.k);
+            self.crossing = growth.next_crossing(self.k);
         }
         let key = match pa.backend {
             PagedBackend::GaudiBase => self.key,
@@ -935,6 +937,12 @@ impl StretchPricer<'_> {
         let term = terms.get_or_price(key, |key| pa.priced_term(key));
         self.k += 1;
         pa.time_of(&self.gather, self.batch, term)
+    }
+
+    /// Steps priced so far.
+    #[must_use]
+    pub fn steps(&self) -> usize {
+        self.k
     }
 }
 
@@ -954,7 +962,7 @@ const DIRECTORY_STEP: usize = 64;
 /// read returns the bits pricing the pair would.
 ///
 /// Rows by GEMM batch, indexed by GEMM length, in fixed-size pages of
-/// [`PAGE_CELLS`] cells allocated on first touch: growth never copies a
+/// `PAGE_CELLS` cells allocated on first touch: growth never copies a
 /// cell, and memory is bounded by the pages touched (a few hundred KiB
 /// for a 10⁵-request cluster run). Nothing is evicted and there is no
 /// size knob: a table lives as long as its owner.

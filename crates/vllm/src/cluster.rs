@@ -36,11 +36,12 @@
 //! engines — e.g. Gaudi-2 and A100 behind one router); the report labels
 //! each replica with its device name.
 //!
-//! The run is driven by one merged [`EventQueue`] holding the fault
-//! timeline (priorities = fault class ranks 0–3), the control fabric's
-//! wakes (priority 4) and the arrival stream (priority 5), so the
-//! `(time, priority, seq)` total order *is* the event-ordering rule:
-//! fault edges and fabric deliveries at an arrival's instant apply
+//! The run is driven by one merged timeline: an [`EventQueue`] holding
+//! the fault timeline (priorities = fault class ranks 0–3) and the
+//! control fabric's wakes (priority 4), merged with a cursor over the
+//! trace in `(arrival_s, trace index)` order that puts an arrival after
+//! every queued event at its instant. That merge *is* the event-ordering
+//! rule: fault edges and fabric deliveries at an arrival's instant apply
 //! before it, equal-time faults keep timeline order, simultaneous
 //! arrivals keep trace order. Replicas are advanced and ties broken in
 //! replica-index order, and every engine is seeded purely by the trace,
@@ -83,11 +84,6 @@ use std::collections::BTreeMap;
 /// decision observes every delivery due at its instant.
 const PRIO_FABRIC: u32 = 4;
 
-/// Arrivals sort after every fault class and after fabric deliveries at
-/// the same instant: a replica crashing exactly when a request arrives
-/// cannot receive it.
-const PRIO_ARRIVAL: u32 = 5;
-
 /// One event in the merged cluster timeline.
 enum ClusterEvent {
     Fault(TimelineKind),
@@ -98,6 +94,79 @@ enum ClusterEvent {
     FabricWake {
         version: u64,
     },
+}
+
+/// The run's merged timeline. Fault edges and fabric wakes wait in an
+/// [`EventQueue`]; arrivals are read from the trace in `(arrival_s by
+/// f64::total_cmp, trace index)` order, never copied into the queue.
+/// Every queued class sorts before an arrival at the same instant (a
+/// replica crashing exactly when a request arrives cannot receive it),
+/// so [`pop`](Self::pop) reproduces one queue holding arrivals at a
+/// priority past them all, bit for bit.
+struct Timeline<'a> {
+    queue: EventQueue<ClusterEvent>,
+    requests: &'a [Request],
+    /// Trace indices in arrival order; empty when the trace is in that
+    /// order already, as generated traces are.
+    order: Vec<usize>,
+    /// Arrivals read so far.
+    next: usize,
+}
+
+impl<'a> Timeline<'a> {
+    /// `plan`'s fault edges, each carrying its class rank as the priority
+    /// (timeline order kept by push order), and `requests`' arrivals.
+    fn new(plan: &FaultPlan, requests: &'a [Request]) -> Self {
+        let timeline = plan.timeline();
+        let mut queue = EventQueue::with_capacity(timeline.len());
+        for ev in timeline {
+            queue.push(
+                ev.t,
+                u32::from(ev.kind.class_rank()),
+                ClusterEvent::Fault(ev.kind),
+            );
+        }
+        let by_arrival = |a: &Request, b: &Request| a.arrival_s.total_cmp(&b.arrival_s);
+        let order = if requests.is_sorted_by(|a, b| by_arrival(a, b).is_le()) {
+            Vec::new()
+        } else {
+            let mut order: Vec<usize> = (0..requests.len()).collect();
+            // Stable: simultaneous arrivals keep trace order.
+            order.sort_by(|&a, &b| by_arrival(&requests[a], &requests[b]));
+            order
+        };
+        Timeline {
+            queue,
+            requests,
+            order,
+            next: 0,
+        }
+    }
+
+    /// The next arrival, unread.
+    fn peek_arrival(&self) -> Option<&'a Request> {
+        match self.order.get(self.next) {
+            Some(&i) => self.requests.get(i),
+            None if self.order.is_empty() => self.requests.get(self.next),
+            None => None,
+        }
+    }
+
+    /// Remove and return the next event and its time: the queue's head
+    /// unless the next arrival is strictly earlier.
+    fn pop(&mut self) -> Option<(f64, ClusterEvent)> {
+        let arrival = self.peek_arrival();
+        let queued_first = match (self.queue.peek_time(), arrival) {
+            (Some(t), Some(r)) => t.total_cmp(&r.arrival_s).is_le(),
+            (queued, _) => queued.is_some(),
+        };
+        if queued_first {
+            return self.queue.pop().map(|ev| (ev.time, ev.payload));
+        }
+        let r = *arrival?;
+        self.next += 1;
+        Some((r.arrival_s, ClusterEvent::Arrival(r)))
+    }
 }
 
 /// How the cluster assigns an arriving request to a replica.
@@ -622,25 +691,9 @@ pub(crate) fn serve(
         st.router_trace = TraceRecorder::enabled(u32::try_from(n).expect("replica count"));
     }
 
-    // One merged timeline: fault edges carry their class rank as the
-    // priority (timeline order preserved by push order), arrivals
-    // `PRIO_ARRIVAL` in trace order. The queue's (time, priority, seq)
-    // total order then reproduces the old hand-merged rules — faults
-    // due at or before an arrival apply first, simultaneous arrivals
-    // keep trace order — by construction.
-    let timeline = plan.timeline();
-    let mut events: EventQueue<ClusterEvent> =
-        EventQueue::with_capacity(timeline.len() + requests.len());
-    for ev in timeline {
-        events.push(
-            ev.t,
-            u32::from(ev.kind.class_rank()),
-            ClusterEvent::Fault(ev.kind),
-        );
-    }
-    for r in requests {
-        events.push(r.arrival_s, PRIO_ARRIVAL, ClusterEvent::Arrival(*r));
-    }
+    // One merged timeline: faults due at or before an arrival apply
+    // first, simultaneous arrivals keep trace order.
+    let mut events = Timeline::new(plan, requests);
 
     // Hot loop: nothing here may allocate per event. Routing and
     // advance_live are iterator-based, trace instants are no-ops when
@@ -648,17 +701,17 @@ pub(crate) fn serve(
     // scratch buffers; the only allocating path is the crash harvest
     // (drain_unfinished), which runs once per fault edge, not per
     // arrival.
-    while let Some(ev) = events.pop() {
-        match ev.payload {
-            ClusterEvent::Fault(kind) => st.apply_fault(ev.time, kind)?,
+    while let Some((time, event)) = events.pop() {
+        match event {
+            ClusterEvent::Fault(kind) => st.apply_fault(time, kind)?,
             ClusterEvent::FabricWake { version } => {
                 let live = st
                     .fabric
                     .as_ref()
                     .is_some_and(|fr| fr.wake_version == version);
                 if live {
-                    st.fabric_deliver(ev.time)?;
-                    reschedule_fabric(&mut st, &mut events);
+                    st.fabric_deliver(time)?;
+                    reschedule_fabric(&mut st, &mut events.queue);
                 }
             }
             ClusterEvent::Arrival(r) => {
@@ -722,7 +775,7 @@ pub(crate) fn serve(
                                 Some(fr) => {
                                     fr.sim.advance_to(r.arrival_s);
                                     fr.dispatch(r, target);
-                                    reschedule_fabric(&mut st, &mut events);
+                                    reschedule_fabric(&mut st, &mut events.queue);
                                 }
                             }
                         }

@@ -1,7 +1,7 @@
 //! Synthetic request traces and arrival processes.
 //!
 //! The paper's end-to-end serving experiment (Figure 17(d,e)) uses the
-//! Dynamic-Sonnet dataset [13] "to properly reflect LLM serving system's
+//! Dynamic-Sonnet dataset \[13\] "to properly reflect LLM serving system's
 //! dynamism and variable output length". The dataset itself is a prompt
 //! collection; only its *length distribution* matters to a timing model,
 //! so we synthesize traces with matching character: prompts drawn from

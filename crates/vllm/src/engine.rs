@@ -25,7 +25,7 @@
 //! and preempts runs token by token.
 //!
 //! This module owns one replica's scheduler, a steppable simulation
-//! ([`SimState`]); `cluster` owns the one event loop that drives it.
+//! (`SimState`); `cluster` owns the one event loop that drives it.
 //! [`ServingEngine::run`] is a one-replica round-robin cluster run with
 //! no fabric and no faults, so it reports exactly what
 //! [`Cluster::run`](crate::cluster::Cluster::run) reports for the same
@@ -47,7 +47,8 @@
 //! percentiles and queueing delay for the online experiments.
 
 use crate::attention::{
-    BatchGrowth, BatchShape, GemmTerms, PagedAttention, PagedBackend, DEFAULT_BLOCK_TOKENS,
+    BatchGrowth, BatchShape, GemmTerms, PagedAttention, PagedBackend, StretchPricer,
+    DEFAULT_BLOCK_TOKENS,
 };
 use crate::cluster::{self, RoutingPolicy, RunSettings};
 use crate::dataset::Request;
@@ -194,8 +195,12 @@ pub(crate) struct SimState {
     /// every step of a stretch is priced from it. Kept up to date across
     /// stretches: one insert at admission, one remove at completion and
     /// preemption, one move per sequence in the preemption step and one
-    /// grow-all at a stretch end.
+    /// grow-all when a stretch settles.
     growth: BatchGrowth,
+    /// The decode stretch a horizon cut short, while the batch stays the
+    /// same. The slab and `growth` still hold the counts of its start;
+    /// the pool and the output count are charged for every step it ran.
+    stretch: Option<OpenStretch>,
     /// Requests whose arrival time the clock has not reached. The event
     /// queue's `(time, priority, seq)` total order makes simultaneous
     /// arrivals pop in enqueue order — the same behaviour the pre-refactor
@@ -245,6 +250,20 @@ pub(crate) struct SimState {
     preemptions: usize,
 }
 
+/// A decode stretch in progress: what a catch-up that cuts it short
+/// keeps, so the next one resumes it instead of starting over (DESIGN.md
+/// §3.8).
+struct OpenStretch {
+    /// Steps to the batch's next change (caps 1 and 2), counted from the
+    /// stretch start.
+    n: usize,
+    /// The non-attention price of a step at this batch size.
+    nonattn: f64,
+    /// The attention prices; its [`steps`](StretchPricer::steps) are the
+    /// steps run so far.
+    prices: StretchPricer,
+}
+
 /// The per-step costs a closed-form stretch's time is integrated from:
 /// the batch-shaped non-attention time, the first step's attention time
 /// and the slowdown multiplier. Fixed over a stretch.
@@ -257,8 +276,8 @@ struct StepCost {
 
 /// Arrivals are the only event class in an engine's own queue, so this
 /// priority orders them against nothing; the cluster's merged timeline
-/// numbers its classes separately (fault edges 0–3, fabric wakes 4,
-/// arrivals 5; see `cluster`).
+/// numbers its queued classes separately (fault edges 0–3, fabric wakes
+/// 4) and reads arrivals from the trace (see `cluster`).
 const PRIO_ARRIVAL: u32 = 4;
 
 /// Check a trace before a run serves it: non-empty, every arrival finite
@@ -392,6 +411,7 @@ impl SimState {
     /// latency distributions are per-attempt — while the SLO counts
     /// (attainment, goodput) only ever see the attempt that completes.
     pub(crate) fn drain_unfinished(&mut self) -> (Vec<Request>, usize) {
+        self.settle_stretch();
         let mut lost = 0usize;
         let mut out: Vec<Request> = self
             .arrivals
@@ -460,6 +480,44 @@ impl SimState {
         if self.slo.met(ttft_s, tpot_s) {
             self.slo_met_requests += 1;
             self.slo_met_tokens += output_tokens;
+        }
+    }
+
+    /// Charge steps `from..to` of a stretch over `batch` sequences: the
+    /// tokens they output and the blocks they fill. The pool lends exactly
+    /// the blocks the batch holds, so after step `to` it lends
+    /// `growth.blocks_after(to)`; cap 2 made room for them.
+    fn charge_steps(&mut self, batch: usize, from: usize, to: usize) {
+        self.peak_batch = self.peak_batch.max(batch);
+        self.total_output += (to - from) * batch;
+        self.kv.take(self.growth.blocks_after(to) - self.kv.used());
+    }
+
+    /// Apply the `k` steps a stretch ran to the projection (one grow-all)
+    /// and to every sequence's slab entry (once each), and retire the
+    /// sequences that have produced their last token, in ascending-id
+    /// order: the order stepping retires them in.
+    fn settle(&mut self, k: usize) {
+        self.growth.grow_all(k);
+        let mut i = 0;
+        while let Some(&(id, slot)) = self.active.get(i) {
+            self.slab.set_kv_tokens(slot, self.slab.kv_tokens(slot) + k);
+            self.slab.set_produced(slot, self.slab.produced(slot) + k);
+            let remaining = self.slab.remaining(slot) - k;
+            self.slab.set_remaining(slot, remaining);
+            if remaining == 0 {
+                self.retire(id, slot); // removes `active[i]`
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Settle the open stretch, if any, before the batch changes: no
+    /// sequence completes, since a cut stretch is short of its cap 1.
+    fn settle_stretch(&mut self) {
+        if let Some(open) = self.stretch.take() {
+            self.settle(open.prices.steps());
         }
     }
 
@@ -764,6 +822,7 @@ impl ServingEngine {
             kv,
             scratch_ids: Vec::with_capacity(self.max_decode_batch),
             growth: BatchGrowth::with_capacity(self.block_tokens, self.max_decode_batch),
+            stretch: None,
             arrivals: EventQueue::with_capacity(expected_requests),
             ready: VecDeque::new(),
             slab: SeqSlab::with_capacity(self.max_decode_batch),
@@ -1004,62 +1063,33 @@ impl ServingEngine {
     ///   [`Self::closed_form`]). Only the clock is approximate.
     /// * **Exact steps.** Otherwise step `i` is priced as `sim_step` would
     ///   price the batch grown `i` times, from the projection
-    ///   `growth.after(i)` through a
-    ///   [`StretchPricer`](crate::attention::StretchPricer), and added to
-    ///   the clock in order. A step starts only while the clock is below
-    ///   the horizon, `sim_advance`'s own loop-head rule, so the clock is
+    ///   `growth.after(i)` through a [`StretchPricer`], and added to the
+    ///   clock in order. A step starts only while the clock is below the
+    ///   horizon, `sim_advance`'s own loop-head rule, so the clock is
     ///   bit-identical to stepping.
     ///
-    /// Either way every produced-token count is exact, and each sequence
-    /// is updated once for the whole stretch.
+    /// Either way every produced-token count is exact. The output count
+    /// and the pool are charged as the steps run; each sequence is updated
+    /// once, when the stretch settles. An exact stretch that the horizon
+    /// cuts short stays open in `sim.stretch`, and the next call resumes
+    /// it with the caps and the pricer it had: the batch is the same, so
+    /// a fresh start would compute them again, shortened by the steps run.
+    /// It settles at its end or before the batch changes (an admission
+    /// here, a crash drain in [`SimState::drain_unfinished`]). With
+    /// fast-forward on it settles at every cut, so the next stretch may
+    /// take the closed form.
     fn try_stretch(&self, sim: &mut SimState, limit: f64) -> bool {
-        if self.admission_possible(sim) || sim.active.is_empty() {
+        if self.admission_possible(sim) {
+            sim.settle_stretch(); // the batch changes: `sim_step` admits
+            return false;
+        }
+        if sim.active.is_empty() {
             return false;
         }
         // Admission has priority in `sim_step` and is blocked here; free
         // blocks only shrink mid-stretch and the batch never drains, so a
         // blocked ready head stays blocked for the whole stretch.
         let batch = sim.active.len();
-        // Cap 1: no completion strictly inside the stretch (completions
-        // land exactly at the stretch end).
-        let mut n = usize::MAX;
-        for &(_, slot) in &sim.active {
-            n = n.min(sim.slab.remaining(slot));
-        }
-        // Cap 2: growing every sequence by `n` tokens must fit the free
-        // blocks, so no append can fail mid-stretch (block demand is
-        // monotone in n — binary search the largest feasible stretch).
-        // Every active sequence holds `⌈t/B⌉` blocks for its `t ≥ 1` KV
-        // tokens, so the projection counts the blocks the pool has lent.
-        let growth = &sim.growth;
-        if cfg!(debug_assertions) {
-            let shape = BatchShape::of_lens(
-                sim.active.iter().map(|&(_, slot)| sim.slab.kv_tokens(slot)),
-                self.block_tokens,
-            );
-            assert_eq!(growth.after(0), shape, "projection desynced from the slab");
-            assert_eq!(
-                sim.kv.free() + shape.sum_blocks,
-                sim.kv.blocks(),
-                "KV pool desynced from the slab"
-            );
-        }
-        let free = sim.kv.free();
-        if growth.extra_blocks(n) > free {
-            let (mut lo, mut hi) = (0usize, n);
-            while lo < hi {
-                let mid = lo + (hi - lo).div_ceil(2);
-                if growth.extra_blocks(mid) <= free {
-                    lo = mid;
-                } else {
-                    hi = mid - 1;
-                }
-            }
-            n = lo;
-        }
-        if n == 0 {
-            return false; // the next step's append must fail
-        }
         // Cap 3: never cross the caller's horizon, nor — when a new
         // arrival could actually be admitted mid-stretch — the next
         // arrival. An arrival can only change the schedule by being
@@ -1069,66 +1099,122 @@ impl ServingEngine {
         // it). With a full batch or a waiting head the stretch runs
         // straight through arrival instants; they are promoted at the
         // stretch end, bit-identically to step mode.
-        let arrival_can_admit = sim.active.len() < self.max_decode_batch && sim.ready.is_empty();
+        let arrival_can_admit = batch < self.max_decode_batch && sim.ready.is_empty();
         let next_arrival = if arrival_can_admit {
             sim.arrivals.peek_time().unwrap_or(f64::INFINITY)
         } else {
             f64::INFINITY
         };
         let horizon = limit.min(next_arrival);
-        let now = sim.clock.now();
-        let nonattn = self.nonattn_step_time(batch);
-        let closed = if sim.fast_forward && n >= MIN_FF_STEPS {
-            let step = StepCost {
-                nonattn,
-                attn_start: self
-                    .with_gemm_terms(|pa, terms| pa.decode_time_of(growth.after(0), terms)),
-                scale: sim.time_scale,
-            };
-            self.closed_form(growth, step, n, now, horizon)
-        } else {
-            None
-        };
-        let k = match closed {
-            Some((k, span)) => {
-                sim.clock.advance_by(span);
-                sim.busy_s += span;
-                sim.trace.span(
-                    SpanKind::Decode,
-                    "decode_ff",
-                    now,
-                    span,
-                    None,
-                    &[("batch", usize_to_f64(batch)), ("steps", usize_to_f64(k))],
+        let open = match sim.stretch.take() {
+            Some(open) => {
+                debug_assert_eq!(
+                    sim.kv.used(),
+                    sim.growth.blocks_after(open.prices.steps()),
+                    "KV pool desynced from the open stretch"
                 );
-                k
+                open
             }
-            None => self.exact_steps(sim, nonattn, n, horizon),
+            None => {
+                let n = self.stretch_cap(sim);
+                if n == 0 {
+                    return false; // the next step's append must fail
+                }
+                let nonattn = self.nonattn_step_time(batch);
+                if sim.fast_forward && n >= MIN_FF_STEPS {
+                    if let Some(k) = self.closed_form_stretch(sim, nonattn, n, horizon) {
+                        sim.charge_steps(batch, 0, k);
+                        sim.settle(k);
+                        return true;
+                    }
+                }
+                OpenStretch {
+                    n,
+                    nonattn,
+                    prices: self.attention.stretch_pricer(&sim.growth),
+                }
+            }
         };
-        // Bulk bookkeeping: the blocks the `k` steps need are taken in
-        // one call (cap 2 made room), the projection grows in one call,
-        // and each sequence is updated once.
-        sim.peak_batch = sim.peak_batch.max(batch);
-        sim.total_output += k * batch;
-        sim.kv.take(sim.growth.extra_blocks(k));
-        sim.growth.grow_all(k);
-        let mut ids = std::mem::take(&mut sim.scratch_ids);
-        ids.clear();
-        ids.extend(sim.active.iter().copied());
-        for &(_, slot) in &ids {
-            sim.slab.set_kv_tokens(slot, sim.slab.kv_tokens(slot) + k);
-            sim.slab.set_remaining(slot, sim.slab.remaining(slot) - k);
-            sim.slab.set_produced(slot, sim.slab.produced(slot) + k);
-        }
-        // Completions land at the stretch end, in ascending-id order —
-        // the same order a step-by-step run retires them in.
-        for &(id, slot) in &ids {
-            if sim.slab.remaining(slot) == 0 {
-                sim.retire(id, slot);
-            }
-        }
-        sim.scratch_ids = ids;
+        self.exact_steps(sim, open, horizon);
         true
+    }
+
+    /// Caps 1 and 2 of a stretch starting now: the most steps the batch
+    /// can run before its first completion, with every append fitting the
+    /// pool. Zero when the next step's append must fail.
+    fn stretch_cap(&self, sim: &SimState) -> usize {
+        // Cap 1: no completion strictly inside the stretch (completions
+        // land exactly at the stretch end).
+        let mut n = usize::MAX;
+        for &(_, slot) in &sim.active {
+            n = n.min(sim.slab.remaining(slot));
+        }
+        // Cap 2: growing every sequence by `n` tokens must fit the pool,
+        // so no append can fail mid-stretch (block demand is monotone in
+        // n — binary search the largest feasible stretch). Every active
+        // sequence holds `⌈t/B⌉` blocks for its `t ≥ 1` KV tokens, so the
+        // projection counts the blocks the pool has lent.
+        let growth = &sim.growth;
+        if cfg!(debug_assertions) {
+            let shape = BatchShape::of_lens(
+                sim.active.iter().map(|&(_, slot)| sim.slab.kv_tokens(slot)),
+                self.block_tokens,
+            );
+            assert_eq!(growth.after(0), shape, "projection desynced from the slab");
+            assert_eq!(
+                sim.kv.used(),
+                shape.sum_blocks,
+                "KV pool desynced from the slab"
+            );
+        }
+        let blocks = sim.kv.blocks();
+        if growth.blocks_after(n) > blocks {
+            let (mut lo, mut hi) = (0usize, n);
+            while lo < hi {
+                let mid = lo + (hi - lo).div_ceil(2);
+                if growth.blocks_after(mid) <= blocks {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            n = lo;
+        }
+        n
+    }
+
+    /// Advance the clock over the longest closed-form stretch of at most
+    /// `n` steps that ends by `horizon`, and return its length; `None`,
+    /// with nothing advanced, if [`Self::closed_form`] declines.
+    fn closed_form_stretch(
+        &self,
+        sim: &mut SimState,
+        nonattn: f64,
+        n: usize,
+        horizon: f64,
+    ) -> Option<usize> {
+        let step = StepCost {
+            nonattn,
+            attn_start: self
+                .with_gemm_terms(|pa, terms| pa.decode_time_of(sim.growth.after(0), terms)),
+            scale: sim.time_scale,
+        };
+        let now = sim.clock.now();
+        let (k, span) = self.closed_form(&sim.growth, step, n, now, horizon)?;
+        sim.clock.advance_by(span);
+        sim.busy_s += span;
+        sim.trace.span(
+            SpanKind::Decode,
+            "decode_ff",
+            now,
+            span,
+            None,
+            &[
+                ("batch", usize_to_f64(sim.active.len())),
+                ("steps", usize_to_f64(k)),
+            ],
+        );
+        Some(k)
     }
 
     /// The longest closed-form stretch of at most `n` steps that starts
@@ -1166,16 +1252,17 @@ impl ServingEngine {
         Some((lo, span))
     }
 
-    /// Run exact decode steps of the batch `sim.growth` projects, at
-    /// least one and at most `n`, while the clock is below `horizon`;
-    /// return how many ran. Step `i` costs `(nonattn + attention of
-    /// growth.after(i)) × time_scale`, the float operations `sim_step`
-    /// performs on the batch after `i` grows, with the attention time
-    /// from a [`StretchPricer`](crate::attention::StretchPricer); the
-    /// clock and busy time add the steps in order. The per-sequence state
-    /// and the projection are left to the caller.
-    fn exact_steps(&self, sim: &mut SimState, nonattn: f64, n: usize, horizon: f64) -> usize {
-        let batch = usize_to_f64(sim.active.len());
+    /// Run exact decode steps of `open` over the batch `sim.growth`
+    /// projects, at least one and up to its cap, while the clock is below
+    /// `horizon`. Step `i` costs `(nonattn + attention of growth.after(i))
+    /// × time_scale`, the float operations `sim_step` performs on the
+    /// batch after `i` grows, with the attention time from `open`'s
+    /// [`StretchPricer`]; the clock and busy time add the steps in order.
+    /// Then the steps are charged, and the stretch settles at its cap or
+    /// stays open in `sim.stretch` if the horizon cut it short.
+    fn exact_steps(&self, sim: &mut SimState, mut open: OpenStretch, horizon: f64) {
+        let batch = sim.active.len();
+        let from = open.prices.steps();
         let SimState {
             growth,
             clock,
@@ -1184,28 +1271,31 @@ impl ServingEngine {
             time_scale,
             ..
         } = sim;
-        self.with_gemm_terms(|pa, terms| {
-            let mut prices = pa.stretch_pricer(growth);
-            let mut k = 0;
-            loop {
-                let step = (nonattn + prices.step(terms)) * *time_scale;
-                let t0 = clock.now();
-                clock.advance_by(step);
-                *busy_s += step;
-                trace.span(
-                    SpanKind::Decode,
-                    "decode",
-                    t0,
-                    step,
-                    None,
-                    &[("batch", batch)],
-                );
-                k += 1;
-                if k == n || clock.now() >= horizon {
-                    return k;
-                }
+        let OpenStretch { n, nonattn, prices } = &mut open;
+        self.with_gemm_terms(|pa, terms| loop {
+            let step = (*nonattn + prices.step(pa, growth, terms)) * *time_scale;
+            let t0 = clock.now();
+            clock.advance_by(step);
+            *busy_s += step;
+            trace.span(
+                SpanKind::Decode,
+                "decode",
+                t0,
+                step,
+                None,
+                &[("batch", usize_to_f64(batch))],
+            );
+            if prices.steps() == *n || clock.now() >= horizon {
+                return;
             }
-        })
+        });
+        let k = open.prices.steps();
+        sim.charge_steps(batch, from, k);
+        if k < open.n && !sim.fast_forward {
+            sim.stretch = Some(open); // cut by the horizon: the batch stays
+        } else {
+            sim.settle(k);
+        }
     }
 
     /// Trapezoid estimate of the wall time of `n` decode steps from the
@@ -1616,6 +1706,74 @@ mod tests {
                 stepped.growth.after(0)
             ),
             (sim.completed, sim.total_output, sim.growth.after(0))
+        );
+    }
+
+    #[test]
+    fn a_cut_stretch_stays_open_and_resumes_bit_for_bit() {
+        // The batch of `one_exact_stretch_runs_the_batch_to_its_first_
+        // completion`, advanced to four limits inside its 24-step stretch
+        // and then to its end: every cut keeps the stretch open with the
+        // slab at its start counts and the pool and output count current,
+        // and the end matches the uncut stretch.
+        let e = engine(PagedBackend::GaudiOpt, 4);
+        let settings = RunSettings::new(RoutingPolicy::RoundRobin);
+        let admitted = || {
+            let slo = ResilienceConfig::default().slo;
+            let mut sim = e.make_sim(0, 4, &settings, slo).unwrap();
+            for (id, input_len, output_len) in
+                [(0, 128, 40), (1, 700, 25), (2, 300, 60), (3, 64, 33)]
+            {
+                sim.enqueue(Request::new(id, input_len, output_len));
+            }
+            sim.promote_arrivals();
+            for _ in 0..4 {
+                assert!(e.sim_step(&mut sim).unwrap(), "admission");
+            }
+            sim
+        };
+        let mut uncut = admitted();
+        assert!(e.try_stretch(&mut uncut, f64::INFINITY));
+        let mut sim = admitted();
+        let start: Vec<usize> = sim
+            .active
+            .iter()
+            .map(|&(_, s)| sim.slab.kv_tokens(s))
+            .collect();
+        let (t0, t1) = (sim.now(), uncut.now());
+        let mut last = 0;
+        for frac in [0.1, 0.35, 0.6, 0.9] {
+            e.sim_advance(&mut sim, t0 + frac * (t1 - t0)).unwrap();
+            let k = sim.stretch.as_ref().expect("open").prices.steps();
+            assert!(last < k && k < 24, "{frac}: {k} steps");
+            last = k;
+            let at: Vec<usize> = sim
+                .active
+                .iter()
+                .map(|&(_, s)| sim.slab.kv_tokens(s))
+                .collect();
+            assert_eq!(at, start, "the slab keeps the start counts");
+            let held: usize = start.iter().map(|&t| sim.kv.blocks_for(t + k)).sum();
+            assert_eq!(sim.kv.used(), held, "the pool is current");
+            assert_eq!(sim.total_output, 4 + 4 * k, "the output count is current");
+        }
+        assert!(e.try_stretch(&mut sim, f64::INFINITY));
+        assert!(sim.stretch.is_none(), "settled at its end");
+        assert_eq!(sim.now().to_bits(), uncut.now().to_bits());
+        assert_eq!(sim.busy_s.to_bits(), uncut.busy_s.to_bits());
+        assert_eq!(
+            (
+                sim.completed,
+                sim.total_output,
+                sim.kv.used(),
+                sim.growth.after(0)
+            ),
+            (
+                uncut.completed,
+                uncut.total_output,
+                uncut.kv.used(),
+                uncut.growth.after(0)
+            )
         );
     }
 

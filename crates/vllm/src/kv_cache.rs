@@ -1,6 +1,6 @@
 //! The paged KV-cache block manager.
 //!
-//! vLLM's core idea [42]: divide the KV cache into fixed-size blocks and
+//! vLLM's core idea \[42\]: divide the KV cache into fixed-size blocks and
 //! allocate them on demand as sequences grow, instead of pre-allocating
 //! worst-case contiguous buffers. This eliminates fragmentation and raises
 //! the maximum batch size (§4.2).
@@ -75,6 +75,11 @@ impl KvPool {
     /// Free blocks.
     pub(crate) fn free(&self) -> usize {
         self.free
+    }
+
+    /// Blocks lent out.
+    pub(crate) fn used(&self) -> usize {
+        self.blocks - self.free
     }
 
     /// Whether `tokens` tokens' blocks are free right now.

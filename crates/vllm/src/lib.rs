@@ -8,14 +8,14 @@
 //!   of the optimized version (Figure 16), with functional attention over
 //!   both proving they are numerically identical.
 //! * [`kv_cache`] — the paged block manager (allocation on demand, the
-//!   core vLLM idea [42]), counting blocks rather than naming them: the
+//!   core vLLM idea \[42\]), counting blocks rather than naming them: the
 //!   engine charges a block pool from its batch's token counts.
 //! * [`attention`] — timing of three PagedAttention implementations:
 //!   `GaudiBase` (per-block PyTorch-level gather ops, zero-padded,
 //!   unpipelined), `GaudiOpt` (single batched gather, effectual blocks
 //!   only, MME/TPC pipelined) and `A100Fused` (the CUDA kernel that reads
 //!   blocks in-kernel). Drives Figure 17(a–c).
-//! * [`dataset`] — a Dynamic-Sonnet-like synthetic request trace [13],
+//! * [`dataset`] — a Dynamic-Sonnet-like synthetic request trace \[13\],
 //!   with seeded arrival processes (Poisson, bursty, trace-driven) for
 //!   online serving.
 //! * [`engine`] — a continuous-batching serving engine with TTFT/TPOT

@@ -4,7 +4,7 @@
 //! Serving splits into a compute-bound *prefill* (all input tokens at
 //! once) and a memory-bound *decode* (one token per step reading the whole
 //! KV cache) — the latency breakdown of Figure 12(b). Multi-device serving
-//! shards every projection column-/row-wise (tensor parallelism [72]) and
+//! shards every projection column-/row-wise (tensor parallelism \[72\]) and
 //! all-reduces activations twice per layer, which is where the node fabric
 //! (KT#4) enters end-to-end performance.
 

@@ -11,9 +11,13 @@
 //! `dcm_core::timeline::even_pipeline_makespan` (`prop_models.rs`), and
 //! [`kv_cache`]'s block-naming cache for `dcm_vllm`'s counting
 //! `PagedKvCache` (`prop_vllm.rs`). They live here, not in the library
-//! crates, because nothing but those suites uses them.
+//! crates, because nothing but those suites uses them. So does
+//! [`report_bits`], by which the metamorphic suites compare cluster
+//! reports.
 
 use dcm_core::sim::Event;
+use dcm_vllm::cluster::{ClusterReport, ReplicaStats};
+use dcm_vllm::engine::ServingReport;
 use std::cmp::Ordering;
 
 pub mod kv_cache;
@@ -92,4 +96,77 @@ impl<T> ListQueue<T> {
     pub fn drain_ordered(&mut self) -> Vec<Event<T>> {
         std::iter::from_fn(|| self.pop()).collect()
     }
+}
+
+/// Every number a cluster report carries, floats as bit patterns.
+/// The destructuring names every field, so a new one fails to compile
+/// until it is compared too.
+pub fn report_bits(report: &ClusterReport) -> Vec<u64> {
+    let ServingReport {
+        completed,
+        total_output_tokens,
+        total_time_s,
+        throughput_tps,
+        mean_ttft_s,
+        mean_tpot_s,
+        p50_ttft_s,
+        p95_ttft_s,
+        p99_ttft_s,
+        p50_tpot_s,
+        p95_tpot_s,
+        p99_tpot_s,
+        mean_queue_delay_s,
+        p99_queue_delay_s,
+        peak_batch,
+        preemptions,
+        shed,
+        failed,
+        retries,
+        lost_tokens,
+        goodput_tps,
+        slo_attainment,
+    } = report.serving;
+    let mut bits: Vec<u64> = [
+        total_time_s,
+        throughput_tps,
+        mean_ttft_s,
+        mean_tpot_s,
+        p50_ttft_s,
+        p95_ttft_s,
+        p99_ttft_s,
+        p50_tpot_s,
+        p95_tpot_s,
+        p99_tpot_s,
+        mean_queue_delay_s,
+        p99_queue_delay_s,
+        goodput_tps,
+        slo_attainment,
+    ]
+    .map(f64::to_bits)
+    .to_vec();
+    let counts = [
+        completed,
+        total_output_tokens,
+        peak_batch,
+        preemptions,
+        shed,
+        failed,
+        retries,
+        lost_tokens,
+    ];
+    bits.extend(counts.map(|c| c as u64));
+    for &ReplicaStats {
+        dispatched,
+        completed,
+        output_tokens,
+        busy_s,
+        utilization,
+        preemptions,
+        crashes,
+    } in &report.per_replica
+    {
+        bits.extend([dispatched, completed, output_tokens, preemptions, crashes].map(|c| c as u64));
+        bits.extend([busy_s.to_bits(), utilization.to_bits()]);
+    }
+    bits
 }

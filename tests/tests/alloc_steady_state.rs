@@ -20,7 +20,7 @@
 //! * the engine's `BatchGrowth` projection under insert/remove/grow-all
 //!   churn, in its pre-sized buffers;
 //! * a stretch's prices through a `StretchPricer`, once its table's
-//!   pages are allocated;
+//!   pages are allocated, and a pricer kept across a cut, resumed;
 //! * the Gaudi MME geometry search (`GaudiMme::batched_gemm`).
 //!
 //! This file deliberately holds a single `#[test]` so the harness runs
@@ -282,7 +282,9 @@ fn hot_paths_are_allocation_free_after_warmup() {
         let mut terms = GemmTerms::default();
         let stretch = |terms: &mut GemmTerms| {
             let mut prices = pa.stretch_pricer(&growth);
-            (0..300).map(|_| prices.step(terms)).sum::<f64>()
+            (0..300)
+                .map(|_| prices.step(&pa, &growth, terms))
+                .sum::<f64>()
         };
         let cold = stretch(&mut terms);
         let (stretch_allocs, warm) = allocations_in(|| stretch(&mut terms));
@@ -292,6 +294,36 @@ fn hot_paths_are_allocation_free_after_warmup() {
             "{backend:?} stretch pricing allocated {stretch_allocs} times once warm"
         );
     }
+
+    // --- A cut stretch resumed: its kept pricer steps on ---------------
+    // A catch-up that cuts an exact stretch short keeps the pricer, which
+    // borrows nothing. The next one prices on from the same projection
+    // and charges the pool with the blocks of the steps run.
+    let pa = PagedAttention::new(
+        &gaudi,
+        PagedBackend::GaudiOpt,
+        &LlamaConfig::llama31_8b(),
+        1,
+    );
+    let mut terms = GemmTerms::default();
+    let mut warmup = pa.stretch_pricer(&growth);
+    let cold = (0..300)
+        .map(|_| warmup.step(&pa, &growth, &mut terms))
+        .sum::<f64>();
+    let mut kept = pa.stretch_pricer(&growth);
+    let first = (0..150)
+        .map(|_| kept.step(&pa, &growth, &mut terms))
+        .sum::<f64>();
+    let (resume_allocs, (total, held)) = allocations_in(|| {
+        let total = (0..150).fold(first, |sum, _| sum + kept.step(&pa, &growth, &mut terms));
+        (total, growth.blocks_after(kept.steps()))
+    });
+    assert_eq!(total.to_bits(), cold.to_bits());
+    assert_eq!(held, growth.blocks_after(300));
+    assert_eq!(
+        resume_allocs, 0,
+        "a resumed stretch allocated {resume_allocs} times once warm"
+    );
 
     // --- MME geometry search over decode-shaped batched GEMMs ----------
     let mme = GaudiMme::new(&DeviceSpec::gaudi2());

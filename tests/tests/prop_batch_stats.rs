@@ -76,12 +76,12 @@ fn rebuilt(growth: &mut BatchGrowth, lens: &[usize]) {
     }
 }
 
-/// Every observable of a projection: its shape and block demand at
+/// Every observable of a projection: its shape and the blocks it holds at
 /// growths around the block size `b` and at `far`.
 fn observed(growth: &BatchGrowth, b: usize, far: usize) -> Vec<(BatchShape, usize)> {
     [0, 1, b - 1, b, b + 1, 2 * b + 3, far]
         .into_iter()
-        .map(|n| (growth.after(n), growth.extra_blocks(n)))
+        .map(|n| (growth.after(n), growth.blocks_after(n)))
         .collect()
 }
 
@@ -243,7 +243,7 @@ proptest! {
             .iter()
             .map(|&t| (t + n).div_ceil(block_tokens) - t.div_ceil(block_tokens))
             .sum();
-        prop_assert_eq!(growth.extra_blocks(n), extra);
+        prop_assert_eq!(growth.blocks_after(n) - growth.blocks_after(0), extra);
     }
 
     /// An exact stretch's clock is stepping's, bit for bit: adding up in
@@ -391,7 +391,7 @@ proptest! {
         let mut prices = pa.stretch_pricer(&growth);
         for i in 0..k {
             let want = pa.decode_time_of(growth.after(i), &mut projected).to_bits();
-            prop_assert_eq!(prices.step(&mut priced).to_bits(), want, "step {}", i);
+            prop_assert_eq!(prices.step(&pa, &growth, &mut priced).to_bits(), want, "step {}", i);
         }
         prop_assert_eq!(priced.misses(), projected.misses());
         prop_assert_eq!(priced.cells(), projected.cells());

@@ -17,86 +17,14 @@
 //! preemption steps run token by token.
 
 use dcm_compiler::Device;
+use dcm_tests::report_bits;
 use dcm_vllm::attention::PagedBackend;
-use dcm_vllm::cluster::{Cluster, ClusterReport, ReplicaStats, RoutingPolicy};
+use dcm_vllm::cluster::{Cluster, ClusterReport, RoutingPolicy};
 use dcm_vllm::dataset::{ArrivalProcess, Request, SyntheticDataset};
-use dcm_vllm::engine::{ServingEngine, ServingReport};
+use dcm_vllm::engine::ServingEngine;
 use dcm_vllm::fault::{FaultPlan, ResilienceConfig};
 use dcm_workloads::llama::LlamaConfig;
 use proptest::prelude::*;
-
-/// Every number a one-replica report carries, floats as bit patterns.
-/// The destructuring names every field, so a new one fails to compile
-/// until it is compared too.
-fn report_bits(report: &ClusterReport) -> Vec<u64> {
-    let ServingReport {
-        completed,
-        total_output_tokens,
-        total_time_s,
-        throughput_tps,
-        mean_ttft_s,
-        mean_tpot_s,
-        p50_ttft_s,
-        p95_ttft_s,
-        p99_ttft_s,
-        p50_tpot_s,
-        p95_tpot_s,
-        p99_tpot_s,
-        mean_queue_delay_s,
-        p99_queue_delay_s,
-        peak_batch,
-        preemptions,
-        shed,
-        failed,
-        retries,
-        lost_tokens,
-        goodput_tps,
-        slo_attainment,
-    } = report.serving;
-    let mut bits: Vec<u64> = [
-        total_time_s,
-        throughput_tps,
-        mean_ttft_s,
-        mean_tpot_s,
-        p50_ttft_s,
-        p95_ttft_s,
-        p99_ttft_s,
-        p50_tpot_s,
-        p95_tpot_s,
-        p99_tpot_s,
-        mean_queue_delay_s,
-        p99_queue_delay_s,
-        goodput_tps,
-        slo_attainment,
-    ]
-    .map(f64::to_bits)
-    .to_vec();
-    let counts = [
-        completed,
-        total_output_tokens,
-        peak_batch,
-        preemptions,
-        shed,
-        failed,
-        retries,
-        lost_tokens,
-    ];
-    bits.extend(counts.map(|c| c as u64));
-    for &ReplicaStats {
-        dispatched,
-        completed,
-        output_tokens,
-        busy_s,
-        utilization,
-        preemptions,
-        crashes,
-    } in &report.per_replica
-    {
-        bits.extend([dispatched, completed, output_tokens, preemptions, crashes].map(|c| c as u64));
-        bits.extend([busy_s.to_bits(), utilization.to_bits()]);
-    }
-    bits
-}
 
 /// A Dynamic-Sonnet online trace with prompts cut to an eighth, so that
 /// decode growth, not admission, fills a small KV cache.

@@ -31,6 +31,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# The API docs build without a warning: a citation such as `[42]` reads
+# as a broken link unless escaped, and public docs may not link private
+# items.
+echo "==> cargo doc --workspace --no-deps (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Determinism: run every figure/extension binary, in its one (full)
 # configuration, serially and at 8 threads, each run in a fresh working
 # directory (binaries write results/ relative to the cwd), and diff
@@ -80,7 +86,9 @@ done
 # argmin spec, the per-thread step tables' report invariance and counts,
 # graphs with repeated blocks against their flat twins (bit for bit) and
 # the Llama lowerings' block structure, the never-panic, never-hang
-# cluster runs, plus the steady-state allocation audit must hold
+# cluster runs, the cluster's arrival order against one queue holding
+# every arrival (and permuted traces) and the exact percentile against
+# sorting a copy, plus the steady-state allocation audit must hold
 # regardless of the parallelism the host advertises.
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
@@ -88,7 +96,8 @@ DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_batch_stats --test prop_stretch_cuts \
     --test prop_fast_forward --test prop_cluster_ff --test prop_fabric_diff \
     --test prop_mme_select --test prop_step_cost_memo --test prop_graph_blocks \
-    --test step_cost_memo_counts --test prop_robustness --test alloc_steady_state
+    --test step_cost_memo_counts --test prop_robustness --test prop_arrival_order \
+    --test alloc_steady_state
 
 # Host-time benchmark (dcmbench/, a package of its own; see its README).
 # Its in-process smoke tests run the serving workloads at a tiny size and
