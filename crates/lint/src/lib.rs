@@ -54,6 +54,9 @@ pub struct Outcome {
     pub text: String,
     /// Machine-readable report (`results/lint_report.json` content).
     pub json: String,
+    /// `D3` entry points and `A1` roots that name no function in the
+    /// tree (see [`rules::WorkspaceStats::unmatched_roots`]).
+    pub unmatched_roots: Vec<String>,
 }
 
 impl Outcome {
@@ -89,5 +92,6 @@ pub fn run(root: &Path) -> io::Result<Outcome> {
         summary,
         text,
         json,
+        unmatched_roots: stats.unmatched_roots,
     })
 }

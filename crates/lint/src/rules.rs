@@ -8,7 +8,7 @@
 //! A pragma must carry a non-empty reason and name only known rule ids;
 //! violations surface as `LINT` findings, which no pragma can suppress.
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{CallGraph, Node};
 use crate::lexer::{lex, test_regions, LexedFile, Token, TokenKind};
 use crate::parser::{self, CallKind, ParsedFile};
 use std::collections::BTreeMap;
@@ -120,6 +120,7 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("SeqSlab", "set_remaining"),
     ("SeqSlab", "set_produced"),
     ("SeqSlab", "set_kv_tokens"),
+    ("SimState", "batch_insert"),
     ("BatchStats", "add"),
     ("BatchStats", "remove"),
     ("BatchStats", "grow"),
@@ -218,14 +219,19 @@ impl<'a> FileClass<'a> {
     }
 }
 
-/// Cross-file statistics of one workspace analysis, surfaced in the
-/// JSON report (since `schema_version` 2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Cross-file statistics of one workspace analysis; the counts are
+/// surfaced in the JSON report (since `schema_version` 2).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
     /// Non-test functions indexed into the call graph.
     pub functions_indexed: usize,
     /// Resolved caller→callee edges (deduplicated per caller).
     pub call_edges: usize,
+    /// `D3` entry points and `A1` roots that name no indexed function,
+    /// as `"D3 Type::prefix*"` / `"A1 Type::method"`. Not a finding: a
+    /// fixture workspace names few of them, while the real workspace must
+    /// name every one, or a rename silently drops coverage.
+    pub unmatched_roots: Vec<String>,
 }
 
 /// One lexed+parsed file, ready for both token-stream and call-graph
@@ -600,20 +606,34 @@ fn graph_rules(data: &[FileData<'_>]) -> (Vec<Finding>, WorkspaceStats) {
     // calls in practice; they stay visible as A1 call sites but do not
     // become traversal edges (see `CallGraph::build`).
     let graph = CallGraph::build(&graph_files, ALLOC_METHODS);
+    let is_entry = |n: &Node, (ty, prefix): &(&str, &str)| {
+        n.def.self_ty.as_deref() == Some(*ty) && n.def.name.starts_with(prefix)
+    };
+    let is_root = |n: &Node, (ty, m): &(&str, &str)| {
+        n.def.self_ty.as_deref() == Some(*ty) && n.def.name == *m
+    };
+    let mut unmatched_roots: Vec<String> = SIM_ENTRY_POINTS
+        .iter()
+        .filter(|e| !graph.nodes.iter().any(|n| is_entry(n, e)))
+        .map(|(ty, prefix)| format!("D3 {ty}::{prefix}*"))
+        .collect();
+    unmatched_roots.extend(
+        HOT_PATH_ROOTS
+            .iter()
+            .filter(|r| !graph.nodes.iter().any(|n| is_root(n, r)))
+            .map(|(ty, m)| format!("A1 {ty}::{m}")),
+    );
     let stats = WorkspaceStats {
         functions_indexed: graph.nodes.len(),
         call_edges: graph.edge_count(),
+        unmatched_roots,
     };
     let by_path: BTreeMap<&str, &FileData<'_>> = data.iter().map(|fd| (fd.rel_path, fd)).collect();
 
     let mut out = Vec::new();
 
     // D3 — purity of everything reachable from the sim entry points.
-    let entries = graph.find(|n| {
-        SIM_ENTRY_POINTS.iter().any(|(ty, prefix)| {
-            n.def.self_ty.as_deref() == Some(*ty) && n.def.name.starts_with(prefix)
-        })
-    });
+    let entries = graph.find(|n| SIM_ENTRY_POINTS.iter().any(|e| is_entry(n, e)));
     let reach = graph.reachable_from(&entries);
     for (i, node) in graph.nodes.iter().enumerate() {
         if reach[i].is_none() {
@@ -650,11 +670,7 @@ fn graph_rules(data: &[FileData<'_>]) -> (Vec<Finding>, WorkspaceStats) {
     }
 
     // A1 — allocation calls reachable from the per-event hot paths.
-    let roots = graph.find(|n| {
-        HOT_PATH_ROOTS
-            .iter()
-            .any(|(ty, m)| n.def.self_ty.as_deref() == Some(*ty) && n.def.name == *m)
-    });
+    let roots = graph.find(|n| HOT_PATH_ROOTS.iter().any(|r| is_root(n, r)));
     let hot = graph.reachable_from(&roots);
     for (i, node) in graph.nodes.iter().enumerate() {
         if hot[i].is_none() {

@@ -123,6 +123,11 @@ fn self_scan_the_real_workspace_is_clean() {
         out.text
     );
     assert!(out.summary.files_scanned > 50, "scan looks truncated");
+    assert!(
+        out.unmatched_roots.is_empty(),
+        "every D3 entry point and A1 root must name a function; unmatched: {:?}",
+        out.unmatched_roots
+    );
 }
 
 #[test]

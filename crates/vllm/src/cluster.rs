@@ -214,8 +214,9 @@ impl RoutingPolicy {
 
 /// Opt-in control-plane fabric: router → replica dispatch messages are
 /// costed as flows on a shared star topology instead of arriving for
-/// free (ROADMAP item 2; prerequisite for disaggregated serving, where
-/// KV-migration traffic competes on the same links).
+/// free (a prerequisite for disaggregated serving, ROADMAP's parked
+/// "Serving estate", where KV-migration traffic competes on the same
+/// links).
 ///
 /// Topology: the router's single egress link feeds a hub, which fans out
 /// one link per replica. Every dispatch crosses the shared egress link,
@@ -674,7 +675,6 @@ pub(crate) fn serve(
         dispatched: vec![0usize; n],
         crashes: vec![0usize; n],
         attempts: BTreeMap::new(),
-        rr: 0,
         shed: 0,
         failed: 0,
         retries: 0,
@@ -757,7 +757,6 @@ pub(crate) fn serve(
                                 &[("replica", usize_to_f64(target))],
                             );
                         } else {
-                            st.rr += 1;
                             st.dispatched[target] += 1;
                             st.router_trace.instant(
                                 SpanKind::Route,
@@ -830,13 +829,13 @@ struct RunState<'a> {
     cfg: &'a ResilienceConfig,
     sims: Vec<SimState>,
     alive: Vec<bool>,
+    /// Requests routed to each replica, retries included; their sum
+    /// drives round-robin striping.
     dispatched: Vec<usize>,
     crashes: Vec<usize>,
     /// Crash-displacement count per request id, judged against the retry
     /// budget.
     attempts: BTreeMap<u64, usize>,
-    /// Monotone dispatch counter driving round-robin striping.
-    rr: usize,
     shed: usize,
     failed: usize,
     retries: usize,
@@ -859,8 +858,9 @@ impl RunState<'_> {
         }
         match self.settings.policy {
             RoutingPolicy::RoundRobin => {
-                // Stripe over the live replicas only, in index order.
-                let k = self.rr % live;
+                // Stripe over the live replicas only, in index order, by
+                // the dispatches and retries routed so far.
+                let k = self.dispatched.iter().sum::<usize>() % live;
                 alive
                     .iter()
                     .enumerate()
@@ -948,7 +948,6 @@ impl RunState<'_> {
             }
             Some(target) => {
                 self.retries += 1;
-                self.rr += 1;
                 self.dispatched[target] += 1;
                 self.router_trace.instant(
                     SpanKind::Route,

@@ -24,6 +24,9 @@
 //! without re-reading the batch. Only the step in which an append fails
 //! and preempts runs token by token.
 //!
+//! Each sequence is one record (`Seq`), held by the ready queue until
+//! admitted and then by the batch, a `Vec` in ascending id order.
+//!
 //! This module owns one replica's scheduler, a steppable simulation
 //! (`SimState`); `cluster` owns the one event loop that drives it.
 //! [`ServingEngine::run`] is a one-replica round-robin cluster run with
@@ -54,7 +57,6 @@ use crate::cluster::{self, RoutingPolicy, RunSettings};
 use crate::dataset::Request;
 use crate::fault::{FaultPlan, ResilienceConfig, SloSpec};
 use crate::kv_cache::KvPool;
-use crate::slab::{SeqSlab, SlotId};
 use dcm_compiler::{CompileOptions, Device, Graph};
 use dcm_core::cast::{f64_to_u64, u64_to_f64, usize_to_f64};
 use dcm_core::error::{DcmError, Result};
@@ -148,31 +150,40 @@ impl ServingReport {
     }
 }
 
-struct ActiveSeq {
-    remaining: usize,
-    first_token_t: f64,
-    produced: usize,
-}
-
-/// A queued unit of work: a fresh request, or one resumed after preemption
-/// (its generated-so-far tokens are recomputed at re-admission, vLLM's
-/// recompute mode).
-struct WorkItem {
+/// One sequence's serving state: queued in `ready` (fresh while `produced
+/// == 0`, resumed after a preemption otherwise, its generated tokens to be
+/// recomputed at re-admission, vLLM's recompute mode), then held in the
+/// batch.
+struct Seq {
     request: Request,
-    resumed: Option<ActiveSeq>,
+    /// Output tokens produced so far; kept across a preemption.
+    produced: usize,
+    /// When the first output token was emitted (the TTFT anchor); set at
+    /// the first admission.
+    first_token_t: f64,
+    /// KV tokens held in the batch, `⌈kv_tokens/B⌉` blocks; set at
+    /// admission.
+    kv_tokens: usize,
 }
 
-impl WorkItem {
+impl Seq {
     fn fresh(request: Request) -> Self {
-        WorkItem {
+        Seq {
             request,
-            resumed: None,
+            produced: 0,
+            first_token_t: 0.0,
+            kv_tokens: 0,
         }
+    }
+
+    /// Output tokens still to produce.
+    fn remaining(&self) -> usize {
+        self.request.output_len - self.produced
     }
 
     /// Tokens that must be in the KV cache at admission.
     fn admit_tokens(&self) -> usize {
-        self.request.input_len + self.resumed.as_ref().map_or(0, |s| s.produced)
+        self.request.input_len + self.produced
     }
 }
 
@@ -181,24 +192,20 @@ impl WorkItem {
 /// device/model configuration) so the `cluster` router can hold many of
 /// these and advance them on a shared clock.
 pub(crate) struct SimState {
-    /// The replica's KV blocks, counted. An active sequence of `t` KV
-    /// tokens (its slab `kv_tokens`) holds `⌈t/B⌉` of them whenever the
-    /// scheduler reads the pool (DESIGN.md §3.6), so the slab's count is
-    /// the only per-sequence record.
+    /// The replica's KV blocks, counted. A sequence in the batch holds
+    /// `⌈t/B⌉` of them for its `t` KV tokens whenever the scheduler reads
+    /// the pool (DESIGN.md §3.6), so its `kv_tokens` is the only
+    /// per-sequence KV count.
     kv: KvPool,
-    /// Reusable snapshot buffer for the decode bookkeeping — avoids a
-    /// per-step `Vec` allocation (the batch must be snapshotted:
-    /// preemption and completion mutate `active` mid-iteration).
-    scratch_ids: Vec<(u64, SlotId)>,
-    /// The active batch's KV token counts (the slab's `kv_tokens`) as a
-    /// projection. `after(0)` prices the preemption step in O(1), and
-    /// every step of a stretch is priced from it. Kept up to date across
-    /// stretches: one insert at admission, one remove at completion and
-    /// preemption, one move per sequence in the preemption step and one
-    /// grow-all when a stretch settles.
+    /// The batch's KV token counts as a projection. `after(0)` prices the
+    /// preemption step in O(1), and every step of a stretch is priced
+    /// from it. Kept up to date across stretches: one insert at
+    /// admission, one remove at completion and preemption, one move per
+    /// sequence in the preemption step and one grow-all when a stretch
+    /// settles.
     growth: BatchGrowth,
     /// The decode stretch a horizon cut short, while the batch stays the
-    /// same. The slab and `growth` still hold the counts of its start;
+    /// same. The batch and `growth` still hold the counts of its start;
     /// the pool and the output count are charged for every step it ran.
     stretch: Option<OpenStretch>,
     /// Requests whose arrival time the clock has not reached. The event
@@ -208,17 +215,11 @@ pub(crate) struct SimState {
     arrivals: EventQueue<Request>,
     /// Arrived requests awaiting admission; preempted sequences re-enter
     /// at the front (they already hold a place in the service order).
-    ready: VecDeque<WorkItem>,
-    /// Per-sequence state of the active batch, in struct-of-arrays slots
-    /// (the former `BTreeMap<u64, ActiveSeq>` plus the request-meta map,
-    /// collapsed into index operations).
-    slab: SeqSlab,
-    /// The active set as `(request id, slot)` sorted ascending by id —
-    /// reproduces the map's iteration order exactly: ascending-id decode
-    /// order, and `last()` as the youngest (highest-id) preemption victim.
-    /// Bounded by `max_decode_batch`, so the binary-searched insert/remove
-    /// stay trivially cheap and allocation-free after warm-up.
-    active: Vec<(u64, SlotId)>,
+    ready: VecDeque<Seq>,
+    /// The admitted sequences in ascending id order: the decode order,
+    /// with the youngest (highest-id) preemption victim last. Pre-sized
+    /// to `max_decode_batch`, so its inserts and removes never allocate.
+    batch: Vec<Seq>,
     clock: SimClock,
     /// Time spent executing prefill or decode steps (for utilization).
     pub(crate) busy_s: f64,
@@ -335,23 +336,26 @@ impl SimState {
         self.arrivals.push(request.arrival_s, PRIO_ARRIVAL, request);
     }
 
-    /// Register a newly admitted sequence in the sorted active set.
-    fn active_insert(&mut self, id: u64, slot: SlotId) {
-        match self.active.binary_search_by_key(&id, |&(i, _)| i) {
-            Ok(_) => panic!("duplicate active id {id}"),
-            Err(pos) => self.active.insert(pos, (id, slot)),
-        }
+    /// Place an admitted sequence in the batch, in id order; the caller
+    /// has taken its blocks and entered it in the projection.
+    fn batch_insert(&mut self, seq: Seq) {
+        let id = seq.request.id;
+        let pos = self.batch.partition_point(|s| s.request.id < id);
+        assert!(
+            self.batch.get(pos).is_none_or(|s| s.request.id != id),
+            "duplicate active id {id}"
+        );
+        // dcm-lint: allow(A1) the batch is pre-sized to max_decode_batch, which admission never exceeds
+        self.batch.insert(pos, seq);
     }
 
-    /// Drop `id` from the sorted active set (its slab slot is removed
-    /// separately).
-    fn active_remove(&mut self, id: u64) {
-        match self.active.binary_search_by_key(&id, |&(i, _)| i) {
-            Ok(pos) => {
-                self.active.remove(pos);
-            }
-            Err(_) => panic!("removing inactive id {id}"),
-        }
+    /// Take batch entry `i` out, giving its blocks back to the pool and
+    /// removing it from the projection.
+    fn batch_remove(&mut self, i: usize) -> Seq {
+        let seq = self.batch.remove(i);
+        self.growth.remove(seq.kv_tokens);
+        self.kv.give(self.kv.blocks_for(seq.kv_tokens));
+        seq
     }
 
     /// Current simulated time.
@@ -362,7 +366,7 @@ impl SimState {
     /// Requests in the system (queued or in service) — the
     /// join-shortest-queue routing signal.
     pub(crate) fn queue_depth(&self) -> usize {
-        self.arrivals.len() + self.ready.len() + self.active.len()
+        self.arrivals.len() + self.ready.len() + self.batch.len()
     }
 
     /// Fraction of KV blocks in use — the least-loaded-KV routing signal.
@@ -372,7 +376,7 @@ impl SimState {
 
     /// Whether all enqueued work has completed.
     pub(crate) fn is_drained(&self) -> bool {
-        self.arrivals.is_empty() && self.ready.is_empty() && self.active.is_empty()
+        self.arrivals.is_empty() && self.ready.is_empty() && self.batch.is_empty()
     }
 
     pub(crate) fn completed(&self) -> usize {
@@ -419,20 +423,16 @@ impl SimState {
             .into_iter()
             .map(|e| e.payload)
             .collect();
-        for w in std::mem::take(&mut self.ready) {
-            lost += w.resumed.as_ref().map_or(0, |s| s.produced);
-            out.push(w.request);
+        for seq in std::mem::take(&mut self.ready) {
+            lost += seq.produced;
+            out.push(seq.request);
         }
-        // Ascending-id order, matching the map-based harvest it replaces.
-        // Index loop (not `drain`) so the vector keeps its capacity.
-        for i in 0..self.active.len() {
-            let slot = self.active[i].1;
-            lost += self.slab.produced(slot);
-            self.kv.give(self.kv.blocks_for(self.slab.kv_tokens(slot)));
-            out.push(self.slab.remove(slot));
+        for seq in self.batch.drain(..) {
+            lost += seq.produced;
+            self.kv.give(self.kv.blocks_for(seq.kv_tokens));
+            out.push(seq.request);
         }
-        self.active.clear();
-        self.growth.clear(); // the active batch is gone wholesale
+        self.growth.clear(); // the batch is gone wholesale
 
         out.sort_by(|a, b| {
             a.arrival_s
@@ -442,45 +442,37 @@ impl SimState {
         (out, lost)
     }
 
-    /// Retire the active sequence `id` (in `slot`) that has just produced
-    /// its last token at the current clock: record its TPOT sample and
-    /// outcome, free its batch slot and KV blocks, and emit its `Request`
-    /// span. The one decode-completion path — a stretch end and the
-    /// preemption step both call it. `produced >= 2` here:
-    /// admission emitted the first token and decoding at least one more.
-    fn retire(&mut self, id: u64, slot: SlotId) {
-        let produced = self.slab.produced(slot);
-        let first_token_t = self.slab.first_token_t(slot);
-        let kv_tokens = self.slab.kv_tokens(slot);
-        let tpot = (self.clock.now() - first_token_t) / usize_to_f64(produced - 1);
-        self.tpot.record(tpot);
-        self.active_remove(id);
-        let req = self.slab.remove(slot);
-        let ttft_s = first_token_t - req.arrival_s;
-        self.judge_slo(ttft_s, Some(tpot), produced);
-        self.growth.remove(kv_tokens);
-        self.kv.give(self.kv.blocks_for(kv_tokens));
+    /// Complete `seq`, which has just produced its last token at the
+    /// current clock: record its TPOT sample, judge it against the SLO,
+    /// count it and emit its `Request` span. Single-token admissions and
+    /// decode retirements both end here. A single-token request has no
+    /// decode interval, so it records no TPOT sample (a 0.0 would drag
+    /// the TPOT distribution toward zero) and meets any TPOT bound.
+    fn complete(&mut self, seq: &Seq) {
+        let now = self.clock.now();
+        let r = &seq.request;
+        let tpot =
+            (seq.produced > 1).then(|| (now - seq.first_token_t) / usize_to_f64(seq.produced - 1));
+        if let Some(tpot) = tpot {
+            self.tpot.record(tpot);
+        }
+        let ttft_s = seq.first_token_t - r.arrival_s;
+        if self.slo.met(ttft_s, tpot) {
+            self.slo_met_requests += 1;
+            self.slo_met_tokens += seq.produced;
+        }
         self.completed += 1;
         self.trace.span(
             SpanKind::Request,
             "request",
-            req.arrival_s,
-            self.clock.now() - req.arrival_s,
-            Some(id),
+            r.arrival_s,
+            now - r.arrival_s,
+            Some(r.id),
             &[
-                ("output_tokens", usize_to_f64(produced)),
+                ("output_tokens", usize_to_f64(seq.produced)),
                 ("ttft_s", ttft_s),
             ],
         );
-    }
-
-    /// Count a completed request against the run's SLO. `tpot_s` is
-    /// `None` for a single-output-token request (no decode interval).
-    fn judge_slo(&mut self, ttft_s: f64, tpot_s: Option<f64>, output_tokens: usize) {
-        if self.slo.met(ttft_s, tpot_s) {
-            self.slo_met_requests += 1;
-            self.slo_met_tokens += output_tokens;
-        }
     }
 
     /// Charge steps `from..to` of a stretch over `batch` sequences: the
@@ -494,19 +486,18 @@ impl SimState {
     }
 
     /// Apply the `k` steps a stretch ran to the projection (one grow-all)
-    /// and to every sequence's slab entry (once each), and retire the
-    /// sequences that have produced their last token, in ascending-id
-    /// order: the order stepping retires them in.
+    /// and to every sequence (once each), and complete the sequences that
+    /// have produced their last token, in ascending-id order: the order
+    /// stepping completes them in.
     fn settle(&mut self, k: usize) {
         self.growth.grow_all(k);
         let mut i = 0;
-        while let Some(&(id, slot)) = self.active.get(i) {
-            self.slab.set_kv_tokens(slot, self.slab.kv_tokens(slot) + k);
-            self.slab.set_produced(slot, self.slab.produced(slot) + k);
-            let remaining = self.slab.remaining(slot) - k;
-            self.slab.set_remaining(slot, remaining);
-            if remaining == 0 {
-                self.retire(id, slot); // removes `active[i]`
+        while let Some(seq) = self.batch.get_mut(i) {
+            seq.kv_tokens += k;
+            seq.produced += k;
+            if seq.remaining() == 0 {
+                let seq = self.batch_remove(i);
+                self.complete(&seq);
             } else {
                 i += 1;
             }
@@ -524,7 +515,7 @@ impl SimState {
     fn promote_arrivals(&mut self) {
         let now = self.clock.now();
         while let Some(e) = self.arrivals.pop_due(now) {
-            self.ready.push_back(WorkItem::fresh(e.payload));
+            self.ready.push_back(Seq::fresh(e.payload));
         }
     }
 }
@@ -664,7 +655,6 @@ pub struct ServingEngine {
     family: usize,
     attention: PagedAttention,
     max_decode_batch: usize,
-    block_tokens: usize,
     kv_blocks_override: Option<usize>,
 }
 
@@ -690,7 +680,6 @@ impl ServingEngine {
             family,
             attention,
             max_decode_batch,
-            block_tokens: DEFAULT_BLOCK_TOKENS,
             kv_blocks_override: None,
         }
     }
@@ -771,7 +760,7 @@ impl ServingEngine {
     /// completions against `slo`: size the KV cache and reset all state.
     /// `expected_requests` pre-sizes the arrival queue (large sweeps
     /// enqueue the whole trace up front; repeated growth there is pure
-    /// waste), and the slab/active-set/scratch buffers are pre-sized to
+    /// waste), and the batch and its projection are pre-sized to
     /// `max_decode_batch` so steady-state serving never reallocates.
     ///
     /// # Errors
@@ -810,23 +799,21 @@ impl ServingEngine {
         let reserved = f64_to_u64(weights.floor())
             + f64_to_u64((u64_to_f64(hbm) * ACTIVATION_HEADROOM).floor());
         let kv = match self.kv_blocks_override {
-            Some(blocks) => KvPool::new(blocks, self.block_tokens),
+            Some(blocks) => KvPool::new(blocks, DEFAULT_BLOCK_TOKENS),
             None => KvPool::sized_for(
                 hbm,
                 reserved,
                 self.model.kv_bytes_per_token(self.tp),
-                self.block_tokens,
+                DEFAULT_BLOCK_TOKENS,
             )?,
         };
         Ok(SimState {
             kv,
-            scratch_ids: Vec::with_capacity(self.max_decode_batch),
-            growth: BatchGrowth::with_capacity(self.block_tokens, self.max_decode_batch),
+            growth: BatchGrowth::with_capacity(DEFAULT_BLOCK_TOKENS, self.max_decode_batch),
             stretch: None,
             arrivals: EventQueue::with_capacity(expected_requests),
             ready: VecDeque::new(),
-            slab: SeqSlab::with_capacity(self.max_decode_batch),
-            active: Vec::with_capacity(self.max_decode_batch),
+            batch: Vec::with_capacity(self.max_decode_batch),
             clock: SimClock::new(),
             busy_s: 0.0,
             time_scale: 1.0,
@@ -849,27 +836,28 @@ impl ServingEngine {
     /// room and the head of the ready queue fits the KV cache with one
     /// output token.
     fn admission_possible(&self, sim: &SimState) -> bool {
-        sim.active.len() < self.max_decode_batch
+        sim.batch.len() < self.max_decode_batch
             && sim
                 .ready
                 .front()
-                .is_some_and(|w| sim.kv.fits(w.admit_tokens() + 1))
+                .is_some_and(|s| sim.kv.fits(s.admit_tokens() + 1))
     }
 
     /// Admit the head of the ready queue: prefill it at the current
-    /// clock and either retire it (single-output-token request) or place
-    /// it in the active batch, holding the blocks of its tokens plus the
-    /// first output token's. `sim_step` is its only caller, in exact and
+    /// clock and either complete it (single-output-token request) or place
+    /// it in the batch, holding the blocks of its tokens plus the first
+    /// output token's. `sim_step` is its only caller, in exact and
     /// fast-forward mode alike.
     ///
     /// Caller must have checked [`Self::admission_possible`].
     fn admit_one(&self, sim: &mut SimState) {
         // dcm-lint: allow(P1) admission_possible requires front() to be Some
-        let w = sim.ready.pop_front().expect("checked non-empty");
-        let r = w.request;
-        let admit_tokens = w.admit_tokens();
-        if w.resumed.is_none() {
-            sim.queue_delay.record(sim.clock.now() - r.arrival_s);
+        let mut seq = sim.ready.pop_front().expect("checked non-empty");
+        let admit_tokens = seq.admit_tokens();
+        let fresh = seq.produced == 0;
+        if fresh {
+            sim.queue_delay
+                .record(sim.clock.now() - seq.request.arrival_s);
         }
         // Prefill covers the prompt plus, for a resumed sequence, the
         // recomputation of its already-generated tokens. The time
@@ -883,48 +871,24 @@ impl ServingEngine {
             "prefill",
             t0,
             prefill,
-            Some(r.id),
+            Some(seq.request.id),
             &[("tokens", usize_to_f64(admit_tokens))],
         );
-        let seq = match w.resumed {
-            Some(state) => state,
-            None => {
-                // Prefill emits the first output token.
-                sim.ttft.record(sim.clock.now() - r.arrival_s);
-                sim.total_output += 1;
-                ActiveSeq {
-                    remaining: r.output_len - 1,
-                    first_token_t: sim.clock.now(),
-                    produced: 1,
-                }
-            }
-        };
-        if seq.remaining == 0 {
-            sim.completed += 1;
-            // A single-output-token request has no decode interval:
-            // it contributes no TPOT sample (a 0.0 here would drag
-            // the whole TPOT distribution toward zero).
-            sim.judge_slo(seq.first_token_t - r.arrival_s, None, seq.produced);
-            sim.trace.span(
-                SpanKind::Request,
-                "request",
-                r.arrival_s,
-                sim.clock.now() - r.arrival_s,
-                Some(r.id),
-                &[
-                    ("output_tokens", usize_to_f64(seq.produced)),
-                    ("ttft_s", seq.first_token_t - r.arrival_s),
-                ],
-            );
+        if fresh {
+            // Prefill emits the first output token.
+            sim.ttft.record(sim.clock.now() - seq.request.arrival_s);
+            sim.total_output += 1;
+            seq.produced = 1;
+            seq.first_token_t = sim.clock.now();
+        }
+        if seq.remaining() == 0 {
+            sim.complete(&seq);
         } else {
             // The prefilled tokens and the first output token's KV slot.
-            let kv_tokens = admit_tokens + 1;
-            sim.kv.take(sim.kv.blocks_for(kv_tokens));
-            sim.growth.insert(kv_tokens);
-            let slot =
-                sim.slab
-                    .insert(r, seq.remaining, seq.first_token_t, seq.produced, kv_tokens);
-            sim.active_insert(r.id, slot);
+            seq.kv_tokens = admit_tokens + 1;
+            sim.kv.take(sim.kv.blocks_for(seq.kv_tokens));
+            sim.growth.insert(seq.kv_tokens);
+            sim.batch_insert(seq);
         }
     }
 
@@ -942,14 +906,14 @@ impl ServingEngine {
             self.admit_one(sim);
             return Ok(true);
         }
-        if sim.active.is_empty() {
-            if let Some(w) = sim.ready.front() {
+        if sim.batch.is_empty() {
+            if let Some(s) = sim.ready.front() {
                 // Nothing active and the head of queue cannot be admitted:
                 // the request alone exceeds capacity.
                 return Err(DcmError::ResourceExhausted(format!(
                     "request {} ({} tokens) exceeds KV capacity",
-                    w.request.id,
-                    w.admit_tokens()
+                    s.request.id,
+                    s.admit_tokens()
                 )));
             }
             return Ok(false); // idle: awaiting future arrivals (or drained)
@@ -957,10 +921,10 @@ impl ServingEngine {
         // One decode step for all active sequences, priced from the
         // incrementally maintained batch projection — no O(batch) length
         // re-walk, no per-step allocation.
-        let batch = sim.active.len();
+        let batch = sim.batch.len();
         sim.peak_batch = sim.peak_batch.max(batch);
         let shape = sim.growth.after(0);
-        debug_assert_eq!(shape.count, batch, "projection desynced from active set");
+        debug_assert_eq!(shape.count, batch, "projection desynced from the batch");
         let attn = self.with_gemm_terms(|pa, terms| pa.decode_time_of(shape, terms));
         let step = (self.nonattn_step_time(batch) + attn) * sim.time_scale;
         let t0 = sim.clock.now();
@@ -974,70 +938,62 @@ impl ServingEngine {
             None,
             &[("batch", usize_to_f64(batch))],
         );
-        let mut ids = std::mem::take(&mut sim.scratch_ids);
-        ids.clear();
-        ids.extend(sim.active.iter().copied());
-        for &(id, slot) in &ids {
-            if !sim.slab.contains(slot) {
-                continue; // preempted earlier in this step (generation check)
-            }
+        // Walk the batch by index in id order: a completion removes entry
+        // `i`, a preemption the victim.
+        let mut i = 0;
+        while i < sim.batch.len() {
+            let id = sim.batch[i].request.id;
             // The pool counts a token per append *attempt*, even a failed
             // one, and a failed append is followed by exactly one that
             // succeeds: the victim gives back at least one block and the
             // next token needs one. So `known` ends holding `⌈known/B⌉`
-            // blocks, and the slab and projection take it as the count.
-            let start = sim.slab.kv_tokens(slot);
+            // blocks, and the sequence and projection take it as the count.
+            let start = sim.batch[i].kv_tokens;
             let mut known = start;
             let mut held = sim.kv.blocks_for(start);
             while !sim.kv.append(&mut known, &mut held) {
-                // Out of blocks: preempt the youngest active sequence
-                // (highest id) that is not `id` itself. If `id` is the
-                // only one, it holds every used block and still needs
-                // more: it alone exceeds the cache, and preempting it
-                // would only re-admit it into the same wall.
-                let Some(&(victim, victim_slot)) = sim.active.iter().rev().find(|&&(v, _)| v != id)
-                else {
+                // Out of blocks: preempt the youngest sequence (highest
+                // id) other than this one: the last entry, or the one
+                // before it, which has already stepped, when this one is
+                // last. If this one is alone, it holds every used block
+                // and still needs more: it alone exceeds the cache, and
+                // preempting it would only re-admit it into the same wall.
+                let last = sim.batch.len() - 1;
+                let victim = if i < last {
+                    last
+                } else if i > 0 {
+                    i -= 1; // the victim sits before this sequence
+                    i
+                } else {
                     return Err(DcmError::ResourceExhausted(format!(
                         "request {id} ({known} tokens) exceeds KV capacity"
                     )));
                 };
-                let victim_tokens = sim.slab.kv_tokens(victim_slot);
-                sim.growth.remove(victim_tokens);
-                sim.kv.give(sim.kv.blocks_for(victim_tokens));
-                let state = ActiveSeq {
-                    remaining: sim.slab.remaining(victim_slot),
-                    first_token_t: sim.slab.first_token_t(victim_slot),
-                    produced: sim.slab.produced(victim_slot),
-                };
-                sim.active_remove(victim);
-                let victim_req = sim.slab.remove(victim_slot);
+                let victim = sim.batch_remove(victim);
                 sim.preemptions += 1;
                 sim.trace.instant(
                     SpanKind::Preemption,
                     "preempt",
                     sim.clock.now(),
-                    Some(victim),
-                    &[("recompute_tokens", usize_to_f64(state.produced))],
+                    Some(victim.request.id),
+                    &[("recompute_tokens", usize_to_f64(victim.produced))],
                 );
-                sim.ready.push_front(WorkItem {
-                    request: victim_req,
-                    resumed: Some(state),
-                });
+                sim.ready.push_front(victim);
             }
             debug_assert_eq!(held, sim.kv.blocks_for(known), "request {id}'s blocks");
             sim.growth.remove(start);
             sim.growth.insert(known);
-            sim.slab.set_kv_tokens(slot, known);
             sim.total_output += 1;
-            let remaining = sim.slab.remaining(slot) - 1;
-            let produced = sim.slab.produced(slot) + 1;
-            sim.slab.set_remaining(slot, remaining);
-            sim.slab.set_produced(slot, produced);
-            if remaining == 0 {
-                sim.retire(id, slot);
+            let seq = &mut sim.batch[i];
+            seq.kv_tokens = known;
+            seq.produced += 1;
+            if seq.remaining() == 0 {
+                let seq = sim.batch_remove(i);
+                sim.complete(&seq);
+            } else {
+                i += 1;
             }
         }
-        sim.scratch_ids = ids;
         Ok(true)
     }
 
@@ -1083,13 +1039,13 @@ impl ServingEngine {
             sim.settle_stretch(); // the batch changes: `sim_step` admits
             return false;
         }
-        if sim.active.is_empty() {
+        if sim.batch.is_empty() {
             return false;
         }
         // Admission has priority in `sim_step` and is blocked here; free
         // blocks only shrink mid-stretch and the batch never drains, so a
         // blocked ready head stays blocked for the whole stretch.
-        let batch = sim.active.len();
+        let batch = sim.batch.len();
         // Cap 3: never cross the caller's horizon, nor — when a new
         // arrival could actually be admitted mid-stretch — the next
         // arrival. An arrival can only change the schedule by being
@@ -1145,10 +1101,12 @@ impl ServingEngine {
     fn stretch_cap(&self, sim: &SimState) -> usize {
         // Cap 1: no completion strictly inside the stretch (completions
         // land exactly at the stretch end).
-        let mut n = usize::MAX;
-        for &(_, slot) in &sim.active {
-            n = n.min(sim.slab.remaining(slot));
-        }
+        let mut n = sim
+            .batch
+            .iter()
+            .map(Seq::remaining)
+            .min()
+            .unwrap_or(usize::MAX);
         // Cap 2: growing every sequence by `n` tokens must fit the pool,
         // so no append can fail mid-stretch (block demand is monotone in
         // n — binary search the largest feasible stretch). Every active
@@ -1156,15 +1114,13 @@ impl ServingEngine {
         // projection counts the blocks the pool has lent.
         let growth = &sim.growth;
         if cfg!(debug_assertions) {
-            let shape = BatchShape::of_lens(
-                sim.active.iter().map(|&(_, slot)| sim.slab.kv_tokens(slot)),
-                self.block_tokens,
-            );
-            assert_eq!(growth.after(0), shape, "projection desynced from the slab");
+            let shape =
+                BatchShape::of_lens(sim.batch.iter().map(|s| s.kv_tokens), DEFAULT_BLOCK_TOKENS);
+            assert_eq!(growth.after(0), shape, "projection desynced from the batch");
             assert_eq!(
                 sim.kv.used(),
                 shape.sum_blocks,
-                "KV pool desynced from the slab"
+                "KV pool desynced from the batch"
             );
         }
         let blocks = sim.kv.blocks();
@@ -1210,7 +1166,7 @@ impl ServingEngine {
             span,
             None,
             &[
-                ("batch", usize_to_f64(sim.active.len())),
+                ("batch", usize_to_f64(sim.batch.len())),
                 ("steps", usize_to_f64(k)),
             ],
         );
@@ -1261,7 +1217,7 @@ impl ServingEngine {
     /// Then the steps are charged, and the stretch settles at its cap or
     /// stays open in `sim.stretch` if the horizon cut it short.
     fn exact_steps(&self, sim: &mut SimState, mut open: OpenStretch, horizon: f64) {
-        let batch = sim.active.len();
+        let batch = sim.batch.len();
         let from = open.prices.steps();
         let SimState {
             growth,
@@ -1687,12 +1643,12 @@ mod tests {
             sim
         };
         let mut sim = admitted();
-        assert_eq!((sim.active.len(), sim.total_output), (4, 4));
+        assert_eq!((sim.batch.len(), sim.total_output), (4, 4));
         // Prefill emitted every first token: 24 steps remain until
         // request 1 completes.
         assert!(e.try_stretch(&mut sim, f64::INFINITY));
         assert_eq!(sim.total_output, 4 + 4 * 24);
-        assert_eq!((sim.completed, sim.active.len()), (1, 3));
+        assert_eq!((sim.completed, sim.batch.len()), (1, 3));
         let mut stepped = admitted();
         for _ in 0..24 {
             assert!(e.sim_step(&mut stepped).unwrap());
@@ -1714,7 +1670,7 @@ mod tests {
         // The batch of `one_exact_stretch_runs_the_batch_to_its_first_
         // completion`, advanced to four limits inside its 24-step stretch
         // and then to its end: every cut keeps the stretch open with the
-        // slab at its start counts and the pool and output count current,
+        // batch at its start counts and the pool and output count current,
         // and the end matches the uncut stretch.
         let e = engine(PagedBackend::GaudiOpt, 4);
         let settings = RunSettings::new(RoutingPolicy::RoundRobin);
@@ -1735,11 +1691,7 @@ mod tests {
         let mut uncut = admitted();
         assert!(e.try_stretch(&mut uncut, f64::INFINITY));
         let mut sim = admitted();
-        let start: Vec<usize> = sim
-            .active
-            .iter()
-            .map(|&(_, s)| sim.slab.kv_tokens(s))
-            .collect();
+        let start: Vec<usize> = sim.batch.iter().map(|s| s.kv_tokens).collect();
         let (t0, t1) = (sim.now(), uncut.now());
         let mut last = 0;
         for frac in [0.1, 0.35, 0.6, 0.9] {
@@ -1747,12 +1699,8 @@ mod tests {
             let k = sim.stretch.as_ref().expect("open").prices.steps();
             assert!(last < k && k < 24, "{frac}: {k} steps");
             last = k;
-            let at: Vec<usize> = sim
-                .active
-                .iter()
-                .map(|&(_, s)| sim.slab.kv_tokens(s))
-                .collect();
-            assert_eq!(at, start, "the slab keeps the start counts");
+            let at: Vec<usize> = sim.batch.iter().map(|s| s.kv_tokens).collect();
+            assert_eq!(at, start, "the batch keeps the start counts");
             let held: usize = start.iter().map(|&t| sim.kv.blocks_for(t + k)).sum();
             assert_eq!(sim.kv.used(), held, "the pool is current");
             assert_eq!(sim.total_output, 4 + 4 * k, "the output count is current");
@@ -1806,6 +1754,47 @@ mod tests {
         let unconstrained = free.run(&reqs).unwrap();
         assert_eq!(unconstrained.preemptions, 0);
         assert!(unconstrained.total_time_s < report.total_time_s);
+    }
+
+    #[test]
+    fn a_failed_append_by_the_last_entry_preempts_the_entry_before_it() {
+        // Six blocks of 128 tokens, all lent: requests 0 and 1 hold 200
+        // tokens (mid-block) and request 2, the youngest and last, holds
+        // 256 (on a block boundary). In the next step 0 and 1 append
+        // within their blocks and 2's append fails, so the victim is the
+        // youngest other entry, 1, which has already stepped.
+        let e = engine(PagedBackend::GaudiOpt, 4).with_kv_blocks(6);
+        let settings = RunSettings::new(RoutingPolicy::RoundRobin);
+        let slo = ResilienceConfig::default().slo;
+        let mut sim = e.make_sim(0, 3, &settings, slo).unwrap();
+        for (id, input_len) in [(0, 199), (1, 199), (2, 255)] {
+            sim.enqueue(Request::new(id, input_len, 50));
+        }
+        sim.promote_arrivals();
+        for _ in 0..3 {
+            assert!(e.sim_step(&mut sim).unwrap(), "admission");
+        }
+        let counts = |sim: &SimState| -> Vec<(u64, usize)> {
+            sim.batch
+                .iter()
+                .map(|s| (s.request.id, s.kv_tokens))
+                .collect()
+        };
+        assert_eq!(counts(&sim), [(0, 200), (1, 200), (2, 256)]);
+        assert_eq!(sim.kv.free(), 0, "the pool is full");
+        assert!(e.sim_step(&mut sim).unwrap(), "the preemption step");
+        assert_eq!(sim.preemptions, 1);
+        // 2 counts its failed token, then appends one more into a block
+        // that 1 gave back.
+        assert_eq!(counts(&sim), [(0, 201), (2, 256 + 2)]);
+        let victim = sim.ready.front().expect("the victim is queued");
+        assert_eq!(
+            (victim.request.id, victim.produced),
+            (1, 2),
+            "the victim keeps the token it produced in this step"
+        );
+        assert_eq!(sim.total_output, 3 + 3);
+        assert_eq!(sim.kv.used(), 2 + 3);
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! Struct-of-arrays slab for active decode sequences.
+//! Struct-of-arrays slab of decode sequences, which the serving engine
+//! no longer uses.
 //!
-//! The serving engine's hot decode loop touches four scalars per active
-//! sequence per step (KV token count, remaining budget, produced count,
-//! first-token timestamp). Earlier revisions kept them behind
-//! `BTreeMap<u64, ActiveSeq>` lookups — one pointer chase per access per
-//! step. [`SeqSlab`] stores each field in its own dense column indexed by
-//! a slot number, so admit / append / preempt / complete become plain
-//! index operations, and a freed slot is recycled through a free list
-//! (steady-state serving allocates nothing).
+//! [`SeqSlab`] stores each per-sequence field (KV token count, remaining
+//! budget, produced count, first-token timestamp, request) in its own
+//! dense column indexed by a slot number, and recycles a freed slot
+//! through a free list, so steady-state inserts and removes allocate
+//! nothing. The engine keeps one record per sequence in a `Vec` sorted by
+//! id and bounded by `max_decode_batch` instead (DESIGN.md §3.8). The
+//! slab stays only because `dcmbench`'s `vllm.slab.insert_remove_ns`
+//! probe times it; both go in the first benchmark change (ROADMAP "The
+//! benchmark changes").
 //!
 //! Slots are addressed by a generational [`SlotId`]: removing a sequence
-//! bumps the slot's generation, so a stale id held across a preemption
-//! can never silently read the slot's next tenant — it panics instead.
-//! The semantic equivalence of the slab to the map it replaced (including
-//! staleness behaviour) is property-pinned by
-//! `tests/tests/prop_slab_diff.rs`, and the engine built on it reproduces
-//! the pre-slab golden serving reports bit-for-bit
-//! (`tests/tests/golden_serving.rs`).
+//! bumps the slot's generation, so a stale id can never silently read the
+//! slot's next tenant — it panics instead. `tests/tests/prop_slab_diff.rs`
+//! pins the slab, staleness included, against a `BTreeMap` model.
 
 use crate::dataset::Request;
 

@@ -9,7 +9,8 @@
 //! * the event queue under a bulk fill and drain — `with_capacity(n)`
 //!   takes `n` pushes and a full `pop_due` drain with no further
 //!   allocation;
-//! * the sequence slab under admit/complete churn — free-list reuse;
+//! * the public sequence slab (which `dcmbench` times; the engine keeps a
+//!   pre-sized `Vec`) under admit/complete churn — free-list reuse;
 //! * `BatchStats` under add/grow/remove churn — the sorted-vec histogram
 //!   retains capacity across boundary crossings;
 //! * PagedAttention decode-step pricing on every backend, from a

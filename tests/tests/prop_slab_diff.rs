@@ -1,11 +1,12 @@
 //! Differential property test: the struct-of-arrays sequence slab plus a
-//! sorted `(id, slot)` vector must be semantically identical to the
-//! `BTreeMap<u64, ActiveSeq>` state it replaced in the serving engine —
-//! same membership, same field values, same ascending-id iteration order,
-//! same youngest-victim (`last()`) selection — under arbitrary
-//! admit/mutate/preempt interleavings with slot churn. (The engine-level
-//! consequence, bit-identical `ServingReport`s, is pinned by
-//! `golden_serving.rs`, which was captured from the map-based engine.)
+//! sorted `(id, slot)` vector must be semantically identical to a
+//! `BTreeMap<u64, ModelSeq>` model — same membership, same field values,
+//! same ascending-id iteration order, same youngest-victim (`last()`)
+//! selection — under arbitrary admit/mutate/preempt interleavings with
+//! slot churn. The serving engine no longer uses the slab: it keeps one
+//! record per sequence in a `Vec` sorted by id. This suite guards the
+//! public `SeqSlab` that `dcmbench` still times, and goes with it (ROADMAP
+//! "The benchmark changes").
 
 use dcm_vllm::dataset::Request;
 use dcm_vllm::slab::{SeqSlab, SlotId};
@@ -21,8 +22,7 @@ struct ModelSeq {
     kv_tokens: usize,
 }
 
-/// The system under test: slab + sorted active vector, mirroring the
-/// engine's layout.
+/// The system under test: slab + sorted active vector.
 #[derive(Default)]
 struct SoaState {
     slab: SeqSlab,

@@ -73,7 +73,8 @@ for ex in examples/*.rs; do
 done
 
 # Differential suite under an explicit 2-thread override: the
-# queue-vs-list-model, slab-vs-map, histogram, fast-forward (on one
+# queue-vs-list-model, slab-vs-map (the public slab that dcmbench times;
+# the engine no longer uses it), histogram, fast-forward (on one
 # replica, i.e. the single engine, and on several) and
 # flow-vs-closed-form fabric equivalence properties, the attention
 # pricing paths (slice, stats and memoized) against each other and an
