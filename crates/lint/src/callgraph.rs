@@ -15,9 +15,12 @@
 //!   (e.g. `Qual` is a module or an std type), every *free* `fn name`
 //!   instead (`mod helpers { pub fn f() }` called as `helpers::f()`).
 //! * `recv.name(...)` (method call): when the receiver is literally
-//!   `self`, the enclosing impl type's `name` method if it exists, else
-//!   — and for every other receiver — **every** workspace method named
-//!   `name` (the conservative step: receiver types are not inferred).
+//!   `self`, the enclosing impl type's `name` method if it exists; when
+//!   it is a field of `self` whose declared type is a workspace type
+//!   with a `name` method (`self.queue.push(..)` with
+//!   `queue: EventQueue<_>`), that method. Otherwise — and for every
+//!   other receiver — **every** workspace method named `name` (the
+//!   conservative step: receiver types are not inferred).
 //! * `name(...)` (bare call): every free `fn name` in the workspace.
 //! * Calls that resolve to nothing are external (std or shims) and
 //!   become graph leaves; macro invocations are always leaves.
@@ -42,12 +45,23 @@ pub struct Node {
     pub def: FnDef,
 }
 
+/// `type → method → node indices`, and likewise `struct → field →
+/// declared type heads`. `BTreeMap` keeps edge order and diagnostics
+/// deterministic.
+type Index<T> = BTreeMap<String, BTreeMap<String, Vec<T>>>;
+
 /// The resolved workspace call graph.
 #[derive(Debug, Default)]
 pub struct CallGraph {
     pub nodes: Vec<Node>,
     /// Adjacency: `edges[i]` = sorted, deduplicated callee node indices.
     edges: Vec<Vec<usize>>,
+    /// Methods by impl type and name.
+    typed: Index<usize>,
+    /// Declared field types by struct and field. A struct name defined
+    /// more than once (in different crates) lists every declaration's
+    /// type.
+    fields: Index<String>,
 }
 
 impl CallGraph {
@@ -80,16 +94,35 @@ impl CallGraph {
 
         // Name indices. BTreeMap keeps iteration (and therefore edge
         // order and any diagnostics) deterministic.
-        let mut typed: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+        fn add<T>(index: &mut Index<T>, outer: &str, inner: &str, v: T) {
+            let inner_map = index.entry(outer.to_owned()).or_default();
+            inner_map.entry(inner.to_owned()).or_default().push(v);
+        }
+        let mut graph = CallGraph::default();
         let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, n) in nodes.iter().enumerate() {
             match &n.def.self_ty {
                 Some(ty) => {
-                    typed.entry((ty, &n.def.name)).or_default().push(i);
+                    add(&mut graph.typed, ty, &n.def.name, i);
                     methods.entry(&n.def.name).or_default().push(i);
                 }
                 None => free.entry(&n.def.name).or_default().push(i),
+            }
+        }
+        for s in files.iter().flat_map(|(_, f)| &f.structs) {
+            if s.is_test {
+                continue;
+            }
+            for (field, ty) in &s.fields {
+                // A field of no nameable type resolves nothing; record it
+                // as the empty head, which no impl type matches.
+                add(
+                    &mut graph.fields,
+                    &s.name,
+                    field,
+                    ty.clone().unwrap_or_default(),
+                );
             }
         }
 
@@ -97,20 +130,105 @@ impl CallGraph {
         for n in &nodes {
             let mut out: Vec<usize> = Vec::new();
             for call in &n.def.calls {
-                out.extend(resolve(
-                    call,
-                    opaque_methods,
-                    &nodes,
-                    &typed,
-                    &methods,
-                    &free,
-                ));
+                out.extend(graph.resolve(call, opaque_methods, &nodes, &methods, &free));
             }
             out.sort_unstable();
             out.dedup();
             edges.push(out);
         }
-        CallGraph { nodes, edges }
+        graph.nodes = nodes;
+        graph.edges = edges;
+        graph
+    }
+
+    /// The workspace methods a call on a field of `self` resolves to
+    /// through the field's declared type: `self.queue.push(..)` with
+    /// `queue: EventQueue<_>` gives `EventQueue::push`. Empty unless the
+    /// call's receiver is a field of `self` and every declaration of that
+    /// field names a workspace type with the method.
+    #[must_use]
+    pub fn field_callees(&self, call: &Call) -> Vec<usize> {
+        let (Some(owner), Some(field)) = (&call.qual, &call.field) else {
+            return Vec::new();
+        };
+        let Some(types) = self.fields.get(owner).and_then(|f| f.get(field)) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for ty in types {
+            match self.typed.get(ty).and_then(|m| m.get(&call.name)) {
+                Some(v) => out.extend_from_slice(v),
+                None => return Vec::new(),
+            }
+        }
+        out
+    }
+
+    /// Resolve one call site to candidate definition indices (see the
+    /// module docs for the policy).
+    fn resolve(
+        &self,
+        call: &Call,
+        opaque_methods: &[&str],
+        nodes: &[Node],
+        methods: &BTreeMap<&str, Vec<usize>>,
+        free: &BTreeMap<&str, Vec<usize>>,
+    ) -> Vec<usize> {
+        // Name-only fallback sets are pruned by argument count: a
+        // 0-argument `.time()` cannot land on a 3-parameter
+        // `FlowTransport::time`. Pruning only applies when both sides
+        // counted confidently; pinned (type-matched) resolutions are
+        // never pruned — there a mismatch means *our* count is wrong, not
+        // the edge.
+        let by_arity = |v: Option<&Vec<usize>>| -> Vec<usize> {
+            let v = v.cloned().unwrap_or_default();
+            let Some(a) = call.arity else { return v };
+            v.into_iter()
+                .filter(|&i| nodes[i].def.arity.is_none_or(|d| d == a))
+                .collect()
+        };
+        let name = call.name.as_str();
+        let typed = |ty: &str| self.typed.get(ty).and_then(|m| m.get(name));
+        match call.kind {
+            CallKind::Macro => Vec::new(),
+            CallKind::Bare => by_arity(free.get(name)),
+            CallKind::Path => match &call.qual {
+                Some(q) => {
+                    if let Some(v) = typed(q) {
+                        v.clone()
+                    } else if self.typed.contains_key(q) {
+                        // `Qual` is a known type but has no such method in
+                        // the workspace (inherent std impl, derive, etc.):
+                        // external.
+                        Vec::new()
+                    } else {
+                        // `Qual` is a module (or an external type): try
+                        // free functions by name.
+                        by_arity(free.get(name))
+                    }
+                }
+                None => by_arity(free.get(name)),
+            },
+            CallKind::Method => {
+                // `self.name()`: the enclosing impl's method wins when it
+                // exists; `self.field.name()`: the method of the field's
+                // workspace type. Otherwise fall through to the
+                // conservative set (the method may come from a trait
+                // impl'd elsewhere) — except for the opaque std-container
+                // names.
+                let pinned = match (&call.qual, &call.field) {
+                    (Some(ty), None) => typed(ty).cloned().unwrap_or_default(),
+                    _ => self.field_callees(call),
+                };
+                if !pinned.is_empty() {
+                    pinned
+                } else if opaque_methods.contains(&name) {
+                    Vec::new()
+                } else {
+                    by_arity(methods.get(name))
+                }
+            }
+        }
     }
 
     /// Total number of resolved call edges.
@@ -179,67 +297,6 @@ impl CallGraph {
     }
 }
 
-/// Resolve one call site to candidate definition indices (see the
-/// module docs for the policy).
-fn resolve(
-    call: &Call,
-    opaque_methods: &[&str],
-    nodes: &[Node],
-    typed: &BTreeMap<(&str, &str), Vec<usize>>,
-    methods: &BTreeMap<&str, Vec<usize>>,
-    free: &BTreeMap<&str, Vec<usize>>,
-) -> Vec<usize> {
-    // Name-only fallback sets are pruned by argument count: a 0-argument
-    // `.time()` cannot land on a 3-parameter `FlowTransport::time`.
-    // Pruning only applies when both sides counted confidently; pinned
-    // (type-matched) resolutions are never pruned — there a mismatch
-    // means *our* count is wrong, not the edge.
-    let by_arity = |v: Vec<usize>| -> Vec<usize> {
-        let Some(a) = call.arity else { return v };
-        v.into_iter()
-            .filter(|&i| nodes[i].def.arity.is_none_or(|d| d == a))
-            .collect()
-    };
-    let name = call.name.as_str();
-    match call.kind {
-        CallKind::Macro => Vec::new(),
-        CallKind::Bare => by_arity(free.get(name).cloned().unwrap_or_default()),
-        CallKind::Path => match &call.qual {
-            Some(q) => {
-                if let Some(v) = typed.get(&(q.as_str(), name)) {
-                    v.clone()
-                } else if typed.keys().any(|(ty, _)| ty == q) {
-                    // `Qual` is a known type but has no such method in
-                    // the workspace (inherent std impl, derive, etc.):
-                    // external.
-                    Vec::new()
-                } else {
-                    // `Qual` is a module (or an external type): try free
-                    // functions by name.
-                    by_arity(free.get(name).cloned().unwrap_or_default())
-                }
-            }
-            None => by_arity(free.get(name).cloned().unwrap_or_default()),
-        },
-        CallKind::Method => {
-            // `self.name()`: the enclosing impl's method wins when it
-            // exists; otherwise fall through to the conservative set
-            // (the method may come from a trait impl'd elsewhere) —
-            // except for the opaque std-container names.
-            if let Some(ty) = &call.qual {
-                if let Some(v) = typed.get(&(ty.as_str(), name)) {
-                    return v.clone();
-                }
-            }
-            if opaque_methods.contains(&name) {
-                Vec::new()
-            } else {
-                by_arity(methods.get(name).cloned().unwrap_or_default())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +361,43 @@ mod tests {
         let reach = g.reachable_from(&[idx(&g, "caller")]);
         assert!(reach[idx(&g, "A::step")].is_some());
         assert!(reach[idx(&g, "B::step")].is_some());
+    }
+
+    /// `Sim`'s fields, and two workspace types with a `push` method.
+    const FIELDS: &str = "struct Sim { queue: EventQueue<u32>, items: Vec<u32>, topo: Topology }\n\
+                          impl EventQueue { fn push(&mut self, t: u32) {} }\n\
+                          impl Stack { fn push(&mut self, t: u32) {} }\n\
+                          impl Topology { fn links(&self) {} }";
+
+    #[test]
+    fn a_field_of_a_workspace_type_pins_the_call_to_its_method() {
+        let src = format!("{FIELDS}\nimpl Sim {{ fn step(&mut self) {{ self.queue.push(1); }} }}");
+        let g = graph(&[("a.rs", &src)]);
+        let reach = g.reachable_from(&[idx(&g, "Sim::step")]);
+        assert!(reach[idx(&g, "EventQueue::push")].is_some());
+        assert!(
+            reach[idx(&g, "Stack::push")].is_none(),
+            "the field's declared type pins the call"
+        );
+    }
+
+    #[test]
+    fn a_field_of_a_std_type_resolves_conservatively() {
+        let src = format!("{FIELDS}\nimpl Sim {{ fn step(&mut self) {{ self.items.push(1); }} }}");
+        let g = graph(&[("a.rs", &src)]);
+        let reach = g.reachable_from(&[idx(&g, "Sim::step")]);
+        assert!(reach[idx(&g, "EventQueue::push")].is_some());
+        assert!(reach[idx(&g, "Stack::push")].is_some());
+    }
+
+    #[test]
+    fn a_workspace_field_type_without_the_method_resolves_conservatively() {
+        // `Topology` has no `push`: a trait or deref may supply it.
+        let src = format!("{FIELDS}\nimpl Sim {{ fn step(&mut self) {{ self.topo.push(1); }} }}");
+        let g = graph(&[("a.rs", &src)]);
+        let reach = g.reachable_from(&[idx(&g, "Sim::step")]);
+        assert!(reach[idx(&g, "EventQueue::push")].is_some());
+        assert!(reach[idx(&g, "Stack::push")].is_some());
     }
 
     #[test]

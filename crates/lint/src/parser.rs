@@ -14,11 +14,14 @@
 //!   qualifiers (`const`/`async`/`unsafe`/`extern`), generics and
 //!   `where` clauses (skipped with correct `<`/`>` nesting, `>>`/`<<`
 //!   counted as two), raw identifiers (`r#match`), turbofish call syntax
-//!   (`f::<T>()`), and `use` trees with groups, globs and `as` renames.
+//!   (`f::<T>()`), `use` trees with groups, globs and `as` renames, and
+//!   the named fields of each `struct` with the head of each field's
+//!   declared type (`queue: EventQueue<Complete>` → `EventQueue`).
 //! * **Approximate by design:** call sites are recovered as *names* —
 //!   `Bare` (`f(...)`), `Path` (`Type::f(...)`, qualifier = the segment
 //!   directly before the name), `Method` (`x.f(...)`, qualifier = the
-//!   impl type when the receiver is literally `self`), and `Macro`
+//!   impl type when the receiver is literally `self` or a field of
+//!   `self`, whose name is then recorded too), and `Macro`
 //!   (`name!(...)`). Resolution to definitions happens in
 //!   [`crate::callgraph`], conservatively.
 //! * **Skipped soundly:** `macro_rules!` definitions are consumed
@@ -30,7 +33,7 @@
 //! the enclosing `fn`, which is the conservative choice for reachability
 //! (the closure may run whenever its definer does).
 
-use crate::lexer::Token;
+use crate::lexer::{Token, TokenKind};
 
 /// Keywords that can directly precede `(` without being a call.
 const NON_CALL_KEYWORDS: &[&str] = &[
@@ -62,8 +65,11 @@ pub struct Call {
     pub kind: CallKind,
     /// `Path`: the path segment directly before the name (`ServingEngine`
     /// in `ServingEngine::run`). `Method`: the enclosing impl type when
-    /// the receiver is `self`, else `None`.
+    /// the receiver is `self` or `self.<field>`, else `None`.
     pub qual: Option<String>,
+    /// `Method` on a field of `self` (`self.queue.push(..)`): the field,
+    /// declared by the struct `qual` names.
+    pub field: Option<String>,
     /// Callee name; macros keep their `!` (`format!`).
     pub name: String,
     /// 1-indexed source line of the callee name token.
@@ -120,11 +126,26 @@ pub struct UseEntry {
     pub path: Vec<String>,
 }
 
+/// One `struct` item with named fields.
+#[derive(Debug, Clone)]
+pub struct StructDef {
+    pub name: String,
+    /// Inside a `#[cfg(test)]`/`#[test]` region.
+    pub is_test: bool,
+    /// Each named field with the head of its declared type: the last path
+    /// segment before any generic arguments, through references
+    /// (`&'a mut Foo<T>` → `Foo`). `None` when the type has no such head
+    /// (tuple, array, slice, function pointer, trait object) or is one of
+    /// the struct's own type parameters.
+    pub fields: Vec<(String, Option<String>)>,
+}
+
 /// Structural view of one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     pub fns: Vec<FnDef>,
     pub uses: Vec<UseEntry>,
+    pub structs: Vec<StructDef>,
 }
 
 /// Parse a lexed token stream into items. `in_test` is the per-token
@@ -236,6 +257,10 @@ impl<'a> Parser<'a> {
                 }
                 "use" => {
                     i = self.parse_use(i);
+                    quals = Quals::default();
+                }
+                "struct" => {
+                    i = self.parse_struct(i);
                     quals = Quals::default();
                 }
                 "macro_rules" => {
@@ -361,6 +386,7 @@ impl<'a> Parser<'a> {
                 calls.push(Call {
                     kind: CallKind::Macro,
                     qual: None,
+                    field: None,
                     name: format!("{name}!"),
                     line: self.toks[i].line,
                     arity: None,
@@ -376,10 +402,11 @@ impl<'a> Parser<'a> {
                 call_paren = self.skip_angles(after + 1);
             }
             if self.is_punct(call_paren, "(") && !NON_CALL_KEYWORDS.contains(&word) {
-                let (kind, qual) = self.classify_call(i);
+                let (kind, qual, field) = self.classify_call(i);
                 calls.push(Call {
                     kind,
                     qual,
+                    field,
                     name,
                     line: self.toks[i].line,
                     arity: self.count_args(call_paren),
@@ -391,16 +418,20 @@ impl<'a> Parser<'a> {
     }
 
     /// Classify the call whose name token sits at `i` by looking at what
-    /// precedes it.
-    fn classify_call(&self, i: usize) -> (CallKind, Option<String>) {
+    /// precedes it: its kind, qualifier and receiver field.
+    fn classify_call(&self, i: usize) -> (CallKind, Option<String>, Option<String>) {
         if i >= 1 && self.toks[i - 1].is_punct(".") {
-            // Method call; receiver `self` pins the impl type.
-            let qual = if i >= 2 && self.ident(i - 2) == Some("self") {
-                self.self_ty.clone()
-            } else {
-                None
-            };
-            return (CallKind::Method, qual);
+            // Method call; receiver `self` pins the impl type, receiver
+            // `self.<field>` names the field whose declared type may.
+            if i >= 2 && self.ident(i - 2) == Some("self") {
+                return (CallKind::Method, self.self_ty.clone(), None);
+            }
+            if i >= 4 && self.is_punct(i - 3, ".") && self.ident(i - 4) == Some("self") {
+                if let (Some(ty), Some(field)) = (&self.self_ty, self.ident(i - 2)) {
+                    return (CallKind::Method, Some(ty.clone()), Some(field.to_owned()));
+                }
+            }
+            return (CallKind::Method, None, None);
         }
         if i >= 1 && self.toks[i - 1].is_punct("::") {
             // Path call: the qualifier is the segment directly before,
@@ -438,9 +469,102 @@ impl<'a> Parser<'a> {
             } else {
                 None
             };
-            return (CallKind::Path, qual);
+            return (CallKind::Path, qual, None);
         }
-        (CallKind::Bare, None)
+        (CallKind::Bare, None, None)
+    }
+
+    /// Parse `struct Name<G> where .. { field: Type, .. }` with `struct`
+    /// at `i`, recording each named field's type head. Tuple and unit
+    /// structs record no fields. Returns the index past the item.
+    fn parse_struct(&mut self, i: usize) -> usize {
+        let Some((name, mut j)) = self.ident_maybe_raw(i + 1) else {
+            return i + 1;
+        };
+        // Any ident in the generics list is taken for a type parameter
+        // (bounds too: a field typed by one then resolves nothing).
+        let generics = j..if self.is_punct(j, "<") {
+            self.skip_angles(j)
+        } else {
+            j
+        };
+        j = generics.end;
+        while j < self.toks.len() && !self.is_punct(j, "{") && !self.is_punct(j, ";") {
+            if self.is_punct(j, "(") {
+                // Tuple struct: no named fields.
+                return self.matching(j, "(", ")") + 1;
+            }
+            j = if self.is_punct(j, "<") {
+                self.skip_angles(j)
+            } else {
+                j + 1
+            };
+        }
+        if j >= self.toks.len() || self.is_punct(j, ";") {
+            return (j + 1).min(self.toks.len());
+        }
+        let close = self.matching_brace(j);
+        let mut fields = Vec::new();
+        let mut start = j + 1;
+        while start < close {
+            // One field runs to the next top-level `,`; its name is the
+            // ident before its first `:`, past any attribute or `pub`.
+            let mut end = start;
+            while end < close && !self.is_punct(end, ",") {
+                end = if self.is_punct(end, "<") {
+                    self.skip_angles(end)
+                } else if self.is_punct(end, "(") {
+                    self.matching(end, "(", ")") + 1
+                } else if self.is_punct(end, "[") {
+                    self.matching(end, "[", "]") + 1
+                } else {
+                    end + 1
+                };
+            }
+            let colon = (start..end).find(|&k| self.is_punct(k, ":"));
+            if let Some((field, colon)) = colon.and_then(|c| Some((self.ident(c - 1)?, c))) {
+                let head = self
+                    .type_head(colon + 1, end)
+                    .filter(|h| !generics.clone().any(|g| self.ident(g) == Some(h)));
+                fields.push((field.to_owned(), head));
+            }
+            start = end + 1;
+        }
+        self.out.structs.push(StructDef {
+            name,
+            is_test: self.in_test.get(i).copied().unwrap_or(false),
+            fields,
+        });
+        close + 1
+    }
+
+    /// The head of the type spanning `[start, end)`: its last path
+    /// segment before any generic arguments, read through references
+    /// and lifetimes. `None` for tuple, array, slice, function-pointer
+    /// and trait-object types.
+    fn type_head(&self, start: usize, end: usize) -> Option<String> {
+        let mut k = start;
+        while k < end
+            && (self.is_punct(k, "&")
+                || self.is_punct(k, "&&")
+                || self.toks[k].kind == TokenKind::Lifetime
+                || self.ident(k) == Some("mut"))
+        {
+            k += 1;
+        }
+        let mut head = None;
+        while k < end {
+            let seg = self.ident(k)?;
+            if matches!(seg, "dyn" | "impl" | "fn") {
+                return None;
+            }
+            head = Some(seg.to_owned());
+            if !self.is_punct(k + 1, "::") {
+                break;
+            }
+            k += 2;
+        }
+        head
     }
 
     /// Parse `mod name { ... }` or `mod name;` with `mod` at `i`.
@@ -970,6 +1094,64 @@ mod tests {
         let f = fn_named(&p, "step");
         assert_eq!(f.calls[0].qual.as_deref(), Some("Engine"));
         assert_eq!(f.calls[1].qual, None);
+    }
+
+    #[test]
+    fn struct_fields_record_their_type_heads() {
+        let p = parse_src(
+            "pub struct S<'a, T: Clone> {\n\
+                 #[allow(dead_code)]\n\
+                 pub queue: EventQueue<Complete>,\n\
+                 pub(crate) flows: Vec<FlowRec>,\n\
+                 topo: &'a mut dcm_net::Topology,\n\
+                 item: T,\n\
+                 pair: (u32, u32),\n\
+                 hook: fn(u32) -> u32,\n\
+                 boxed: Box<dyn Fn()>,\n\
+             }\n\
+             struct Tuple(u32);\n\
+             struct Unit;",
+        );
+        assert_eq!(p.structs.len(), 1, "tuple and unit structs name no fields");
+        let s = &p.structs[0];
+        assert_eq!(s.name, "S");
+        let fields: Vec<(&str, Option<&str>)> = s
+            .fields
+            .iter()
+            .map(|(f, t)| (f.as_str(), t.as_deref()))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                ("queue", Some("EventQueue")),
+                ("flows", Some("Vec")),
+                ("topo", Some("Topology")),
+                ("item", None),
+                ("pair", None),
+                ("hook", None),
+                ("boxed", Some("Box")),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_field_of_self_is_recorded_as_the_receiver() {
+        let p = parse_src(
+            "impl Sim { fn step(&mut self) {\n\
+                 self.queue.push(1);\n\
+                 self.flows[0].children.push(2);\n\
+                 other.queue.push(3);\n\
+             } }",
+        );
+        let got: Vec<(Option<&str>, Option<&str>)> = fn_named(&p, "step")
+            .calls
+            .iter()
+            .map(|c| (c.qual.as_deref(), c.field.as_deref()))
+            .collect();
+        assert_eq!(
+            got,
+            [(Some("Sim"), Some("queue")), (None, None), (None, None)]
+        );
     }
 
     #[test]

@@ -139,6 +139,10 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("ServingEngine", "exact_steps"),
     ("SimState", "settle_stretch"),
     ("Timeline", "pop"),
+    ("FlowSim", "inject"),
+    ("FlowSim", "next_time"),
+    ("FlowSim", "advance_to"),
+    ("FlowSim", "take_finished"),
     ("GaudiMme", "batched_gemm"),
     ("KvPool", "fits"),
     ("KvPool", "take"),
@@ -679,7 +683,13 @@ fn graph_rules(data: &[FileData<'_>]) -> (Vec<Finding>, WorkspaceStats) {
         for call in &node.def.calls {
             let marker = match call.kind {
                 CallKind::Macro => ALLOC_MACROS.contains(&call.name.as_str()),
-                CallKind::Method => ALLOC_METHODS.contains(&call.name.as_str()),
+                // `self.queue.push(..)` on a workspace type's own `push`
+                // is that method, which the traversal visits; on a `Vec`
+                // it is an allocation.
+                CallKind::Method => {
+                    ALLOC_METHODS.contains(&call.name.as_str())
+                        && graph.field_callees(call).is_empty()
+                }
                 CallKind::Path => ALLOC_PATH_CALLS
                     .iter()
                     .any(|(q, m)| call.qual.as_deref() == Some(*q) && call.name == *m),
@@ -835,6 +845,26 @@ mod tests {
         assert_eq!(f[0].line, 1);
         assert_eq!(f[0].excerpt, "let b = y as usize;");
         assert_eq!(f[1].line, 2);
+    }
+
+    #[test]
+    fn a1_counts_a_push_on_a_vec_field_but_not_on_a_workspace_types_field() {
+        // `FlowSim::inject` is an `A1` root. `self.queue.push` is the
+        // allocation-free `EventQueue::push`; `self.flows.push` grows a
+        // `Vec`.
+        let src = "struct FlowSim { queue: EventQueue<u32>, flows: Vec<u32> }\n\
+                   impl FlowSim { fn inject(&mut self) {\n\
+                       self.queue.push(1);\n\
+                       self.flows.push(2);\n\
+                   } }\n\
+                   struct EventQueue<T> { heap: Vec<T> }\n\
+                   impl<T> EventQueue<T> { fn push(&mut self, t: T) { self.heap[0] = t; } }\n";
+        let lines: Vec<u32> = lint_source(SIM, src)
+            .iter()
+            .filter(|f| f.rule == "A1")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, [4]);
     }
 
     #[test]

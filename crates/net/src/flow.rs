@@ -11,45 +11,56 @@
 //! rounds, reduce-scatter before all-gather) without any scheduler
 //! logic in here.
 //!
+//! A flow's record lives until its caller takes it
+//! ([`FlowSim::take_finished`]); the next [`FlowSim::inject`] reuses the
+//! slot. A caller that takes each flow as it finishes (the cluster's
+//! control fabric) holds only the flows in flight; one that never takes
+//! any (the collectives) reads every finish time at the end.
+//!
 //! Determinism: the event queue's total order `(time, priority, seq)`
-//! breaks simultaneous completions, flows are stored and scanned in
-//! injection order, and a flow's completion event is re-scheduled only
+//! breaks simultaneous completions, active flows are scanned in
+//! activation order, and a flow's completion event is re-scheduled only
 //! when its rate actually changes (bit comparison) — stale events are
-//! skipped via a per-flow version stamp. The result is byte-identical
-//! across runs and `DCM_THREADS` settings.
+//! skipped via a per-slot version stamp, which keeps counting across
+//! the slot's occupants. The result is byte-identical across runs and
+//! `DCM_THREADS` settings, and does not depend on which flows were
+//! taken.
 
-use crate::link::max_min_rates;
-use crate::topology::{LinkId, NodeId, Topology};
+use crate::link::{max_min_rates, MaxMinScratch};
+use crate::topology::{NodeId, RouteId, Topology};
 use dcm_core::sim::EventQueue;
 
 /// Index of a flow within its [`FlowSim`].
 pub type FlowId = usize;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum FlowState {
     /// Waiting on `unmet` dependency flows.
+    #[default]
     Pending,
     /// Transferring.
     Active,
-    /// Finished.
+    /// Finished, not yet taken.
     Done,
+    /// Taken: the slot waits for the next flow, `next` being the slot
+    /// freed before it.
+    Free { next: Option<FlowId> },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FlowRec {
-    path: Vec<LinkId>,
+    /// `None` for a self flow (`src == dst`), which crosses no link.
+    route: Option<RouteId>,
     remaining: f64,
     rate: f64,
     /// Stamp incremented on every reschedule; completion events carry
-    /// the stamp they were scheduled under and are ignored if stale.
+    /// the stamp they were scheduled under and are ignored if stale. It
+    /// is never reset, so a reused slot cannot match a completion event
+    /// its previous occupant left queued.
     version: u64,
     state: FlowState,
     unmet: usize,
     children: Vec<FlowId>,
-    /// Fixed route latency added to the delivery time (store-and-forward
-    /// approximation; zero on in-node fabrics).
-    latency_s: f64,
-    start_s: f64,
     finish_s: f64,
 }
 
@@ -63,15 +74,20 @@ struct Complete {
 #[derive(Debug)]
 pub struct FlowSim {
     topo: Topology,
+    /// Link capacities, read from the topology once.
+    caps: Vec<f64>,
     now: f64,
     queue: EventQueue<Complete>,
     flows: Vec<FlowRec>,
-    /// Active flow ids in injection order (per-link FIFO order follows
+    /// The slot freed last; the free slots form a list through
+    /// `FlowState::Free`.
+    free: Option<FlowId>,
+    /// Active flow ids in activation order (per-link FIFO order follows
     /// from this because routes are fixed).
     active: Vec<FlowId>,
+    rates: MaxMinScratch,
     /// True when rates must be recomputed before time can advance.
     dirty: bool,
-    undelivered: usize,
     /// Time the most recent flow finished. Tracked separately from `now`
     /// because draining the queue also visits stale (superseded)
     /// completion events, which advance `now` past the last real finish.
@@ -83,31 +99,22 @@ impl FlowSim {
     #[must_use]
     pub fn new(topo: Topology) -> Self {
         FlowSim {
+            caps: topo.links().iter().map(|l| l.capacity_bps).collect(),
             topo,
             now: 0.0,
             queue: EventQueue::new(),
             flows: Vec::new(),
+            free: None,
             active: Vec::new(),
+            rates: MaxMinScratch::default(),
             dirty: false,
-            undelivered: 0,
             last_finish_s: 0.0,
         }
     }
 
-    /// The topology being simulated.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Current simulation time.
-    #[must_use]
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
     /// Inject a flow of `bytes` from `src` to `dst` at the current time,
-    /// starting once every flow in `deps` has finished. Returns its id.
+    /// starting once every flow in `deps` has finished. Returns its id,
+    /// which may be the slot of a flow taken earlier.
     ///
     /// Zero-byte flows and flows with `src == dst` complete instantly
     /// when their dependencies do (degenerate inputs are no-ops, same
@@ -115,7 +122,7 @@ impl FlowSim {
     ///
     /// # Panics
     /// Panics if no route `src → dst` exists (and `src != dst`), or a
-    /// dependency id is unknown.
+    /// dependency id is unknown or names a flow already taken.
     pub fn inject(&mut self, src: NodeId, dst: NodeId, bytes: u64, deps: &[FlowId]) -> FlowId {
         self.inject_impl(src, dst, dcm_core::cast::u64_to_f64(bytes), deps)
     }
@@ -138,37 +145,55 @@ impl FlowSim {
     }
 
     fn inject_impl(&mut self, src: NodeId, dst: NodeId, bytes: f64, deps: &[FlowId]) -> FlowId {
-        let path: Vec<LinkId> = if src == dst {
-            Vec::new()
+        let route = if src == dst {
+            None
         } else {
-            self.topo
-                .path(src, dst)
-                .unwrap_or_else(|| panic!("no route {src} -> {dst}"))
-                .to_vec()
+            Some(
+                self.topo
+                    .route(src, dst)
+                    .unwrap_or_else(|| panic!("no route {src} -> {dst}")),
+            )
         };
-        let latency_s = self.topo.route_latency(src, dst);
-        let id = self.flows.len();
+        for &d in deps {
+            assert!(
+                self.flows
+                    .get(d)
+                    .is_some_and(|f| !matches!(f.state, FlowState::Free { .. })),
+                "dependency {d} is unknown or was taken"
+            );
+        }
+        let id = match self.free {
+            Some(id) => {
+                let FlowState::Free { next } = self.flows[id].state else {
+                    unreachable!("the free list holds only taken slots")
+                };
+                self.free = next;
+                id
+            }
+            None => {
+                // dcm-lint: allow(A1) runs only when no taken slot is free: the table grows to the most flows held at once
+                self.flows.push(FlowRec::default());
+                self.flows.len() - 1
+            }
+        };
         let mut unmet = 0usize;
         for &d in deps {
-            assert!(d < id, "dependency {d} of flow {id} is unknown");
-            if self.flows[d].state != FlowState::Done {
-                self.flows[d].children.push(id);
+            let dep = &mut self.flows[d];
+            if dep.state != FlowState::Done {
+                // dcm-lint: allow(A1) only a flow with dependencies gets here: a collective's DAG, built once per collective
+                dep.children.push(id);
                 unmet += 1;
             }
         }
-        self.flows.push(FlowRec {
-            path,
-            remaining: bytes,
-            rate: 0.0,
-            version: 0,
-            state: FlowState::Pending,
-            unmet,
-            children: Vec::new(),
-            latency_s,
-            start_s: f64::NAN,
-            finish_s: f64::NAN,
-        });
-        self.undelivered += 1;
+        // A reused slot keeps its version stamp, so no completion event
+        // its previous occupant left queued can match this flow.
+        let f = &mut self.flows[id];
+        f.route = route;
+        f.remaining = bytes;
+        f.rate = 0.0;
+        f.state = FlowState::Pending;
+        f.unmet = unmet;
+        f.finish_s = f64::NAN;
         if unmet == 0 {
             self.activate(id, self.now);
         }
@@ -179,8 +204,7 @@ impl FlowSim {
         let f = &mut self.flows[id];
         debug_assert_eq!(f.state, FlowState::Pending);
         f.state = FlowState::Active;
-        f.start_s = t;
-        if f.path.is_empty() || f.remaining <= 0.0 {
+        if f.route.is_none() || f.remaining <= 0.0 {
             // Degenerate no-op: completes at activation. Schedule the
             // event (rather than completing inline) so children activate
             // in deterministic queue order.
@@ -195,6 +219,7 @@ impl FlowSim {
                 },
             );
         } else {
+            // dcm-lint: allow(A1) holds only flows in flight and keeps its capacity as they finish: grows to the most flows active at once
             self.active.push(id);
         }
         self.dirty = true;
@@ -207,16 +232,17 @@ impl FlowSim {
             return;
         }
         self.dirty = false;
-        let caps: Vec<f64> = self.topo.links().iter().map(|l| l.capacity_bps).collect();
-        let paths: Vec<&[LinkId]> = self
-            .active
-            .iter()
-            .map(|&f| self.flows[f].path.as_slice())
-            .collect();
-        let rates = max_min_rates(&caps, &paths);
-        for (i, &id) in self.active.iter().enumerate() {
+        let rates = max_min_rates(
+            &self.caps,
+            self.active.len(),
+            |i| {
+                let route = self.flows[self.active[i]].route;
+                route.map_or(&[][..], |r| self.topo.route_links(r))
+            },
+            &mut self.rates,
+        );
+        for (&id, &r) in self.active.iter().zip(rates) {
             let f = &mut self.flows[id];
-            let r = rates[i];
             // Reschedule only on a real rate change: in symmetric phases
             // (ring rounds) most departures leave survivors' rates
             // untouched, and skipping the no-op reschedule avoids O(F²)
@@ -285,7 +311,8 @@ impl FlowSim {
                 None => break,
             };
             let Complete { flow, version } = ev.payload;
-            if self.flows[flow].version != version || self.flows[flow].state != FlowState::Active {
+            let f = &self.flows[flow];
+            if f.version != version || f.state != FlowState::Active {
                 continue; // stale
             }
             self.integrate(ev.time);
@@ -303,7 +330,6 @@ impl FlowSim {
         }
         self.last_finish_s = t;
         self.active.retain(|&f| f != id);
-        self.undelivered -= 1;
         self.dirty = true;
         let children = std::mem::take(&mut self.flows[id].children);
         for c in &children {
@@ -320,9 +346,10 @@ impl FlowSim {
     /// Run until every injected flow has finished; returns the makespan
     /// (time the last flow finished, excluding route latency).
     ///
-    /// Note this is the last *finish*, not the final `now()`: draining
-    /// the queue also visits stale completion events left behind by rate
-    /// reschedules, which advance `now` past the last real finish.
+    /// Note this is the last *finish*, not the final simulation time:
+    /// draining the queue also visits stale completion events left
+    /// behind by rate reschedules, which advance the clock past the last
+    /// real finish.
     ///
     /// # Panics
     /// Panics if pending flows remain whose dependencies can never fire
@@ -333,41 +360,44 @@ impl FlowSim {
             self.advance_to(t);
         }
         assert!(
-            self.flows.iter().all(|f| f.state == FlowState::Done),
+            self.flows
+                .iter()
+                .all(|f| matches!(f.state, FlowState::Done | FlowState::Free { .. })),
             "flows stuck pending"
         );
         self.last_finish_s
     }
 
-    /// True when every injected flow has finished.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.undelivered == 0
+    /// Delivery time of a finished flow — its transfer's completion plus
+    /// its route's latency (a store-and-forward approximation; zero on
+    /// in-node fabrics) — or `None` while the flow is in flight.
+    /// Taking a finished flow frees its slot for the next
+    /// [`inject`](Self::inject): its id then names nothing, or the flow
+    /// injected next.
+    ///
+    /// # Panics
+    /// Panics if the flow was already taken and its slot not reused.
+    pub fn take_finished(&mut self, id: FlowId) -> Option<f64> {
+        let f = &mut self.flows[id];
+        match f.state {
+            FlowState::Done => {}
+            FlowState::Pending | FlowState::Active => return None,
+            FlowState::Free { .. } => panic!("flow {id} was already taken"),
+        }
+        f.state = FlowState::Free { next: self.free };
+        self.free = Some(id);
+        Some(f.finish_s + f.route.map_or(0.0, |r| self.topo.route_latency(r)))
     }
 
-    /// Delivery time of a finished flow: transfer completion plus its
-    /// route latency. NaN while the flow is in flight.
-    #[must_use]
-    pub fn delivery_time(&self, id: FlowId) -> f64 {
-        let f = &self.flows[id];
-        f.finish_s + f.latency_s
-    }
-
-    /// Transfer completion time (bandwidth release) of a finished flow.
-    /// NaN while in flight.
+    /// Transfer completion time (bandwidth release) of a finished flow
+    /// that has not been taken. NaN while in flight.
     #[must_use]
     pub fn finish_time(&self, id: FlowId) -> f64 {
         self.flows[id].finish_s
     }
 
-    /// Time the flow started transferring. NaN while pending.
-    #[must_use]
-    pub fn start_time(&self, id: FlowId) -> f64 {
-        self.flows[id].start_s
-    }
-
-    /// Bytes still to transfer on one flow (fractional under the fluid
-    /// model).
+    /// Bytes still to transfer on one flow that has not been taken
+    /// (fractional under the fluid model).
     #[must_use]
     pub fn remaining_bytes(&self, id: FlowId) -> f64 {
         self.flows[id].remaining
@@ -412,9 +442,12 @@ mod tests {
         let mut sim = FlowSim::new(one_link());
         let a = sim.inject(0, 1, 100, &[]);
         let b = sim.inject(0, 1, 100, &[a]);
+        // b starts when a finishes at t=10, then has the link alone.
+        sim.advance_to(15.0);
+        assert_eq!(sim.take_finished(b), None, "b is still transferring");
+        assert!((sim.remaining_bytes(b) - 50.0).abs() < 1e-9);
         sim.run_to_completion();
         assert!((sim.finish_time(a) - 10.0).abs() < 1e-12);
-        assert!((sim.start_time(b) - 10.0).abs() < 1e-12);
         assert!((sim.finish_time(b) - 20.0).abs() < 1e-12);
     }
 
@@ -428,7 +461,13 @@ mod tests {
         assert_eq!(sim.finish_time(z).to_bits(), 0.0f64.to_bits());
         assert_eq!(sim.finish_time(s).to_bits(), 0.0f64.to_bits());
         assert!((end - 1.0).abs() < 1e-12);
-        assert!((sim.start_time(gated) - 0.0).abs() < 1e-12);
+        // Its dependencies finished at once, so 10 B at 10 B/s from t=0.
+        assert!((sim.finish_time(gated) - 1.0).abs() < 1e-12);
+        // A self flow crosses no link and pays no route latency.
+        assert_eq!(
+            sim.take_finished(s).map(f64::to_bits),
+            Some(0.0f64.to_bits())
+        );
     }
 
     #[test]
@@ -440,7 +479,8 @@ mod tests {
         let f = sim.inject(0, 1, 100, &[]);
         sim.run_to_completion();
         assert!((sim.finish_time(f) - 10.0).abs() < 1e-12);
-        assert!((sim.delivery_time(f) - 12.5).abs() < 1e-12);
+        let delivered = sim.take_finished(f).expect("the flow finished");
+        assert!((delivered - 12.5).abs() < 1e-12);
     }
 
     #[test]
@@ -449,9 +489,40 @@ mod tests {
         let f = sim.inject(0, 1, 100, &[]);
         sim.advance_to(4.0);
         assert!((sim.remaining_bytes(f) - 60.0).abs() < 1e-9);
-        assert!(!sim.is_idle());
+        assert_eq!(sim.take_finished(f), None, "still in flight at t=4");
         sim.advance_to(20.0);
-        assert!(sim.is_idle());
-        assert!((sim.finish_time(f) - 10.0).abs() < 1e-12);
+        let done = sim.take_finished(f).expect("finished by t=20");
+        assert!((done - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_reused_slot_ignores_its_previous_occupants_stale_event() {
+        // A (100 B) and B (20 B) share the 10 B/s link, so A's first
+        // completion event is queued for t=20. B finishes at t=4, A
+        // speeds up and finishes at t=12: that event is left stale.
+        let mut sim = FlowSim::new(one_link());
+        let a = sim.inject(0, 1, 100, &[]);
+        let b = sim.inject(0, 1, 20, &[]);
+        sim.advance_to(12.0);
+        let done = sim.take_finished(a).expect("A finished at t=12");
+        assert!((done - 12.0).abs() < 1e-12);
+        // C takes A's slot at t=12 and needs 10 s alone on the link. The
+        // stale event pops at t=20 while C is active; C must still
+        // finish at its own time.
+        let c = sim.inject(0, 1, 100, &[]);
+        assert_eq!(c, a, "the freed slot is reused");
+        sim.run_to_completion();
+        assert!((sim.finish_time(c) - 22.0).abs() < 1e-12);
+        assert!((sim.finish_time(b) - 4.0).abs() < 1e-12, "B was not taken");
+    }
+
+    #[test]
+    #[should_panic(expected = "already taken")]
+    fn a_flow_is_taken_once() {
+        let mut sim = FlowSim::new(one_link());
+        let f = sim.inject(0, 1, 10, &[]);
+        sim.run_to_completion();
+        sim.take_finished(f);
+        sim.take_finished(f);
     }
 }

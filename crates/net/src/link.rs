@@ -21,8 +21,20 @@
 
 use dcm_core::cast::usize_to_f64;
 
-/// Max-min fair rates for `paths[f]` flows over links of capacity
-/// `capacity[l]` (bytes/s). Returns one rate per flow, in flow order.
+/// The buffers [`max_min_rates`] works in. A caller that solves again
+/// and again (the flow layer, at every arrival and departure) keeps one,
+/// so a solve allocates only while the flow count reaches a new high.
+#[derive(Debug, Default)]
+pub struct MaxMinScratch {
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+    rem: Vec<f64>,
+    cnt: Vec<usize>,
+}
+
+/// Max-min fair rates for `flows` flows, flow `f` crossing the links
+/// `path(f)`, over links of capacity `capacity[l]` (bytes/s). Returns one
+/// rate per flow, in flow order, in `scratch`'s rate buffer.
 ///
 /// Every flow must cross at least one link; a flow with an empty path has
 /// no bottleneck and is the caller's responsibility (the flow layer
@@ -30,29 +42,43 @@ use dcm_core::cast::usize_to_f64;
 ///
 /// # Panics
 /// Panics if a path is empty or references an out-of-range link.
-#[must_use]
-pub fn max_min_rates(capacity: &[f64], paths: &[&[usize]]) -> Vec<f64> {
-    let nf = paths.len();
+pub fn max_min_rates<'p, 's>(
+    capacity: &[f64],
+    flows: usize,
+    path: impl Fn(usize) -> &'p [usize],
+    scratch: &'s mut MaxMinScratch,
+) -> &'s [f64] {
+    let MaxMinScratch {
+        rate,
+        frozen,
+        rem,
+        cnt,
+    } = scratch;
     let nl = capacity.len();
-    let mut rate = vec![0.0f64; nf];
-    if nf == 0 {
+    rate.clear();
+    rate.resize(flows, 0.0);
+    if flows == 0 {
         return rate;
     }
-    let mut frozen = vec![false; nf];
-    let mut rem = capacity.to_vec();
-    let mut cnt = vec![0usize; nl];
-    for p in paths {
+    frozen.clear();
+    frozen.resize(flows, false);
+    rem.clear();
+    rem.extend_from_slice(capacity);
+    cnt.clear();
+    cnt.resize(nl, 0);
+    for f in 0..flows {
+        let p = path(f);
         assert!(!p.is_empty(), "flow with empty path reached the link layer");
-        for &l in *p {
+        for &l in p {
             assert!(l < nl, "path references unknown link {l}");
             cnt[l] += 1;
         }
     }
 
-    let mut unfrozen = nf;
-    // Each iteration freezes >= 1 flow, so nf iterations suffice; the
-    // bound is a belt-and-braces guard against float pathologies.
-    for _ in 0..=nf {
+    let mut unfrozen = flows;
+    // Each iteration freezes >= 1 flow, so `flows` iterations suffice;
+    // the bound is a belt-and-braces guard against float pathologies.
+    for _ in 0..=flows {
         if unfrozen == 0 {
             break;
         }
@@ -61,7 +87,7 @@ pub fn max_min_rates(capacity: &[f64], paths: &[&[usize]]) -> Vec<f64> {
         // because `<` is strict and links are scanned in id order.
         let mut bottleneck = usize::MAX;
         let mut inc = f64::INFINITY;
-        for (l, (&r, &c)) in rem.iter().zip(&cnt).enumerate() {
+        for (l, (&r, &c)) in rem.iter().zip(cnt.iter()).enumerate() {
             if c == 0 {
                 continue;
             }
@@ -77,33 +103,34 @@ pub fn max_min_rates(capacity: &[f64], paths: &[&[usize]]) -> Vec<f64> {
         );
         let inc = inc.max(0.0);
         // Grant the increment to every unfrozen flow and charge its links.
-        for (f, p) in paths.iter().enumerate() {
-            if frozen[f] {
+        for (f, (r, &done)) in rate.iter_mut().zip(frozen.iter()).enumerate() {
+            if done {
                 continue;
             }
-            rate[f] += inc;
-            for &l in *p {
+            *r += inc;
+            for &l in path(f) {
                 rem[l] -= inc;
             }
         }
         // The bottleneck is exactly filled by construction; pin it to
         // zero so float residue cannot stall the freeze step.
         rem[bottleneck] = 0.0;
-        for r in &mut rem {
+        for r in rem.iter_mut() {
             if *r < 0.0 {
                 *r = 0.0;
             }
         }
         // Freeze flows crossing any saturated link and retire their
         // demand from the counts.
-        for (f, p) in paths.iter().enumerate() {
-            if frozen[f] {
+        for (f, done) in frozen.iter_mut().enumerate() {
+            if *done {
                 continue;
             }
+            let p = path(f);
             if p.iter().any(|&l| rem[l] <= 0.0) {
-                frozen[f] = true;
+                *done = true;
                 unfrozen -= 1;
-                for &l in *p {
+                for &l in p {
                     cnt[l] -= 1;
                 }
             }
@@ -117,9 +144,14 @@ pub fn max_min_rates(capacity: &[f64], paths: &[&[usize]]) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    fn max_min(capacity: &[f64], paths: &[&[usize]]) -> Vec<f64> {
+        let mut scratch = MaxMinScratch::default();
+        max_min_rates(capacity, paths.len(), |f| paths[f], &mut scratch).to_vec()
+    }
+
     #[test]
     fn equal_split_on_shared_link() {
-        let rates = max_min_rates(&[12.0], &[&[0], &[0], &[0]]);
+        let rates = max_min(&[12.0], &[&[0], &[0], &[0]]);
         for r in rates {
             assert!((r - 4.0).abs() < 1e-12);
         }
@@ -127,7 +159,7 @@ mod tests {
 
     #[test]
     fn disjoint_flows_get_full_capacity() {
-        let rates = max_min_rates(&[5.0, 7.0], &[&[0], &[1]]);
+        let rates = max_min(&[5.0, 7.0], &[&[0], &[1]]);
         assert!((rates[0] - 5.0).abs() < 1e-12);
         assert!((rates[1] - 7.0).abs() < 1e-12);
     }
@@ -137,7 +169,7 @@ mod tests {
         // Flow 0 crosses both links; flow 1 only link 0; flow 2 only
         // link 1. cap = [10, 4]. Bottleneck: link 1 share 2 → flows 0,2
         // freeze at 2; flow 1 then fills link 0's residue: 10-2 = 8.
-        let rates = max_min_rates(&[10.0, 4.0], &[&[0, 1], &[0], &[1]]);
+        let rates = max_min(&[10.0, 4.0], &[&[0, 1], &[0], &[1]]);
         assert!((rates[0] - 2.0).abs() < 1e-12);
         assert!((rates[1] - 8.0).abs() < 1e-12);
         assert!((rates[2] - 2.0).abs() < 1e-12);
@@ -147,7 +179,7 @@ mod tests {
     fn no_link_oversubscribed() {
         let caps = [3.0, 5.0, 2.0];
         let paths: Vec<&[usize]> = vec![&[0, 1], &[1, 2], &[0, 2], &[1]];
-        let rates = max_min_rates(&caps, &paths);
+        let rates = max_min(&caps, &paths);
         let mut load = [0.0f64; 3];
         for (r, p) in rates.iter().zip(&paths) {
             for &l in *p {
@@ -163,8 +195,8 @@ mod tests {
     fn deterministic_ties_resolve_low_id_first() {
         // Two identical links, two flows each on one: same rates, and a
         // repeat run is bit-identical.
-        let a = max_min_rates(&[4.0, 4.0], &[&[0], &[1]]);
-        let b = max_min_rates(&[4.0, 4.0], &[&[0], &[1]]);
+        let a = max_min(&[4.0, 4.0], &[&[0], &[1]]);
+        let b = max_min(&[4.0, 4.0], &[&[0], &[1]]);
         assert_eq!(a[0].to_bits(), b[0].to_bits());
         assert_eq!(a[1].to_bits(), b[1].to_bits());
     }

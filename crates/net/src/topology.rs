@@ -42,14 +42,27 @@ pub struct LinkSpec {
     pub latency_s: f64,
 }
 
+/// Index of a route within its [`Topology`]'s route table.
+pub(crate) type RouteId = usize;
+
+/// One fixed route: its links in hop order and their summed latency.
+#[derive(Debug, Clone, PartialEq)]
+struct Route {
+    links: Vec<LinkId>,
+    latency_s: f64,
+}
+
 /// A static fabric: endpoints, directed links, and fixed routes.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Topology {
     num_nodes: usize,
     links: Vec<LinkSpec>,
-    /// Fixed route per ordered endpoint pair, as a sequence of link ids.
-    /// `BTreeMap` (not `HashMap`) for deterministic iteration.
-    routes: BTreeMap<(NodeId, NodeId), Vec<LinkId>>,
+    /// The route table, indexed by [`RouteId`]: a flow holds its route's
+    /// index rather than a copy of its links.
+    routes: Vec<Route>,
+    /// Route of each ordered endpoint pair. `BTreeMap` (not `HashMap`)
+    /// for deterministic iteration.
+    route_ids: BTreeMap<(NodeId, NodeId), RouteId>,
 }
 
 impl Topology {
@@ -59,7 +72,8 @@ impl Topology {
         Topology {
             num_nodes,
             links: Vec::new(),
-            routes: BTreeMap::new(),
+            routes: Vec::new(),
+            route_ids: BTreeMap::new(),
         }
     }
 
@@ -149,7 +163,8 @@ impl Topology {
         self.links.len() - 1
     }
 
-    /// Fix the route between an ordered endpoint pair.
+    /// Fix the route between an ordered endpoint pair, replacing any
+    /// route fixed before. Its latency is summed here, once.
     ///
     /// # Panics
     /// Panics if a link id is out of range or the path is not contiguous
@@ -162,13 +177,32 @@ impl Topology {
             at = link.dst;
         }
         assert_eq!(at, dst, "route does not end at dst");
-        self.routes.insert((src, dst), path);
+        let route = Route {
+            latency_s: path.iter().map(|&l| self.links[l].latency_s).sum(),
+            links: path,
+        };
+        match self.route_ids.get(&(src, dst)) {
+            Some(&id) => self.routes[id] = route,
+            None => {
+                self.route_ids.insert((src, dst), self.routes.len());
+                self.routes.push(route);
+            }
+        }
     }
 
-    /// The fixed route between an ordered pair, if one exists.
-    #[must_use]
-    pub fn path(&self, src: NodeId, dst: NodeId) -> Option<&[LinkId]> {
-        self.routes.get(&(src, dst)).map(Vec::as_slice)
+    /// Index of the fixed route between an ordered pair, if one exists.
+    pub(crate) fn route(&self, src: NodeId, dst: NodeId) -> Option<RouteId> {
+        self.route_ids.get(&(src, dst)).copied()
+    }
+
+    /// The links of a route, in hop order.
+    pub(crate) fn route_links(&self, route: RouteId) -> &[LinkId] {
+        &self.routes[route].links
+    }
+
+    /// Sum of link latencies along a route.
+    pub(crate) fn route_latency(&self, route: RouteId) -> f64 {
+        self.routes[route].latency_s
     }
 
     /// Number of endpoints.
@@ -194,15 +228,6 @@ impl Topology {
     pub fn capacity(&self, link: LinkId) -> f64 {
         self.links[link].capacity_bps
     }
-
-    /// Sum of link latencies along a route (0.0 if no route is fixed).
-    #[must_use]
-    pub fn route_latency(&self, src: NodeId, dst: NodeId) -> f64 {
-        match self.path(src, dst) {
-            Some(p) => p.iter().map(|&l| self.links[l].latency_s).sum(),
-            None => 0.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,11 +246,12 @@ mod tests {
         );
         assert_eq!(topo.num_nodes(), 8);
         assert_eq!(topo.num_links(), 8 * 7);
-        let p = topo.path(0, 7).unwrap();
+        let path = |s, d| topo.route_links(topo.route(s, d).unwrap());
+        let p = path(0, 7);
         assert_eq!(p.len(), 1, "direct link");
         assert!((topo.capacity(p[0]) - 37.5e9).abs() < 1.0);
         // Disjoint ordered pairs use disjoint links.
-        assert_ne!(topo.path(0, 7), topo.path(7, 0));
+        assert_ne!(path(0, 7), path(7, 0));
     }
 
     #[test]
@@ -239,14 +265,28 @@ mod tests {
         );
         assert_eq!(topo.num_nodes(), 9);
         assert_eq!(topo.num_links(), 16);
-        let p = topo.path(2, 5).unwrap();
+        let path = |s, d| topo.route_links(topo.route(s, d).unwrap());
+        let p = path(2, 5);
         assert_eq!(p.len(), 2, "uplink + downlink");
         assert!(
             (topo.capacity(p[0]) - 150.0e9).abs() < 1.0,
             "efficiency folded in"
         );
         // All flows out of device 2 share its uplink.
-        assert_eq!(topo.path(2, 5).unwrap()[0], topo.path(2, 6).unwrap()[0]);
+        assert_eq!(path(2, 5)[0], path(2, 6)[0]);
+    }
+
+    #[test]
+    fn a_route_added_again_replaces_the_first() {
+        let mut topo = Topology::new(3);
+        let direct = topo.add_link(0, 2, 1.0, 0.5);
+        let (a, b) = (topo.add_link(0, 1, 1.0, 1.0), topo.add_link(1, 2, 1.0, 2.0));
+        topo.add_route(0, 2, vec![direct]);
+        let r = topo.route(0, 2).unwrap();
+        topo.add_route(0, 2, vec![a, b]);
+        assert_eq!(topo.route(0, 2), Some(r), "one table entry per pair");
+        assert_eq!(topo.route_links(r), [a, b]);
+        assert_eq!(topo.route_latency(r).to_bits(), 3.0f64.to_bits());
     }
 
     #[test]

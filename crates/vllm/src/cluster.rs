@@ -697,10 +697,11 @@ pub(crate) fn serve(
 
     // Hot loop: nothing here may allocate per event. Routing and
     // advance_live are iterator-based, trace instants are no-ops when
-    // disabled, and the per-replica decode loops reuse engine-side
-    // scratch buffers; the only allocating path is the crash harvest
-    // (drain_unfinished), which runs once per fault edge, not per
-    // arrival.
+    // disabled, the per-replica decode loops reuse engine-side scratch
+    // buffers, and a fabric dispatch reuses the flow slot of a dispatch
+    // already delivered (the fabric's lists keep their capacity); the
+    // only allocating path is the crash harvest (drain_unfinished),
+    // which runs once per fault edge, not per arrival.
     while let Some((time, event)) = events.pop() {
         match event {
             ClusterEvent::Fault(kind) => st.apply_fault(time, kind)?,
@@ -1044,9 +1045,10 @@ impl RunState<'_> {
         };
         fr.sim.advance_to(t);
         // Move finished flows into the delivery queue (delivery = finish
-        // + route latency), keeping it sorted by time. Partitioned in
-        // place, in order: flows in flight keep theirs, and deliveries
-        // are inserted in the order their flows were dispatched.
+        // + route latency), keeping it sorted by time, and free their
+        // records. Partitioned in place, in order: flows in flight keep
+        // theirs, and deliveries are inserted in the order their flows
+        // were dispatched.
         let FabricRun {
             sim,
             pending,
@@ -1054,10 +1056,9 @@ impl RunState<'_> {
             ..
         } = &mut fr;
         pending.retain(|&(flow, r, target)| {
-            if sim.finish_time(flow).is_nan() {
+            let Some(due) = sim.take_finished(flow) else {
                 return true;
-            }
-            let due = sim.delivery_time(flow);
+            };
             let pos = deliveries.partition_point(|d| d.0.total_cmp(&due).is_le());
             deliveries.insert(pos, (due, r, target));
             false

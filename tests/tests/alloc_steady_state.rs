@@ -22,7 +22,11 @@
 //!   churn, in its pre-sized buffers;
 //! * a stretch's prices through a `StretchPricer`, once its table's
 //!   pages are allocated, and a pricer kept across a cut, resumed;
-//! * the Gaudi MME geometry search (`GaudiMme::batched_gemm`).
+//! * the Gaudi MME geometry search (`GaudiMme::batched_gemm`);
+//! * the cluster's control fabric under dispatch churn on its star
+//!   topology: `FlowSim::inject`, `next_time`/`advance_to` and
+//!   `take_finished`, with four dispatches in flight — a taken flow's
+//!   slot, the event queue and the rate buffers are all reused.
 //!
 //! This file deliberately holds a single `#[test]` so the harness runs
 //! nothing concurrently with the measured windows.
@@ -31,9 +35,11 @@ use dcm_compiler::Device;
 use dcm_core::sim::EventQueue;
 use dcm_core::{DType, DeviceSpec};
 use dcm_mme::{GaudiMme, GemmEngine, GemmShape};
+use dcm_net::{FlowId, FlowSim, Topology};
 use dcm_vllm::attention::{
     BatchGrowth, BatchShape, BatchStats, GemmTerms, PagedAttention, PagedBackend,
 };
+use dcm_vllm::cluster::FabricConfig;
 use dcm_vllm::dataset::Request;
 use dcm_vllm::slab::SeqSlab;
 use dcm_workloads::llama::LlamaConfig;
@@ -341,5 +347,42 @@ fn hot_paths_are_allocation_free_after_warmup() {
     assert_eq!(
         mme_allocs, 0,
         "GaudiMme::batched_gemm allocated {mme_allocs} times"
+    );
+
+    // --- Control fabric: dispatch churn --------------------------------
+    // The star of the cluster's control fabric (router → egress → hub →
+    // one link per replica). Four dispatches share the egress; each
+    // replica's next dispatch leaves once its previous one is delivered.
+    let fabric = FabricConfig::from_spec(&DeviceSpec::gaudi2());
+    let mut topo = Topology::new(2 + 4);
+    let egress = topo.add_link(0, 1, fabric.link_bps, fabric.latency_s);
+    for i in 0..4 {
+        let l = topo.add_link(1, 2 + i, fabric.link_bps, 0.0);
+        topo.add_route(0, 2 + i, vec![egress, l]);
+    }
+    let mut sim = FlowSim::new(topo);
+    let mut in_flight: [FlowId; 4] =
+        std::array::from_fn(|i| sim.inject(0, 2 + i, fabric.dispatch_bytes, &[]));
+    let dispatch = |sim: &mut FlowSim, in_flight: &mut [FlowId; 4], n: usize| {
+        let mut last = 0.0;
+        for i in 0..n {
+            let replica = i % 4;
+            last = loop {
+                if let Some(t) = sim.take_finished(in_flight[replica]) {
+                    break t;
+                }
+                let t = sim.next_time().expect("dispatches are in flight");
+                sim.advance_to(t);
+            };
+            in_flight[replica] = sim.inject(0, 2 + replica, fabric.dispatch_bytes, &[]);
+        }
+        last
+    };
+    dispatch(&mut sim, &mut in_flight, 1_000);
+    let (fabric_allocs, last) = allocations_in(|| dispatch(&mut sim, &mut in_flight, 10_000));
+    assert!(last > 0.0);
+    assert_eq!(
+        fabric_allocs, 0,
+        "control-fabric dispatch allocated {fabric_allocs} times in steady state"
     );
 }

@@ -6,10 +6,12 @@
 //! the documented [0.5, 2.0] band for the rooted ones), must only ever
 //! get *slower* under congestion, must conserve bytes on every link,
 //! and must be bit-identical regardless of the ambient `DCM_THREADS`.
+//! Freeing finished flows, and reusing their slots, must move no bit
+//! either.
 
 use dcm_core::par::par_map;
 use dcm_core::DeviceSpec;
-use dcm_net::{Collective, CollectiveModel, FlowSim, FlowTransport};
+use dcm_net::{Collective, CollectiveModel, FlowId, FlowSim, FlowTransport};
 use dcm_net::{MultiNodeFlowTransport, MultiNodeModel, Topology};
 use proptest::prelude::*;
 
@@ -31,6 +33,107 @@ fn spec_for(mesh: bool) -> DeviceSpec {
     } else {
         DeviceSpec::a100()
     }
+}
+
+/// 4-endpoint mesh, 1 MB/s per directed pair.
+fn mesh4() -> Topology {
+    let mut topo = Topology::new(4);
+    for s in 0..4usize {
+        for d in 0..4usize {
+            if s != d {
+                let l = topo.add_link(s, d, 1.0e6, 0.0);
+                topo.add_route(s, d, vec![l]);
+            }
+        }
+    }
+    topo
+}
+
+/// The cluster's control-fabric star: router 0 → egress (which carries
+/// the latency) → hub 1 → one link per replica `2..6`.
+fn control_star() -> Topology {
+    let mut topo = Topology::new(2 + 4);
+    let egress = topo.add_link(0, 1, 1.0e6, 5.0e-4);
+    for i in 0..4 {
+        let l = topo.add_link(1, 2 + i, 1.0e6, 0.0);
+        topo.add_route(0, 2 + i, vec![egress, l]);
+    }
+    topo
+}
+
+/// One scheduled flow: `(endpoints, kb, gap_ms, dep)`. See
+/// [`run_schedule`].
+type Op = (usize, u64, usize, usize);
+
+/// Run `ops` on a fresh simulator over `topo`. Op `(endpoints, kb, gap,
+/// dep)` first advances the clock by `gap` ms, then injects a flow of
+/// `kb` KiB (zero bytes below 4) between the endpoints that
+/// `endpoints` picks (a self flow among them) and, for `dep > 0`, gated
+/// on one of the flows still in flight. With `take` set, every flow is
+/// taken as soon as an advance finds it finished, so later flows reuse
+/// its slot; without, none is taken until the end. Returns each flow's
+/// finish and delivery bits, in injection order, and the makespan's.
+fn run_schedule(topo: &Topology, star: bool, ops: &[Op], take: bool) -> (Vec<(u64, u64)>, u64) {
+    let mut sim = FlowSim::new(topo.clone());
+    let mut ids: Vec<FlowId> = Vec::new();
+    let mut times: Vec<Option<(u64, u64)>> = Vec::new();
+    let sweep = |sim: &mut FlowSim, ids: &[FlowId], times: &mut [Option<(u64, u64)>]| {
+        for (&id, slot) in ids.iter().zip(times.iter_mut()) {
+            if slot.is_none() {
+                let finish = sim.finish_time(id);
+                if let Some(delivery) = sim.take_finished(id) {
+                    *slot = Some((finish.to_bits(), delivery.to_bits()));
+                }
+            }
+        }
+    };
+    let mut t = 0.0;
+    for &(endpoints, kb, gap, dep) in ops {
+        t += f64::from(u8::try_from(gap).expect("small")) * 1.0e-3;
+        sim.advance_to(t);
+        if take {
+            sweep(&mut sim, &ids, &mut times);
+        }
+        let (src, dst) = if star {
+            (
+                0,
+                if endpoints % 5 == 0 {
+                    0
+                } else {
+                    2 + endpoints % 4
+                },
+            )
+        } else {
+            (endpoints / 4, endpoints % 4)
+        };
+        let bytes = if kb < 4 { 0 } else { kb << 10 };
+        let in_flight: Vec<FlowId> = ids
+            .iter()
+            .zip(&times)
+            .filter(|&(&id, taken)| taken.is_none() && sim.finish_time(id).is_nan())
+            .map(|(&id, _)| id)
+            .collect();
+        let deps: Vec<FlowId> = if dep == 0 || in_flight.is_empty() {
+            Vec::new()
+        } else {
+            vec![in_flight[(dep - 1) % in_flight.len()]]
+        };
+        ids.push(sim.inject(src, dst, bytes, &deps));
+        times.push(None);
+    }
+    while let Some(next) = sim.next_time() {
+        sim.advance_to(next);
+        if take {
+            sweep(&mut sim, &ids, &mut times);
+        }
+    }
+    let makespan = sim.run_to_completion().to_bits();
+    sweep(&mut sim, &ids, &mut times);
+    let times = times
+        .into_iter()
+        .map(|t| t.expect("every flow finished"))
+        .collect();
+    (times, makespan)
 }
 
 proptest! {
@@ -120,16 +223,7 @@ proptest! {
         flows in proptest::collection::vec((0usize..4, 0usize..4, 1u64..4096), 1..12),
         extra in (0usize..4, 0usize..4, 1u64..4096),
     ) {
-        // 4-endpoint mesh, 1 MB/s per directed pair.
-        let mut topo = Topology::new(4);
-        for s in 0..4usize {
-            for d in 0..4usize {
-                if s != d {
-                    let l = topo.add_link(s, d, 1.0e6, 0.0);
-                    topo.add_route(s, d, vec![l]);
-                }
-            }
-        }
+        let topo = mesh4();
         let run = |extra_flow: Option<(usize, usize, u64)>| -> Vec<f64> {
             let mut sim = FlowSim::new(topo.clone());
             let ids: Vec<_> = flows
@@ -193,6 +287,27 @@ proptest! {
         for &f in &ids {
             prop_assert!(sim.remaining_bytes(f) == 0.0);
             prop_assert!(sim.finish_time(f).is_finite());
+        }
+    }
+}
+
+proptest! {
+    // A slot's stale event can only bite while its next occupant is
+    // still at its first rate, so mismatches are rare: run many cases.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Taking each flow as soon as it finishes, so that later flows
+    /// reuse its slot while stale completion events of its rate changes
+    /// may still be queued, moves no finish or delivery time, on the
+    /// mesh and on the control-fabric star alike.
+    #[test]
+    fn freeing_finished_flows_moves_no_bit(
+        ops in proptest::collection::vec((0usize..16, 0u64..48, 0usize..4, 0usize..6), 1..41),
+    ) {
+        for (topo, star) in [(mesh4(), false), (control_star(), true)] {
+            let kept = run_schedule(&topo, star, &ops, false);
+            let freed = run_schedule(&topo, star, &ops, true);
+            prop_assert_eq!(&freed, &kept, "star={}", star);
         }
     }
 }

@@ -76,7 +76,10 @@ done
 # queue-vs-list-model, slab-vs-map (the public slab that dcmbench times;
 # the engine no longer uses it), histogram, fast-forward (on one
 # replica, i.e. the single engine, and on several) and
-# flow-vs-closed-form fabric equivalence properties, the attention
+# flow-vs-closed-form fabric equivalence properties (with
+# freeing_finished_flows_moves_no_bit: taking each finished flow, so
+# that later flows reuse its slot, moves no finish or delivery time),
+# the attention
 # pricing paths (slice, stats and memoized) against each other and an
 # exact stretch's summed prices against token-by-token steps, the
 # stretch pricer against pricing each step's projection, the batch
@@ -89,8 +92,9 @@ done
 # the Llama lowerings' block structure, the never-panic, never-hang
 # cluster runs, the cluster's arrival order against one queue holding
 # every arrival (and permuted traces) and the exact percentile against
-# sorting a copy, plus the steady-state allocation audit must hold
-# regardless of the parallelism the host advertises.
+# sorting a copy, plus the steady-state allocation audit (control-fabric
+# dispatch included) must hold regardless of the parallelism the host
+# advertises.
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
