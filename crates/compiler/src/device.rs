@@ -1,7 +1,7 @@
 //! The unified device model: op pricing, compiled-graph execution, and
 //! energy accounting for both chips.
 
-use crate::ir::{Block, EwKind, Graph, Op};
+use crate::ir::{EwKind, Graph, Op};
 use crate::passes::{compile, CompileOptions, CompiledGraph, Scheduled};
 use dcm_core::cast::{u64_to_f64, usize_to_f64, usize_to_u64};
 use dcm_core::cost::{ExecStats, OpCost};
@@ -59,9 +59,6 @@ pub struct GraphRun {
     /// Time-weighted fraction of the MAC array powered (drives the energy
     /// model's power gating).
     pub matrix_powered_fraction: f64,
-    /// Wall time of each schedule unit, in the order of
-    /// [`CompiledGraph::units`].
-    pub unit_walls: Vec<f64>,
 }
 
 impl GraphRun {
@@ -69,28 +66,6 @@ impl GraphRun {
     #[must_use]
     pub fn time_s(&self) -> f64 {
         self.stats.time_s
-    }
-
-    /// Render the `top` most expensive schedule units as a profiler-style
-    /// breakdown table (what `hl-prof` / Nsight would show). `graph` is
-    /// the compiled graph this run executed; it supplies the labels.
-    #[must_use]
-    pub fn breakdown(&self, graph: &CompiledGraph, top: usize) -> dcm_core::metrics::Table {
-        let mut units: Vec<(&Scheduled, f64)> =
-            graph.units().zip(self.unit_walls.iter().copied()).collect();
-        units.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let mut t = dcm_core::metrics::Table::new(
-            format!("top {} schedule units by wall time", top.min(units.len())),
-            &["unit", "time us", "share"],
-        );
-        for (unit, time) in units.into_iter().take(top) {
-            t.push(&[
-                unit.to_string(),
-                format!("{:.1}", time * 1e6),
-                format!("{:.1}%", 100.0 * time / self.stats.time_s),
-            ]);
-        }
-        t
     }
 }
 
@@ -397,7 +372,6 @@ impl Device {
     #[must_use]
     pub fn execute(&self, graph: &CompiledGraph) -> GraphRun {
         let mut stats = ExecStats::new();
-        let mut unit_walls = Vec::with_capacity(graph.blocks().iter().map(Block::len).sum());
         let mut powered_weight = 0.0;
         let mut matrix_time = 0.0;
         let mut costs = Vec::new();
@@ -420,7 +394,6 @@ impl Device {
                         }
                         stats.push_overlapped(c, if i == 0 { wall } else { 0.0 });
                     }
-                    unit_walls.push(wall);
                     start = end;
                 }
             }
@@ -437,7 +410,6 @@ impl Device {
             power_w,
             matrix_powered_fraction: powered,
             stats,
-            unit_walls,
         }
     }
 
@@ -643,28 +615,11 @@ mod tests {
     fn unit_times_are_labeled() {
         let g = mlp_graph(1024, 1024);
         let c = compile(&g, &CompileOptions::default());
-        let run = Device::gaudi2().execute(&c);
-        assert_eq!(run.unit_walls.len(), 2); // two pipelined pairs
+        // Two pipelined pairs.
+        assert!(c.units().all(|u| matches!(u, Scheduled::Pipelined { .. })));
         let labels: Vec<String> = c.units().map(ToString::to_string).collect();
-        assert!(labels[0].contains("~>"));
         let pair = "gemm(1024x1024x1024):bf16 ~> ew:Relu[1048576] (x16)";
         assert_eq!(labels, [pair, pair]);
-        let total: f64 = run.unit_walls.iter().sum();
-        assert!((total - run.time_s()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn breakdown_lists_units_by_cost() {
-        let g = mlp_graph(2048, 2048);
-        let c = compile(&g, &CompileOptions::default());
-        let run = Device::gaudi2().execute(&c);
-        let table = run.breakdown(&c, 1);
-        assert_eq!(table.len(), 1);
-        let rendered = table.render();
-        assert!(rendered.contains('%'));
-        assert!(rendered.contains("gemm(2048x2048x2048):bf16 ~> ew:Relu[4194304] (x16)"));
-        let all = run.breakdown(&c, 100);
-        assert_eq!(all.len(), run.unit_walls.len());
     }
 
     #[test]

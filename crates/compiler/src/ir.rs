@@ -1,7 +1,6 @@
 //! Operator IR: the lowered form of a model that the graph compiler
 //! schedules and the device models price.
 
-use dcm_core::cast::usize_to_f64;
 use dcm_core::DType;
 use dcm_mme::GemmShape;
 use serde::{Deserialize, Serialize};
@@ -317,6 +316,7 @@ impl Graph {
     }
 
     /// Operators in execution order: the flat expansion of the blocks.
+    // dcm-lint: allow(R1) test hook; prop_graph_blocks::random_repeats_match_their_flat_twins
     pub fn ops(&self) -> impl Iterator<Item = &Op> + '_ {
         self.blocks.iter().flat_map(Block::iter)
     }
@@ -331,18 +331,6 @@ impl Graph {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty()
-    }
-
-    /// Total FLOPs of all matrix ops (for reporting).
-    #[must_use]
-    pub fn matrix_flops(&self) -> f64 {
-        self.ops()
-            .map(|op| match op {
-                Op::Gemm { shape, .. } => shape.flops(),
-                Op::BatchedGemm { batch, shape, .. } => shape.flops() * usize_to_f64(*batch),
-                _ => 0.0,
-            })
-            .sum()
     }
 }
 
@@ -382,7 +370,6 @@ mod tests {
         h.push_repeated(&layer, 2);
         assert_eq!(h.len(), 4);
         assert!(!h.is_empty());
-        assert_eq!(h.matrix_flops(), 2.0 * (48.0 + 20.0));
     }
 
     fn repeats(g: &Graph) -> Vec<usize> {

@@ -97,6 +97,7 @@ impl CompiledGraph {
     }
 
     /// Schedule units in execution order: the flat expansion of the blocks.
+    // dcm-lint: allow(R1) test hook; prop_graph_blocks::random_repeats_match_their_flat_twins
     pub fn units(&self) -> impl Iterator<Item = &Scheduled> + '_ {
         self.blocks.iter().flat_map(Block::iter)
     }

@@ -9,7 +9,6 @@
 
 use crate::cast::{f64_to_u64, u64_to_f64, usize_to_f64};
 use crate::specs::DeviceSpec;
-use crate::DType;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -103,22 +102,6 @@ impl OpCost {
             u64_to_f64(self.useful_bytes) / t
         } else {
             0.0
-        }
-    }
-
-    /// Whether the operator is memory-bound (memory time dominates).
-    #[must_use]
-    pub fn is_memory_bound(&self) -> bool {
-        self.memory_s >= self.compute_s
-    }
-
-    /// Operational intensity: FLOPs per useful byte.
-    #[must_use]
-    pub fn operational_intensity(&self) -> f64 {
-        if self.useful_bytes > 0 {
-            self.flops / u64_to_f64(self.useful_bytes)
-        } else {
-            f64::INFINITY
         }
     }
 
@@ -233,13 +216,6 @@ impl ExecStats {
         }
     }
 
-    /// Matrix-engine utilization of `spec` at `dtype`: achieved / peak.
-    /// The "compute utilization" metric of Figures 5, 7 and 8.
-    #[must_use]
-    pub fn compute_utilization(&self, spec: &DeviceSpec, dtype: DType) -> f64 {
-        self.achieved_flops() / spec.matrix_peak_flops(dtype)
-    }
-
     /// Useful-bandwidth utilization: useful bytes per second over peak HBM
     /// bandwidth. The metric of Figures 9 and 15.
     #[must_use]
@@ -288,8 +264,6 @@ mod tests {
         let mut m = c;
         m.memory_s = 5e-3;
         assert_eq!(m.time(), 5e-3);
-        assert!(m.is_memory_bound());
-        assert!(!c.is_memory_bound());
     }
 
     #[test]
@@ -347,7 +321,7 @@ mod tests {
             bus_bytes: 0,
             useful_bytes: 0,
         });
-        let u = s.compute_utilization(&g, DType::Bf16);
+        let u = s.achieved_flops() / g.matrix_peak_flops(crate::DType::Bf16);
         assert!((u - 0.5).abs() < 1e-6, "{u}");
     }
 
@@ -375,15 +349,5 @@ mod tests {
         let (m, v, mem) = s.activity();
         assert!(m <= 1.0 && v <= 1.0 && mem <= 1.0);
         assert!((m - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn operational_intensity() {
-        let c = sample_cost();
-        let oi = c.operational_intensity();
-        assert!((oi - 4e9 / (1 << 19) as f64).abs() < 1e-6);
-        let mut z = c;
-        z.useful_bytes = 0;
-        assert!(z.operational_intensity().is_infinite());
     }
 }

@@ -41,26 +41,6 @@ impl DType {
             DType::Int8 => 1,
         }
     }
-
-    /// Whether this is a floating-point format (participates in FLOPS
-    /// accounting).
-    #[must_use]
-    pub const fn is_float(self) -> bool {
-        matches!(self, DType::Bf16 | DType::Fp16 | DType::Fp32)
-    }
-
-    /// Number of elements of this type that fit in a 2048-bit TPC vector
-    /// register (the Gaudi TPC SIMD width, §2.1).
-    ///
-    /// ```
-    /// use dcm_core::dtype::DType;
-    /// assert_eq!(DType::Bf16.lanes_per_2048b(), 128);
-    /// assert_eq!(DType::Fp32.lanes_per_2048b(), 64);
-    /// ```
-    #[must_use]
-    pub const fn lanes_per_2048b(self) -> usize {
-        2048 / 8 / self.size_bytes()
-    }
 }
 
 impl fmt::Display for DType {
@@ -87,22 +67,6 @@ mod tests {
         assert_eq!(DType::Fp32.size_bytes(), 4);
         assert_eq!(DType::Int32.size_bytes(), 4);
         assert_eq!(DType::Int8.size_bytes(), 1);
-    }
-
-    #[test]
-    fn float_classification() {
-        assert!(DType::Bf16.is_float());
-        assert!(DType::Fp32.is_float());
-        assert!(!DType::Int32.is_float());
-        assert!(!DType::Int8.is_float());
-    }
-
-    #[test]
-    fn vector_lanes_match_width() {
-        // 2048-bit vector unit: 128 bf16 lanes, 64 fp32 lanes (§2.1).
-        assert_eq!(DType::Bf16.lanes_per_2048b(), 128);
-        assert_eq!(DType::Fp32.lanes_per_2048b(), 64);
-        assert_eq!(DType::Int8.lanes_per_2048b(), 256);
     }
 
     #[test]

@@ -123,12 +123,6 @@ impl PowerModel {
                     + MEMORY_SHARE * memory_act)
     }
 
-    /// Peak (TDP) power in watts.
-    #[must_use]
-    pub fn tdp_watts(&self) -> f64 {
-        self.idle_watts + self.dynamic_watts
-    }
-
     /// Idle power in watts.
     #[must_use]
     pub fn idle_watts(&self) -> f64 {
@@ -186,7 +180,7 @@ mod tests {
         };
         let p = a100.power_watts(idle);
         assert!(p > a100.idle_watts());
-        assert!(p < a100.tdp_watts());
+        assert!(p < a100.idle_watts + a100.dynamic_watts);
     }
 
     #[test]
@@ -256,7 +250,7 @@ mod tests {
             memory: 0.5,
             matrix_powered_fraction: 5.0,
         });
-        assert!(p <= g.tdp_watts() + 1e-9);
+        assert!(p <= g.idle_watts + g.dynamic_watts + 1e-9);
         assert!(p >= g.idle_watts());
     }
 }

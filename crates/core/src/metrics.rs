@@ -20,25 +20,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean. Returns 0 for an empty slice.
-///
-/// # Panics
-/// Panics if any value is non-positive.
-#[must_use]
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = xs
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geomean requires positive values, got {x}");
-            x.ln()
-        })
-        .sum();
-    (log_sum / usize_to_f64(xs.len())).exp()
-}
-
 /// Maximum value. Returns 0 only for an empty slice; negative data is
 /// returned as-is (log-ratio heatmap grids legitimately go below zero).
 #[must_use]
@@ -300,6 +281,7 @@ impl LogHistogram {
     /// `(representative value, count)` pairs in ascending value order,
     /// zeros first — the quantized view of the distribution.
     #[must_use]
+    // dcm-lint: allow(R1) test hook; prop_histogram::bin_assignment_is_deterministic_and_covering
     pub fn nonempty_bins(&self) -> Vec<(f64, u64)> {
         let mut out = Vec::with_capacity(self.bins.len() + 1);
         if self.zeros > 0 {
@@ -369,15 +351,6 @@ impl LatencyRecorder {
     #[must_use]
     pub fn histogram_mode() -> Self {
         Self::with_mode(MetricsMode::Histogram)
-    }
-
-    /// This recorder's storage mode.
-    #[must_use]
-    pub fn mode(&self) -> MetricsMode {
-        match self.samples {
-            Samples::Exact(_) => MetricsMode::Exact,
-            Samples::Histogram(_) => MetricsMode::Histogram,
-        }
     }
 
     /// Record one sample.
@@ -462,41 +435,6 @@ impl LatencyRecorder {
             (Samples::Histogram(a), Samples::Histogram(b)) => a.merge(b),
             _ => panic!("cannot merge recorders with different metrics modes"),
         }
-    }
-
-    /// Evenly-spaced histogram over `[min, max]` with `bins` buckets,
-    /// returned as `(bucket_lower_edge, count)` pairs. Empty recorder or
-    /// zero `bins` yields an empty vec. In histogram mode the counts come
-    /// from the quantized bins (each attributed to its representative).
-    #[must_use]
-    pub fn histogram(&self, bins: usize) -> Vec<(f64, usize)> {
-        if self.is_empty() || bins == 0 {
-            return Vec::new();
-        }
-        let (lo, hi, points): (f64, f64, Vec<(f64, usize)>) = match &self.samples {
-            Samples::Exact(v) => (min(v), max(v), v.iter().map(|&s| (s, 1usize)).collect()),
-            Samples::Histogram(h) => (
-                h.min(),
-                h.max(),
-                h.nonempty_bins()
-                    .into_iter()
-                    // dcm-lint: allow(C1) per-bin count ≤ total count ≤ usize::MAX
-                    .map(|(v, c)| (v, c as usize))
-                    .collect(),
-            ),
-        };
-        let width = ((hi - lo) / usize_to_f64(bins)).max(f64::MIN_POSITIVE);
-        let mut counts = vec![0usize; bins];
-        for &(s, c) in &points {
-            // dcm-lint: allow(C1) truncating is the binning; NaN (from an infinite sample) saturates to bin 0
-            let idx = (((s - lo) / width) as usize).min(bins - 1);
-            counts[idx] += c;
-        }
-        counts
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (lo + usize_to_f64(i) * width, c))
-            .collect()
     }
 }
 
@@ -583,12 +521,6 @@ impl Heatmap {
     #[must_use]
     pub fn flat_values(&self) -> Vec<f64> {
         self.values.iter().flatten().copied().collect()
-    }
-
-    /// Cell value at (row, col).
-    #[must_use]
-    pub fn at(&self, row: usize, col: usize) -> f64 {
-        self.values[row][col]
     }
 
     /// Number of (rows, cols).
@@ -789,14 +721,6 @@ mod tests {
     fn means() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geomean_rejects_nonpositive() {
-        let _ = geomean(&[1.0, 0.0]);
     }
 
     #[test]
@@ -891,11 +815,9 @@ mod tests {
     #[test]
     fn recorder_empty_and_merge() {
         let empty = LatencyRecorder::new();
-        assert_eq!(empty.mode(), MetricsMode::Exact);
         assert!(empty.is_empty());
         assert_eq!(empty.quantile(99.0), 0.0);
         assert_eq!(empty.mean(), 0.0);
-        assert!(empty.histogram(4).is_empty());
 
         let mut a = LatencyRecorder::new();
         a.record(1.0);
@@ -909,27 +831,6 @@ mod tests {
         assert!((a.mean() - 2.5).abs() < 1e-12);
         a.merge(&empty);
         assert_eq!(a.count(), 4);
-    }
-
-    #[test]
-    fn recorder_histogram_covers_all_samples() {
-        let mut r = LatencyRecorder::new();
-        for v in 0..10 {
-            r.record(f64::from(v));
-        }
-        let hist = r.histogram(3);
-        assert_eq!(hist.len(), 3);
-        let total: usize = hist.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 10);
-        // Edges ascend from the minimum sample.
-        assert_eq!(hist[0].0, 0.0);
-        assert!(hist.windows(2).all(|w| w[0].0 < w[1].0));
-        // A constant distribution lands in one bucket.
-        let mut flat = LatencyRecorder::new();
-        flat.record(5.0);
-        flat.record(5.0);
-        let h = flat.histogram(4);
-        assert_eq!(h.iter().map(|&(_, c)| c).sum::<usize>(), 2);
     }
 
     #[test]
@@ -954,7 +855,6 @@ mod tests {
     fn histogram_mode_tracks_exact_scalars_and_bounded_quantiles() {
         let mut h = LatencyRecorder::histogram_mode();
         let mut e = LatencyRecorder::new();
-        assert_eq!(h.mode(), MetricsMode::Histogram);
         assert_eq!(h.quantile(99.0), 0.0, "empty recorder");
         for v in (1..=100).rev() {
             h.record(f64::from(v));
@@ -991,8 +891,6 @@ mod tests {
         z.record(4.0);
         assert_eq!(z.quantile(0.0), 0.0);
         assert_eq!(z.quantile(100.0), 4.0);
-        let hist = z.histogram(2);
-        assert_eq!(hist.iter().map(|&(_, c)| c).sum::<usize>(), 3);
     }
 
     #[test]
@@ -1029,7 +927,6 @@ mod tests {
         h.push_row("1", vec![1.0, 2.0]);
         h.push_row("64", vec![3.0, 4.0]);
         assert_eq!(h.shape(), (2, 2));
-        assert_eq!(h.at(1, 0), 3.0);
         assert!((h.mean() - 2.5).abs() < 1e-12);
         assert_eq!(h.max(), 4.0);
         assert_eq!(h.min(), 1.0);

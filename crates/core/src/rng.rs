@@ -14,12 +14,6 @@ pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// `n` uniform samples from `[lo, hi)`.
-#[must_use]
-pub fn uniform_vec<R: Rng + ?Sized>(rng: &mut R, n: usize, lo: f32, hi: f32) -> Vec<f32> {
-    (0..n).map(|_| rng.gen_range(lo..hi)).collect()
-}
-
 /// `n` uniform indices from `[0, max)`, with repetition (the access pattern
 /// of the GUPS-style gather/scatter microbenchmarks, §3.3).
 ///
@@ -51,10 +45,10 @@ mod tests {
 
     #[test]
     fn seeded_is_deterministic() {
-        let a = uniform_vec(&mut seeded(42), 16, 0.0, 1.0);
-        let b = uniform_vec(&mut seeded(42), 16, 0.0, 1.0);
+        let a = uniform_indices(&mut seeded(42), 16, 1 << 30);
+        let b = uniform_indices(&mut seeded(42), 16, 1 << 30);
         assert_eq!(a, b);
-        let c = uniform_vec(&mut seeded(43), 16, 0.0, 1.0);
+        let c = uniform_indices(&mut seeded(43), 16, 1 << 30);
         assert_ne!(a, c);
     }
 

@@ -101,12 +101,6 @@ impl VectorEngineSpec {
             DType::Int8 => self.peak_flops_bf16 * 2.0,
         }
     }
-
-    /// SIMD lanes available for `dtype` in one core.
-    #[must_use]
-    pub fn lanes(&self, dtype: DType) -> usize {
-        self.vector_bytes / dtype.size_bytes()
-    }
 }
 
 /// Off-chip memory (HBM) and on-chip SRAM parameters.
@@ -500,14 +494,6 @@ impl DeviceSpec {
     pub fn hbm_bandwidth(&self) -> f64 {
         self.memory.hbm_bandwidth_bps
     }
-
-    /// Machine balance point for the matrix engine: the operational
-    /// intensity (FLOP/byte) at which a kernel transitions from
-    /// memory-bound to compute-bound.
-    #[must_use]
-    pub fn ridge_point(&self, dtype: DType) -> f64 {
-        self.matrix_peak_flops(dtype) / self.hbm_bandwidth()
-    }
 }
 
 impl fmt::Display for DeviceSpec {
@@ -519,6 +505,7 @@ impl fmt::Display for DeviceSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::roofline::Roofline;
 
     #[test]
     fn table1_ratios_hold() {
@@ -599,16 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn ridge_points_are_sane() {
-        // Both devices become compute bound somewhere between 150 and 200
-        // FLOP/byte for BF16 GEMM.
-        let g = DeviceSpec::gaudi2();
-        let a = DeviceSpec::a100();
-        assert!(g.ridge_point(DType::Bf16) > 150.0 && g.ridge_point(DType::Bf16) < 200.0);
-        assert!(a.ridge_point(DType::Bf16) > 140.0 && a.ridge_point(DType::Bf16) < 170.0);
-    }
-
-    #[test]
     fn gaudi3_scales_gaudi2_without_changing_the_architecture() {
         let g2 = DeviceSpec::gaudi2();
         let g3 = DeviceSpec::gaudi3();
@@ -635,5 +612,19 @@ mod tests {
     // enough to verify the derives compile and fields are preserved.
     fn serde_json_like(spec: &DeviceSpec) -> String {
         format!("{spec:?}")
+    }
+
+    #[test]
+    fn ridge_points_are_sane() {
+        // Both devices become compute bound somewhere between 150 and 200
+        // FLOP/byte for BF16 GEMM.
+        let g = DeviceSpec::gaudi2();
+        let a = DeviceSpec::a100();
+        let (g, a) = (
+            Roofline::matrix(&g, DType::Bf16).ridge(),
+            Roofline::matrix(&a, DType::Bf16).ridge(),
+        );
+        assert!(g > 150.0 && g < 200.0, "{g}");
+        assert!(a > 140.0 && a < 170.0, "{a}");
     }
 }

@@ -18,12 +18,6 @@ use std::fmt;
 pub struct Shape(Vec<usize>);
 
 impl Shape {
-    /// Create a shape from dimension extents.
-    #[must_use]
-    pub fn new(dims: impl Into<Vec<usize>>) -> Self {
-        Shape(dims.into())
-    }
-
     /// Number of dimensions.
     #[must_use]
     pub fn rank(&self) -> usize {

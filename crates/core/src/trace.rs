@@ -111,12 +111,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Whether spans are being collected.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record a duration span. Inlined, so a disabled recorder costs its
     /// caller one branch; the recording itself stays out of line.
     #[inline]
@@ -353,7 +347,6 @@ mod tests {
         let mut r = TraceRecorder::disabled();
         r.span(SpanKind::Prefill, "prefill", 0.0, 1.0, None, &[]);
         r.instant(SpanKind::Fault, "crash", 1.0, None, &[]);
-        assert!(!r.is_enabled());
         assert!(r.spans().is_empty());
     }
 

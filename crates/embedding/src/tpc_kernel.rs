@@ -89,6 +89,7 @@ impl TpcProgram for SingleTableTpcKernel {
 /// # Errors
 /// Returns an error on malformed inputs, out-of-range indices, or VLM
 /// exhaustion (vectors wider than the 80 KB local memory allows).
+// dcm-lint: allow(R1) §4 TPC embedding; prop_functional::tpc_embedding_kernel_matches_reference
 pub fn single_table_tpc_forward(
     spec: &DeviceSpec,
     tables: &[Tensor],
@@ -192,6 +193,7 @@ impl TpcProgram for BatchedTableTpcKernel {
 /// # Errors
 /// Returns an error on malformed inputs, out-of-range indices, or VLM
 /// exhaustion.
+// dcm-lint: allow(R1) §4 TPC embedding; tpc_kernel::batched_kernel_matches_reference_and_single
 pub fn batched_table_tpc_forward(
     spec: &DeviceSpec,
     tables: &[Tensor],

@@ -6,7 +6,10 @@
 //! parser sees). The rules built on it (`D3` reachability of
 //! nondeterminism, `A1` allocation in hot paths) are "no path may
 //! exist" rules, so over-approximation yields false positives — which a
-//! human reviews and pragmas — never silent false negatives.
+//! human reviews and pragmas — never silent false negatives. For `R1`
+//! (every public function must be reached) the same over-approximation
+//! can hide dead code, and live code reads as dead only when one of the
+//! unsound cases below makes its call.
 //!
 //! Resolution policy, in order:
 //!
@@ -14,6 +17,8 @@
 //!   block, anywhere in the workspace; when no type `Qual` is known
 //!   (e.g. `Qual` is a module or an std type), every *free* `fn name`
 //!   instead (`mod helpers { pub fn f() }` called as `helpers::f()`).
+//!   The parser reads `Self::name` as the enclosing impl type, and a
+//!   lowercase path named as a value (`map(Qual::name)`) as a call.
 //! * `recv.name(...)` (method call): when the receiver is literally
 //!   `self`, the enclosing impl type's `name` method if it exists; when
 //!   it is a field of `self` whose declared type is a workspace type
@@ -26,8 +31,8 @@
 //!   become graph leaves; macro invocations are always leaves.
 //!
 //! Unsound by design (documented in DESIGN.md §3.7): calls materialized
-//! by macro *expansion*, function pointers / closures passed as values
-//! and invoked elsewhere, and trait-object dispatch to impls whose
+//! by macro *expansion*, a bare function name or a closure passed as a
+//! value and invoked elsewhere, and trait-object dispatch to impls whose
 //! method name differs from the call-site name (impossible in Rust) are
 //! the only ways a real call escapes the graph. Test code (`tests/`
 //! paths and `#[cfg(test)]` regions) is excluded entirely: the hazards
@@ -411,6 +416,31 @@ mod tests {
         let reach = g.reachable_from(&[idx(&g, "caller")]);
         assert!(reach[idx(&g, "Engine::run")].is_some());
         assert!(reach[idx(&g, "tick")].is_some());
+    }
+
+    #[test]
+    fn self_paths_resolve_to_the_enclosing_impl() {
+        // `Self::a100_like` must land on `Device::a100_like`, not on a
+        // free fn that happens to share the name.
+        let g = graph(&[(
+            "a.rs",
+            "impl Device { fn a100() { Self::a100_like(); } fn a100_like() {} }\n\
+             fn a100_like() {}",
+        )]);
+        let reach = g.reachable_from(&[idx(&g, "Device::a100")]);
+        assert!(reach[idx(&g, "Device::a100_like")].is_some());
+        assert!(reach[idx(&g, "a100_like")].is_none());
+    }
+
+    #[test]
+    fn function_paths_passed_as_values_are_edges() {
+        let g = graph(&[(
+            "a.rs",
+            "impl Cluster { fn drained(&self) { self.sims.iter().all(SimState::is_drained); } }\n\
+             impl SimState { fn is_drained(&self) -> bool { true } }",
+        )]);
+        let reach = g.reachable_from(&[idx(&g, "Cluster::drained")]);
+        assert!(reach[idx(&g, "SimState::is_drained")].is_some());
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! | `D3` | nondeterminism reachable from a sim entry point (call graph) |
 //! | `U1` | mixed unit suffixes across `+`/`-`/comparison operands       |
 //! | `A1` | allocation reachable from the per-event hot paths            |
+//! | `R1` | a simulation-crate `pub fn` that no binary, example, `dcmbench` |
+//! |      | source, trait impl or declared API root reaches              |
 //!
 //! A finding is either fixed or suppressed by an inline
 //! `// dcm-lint: allow(rule-id) reason` pragma next to the code; there is
@@ -29,7 +31,7 @@
 //! Pure std, offline, no dependencies — the linter must not depend on
 //! anything it judges. See [`rules`] for the engine, [`lexer`] for the
 //! hand-rolled token stream it runs on, [`parser`] for the item-level
-//! AST, [`callgraph`] for D3/A1 resolution.
+//! AST, [`callgraph`] for D3/A1/R1 resolution.
 
 pub mod callgraph;
 pub mod lexer;

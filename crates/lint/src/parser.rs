@@ -16,10 +16,14 @@
 //!   counted as two), raw identifiers (`r#match`), turbofish call syntax
 //!   (`f::<T>()`), `use` trees with groups, globs and `as` renames, and
 //!   the named fields of each `struct` with the head of each field's
-//!   declared type (`queue: EventQueue<Complete>` → `EventQueue`).
+//!   declared type (`queue: EventQueue<Complete>` → `EventQueue`), which
+//!   `fn`s are declared plain `pub`, and which sit in an
+//!   `impl Trait for Type` block.
 //! * **Approximate by design:** call sites are recovered as *names* —
 //!   `Bare` (`f(...)`), `Path` (`Type::f(...)`, qualifier = the segment
-//!   directly before the name), `Method` (`x.f(...)`, qualifier = the
+//!   directly before the name, `Self` read as the enclosing impl type; a
+//!   lowercase path named as a value, `map(Type::f)`, counts too),
+//!   `Method` (`x.f(...)`, qualifier = the
 //!   impl type when the receiver is literally `self` or a field of
 //!   `self`, whose name is then recorded too), and `Macro`
 //!   (`name!(...)`). Resolution to definitions happens in
@@ -64,7 +68,8 @@ pub enum CallKind {
 pub struct Call {
     pub kind: CallKind,
     /// `Path`: the path segment directly before the name (`ServingEngine`
-    /// in `ServingEngine::run`). `Method`: the enclosing impl type when
+    /// in `ServingEngine::run`; the enclosing impl type for `Self::run`).
+    /// `Method`: the enclosing impl type when
     /// the receiver is `self` or `self.<field>`, else `None`.
     pub qual: Option<String>,
     /// `Method` on a field of `self` (`self.queue.push(..)`): the field,
@@ -75,8 +80,9 @@ pub struct Call {
     /// 1-indexed source line of the callee name token.
     pub line: u32,
     /// Number of arguments at the call site; `None` when counting is
-    /// unreliable (closure `|..|` or comparison operators in the list)
-    /// or for macros. Used to prune name-collision resolution.
+    /// unreliable (closure `|..|` or comparison operators in the list),
+    /// for macros, and for a path named as a value (`map(Type::f)`).
+    /// Used to prune name-collision resolution.
     pub arity: Option<usize>,
 }
 
@@ -93,6 +99,12 @@ pub struct FnDef {
     pub line: u32,
     /// Inside a `#[cfg(test)]`/`#[test]` region.
     pub is_test: bool,
+    /// Declared plain `pub` (not `pub(crate)` or another restriction).
+    pub is_pub: bool,
+    /// A method of an `impl Trait for Type` block: callers reach it
+    /// through the trait (operators, `for` loops, formatting, `dyn`), at
+    /// call sites the parser cannot see.
+    pub in_trait_impl: bool,
     pub is_async: bool,
     pub is_unsafe: bool,
     pub is_const: bool,
@@ -162,6 +174,7 @@ pub fn parse(tokens: &[Token], in_test: &[bool]) -> ParsedFile {
         out: ParsedFile::default(),
         module: Vec::new(),
         self_ty: None,
+        in_trait_impl: false,
     };
     p.items(0, tokens.len());
     p.out
@@ -173,11 +186,14 @@ struct Parser<'a> {
     out: ParsedFile,
     module: Vec<String>,
     self_ty: Option<String>,
+    /// Inside an `impl Trait for Type` block.
+    in_trait_impl: bool,
 }
 
 /// Pending `fn` qualifiers seen while walking an item list.
 #[derive(Default, Clone, Copy)]
 struct Quals {
+    is_pub: bool,
     is_async: bool,
     is_unsafe: bool,
     is_const: bool,
@@ -238,7 +254,12 @@ impl<'a> Parser<'a> {
                     quals.is_const = true;
                     i += 1;
                 }
-                "pub" | "extern" | "default" => i += 1, // visibility/ABI noise
+                "pub" => {
+                    // `pub(crate)` and other restrictions are not public.
+                    quals.is_pub = !self.is_punct(i + 1, "(");
+                    i += 1;
+                }
+                "extern" | "default" => i += 1, // ABI noise
                 "fn" => {
                     i = self.parse_fn(i, quals);
                     quals = Quals::default();
@@ -324,6 +345,8 @@ impl<'a> Parser<'a> {
             module: self.module.clone(),
             line,
             is_test: self.in_test.get(i).copied().unwrap_or(false),
+            is_pub: quals.is_pub,
+            in_trait_impl: self.in_trait_impl,
             is_async: quals.is_async,
             is_unsafe: quals.is_unsafe,
             is_const: quals.is_const,
@@ -401,7 +424,11 @@ impl<'a> Parser<'a> {
             if self.is_punct(after, "::") && self.is_punct(after + 1, "<") {
                 call_paren = self.skip_angles(after + 1);
             }
-            if self.is_punct(call_paren, "(") && !NON_CALL_KEYWORDS.contains(&word) {
+            let is_call = self.is_punct(call_paren, "(") && !NON_CALL_KEYWORDS.contains(&word);
+            // A path named as a value (`map(Type::f)`, `resize_with(n,
+            // Vec::new)`) is called wherever the value goes, so the naming
+            // site stands in for the call, with no argument count.
+            if is_call || self.is_fn_value_path(i, after) {
                 let (kind, qual, field) = self.classify_call(i);
                 calls.push(Call {
                     kind,
@@ -409,12 +436,31 @@ impl<'a> Parser<'a> {
                     field,
                     name,
                     line: self.toks[i].line,
-                    arity: self.count_args(call_paren),
+                    arity: if is_call {
+                        self.count_args(call_paren)
+                    } else {
+                        None
+                    },
                 });
             }
             i = after;
         }
         calls
+    }
+
+    /// Is the identifier at `i` (ending at `after`) the last segment of a
+    /// path named as a value, `Type::f` or `module::f`? Only a lowercase
+    /// final segment counts: `Kind::Decode` and `f64::MAX` are an enum
+    /// variant and a constant, not functions.
+    fn is_fn_value_path(&self, i: usize, after: usize) -> bool {
+        i >= 1
+            && self.toks[i - 1].is_punct("::")
+            && self
+                .ident(i)
+                .is_some_and(|w| w.starts_with(|c: char| c.is_ascii_lowercase()))
+            && !["::", "(", "!", "{", "<"]
+                .iter()
+                .any(|p| self.is_punct(after, p))
     }
 
     /// Classify the call whose name token sits at `i` by looking at what
@@ -465,9 +511,15 @@ impl<'a> Parser<'a> {
             // The segment ident directly before `::`; a raw-identifier
             // qualifier (`r#mod::f`) ends in the same ident token.
             let qual = if k >= 1 {
-                self.toks[k - 1].ident().map(str::to_owned)
+                self.toks[k - 1].ident()
             } else {
                 None
+            };
+            let qual = match qual {
+                // `Self::f` names the enclosing impl type, which no
+                // type is literally called.
+                Some("Self") => self.self_ty.clone(),
+                q => q.map(str::to_owned),
             };
             return (CallKind::Path, qual, None);
         }
@@ -576,8 +628,10 @@ impl<'a> Parser<'a> {
             let close = self.matching_brace(j);
             self.module.push(name);
             let saved_ty = self.self_ty.take();
+            let saved_trait_impl = std::mem::take(&mut self.in_trait_impl);
             self.items(j + 1, close);
             self.self_ty = saved_ty;
+            self.in_trait_impl = saved_trait_impl;
             self.module.pop();
             return close + 1;
         }
@@ -635,12 +689,16 @@ impl<'a> Parser<'a> {
             return (j + 1).min(self.toks.len());
         }
         let close = self.matching_brace(j);
+        let trait_impl = !is_trait && after_for.is_some();
         let ty = after_for.or(last_seg);
         let saved = self.self_ty.clone();
+        let saved_trait_impl = self.in_trait_impl;
         // `trait Name` also provides default method bodies under `Name`.
         self.self_ty = if is_trait { ty.or(saved.clone()) } else { ty };
+        self.in_trait_impl = trait_impl;
         self.items(j + 1, close);
         self.self_ty = saved;
+        self.in_trait_impl = saved_trait_impl;
         close + 1
     }
 
@@ -1152,6 +1210,62 @@ mod tests {
             got,
             [(Some("Sim"), Some("queue")), (None, None), (None, None)]
         );
+    }
+
+    #[test]
+    fn self_paths_name_the_enclosing_impl() {
+        let p = parse_src("impl Device { fn a100() -> Self { Self::a100_like(spec()) } }");
+        let f = fn_named(&p, "a100");
+        assert_eq!(f.calls[0].kind, CallKind::Path);
+        assert_eq!(f.calls[0].qual.as_deref(), Some("Device"));
+    }
+
+    #[test]
+    fn function_paths_named_as_values_are_calls() {
+        let p = parse_src(
+            "fn f() {\n\
+               sims.iter().all(SimState::is_drained);\n\
+               rows.resize_with(n, Vec::new);\n\
+               xs.map(Self::from_stats);\n\
+               let k = Kind::Decode;\n\
+               let m = f64::MAX;\n\
+             }",
+        );
+        let got: Vec<(CallKind, Option<&str>, &str, Option<usize>)> = fn_named(&p, "f")
+            .calls
+            .iter()
+            .filter(|c| c.kind == CallKind::Path)
+            .map(|c| (c.kind, c.qual.as_deref(), c.name.as_str(), c.arity))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (CallKind::Path, Some("SimState"), "is_drained", None),
+                (CallKind::Path, Some("Vec"), "new", None),
+                (CallKind::Path, None, "from_stats", None),
+            ],
+            "a variant or a constant is not a function"
+        );
+    }
+
+    #[test]
+    fn visibility_and_trait_impls_are_recorded() {
+        let p = parse_src(
+            "pub fn open() {}\n\
+             pub(crate) fn crate_only() {}\n\
+             fn private() {}\n\
+             impl Iterator for Walk { fn next(&mut self) -> Option<u32> { None } }\n\
+             impl Walk { pub const fn new() -> Self { Walk } }",
+        );
+        let flags = |n: &str| {
+            let f = fn_named(&p, n);
+            (f.is_pub, f.in_trait_impl)
+        };
+        assert_eq!(flags("open"), (true, false));
+        assert_eq!(flags("crate_only"), (false, false));
+        assert_eq!(flags("private"), (false, false));
+        assert_eq!(flags("next"), (false, true));
+        assert_eq!(flags("new"), (true, false));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! violations surface as `LINT` findings, which no pragma can suppress.
 
 use crate::callgraph::{CallGraph, Node};
-use crate::lexer::{lex, test_regions, LexedFile, Token, TokenKind};
+use crate::lexer::{lex, test_regions, LexedFile, Pragma, Token, TokenKind};
 use crate::parser::{self, CallKind, ParsedFile};
 use std::collections::BTreeMap;
 
@@ -97,6 +97,13 @@ pub const RULES: &[RuleInfo] = &[
                   to_vec, vec!/format!) in functions reachable from the per-event hot paths of \
                   DESIGN.md §3.6/§3.8: the steady state must be allocation-free, statically",
     },
+    RuleInfo {
+        id: "R1",
+        summary: "every pub fn in a simulation crate is reachable on the call graph from a bench \
+                  binary, an example, dcmbench/src or a trait-impl method, or is an API root \
+                  declared by an allow(R1) pragma naming its role: code only tests call does not \
+                  sit in the public API",
+    },
 ];
 
 /// `D3` entry points: `(impl type, method-name prefix)`. An empty prefix
@@ -151,6 +158,9 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("LatencyRecorder", "record"),
 ];
 
+/// `R1` root files: every function under these path prefixes is a root.
+const API_ROOT_DIRS: &[&str] = &["crates/bench/src/bin/", "examples/", "dcmbench/src/"];
+
 /// Method names `A1` treats as allocation markers.
 const ALLOC_METHODS: &[&str] = &["push", "insert", "collect", "to_vec"];
 
@@ -199,6 +209,10 @@ pub struct FileClass<'a> {
     pub is_test_path: bool,
     /// One of [`SIM_CRATES`].
     pub is_sim: bool,
+    /// Under `examples/` or `dcmbench/`: read for `R1`'s call graph
+    /// only. No other rule runs on it, and the `D3`/`A1` graph leaves it
+    /// out, so host timing there never resolves into a sim entry point.
+    pub is_root_only: bool,
 }
 
 impl<'a> FileClass<'a> {
@@ -206,19 +220,21 @@ impl<'a> FileClass<'a> {
     #[must_use]
     pub fn of(rel_path: &'a str) -> Self {
         let mut parts = rel_path.split('/');
-        let crate_name = match parts.next() {
-            Some("crates") => parts.next().unwrap_or(""),
-            Some("tests") => "tests",
-            other => other.unwrap_or(""),
+        let top = parts.next().unwrap_or("");
+        let crate_name = match top {
+            "crates" => parts.next().unwrap_or(""),
+            other => other,
         };
+        // A `tests.rs` file is a `#[cfg(test)] mod tests;` body.
         let is_test_path = crate_name == "tests"
             || rel_path
                 .split('/')
-                .any(|seg| seg == "tests" || seg == "benches");
+                .any(|seg| seg == "tests" || seg == "benches" || seg == "tests.rs");
         FileClass {
             crate_name,
             is_test_path,
             is_sim: SIM_CRATES.contains(&crate_name),
+            is_root_only: top == "examples" || top == "dcmbench",
         }
     }
 }
@@ -250,7 +266,7 @@ struct FileData<'a> {
 
 /// Lint a whole workspace's sources (`(rel_path, source)` pairs): the
 /// per-file token rules (D1/D2/F1/F2/C1/P1/U1), the pragma hygiene
-/// meta-rule, and the workspace-wide call-graph rules (D3/A1). Returns
+/// meta-rule, and the workspace-wide call-graph rules (D3/A1/R1). Returns
 /// the sorted findings surviving pragma suppression plus call-graph
 /// statistics.
 #[must_use]
@@ -272,7 +288,7 @@ pub fn lint_workspace(files: &[(String, String)]) -> (Vec<Finding>, WorkspaceSta
         .collect();
 
     let mut findings = Vec::new();
-    for fd in &data {
+    for fd in data.iter().filter(|fd| !fd.class.is_root_only) {
         findings.extend(scan_rules(fd.rel_path, &fd.lexed, &fd.in_test, fd.class));
         findings.extend(unit_findings(fd.rel_path, &fd.lexed, &fd.in_test, fd.class));
         findings.extend(pragma_diagnostics(fd.rel_path, &fd.lexed));
@@ -292,12 +308,7 @@ pub fn lint_workspace(files: &[(String, String)]) -> (Vec<Finding>, WorkspaceSta
             return true;
         };
         !fd.lexed.pragmas.iter().any(|p| {
-            let covers_line = if p.own_line {
-                p.line + 1 == f.line
-            } else {
-                p.line == f.line
-            };
-            covers_line && !p.reason.is_empty() && p.rules.iter().any(|r| r == f.rule)
+            covers(p, f.line) && !p.reason.is_empty() && p.rules.iter().any(|r| r == f.rule)
         })
     });
     for f in findings.iter_mut() {
@@ -422,6 +433,16 @@ fn scan_rules(
         }
     }
     out
+}
+
+/// Does pragma `p` cover source line `line`: its own line, or the next
+/// one when it stands alone?
+fn covers(p: &Pragma, line: u32) -> bool {
+    if p.own_line {
+        p.line + 1 == line
+    } else {
+        p.line == line
+    }
 }
 
 fn prev_is_dot(toks: &[Token], i: usize) -> bool {
@@ -597,19 +618,26 @@ fn unit_operand_right(toks: &[Token], op: usize) -> Option<(String, String)> {
     Some((carrier.to_owned(), unit))
 }
 
-/// The workspace-wide call-graph rules `D3` and `A1`.
+/// The non-test files' parsed items, `R1`'s root-only files included or
+/// not.
+fn graph_files<'a>(
+    data: &'a [FileData<'_>],
+    with_root_only: bool,
+) -> Vec<(String, &'a ParsedFile)> {
+    data.iter()
+        .filter(|fd| !fd.class.is_test_path && (with_root_only || !fd.class.is_root_only))
+        .map(|fd| (fd.rel_path.to_owned(), &fd.parsed))
+        .collect()
+}
+
+/// The workspace-wide call-graph rules `D3`, `A1` and `R1`.
 fn graph_rules(data: &[FileData<'_>]) -> (Vec<Finding>, WorkspaceStats) {
     // Test-path files never contribute nodes: the hazards policed here
     // are about simulation results, which tests only consume.
-    let graph_files: Vec<(String, &ParsedFile)> = data
-        .iter()
-        .filter(|fd| !fd.class.is_test_path)
-        .map(|fd| (fd.rel_path.to_owned(), &fd.parsed))
-        .collect();
     // Alloc-named method calls on unpinned receivers are std-container
     // calls in practice; they stay visible as A1 call sites but do not
     // become traversal edges (see `CallGraph::build`).
-    let graph = CallGraph::build(&graph_files, ALLOC_METHODS);
+    let graph = CallGraph::build(&graph_files(data, false), ALLOC_METHODS);
     let is_entry = |n: &Node, (ty, prefix): &(&str, &str)| {
         n.def.self_ty.as_deref() == Some(*ty) && n.def.name.starts_with(prefix)
     };
@@ -719,7 +747,85 @@ fn graph_rules(data: &[FileData<'_>]) -> (Vec<Finding>, WorkspaceStats) {
         }
     }
 
+    out.extend(reachability_findings(data));
     (out, stats)
+}
+
+/// Rule `R1` and its pragma hygiene, on a graph of the `D3`/`A1` graph's
+/// files plus the root-only ones. Roots: every function under
+/// [`API_ROOT_DIRS`], every method of an `impl Trait for Type` block, and
+/// every simulation-crate `pub fn` an `allow(R1)` pragma covers. A
+/// pragma that covers no such function, or one the other roots reach
+/// anyway, is a `LINT` finding: the declared roots stay the minimal set.
+fn reachability_findings(data: &[FileData<'_>]) -> Vec<Finding> {
+    // No opaque method names: a `.push(..)` on a local may be a
+    // workspace type's `push`, and a dropped edge would report live
+    // code as dead.
+    let graph = CallGraph::build(&graph_files(data, true), &[]);
+    let is_api = |n: &Node| n.def.is_pub && FileClass::of(&n.path).is_sim;
+    let mut roots =
+        graph.find(|n| n.def.in_trait_impl || API_ROOT_DIRS.iter().any(|d| n.path.starts_with(d)));
+    let base = graph.reachable_from(&roots);
+    let mut out = Vec::new();
+    let mut lint = |path: &str, line: u32, message: String| {
+        out.push(Finding {
+            path: path.to_owned(),
+            line,
+            rule: "LINT",
+            message,
+            excerpt: String::new(),
+        });
+    };
+    for fd in data.iter().filter(|fd| !fd.class.is_root_only) {
+        for p in &fd.lexed.pragmas {
+            if p.reason.is_empty() || !p.rules.iter().any(|r| r == "R1") {
+                continue;
+            }
+            let covered =
+                graph.find(|n| n.path == fd.rel_path && covers(p, n.def.line) && is_api(n));
+            if covered.is_empty() {
+                lint(
+                    fd.rel_path,
+                    p.line,
+                    "`allow(R1)` pragma covers no `pub fn` of a simulation crate".to_owned(),
+                );
+            }
+            for &i in &covered {
+                if base[i].is_some() {
+                    lint(
+                        fd.rel_path,
+                        p.line,
+                        format!(
+                            "stale `allow(R1)` pragma: `{}` is reached without it via `{}`; \
+                             delete the pragma",
+                            graph.nodes[i].def.display(),
+                            graph.chain(&base, i)
+                        ),
+                    );
+                }
+            }
+            roots.extend(covered);
+        }
+    }
+    let reach = graph.reachable_from(&roots);
+    for (i, node) in graph.nodes.iter().enumerate() {
+        if reach[i].is_some() || !is_api(node) {
+            continue;
+        }
+        out.push(Finding {
+            path: node.path.clone(),
+            line: node.def.line,
+            rule: "R1",
+            message: format!(
+                "`pub fn {}` is reached from no bench binary, example, `dcmbench` source or \
+                 trait impl: delete it, make it private, or declare it an API root with \
+                 `// dcm-lint: allow(R1) <role and the test behind it>`",
+                node.def.display()
+            ),
+            excerpt: String::new(),
+        });
+    }
+    out
 }
 
 #[cfg(test)]

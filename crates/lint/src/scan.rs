@@ -1,8 +1,9 @@
 //! Deterministic workspace traversal.
 //!
 //! Scans every `.rs` file under `crates/` and `tests/` of the workspace
-//! root, in sorted path order (so reports and baselines are byte-identical
-//! across runs and platforms). Excluded:
+//! root, plus `examples/` and `dcmbench/src/`, which only rule `R1`'s
+//! call graph reads, in sorted path order (so reports and baselines are
+//! byte-identical across runs and platforms). Excluded:
 //!
 //! * `shims/` — offline stand-ins for external crates; their API mirrors
 //!   upstream and is not ours to lint;
@@ -20,7 +21,7 @@ use std::path::{Path, PathBuf};
 /// Propagates filesystem errors (unreadable directory entries).
 pub fn workspace_files(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
-    for top in ["crates", "tests"] {
+    for top in ["crates", "tests", "examples", "dcmbench/src"] {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, root, &mut out)?;

@@ -5,12 +5,12 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    pub fn push(&mut self, t: u64) {
+    fn push(&mut self, t: u64) {
         self.slots[0] = t;
     }
 }
 
-pub fn report_lines(n: u64) -> Vec<u64> {
+fn report_lines(n: u64) -> Vec<u64> {
     let mut v = Vec::new();
     v.push(n);
     v

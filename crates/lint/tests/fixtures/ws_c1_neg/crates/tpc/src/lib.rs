@@ -1,5 +1,5 @@
 //! C1 negative: justified casts (pragma) or casts confined to tests.
-pub fn widen(n: u32) -> u64 {
+fn widen(n: u32) -> u64 {
     // dcm-lint: allow(C1) u32 to u64 is lossless
     n as u64
 }

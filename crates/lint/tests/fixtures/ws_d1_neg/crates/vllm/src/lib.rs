@@ -1,7 +1,7 @@
 //! D1 negative: ordered collections everywhere; hash maps only in tests.
 use std::collections::BTreeMap;
 
-pub fn routing_table() -> BTreeMap<u64, usize> {
+fn routing_table() -> BTreeMap<u64, usize> {
     BTreeMap::new()
 }
 

@@ -1,6 +1,6 @@
 //! D1 positive: hash collections in a simulation crate.
 use std::collections::HashMap;
 
-pub fn routing_table() -> HashMap<u64, usize> {
+fn routing_table() -> HashMap<u64, usize> {
     HashMap::new()
 }

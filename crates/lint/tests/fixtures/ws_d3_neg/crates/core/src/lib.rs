@@ -2,7 +2,7 @@
 pub struct ServingEngine;
 
 impl ServingEngine {
-    pub fn run(&mut self) -> f64 {
+    fn run(&mut self) -> f64 {
         step(1.0)
     }
 }

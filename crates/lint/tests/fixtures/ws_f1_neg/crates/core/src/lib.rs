@@ -13,6 +13,6 @@ impl PartialOrd for Sample {
     }
 }
 
-pub fn sort_times(v: &mut [f64]) {
+fn sort_times(v: &mut [f64]) {
     v.sort_by(f64::total_cmp);
 }

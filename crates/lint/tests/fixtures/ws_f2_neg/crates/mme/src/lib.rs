@@ -1,5 +1,5 @@
 //! F2 negative: tolerance compare in code, exact compare only in tests.
-pub fn is_idle(util: f64) -> bool {
+fn is_idle(util: f64) -> bool {
     util.abs() < 1e-12
 }
 

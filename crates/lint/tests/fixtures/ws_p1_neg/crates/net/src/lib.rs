@@ -1,5 +1,5 @@
 //! P1 negative: fallible signature in code, unwrap only in tests.
-pub fn first_hop(path: &[u32]) -> Option<u32> {
+fn first_hop(path: &[u32]) -> Option<u32> {
     path.first().copied()
 }
 

@@ -3,12 +3,12 @@
 use std::collections::HashMap; // dcm-lint: allow(D1) keyed lookup only, never iterated
 
 // dcm-lint: allow(D1) keyed lookup only, never iterated
-pub fn table() -> HashMap<u64, usize> {
+fn table() -> HashMap<u64, usize> {
     // dcm-lint: allow(D1) keyed lookup only, never iterated
     HashMap::new()
 }
 
-pub fn mean(total: usize, n: usize) -> f64 {
+fn mean(total: usize, n: usize) -> f64 {
     // dcm-lint: allow(C1) counts stay far below 2^53
     total as f64 / n as f64
 }

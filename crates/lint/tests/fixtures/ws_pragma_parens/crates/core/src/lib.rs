@@ -3,12 +3,12 @@
 use std::collections::HashMap; // dcm-lint: allow(D1) keyed (id -> slot) lookup, never iterated
 
 // dcm-lint: allow(D1) returns the keyed (id -> slot) table
-pub fn table() -> HashMap<u64, usize> {
+fn table() -> HashMap<u64, usize> {
     // dcm-lint: allow(D1) constructor for the keyed (id -> slot) table
     HashMap::new()
 }
 
-pub fn ratio(n: usize) -> f64 {
+fn ratio(n: usize) -> f64 {
     // dcm-lint: allow(C1) count < 2^53 (exact in f64)
     n as f64
 }

@@ -1,0 +1,19 @@
+//! R1 positive: a `pub fn` no root reaches, one that only `dcmbench`'s
+//! tests call, a stale `allow(R1)` pragma and one that covers no `pub fn`.
+pub fn unreached() -> u32 {
+    1
+}
+
+pub fn only_dcmbench_tests() -> u32 {
+    2
+}
+
+// dcm-lint: allow(R1) §4 case study entry point; served_matches_reference
+pub fn served() -> u32 {
+    misplaced()
+}
+
+// dcm-lint: allow(R1) a private helper is no API root
+fn misplaced() -> u32 {
+    3
+}

@@ -37,6 +37,7 @@ fn positive_fixtures_fire_their_rule_and_fail_the_run() {
         ("ws_d3_pos", "D3"),
         ("ws_u1_pos", "U1"),
         ("ws_a1_pos", "A1"),
+        ("ws_r1_pos", "R1"),
     ] {
         let out = dcm_lint::run(&fixture(ws)).expect("fixture scan");
         assert!(
@@ -65,6 +66,7 @@ fn negative_fixtures_are_clean() {
         "ws_d3_neg",
         "ws_u1_neg",
         "ws_a1_neg",
+        "ws_r1_neg",
     ] {
         let got = run_rules(ws);
         assert!(got.is_empty(), "{ws}: expected clean, got {got:?}");
@@ -111,6 +113,59 @@ fn a1_names_the_hot_path_chain() {
     assert!(
         a1.iter().any(|f| f.message.contains("EventQueue::push")),
         "A1 must cite the reachability chain from the hot-path root: {a1:?}"
+    );
+}
+
+#[test]
+fn r1_flags_unreached_fns_and_stale_or_misplaced_pragmas() {
+    let out = dcm_lint::run(&fixture("ws_r1_pos")).expect("fixture scan");
+    let got: Vec<(&str, u32)> = out.findings.iter().map(|f| (f.rule, f.line)).collect();
+    // `unreached`, `only_dcmbench_tests` (`dcmbench/src/tests.rs` is no
+    // root), the pragma on `served` (a bench binary calls it) and the one
+    // over a private fn.
+    assert_eq!(
+        got,
+        [("R1", 3), ("R1", 7), ("LINT", 11), ("LINT", 16)],
+        "{:?}",
+        out.findings
+    );
+    assert!(out.findings[2].message.contains("main → served"));
+}
+
+#[test]
+fn removing_the_bins_call_makes_r1_flag_the_callee() {
+    // The fixture is clean as written; the same workspace without the
+    // bench binary's `engine.run(..)` call leaves `ServingEngine::run`
+    // reached from no root.
+    let root = fixture("ws_r1_neg");
+    let bin = "crates/bench/src/bin/serve.rs";
+    let sources: Vec<(String, String)> = dcm_lint::scan::workspace_files(&root)
+        .expect("fixture scan")
+        .into_iter()
+        .map(|rel| {
+            let src = std::fs::read_to_string(root.join(&rel)).expect("fixture file");
+            (rel, src)
+        })
+        .collect();
+    let (clean, _) = dcm_lint::rules::lint_workspace(&sources);
+    assert!(clean.is_empty(), "{clean:?}");
+    let mutated: Vec<(String, String)> = sources
+        .into_iter()
+        .map(|(rel, src)| {
+            let src = if rel == bin {
+                src.replace("engine.run(&clock)", "0.0")
+            } else {
+                src
+            };
+            (rel, src)
+        })
+        .collect();
+    let (findings, _) = dcm_lint::rules::lint_workspace(&mutated);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "R1" && f.message.contains("ServingEngine::run")),
+        "{findings:?}"
     );
 }
 

@@ -29,12 +29,6 @@ impl GatherScatterEngine {
         }
     }
 
-    /// The underlying HBM model.
-    #[must_use]
-    pub fn hbm(&self) -> &HbmModel {
-        &self.hbm
-    }
-
     /// Timed gather of `count` vectors of `vector_bytes` each from random
     /// rows: random HBM reads of the rows plus streaming index reads. The
     /// gathered vectors land in on-chip local memory, matching the paper's
@@ -78,6 +72,7 @@ impl GatherScatterEngine {
     /// # Errors
     /// Returns [`DcmError::IndexOutOfBounds`] if any index exceeds the table
     /// rows, or [`DcmError::ShapeMismatch`] if `table` is not rank 2.
+    // dcm-lint: allow(R1) §3.4 functional layer; prop_memory::gather_matches_naive
     pub fn gather(&self, table: &Tensor, indices: &[usize]) -> Result<(Tensor, MemCost)> {
         if table.shape().rank() != 2 {
             return Err(DcmError::ShapeMismatch(
@@ -106,6 +101,7 @@ impl GatherScatterEngine {
     /// Returns [`DcmError::IndexOutOfBounds`] for out-of-range indices, or
     /// [`DcmError::ShapeMismatch`] if row widths disagree or `values` has
     /// fewer rows than `indices`.
+    // dcm-lint: allow(R1) §3.4 functional layer; prop_memory::scatter_gather_roundtrip
     pub fn scatter(
         &self,
         target: &mut Tensor,

@@ -117,8 +117,7 @@ impl HbmModel {
     ///
     /// Streaming: contiguous accesses coalesce, so the bus moves the total
     /// span rounded to whole chunks once; time is span over streaming
-    /// bandwidth. This is why sub-256 B *strided* kernels must instead use
-    /// [`HbmModel::strided_access`].
+    /// bandwidth.
     ///
     /// Random: each access moves its rounded size plus the per-transaction
     /// overhead at random-access efficiency, with a ramp-up factor when
@@ -153,25 +152,6 @@ impl HbmModel {
                     useful_bytes: useful,
                 }
             }
-        }
-    }
-
-    /// Model `count` accesses of `size` useful bytes at a stride that
-    /// prevents coalescing (each access lands in its own chunk, but
-    /// sequential enough to amortize row activations). This is the pattern
-    /// of a TPC kernel whose data access granularity is below 256 B
-    /// (Fig. 8(a)): every sub-chunk load still moves a whole chunk.
-    #[must_use]
-    pub fn strided_access(&self, count: usize, size: usize) -> MemCost {
-        if count == 0 || size == 0 {
-            return MemCost::zero();
-        }
-        let per_access_bus = self.mem.bus_bytes(size);
-        let bus = per_access_bus * usize_to_u64(count);
-        MemCost {
-            time_s: cast::u64_to_f64(bus) / self.mem.stream_bandwidth(),
-            bus_bytes: bus,
-            useful_bytes: usize_to_u64(count * size),
         }
     }
 
@@ -270,18 +250,6 @@ mod tests {
         let a_small = avg(&a100(), &sizes_small);
         assert!((g_small - 0.15).abs() < 0.06, "gaudi small {g_small}");
         assert!((a_small - 0.36).abs() < 0.10, "a100 small {a_small}");
-    }
-
-    #[test]
-    fn strided_sub_chunk_accesses_round_up() {
-        let g = gaudi();
-        let c = g.strided_access(1000, 2);
-        assert_eq!(c.bus_bytes, 1000 * 256);
-        assert_eq!(c.useful_bytes, 2000);
-        let full = g.strided_access(1000, 256);
-        assert_eq!(full.bus_bytes, 1000 * 256);
-        // Same bus traffic, same time, 128x the useful bytes.
-        assert!((c.time_s - full.time_s).abs() < 1e-12);
     }
 
     #[test]

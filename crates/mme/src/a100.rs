@@ -336,7 +336,7 @@ mod tests {
         let single = a.gemm(shape, DType::Bf16).cost;
         let batched = a.batched_gemm(2048, shape, DType::Bf16).cost;
         assert!(batched.time() < single.time() * 2048.0 * 0.05);
-        assert!(batched.is_memory_bound());
+        assert!(batched.memory_s >= batched.compute_s);
     }
 
     #[test]

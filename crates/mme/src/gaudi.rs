@@ -395,7 +395,7 @@ mod tests {
     fn irregular_gemm_is_memory_bound() {
         // N=16 triangles of Figure 4 sit on the bandwidth slope.
         let run = mme().gemm(GemmShape::new(8192, 8192, 16), DType::Bf16);
-        assert!(run.cost.is_memory_bound());
+        assert!(run.cost.memory_s >= run.cost.compute_s);
     }
 
     #[test]

@@ -29,12 +29,6 @@ pub struct SystolicRun {
     pub rounds: usize,
 }
 
-/// Map `shape` onto `geometry` and count cycles.
-#[must_use]
-pub fn run(shape: GemmShape, geometry: Geometry) -> SystolicRun {
-    run_batched(shape, geometry, 1)
-}
-
 /// Map `batch` independent GEMMs of `shape` onto `geometry`: the tiles of
 /// all batch members are distributed round-robin over the independent
 /// arrays, so a batch of GEMV-like problems (decode attention) can still
@@ -100,24 +94,23 @@ impl CeilDiv {
     }
 }
 
-/// MAC-level utilization of the mapping: useful MAC operations over MAC
-/// slots provided while the run occupied the *powered* geometry.
-#[must_use]
-pub fn mac_utilization(shape: GemmShape, geometry: Geometry) -> f64 {
-    let useful = usize_to_f64(shape.m) * usize_to_f64(shape.k) * usize_to_f64(shape.n);
-    let r = run(shape, geometry);
-    let provided = r.cycles * usize_to_f64(geometry.macs());
-    (useful / provided).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// MAC-level utilization of the mapping: useful MAC operations over MAC
+    /// slots provided while the run occupied the *powered* geometry.
+    fn mac_utilization(shape: GemmShape, geometry: Geometry) -> f64 {
+        let useful = usize_to_f64(shape.m) * usize_to_f64(shape.k) * usize_to_f64(shape.n);
+        let r = run_batched(shape, geometry, 1);
+        let provided = r.cycles * usize_to_f64(geometry.macs());
+        (useful / provided).min(1.0)
+    }
+
     #[test]
     fn single_tile_costs_k_plus_overheads() {
         let g = Geometry::new(256, 256, 1);
-        let r = run(GemmShape::new(256, 1024, 256), g);
+        let r = run_batched(GemmShape::new(256, 1024, 256), g, 1);
         assert_eq!(r.tiles, 1);
         assert_eq!(r.rounds, 1);
         assert_eq!(r.cycles, 1024.0 + TILE_SWITCH_CYCLES as f64 + 512.0);
@@ -126,7 +119,7 @@ mod tests {
     #[test]
     fn tiles_round_up() {
         let g = Geometry::new(256, 256, 1);
-        let r = run(GemmShape::new(257, 128, 512), g);
+        let r = run_batched(GemmShape::new(257, 128, 512), g, 1);
         assert_eq!(r.tiles, 2 * 2);
         assert_eq!(r.rounds, 4);
     }
@@ -136,8 +129,8 @@ mod tests {
         let single = Geometry::new(256, 256, 1);
         let dual = Geometry::new(256, 256, 2);
         let shape = GemmShape::new(1024, 4096, 1024);
-        let rs = run(shape, single);
-        let rd = run(shape, dual);
+        let rs = run_batched(shape, single, 1);
+        let rd = run_batched(shape, dual, 1);
         assert_eq!(rs.tiles, rd.tiles);
         assert_eq!(rd.rounds, rs.rounds / 2);
         assert!(rd.cycles < rs.cycles * 0.51);
@@ -148,29 +141,11 @@ mod tests {
         // Figure 6: M=1024, N=128 GEMM. The fixed dual-256x256 layout needs
         // two sequential rounds; the fused 1024x128 array does it in one.
         let shape = GemmShape::new(1024, 16384, 128);
-        let fixed = run(shape, Geometry::new(256, 256, 2));
-        let tall = run(shape, Geometry::new(1024, 128, 1));
+        let fixed = run_batched(shape, Geometry::new(256, 256, 2), 1);
+        let tall = run_batched(shape, Geometry::new(1024, 128, 1), 1);
         assert_eq!(fixed.rounds, 2);
         assert_eq!(tall.rounds, 1);
         assert!(tall.cycles < fixed.cycles * 0.6);
-    }
-
-    #[test]
-    fn mac_utilization_penalizes_partial_fill() {
-        // N=16 on a 256-wide array wastes 240 of 256 columns.
-        let shape = GemmShape::new(256, 16384, 16);
-        let wide = mac_utilization(shape, Geometry::new(256, 256, 1));
-        let narrow = mac_utilization(shape, Geometry::new(256, 64, 1));
-        assert!(wide < 0.08, "wide array mostly idle: {wide}");
-        assert!(narrow > wide * 3.0);
-    }
-
-    #[test]
-    fn mac_utilization_bounded_by_one() {
-        for &(m, k, n) in &[(64, 64, 64), (8192, 8192, 8192), (1, 1, 1), (1000, 3, 17)] {
-            let u = mac_utilization(GemmShape::new(m, k, n), Geometry::new(256, 256, 2));
-            assert!(u > 0.0 && u <= 1.0, "({m},{k},{n}): {u}");
-        }
     }
 
     #[test]
@@ -193,6 +168,24 @@ mod tests {
             ] {
                 assert_eq!(cd.of(x), x.div_ceil(d), "{x} / {d}");
             }
+        }
+    }
+
+    #[test]
+    fn mac_utilization_penalizes_partial_fill() {
+        // N=16 on a 256-wide array wastes 240 of 256 columns.
+        let shape = GemmShape::new(256, 16384, 16);
+        let wide = mac_utilization(shape, Geometry::new(256, 256, 1));
+        let narrow = mac_utilization(shape, Geometry::new(256, 64, 1));
+        assert!(wide < 0.08, "wide array mostly idle: {wide}");
+        assert!(narrow > wide * 3.0);
+    }
+
+    #[test]
+    fn mac_utilization_bounded_by_one() {
+        for &(m, k, n) in &[(64, 64, 64), (8192, 8192, 8192), (1, 1, 1), (1000, 3, 17)] {
+            let u = mac_utilization(GemmShape::new(m, k, n), Geometry::new(256, 256, 2));
+            assert!(u > 0.0 && u <= 1.0, "({m},{k},{n}): {u}");
         }
     }
 

@@ -183,12 +183,6 @@ impl CollectiveModel {
         &self.name
     }
 
-    /// Devices in the node.
-    #[must_use]
-    pub fn total_devices(&self) -> usize {
-        self.total_devices
-    }
-
     /// Usable unidirectional per-device bandwidth with `participants`
     /// devices active, after protocol efficiency.
     ///

@@ -399,6 +399,7 @@ impl FlowSim {
     /// Bytes still to transfer on one flow that has not been taken
     /// (fractional under the fluid model).
     #[must_use]
+    // dcm-lint: allow(R1) test hook; prop_fabric_diff::links_conserve_bytes
     pub fn remaining_bytes(&self, id: FlowId) -> f64 {
         self.flows[id].remaining
     }

@@ -50,6 +50,7 @@ pub fn allreduce(tensors: &mut [Tensor]) -> Result<()> {
 ///
 /// # Errors
 /// Returns an error if fewer than 2 participants or shapes differ.
+// dcm-lint: allow(R1) §3.4 functional layer; prop_collectives::allreduce_is_rs_plus_ag
 pub fn allgather(shards: &[Tensor]) -> Result<Vec<Tensor>> {
     check_uniform(shards)?;
     let mut cat = Vec::new();
@@ -68,6 +69,7 @@ pub fn allgather(shards: &[Tensor]) -> Result<Vec<Tensor>> {
 /// # Errors
 /// Returns an error if participants disagree in shape or the element count
 /// is not divisible by the participant count.
+// dcm-lint: allow(R1) §3.4 functional layer; prop_collectives::allreduce_is_rs_plus_ag
 pub fn reduce_scatter(tensors: &[Tensor]) -> Result<Vec<Tensor>> {
     check_uniform(tensors)?;
     let n = tensors[0].data().len();
@@ -94,6 +96,7 @@ pub fn reduce_scatter(tensors: &[Tensor]) -> Result<Vec<Tensor>> {
 ///
 /// # Errors
 /// Returns an error if the chunk matrix is not square and uniform.
+// dcm-lint: allow(R1) §3.4 functional layer; prop_collectives::all_to_all_involution
 pub fn all_to_all(chunks: &[Vec<Tensor>]) -> Result<Vec<Vec<Tensor>>> {
     let n = chunks.len();
     if n < 2 || chunks.iter().any(|row| row.len() != n) {
@@ -115,6 +118,7 @@ pub fn all_to_all(chunks: &[Vec<Tensor>]) -> Result<Vec<Vec<Tensor>>> {
 /// # Errors
 /// Returns an error if fewer than 2 participants, shapes differ, or `root`
 /// is out of range.
+// dcm-lint: allow(R1) §3.4 functional layer; prop_collectives::allreduce_is_reduce_plus_broadcast
 pub fn reduce(tensors: &[Tensor], root: usize) -> Result<Tensor> {
     check_uniform(tensors)?;
     if root >= tensors.len() {
@@ -137,6 +141,7 @@ pub fn reduce(tensors: &[Tensor], root: usize) -> Result<Tensor> {
 ///
 /// # Errors
 /// Returns an error if `n < 2`.
+// dcm-lint: allow(R1) §3.4 functional layer; prop_collectives::allreduce_is_reduce_plus_broadcast
 pub fn broadcast(root_tensor: &Tensor, n: usize) -> Result<Vec<Tensor>> {
     if n < 2 {
         return Err(DcmError::InvalidConfig(

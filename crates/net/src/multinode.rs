@@ -48,24 +48,6 @@ impl MultiNodeModel {
         }
     }
 
-    /// Total devices in the cluster.
-    #[must_use]
-    pub fn total_devices(&self) -> usize {
-        self.devices_per_node * self.nodes
-    }
-
-    /// Scale-out bandwidth per device in bytes/s (line rate).
-    #[must_use]
-    pub fn inter_node_bandwidth(&self) -> f64 {
-        self.scale_out.bps_per_device
-    }
-
-    /// Nodes in the cluster.
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// Wall time of a cluster-wide all-reduce of `bytes` per device.
     ///
     /// Single node: delegates to the intra-node model. Multi-node:
@@ -101,17 +83,6 @@ impl MultiNodeModel {
             2.0 * dcm_core::cast::usize_to_f64(self.nodes - 1) * self.scale_out.alpha_s;
         rs + inter_beta + inter_alpha + ag
     }
-
-    /// Effective cluster all-reduce algorithm bandwidth in bytes/s.
-    /// `bytes == 0` returns `0.0` (a no-op moves nothing).
-    #[must_use]
-    pub fn allreduce_bandwidth(&self, bytes: u64) -> f64 {
-        let t = self.allreduce_time(bytes);
-        if t <= 0.0 {
-            return 0.0;
-        }
-        dcm_core::cast::u64_to_f64(bytes) / t
-    }
 }
 
 #[cfg(test)]
@@ -138,8 +109,8 @@ mod tests {
     #[test]
     fn scale_out_bandwidths_match_platforms() {
         // Gaudi-2: 3 x 100 GbE = 37.5 GB/s; DGX: HDR200 = 25 GB/s per GPU.
-        assert!((gaudi(2).inter_node_bandwidth() - 37.5e9).abs() < 1e6);
-        assert!((dgx(2).inter_node_bandwidth() - 25.0e9).abs() < 1e6);
+        assert!((gaudi(2).scale_out.bps_per_device - 37.5e9).abs() < 1e6);
+        assert!((dgx(2).scale_out.bps_per_device - 25.0e9).abs() < 1e6);
     }
 
     #[test]
@@ -176,12 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_sizes() {
-        assert_eq!(gaudi(16).total_devices(), 128);
-        assert_eq!(dgx(125).total_devices(), 1000);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_rejected() {
         let _ = gaudi(0);
@@ -192,7 +157,6 @@ mod tests {
         // An empty all-reduce completes instantly — never NaN/inf.
         for model in [gaudi(1), gaudi(4), dgx(4)] {
             assert_eq!(model.allreduce_time(0).to_bits(), 0.0f64.to_bits());
-            assert_eq!(model.allreduce_bandwidth(0).to_bits(), 0.0f64.to_bits());
         }
     }
 
@@ -201,6 +165,6 @@ mod tests {
         // S2: constants live in ScaleOutSpec now — a preset added to the
         // registry gets a scale-out fabric with no dcm-net change.
         let g3 = MultiNodeModel::new(&DeviceSpec::gaudi3(), 2);
-        assert!((g3.inter_node_bandwidth() - 75.0e9).abs() < 1e6);
+        assert!((g3.scale_out.bps_per_device - 75.0e9).abs() < 1e6);
     }
 }

@@ -80,7 +80,7 @@ impl Topology {
     /// The in-node fabric of one server: mesh or switch, with protocol
     /// `efficiency` folded into every link capacity. Mesh topologies have
     /// `devices` endpoints; switched topologies add one hub endpoint at
-    /// index [`Topology::hub`].
+    /// index `devices`, the last.
     ///
     /// # Panics
     /// Panics if `devices < 2`.
@@ -127,13 +127,6 @@ impl Topology {
                 topo
             }
         }
-    }
-
-    /// The hub endpoint of a switched [`Topology::node_fabric`]
-    /// (`devices`), by convention the last endpoint.
-    #[must_use]
-    pub fn hub(&self) -> NodeId {
-        self.num_nodes - 1
     }
 
     /// Add a directed link and return its id.
@@ -205,28 +198,10 @@ impl Topology {
         self.routes[route].latency_s
     }
 
-    /// Number of endpoints.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of directed links.
-    #[must_use]
-    pub fn num_links(&self) -> usize {
-        self.links.len()
-    }
-
     /// The link table.
     #[must_use]
     pub fn links(&self) -> &[LinkSpec] {
         &self.links
-    }
-
-    /// Capacity of one link in bytes/s.
-    #[must_use]
-    pub fn capacity(&self, link: LinkId) -> f64 {
-        self.links[link].capacity_bps
     }
 }
 
@@ -244,12 +219,12 @@ mod tests {
             8,
             1.0,
         );
-        assert_eq!(topo.num_nodes(), 8);
-        assert_eq!(topo.num_links(), 8 * 7);
+        assert_eq!(topo.num_nodes, 8);
+        assert_eq!(topo.links.len(), 8 * 7);
         let path = |s, d| topo.route_links(topo.route(s, d).unwrap());
         let p = path(0, 7);
         assert_eq!(p.len(), 1, "direct link");
-        assert!((topo.capacity(p[0]) - 37.5e9).abs() < 1.0);
+        assert!((topo.links[p[0]].capacity_bps - 37.5e9).abs() < 1.0);
         // Disjoint ordered pairs use disjoint links.
         assert_ne!(path(0, 7), path(7, 0));
     }
@@ -263,13 +238,13 @@ mod tests {
             8,
             0.5,
         );
-        assert_eq!(topo.num_nodes(), 9);
-        assert_eq!(topo.num_links(), 16);
+        assert_eq!(topo.num_nodes, 9);
+        assert_eq!(topo.links.len(), 16);
         let path = |s, d| topo.route_links(topo.route(s, d).unwrap());
         let p = path(2, 5);
         assert_eq!(p.len(), 2, "uplink + downlink");
         assert!(
-            (topo.capacity(p[0]) - 150.0e9).abs() < 1.0,
+            (topo.links[p[0]].capacity_bps - 150.0e9).abs() < 1.0,
             "efficiency folded in"
         );
         // All flows out of device 2 share its uplink.

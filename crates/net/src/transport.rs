@@ -70,19 +70,6 @@ impl FlowTransport {
         }
     }
 
-    /// The retained closed-form model (the executable spec this
-    /// transport is differentially tested against).
-    #[must_use]
-    pub fn spec_model(&self) -> &CollectiveModel {
-        &self.spec_model
-    }
-
-    /// Devices in the node.
-    #[must_use]
-    pub fn total_devices(&self) -> usize {
-        self.total_devices
-    }
-
     /// A fresh simulator over this node's fabric — for callers that
     /// schedule their own traffic (tests, the cluster control plane).
     #[must_use]
@@ -307,12 +294,6 @@ impl MultiNodeFlowTransport {
         }
     }
 
-    /// Total devices in the cluster.
-    #[must_use]
-    pub fn total_devices(&self) -> usize {
-        self.devices_per_node * self.nodes
-    }
-
     /// Emergent wall time of a cluster-wide all-reduce of `bytes` per
     /// device. `bytes == 0` is a no-op returning `0.0`.
     #[must_use]
@@ -375,7 +356,7 @@ mod tests {
         // the uncongested β matches the closed-form spec to rounding.
         for spec in [DeviceSpec::gaudi2(), DeviceSpec::a100()] {
             let t = FlowTransport::new(&spec);
-            let m = t.spec_model().clone();
+            let m = t.spec_model.clone();
             for coll in [
                 Collective::AllReduce,
                 Collective::AllGather,
@@ -400,7 +381,7 @@ mod tests {
     fn rooted_collectives_within_documented_band() {
         for spec in [DeviceSpec::gaudi2(), DeviceSpec::a100()] {
             let t = FlowTransport::new(&spec);
-            let m = t.spec_model().clone();
+            let m = t.spec_model.clone();
             for coll in [Collective::Reduce, Collective::Broadcast] {
                 for n in [2usize, 4, 8] {
                     let ratio = t.time(coll, MB32, n) / m.time(coll, MB32, n);

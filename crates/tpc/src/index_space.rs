@@ -129,51 +129,6 @@ impl IndexSpace {
     pub fn iter(&self) -> impl Iterator<Item = IndexMember> + '_ {
         (0..self.members()).map(move |i| self.member(i))
     }
-
-    /// Split the members into `cores` contiguous partitions, balanced to
-    /// within one member — how the runtime distributes the index space over
-    /// TPCs.
-    ///
-    /// # Panics
-    /// Panics if `cores` is zero.
-    #[must_use]
-    pub fn partition(&self, cores: usize) -> Vec<Partition> {
-        assert!(cores > 0, "cannot partition over zero cores");
-        let total = self.members();
-        let base = total / cores;
-        let extra = total % cores;
-        let mut out = Vec::with_capacity(cores);
-        let mut start = 0;
-        for c in 0..cores {
-            let len = base + usize::from(c < extra);
-            out.push(Partition {
-                core: c,
-                start,
-                len,
-            });
-            start += len;
-        }
-        out
-    }
-}
-
-/// A contiguous range of index-space members assigned to one core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Partition {
-    /// Core (TPC/SM) index.
-    pub core: usize,
-    /// First flat member index.
-    pub start: usize,
-    /// Number of members.
-    pub len: usize,
-}
-
-impl Partition {
-    /// Whether this partition received any work.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 #[cfg(test)]
@@ -210,41 +165,9 @@ mod tests {
     }
 
     #[test]
-    fn partition_is_balanced_and_complete() {
-        let s = IndexSpace::linear(100);
-        let parts = s.partition(24);
-        assert_eq!(parts.len(), 24);
-        let total: usize = parts.iter().map(|p| p.len).sum();
-        assert_eq!(total, 100);
-        let max = parts.iter().map(|p| p.len).max().unwrap();
-        let min = parts.iter().map(|p| p.len).min().unwrap();
-        assert!(max - min <= 1, "imbalance: {min}..{max}");
-        // Contiguous coverage.
-        let mut cursor = 0;
-        for p in &parts {
-            assert_eq!(p.start, cursor);
-            cursor += p.len;
-        }
-    }
-
-    #[test]
-    fn partition_with_more_cores_than_members() {
-        let s = IndexSpace::linear(3);
-        let parts = s.partition(8);
-        let nonempty = parts.iter().filter(|p| !p.is_empty()).count();
-        assert_eq!(nonempty, 3);
-    }
-
-    #[test]
     #[should_panic(expected = "out of")]
     fn member_bounds_checked() {
         let s = IndexSpace::linear(2);
         let _ = s.member(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero cores")]
-    fn zero_cores_rejected() {
-        let _ = IndexSpace::linear(2).partition(0);
     }
 }

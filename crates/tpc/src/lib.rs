@@ -34,5 +34,5 @@ pub mod program;
 pub mod vliw;
 
 pub use engine::{StreamKernel, VectorEngineModel};
-pub use index_space::{IndexMember, IndexSpace, Partition};
+pub use index_space::{IndexMember, IndexSpace};
 pub use program::{TpcContext, TpcExecutor, TpcProgram, VecReg};

@@ -116,24 +116,23 @@ pub fn schedule(trace: &[TraceInstr], window_members: u32, latency: u32) -> u64 
     last_issue + u64::from(latency) + 1
 }
 
-/// Lower bound: the busiest slot's instruction count (what perfect
-/// pipelining achieves).
-#[must_use]
-pub fn slot_bound(trace: &[TraceInstr]) -> u64 {
-    let mut counts = [0u64; 3];
-    for i in trace {
-        counts[match i.slot {
-            Slot::Load => 0,
-            Slot::Vpu => 1,
-            Slot::Store => 2,
-        }] += 1;
-    }
-    counts.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lower bound: the busiest slot's instruction count (what perfect
+    /// pipelining achieves).
+    fn slot_bound(trace: &[TraceInstr]) -> u64 {
+        let mut counts = [0u64; 3];
+        for i in trace {
+            counts[match i.slot {
+                Slot::Load => 0,
+                Slot::Vpu => 1,
+                Slot::Store => 2,
+            }] += 1;
+        }
+        counts.into_iter().max().unwrap_or(0)
+    }
 
     /// Build a SCALE-like member: one load -> one vpu -> one store.
     fn scale_member(member: u32, base_reg: u32) -> Vec<TraceInstr> {

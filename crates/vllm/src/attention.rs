@@ -237,12 +237,14 @@ impl BatchStats {
 
     /// Sum of cached-token lengths.
     #[must_use]
+    // dcm-lint: allow(R1) BatchStats oracle API; prop_batch_stats::incremental_stats_match_recompute_under_interleavings
     pub fn sum_lens(&self) -> usize {
         self.sum_lens
     }
 
     /// Total effectual KV blocks (Σ per-sequence block counts).
     #[must_use]
+    // dcm-lint: allow(R1) BatchStats oracle API; prop_batch_stats::incremental_stats_match_recompute_under_interleavings
     pub fn sum_blocks(&self) -> usize {
         self.sum_blocks
     }
@@ -1000,6 +1002,7 @@ impl GemmTerms {
     ) -> f64 {
         let (batch, len) = key;
         if batch >= self.rows.len() {
+            // dcm-lint: allow(A1) grows the row directory only when a GEMM batch larger than any before is first priced
             self.rows.resize_with(batch + 1, Vec::new);
         }
         let row = &mut self.rows[batch];

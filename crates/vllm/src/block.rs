@@ -8,7 +8,7 @@
 //! (§4.2). The optimized version concatenates "only the effectual KV cache
 //! block indices" into a 1-D `BlockList`.
 
-use dcm_core::cast::{usize_to_f32, usize_to_f64};
+use dcm_core::cast::usize_to_f32;
 use dcm_core::error::{DcmError, Result};
 use dcm_core::linalg;
 use dcm_core::tensor::Tensor;
@@ -33,6 +33,7 @@ impl BlockTable {
     /// # Errors
     /// Returns [`DcmError::InvalidConfig`] if `per_seq` is empty or any
     /// sequence has no blocks.
+    // dcm-lint: allow(R1) §4 BlockTable vs BlockList; prop_vllm::block_layouts_agree
     pub fn new(per_seq: &[Vec<usize>]) -> Result<Self> {
         if per_seq.is_empty() || per_seq.iter().any(Vec::is_empty) {
             return Err(DcmError::InvalidConfig(
@@ -62,12 +63,6 @@ impl BlockTable {
         self.rows.len()
     }
 
-    /// Padded width (blocks gathered per sequence).
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Total block gathers the baseline kernel issues (padded entries
     /// included).
     #[must_use]
@@ -83,14 +78,9 @@ impl BlockTable {
 
     /// Redundant gathers caused by zero-padding.
     #[must_use]
+    // dcm-lint: allow(R1) §4 BlockTable vs BlockList; block::block_table_padding_accounting
     pub fn redundant_gathers(&self) -> usize {
         self.total_gathers() - self.effectual_gathers()
-    }
-
-    /// Fraction of gathers that are padding (the x-axis of Figure 17(b)).
-    #[must_use]
-    pub fn padding_fraction(&self) -> f64 {
-        usize_to_f64(self.redundant_gathers()) / usize_to_f64(self.total_gathers())
     }
 
     /// Padded block row of sequence `i`.
@@ -120,6 +110,7 @@ impl BlockList {
     /// # Errors
     /// Returns [`DcmError::InvalidConfig`] if `per_seq` is empty or any
     /// sequence has no blocks.
+    // dcm-lint: allow(R1) §4 BlockTable vs BlockList; prop_vllm::block_layouts_agree
     pub fn new(per_seq: &[Vec<usize>]) -> Result<Self> {
         if per_seq.is_empty() || per_seq.iter().any(Vec::is_empty) {
             return Err(DcmError::InvalidConfig(
@@ -136,14 +127,9 @@ impl BlockList {
         Ok(BlockList { list, offsets })
     }
 
-    /// Sequences in the batch.
-    #[must_use]
-    pub fn batch(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Total (all effectual) block gathers.
     #[must_use]
+    // dcm-lint: allow(R1) §4 BlockTable vs BlockList; prop_vllm::block_layouts_agree
     pub fn total_gathers(&self) -> usize {
         self.list.len()
     }
@@ -152,12 +138,6 @@ impl BlockList {
     #[must_use]
     pub fn blocks_of(&self, i: usize) -> &[usize] {
         &self.list[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// The flat concatenated list.
-    #[must_use]
-    pub fn flat(&self) -> &[usize] {
-        &self.list
     }
 }
 
@@ -176,6 +156,7 @@ pub struct BlockStore {
 impl BlockStore {
     /// Random block store with `num_blocks` blocks.
     #[must_use]
+    // dcm-lint: allow(R1) §4 BlockTable vs BlockList; prop_vllm::block_layouts_agree
     pub fn random<R: rand::Rng + ?Sized>(
         num_blocks: usize,
         block_tokens: usize,
@@ -238,6 +219,7 @@ impl BlockStore {
     ///
     /// # Errors
     /// Returns an error on invalid blocks or shapes.
+    // dcm-lint: allow(R1) §4 BlockTable vs BlockList; prop_vllm::block_layouts_agree
     pub fn attend_block_table(
         &self,
         query: &Tensor,
@@ -258,6 +240,7 @@ impl BlockStore {
     ///
     /// # Errors
     /// Returns an error on invalid blocks or shapes.
+    // dcm-lint: allow(R1) §4 BlockTable vs BlockList; prop_vllm::block_layouts_agree
     pub fn attend_block_list(
         &self,
         query: &Tensor,
@@ -282,11 +265,9 @@ mod tests {
     fn block_table_padding_accounting() {
         let t = BlockTable::new(&per_seq()).unwrap();
         assert_eq!(t.batch(), 3);
-        assert_eq!(t.width(), 3);
         assert_eq!(t.total_gathers(), 9);
         assert_eq!(t.effectual_gathers(), 6);
         assert_eq!(t.redundant_gathers(), 3);
-        assert!((t.padding_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(t.row(1), &[5, 0, 0]);
         assert_eq!(t.effectual_of(1), 1);
     }
@@ -294,11 +275,9 @@ mod tests {
     #[test]
     fn block_list_has_no_padding() {
         let l = BlockList::new(&per_seq()).unwrap();
-        assert_eq!(l.batch(), 3);
         assert_eq!(l.total_gathers(), 6);
         assert_eq!(l.blocks_of(0), &[3, 1, 4]);
         assert_eq!(l.blocks_of(1), &[5]);
-        assert_eq!(l.flat(), &[3, 1, 4, 5, 2, 6]);
     }
 
     #[test]
@@ -312,7 +291,6 @@ mod tests {
     fn uniform_lengths_have_zero_padding() {
         let t = BlockTable::new(&[vec![1, 2], vec![3, 4]]).unwrap();
         assert_eq!(t.redundant_gathers(), 0);
-        assert_eq!(t.padding_fraction(), 0.0);
     }
 
     #[test]

@@ -1262,7 +1262,10 @@ mod tests {
         // pinned replica.
         let mut reqs = vec![crate::dataset::Request::new(0, 1024, 4000)];
         for i in 1..9 {
-            reqs.push(crate::dataset::Request::new(i, 128, 32).with_arrival(i as f64 * 2.0));
+            reqs.push(crate::dataset::Request {
+                arrival_s: i as f64 * 2.0,
+                ..crate::dataset::Request::new(i, 128, 32)
+            });
         }
         let jsq = cluster(2, RoutingPolicy::JoinShortestQueue)
             .run(&reqs)
@@ -1580,7 +1583,7 @@ mod tests {
             .into_iter()
             .map(|r| {
                 let t = r.arrival_s + 10.0;
-                r.with_arrival(t)
+                crate::dataset::Request { arrival_s: t, ..r }
             })
             .collect();
         let baseline = cluster(2, RoutingPolicy::RoundRobin).run(&reqs).unwrap();
@@ -1799,8 +1802,14 @@ mod tests {
         // is in flight. The delivery must re-route to the survivor and
         // the accounting must still balance.
         let reqs = vec![
-            crate::dataset::Request::new(0, 128, 16).with_arrival(0.0),
-            crate::dataset::Request::new(1, 128, 16).with_arrival(0.1),
+            crate::dataset::Request {
+                arrival_s: 0.0,
+                ..crate::dataset::Request::new(0, 128, 16)
+            },
+            crate::dataset::Request {
+                arrival_s: 0.1,
+                ..crate::dataset::Request::new(1, 128, 16)
+            },
         ];
         let slow = FabricConfig {
             dispatch_bytes: 1 << 20,

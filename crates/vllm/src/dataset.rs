@@ -31,7 +31,9 @@ pub struct Request {
     /// Tokens to generate.
     pub output_len: usize,
     /// Arrival time in seconds from the start of the run. Zero reproduces
-    /// the paper's offline setup (everything queued at the start).
+    /// the paper's offline setup (everything queued at the start). Every
+    /// `ServingEngine::run*` and `Cluster::run*` entry rejects a NaN,
+    /// negative or infinite arrival with `DcmError::InvalidConfig`.
     pub arrival_s: f64,
 }
 
@@ -45,16 +47,6 @@ impl Request {
             output_len,
             arrival_s: 0.0,
         }
-    }
-
-    /// The same request arriving at `arrival_s`. The arrival is checked
-    /// where a run starts: every `ServingEngine::run*` and `Cluster::run*`
-    /// entry rejects a NaN, negative or infinite arrival with
-    /// `DcmError::InvalidConfig`.
-    #[must_use]
-    pub fn with_arrival(mut self, arrival_s: f64) -> Self {
-        self.arrival_s = arrival_s;
-        self
     }
 }
 
@@ -344,7 +336,10 @@ mod tests {
         for arrival_s in [f64::NAN, -1.0, f64::INFINITY] {
             let reqs = [
                 Request::new(1, 128, 4),
-                Request::new(7, 128, 4).with_arrival(arrival_s),
+                Request {
+                    arrival_s,
+                    ..Request::new(7, 128, 4)
+                },
             ];
             let names_request_7 =
                 |e: DcmError| matches!(&e, DcmError::InvalidConfig(m) if m.contains("request 7"));

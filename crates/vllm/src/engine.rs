@@ -624,6 +624,7 @@ pub struct StepTableStats {
 
 /// Read the calling thread's step-table counts.
 #[must_use]
+// dcm-lint: allow(R1) test hook; step_cost_memo_counts::each_step_graph_compiles_once_per_thread
 pub fn step_table_stats() -> StepTableStats {
     THREAD_TABLES.with(|tables| {
         let tables = tables.borrow();
@@ -1905,7 +1906,13 @@ mod tests {
     fn zero_arrival_online_path_matches_offline_run() {
         // arrival_s == 0 must be the offline special case, bit-identical.
         let reqs = SyntheticDataset::dynamic_sonnet(16, 11);
-        let stamped: Vec<Request> = reqs.iter().map(|r| r.with_arrival(0.0)).collect();
+        let stamped: Vec<Request> = reqs
+            .iter()
+            .map(|r| Request {
+                arrival_s: 0.0,
+                ..*r
+            })
+            .collect();
         let a = engine(PagedBackend::GaudiOpt, 8).run(&reqs).unwrap();
         let b = engine(PagedBackend::GaudiOpt, 8).run(&stamped).unwrap();
         assert_eq!(a, b);
@@ -1919,7 +1926,10 @@ mod tests {
         let gap = 50.0;
         let reqs = vec![
             Request::new(0, 128, 8),
-            Request::new(1, 128, 8).with_arrival(gap),
+            Request {
+                arrival_s: gap,
+                ..Request::new(1, 128, 8)
+            },
         ];
         let report = engine(PagedBackend::GaudiOpt, 4).run(&reqs).unwrap();
         assert_eq!(report.completed, 2);
@@ -1942,7 +1952,10 @@ mod tests {
         let trickle: Vec<Request> = reqs
             .iter()
             .enumerate()
-            .map(|(i, r)| r.with_arrival(i as f64 * 10.0))
+            .map(|(i, r)| Request {
+                arrival_s: i as f64 * 10.0,
+                ..*r
+            })
             .collect();
         let relaxed = engine(PagedBackend::GaudiOpt, 4).run(&trickle).unwrap();
         assert!(relaxed.mean_queue_delay_s < offline.mean_queue_delay_s);
@@ -1997,7 +2010,10 @@ mod tests {
         // completes.
         let reqs = vec![
             Request::new(0, 128, 400),
-            Request::new(1, 128, 64).with_arrival(0.5),
+            Request {
+                arrival_s: 0.5,
+                ..Request::new(1, 128, 64)
+            },
         ];
         let exact = engine(PagedBackend::GaudiOpt, 4).run(&reqs).unwrap();
         let ff = solo(engine(PagedBackend::GaudiOpt, 4))

@@ -136,12 +136,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The scheduled events, in insertion order.
-    #[must_use]
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
     /// Add a permanent crash of `replica` at `at_s`.
     #[must_use]
     pub fn with_crash(mut self, replica: usize, at_s: f64) -> Self {
@@ -456,7 +450,7 @@ mod tests {
             .with_recovering_crash(1, 5.0, 9.0)
             .with_slowdown(0, 2.0, 5.0, 3.0)
             .with_crash(2, 5.0);
-        assert_eq!(plan.events().len(), 3);
+        assert_eq!(plan.events.len(), 3);
         assert!(plan.validate(3).is_ok());
         let tl = plan.timeline();
         let times: Vec<f64> = tl.iter().map(|e| e.t).collect();
@@ -498,10 +492,10 @@ mod tests {
         let b = FaultPlan::random_crashes(4, 2, 100.0, 11);
         assert_eq!(a, b, "same seed, same plan");
         assert_ne!(a, FaultPlan::random_crashes(4, 2, 100.0, 12));
-        assert_eq!(a.events().len(), 2);
+        assert_eq!(a.events.len(), 2);
         assert!(a.validate(4).is_ok());
         let mut victims: Vec<usize> = a
-            .events()
+            .events
             .iter()
             .map(|e| match *e {
                 FaultEvent::Crash { replica, .. } => replica,
@@ -511,7 +505,7 @@ mod tests {
         victims.sort_unstable();
         victims.dedup();
         assert_eq!(victims.len(), 2, "distinct victims");
-        for e in a.events() {
+        for e in &a.events {
             if let FaultEvent::Crash {
                 at_s, recover_at_s, ..
             } = *e

@@ -169,6 +169,7 @@ impl PagedKvCache {
 
     /// Free blocks.
     #[must_use]
+    // dcm-lint: allow(R1) PagedKvCache oracle API; prop_vllm::kv_cache_matches_the_block_id_model
     pub fn free_blocks(&self) -> usize {
         self.pool.free()
     }
@@ -258,6 +259,7 @@ impl PagedKvCache {
 
     /// Current token count of a live sequence.
     #[must_use]
+    // dcm-lint: allow(R1) PagedKvCache oracle API; prop_vllm::kv_cache_matches_the_block_id_model
     pub fn tokens_of(&self, id: SeqId) -> Option<usize> {
         self.seqs.get(&id).map(|&(tokens, _)| tokens)
     }

@@ -55,12 +55,6 @@ pub struct SeqSlab {
 }
 
 impl SeqSlab {
-    /// An empty slab.
-    #[must_use]
-    pub fn new() -> Self {
-        SeqSlab::default()
-    }
-
     /// An empty slab with room for `capacity` concurrent sequences before
     /// any column reallocates.
     #[must_use]
@@ -92,6 +86,7 @@ impl SeqSlab {
     /// Total slots ever allocated (live + free) — the high-water mark of
     /// batch concurrency.
     #[must_use]
+    // dcm-lint: allow(R1) SeqSlab oracle API; prop_slab_diff::slab_matches_btreemap_model
     pub fn capacity(&self) -> usize {
         self.generation.len()
     }
@@ -166,22 +161,15 @@ impl SeqSlab {
         self.request[i]
     }
 
-    /// The sequence's original request.
-    ///
-    /// # Panics
-    /// Panics if `slot` is stale (as do all accessors below).
-    #[must_use]
-    pub fn request(&self, slot: SlotId) -> Request {
-        self.request[self.idx(slot)]
-    }
-
     /// Output tokens still to produce.
     #[must_use]
+    // dcm-lint: allow(R1) SeqSlab oracle API; prop_slab_diff::slab_matches_btreemap_model
     pub fn remaining(&self, slot: SlotId) -> usize {
         self.remaining[self.idx(slot)]
     }
 
     /// Set the remaining output-token budget.
+    // dcm-lint: allow(R1) SeqSlab oracle API; prop_slab_diff::slab_matches_btreemap_model
     pub fn set_remaining(&mut self, slot: SlotId, remaining: usize) {
         let i = self.idx(slot);
         self.remaining[i] = remaining;
@@ -189,17 +177,20 @@ impl SeqSlab {
 
     /// Simulated time of the first output token.
     #[must_use]
+    // dcm-lint: allow(R1) SeqSlab oracle API; prop_slab_diff::slab_matches_btreemap_model
     pub fn first_token_t(&self, slot: SlotId) -> f64 {
         self.first_token_t[self.idx(slot)]
     }
 
     /// Output tokens produced so far.
     #[must_use]
+    // dcm-lint: allow(R1) SeqSlab oracle API; prop_slab_diff::slab_matches_btreemap_model
     pub fn produced(&self, slot: SlotId) -> usize {
         self.produced[self.idx(slot)]
     }
 
     /// Set the produced-token count.
+    // dcm-lint: allow(R1) SeqSlab oracle API; prop_slab_diff::slab_matches_btreemap_model
     pub fn set_produced(&mut self, slot: SlotId, produced: usize) {
         let i = self.idx(slot);
         self.produced[i] = produced;
@@ -207,11 +198,13 @@ impl SeqSlab {
 
     /// Mirrored KV-cache token count (append attempts included).
     #[must_use]
+    // dcm-lint: allow(R1) SeqSlab oracle API; prop_slab_diff::slab_matches_btreemap_model
     pub fn kv_tokens(&self, slot: SlotId) -> usize {
         self.kv_tokens[self.idx(slot)]
     }
 
     /// Set the mirrored KV-cache token count.
+    // dcm-lint: allow(R1) SeqSlab oracle API; prop_slab_diff::slab_matches_btreemap_model
     pub fn set_kv_tokens(&mut self, slot: SlotId, kv_tokens: usize) {
         let i = self.idx(slot);
         self.kv_tokens[i] = kv_tokens;
@@ -228,10 +221,10 @@ mod tests {
 
     #[test]
     fn insert_then_read_back() {
-        let mut slab = SeqSlab::new();
+        let mut slab = SeqSlab::default();
         let a = slab.insert(req(7), 15, 0.25, 1, 129);
         assert_eq!(slab.len(), 1);
-        assert_eq!(slab.request(a).id, 7);
+        assert_eq!(slab.request[slab.idx(a)].id, 7);
         assert_eq!(slab.remaining(a), 15);
         assert_eq!(slab.first_token_t(a), 0.25);
         assert_eq!(slab.produced(a), 1);
@@ -240,7 +233,7 @@ mod tests {
 
     #[test]
     fn slots_are_independent() {
-        let mut slab = SeqSlab::new();
+        let mut slab = SeqSlab::default();
         let a = slab.insert(req(0), 10, 0.0, 1, 10);
         let b = slab.insert(req(1), 20, 1.0, 1, 20);
         slab.set_remaining(a, 9);
@@ -263,14 +256,14 @@ mod tests {
         let d = slab.insert(req(11), 1, 0.0, 1, 1);
         assert_eq!(slab.capacity(), 4, "churn must not grow the slab");
         assert_eq!(slab.len(), 4);
-        assert_eq!(slab.request(c).id, 10);
-        assert_eq!(slab.request(d).id, 11);
+        assert_eq!(slab.request[slab.idx(c)].id, 10);
+        assert_eq!(slab.request[slab.idx(d)].id, 11);
     }
 
     #[test]
     #[should_panic(expected = "stale slot id")]
     fn stale_id_panics_after_reuse() {
-        let mut slab = SeqSlab::new();
+        let mut slab = SeqSlab::default();
         let a = slab.insert(req(0), 1, 0.0, 1, 1);
         slab.remove(a);
         let _b = slab.insert(req(1), 1, 0.0, 1, 1); // same index, new generation
@@ -280,7 +273,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale slot id")]
     fn double_remove_panics() {
-        let mut slab = SeqSlab::new();
+        let mut slab = SeqSlab::default();
         let a = slab.insert(req(0), 1, 0.0, 1, 1);
         slab.remove(a);
         slab.remove(a);
@@ -288,7 +281,7 @@ mod tests {
 
     #[test]
     fn contains_tracks_liveness() {
-        let mut slab = SeqSlab::new();
+        let mut slab = SeqSlab::default();
         let a = slab.insert(req(0), 1, 0.0, 1, 1);
         assert!(slab.contains(a));
         slab.remove(a);

@@ -80,6 +80,7 @@ impl DlrmFunctional {
     ///
     /// # Errors
     /// Returns [`DcmError::InvalidConfig`] for a degenerate configuration.
+    // dcm-lint: allow(R1) §3.4 functional layer; prop_functional::dlrm_functional_rows_are_independent
     pub fn random(config: DlrmConfig, seed: u64) -> Result<Self> {
         if config.bottom_mlp.is_empty() || config.top_mlp.is_empty() {
             return Err(DcmError::InvalidConfig(
@@ -121,18 +122,6 @@ impl DlrmFunctional {
         })
     }
 
-    /// The model configuration.
-    #[must_use]
-    pub fn config(&self) -> &DlrmConfig {
-        &self.config
-    }
-
-    /// The embedding tables (for building lookups against real row counts).
-    #[must_use]
-    pub fn embedding_tables(&self) -> &[Tensor] {
-        &self.embedding_tables
-    }
-
     /// One cross layer applied functionally: `x0 ⊙ (U(Vx)) + x`.
     fn cross_layer(x0: &Tensor, x: &Tensor, w: &CrossLayerWeights) -> Result<Tensor> {
         let low = linalg::matmul(x, &w.v)?;
@@ -152,6 +141,7 @@ impl DlrmFunctional {
     ///
     /// # Errors
     /// Returns shape or index errors from any stage.
+    // dcm-lint: allow(R1) §3.4 functional layer; prop_functional::dlrm_functional_rows_are_independent
     pub fn forward(&self, dense: &Tensor, lookup: &LookupBatch) -> Result<Tensor> {
         if dense.shape().rank() != 2
             || dense.shape().dim(1) != self.config.dense_features
@@ -211,7 +201,7 @@ mod tests {
         let model = DlrmFunctional::random(tiny_config(), seed).unwrap();
         let mut r = rng::seeded(seed + 1);
         let dense = Tensor::random([batch, 8], DType::Fp32, &mut r);
-        let lookup = LookupBatch::random(&model.config().embedding, batch, &mut r);
+        let lookup = LookupBatch::random(&model.config.embedding, batch, &mut r);
         (model, dense, lookup)
     }
 
@@ -256,7 +246,7 @@ mod tests {
         let cfg = tiny_config();
         let model = DlrmFunctional::random(cfg.clone(), 3).unwrap();
         assert_eq!(
-            model.config().interaction_dim(),
+            model.config.interaction_dim(),
             cfg.embedding.tables * cfg.embedding.dim + cfg.bottom_mlp.last().copied().unwrap()
         );
         // And the graph's first cross GEMM uses exactly this dimension.
@@ -275,7 +265,7 @@ mod tests {
         let (model, _, _) = run(11, 1);
         let mut r = rng::seeded(99);
         let dense = Tensor::random([4, 8], DType::Fp32, &mut r);
-        let lookup = LookupBatch::random(&model.config().embedding, 4, &mut r);
+        let lookup = LookupBatch::random(&model.config.embedding, 4, &mut r);
         // Per-sample forward equals the batched rows.
         let batched = model.forward(&dense, &lookup).unwrap();
         for b in 0..4 {
@@ -286,8 +276,8 @@ mod tests {
                     .indices
                     .iter()
                     .map(|list| {
-                        list[b * model.config().embedding.pooling
-                            ..(b + 1) * model.config().embedding.pooling]
+                        list[b * model.config.embedding.pooling
+                            ..(b + 1) * model.config.embedding.pooling]
                             .to_vec()
                     })
                     .collect(),

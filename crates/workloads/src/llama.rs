@@ -247,24 +247,6 @@ impl ServeRun {
         self.prefill.time_s + self.decode.time_s
     }
 
-    /// Time to first token (the prefill latency).
-    #[must_use]
-    pub fn ttft_s(&self) -> f64 {
-        self.prefill.time_s
-    }
-
-    /// Mean time per output token over the decode stage.
-    #[must_use]
-    pub fn tpot_s(&self, output_len: usize) -> f64 {
-        self.decode.time_s / cast::usize_to_f64(output_len)
-    }
-
-    /// Output tokens per second.
-    #[must_use]
-    pub fn throughput_tps(&self) -> f64 {
-        cast::usize_to_f64(self.tokens_generated) / self.total_time_s()
-    }
-
     /// Energy per generated token in joules.
     #[must_use]
     pub fn energy_per_token(&self) -> f64 {
@@ -292,18 +274,6 @@ impl LlamaServer {
             "tp must divide q_heads"
         );
         LlamaServer { config, tp }
-    }
-
-    /// The model configuration.
-    #[must_use]
-    pub fn config(&self) -> &LlamaConfig {
-        &self.config
-    }
-
-    /// Tensor-parallel degree.
-    #[must_use]
-    pub fn tp(&self) -> usize {
-        self.tp
     }
 
     /// Serve `batch` requests of `input_len` prompt tokens, generating
@@ -475,9 +445,6 @@ mod tests {
         let c = LlamaConfig::llama31_8b();
         let run = LlamaServer::new(c, 1).serve(&Device::gaudi2(), 8, 50, 25);
         assert_eq!(run.tokens_generated, 200);
-        assert!((run.ttft_s() - run.prefill.time_s).abs() < 1e-15);
-        assert!((run.tpot_s(25) - run.decode.time_s / 25.0).abs() < 1e-12);
-        assert!(run.throughput_tps() > 0.0);
         assert!(run.power_w > 100.0 && run.power_w < 600.0);
     }
 

@@ -119,6 +119,7 @@ impl LlamaLayerFunctional {
     ///
     /// # Errors
     /// Returns [`DcmError::InvalidConfig`] on inconsistent dimensions.
+    // dcm-lint: allow(R1) §3.4 functional layer; prop_functional::llama_layer_is_causal
     pub fn random(dims: LayerDims, seed: u64) -> Result<Self> {
         dims.validate()?;
         let mut r = rng::seeded(seed);
@@ -222,6 +223,7 @@ impl LlamaLayerFunctional {
     ///
     /// # Errors
     /// Returns shape errors from any stage.
+    // dcm-lint: allow(R1) §3.4 functional layer; prop_functional::llama_layer_is_causal
     pub fn forward(&self, x: &Tensor, positions: &[usize]) -> Result<Tensor> {
         let attn = self.attention(&rms_norm(x), positions)?;
         let h = linalg::add(x, &attn)?;
@@ -317,7 +319,7 @@ mod tests {
     fn rope_preserves_norm_and_relative_dots() {
         let d = 8;
         let mut r = rng::seeded(5);
-        let qk: Vec<f32> = dcm_core::rng::uniform_vec(&mut r, 2 * d, -1.0, 1.0);
+        let qk: Vec<f32> = (0..2 * d).map(|_| r.gen_range(-1.0..1.0)).collect();
         let (qv, kv) = qk.split_at(d);
         // Rotate q at position p and k at position p+delta; the dot product
         // must depend only on delta.

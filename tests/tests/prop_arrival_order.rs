@@ -133,7 +133,10 @@ fn simultaneous_arrivals_keep_the_queue_order() {
     let reqs: Vec<Request> = times
         .iter()
         .enumerate()
-        .map(|(i, &t)| Request::new(100 - i as u64, 64, 3).with_arrival(t))
+        .map(|(i, &t)| Request {
+            arrival_s: t,
+            ..Request::new(100 - i as u64, 64, 3)
+        })
         .collect();
     let mut oracle = EventQueue::new();
     for r in &reqs {
@@ -169,7 +172,10 @@ fn simultaneous_arrivals_keep_the_queue_order() {
 fn a_fault_at_an_arrival_applies_first() {
     let reqs = [
         Request::new(0, 64, 4),
-        Request::new(1, 64, 4).with_arrival(1.0),
+        Request {
+            arrival_s: 1.0,
+            ..Request::new(1, 64, 4)
+        },
     ];
     for (at, sent_to_1_and_retried) in [(1.0, 0), (1.0 + 1e-9, 1)] {
         let report = cluster(2, RoutingPolicy::RoundRobin, false)

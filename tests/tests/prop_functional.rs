@@ -10,6 +10,7 @@ use dcm_workloads::dlrm::DlrmConfig;
 use dcm_workloads::dlrm_functional::DlrmFunctional;
 use dcm_workloads::llama_functional::{apply_rope, rms_norm, LayerDims, LlamaLayerFunctional};
 use proptest::prelude::*;
+use rand::Rng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -60,7 +61,7 @@ proptest! {
     ) {
         let d = 1usize << head_dim_pow;
         let mut r = rng::seeded(seed);
-        let mut v = rng::uniform_vec(&mut r, d, -1.0, 1.0);
+        let mut v: Vec<f32> = (0..d).map(|_| r.gen_range(-1.0..1.0)).collect();
         let before: f32 = v.iter().map(|x| x * x).sum();
         apply_rope(&mut v, d, &[position]);
         let after: f32 = v.iter().map(|x| x * x).sum();

@@ -29,9 +29,8 @@ fn run_words(run: &GraphRun) -> Vec<u64> {
         energy_j,
         power_w,
         matrix_powered_fraction,
-        unit_walls,
     } = run;
-    let mut words = vec![
+    vec![
         time_s.to_bits(),
         flops.to_bits(),
         *bus_bytes,
@@ -43,9 +42,7 @@ fn run_words(run: &GraphRun) -> Vec<u64> {
         energy_j.to_bits(),
         power_w.to_bits(),
         matrix_powered_fraction.to_bits(),
-    ];
-    words.extend(unit_walls.iter().map(|t| t.to_bits()));
-    words
+    ]
 }
 
 /// `g`'s flat twin: the same ops pushed one at a time.

@@ -230,7 +230,7 @@ proptest! {
         let delay = delay_tenths as f64 / 10.0;
         let shifted: Vec<Request> = reqs
             .iter()
-            .map(|r| r.with_arrival(r.arrival_s + delay))
+            .map(|r| Request { arrival_s: r.arrival_s + delay, ..*r })
             .collect();
         let a = engine(8).run(&reqs).expect("trace fits");
         let b = engine(8).run(&shifted).expect("trace fits");

@@ -107,7 +107,7 @@ proptest! {
             .zip(0u64..)
             .map(|(&(input, output, gap), id)| {
                 at += gap;
-                Request::new(id, input, output).with_arrival(at)
+                Request { arrival_s: at, ..Request::new(id, input, output) }
             })
             .collect();
         // Every family and its twin, in a random order.

@@ -14,8 +14,12 @@ cargo fmt --all --check
 
 # Determinism & numeric-safety static analysis (DESIGN.md §3.7): fails on
 # any hazard not covered by an inline `// dcm-lint: allow(rule) reason`
-# pragma, the only suppression mechanism. Runs before clippy so the cheap,
-# domain-specific gate fires first. Report: results/lint_report.json.
+# pragma, the only suppression mechanism. Rule R1 also fails it on a
+# simulation-crate `pub fn` that no bench binary, example, dcmbench source,
+# trait impl or `allow(R1)` API root reaches (it reads examples/ and
+# dcmbench/src/ for its call graph only), and on a stale `allow(R1)`.
+# Runs before clippy so the cheap, domain-specific gate fires first.
+# Report: results/lint_report.json.
 echo "==> dcm-lint"
 cargo run -q --release -p dcm-lint
 
