@@ -1,12 +1,7 @@
 //! Deterministic discrete-event simulation core.
 //!
-//! Every serving layer in the workspace advances the same kind of
-//! simulation: a set of timestamped events (request arrivals, replica
-//! faults, scheduler iterations) consumed in time order on a shared
-//! clock. Before this module each layer hand-merged its own timelines
-//! with ad-hoc `while` loops; the loops were individually correct but the
-//! tie-breaking rules lived in three places and could drift. This module
-//! centralizes them:
+//! A simulation consumes timestamped events in time order on a shared
+//! clock. This module holds the two pieces every such loop needs:
 //!
 //! * [`EventQueue`] — a binary min-heap with a *total* order: events pop
 //!   by `(time, priority, seq)`, where `seq` is the insertion index. Two
@@ -27,13 +22,12 @@
 //! what lets the workspace pin whole serving reports as IEEE-754 bit
 //! patterns.
 //!
-//! Priorities are small integers chosen by the simulation layer; lower
-//! pops first at equal times. The cluster layer, for example, orders a
-//! replica recovery (0) before a slowdown edge (1, 2) before a crash (3)
-//! before a fabric delivery (4) at the same instant. It reads arrivals
-//! from the trace instead of queueing them and takes each only after
-//! every queued event at its instant, so a replica crashing exactly when
-//! a request arrives can never receive it.
+//! Priorities are small integers chosen by the caller; lower pops first
+//! at equal times. The queue's users are the flow simulator
+//! (`dcm-net::flow`) and the `dcmbench` probes. The serving cluster
+//! needs none: its fault timeline, control fabric and trace are each
+//! already in time order, and `dcm-vllm::cluster` merges them by one
+//! rule, while each replica keeps its pending arrivals in a sorted deque.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -127,9 +121,9 @@ impl<T> EventQueue<T> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue pre-sized for `capacity` events. Large sweeps push
-    /// whole arrival traces (plus fault timelines) up front; pre-sizing
-    /// skips the repeated doubling those pushes would otherwise pay.
+    /// An empty queue pre-sized for `capacity` events, for a caller that
+    /// knows how many it will hold at once; pre-sizing skips the repeated
+    /// doubling its pushes would otherwise pay.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
@@ -192,15 +186,6 @@ impl<T> EventQueue<T> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Remove every event, in pop order.
-    pub fn drain_ordered(&mut self) -> Vec<Event<T>> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
-        out
     }
 }
 
@@ -268,13 +253,18 @@ impl SimClock {
 mod tests {
     use super::*;
 
+    /// Pop every event, in order.
+    fn drain<T>(q: &mut EventQueue<T>) -> Vec<T> {
+        std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(3.0, 0, 'c');
         q.push(1.0, 0, 'a');
         q.push(2.0, 0, 'b');
-        let order: Vec<char> = q.drain_ordered().into_iter().map(|e| e.payload).collect();
+        let order: Vec<char> = drain(&mut q);
         assert_eq!(order, ['a', 'b', 'c']);
     }
 
@@ -285,7 +275,7 @@ mod tests {
         q.push(1.0, 0, "p0-first");
         q.push(1.0, 2, "p2-second");
         q.push(1.0, 0, "p0-second");
-        let order: Vec<&str> = q.drain_ordered().into_iter().map(|e| e.payload).collect();
+        let order: Vec<&str> = drain(&mut q);
         assert_eq!(order, ["p0-first", "p0-second", "p2-first", "p2-second"]);
     }
 
@@ -297,7 +287,7 @@ mod tests {
         for i in 0..100usize {
             q.push(1.0, 0, i);
         }
-        let order: Vec<usize> = q.drain_ordered().into_iter().map(|e| e.payload).collect();
+        let order: Vec<usize> = drain(&mut q);
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
@@ -325,8 +315,8 @@ mod tests {
             assert_eq!(a.push(i as f64 * 0.5, 0, i), b.push(i as f64 * 0.5, 0, i));
         }
         assert_eq!(a.len(), b.len());
-        let pa: Vec<usize> = a.drain_ordered().into_iter().map(|e| e.payload).collect();
-        let pb: Vec<usize> = b.drain_ordered().into_iter().map(|e| e.payload).collect();
+        let pa: Vec<usize> = drain(&mut a);
+        let pb: Vec<usize> = drain(&mut b);
         assert_eq!(pa, pb);
     }
 
@@ -357,7 +347,7 @@ mod tests {
         q.push(-1.0, 0, "neg");
         q.push(0.0, 0, "zero");
         q.push(f64::NEG_INFINITY, 0, "-inf");
-        let order: Vec<&str> = q.drain_ordered().into_iter().map(|e| e.payload).collect();
+        let order: Vec<&str> = drain(&mut q);
         assert_eq!(order, ["-inf", "neg", "zero", "inf"]);
     }
 
@@ -388,8 +378,8 @@ mod tests {
         let mut b = EventQueue::new();
         feed(&mut a);
         feed(&mut b);
-        let pa: Vec<usize> = a.drain_ordered().into_iter().map(|e| e.payload).collect();
-        let pb: Vec<usize> = b.drain_ordered().into_iter().map(|e| e.payload).collect();
+        let pa: Vec<usize> = drain(&mut a);
+        let pb: Vec<usize> = drain(&mut b);
         assert_eq!(pa, pb);
     }
 }

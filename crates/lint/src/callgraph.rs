@@ -23,9 +23,12 @@
 //!   `self`, the enclosing impl type's `name` method if it exists; when
 //!   it is a field of `self` whose declared type is a workspace type
 //!   with a `name` method (`self.queue.push(..)` with
-//!   `queue: EventQueue<_>`), that method. Otherwise — and for every
-//!   other receiver — **every** workspace method named `name` (the
-//!   conservative step: receiver types are not inferred).
+//!   `queue: EventQueue<_>`), that method; likewise when it is a
+//!   parameter the body names only as a receiver (`list.blocks_of(i)`
+//!   with `list: &BlockList`). Otherwise — and for every other receiver
+//!   (a local, a rebound, generic or trait-typed parameter) — **every**
+//!   workspace method named `name` (the conservative step: receiver
+//!   types are not inferred).
 //! * `name(...)` (bare call): every free `fn name` in the workspace.
 //! * Calls that resolve to nothing are external (std or shims) and
 //!   become graph leaves; macro invocations are always leaves.
@@ -216,8 +219,9 @@ impl CallGraph {
             },
             CallKind::Method => {
                 // `self.name()`: the enclosing impl's method wins when it
-                // exists; `self.field.name()`: the method of the field's
-                // workspace type. Otherwise fall through to the
+                // exists; `param.name()`: the method of the parameter's
+                // workspace type; `self.field.name()`: the method of the
+                // field's workspace type. Otherwise fall through to the
                 // conservative set (the method may come from a trait
                 // impl'd elsewhere) — except for the opaque std-container
                 // names.
@@ -403,6 +407,33 @@ mod tests {
         let reach = g.reachable_from(&[idx(&g, "Sim::step")]);
         assert!(reach[idx(&g, "EventQueue::push")].is_some());
         assert!(reach[idx(&g, "Stack::push")].is_some());
+    }
+
+    #[test]
+    fn a_typed_parameter_pins_the_call_to_its_types_method() {
+        // `list` in `attend` names a `BlockList`, so its `blocks_of` is
+        // that type's alone. A generic parameter, and one the body
+        // rebinds, resolve by name to both.
+        let g = graph(&[(
+            "a.rs",
+            "impl BlockList { fn blocks_of(&self, i: usize) {} }\n\
+             impl PagedKvCache { fn blocks_of(&self, id: u64) {} }\n\
+             fn attend(query: &Tensor, list: &BlockList) { list.blocks_of(0); }\n\
+             fn generic<L: Blocks>(list: &L) { list.blocks_of(0); }\n\
+             fn rebound(list: &BlockList) { let list = PagedKvCache; list.blocks_of(0); }",
+        )]);
+        let from = |root: &str| g.reachable_from(&[idx(&g, root)]);
+        let (list, cache) = (
+            idx(&g, "BlockList::blocks_of"),
+            idx(&g, "PagedKvCache::blocks_of"),
+        );
+        let attend = from("attend");
+        assert!(attend[list].is_some());
+        assert!(attend[cache].is_none(), "the declared type pins the call");
+        for root in ["generic", "rebound"] {
+            let reach = from(root);
+            assert!(reach[list].is_some() && reach[cache].is_some(), "{root}");
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   lowercase path named as a value, `map(Type::f)`, counts too),
 //!   `Method` (`x.f(...)`, qualifier = the
 //!   impl type when the receiver is literally `self` or a field of
-//!   `self`, whose name is then recorded too), and `Macro`
+//!   `self`, whose name is then recorded too, or the declared type head
+//!   of a parameter the body names only as a receiver), and `Macro`
 //!   (`name!(...)`). Resolution to definitions happens in
 //!   [`crate::callgraph`], conservatively.
 //! * **Skipped soundly:** `macro_rules!` definitions are consumed
@@ -38,6 +39,7 @@
 //! (the closure may run whenever its definer does).
 
 use crate::lexer::{Token, TokenKind};
+use std::ops::Range;
 
 /// Keywords that can directly precede `(` without being a call.
 const NON_CALL_KEYWORDS: &[&str] = &[
@@ -70,7 +72,9 @@ pub struct Call {
     /// `Path`: the path segment directly before the name (`ServingEngine`
     /// in `ServingEngine::run`; the enclosing impl type for `Self::run`).
     /// `Method`: the enclosing impl type when
-    /// the receiver is `self` or `self.<field>`, else `None`.
+    /// the receiver is `self` or `self.<field>`; the declared type head
+    /// when it is a parameter the body names only as a receiver (`x.`),
+    /// and so never rebinds; else `None`.
     pub qual: Option<String>,
     /// `Method` on a field of `self` (`self.queue.push(..)`): the field,
     /// declared by the struct `qual` names.
@@ -175,6 +179,7 @@ pub fn parse(tokens: &[Token], in_test: &[bool]) -> ParsedFile {
         module: Vec::new(),
         self_ty: None,
         in_trait_impl: false,
+        receivers: Vec::new(),
     };
     p.items(0, tokens.len());
     p.out
@@ -188,6 +193,9 @@ struct Parser<'a> {
     self_ty: Option<String>,
     /// Inside an `impl Trait for Type` block.
     in_trait_impl: bool,
+    /// The parameters of the `fn` whose body is being scanned that pin
+    /// their method calls: name and declared type head.
+    receivers: Vec<(String, String)>,
 }
 
 /// Pending `fn` qualifiers seen while walking an item list.
@@ -320,14 +328,20 @@ impl<'a> Parser<'a> {
             return i + 1;
         };
         // Generic parameters.
-        if self.is_punct(j, "<") {
-            j = self.skip_angles(j);
-        }
+        let generics = j..if self.is_punct(j, "<") {
+            self.skip_angles(j)
+        } else {
+            j
+        };
+        j = generics.end;
         // Parameter list.
         let mut arity = None;
+        let mut params = Vec::new();
         if self.is_punct(j, "(") {
             arity = self.count_params(j);
-            j = self.matching(j, "(", ")") + 1;
+            let close = self.matching(j, "(", ")");
+            params = self.typed_params(j + 1, close, generics);
+            j = close + 1;
         }
         // Return type / where clause: scan to the body `{` or a `;`,
         // ignoring any `{`…`}` braces nested in const-generic positions
@@ -360,7 +374,15 @@ impl<'a> Parser<'a> {
         }
         let close = self.matching_brace(j);
         def.body = Some((j + 1, close));
+        // A parameter the body names other than as a receiver (`x.`) may
+        // be rebound (`let x`, a pattern, a closure's `|x|`), so its type
+        // no longer pins `x.m()`.
+        params.retain(|(name, _)| {
+            (j + 1..close).all(|k| self.ident(k) != Some(name) || self.is_punct(k + 1, "."))
+        });
+        let outer = std::mem::replace(&mut self.receivers, params);
         def.calls = self.scan_body(j + 1, close);
+        self.receivers = outer;
         self.out.fns.push(def);
         close + 1
     }
@@ -477,7 +499,17 @@ impl<'a> Parser<'a> {
                     return (CallKind::Method, Some(ty.clone()), Some(field.to_owned()));
                 }
             }
-            return (CallKind::Method, None, None);
+            // A bare parameter receiver (not `a.x`, not `m::x`) pins the
+            // call to its declared type.
+            let bare = i < 3 || !(self.is_punct(i - 3, ".") || self.is_punct(i - 3, "::"));
+            let recv = i
+                .checked_sub(2)
+                .and_then(|r| self.ident(r))
+                .filter(|_| bare);
+            let param = recv
+                .and_then(|recv| self.receivers.iter().find(|(name, _)| name == recv))
+                .map(|(_, ty)| ty.clone());
+            return (CallKind::Method, param, None);
         }
         if i >= 1 && self.toks[i - 1].is_punct("::") {
             // Path call: the qualifier is the segment directly before,
@@ -561,18 +593,7 @@ impl<'a> Parser<'a> {
         while start < close {
             // One field runs to the next top-level `,`; its name is the
             // ident before its first `:`, past any attribute or `pub`.
-            let mut end = start;
-            while end < close && !self.is_punct(end, ",") {
-                end = if self.is_punct(end, "<") {
-                    self.skip_angles(end)
-                } else if self.is_punct(end, "(") {
-                    self.matching(end, "(", ")") + 1
-                } else if self.is_punct(end, "[") {
-                    self.matching(end, "[", "]") + 1
-                } else {
-                    end + 1
-                };
-            }
+            let end = self.list_item_end(start, close);
             let colon = (start..end).find(|&k| self.is_punct(k, ":"));
             if let Some((field, colon)) = colon.and_then(|c| Some((self.ident(c - 1)?, c))) {
                 let head = self
@@ -588,6 +609,54 @@ impl<'a> Parser<'a> {
             fields,
         });
         close + 1
+    }
+
+    /// The index of the first top-level `,` in `[start, end)`, or `end`:
+    /// where one item of a field or parameter list ends.
+    fn list_item_end(&self, start: usize, end: usize) -> usize {
+        let mut k = start;
+        while k < end && !self.is_punct(k, ",") {
+            k = if self.is_punct(k, "<") {
+                self.skip_angles(k)
+            } else if self.is_punct(k, "(") {
+                self.matching(k, "(", ")") + 1
+            } else if self.is_punct(k, "[") {
+                self.matching(k, "[", "]") + 1
+            } else {
+                k + 1
+            };
+        }
+        k
+    }
+
+    /// The parameters in `[start, end)`, a `fn`'s parameter list, that
+    /// declare a type with a head: each `name: Type` or `mut name: Type`
+    /// with the head of `Type` (see [`Self::type_head`]), unless the head
+    /// is one of the fn's own type parameters in `generics`. A `self`
+    /// receiver, a pattern and a trait type (`impl T`, `dyn T`) give none.
+    fn typed_params(
+        &self,
+        start: usize,
+        end: usize,
+        generics: Range<usize>,
+    ) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        let mut k = start;
+        while k < end {
+            let item_end = self.list_item_end(k, end);
+            let at = k + usize::from(self.ident(k) == Some("mut"));
+            let name = self
+                .ident(at)
+                .filter(|&n| n != "self" && self.is_punct(at + 1, ":"));
+            let head = name.and_then(|_| self.type_head(at + 2, item_end));
+            if let (Some(name), Some(head)) = (name, head) {
+                if !generics.clone().any(|g| self.ident(g) == Some(&head)) {
+                    out.push((name.to_owned(), head));
+                }
+            }
+            k = item_end + 1;
+        }
+        out
     }
 
     /// The head of the type spanning `[start, end)`: its last path
@@ -1210,6 +1279,23 @@ mod tests {
             got,
             [(Some("Sim"), Some("queue")), (None, None), (None, None)]
         );
+    }
+
+    #[test]
+    fn typed_parameters_qualify_their_method_calls() {
+        let p = parse_src(
+            "impl S { fn f<T: Tr>(&mut self, mut a: &'a mut Alpha<u8>, t: T, i: impl Tr, (p, q): (u8, u8), r: Rebound) {\n\
+                 a.go(); t.go(); i.go(); p.go(); x.a.go(); m::a.go();\n\
+                 let r = 0; r.go();\n\
+             } }",
+        );
+        let got: Vec<Option<&str>> = fn_named(&p, "f")
+            .calls
+            .iter()
+            .filter(|c| c.name == "go")
+            .map(|c| c.qual.as_deref())
+            .collect();
+        assert_eq!(got, [Some("Alpha"), None, None, None, None, None, None]);
     }
 
     #[test]

@@ -3,4 +3,5 @@ fn main() {
     let clock = dcm_core::SimClock::default();
     let mut engine = dcm_core::ServingEngine::new();
     println!("{}", engine.run(&clock));
+    println!("{}", dcm_core::rebound(&dcm_core::Store));
 }

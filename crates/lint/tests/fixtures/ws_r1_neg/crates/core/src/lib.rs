@@ -77,3 +77,26 @@ pub fn case_study() -> u32 {
 pub fn case_study_helper() -> u32 {
     4
 }
+
+pub struct Table;
+
+impl Table {
+    /// Called on `store` once `rebound` has rebound it to a `Table`.
+    pub fn gathers(&self) -> u32 {
+        5
+    }
+}
+
+pub struct Store;
+
+impl Store {
+    pub fn gathers(&self) -> u32 {
+        6
+    }
+}
+
+/// Rebinds its parameter, whose declared type then pins no call.
+pub fn rebound(store: &Store) -> u32 {
+    let store = Table;
+    store.gathers()
+}

@@ -17,3 +17,25 @@ pub fn served() -> u32 {
 fn misplaced() -> u32 {
     3
 }
+
+pub struct BlockList;
+
+impl BlockList {
+    pub fn blocks_of(&self, i: usize) -> usize {
+        i
+    }
+}
+
+/// Only `attend` calls a `blocks_of`, on a `BlockList`.
+pub struct PagedKvCache;
+
+impl PagedKvCache {
+    pub fn blocks_of(&self, id: usize) -> usize {
+        id
+    }
+}
+
+/// `list` is a `BlockList`, so its `blocks_of` is not the cache's.
+pub fn attend(list: &BlockList, i: usize) -> usize {
+    list.blocks_of(i)
+}

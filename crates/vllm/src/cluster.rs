@@ -36,16 +36,13 @@
 //! engines — e.g. Gaudi-2 and A100 behind one router); the report labels
 //! each replica with its device name.
 //!
-//! The run is driven by one merged timeline: an [`EventQueue`] holding
-//! the fault timeline (priorities = fault class ranks 0–3) and the
-//! control fabric's wakes (priority 4), merged with a cursor over the
-//! trace in `(arrival_s, trace index)` order that puts an arrival after
-//! every queued event at its instant. That merge *is* the event-ordering
-//! rule: fault edges and fabric deliveries at an arrival's instant apply
-//! before it, equal-time faults keep timeline order, simultaneous
-//! arrivals keep trace order. Replicas are advanced and ties broken in
-//! replica-index order, and every engine is seeded purely by the trace,
-//! so a given (trace, policy, replica mix) replays bit-identically.
+//! The run is driven by one merged timeline over three sources, each
+//! already in time order: the fault plan's edges, the control fabric's
+//! next instant and the trace's arrivals; `Timeline::pop` is the one
+//! place that states the rule for events at one instant. Replicas are
+//! advanced and ties broken in replica-index order, and every engine is
+//! seeded purely by the trace, so a given (trace, policy, replica mix)
+//! replays bit-identically.
 //!
 //! This loop (`serve`) is the only serving event loop and its report
 //! builder the only one: [`ServingEngine::run`] is a one-replica
@@ -66,45 +63,34 @@
 
 use crate::dataset::Request;
 use crate::engine::{validate_trace, ServingEngine, ServingReport, SimState};
-use crate::fault::{FaultPlan, ResilienceConfig, TimelineKind};
+use crate::fault::{FaultPlan, ResilienceConfig, TimelineEvent, TimelineKind};
 use dcm_core::cast::usize_to_f64;
 use dcm_core::error::{DcmError, Result};
 use dcm_core::metrics::{LatencyRecorder, MetricsMode};
-use dcm_core::sim::EventQueue;
 use dcm_core::specs::DeviceSpec;
 use dcm_core::trace::{Span, SpanKind, Trace, TraceRecorder};
 use dcm_net::flow::{FlowId, FlowSim};
 use dcm_net::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::iter::Peekable;
+use std::vec::IntoIter;
 
-/// Fabric deliveries sort after every fault class (crash = 3) at the same
-/// instant — a dispatch in flight toward a replica that crashes at the
-/// delivery instant is re-routed — and before arrivals, so a routing
-/// decision observes every delivery due at its instant.
-const PRIO_FABRIC: u32 = 4;
-
-/// One event in the merged cluster timeline.
+/// One event of the run's merged timeline.
 enum ClusterEvent {
     Fault(TimelineKind),
+    /// The control fabric has work due: a dispatch flow finishing or a
+    /// delivery landing.
+    Fabric,
     Arrival(Request),
-    /// The control fabric has work due (a dispatch flow finishing or a
-    /// delivery landing). Carries the schedule stamp; stale wakes are
-    /// skipped.
-    FabricWake {
-        version: u64,
-    },
 }
 
-/// The run's merged timeline. Fault edges and fabric wakes wait in an
-/// [`EventQueue`]; arrivals are read from the trace in `(arrival_s by
-/// f64::total_cmp, trace index)` order, never copied into the queue.
-/// Every queued class sorts before an arrival at the same instant (a
-/// replica crashing exactly when a request arrives cannot receive it),
-/// so [`pop`](Self::pop) reproduces one queue holding arrivals at a
-/// priority past them all, bit for bit.
+/// The run's merged timeline over three sources, each already in time
+/// order: the fault plan's edges, the control fabric's next instant
+/// (passed to each [`pop`](Self::pop)), and the trace's arrivals in
+/// `(arrival_s by f64::total_cmp, trace index)` order, read in place.
 struct Timeline<'a> {
-    queue: EventQueue<ClusterEvent>,
+    faults: Peekable<IntoIter<TimelineEvent>>,
     requests: &'a [Request],
     /// Trace indices in arrival order; empty when the trace is in that
     /// order already, as generated traces are.
@@ -114,18 +100,8 @@ struct Timeline<'a> {
 }
 
 impl<'a> Timeline<'a> {
-    /// `plan`'s fault edges, each carrying its class rank as the priority
-    /// (timeline order kept by push order), and `requests`' arrivals.
+    /// `plan`'s fault edges and `requests`' arrivals.
     fn new(plan: &FaultPlan, requests: &'a [Request]) -> Self {
-        let timeline = plan.timeline();
-        let mut queue = EventQueue::with_capacity(timeline.len());
-        for ev in timeline {
-            queue.push(
-                ev.t,
-                u32::from(ev.kind.class_rank()),
-                ClusterEvent::Fault(ev.kind),
-            );
-        }
         let by_arrival = |a: &Request, b: &Request| a.arrival_s.total_cmp(&b.arrival_s);
         let order = if requests.is_sorted_by(|a, b| by_arrival(a, b).is_le()) {
             Vec::new()
@@ -136,7 +112,7 @@ impl<'a> Timeline<'a> {
             order
         };
         Timeline {
-            queue,
+            faults: plan.timeline().into_iter().peekable(),
             requests,
             order,
             next: 0,
@@ -152,20 +128,36 @@ impl<'a> Timeline<'a> {
         }
     }
 
-    /// Remove and return the next event and its time: the queue's head
-    /// unless the next arrival is strictly earlier.
-    fn pop(&mut self) -> Option<(f64, ClusterEvent)> {
-        let arrival = self.peek_arrival();
-        let queued_first = match (self.queue.peek_time(), arrival) {
-            (Some(t), Some(r)) => t.total_cmp(&r.arrival_s).is_le(),
-            (queued, _) => queued.is_some(),
-        };
-        if queued_first {
-            return self.queue.pop().map(|ev| (ev.time, ev.payload));
+    /// Remove and return the earliest event and its time, `fabric_due`
+    /// being the control fabric's next instant. This is the rule for
+    /// events at one instant: fault edges first, in timeline order (which
+    /// ranks their classes), then the fabric, then arrivals in trace
+    /// order. So a dispatch toward a replica crashing at its delivery
+    /// instant is re-routed, a routing decision sees every delivery due
+    /// at its instant, and a replica crashing when a request arrives
+    /// cannot receive it.
+    fn pop(&mut self, fabric_due: Option<f64>) -> Option<(f64, ClusterEvent)> {
+        let candidates = [
+            self.faults
+                .peek()
+                .map(|e| (e.t, ClusterEvent::Fault(e.kind))),
+            fabric_due.map(|t| (t, ClusterEvent::Fabric)),
+            self.peek_arrival()
+                .map(|r| (r.arrival_s, ClusterEvent::Arrival(*r))),
+        ];
+        // `min_by` keeps the first of equal elements: the rule's order.
+        let (t, event) = candidates
+            .into_iter()
+            .flatten()
+            .min_by(|a, b| a.0.total_cmp(&b.0))?;
+        match event {
+            ClusterEvent::Fault(_) => {
+                self.faults.next();
+            }
+            ClusterEvent::Fabric => {}
+            ClusterEvent::Arrival(_) => self.next += 1,
         }
-        let r = *arrival?;
-        self.next += 1;
-        Some((r.arrival_s, ClusterEvent::Arrival(r)))
+        Some((t, event))
     }
 }
 
@@ -281,8 +273,6 @@ struct FabricRun {
     /// Finished dispatches awaiting their delivery instant, sorted
     /// ascending by time (stable — equal times keep finish order).
     deliveries: Vec<(f64, Request, usize)>,
-    /// Stamp of the latest scheduled wake; older wakes are stale.
-    wake_version: u64,
 }
 
 /// Router endpoint in the control-fabric topology.
@@ -304,7 +294,6 @@ impl FabricRun {
             dispatch_bytes: cfg.dispatch_bytes,
             pending: Vec::new(),
             deliveries: Vec::new(),
-            wake_version: 0,
         }
     }
 
@@ -324,11 +313,6 @@ impl FabricRun {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// True once every dispatch has been delivered.
-    fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.deliveries.is_empty()
     }
 }
 
@@ -664,7 +648,7 @@ pub(crate) fn serve(
     let sims = replicas
         .iter()
         .enumerate()
-        .map(|(i, e)| e.make_sim(i, requests.len(), &settings, cfg.slo))
+        .map(|(i, e)| e.make_sim(i, &settings, cfg.slo))
         .collect::<Result<_>>()?;
     let mut st = RunState {
         replicas,
@@ -691,8 +675,6 @@ pub(crate) fn serve(
         st.router_trace = TraceRecorder::enabled(u32::try_from(n).expect("replica count"));
     }
 
-    // One merged timeline: faults due at or before an arrival apply
-    // first, simultaneous arrivals keep trace order.
     let mut events = Timeline::new(plan, requests);
 
     // Hot loop: nothing here may allocate per event. Routing and
@@ -702,19 +684,10 @@ pub(crate) fn serve(
     // already delivered (the fabric's lists keep their capacity); the
     // only allocating path is the crash harvest (drain_unfinished),
     // which runs once per fault edge, not per arrival.
-    while let Some((time, event)) = events.pop() {
+    while let Some((time, event)) = events.pop(st.fabric.as_mut().and_then(FabricRun::next_time)) {
         match event {
             ClusterEvent::Fault(kind) => st.apply_fault(time, kind)?,
-            ClusterEvent::FabricWake { version } => {
-                let live = st
-                    .fabric
-                    .as_ref()
-                    .is_some_and(|fr| fr.wake_version == version);
-                if live {
-                    st.fabric_deliver(time)?;
-                    reschedule_fabric(&mut st, &mut events.queue);
-                }
-            }
+            ClusterEvent::Fabric => st.fabric_deliver(time)?,
             ClusterEvent::Arrival(r) => {
                 // Lazy horizons: replicas catch up to the arrival
                 // instant only when this dispatch is about to read
@@ -775,7 +748,6 @@ pub(crate) fn serve(
                                 Some(fr) => {
                                     fr.sim.advance_to(r.arrival_s);
                                     fr.dispatch(r, target);
-                                    reschedule_fabric(&mut st, &mut events.queue);
                                 }
                             }
                         }
@@ -784,10 +756,6 @@ pub(crate) fn serve(
             }
         }
     }
-    debug_assert!(
-        st.fabric.as_ref().is_none_or(FabricRun::is_idle),
-        "dispatches left in flight"
-    );
     st.advance_live(f64::INFINITY)?;
     debug_assert!(
         st.sims.iter().all(SimState::is_drained),
@@ -802,23 +770,6 @@ pub(crate) fn serve(
         spans.append(&mut st.router_trace.take_spans());
     }
     Ok((report, spans))
-}
-
-/// (Re)schedule the control fabric's wake-up in the merged event queue.
-/// Bumping the stamp invalidates any earlier wake still in the queue.
-fn reschedule_fabric(st: &mut RunState<'_>, events: &mut EventQueue<ClusterEvent>) {
-    if let Some(fr) = st.fabric.as_mut() {
-        if let Some(t) = fr.next_time() {
-            fr.wake_version += 1;
-            events.push(
-                t,
-                PRIO_FABRIC,
-                ClusterEvent::FabricWake {
-                    version: fr.wake_version,
-                },
-            );
-        }
-    }
 }
 
 /// The mutable state of one run: the replicas and their simulations,
@@ -1700,21 +1651,28 @@ mod tests {
     fn zero_cost_fabric_matches_baseline_bit_for_bit() {
         // A fabric with zero-byte dispatches and zero latency delivers
         // every request at its arrival instant, before any same-time
-        // arrival is routed — the report must not move a single bit.
-        let reqs = online_trace(24, 17, 10.0);
-        let baseline = cluster(3, RoutingPolicy::JoinShortestQueue)
-            .run(&reqs)
-            .unwrap();
+        // arrival is routed — the report must not move a single bit. On
+        // the all-zero trace every delivery shares its instant with the
+        // next arrival: routed first, JSQ would find every replica empty
+        // and send all 24 requests to replica 0.
         let zero = FabricConfig {
             dispatch_bytes: 0,
             link_bps: 1.0,
             latency_s: 0.0,
         };
-        let fabriced = cluster(3, RoutingPolicy::JoinShortestQueue)
-            .with_fabric(zero)
-            .run(&reqs)
-            .unwrap();
-        assert_eq!(baseline, fabriced);
+        for reqs in [
+            online_trace(24, 17, 10.0),
+            SyntheticDataset::dynamic_sonnet(24, 17),
+        ] {
+            let baseline = cluster(3, RoutingPolicy::JoinShortestQueue)
+                .run(&reqs)
+                .unwrap();
+            let fabriced = cluster(3, RoutingPolicy::JoinShortestQueue)
+                .with_fabric(zero)
+                .run(&reqs)
+                .unwrap();
+            assert_eq!(baseline, fabriced);
+        }
     }
 
     #[test]

@@ -35,9 +35,8 @@
 //! engine alone. Fast-forward, histogram metrics, SLOs and tracing are
 //! set on the [`Cluster`](crate::cluster::Cluster).
 //!
-//! The simulation is built on the deterministic discrete-event core:
-//! arrivals live in a [`dcm_core::sim::EventQueue`] (total pop order on
-//! `(time, priority, seq)`) and the clock is a monotone
+//! Pending arrivals wait in a deque in `(arrival_s by f64::total_cmp,
+//! hand-over order)`, a stable sorted insert, and the clock is a monotone
 //! [`dcm_core::sim::SimClock`], so a given trace replays bit-identically
 //! — pinned by `tests/tests/golden_serving.rs` against the pre-refactor
 //! loops. A traced run records structured spans (request lifecycle,
@@ -61,7 +60,7 @@ use dcm_compiler::{CompileOptions, Device, Graph};
 use dcm_core::cast::{f64_to_u64, u64_to_f64, usize_to_f64};
 use dcm_core::error::{DcmError, Result};
 use dcm_core::metrics::LatencyRecorder;
-use dcm_core::sim::{EventQueue, SimClock};
+use dcm_core::sim::SimClock;
 use dcm_core::trace::{SpanKind, TraceRecorder};
 use dcm_core::DType;
 use dcm_workloads::llama::LlamaConfig;
@@ -208,11 +207,9 @@ pub(crate) struct SimState {
     /// same. The batch and `growth` still hold the counts of its start;
     /// the pool and the output count are charged for every step it ran.
     stretch: Option<OpenStretch>,
-    /// Requests whose arrival time the clock has not reached. The event
-    /// queue's `(time, priority, seq)` total order makes simultaneous
-    /// arrivals pop in enqueue order — the same behaviour the pre-refactor
-    /// sorted `VecDeque` had, without requiring callers to pre-sort.
-    arrivals: EventQueue<Request>,
+    /// Requests whose arrival time the clock has not reached, in
+    /// `(arrival_s by f64::total_cmp, hand-over order)`.
+    arrivals: VecDeque<Request>,
     /// Arrived requests awaiting admission; preempted sequences re-enter
     /// at the front (they already hold a place in the service order).
     ready: VecDeque<Seq>,
@@ -275,12 +272,6 @@ struct StepCost {
     scale: f64,
 }
 
-/// Arrivals are the only event class in an engine's own queue, so this
-/// priority orders them against nothing; the cluster's merged timeline
-/// numbers its queued classes separately (fault edges 0–3, fabric wakes
-/// 4) and reads arrivals from the trace (see `cluster`).
-const PRIO_ARRIVAL: u32 = 4;
-
 /// Check a trace before a run serves it: non-empty, every arrival finite
 /// and non-negative, every request with a prompt and generating at least
 /// one token, and no id used twice.
@@ -329,11 +320,15 @@ pub(crate) fn validate_trace(requests: &[Request]) -> Result<()> {
 }
 
 impl SimState {
-    /// Hand the simulation a future (or immediate) arrival. Any enqueue
-    /// order is fine: the event queue pops arrivals by
-    /// `(time, enqueue order)`.
+    /// Hand the simulation a future (or immediate) arrival. It queues
+    /// after every pending arrival not later than it: at the back for a
+    /// dispatch in trace order, earlier for a hand-over keyed at its
+    /// original `arrival_s` (a crash retry, a fabric delivery).
     pub(crate) fn enqueue(&mut self, request: Request) {
-        self.arrivals.push(request.arrival_s, PRIO_ARRIVAL, request);
+        let pos = self
+            .arrivals
+            .partition_point(|a| a.arrival_s.total_cmp(&request.arrival_s).is_le());
+        self.arrivals.insert(pos, request);
     }
 
     /// Place an admitted sequence in the batch, in id order; the caller
@@ -417,12 +412,7 @@ impl SimState {
     pub(crate) fn drain_unfinished(&mut self) -> (Vec<Request>, usize) {
         self.settle_stretch();
         let mut lost = 0usize;
-        let mut out: Vec<Request> = self
-            .arrivals
-            .drain_ordered()
-            .into_iter()
-            .map(|e| e.payload)
-            .collect();
+        let mut out: Vec<Request> = self.arrivals.drain(..).collect();
         for seq in std::mem::take(&mut self.ready) {
             lost += seq.produced;
             out.push(seq.request);
@@ -512,10 +502,11 @@ impl SimState {
         }
     }
 
+    /// Move every pending arrival due at the clock to the ready queue.
     fn promote_arrivals(&mut self) {
         let now = self.clock.now();
-        while let Some(e) = self.arrivals.pop_due(now) {
-            self.ready.push_back(Seq::fresh(e.payload));
+        while let Some(r) = self.arrivals.pop_front_if(|r| r.arrival_s <= now) {
+            self.ready.push_back(Seq::fresh(r));
         }
     }
 }
@@ -759,10 +750,8 @@ impl ServingEngine {
     /// Start a fresh simulation of this engine as replica `replica` under
     /// the run's `settings` (fast-forward, metrics mode), judging
     /// completions against `slo`: size the KV cache and reset all state.
-    /// `expected_requests` pre-sizes the arrival queue (large sweeps
-    /// enqueue the whole trace up front; repeated growth there is pure
-    /// waste), and the batch and its projection are pre-sized to
-    /// `max_decode_batch` so steady-state serving never reallocates.
+    /// The batch and its projection are pre-sized to `max_decode_batch`
+    /// so steady-state serving never reallocates.
     ///
     /// # Errors
     /// Returns [`DcmError::InvalidConfig`] naming `replica` and the field
@@ -773,7 +762,6 @@ impl ServingEngine {
     pub(crate) fn make_sim(
         &self,
         replica: usize,
-        expected_requests: usize,
         settings: &RunSettings,
         slo: SloSpec,
     ) -> Result<SimState> {
@@ -812,7 +800,7 @@ impl ServingEngine {
             kv,
             growth: BatchGrowth::with_capacity(DEFAULT_BLOCK_TOKENS, self.max_decode_batch),
             stretch: None,
-            arrivals: EventQueue::with_capacity(expected_requests),
+            arrivals: VecDeque::new(),
             ready: VecDeque::new(),
             batch: Vec::with_capacity(self.max_decode_batch),
             clock: SimClock::new(),
@@ -1058,7 +1046,7 @@ impl ServingEngine {
         // stretch end, bit-identically to step mode.
         let arrival_can_admit = batch < self.max_decode_batch && sim.ready.is_empty();
         let next_arrival = if arrival_can_admit {
-            sim.arrivals.peek_time().unwrap_or(f64::INFINITY)
+            sim.arrivals.front().map_or(f64::INFINITY, |r| r.arrival_s)
         } else {
             f64::INFINITY
         };
@@ -1279,9 +1267,9 @@ impl ServingEngine {
             }
             // Idle: fast-forward to the next arrival if it is within the
             // horizon, otherwise yield back to the caller.
-            match sim.arrivals.peek_time() {
-                Some(at) if at < limit => {
-                    sim.clock.advance_to(at);
+            match sim.arrivals.front() {
+                Some(r) if r.arrival_s < limit => {
+                    sim.clock.advance_to(r.arrival_s);
                 }
                 _ => return Ok(()),
             }
@@ -1631,7 +1619,7 @@ mod tests {
         let settings = RunSettings::new(RoutingPolicy::RoundRobin);
         let admitted = || {
             let slo = ResilienceConfig::default().slo;
-            let mut sim = e.make_sim(0, 4, &settings, slo).unwrap();
+            let mut sim = e.make_sim(0, &settings, slo).unwrap();
             for (id, input_len, output_len) in
                 [(0, 128, 40), (1, 700, 25), (2, 300, 60), (3, 64, 33)]
             {
@@ -1677,7 +1665,7 @@ mod tests {
         let settings = RunSettings::new(RoutingPolicy::RoundRobin);
         let admitted = || {
             let slo = ResilienceConfig::default().slo;
-            let mut sim = e.make_sim(0, 4, &settings, slo).unwrap();
+            let mut sim = e.make_sim(0, &settings, slo).unwrap();
             for (id, input_len, output_len) in
                 [(0, 128, 40), (1, 700, 25), (2, 300, 60), (3, 64, 33)]
             {
@@ -1767,7 +1755,7 @@ mod tests {
         let e = engine(PagedBackend::GaudiOpt, 4).with_kv_blocks(6);
         let settings = RunSettings::new(RoutingPolicy::RoundRobin);
         let slo = ResilienceConfig::default().slo;
-        let mut sim = e.make_sim(0, 3, &settings, slo).unwrap();
+        let mut sim = e.make_sim(0, &settings, slo).unwrap();
         for (id, input_len) in [(0, 199), (1, 199), (2, 255)] {
             sim.enqueue(Request::new(id, input_len, 50));
         }
@@ -1796,6 +1784,44 @@ mod tests {
         );
         assert_eq!(sim.total_output, 3 + 3);
         assert_eq!(sim.kv.used(), 2 + 3);
+    }
+
+    #[test]
+    fn pending_arrivals_promote_in_the_order_an_event_queue_pops_them() {
+        // Hand-overs out of order: later, earlier, equal, and -0.0 beside
+        // 0.0, in two rounds around a promotion, so the second round
+        // lands among arrivals still pending. The deque must yield what
+        // the heap it replaced popped: `(arrival_s by total_cmp,
+        // hand-over order)`.
+        use dcm_core::sim::EventQueue;
+        let e = engine(PagedBackend::GaudiOpt, 4);
+        let settings = RunSettings::new(RoutingPolicy::RoundRobin);
+        let slo = ResilienceConfig::default().slo;
+        let mut sim = e.make_sim(0, &settings, slo).unwrap();
+        let mut heap = EventQueue::new();
+        let (mut promoted, mut popped) = (Vec::new(), Vec::new());
+        let rounds: [(&[f64], f64); 2] = [
+            (&[2.0, 1.0, 0.0, 2.0, -0.0, 1.0, 0.0, 3.0, -0.0], 1.0),
+            (&[0.5, 3.0, -0.0, 2.0, 1.0, 0.0, 2.5], 3.0),
+        ];
+        let mut id = 0;
+        for (times, now) in rounds {
+            for &t in times {
+                sim.enqueue(Request {
+                    arrival_s: t,
+                    ..Request::new(id, 64, 4)
+                });
+                heap.push(t, 0, id);
+                id += 1;
+            }
+            sim.clock.advance_to(now);
+            sim.promote_arrivals();
+            promoted.extend(sim.ready.drain(..).map(|s| s.request.id));
+            popped.extend(std::iter::from_fn(|| heap.pop_due(now)).map(|e| e.payload));
+        }
+        assert_eq!(promoted, popped);
+        assert_eq!(promoted.len(), 16, "everything is due by the last round");
+        assert_eq!(promoted[..2], [4, 8], "-0.0 sorts before 0.0");
     }
 
     #[test]

@@ -317,9 +317,10 @@ pub(crate) enum TimelineKind {
 }
 
 impl TimelineKind {
-    /// Tie-break class at equal times — the priority the cluster's event
-    /// queue orders same-instant events by (arrivals use the next rank
-    /// up, so any fault edge precedes an arrival at the same instant).
+    /// Tie-break class among fault edges at one instant, by which
+    /// [`FaultPlan::timeline`] sorts them. Against the control fabric and
+    /// arrivals every fault edge goes first (the cluster timeline's
+    /// `pop`).
     pub(crate) fn class_rank(self) -> u8 {
         match self {
             TimelineKind::Recover { .. } => 0,

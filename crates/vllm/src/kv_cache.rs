@@ -253,6 +253,7 @@ impl PagedKvCache {
 
     /// Blocks a live sequence holds.
     #[must_use]
+    // dcm-lint: allow(R1) PagedKvCache oracle API; prop_vllm::kv_cache_matches_the_block_id_model
     pub fn blocks_of(&self, id: SeqId) -> Option<usize> {
         self.seqs.get(&id).map(|&(_, held)| held)
     }

@@ -91,11 +91,6 @@ impl<T> ListQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Remove every event, in pop order.
-    pub fn drain_ordered(&mut self) -> Vec<Event<T>> {
-        std::iter::from_fn(|| self.pop()).collect()
-    }
 }
 
 /// Every number a cluster report carries, floats as bit patterns.

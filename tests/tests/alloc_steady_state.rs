@@ -90,8 +90,8 @@ fn hot_paths_are_allocation_free_after_warmup() {
         q.push(f64::from(u16::try_from(i).expect("small")) * SPACING, 0, id);
     }
     // Each popped event is re-armed one full revolution later, keeping K
-    // events uniformly spaced forever — the stationary regime a saturated
-    // decode loop's arrival queue sits in.
+    // events uniformly spaced forever — the hold model's stationary
+    // regime, in which every pop schedules a successor.
     let churn = |q: &mut EventQueue<u64>, iters: usize| {
         let revolution = f64::from(u16::try_from(K).expect("small")) * SPACING;
         for _ in 0..iters {
@@ -109,7 +109,9 @@ fn hot_paths_are_allocation_free_after_warmup() {
     // --- Event queue: bulk fill and drain -----------------------------
     // A pre-sized queue takes a whole trace up front (increasing times,
     // four events per instant, so `seq` breaks exact ties), then drains
-    // it through `pop_due` — the shape of a cluster run's arrival queue.
+    // it through `pop_due` — the shape of `FlowSim` running a
+    // collective's flows to completion and of the `dcmbench` `core.sim`
+    // probes, which queue a whole Poisson trace.
     const N: u16 = 4096;
     let mut q: EventQueue<u16> = EventQueue::with_capacity(usize::from(N));
     let (bulk_allocs, popped) = allocations_in(|| {

@@ -3,9 +3,9 @@
 //!
 //! A cluster run reads arrivals from the trace in `(arrival_s by
 //! f64::total_cmp, trace index)` order: the trace itself when it is in
-//! that order, an index sort of it otherwise. Fault edges and fabric
-//! wakes wait in an event queue and apply before an arrival at their
-//! instant. So:
+//! that order, an index sort of it otherwise. Fault edges and the
+//! control fabric's due work apply before an arrival at their instant.
+//! So:
 //!
 //! * a permutation of a trace whose arrival times are distinct gives the
 //!   same report, every float by its bits, under all four routing
@@ -142,9 +142,7 @@ fn simultaneous_arrivals_keep_the_queue_order() {
     for r in &reqs {
         oracle.push(r.arrival_s, 0, r.id);
     }
-    let expected: Vec<(u64, f64)> = oracle
-        .drain_ordered()
-        .into_iter()
+    let expected: Vec<(u64, f64)> = std::iter::from_fn(|| oracle.pop())
         .enumerate()
         .map(|(k, e)| (e.payload, (k % 3) as f64))
         .collect();

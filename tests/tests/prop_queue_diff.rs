@@ -67,10 +67,10 @@ fn run_script(ops: &[(u8, u8, u16, u8)]) -> (Vec<Option<PopKey>>, Vec<Option<Pop
             );
         }
     }
-    for e in model.drain_ordered() {
+    for e in std::iter::from_fn(|| model.pop()) {
         model_log.push(Some((e.time.to_bits(), e.priority, e.seq, e.payload)));
     }
-    for e in queue.drain_ordered() {
+    for e in std::iter::from_fn(|| queue.pop()) {
         queue_log.push(Some((e.time.to_bits(), e.priority, e.seq, e.payload)));
     }
     (model_log, queue_log)
@@ -106,14 +106,10 @@ proptest! {
             queue.push(t, priority, id);
         }
         prop_assert_eq!(model.len(), queue.len());
-        let m: Vec<PopKey> = model
-            .drain_ordered()
-            .into_iter()
+        let m: Vec<PopKey> = std::iter::from_fn(|| model.pop())
             .map(|e| (e.time.to_bits(), e.priority, e.seq, e.payload))
             .collect();
-        let q: Vec<PopKey> = queue
-            .drain_ordered()
-            .into_iter()
+        let q: Vec<PopKey> = std::iter::from_fn(|| queue.pop())
             .map(|e| (e.time.to_bits(), e.priority, e.seq, e.payload))
             .collect();
         prop_assert_eq!(m.len(), times.len());
@@ -252,14 +248,10 @@ fn queue_and_model_agree_on_interleaved_traffic() {
         assert_eq!(queue.peek_time(), model.peek_time());
     }
     assert_eq!(
-        queue
-            .drain_ordered()
-            .into_iter()
+        std::iter::from_fn(|| queue.pop())
             .map(|e| e.seq)
             .collect::<Vec<_>>(),
-        model
-            .drain_ordered()
-            .into_iter()
+        std::iter::from_fn(|| model.pop())
             .map(|e| e.seq)
             .collect::<Vec<_>>()
     );

@@ -76,29 +76,23 @@ for ex in examples/*.rs; do
     cargo run -q --release -p dcm-examples --example "$name" >/dev/null
 done
 
-# Differential suite under an explicit 2-thread override: the
-# queue-vs-list-model, slab-vs-map (the public slab that dcmbench times;
-# the engine no longer uses it), histogram, fast-forward (on one
-# replica, i.e. the single engine, and on several) and
-# flow-vs-closed-form fabric equivalence properties (with
-# freeing_finished_flows_moves_no_bit: taking each finished flow, so
-# that later flows reuse its slot, moves no finish or delivery time),
-# the attention
-# pricing paths (slice, stats and memoized) against each other and an
-# exact stretch's summed prices against token-by-token steps, the
-# stretch pricer against pricing each step's projection, the batch
-# projection kept across inserts, removes and grow-alls against a
-# rebuild, the split pipeline makespan against its recurrence, the
-# exact-stretch cut invariance (lazy, eager and slowdown-window
-# catch-ups give one report), the MME geometry search against its f64
-# argmin spec, the per-thread step tables' report invariance and counts,
-# graphs with repeated blocks against their flat twins (bit for bit) and
-# the Llama lowerings' block structure, the never-panic, never-hang
-# cluster runs, the cluster's arrival order against one queue holding
-# every arrival (and permuted traces) and the exact percentile against
-# sorting a copy, plus the steady-state allocation audit (control-fabric
-# dispatch included) must hold regardless of the parallelism the host
-# advertises.
+# Differential suite, under an explicit 2-thread override so it holds
+# whatever parallelism the host advertises. What each suite pins:
+#   prop_queue_diff       the event heap pops like a linear-scan list model
+#   prop_slab_diff        the public slab (dcmbench times it) against a map
+#   prop_histogram        log-histogram quantiles stay within their bound
+#   prop_batch_stats      the incremental pricing paths against recomputing
+#   prop_stretch_cuts     cutting an exact stretch moves no report bit
+#   prop_fast_forward     fast-forward keeps every count on one replica
+#   prop_cluster_ff       ... and on several; DCM_THREADS moves no bit
+#   prop_fabric_diff      flow collectives match the closed forms
+#   prop_mme_select       the MME geometry search picks its f64 argmin
+#   prop_step_cost_memo   the per-thread step tables move no report bit
+#   prop_graph_blocks     block graphs execute as their flat twins
+#   step_cost_memo_counts every step graph compiles once per thread
+#   prop_robustness       cluster runs end in a report or a typed error
+#   prop_arrival_order    arrivals leave in one heap's pop order; percentiles
+#   alloc_steady_state    the hot paths allocate nothing after warm-up
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
