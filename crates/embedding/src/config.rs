@@ -2,6 +2,7 @@
 
 use dcm_core::cast::usize_to_u64;
 use dcm_core::error::{DcmError, Result};
+use dcm_core::tensor::Tensor;
 use dcm_core::{rng, DType};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -93,12 +94,35 @@ impl LookupBatch {
         LookupBatch { batch, indices }
     }
 
-    /// Validate the batch against a configuration.
+    /// Check the batch against the tables it gathers from and their
+    /// configuration. Every forward (the reference and both TPC kernels)
+    /// calls this first, so it alone decides whether a lookup is valid.
+    /// It requires at least one sample and one table (a kernel's
+    /// `[tables, batch]` index space cannot be empty); `cfg.tables`
+    /// tables, each `[_, cfg.dim]`; one index list per table, each of
+    /// `cfg.gathers_per_table(batch)` indices; and every index below its
+    /// own table's row count, which may be fewer than
+    /// `cfg.rows_per_table` (tests use small tables).
     ///
     /// # Errors
-    /// Returns [`DcmError::InvalidConfig`] on table-count or length
-    /// mismatch, [`DcmError::IndexOutOfBounds`] on bad indices.
-    pub fn validate(&self, cfg: &EmbeddingConfig) -> Result<()> {
+    /// Returns [`DcmError::InvalidConfig`] on an empty batch or table set,
+    /// a table-count, list-count or list-length mismatch,
+    /// [`DcmError::ShapeMismatch`] on a table that is not `[_, cfg.dim]`,
+    /// and [`DcmError::IndexOutOfBounds`] on an index past its table.
+    pub fn check(&self, tables: &[Tensor], cfg: &EmbeddingConfig) -> Result<()> {
+        if self.batch == 0 || cfg.tables == 0 {
+            return Err(DcmError::InvalidConfig(format!(
+                "a lookup needs a sample and a table, got a batch of {} over {} tables",
+                self.batch, cfg.tables
+            )));
+        }
+        if tables.len() != cfg.tables {
+            return Err(DcmError::InvalidConfig(format!(
+                "{} tables provided, config says {}",
+                tables.len(),
+                cfg.tables
+            )));
+        }
         if self.indices.len() != cfg.tables {
             return Err(DcmError::InvalidConfig(format!(
                 "{} index lists for {} tables",
@@ -106,18 +130,28 @@ impl LookupBatch {
                 cfg.tables
             )));
         }
-        let expect = cfg.gathers_per_table(self.batch);
-        for (t, list) in self.indices.iter().enumerate() {
-            if list.len() != expect {
-                return Err(DcmError::InvalidConfig(format!(
-                    "table {t}: {} indices, expected {expect}",
-                    list.len()
+        // `None` when `batch * pooling` overflows: no list is that long.
+        let expect = self.batch.checked_mul(cfg.pooling);
+        for (t, (table, list)) in tables.iter().zip(&self.indices).enumerate() {
+            if table.shape().rank() != 2 || table.shape().dim(1) != cfg.dim {
+                return Err(DcmError::ShapeMismatch(format!(
+                    "table {t} is {}, expected [_, {}]",
+                    table.shape(),
+                    cfg.dim
                 )));
             }
-            if let Some(&bad) = list.iter().find(|&&i| i >= cfg.rows_per_table) {
+            if Some(list.len()) != expect {
+                return Err(DcmError::InvalidConfig(format!(
+                    "table {t}: {} indices for a batch of {} at pooling {}",
+                    list.len(),
+                    self.batch,
+                    cfg.pooling
+                )));
+            }
+            let rows = table.shape().dim(0);
+            if let Some(&bad) = list.iter().find(|&&i| i >= rows) {
                 return Err(DcmError::IndexOutOfBounds(format!(
-                    "table {t}: index {bad} out of {} rows",
-                    cfg.rows_per_table
+                    "table {t}: index {bad} out of {rows} rows"
                 )));
             }
         }
@@ -128,6 +162,9 @@ impl LookupBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{batched_table_tpc_forward, reference_forward, single_table_tpc_forward};
+    use dcm_core::DeviceSpec;
+    use std::mem::discriminant;
 
     #[test]
     fn config_arithmetic() {
@@ -146,35 +183,120 @@ mod tests {
         assert!(rm2.gathered_bytes(64) > 4 * rm1.gathered_bytes(64));
     }
 
+    /// Three 50-row tables of 8-float vectors, pooling 5.
+    fn small() -> (EmbeddingConfig, Vec<Tensor>) {
+        let cfg = EmbeddingConfig {
+            tables: 3,
+            rows_per_table: 50,
+            dim: 8,
+            dtype: DType::Fp32,
+            pooling: 5,
+        };
+        let mut r = rng::seeded(7);
+        let tables = (0..cfg.tables)
+            .map(|_| Tensor::random([cfg.rows_per_table, cfg.dim], cfg.dtype, &mut r))
+            .collect();
+        (cfg, tables)
+    }
+
     #[test]
     fn random_batch_validates() {
-        let cfg = EmbeddingConfig::rm1_like(64);
-        let mut r = rng::seeded(1);
-        let b = LookupBatch::random(&cfg, 16, &mut r);
-        b.validate(&cfg).unwrap();
-        assert_eq!(b.indices.len(), 10);
-        assert_eq!(b.indices[0].len(), 160);
+        let (cfg, tables) = small();
+        let b = LookupBatch::random(&cfg, 16, &mut rng::seeded(1));
+        b.check(&tables, &cfg).unwrap();
+        assert_eq!(b.indices.len(), 3);
+        assert_eq!(b.indices[0].len(), 80);
     }
 
     #[test]
     fn validation_catches_errors() {
-        let cfg = EmbeddingConfig::rm1_like(64);
-        let mut r = rng::seeded(3);
-        let mut b = LookupBatch::random(&cfg, 4, &mut r);
-        b.indices[3][0] = cfg.rows_per_table; // out of range
-        assert!(matches!(
-            b.validate(&cfg),
-            Err(DcmError::IndexOutOfBounds(_))
-        ));
-        let mut short = LookupBatch::random(&cfg, 4, &mut r);
-        short.indices.pop();
-        assert!(matches!(
-            short.validate(&cfg),
-            Err(DcmError::InvalidConfig(_))
-        ));
-        let mut ragged = LookupBatch::random(&cfg, 4, &mut r);
-        ragged.indices[0].pop();
-        assert!(ragged.validate(&cfg).is_err());
+        // Each malformed lookup, as an edit of a good configuration,
+        // tables and lists, and the kind of error `check` gives for it,
+        // which every forward must return unchanged.
+        let (cfg, tables) = small();
+        let good = LookupBatch::random(&cfg, 4, &mut rng::seeded(3));
+        type Edit = fn(&mut EmbeddingConfig, &mut Vec<Tensor>, &mut LookupBatch);
+        type Kind = fn(String) -> DcmError;
+        let cases: [(&str, Edit, Kind); 10] = [
+            (
+                "missing table",
+                |_, t, _| drop(t.pop()),
+                DcmError::InvalidConfig,
+            ),
+            (
+                "narrow table",
+                |_, t, _| t[1] = Tensor::zeros([50, 7], DType::Fp32),
+                DcmError::ShapeMismatch,
+            ),
+            (
+                "extra list",
+                |_, _, l| l.indices.push(vec![0; 20]),
+                DcmError::InvalidConfig,
+            ),
+            (
+                "short list",
+                |_, _, l| l.indices[2].truncate(19),
+                DcmError::InvalidConfig,
+            ),
+            (
+                "long list",
+                |_, _, l| l.indices[2].push(0),
+                DcmError::InvalidConfig,
+            ),
+            (
+                "short list beside a long one",
+                |_, _, l| {
+                    let moved = l.indices[0].split_off(19);
+                    l.indices[1].extend(moved);
+                },
+                DcmError::InvalidConfig,
+            ),
+            (
+                "batch larger than the lists",
+                |_, _, l| l.batch = 5,
+                DcmError::InvalidConfig,
+            ),
+            (
+                "index past its table",
+                |_, _, l| l.indices[1][7] = 50,
+                DcmError::IndexOutOfBounds,
+            ),
+            (
+                "empty batch",
+                |_, _, l| {
+                    l.batch = 0;
+                    l.indices.iter_mut().for_each(Vec::clear);
+                },
+                DcmError::InvalidConfig,
+            ),
+            (
+                "no tables",
+                |c, t, l| {
+                    c.tables = 0;
+                    t.clear();
+                    l.indices.clear();
+                },
+                DcmError::InvalidConfig,
+            ),
+        ];
+        let spec = DeviceSpec::gaudi2();
+        for (name, edit, kind) in cases {
+            let (mut c, mut t, mut l) = (cfg.clone(), tables.clone(), good.clone());
+            edit(&mut c, &mut t, &mut l);
+            let want = l.check(&t, &c).expect_err(name);
+            assert_eq!(
+                discriminant(&want),
+                discriminant(&kind(String::new())),
+                "{name}"
+            );
+            for got in [
+                reference_forward(&t, &l, &c).map(drop),
+                single_table_tpc_forward(&spec, &t, &l, &c).map(drop),
+                batched_table_tpc_forward(&spec, &t, &l, &c).map(drop),
+            ] {
+                assert_eq!(got, Err(want.clone()), "{name}");
+            }
+        }
     }
 
     #[test]

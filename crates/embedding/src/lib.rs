@@ -14,9 +14,13 @@
 //!   gathers to the memory system, which is what lifts bandwidth
 //!   utilization at low batch sizes (Figure 15(a)).
 //!
-//! Both operators execute *functionally* (real bag-sum gathers over host
-//! tensors) and report modeled costs. The same types parameterized with the
-//! A100 spec form the FBGEMM-GPU baseline of Figure 15(d).
+//! These two types are the operators' timing model ([`EmbeddingOp`]): the
+//! figures price through them, and the same types parameterized with the
+//! A100 spec form the FBGEMM-GPU baseline of Figure 15(d). The operators
+//! execute as TPC-C kernels ([`single_table_tpc_forward`],
+//! [`batched_table_tpc_forward`]): real bag-sum gathers over host tensors,
+//! checked against [`reference_forward`]. [`LookupBatch::check`] decides
+//! for all three whether a lookup is valid.
 //!
 //! ```
 //! use dcm_core::DeviceSpec;

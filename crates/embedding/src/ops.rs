@@ -1,10 +1,12 @@
-//! The SingleTable and BatchedTable embedding-lookup operators (§4.1,
-//! Figures 14 and 15).
+//! The timing models of the SingleTable and BatchedTable embedding-lookup
+//! operators (§4.1, Figures 14 and 15), and the bag-sum reference their
+//! TPC-C kernels are checked against.
 //!
 //! Both operators share the bag-sum semantics of FBGEMM's
 //! `table_batched_embeddings`: for every sample and every table, `pooling`
 //! rows are gathered and summed into one pooled vector; the per-table
-//! pooled vectors are concatenated.
+//! pooled vectors are concatenated. [`reference_forward`] computes it
+//! naively; the kernels in [`crate::tpc_kernel`] execute it.
 //!
 //! The *timing* difference is structural:
 //!
@@ -21,7 +23,7 @@
 use crate::config::{EmbeddingConfig, LookupBatch};
 use dcm_core::cast::{u64_to_f64, usize_to_f64, usize_to_u64};
 use dcm_core::cost::{Engine, OpCost};
-use dcm_core::error::{DcmError, Result};
+use dcm_core::error::Result;
 use dcm_core::specs::DeviceSpec;
 use dcm_core::tensor::Tensor;
 use dcm_mem::hbm::{AccessPattern, HbmModel};
@@ -42,7 +44,9 @@ const SDK_UNROLL: usize = 2;
 /// gathers per core, Figure 14(a)).
 const OPTIMIZED_UNROLL: usize = 4;
 
-/// An embedding-lookup operator: timed and functional execution.
+/// An embedding-lookup operator's timing model: what the figures, the
+/// DLRM server and the reports price. The operator's functional execution
+/// is its TPC-C kernel ([`crate::tpc_kernel`]).
 pub trait EmbeddingOp {
     /// Operator name for reports.
     fn name(&self) -> &str;
@@ -53,73 +57,27 @@ pub trait EmbeddingOp {
     /// Memory-bandwidth utilization: gathered useful bytes per second over
     /// peak HBM bandwidth — the y-axis of Figure 15.
     fn utilization(&self, cfg: &EmbeddingConfig, batch: usize) -> f64;
-
-    /// Functional forward pass: bag-sum gathers over real tables. Returns
-    /// the `[batch, tables * dim]` pooled output and the modeled cost.
-    ///
-    /// # Errors
-    /// Returns an error if `lookup` fails validation against `cfg` or the
-    /// tables disagree with `cfg`.
-    fn forward(
-        &self,
-        tables: &[Tensor],
-        lookup: &LookupBatch,
-        cfg: &EmbeddingConfig,
-    ) -> Result<(Tensor, OpCost)>;
 }
 
-fn check_tables(tables: &[Tensor], cfg: &EmbeddingConfig) -> Result<()> {
-    if tables.len() != cfg.tables {
-        return Err(DcmError::InvalidConfig(format!(
-            "{} tables provided, config says {}",
-            tables.len(),
-            cfg.tables
-        )));
-    }
-    for (i, t) in tables.iter().enumerate() {
-        if t.shape().rank() != 2 || t.shape().dim(1) != cfg.dim {
-            return Err(DcmError::ShapeMismatch(format!(
-                "table {i} is {}, expected [_, {}]",
-                t.shape(),
-                cfg.dim
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Ground-truth bag-sum forward (naive, obviously correct). Table rows may
-/// be fewer than `cfg.rows_per_table` in tests; indices must stay in range.
+/// Ground-truth bag-sum forward (naive, obviously correct): the
+/// `[batch, tables * dim]` pooled output.
 ///
 /// # Errors
-/// Returns an error on malformed inputs or out-of-range indices.
+/// Returns the error [`LookupBatch::check`] gives for a malformed lookup.
 pub fn reference_forward(
     tables: &[Tensor],
     lookup: &LookupBatch,
     cfg: &EmbeddingConfig,
 ) -> Result<Tensor> {
-    check_tables(tables, cfg)?;
+    lookup.check(tables, cfg)?;
     let mut out = Tensor::zeros([lookup.batch, cfg.tables * cfg.dim], cfg.dtype);
-    for (t, table) in tables.iter().enumerate() {
-        let rows = table.shape().dim(0);
-        let list = lookup
-            .indices
-            .get(t)
-            .ok_or_else(|| DcmError::InvalidConfig(format!("missing index list for table {t}")))?;
+    for (t, (table, list)) in tables.iter().zip(&lookup.indices).enumerate() {
         for s in 0..lookup.batch {
             for p in 0..cfg.pooling {
-                let idx = *list.get(s * cfg.pooling + p).ok_or_else(|| {
-                    DcmError::InvalidConfig(format!("short index list for table {t}"))
-                })?;
-                if idx >= rows {
-                    return Err(DcmError::IndexOutOfBounds(format!(
-                        "table {t}: row {idx} out of {rows}"
-                    )));
-                }
-                let row: Vec<f32> = table.row(idx).to_vec();
-                let orow = out.row_mut(s);
-                for (d, v) in row.iter().enumerate() {
-                    orow[t * cfg.dim + d] += v;
+                let row = table.row(list[s * cfg.pooling + p]);
+                let orow = &mut out.row_mut(s)[t * cfg.dim..(t + 1) * cfg.dim];
+                for (o, v) in orow.iter_mut().zip(row) {
+                    *o += v;
                 }
             }
         }
@@ -229,19 +187,6 @@ impl EmbeddingOp for SingleTableOp {
     fn utilization(&self, cfg: &EmbeddingConfig, batch: usize) -> f64 {
         utilization_of(&self.cost(cfg, batch), cfg, batch, self.peak_bps)
     }
-
-    fn forward(
-        &self,
-        tables: &[Tensor],
-        lookup: &LookupBatch,
-        cfg: &EmbeddingConfig,
-    ) -> Result<(Tensor, OpCost)> {
-        check_tables(tables, cfg)?;
-        // Functionally identical to the reference: per-table sequential
-        // processing is a scheduling difference, not a numeric one.
-        let out = reference_forward(tables, lookup, cfg)?;
-        Ok((out, self.cost(cfg, lookup.batch)))
-    }
 }
 
 /// All tables fused into one launch with per-table base offsets
@@ -286,103 +231,11 @@ impl EmbeddingOp for BatchedTableOp {
     fn utilization(&self, cfg: &EmbeddingConfig, batch: usize) -> f64 {
         utilization_of(&self.cost(cfg, batch), cfg, batch, self.peak_bps)
     }
-
-    fn forward(
-        &self,
-        tables: &[Tensor],
-        lookup: &LookupBatch,
-        cfg: &EmbeddingConfig,
-    ) -> Result<(Tensor, OpCost)> {
-        check_tables(tables, cfg)?;
-        lookup.validate_rows(tables)?;
-        // The batched operator views all tables as one large table with
-        // per-table base offsets (tableOffsets in Figure 14(b)); compute it
-        // that way to exercise the offset arithmetic.
-        let dim = cfg.dim;
-        let mut flat: Vec<f32> = Vec::new();
-        let mut offsets = Vec::with_capacity(cfg.tables);
-        for t in tables {
-            offsets.push(flat.len() / dim);
-            flat.extend_from_slice(t.data());
-        }
-        let total_rows = flat.len() / dim;
-        let big = Tensor::from_vec([total_rows, dim], cfg.dtype, flat)?;
-        let mut out = Tensor::zeros([lookup.batch, cfg.tables * dim], cfg.dtype);
-        for (t, list) in lookup.indices.iter().enumerate() {
-            for s in 0..lookup.batch {
-                for p in 0..cfg.pooling {
-                    let global = offsets[t] + list[s * cfg.pooling + p];
-                    let row: Vec<f32> = big.row(global).to_vec();
-                    let orow = out.row_mut(s);
-                    for (d, v) in row.iter().enumerate() {
-                        orow[t * dim + d] += v;
-                    }
-                }
-            }
-        }
-        Ok((out, self.cost(cfg, lookup.batch)))
-    }
-}
-
-impl LookupBatch {
-    /// Validate indices against the *actual* table row counts (tests use
-    /// small tables).
-    ///
-    /// # Errors
-    /// Returns [`DcmError::IndexOutOfBounds`] if any index exceeds its
-    /// table.
-    pub fn validate_rows(&self, tables: &[Tensor]) -> Result<()> {
-        for (t, (list, table)) in self.indices.iter().zip(tables).enumerate() {
-            let rows = table.shape().dim(0);
-            if let Some(&bad) = list.iter().find(|&&i| i >= rows) {
-                return Err(DcmError::IndexOutOfBounds(format!(
-                    "table {t}: index {bad} out of {rows} rows"
-                )));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcm_core::{rng, DeviceSpec};
-
-    fn small_cfg() -> EmbeddingConfig {
-        EmbeddingConfig {
-            tables: 4,
-            rows_per_table: 100,
-            dim: 8,
-            dtype: dcm_core::DType::Fp32,
-            pooling: 3,
-        }
-    }
-
-    fn small_tables(cfg: &EmbeddingConfig, seed: u64) -> Vec<Tensor> {
-        let mut r = rng::seeded(seed);
-        (0..cfg.tables)
-            .map(|_| Tensor::random([cfg.rows_per_table, cfg.dim], cfg.dtype, &mut r))
-            .collect()
-    }
-
-    #[test]
-    fn batched_equals_single_equals_reference() {
-        let cfg = small_cfg();
-        let tables = small_tables(&cfg, 1);
-        let mut r = rng::seeded(2);
-        let lookup = LookupBatch::random(&cfg, 6, &mut r);
-        let gaudi = DeviceSpec::gaudi2();
-        let reference = reference_forward(&tables, &lookup, &cfg).unwrap();
-        let (single, _) = SingleTableOp::optimized(&gaudi)
-            .forward(&tables, &lookup, &cfg)
-            .unwrap();
-        let (batched, _) = BatchedTableOp::new(&gaudi)
-            .forward(&tables, &lookup, &cfg)
-            .unwrap();
-        assert!(single.max_abs_diff(&reference).unwrap() < 1e-5);
-        assert!(batched.max_abs_diff(&reference).unwrap() < 1e-4);
-    }
 
     #[test]
     fn batched_is_faster_at_small_batches() {
@@ -473,17 +326,6 @@ mod tests {
         let au = a100.utilization(&cfg, 4096);
         assert!((gu - 0.705).abs() < 0.08, "gaudi peak {gu}");
         assert!((au - 0.818).abs() < 0.08, "a100 peak {au}");
-    }
-
-    #[test]
-    fn forward_validates_tables() {
-        let cfg = small_cfg();
-        let mut tables = small_tables(&cfg, 3);
-        tables.pop();
-        let mut r = rng::seeded(4);
-        let lookup = LookupBatch::random(&cfg, 2, &mut r);
-        let op = BatchedTableOp::new(&DeviceSpec::gaudi2());
-        assert!(op.forward(&tables, &lookup, &cfg).is_err());
     }
 
     #[test]

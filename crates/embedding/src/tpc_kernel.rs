@@ -1,17 +1,22 @@
-//! The §4.1 embedding-lookup kernel written against the *actual* TPC-C
+//! The §4.1 embedding-lookup kernels written against the *actual* TPC-C
 //! style DSL of `dcm-tpc` — not just priced analytically, but executed
 //! instruction by instruction over real tensors, exactly as Figure 14(a)
 //! sketches: the index space spans (table, sample), the index loop is
 //! unrolled by 4 for memory-level parallelism, gathered vectors are staged
 //! in TPC local memory, and the pooled sum is accumulated with `v_add`.
 //!
-//! This module exists to demonstrate (and regression-test) that the kernel
-//! API is expressive enough for the paper's case study; production-path
-//! pricing uses the analytic operators in [`crate::ops`].
+//! These two kernels are the SingleTable and BatchedTable operators' only
+//! functional path, checked against [`reference_forward`]. The figures
+//! price the operators through the analytic [`EmbeddingOp`] models in
+//! [`crate::ops`] instead.
+//!
+//! [`reference_forward`]: crate::ops::reference_forward
+//! [`EmbeddingOp`]: crate::ops::EmbeddingOp
 
 use crate::config::{EmbeddingConfig, LookupBatch};
 use dcm_core::cast::{f64_to_usize, usize_to_f32};
 use dcm_core::cost::OpCost;
+use dcm_core::dtype::DType;
 use dcm_core::error::{DcmError, Result};
 use dcm_core::specs::DeviceSpec;
 use dcm_core::tensor::{Tensor, TensorDesc};
@@ -20,6 +25,30 @@ use dcm_tpc::program::{TpcContext, TpcExecutor, TpcProgram, VecReg};
 
 /// The unroll factor of the optimized kernel (Figure 14(a)).
 const UNROLL: usize = 4;
+
+/// Every integer up to 2^24 is an exact `f32`; 2^24 + 1 is not.
+const F32_EXACT: usize = 1 << 24;
+
+/// Rows (indices, or the batched kernel's table offsets) as the rank-1
+/// tensor the kernels read them from: they travel as `f32`, as they do
+/// through PyTorch.
+///
+/// # Errors
+/// Returns [`DcmError::InvalidConfig`] for a row above 2^24, which an
+/// `f32` cannot carry exactly.
+fn row_tensor(rows: impl Iterator<Item = usize>, dtype: DType) -> Result<Tensor> {
+    let flat = rows
+        .map(|row| {
+            if row > F32_EXACT {
+                return Err(DcmError::InvalidConfig(format!(
+                    "row {row} is above 2^24, which an f32 index tensor cannot carry exactly"
+                )));
+            }
+            Ok(usize_to_f32(row))
+        })
+        .collect::<Result<Vec<f32>>>()?;
+    Tensor::from_vec([flat.len()], dtype, flat)
+}
 
 /// SingleTable embedding-lookup TPC kernel.
 ///
@@ -87,29 +116,18 @@ impl TpcProgram for SingleTableTpcKernel {
 /// embeddings and the DSL-derived cost.
 ///
 /// # Errors
-/// Returns an error on malformed inputs, out-of-range indices, or VLM
-/// exhaustion (vectors wider than the 80 KB local memory allows).
-// dcm-lint: allow(R1) §4 TPC embedding; prop_functional::tpc_embedding_kernel_matches_reference
+/// Returns the error [`LookupBatch::check`] gives for a malformed lookup,
+/// [`DcmError::InvalidConfig`] for an index above 2^24, and
+/// [`DcmError::ResourceExhausted`] when vectors are wider than the 80 KB
+/// local memory allows.
 pub fn single_table_tpc_forward(
     spec: &DeviceSpec,
     tables: &[Tensor],
     lookup: &LookupBatch,
     cfg: &EmbeddingConfig,
 ) -> Result<(Tensor, OpCost)> {
-    if tables.len() != cfg.tables {
-        return Err(DcmError::InvalidConfig(format!(
-            "{} tables provided, config says {}",
-            tables.len(),
-            cfg.tables
-        )));
-    }
-    lookup.validate_rows(tables)?;
-    // Flatten indices into one f32 tensor (lossless below 2^24 rows).
-    let mut flat = Vec::with_capacity(cfg.tables * lookup.batch * cfg.pooling);
-    for list in &lookup.indices {
-        flat.extend(list.iter().map(|&i| usize_to_f32(i)));
-    }
-    let idx_tensor = Tensor::from_vec([flat.len()], cfg.dtype, flat)?;
+    lookup.check(tables, cfg)?;
+    let idx_tensor = row_tensor(lookup.indices.iter().flatten().copied(), cfg.dtype)?;
     let mut inputs: Vec<&Tensor> = vec![&idx_tensor];
     inputs.extend(tables.iter());
 
@@ -191,38 +209,29 @@ impl TpcProgram for BatchedTableTpcKernel {
 /// Execute the fused BatchedTable kernel: one launch over all tables.
 ///
 /// # Errors
-/// Returns an error on malformed inputs, out-of-range indices, or VLM
-/// exhaustion.
-// dcm-lint: allow(R1) §4 TPC embedding; tpc_kernel::batched_kernel_matches_reference_and_single
+/// Returns the error [`LookupBatch::check`] gives for a malformed lookup,
+/// [`DcmError::InvalidConfig`] for an index or a table offset above 2^24,
+/// and [`DcmError::ResourceExhausted`] on VLM exhaustion.
 pub fn batched_table_tpc_forward(
     spec: &DeviceSpec,
     tables: &[Tensor],
     lookup: &LookupBatch,
     cfg: &EmbeddingConfig,
 ) -> Result<(Tensor, OpCost)> {
-    if tables.len() != cfg.tables {
-        return Err(DcmError::InvalidConfig(format!(
-            "{} tables provided, config says {}",
-            tables.len(),
-            cfg.tables
-        )));
-    }
-    lookup.validate_rows(tables)?;
-    // Flat indices.
-    let mut flat = Vec::with_capacity(cfg.tables * lookup.batch * cfg.pooling);
-    for list in &lookup.indices {
-        flat.extend(list.iter().map(|&i| usize_to_f32(i)));
-    }
-    let idx_tensor = Tensor::from_vec([flat.len()], cfg.dtype, flat)?;
+    lookup.check(tables, cfg)?;
+    let idx_tensor = row_tensor(lookup.indices.iter().flatten().copied(), cfg.dtype)?;
     // tableOffsets and the stacked big table (Figure 14(b)).
-    let mut offsets = Vec::with_capacity(cfg.tables);
-    let mut stacked: Vec<f32> = Vec::new();
+    let mut rows = 0;
+    let offsets = tables.iter().map(|t| {
+        let base = rows;
+        rows += t.shape().dim(0);
+        base
+    });
+    let offsets_tensor = row_tensor(offsets, cfg.dtype)?;
+    let mut stacked = Vec::with_capacity(rows * cfg.dim);
     for t in tables {
-        offsets.push(usize_to_f32(stacked.len() / cfg.dim));
         stacked.extend_from_slice(t.data());
     }
-    let offsets_tensor = Tensor::from_vec([cfg.tables], cfg.dtype, offsets)?;
-    let rows = stacked.len() / cfg.dim;
     let big = Tensor::from_vec([rows, cfg.dim], cfg.dtype, stacked)?;
 
     let exec = TpcExecutor::new(spec);
@@ -244,7 +253,7 @@ pub fn batched_table_tpc_forward(
 mod tests {
     use super::*;
     use crate::ops::reference_forward;
-    use dcm_core::{rng, DType};
+    use dcm_core::rng;
 
     fn setup(seed: u64) -> (EmbeddingConfig, Vec<Tensor>, LookupBatch) {
         let cfg = EmbeddingConfig {
@@ -320,15 +329,44 @@ mod tests {
     }
 
     #[test]
-    fn validates_table_count() {
-        let (cfg, mut tables, lookup) = setup(35);
-        tables.pop();
-        assert!(single_table_tpc_forward(&DeviceSpec::gaudi2(), &tables, &lookup, &cfg).is_err());
-        let (cfg2, mut tables2, lookup2) = setup(36);
-        tables2.pop();
-        assert!(
-            batched_table_tpc_forward(&DeviceSpec::gaudi2(), &tables2, &lookup2, &cfg2).is_err()
-        );
+    fn rows_past_2_pow_24_are_rejected_not_rounded() {
+        // Dim-1 zero tables keep the 2^24 + 2-row table at 64 MiB.
+        let cfg = EmbeddingConfig {
+            tables: 2,
+            rows_per_table: F32_EXACT + 2,
+            dim: 1,
+            dtype: DType::Fp32,
+            pooling: 1,
+        };
+        let mut tables = vec![
+            Tensor::zeros([1, 1], cfg.dtype),
+            Tensor::zeros([F32_EXACT + 2, 1], cfg.dtype),
+        ];
+        let spec = DeviceSpec::gaudi2();
+        let lookup = |row: usize| LookupBatch {
+            batch: 1,
+            indices: vec![vec![0], vec![row]],
+        };
+        let rejected = |r: Result<(Tensor, OpCost)>| matches!(r, Err(DcmError::InvalidConfig(_)));
+        for forward in [single_table_tpc_forward, batched_table_tpc_forward] {
+            assert!(forward(&spec, &tables, &lookup(F32_EXACT), &cfg).is_ok());
+            assert!(rejected(forward(
+                &spec,
+                &tables,
+                &lookup(F32_EXACT + 1),
+                &cfg
+            )));
+        }
+        // The big table first: the batched kernel's offset of the second
+        // table is 2^24 + 2.
+        tables.reverse();
+        assert!(single_table_tpc_forward(&spec, &tables, &lookup(0), &cfg).is_ok());
+        assert!(rejected(batched_table_tpc_forward(
+            &spec,
+            &tables,
+            &lookup(0),
+            &cfg
+        )));
     }
 
     #[test]

@@ -24,11 +24,14 @@
 //!   it is a field of `self` whose declared type is a workspace type
 //!   with a `name` method (`self.queue.push(..)` with
 //!   `queue: EventQueue<_>`), that method; likewise when it is a
-//!   parameter the body names only as a receiver (`list.blocks_of(i)`
-//!   with `list: &BlockList`). Otherwise — and for every other receiver
-//!   (a local, a rebound, generic or trait-typed parameter) — **every**
-//!   workspace method named `name` (the conservative step: receiver
-//!   types are not inferred).
+//!   parameter the body names only as a receiver or as a whole call
+//!   argument (`list.blocks_of(i)` with `list: &BlockList`, beside
+//!   `attend(&list)`), since neither can rebind it. Otherwise — and for
+//!   every other receiver (a local, a generic or trait-typed parameter,
+//!   one the body names in a pattern, a closure's parameters, a macro's
+//!   arguments or any other expression) — **every** workspace method
+//!   named `name` (the conservative step: receiver types are not
+//!   inferred).
 //! * `name(...)` (bare call): every free `fn name` in the workspace.
 //! * Calls that resolve to nothing are external (std or shims) and
 //!   become graph leaves; macro invocations are always leaves.
@@ -434,6 +437,31 @@ mod tests {
             let reach = from(root);
             assert!(reach[list].is_some() && reach[cache].is_some(), "{root}");
         }
+    }
+
+    #[test]
+    fn a_parameter_passed_on_whole_keeps_its_pin() {
+        // `serve` also hands `plan` to `Timeline::new`, which rebinds
+        // nothing: `plan.validate(1)` is `FaultPlan::validate` alone. In
+        // `wrapped`, `Some(plan)` could be a pattern, so it resolves by
+        // name to both.
+        let g = graph(&[(
+            "a.rs",
+            "impl FaultPlan { fn validate(&self, n: usize) {} }\n\
+             impl LookupBatch { fn validate(&self, n: usize) {} }\n\
+             impl Timeline { fn new(plan: &FaultPlan) {} }\n\
+             fn serve(plan: &FaultPlan) { plan.validate(1); Timeline::new(plan); }\n\
+             fn wrapped(plan: &FaultPlan) { plan.validate(1); let p = Some(plan); }",
+        )]);
+        let (plan, batch) = (
+            idx(&g, "FaultPlan::validate"),
+            idx(&g, "LookupBatch::validate"),
+        );
+        let serve = g.reachable_from(&[idx(&g, "serve")]);
+        assert!(serve[plan].is_some() && serve[idx(&g, "Timeline::new")].is_some());
+        assert!(serve[batch].is_none(), "the declared type pins the call");
+        let wrapped = g.reachable_from(&[idx(&g, "wrapped")]);
+        assert!(wrapped[plan].is_some() && wrapped[batch].is_some());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   `Method` (`x.f(...)`, qualifier = the
 //!   impl type when the receiver is literally `self` or a field of
 //!   `self`, whose name is then recorded too, or the declared type head
-//!   of a parameter the body names only as a receiver), and `Macro`
+//!   of a parameter the body names only as a receiver or as a whole call
+//!   argument), and `Macro`
 //!   (`name!(...)`). Resolution to definitions happens in
 //!   [`crate::callgraph`], conservatively.
 //! * **Skipped soundly:** `macro_rules!` definitions are consumed
@@ -73,8 +74,9 @@ pub struct Call {
     /// in `ServingEngine::run`; the enclosing impl type for `Self::run`).
     /// `Method`: the enclosing impl type when
     /// the receiver is `self` or `self.<field>`; the declared type head
-    /// when it is a parameter the body names only as a receiver (`x.`),
-    /// and so never rebinds; else `None`.
+    /// when it is a parameter the body names only as a receiver (`x.`) or
+    /// as a whole call argument (`f(&x)`), and so never rebinds; else
+    /// `None`.
     pub qual: Option<String>,
     /// `Method` on a field of `self` (`self.queue.push(..)`): the field,
     /// declared by the struct `qual` names.
@@ -374,17 +376,64 @@ impl<'a> Parser<'a> {
         }
         let close = self.matching_brace(j);
         def.body = Some((j + 1, close));
-        // A parameter the body names other than as a receiver (`x.`) may
-        // be rebound (`let x`, a pattern, a closure's `|x|`), so its type
-        // no longer pins `x.m()`.
+        // A parameter the body names other than as a receiver (`x.`) or a
+        // whole call argument may be rebound (`let x`, a pattern, a
+        // closure's `|x|`), so its type no longer pins `x.m()`.
         params.retain(|(name, _)| {
-            (j + 1..close).all(|k| self.ident(k) != Some(name) || self.is_punct(k + 1, "."))
+            (j + 1..close).all(|k| {
+                self.ident(k) != Some(name)
+                    || self.is_punct(k + 1, ".")
+                    || self.is_call_argument(k, j + 1)
+            })
         });
         let outer = std::mem::replace(&mut self.receivers, params);
         def.calls = self.scan_body(j + 1, close);
         self.receivers = outer;
         self.out.fns.push(def);
         close + 1
+    }
+
+    /// Is the identifier at `k` a whole call argument, `f(x, ..)`,
+    /// `T::f(&x)` or `y.m(.., &mut x)`, whose `(` follows a lowercase
+    /// non-keyword name? No pattern has such a `(` (`Some(x)`,
+    /// `let (a, x)`, `|a, x|`, `Foo { x }`), so an argument never rebinds
+    /// `x`. The search for the `(` stops at the body's first token,
+    /// `body_start`, and gives up at a `|` outside brackets (a closure's
+    /// parameters, or an `|` operator inside the argument list).
+    fn is_call_argument(&self, k: usize, body_start: usize) -> bool {
+        let mut start = k;
+        if self.ident(start.wrapping_sub(1)) == Some("mut")
+            && self.is_punct(start.wrapping_sub(2), "&")
+        {
+            start -= 2;
+        } else if self.is_punct(start.wrapping_sub(1), "&") {
+            start -= 1;
+        }
+        if start <= body_start
+            || !(self.is_punct(start - 1, ",") || self.is_punct(start - 1, "("))
+            || !(self.is_punct(k + 1, ",") || self.is_punct(k + 1, ")"))
+        {
+            return false;
+        }
+        let mut depth = 0usize;
+        for i in (body_start..start).rev() {
+            let t = &self.toks[i];
+            if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
+                depth += 1;
+            } else if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
+                if depth == 0 {
+                    return t.is_punct("(")
+                        && self.ident(i.wrapping_sub(1)).is_some_and(|w| {
+                            w.starts_with(|c: char| c.is_ascii_lowercase())
+                                && !NON_CALL_KEYWORDS.contains(&w)
+                        });
+                }
+                depth -= 1;
+            } else if depth == 0 && (t.is_punct("|") || t.is_punct("||")) {
+                return false;
+            }
+        }
+        false
     }
 
     /// Scan a function body `[start, end)` for call expressions,
@@ -1288,6 +1337,32 @@ mod tests {
                  a.go(); t.go(); i.go(); p.go(); x.a.go(); m::a.go();\n\
                  let r = 0; r.go();\n\
              } }",
+        );
+        let got: Vec<Option<&str>> = fn_named(&p, "f")
+            .calls
+            .iter()
+            .filter(|c| c.name == "go")
+            .map(|c| c.qual.as_deref())
+            .collect();
+        assert_eq!(got, [Some("Alpha"), None, None, None, None, None, None]);
+    }
+
+    #[test]
+    fn parameters_passed_whole_to_calls_keep_their_pin() {
+        // `a` is only a receiver and whole call arguments. `Some(b)` and
+        // `let (z, c)` may be patterns, `|d|` and `|x, e, y|` are closure
+        // parameters, `Wrap(g)` has an uppercase name and `println!(.., h)`
+        // a macro's `(`: each of those drops its pin.
+        let p = parse_src(
+            "fn f(a: Alpha, b: B, c: C, d: D, e: E, g: G, h: H) {\n\
+                 a.go(); take(a); Timeline::new(&a, 1); sink.put(0, &mut a);\n\
+                 b.go(); let y = Some(b);\n\
+                 c.go(); let (z, c) = pair();\n\
+                 d.go(); run(|d| 1);\n\
+                 e.go(); run(|x, e, y| 1);\n\
+                 g.go(); hold(g.len(), Wrap(g));\n\
+                 h.go(); println!(\"{}\", h);\n\
+             }",
         );
         let got: Vec<Option<&str>> = fn_named(&p, "f")
             .calls

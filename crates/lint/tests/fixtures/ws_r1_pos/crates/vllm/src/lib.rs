@@ -39,3 +39,30 @@ impl PagedKvCache {
 pub fn attend(list: &BlockList, i: usize) -> usize {
     list.blocks_of(i)
 }
+
+pub struct FaultPlan;
+
+impl FaultPlan {
+    pub fn validate(&self, replicas: usize) -> usize {
+        replicas
+    }
+}
+
+/// Only `serve` calls a `validate`, on a `FaultPlan`.
+pub struct LookupBatch;
+
+impl LookupBatch {
+    pub fn validate(&self, tables: usize) -> usize {
+        tables
+    }
+}
+
+pub fn timeline(plan: &FaultPlan) -> usize {
+    plan.validate(0)
+}
+
+/// Handing `plan` on whole to `timeline` rebinds nothing, so `plan` still
+/// pins `validate` to `FaultPlan`.
+pub fn serve(plan: &FaultPlan, replicas: usize) -> usize {
+    plan.validate(replicas) + timeline(plan)
+}

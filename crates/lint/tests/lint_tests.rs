@@ -122,11 +122,20 @@ fn r1_flags_unreached_fns_and_stale_or_misplaced_pragmas() {
     let got: Vec<(&str, u32)> = out.findings.iter().map(|f| (f.rule, f.line)).collect();
     // `unreached`, `only_dcmbench_tests` (`dcmbench/src/tests.rs` is no
     // root), the pragma on `served` (a bench binary calls it), the one
-    // over a private fn, and `PagedKvCache::blocks_of` (the bench
-    // binary's `attend` calls `blocks_of` on a `BlockList` parameter).
+    // over a private fn, `PagedKvCache::blocks_of` (the bench binary's
+    // `attend` calls `blocks_of` on a `BlockList` parameter) and
+    // `LookupBatch::validate` (`serve` calls `validate` on a `FaultPlan`
+    // parameter it also passes whole to `timeline`).
     assert_eq!(
         got,
-        [("R1", 3), ("R1", 7), ("LINT", 11), ("LINT", 16), ("R1", 33)],
+        [
+            ("R1", 3),
+            ("R1", 7),
+            ("LINT", 11),
+            ("LINT", 16),
+            ("R1", 33),
+            ("R1", 55)
+        ],
         "{:?}",
         out.findings
     );

@@ -577,9 +577,10 @@ impl Cluster {
     ///
     /// # Errors
     /// Returns [`InvalidConfig`](dcm_core::error::DcmError::InvalidConfig)
-    /// for an invalid cluster, trace or fabric (see [`run`](Self::run))
-    /// or an invalid plan (see [`FaultPlan::validate`]) and propagates
-    /// any replica error.
+    /// for an invalid cluster, trace or fabric (see [`run`](Self::run)),
+    /// an invalid plan (see [`FaultPlan::validate`]), an SLO bound that is
+    /// NaN or not positive, or a KV shed fraction that is NaN or outside
+    /// `[0, 1]`, naming the field, and propagates any replica error.
     pub fn run_resilient(
         &mut self,
         requests: &[Request],
@@ -624,7 +625,8 @@ impl Cluster {
 /// # Errors
 /// Returns [`DcmError::InvalidConfig`] for an empty replica list, a
 /// replica with a zero `max_decode_batch` or KV block cap, or an invalid
-/// trace, plan or fabric, and propagates any replica error.
+/// trace, plan, resilience threshold or fabric, and propagates any
+/// replica error.
 pub(crate) fn serve(
     replicas: &mut [ServingEngine],
     settings: RunSettings,
@@ -640,6 +642,7 @@ pub(crate) fn serve(
     }
     validate_trace(requests)?;
     plan.validate(replicas.len())?;
+    cfg.validate()?;
     if let Some(fabric) = &settings.fabric {
         fabric.validate()?;
     }

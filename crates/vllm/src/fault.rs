@@ -50,14 +50,10 @@ pub struct SloSpec {
 }
 
 impl SloSpec {
-    /// An SLO with the given TTFT and TPOT bounds.
-    ///
-    /// # Panics
-    /// Panics if either bound is non-positive or NaN.
+    /// An SLO with the given TTFT and TPOT bounds. A run rejects a bound
+    /// that is NaN or not positive (see [`ResilienceConfig`]).
     #[must_use]
     pub fn new(max_ttft_s: f64, max_tpot_s: f64) -> Self {
-        assert!(max_ttft_s > 0.0, "TTFT bound must be positive");
-        assert!(max_tpot_s > 0.0, "TPOT bound must be positive");
         SloSpec {
             max_ttft_s,
             max_tpot_s,
@@ -352,7 +348,8 @@ pub struct ShedPolicy {
     /// (queued + in service). `None` disables the check.
     pub max_queue_depth: Option<usize>,
     /// Reject when the selected replica's KV-cache usage fraction is at
-    /// or above this. `None` disables the check.
+    /// or above this. `None` disables the check. A run rejects a fraction
+    /// that is NaN or outside `[0, 1]`.
     pub max_kv_used: Option<f64>,
 }
 
@@ -412,6 +409,35 @@ pub struct ResilienceConfig {
     pub slo: SloSpec,
 }
 
+impl ResilienceConfig {
+    /// Check the thresholds a run judges and sheds by.
+    ///
+    /// # Errors
+    /// Returns [`DcmError::InvalidConfig`] naming the field for an SLO
+    /// bound that is NaN or not positive, or a KV shed fraction that is
+    /// NaN or outside `[0, 1]`.
+    pub(crate) fn validate(&self) -> Result<()> {
+        for (field, bound) in [
+            ("slo.max_ttft_s", self.slo.max_ttft_s),
+            ("slo.max_tpot_s", self.slo.max_tpot_s),
+        ] {
+            if bound.is_nan() || bound <= 0.0 {
+                return Err(DcmError::InvalidConfig(format!(
+                    "{field} must be > 0, got {bound}"
+                )));
+            }
+        }
+        if let Some(frac) = self.shed.max_kv_used {
+            if !(0.0..=1.0).contains(&frac) {
+                return Err(DcmError::InvalidConfig(format!(
+                    "shed.max_kv_used must be in [0, 1], got {frac}"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Default for ResilienceConfig {
     /// No shedding, two retries, the default [`SloSpec`] — the
     /// fault-free cluster behaviour plus a sane retry budget.
@@ -440,9 +466,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
     fn slo_rejects_nonpositive_bounds() {
-        let _ = SloSpec::new(0.0, 0.1);
+        let with_slo = |ttft, tpot| ResilienceConfig {
+            slo: SloSpec::new(ttft, tpot),
+            ..ResilienceConfig::default()
+        };
+        assert!(with_slo(1.0, 0.1).validate().is_ok());
+        assert!(
+            with_slo(f64::INFINITY, 0.1).validate().is_ok(),
+            "no TTFT bound"
+        );
+        for (cfg, field) in [
+            (with_slo(0.0, 0.1), "slo.max_ttft_s"),
+            (with_slo(f64::NAN, 0.1), "slo.max_ttft_s"),
+            (with_slo(1.0, -0.1), "slo.max_tpot_s"),
+        ] {
+            assert!(
+                matches!(cfg.validate(), Err(DcmError::InvalidConfig(m)) if m.starts_with(field)),
+                "{field}"
+            );
+        }
     }
 
     #[test]

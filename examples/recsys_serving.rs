@@ -1,6 +1,7 @@
 //! RecSys serving: run the RM2 recommendation model on both devices,
 //! comparing the SingleTable and BatchedTable embedding operators and
-//! verifying that both compute identical pooled embeddings.
+//! verifying that their TPC-C kernels compute the reference's pooled
+//! embeddings.
 //!
 //! ```text
 //! cargo run -p dcm-examples --example recsys_serving
@@ -10,15 +11,16 @@ use dcm_compiler::Device;
 use dcm_core::tensor::Tensor;
 use dcm_core::{rng, DType};
 use dcm_embedding::{
-    reference_forward, BatchedTableOp, EmbeddingConfig, EmbeddingOp, LookupBatch, SingleTableOp,
+    batched_table_tpc_forward, reference_forward, single_table_tpc_forward, BatchedTableOp,
+    EmbeddingConfig, EmbeddingOp, LookupBatch, SingleTableOp,
 };
 use dcm_workloads::dlrm::{DlrmConfig, DlrmServer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("RecSys serving: DLRM RM2, 256-byte FP32 embedding vectors\n");
 
-    // 1. Functional check on a small configuration: SingleTable and
-    //    BatchedTable must produce the exact same pooled embeddings.
+    // 1. Functional check on a small configuration: the SingleTable and
+    //    BatchedTable kernels must produce the reference's pooled embeddings.
     let mut r = rng::seeded(42);
     let small = EmbeddingConfig {
         tables: 6,
@@ -32,11 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let lookup = LookupBatch::random(&small, 8, &mut r);
     let gaudi = Device::gaudi2();
-    let single = SingleTableOp::optimized(gaudi.spec());
-    let batched = BatchedTableOp::new(gaudi.spec());
     let expect = reference_forward(&tables, &lookup, &small)?;
-    let (out_single, _) = single.forward(&tables, &lookup, &small)?;
-    let (out_batched, _) = batched.forward(&tables, &lookup, &small)?;
+    let (out_single, _) = single_table_tpc_forward(gaudi.spec(), &tables, &lookup, &small)?;
+    let (out_batched, _) = batched_table_tpc_forward(gaudi.spec(), &tables, &lookup, &small)?;
     assert!(out_single.max_abs_diff(&expect)? < 1e-4);
     assert!(out_batched.max_abs_diff(&expect)? < 1e-4);
     println!("functional check: SingleTable == BatchedTable == reference  [ok]\n");

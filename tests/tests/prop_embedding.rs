@@ -1,11 +1,12 @@
-//! Property tests for the embedding operators: functional equivalence of
-//! SingleTable, BatchedTable and the naive reference over random
+//! Property tests for the embedding operators: the SingleTable and
+//! BatchedTable TPC-C kernels agree with the naive reference over random
 //! configurations, plus cost-model invariants.
 
 use dcm_core::tensor::Tensor;
 use dcm_core::{rng, DType, DeviceSpec};
 use dcm_embedding::{
-    reference_forward, BatchedTableOp, EmbeddingConfig, EmbeddingOp, LookupBatch, SingleTableOp,
+    batched_table_tpc_forward, reference_forward, single_table_tpc_forward, BatchedTableOp,
+    EmbeddingConfig, EmbeddingOp, LookupBatch, SingleTableOp,
 };
 use proptest::prelude::*;
 
@@ -35,7 +36,8 @@ fn random_setup(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The three implementations agree numerically on any configuration.
+    /// Both kernels agree with the reference on any configuration, on
+    /// either device.
     #[test]
     fn operators_agree(
         tables in 1usize..6,
@@ -48,10 +50,8 @@ proptest! {
         let (cfg, tensors, lookup) = random_setup(tables, rows, dim, pooling, batch, seed);
         let reference = reference_forward(&tensors, &lookup, &cfg).expect("valid");
         for spec in [DeviceSpec::gaudi2(), DeviceSpec::a100()] {
-            let single = SingleTableOp::optimized(&spec);
-            let batched = BatchedTableOp::new(&spec);
-            let (s, _) = single.forward(&tensors, &lookup, &cfg).expect("valid");
-            let (b, _) = batched.forward(&tensors, &lookup, &cfg).expect("valid");
+            let (s, _) = single_table_tpc_forward(&spec, &tensors, &lookup, &cfg).expect("valid");
+            let (b, _) = batched_table_tpc_forward(&spec, &tensors, &lookup, &cfg).expect("valid");
             prop_assert!(s.max_abs_diff(&reference).expect("shape") < 1e-4);
             prop_assert!(b.max_abs_diff(&reference).expect("shape") < 1e-4);
         }

@@ -1,9 +1,10 @@
 //! Never panic, never hang: small cluster runs over every knob a run
 //! takes (routing policy, metrics mode, fast-forward, the control fabric,
 //! crashes, recoveries, slowdowns, queue and KV shedding, KV caps of 1 to
-//! 400 blocks, backends and tensor-parallel splits, valid or not) return
-//! `Ok` or a typed error within a timeout. A run that returns accounts
-//! for every request it was offered and reports only finite floats.
+//! 400 blocks, backends, tensor-parallel splits and SLO and KV-shed
+//! thresholds, valid or not) return `Ok` or a typed error within a
+//! timeout. A run that returns accounts for every request it was offered
+//! and reports only finite floats.
 
 use dcm_compiler::Device;
 use dcm_core::error::DcmError;
@@ -68,6 +69,18 @@ fn floats(report: &ClusterReport) -> Vec<(&'static str, f64)> {
     out
 }
 
+/// Resilience thresholds a run must reject, each with the field its
+/// error names: SLO bounds that are NaN or not positive, and KV shed
+/// fractions that are NaN or outside `[0, 1]`.
+const BAD_THRESHOLDS: [(&str, f64); 6] = [
+    ("slo.max_ttft_s", f64::NAN),
+    ("slo.max_ttft_s", 0.0),
+    ("slo.max_tpot_s", -0.5),
+    ("shed.max_kv_used", f64::NAN),
+    ("shed.max_kv_used", -0.25),
+    ("shed.max_kv_used", 1.5),
+];
+
 /// A fault plan on `replicas` replicas from the bits of `faults`: up to
 /// one permanent crash per replica, a recovering crash and a slowdown,
 /// all inside the first `horizon_s` seconds.
@@ -104,6 +117,7 @@ proptest! {
         faults in 0u64..(1 << 45),
         shed in (0usize..3, 1usize..12, 0.05f64..1.0),
         engine in (0usize..4, 0usize..12),
+        bad in 0usize..32,
     ) {
         let mut at = 0.0;
         let trace: Vec<Request> = shape
@@ -125,7 +139,15 @@ proptest! {
             (1, depth, _) => ShedPolicy::queue_cap(depth),
             (_, _, frac) => ShedPolicy::kv_cap(frac),
         };
-        let cfg = ResilienceConfig { shed, ..ResilienceConfig::default() };
+        let mut cfg = ResilienceConfig { shed, ..ResilienceConfig::default() };
+        let bad = BAD_THRESHOLDS.get(bad).map(|&(field, x)| {
+            match field {
+                "slo.max_ttft_s" => cfg.slo.max_ttft_s = x,
+                "slo.max_tpot_s" => cfg.slo.max_tpot_s = x,
+                _ => cfg.shed.max_kv_used = Some(x),
+            }
+            field
+        });
         let plan = plan(replicas, faults, at.max(0.1));
         // Llama-3.1-8B has 32 query heads: splits of 0, 3 and 64 are
         // invalid.
@@ -158,15 +180,20 @@ proptest! {
         match result {
             Ok(report) => {
                 prop_assert!(valid_tp, "tp {} served", tp);
+                prop_assert!(bad.is_none(), "{:?} served", bad);
                 prop_assert_eq!(report.serving.offered(), offered);
                 for (name, x) in floats(&report) {
                     prop_assert!(x.is_finite(), "{} = {}", name, x);
                 }
             }
-            Err(DcmError::InvalidConfig(m)) => {
-                prop_assert!(!valid_tp, "{}", m);
-                prop_assert!(m.contains("replica 0") && m.contains(&format!("tp {tp}")), "{}", m);
-            }
+            // The thresholds are checked before the replicas are built.
+            Err(DcmError::InvalidConfig(m)) => match bad {
+                Some(field) => prop_assert!(m.starts_with(field), "{}", m),
+                None => {
+                    prop_assert!(!valid_tp, "{}", m);
+                    prop_assert!(m.contains("replica 0") && m.contains(&format!("tp {tp}")), "{}", m);
+                }
+            },
             Err(DcmError::ResourceExhausted(m)) => prop_assert!(m.contains("request"), "{}", m),
             Err(e) => prop_assert!(false, "unexpected error {}", e),
         }
