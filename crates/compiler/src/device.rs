@@ -39,6 +39,19 @@ impl GemmBackend {
         }
     }
 
+    fn batched_gemm_within(
+        &self,
+        batch: usize,
+        shape: GemmShape,
+        dtype: DType,
+        budget: f64,
+    ) -> Option<GemmRun> {
+        match self {
+            GemmBackend::Gaudi(g) => g.batched_gemm_within(batch, shape, dtype, budget),
+            GemmBackend::A100(a) => a.batched_gemm_within(batch, shape, dtype, budget),
+        }
+    }
+
     fn peak_flops(&self, dtype: DType) -> f64 {
         match self {
             GemmBackend::Gaudi(g) => g.peak_flops(dtype),
@@ -207,13 +220,14 @@ impl Device {
                 // does this for decode attention; flash-decoding is the
                 // CUDA analogue): a 1-row output tile wastes almost the
                 // whole systolic array, while the SIMD units stream it at
-                // memory speed.
-                let matrix = self.gemm.batched_gemm(*batch, *shape, *dtype);
+                // memory speed. The matrix engine wins ties.
                 let vector = self.batched_vector_gemm(*batch, *shape, *dtype);
-                if vector.time() < matrix.cost.time() {
-                    (vector, 0.0)
-                } else {
-                    (matrix.cost, matrix.powered_fraction)
+                match self
+                    .gemm
+                    .batched_gemm_within(*batch, *shape, *dtype, vector.time())
+                {
+                    Some(matrix) => (matrix.cost, matrix.powered_fraction),
+                    None => (vector, 0.0),
                 }
             }
             Op::Elementwise { kind, elems, dtype } => {
@@ -261,6 +275,26 @@ impl Device {
                 }
             }
         }
+    }
+
+    /// [`op_cost`](Self::op_cost)`(op).0.time()`, bit for bit. A batched
+    /// GEMM whose vector lowering is memory-bound takes that lowering's
+    /// time whichever engine runs it, since no engine moves fewer bytes
+    /// (DESIGN.md §3.6, "Cold prices"), so its time needs no matrix search.
+    #[must_use]
+    pub fn op_time(&self, op: &Op) -> f64 {
+        if let Op::BatchedGemm {
+            batch,
+            shape,
+            dtype,
+        } = *op
+        {
+            let vector = self.batched_vector_gemm(batch, shape, dtype);
+            if vector.compute_s <= vector.memory_s {
+                return vector.time();
+            }
+        }
+        self.op_cost(op).0.time()
     }
 
     /// Price a batched GEMM executed as dot products on the vector engine:

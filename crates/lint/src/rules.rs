@@ -151,6 +151,9 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("FlowSim", "advance_to"),
     ("FlowSim", "take_finished"),
     ("GaudiMme", "batched_gemm"),
+    ("A100TensorCore", "batched_gemm"),
+    ("Device", "op_cost"),
+    ("Device", "op_time"),
     ("KvPool", "fits"),
     ("KvPool", "take"),
     ("KvPool", "give"),

@@ -36,8 +36,12 @@ const TILE_MENU: &[(usize, usize)] = &[
     (64, 64),
 ];
 
-/// Split-K factors the kernel selector may choose.
+/// Split-K factors the kernel selector may choose, 1 (no split) first.
 const SPLIT_K_MENU: &[usize] = &[1, 2, 4, 8];
+
+/// Shortest reduction slice a split may leave: a factor `kf` is not
+/// considered when `k / kf` is below this.
+const MIN_SPLIT_K_DEPTH: usize = 64;
 
 /// Reference tile area at which an SM sustains its full Tensor Core rate.
 const FULL_ILP_TILE_AREA: usize = 128 * 128;
@@ -70,6 +74,18 @@ pub struct TileChoice {
     pub tiles: usize,
 }
 
+/// A scored menu entry of [`A100TensorCore::select_tile`].
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    /// `max(cycles / clock_hz, rank memory time)`: what the selection
+    /// minimizes.
+    rank: f64,
+    /// Position in the menu order: tiles, then split factors.
+    order: usize,
+    tile: TileChoice,
+    cycles: f64,
+}
+
 /// The A100 Tensor Core GEMM engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct A100TensorCore {
@@ -100,49 +116,121 @@ impl A100TensorCore {
     }
 
     /// The tile cuBLAS-style heuristics select for a dispatch of `batch`
-    /// GEMMs of `shape`: the menu entry minimizing modeled wall time
-    /// (compute cycles *and* the partial-sum traffic split-K adds).
+    /// GEMMs of `shape`: the menu entry, a tile shape and a split-K
+    /// factor, with the least `max(cycles / clock_hz, bytes /
+    /// stream_bw)`, ties to the earlier entry (tile shapes in menu order,
+    /// then factors 1, 2, 4, 8). `bytes` is the BF16 single-pass traffic
+    /// plus the partial sums a split adds, for every `dtype`, which enters
+    /// only through the cycle model. So this ranks candidates, and is not
+    /// the run's time: the run also charges the sustained-clock fraction,
+    /// the dtype's slowdown and bytes, and the launch overhead. A factor
+    /// that leaves a reduction slice shorter than 64 is not considered.
     #[must_use]
+    // dcm-lint: allow(R1) test hook; prop_mme_select::a100_selection_and_engine_choice_match_the_full_search
     pub fn select_tile(&self, shape: GemmShape, batch: usize, dtype: DType) -> TileChoice {
-        let mut best: Option<(f64, TileChoice)> = None;
-        for &(h, w) in TILE_MENU {
-            for &kf in SPLIT_K_MENU {
-                if kf > 1 && shape.k / kf < 64 {
-                    continue; // not worth splitting a short reduction
-                }
-                let choice = self.tile_choice(shape, h, w, kf);
-                let compute = self.cycles(shape, choice, batch, dtype) / self.clock_hz;
-                let bytes = shape.ideal_bytes(DType::Bf16) * usize_to_u64(batch)
-                    + self.splitk_bytes(shape, choice, batch);
-                let t = compute.max(cast::u64_to_f64(bytes) / self.stream_bw);
-                if best.is_none_or(|(bc, _)| t < bc) {
-                    best = Some((t, choice));
-                }
+        self.select(shape, batch, dtype).tile
+    }
+
+    fn select(&self, shape: GemmShape, batch: usize, dtype: DType) -> Ranked {
+        let unsplit = self.rank_unsplit(shape, batch, dtype);
+        self.rank_splits(shape, batch, dtype, unsplit)
+    }
+
+    /// The least-ranked unsplit tile, ties to the earlier. Unsplit tiles
+    /// all move the same bytes, the fewest of any candidate, so the scan
+    /// stops at the first whose compute fits under their memory time:
+    /// no later entry can rank below it.
+    fn rank_unsplit(&self, shape: GemmShape, batch: usize, dtype: DType) -> Ranked {
+        let memory_s = self.memory_s(shape, batch, DType::Bf16, 1);
+        let mut best: Option<Ranked> = None;
+        for i in 0..TILE_MENU.len() {
+            let c = self.ranked(shape, batch, dtype, (i, 0), memory_s);
+            if best.is_none_or(|b| c.rank < b.rank) {
+                best = Some(c);
+            }
+            if c.rank == memory_s {
+                break;
             }
         }
         // dcm-lint: allow(P1) static tile menu always yields a candidate
-        best.expect("tile menu is never empty").1
+        best.expect("tile menu is never empty")
     }
 
-    /// Extra FP32 partial-sum traffic a split-K kernel writes and re-reads.
-    fn splitk_bytes(&self, shape: GemmShape, t: TileChoice, batch: usize) -> u64 {
-        usize_to_u64(shape.m * shape.n * 4 * 2 * (t.split_k - 1) * batch)
+    /// `best` against the split entries, by increasing factor. A factor's
+    /// memory time bounds every tile at that factor from below and grows
+    /// with the factor, so the scan stops at the first factor whose
+    /// memory time can neither beat nor tie `best` (a tie wins when its
+    /// entry comes earlier in the menu).
+    fn rank_splits(
+        &self,
+        shape: GemmShape,
+        batch: usize,
+        dtype: DType,
+        mut best: Ranked,
+    ) -> Ranked {
+        for (j, &kf) in SPLIT_K_MENU.iter().enumerate().skip(1) {
+            if shape.k / kf < MIN_SPLIT_K_DEPTH {
+                break;
+            }
+            let memory_s = self.memory_s(shape, batch, DType::Bf16, kf);
+            if memory_s > best.rank {
+                break;
+            }
+            for i in 0..TILE_MENU.len() {
+                let c = self.ranked(shape, batch, dtype, (i, j), memory_s);
+                if c.rank < best.rank || (c.rank == best.rank && c.order < best.order) {
+                    best = c;
+                }
+            }
+        }
+        best
     }
 
-    fn tile_choice(&self, shape: GemmShape, h: usize, w: usize, kf: usize) -> TileChoice {
-        let tiles = shape.m.div_ceil(h) * shape.n.div_ceil(w) * kf;
-        TileChoice {
-            height: h,
-            width: w,
-            split_k: kf,
-            tiles,
+    /// Score the entry of tile shape `TILE_MENU[i]` and split factor
+    /// `SPLIT_K_MENU[j]`, whose rank memory time is `memory_s`.
+    fn ranked(
+        &self,
+        shape: GemmShape,
+        batch: usize,
+        dtype: DType,
+        (i, j): (usize, usize),
+        memory_s: f64,
+    ) -> Ranked {
+        let ((height, width), split_k) = (TILE_MENU[i], SPLIT_K_MENU[j]);
+        let tile = TileChoice {
+            height,
+            width,
+            split_k,
+            tiles: shape.m.div_ceil(height) * shape.n.div_ceil(width) * split_k,
+        };
+        let cycles = self.cycles(shape, tile, batch, dtype);
+        Ranked {
+            rank: (cycles / self.clock_hz).max(memory_s),
+            order: i * SPLIT_K_MENU.len() + j,
+            tile,
+            cycles,
         }
     }
 
-    /// Cycle model for `batch` GEMMs under one tile choice. CTAs of all
-    /// batch members co-occupy the SMs; up to [`MAX_ILP_CTAS`] co-resident
+    /// HBM time of [`run_bytes`](Self::run_bytes) at stream bandwidth.
+    fn memory_s(&self, shape: GemmShape, batch: usize, dtype: DType, kf: usize) -> f64 {
+        cast::u64_to_f64(self.run_bytes(shape, batch, dtype, kf)) / self.stream_bw
+    }
+
+    /// HBM bytes of `batch` GEMMs at split factor `kf`: single-pass
+    /// traffic plus the FP32 partial sums a split-K kernel writes and
+    /// re-reads.
+    fn run_bytes(&self, shape: GemmShape, batch: usize, dtype: DType, kf: usize) -> u64 {
+        shape.ideal_bytes(dtype) * usize_to_u64(batch)
+            + usize_to_u64(shape.m * shape.n * 4 * 2 * (kf - 1) * batch)
+    }
+
+    /// Cycle model for `batch` GEMMs under one tile choice, the cycles
+    /// [`select_tile`](Self::select_tile) ranks. CTAs of all
+    /// batch members co-occupy the SMs; up to `MAX_ILP_CTAS` co-resident
     /// CTAs recover issue-slot parallelism lost to small tiles.
-    fn cycles(&self, shape: GemmShape, t: TileChoice, batch: usize, dtype: DType) -> f64 {
+    #[must_use]
+    pub fn cycles(&self, shape: GemmShape, t: TileChoice, batch: usize, dtype: DType) -> f64 {
         let total_tiles = t.tiles * batch;
         let waves = total_tiles.div_ceil(self.sm_count);
         let ctas_per_sm = (total_tiles / self.sm_count).clamp(1, MAX_ILP_CTAS);
@@ -170,20 +258,22 @@ impl A100TensorCore {
         }
     }
 
-    fn run(&self, batch: usize, shape: GemmShape, dtype: DType) -> GemmRun {
-        let tile = self.select_tile(shape, batch, dtype);
-        let compute_s = self.cycles(shape, tile, batch, dtype) * self.dtype_slowdown(dtype)
-            / (self.clock_hz * SUSTAINED_FRACTION)
-            + LAUNCH_OVERHEAD_S;
-        // Split-K kernels write and re-read partial sums in FP32.
-        let bytes =
-            shape.ideal_bytes(dtype) * usize_to_u64(batch) + self.splitk_bytes(shape, tile, batch);
-        let memory_s = cast::u64_to_f64(bytes) / self.stream_bw;
+    /// Compute time of a run of `cycles` at `dtype`: the sustained clock,
+    /// the dtype's slowdown and one launch.
+    fn compute_s(&self, cycles: f64, dtype: DType) -> f64 {
+        cycles * self.dtype_slowdown(dtype) / (self.clock_hz * SUSTAINED_FRACTION)
+            + LAUNCH_OVERHEAD_S
+    }
+
+    /// The run of `batch` GEMMs of `shape` on the selected entry `sel`.
+    fn run(&self, batch: usize, shape: GemmShape, dtype: DType, sel: Ranked) -> GemmRun {
+        let tile = sel.tile;
+        let bytes = self.run_bytes(shape, batch, dtype, tile.split_k);
         GemmRun {
             cost: OpCost {
                 engine: Engine::Matrix,
-                compute_s,
-                memory_s,
+                compute_s: self.compute_s(sel.cycles, dtype),
+                memory_s: cast::u64_to_f64(bytes) / self.stream_bw,
                 flops: shape.flops() * cast::usize_to_f64(batch),
                 bus_bytes: bytes,
                 useful_bytes: bytes,
@@ -201,11 +291,44 @@ impl A100TensorCore {
 
 impl GemmEngine for A100TensorCore {
     fn gemm(&self, shape: GemmShape, dtype: DType) -> GemmRun {
-        self.run(1, shape, dtype)
+        self.batched_gemm(1, shape, dtype)
     }
 
     fn batched_gemm(&self, batch: usize, shape: GemmShape, dtype: DType) -> GemmRun {
-        self.run(batch, shape, dtype)
+        self.run(batch, shape, dtype, self.select(shape, batch, dtype))
+    }
+
+    /// Answers from the unsplit scan alone when it can. The selected
+    /// entry is the least-ranked unsplit tile, whose run computes for as
+    /// long as that tile's cycles say, or a split entry, whose run moves
+    /// at least the bytes of the least split factor. When both exceed
+    /// `budget`, so does the run, and the split entries are not scored.
+    fn batched_gemm_within(
+        &self,
+        batch: usize,
+        shape: GemmShape,
+        dtype: DType,
+        budget: f64,
+    ) -> Option<GemmRun> {
+        let unsplit = self.rank_unsplit(shape, batch, dtype);
+        let least_split = SPLIT_K_MENU[1];
+        if budget < self.compute_s(unsplit.cycles, dtype)
+            && (shape.k / least_split < MIN_SPLIT_K_DEPTH
+                || budget < self.memory_s(shape, batch, dtype, least_split))
+        {
+            return None;
+        }
+        let run = self.run(
+            batch,
+            shape,
+            dtype,
+            self.rank_splits(shape, batch, dtype, unsplit),
+        );
+        if budget < run.cost.time() {
+            None
+        } else {
+            Some(run)
+        }
     }
 
     fn peak_flops(&self, dtype: DType) -> f64 {

@@ -164,7 +164,29 @@ pub trait GemmEngine {
     /// (attention score/value products). Tiles of all batch members fill
     /// the engine jointly, so GEMV-like members still reach high
     /// occupancy; launch overhead is paid once.
+    ///
+    /// Every engine reads each operand and writes the result at least
+    /// once, at its spec's stream bandwidth: the run's `memory_s` is never
+    /// below `shape.ideal_bytes(dtype) × batch` bytes at that bandwidth.
     fn batched_gemm(&self, batch: usize, shape: GemmShape, dtype: DType) -> GemmRun;
+
+    /// [`batched_gemm`](Self::batched_gemm)'s run, or `None` when that run
+    /// takes longer than `budget` seconds. An engine may answer `None`
+    /// without finishing its search.
+    fn batched_gemm_within(
+        &self,
+        batch: usize,
+        shape: GemmShape,
+        dtype: DType,
+        budget: f64,
+    ) -> Option<GemmRun> {
+        let run = self.batched_gemm(batch, shape, dtype);
+        if budget < run.cost.time() {
+            None
+        } else {
+            Some(run)
+        }
+    }
 
     /// Peak matrix FLOP/s of the engine at `dtype`.
     fn peak_flops(&self, dtype: DType) -> f64;

@@ -720,29 +720,39 @@ impl PagedAttention {
 
     /// The score and value products of one layer at `(batch, len)`: one
     /// pair of GEMMs per KV-head group.
-    fn gemm_pair(&self, (batch, len): (usize, usize)) -> (OpCost, OpCost) {
-        let (scores, _) = self.device.op_cost(&Op::batched_gemm(
-            batch,
-            GemmShape::new(self.q_group(), self.head_dim, len),
-            DType::Bf16,
-        ));
-        let (values, _) = self.device.op_cost(&Op::batched_gemm(
-            batch,
-            GemmShape::new(self.q_group(), len, self.head_dim),
-            DType::Bf16,
-        ));
-        (scores, values)
+    fn gemm_ops(&self, (batch, len): (usize, usize)) -> (Op, Op) {
+        let gemm = |shape| Op::batched_gemm(batch, shape, DType::Bf16);
+        (
+            gemm(GemmShape::new(self.q_group(), self.head_dim, len)),
+            gemm(GemmShape::new(self.q_group(), len, self.head_dim)),
+        )
     }
 
-    /// The one number the wall formula takes from the GEMM pair: its
-    /// time on the staged Gaudi backends, its arithmetic time in the
-    /// fused kernels, whose block reads are priced separately.
-    fn gemm_term(&self, scores: &OpCost, values: &OpCost) -> f64 {
+    /// The costs of [`gemm_ops`](Self::gemm_ops)`(key)`.
+    fn gemm_pair(&self, key: (usize, usize)) -> (OpCost, OpCost) {
+        let (scores, values) = self.gemm_ops(key);
+        (
+            self.device.op_cost(&scores).0,
+            self.device.op_cost(&values).0,
+        )
+    }
+
+    /// Whether the GEMM term is the pair's time (the staged Gaudi
+    /// backends) or its arithmetic time (the fused kernels, whose block
+    /// reads are priced separately).
+    fn term_is_time(&self) -> bool {
         match self.backend {
-            PagedBackend::GaudiBase | PagedBackend::GaudiOpt => scores.time() + values.time(),
-            PagedBackend::A100Fused | PagedBackend::GaudiFusedHypothetical => {
-                scores.compute_s + values.compute_s
-            }
+            PagedBackend::GaudiBase | PagedBackend::GaudiOpt => true,
+            PagedBackend::A100Fused | PagedBackend::GaudiFusedHypothetical => false,
+        }
+    }
+
+    /// The one number the wall formula takes from the GEMM pair.
+    fn gemm_term(&self, scores: &OpCost, values: &OpCost) -> f64 {
+        if self.term_is_time() {
+            scores.time() + values.time()
+        } else {
+            scores.compute_s + values.compute_s
         }
     }
 
@@ -767,10 +777,18 @@ impl PagedAttention {
     }
 
     /// The GEMM term at `key`, priced from the batched-GEMM pair: what a
-    /// [`GemmTerms`] miss stores.
+    /// [`GemmTerms`] miss stores. A time term reads
+    /// [`Device::op_time`], which skips the matrix search when the vector
+    /// lowering is memory-bound; an arithmetic term needs the chosen
+    /// engine's cost.
     fn priced_term(&self, key: (usize, usize)) -> f64 {
-        let (scores, values) = self.gemm_pair(key);
-        self.gemm_term(&scores, &values)
+        if self.term_is_time() {
+            let (scores, values) = self.gemm_ops(key);
+            self.device.op_time(&scores) + self.device.op_time(&values)
+        } else {
+            let (scores, values) = self.gemm_pair(key);
+            self.gemm_term(&scores, &values)
+        }
     }
 
     /// One layer's KV gather at geometry `g`: the backend's HBM accesses,

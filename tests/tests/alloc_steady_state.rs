@@ -23,6 +23,10 @@
 //! * a stretch's prices through a `StretchPricer`, once its table's
 //!   pages are allocated, and a pricer kept across a cut, resumed;
 //! * the Gaudi MME geometry search (`GaudiMme::batched_gemm`);
+//! * the A100 tile search (`A100TensorCore::batched_gemm`), and a batched
+//!   GEMM's engine choice and time (`Device::op_cost`, `Device::op_time`)
+//!   on both devices, at decode shapes whose vector lowering is
+//!   memory-bound or (on Gaudi-2) compute-bound;
 //! * the cluster's control fabric under dispatch churn on its star
 //!   topology: `FlowSim::inject`, `next_time`/`advance_to` and
 //!   `take_finished`, with four dispatches in flight — a taken flow's
@@ -31,10 +35,10 @@
 //! This file deliberately holds a single `#[test]` so the harness runs
 //! nothing concurrently with the measured windows.
 
-use dcm_compiler::Device;
+use dcm_compiler::{Device, Op};
 use dcm_core::sim::EventQueue;
 use dcm_core::{DType, DeviceSpec};
-use dcm_mme::{GaudiMme, GemmEngine, GemmShape};
+use dcm_mme::{A100TensorCore, GaudiMme, GemmEngine, GemmShape};
 use dcm_net::{FlowId, FlowSim, Topology};
 use dcm_vllm::attention::{
     BatchGrowth, BatchShape, BatchStats, GemmTerms, PagedAttention, PagedBackend,
@@ -349,6 +353,42 @@ fn hot_paths_are_allocation_free_after_warmup() {
     assert_eq!(
         mme_allocs, 0,
         "GaudiMme::batched_gemm allocated {mme_allocs} times"
+    );
+
+    // --- Batched-GEMM pricing: A100 tile search, engine choice, time ----
+    // Score and value products of 4 and 8 query heads per KV head: on
+    // Gaudi-2 the vector lowering is memory-bound at 4 and, past a few
+    // dozen tokens, compute-bound at 8.
+    let tc = A100TensorCore::new(&DeviceSpec::a100());
+    let ops: Vec<Op> = (1..=64)
+        .flat_map(|b| {
+            [4, 8].into_iter().flat_map(move |g| {
+                [
+                    GemmShape::new(g, 128, 64 * b),
+                    GemmShape::new(g, 64 * b, 128),
+                ]
+                .map(|shape| Op::batched_gemm(8 * b, shape, DType::Bf16))
+            })
+        })
+        .collect();
+    let (gemm_allocs, t) = allocations_in(|| {
+        let searched = (1..=64)
+            .map(|b| {
+                tc.batched_gemm(b, GemmShape::new(4, 128, 64 * b), DType::Bf16)
+                    .cost
+                    .time()
+            })
+            .sum::<f64>();
+        [&gaudi, &a100].iter().fold(searched, |t, device| {
+            ops.iter().fold(t, |t, op| {
+                t + device.op_cost(op).0.time() + device.op_time(op)
+            })
+        })
+    });
+    assert!(t > 0.0);
+    assert_eq!(
+        gemm_allocs, 0,
+        "A100 tile search or batched-GEMM pricing allocated {gemm_allocs} times"
     );
 
     // --- Control fabric: dispatch churn --------------------------------

@@ -1,4 +1,5 @@
-//! Differential suite for the Gaudi MME geometry search.
+//! Differential suite for the matrix engines' searches and the batched
+//! GEMM's engine choice.
 //!
 //! `GaudiMme` scores a pruned geometry menu with shifts and integer cycle
 //! counts. The executable spec here is the search it replaced: the `f64`
@@ -8,11 +9,26 @@
 //! `batched_gemm` must return exactly the run a fixed array locked to that
 //! geometry returns (same `run_batched` cycles, so the same `compute_s`
 //! bits), with the gated MAC fraction of the chosen geometry.
+//!
+//! `A100TensorCore::select_tile` stops its unsplit scan early and scores
+//! a split factor only while it can still win. Its spec is the full scan
+//! of all 24 menu entries. `Device::op_cost` asks the matrix engine only
+//! whether it ties or beats the vector lowering, and `Device::op_time`
+//! skips the matrix engine when that lowering is memory-bound. Their spec
+//! is the rule both replaced: run the matrix search, then take the vector
+//! lowering only when it is strictly faster.
 
+use dcm_compiler::{Device, Op};
+use dcm_core::cast::{u64_to_f64, usize_to_f64, usize_to_u64};
+use dcm_core::cost::{Engine, OpCost};
 use dcm_core::{DType, DeviceSpec};
+use dcm_mme::a100::TileChoice;
 use dcm_mme::geometry::gaudi_candidates;
 use dcm_mme::Geometry;
-use dcm_mme::{systolic, FixedSystolicBaseline, GaudiMme, GemmEngine, GemmRun, GemmShape};
+use dcm_mme::{
+    systolic, A100TensorCore, FixedSystolicBaseline, GaudiMme, GemmConfig, GemmEngine, GemmRun,
+    GemmShape,
+};
 use proptest::prelude::*;
 
 /// Gaudi-2, Gaudi-3, and a three-array Gaudi-2 whose menu has split
@@ -86,6 +102,179 @@ fn check(spec_idx: usize, shape: GemmShape, batch: usize, dtype: DType) {
 
 const DTYPES: [DType; 3] = [DType::Bf16, DType::Fp32, DType::Int8];
 
+const ALL_DTYPES: [DType; 5] = [
+    DType::Bf16,
+    DType::Fp16,
+    DType::Fp32,
+    DType::Int32,
+    DType::Int8,
+];
+
+/// The A100's CTA tile menu and split factors, in selection order.
+const TILE_MENU: [(usize, usize); 6] = [
+    (256, 128),
+    (128, 256),
+    (128, 128),
+    (128, 64),
+    (64, 128),
+    (64, 64),
+];
+const SPLIT_K_MENU: [usize; 4] = [1, 2, 4, 8];
+
+/// The full scan `select_tile` replaced: every tile at every split
+/// factor, skipping a split that leaves a reduction slice shorter than
+/// 64, ranked by `max(cycles / clock, bytes / stream bandwidth)` with the
+/// BF16 single-pass bytes plus the split's FP32 partial sums; strict `<`,
+/// so the earlier menu entry keeps a tie.
+fn full_scan(tc: &A100TensorCore, shape: GemmShape, batch: usize, dtype: DType) -> TileChoice {
+    let spec = DeviceSpec::a100();
+    let mut best: Option<(f64, TileChoice)> = None;
+    for (h, w) in TILE_MENU {
+        for kf in SPLIT_K_MENU {
+            if kf > 1 && shape.k / kf < 64 {
+                continue;
+            }
+            let tile = TileChoice {
+                height: h,
+                width: w,
+                split_k: kf,
+                tiles: shape.m.div_ceil(h) * shape.n.div_ceil(w) * kf,
+            };
+            let compute = tc.cycles(shape, tile, batch, dtype) / spec.matrix.clock_hz;
+            let bytes = shape.ideal_bytes(DType::Bf16) * usize_to_u64(batch)
+                + usize_to_u64(shape.m * shape.n * 4 * 2 * (kf - 1) * batch);
+            let t = compute.max(u64_to_f64(bytes) / spec.memory.stream_bandwidth());
+            if best.is_none_or(|(bt, _)| t < bt) {
+                best = Some((t, tile));
+            }
+        }
+    }
+    best.expect("non-empty menu").1
+}
+
+fn check_a100(shape: GemmShape, batch: usize, dtype: DType) {
+    let tc = A100TensorCore::new(&DeviceSpec::a100());
+    let want = full_scan(&tc, shape, batch, dtype);
+    assert_eq!(
+        tc.select_tile(shape, batch, dtype),
+        want,
+        "{shape} x{batch} {dtype:?}"
+    );
+    let run = tc.batched_gemm(batch, shape, dtype);
+    assert_eq!(
+        run.config,
+        GemmConfig::Cta {
+            height: want.height,
+            width: want.width,
+            split_k: want.split_k,
+            batch,
+        }
+    );
+    check_within(&tc, &run, batch, shape, dtype);
+}
+
+/// `batched_gemm_within` returns `run` exactly when `run` takes no longer
+/// than the budget: at the run's time, at the float just below it, at its
+/// compute and memory times, and at the vector lowering's memory time.
+fn check_within(tc: &A100TensorCore, run: &GemmRun, batch: usize, shape: GemmShape, dtype: DType) {
+    let t = run.cost.time();
+    for budget in [
+        t,
+        t.next_down(),
+        run.cost.compute_s,
+        run.cost.memory_s,
+        floor_s(batch, shape, dtype),
+    ] {
+        let want = (budget >= t).then(|| run.clone());
+        assert_eq!(
+            tc.batched_gemm_within(batch, shape, dtype, budget),
+            want,
+            "{shape} x{batch} {dtype:?} within {budget}"
+        );
+    }
+}
+
+/// The A100 vector lowering's memory time: single-pass bytes at stream
+/// bandwidth.
+fn floor_s(batch: usize, shape: GemmShape, dtype: DType) -> f64 {
+    u64_to_f64(shape.ideal_bytes(dtype) * usize_to_u64(batch))
+        / DeviceSpec::a100().memory.stream_bandwidth()
+}
+
+/// The vector-engine lowering of a batched GEMM: dot products at the
+/// vector FMA rate, single-pass bytes at stream bandwidth.
+fn vector_lowering(spec: &DeviceSpec, batch: usize, shape: GemmShape, dtype: DType) -> OpCost {
+    let flops = shape.flops() * usize_to_f64(batch);
+    let bytes = shape.ideal_bytes(dtype) * usize_to_u64(batch);
+    OpCost {
+        engine: Engine::Vector,
+        compute_s: flops / spec.vector_peak_flops(dtype),
+        memory_s: u64_to_f64(bytes) / spec.memory.stream_bandwidth(),
+        flops,
+        bus_bytes: bytes,
+        useful_bytes: bytes,
+    }
+}
+
+fn cost_bits((c, powered): (OpCost, f64)) -> (Engine, [u64; 6]) {
+    (
+        c.engine,
+        [
+            c.compute_s.to_bits(),
+            c.memory_s.to_bits(),
+            c.flops.to_bits(),
+            c.bus_bytes,
+            c.useful_bytes,
+            powered.to_bits(),
+        ],
+    )
+}
+
+/// `op_cost` and `op_time` of a batched GEMM against the rule they
+/// replaced: run the matrix search, then take the vector lowering only
+/// when it is strictly faster.
+fn check_op(device: &Device, batch: usize, shape: GemmShape, dtype: DType) {
+    let matrix = device.batched_gemm(batch, shape, dtype);
+    let vector = vector_lowering(device.spec(), batch, shape, dtype);
+    let want = if vector.time() < matrix.cost.time() {
+        (vector, 0.0)
+    } else {
+        (matrix.cost, matrix.powered_fraction)
+    };
+    let op = Op::batched_gemm(batch, shape, dtype);
+    let got = device.op_cost(&op);
+    let at = || format!("{} {shape} x{batch} {dtype:?}", device.name());
+    assert_eq!(cost_bits(got), cost_bits(want), "{}", at());
+    assert_eq!(
+        device.op_time(&op).to_bits(),
+        got.0.time().to_bits(),
+        "{}",
+        at()
+    );
+}
+
+#[test]
+fn decode_shapes_match_the_full_searches() {
+    // The serving engine's decode attention products at head_dim 128:
+    // 4 query heads per KV head (Llama-3.1-8B), where the vector lowering
+    // is memory-bound, and 8 (Llama-70B), where on Gaudi-2 it is
+    // compute-bound beyond a few dozen tokens.
+    let devices = [Device::gaudi2(), Device::gaudi3(), Device::a100()];
+    for g in [4usize, 8] {
+        for len in 1usize..=8192 {
+            let batch = 1 + len * 37 % 2048;
+            for shape in [GemmShape::new(g, 128, len), GemmShape::new(g, len, 128)] {
+                for device in &devices {
+                    check_op(device, batch, shape, DType::Bf16);
+                }
+                if len % 8 == 0 {
+                    check_a100(shape, batch, DType::Bf16);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn search_matches_the_f64_argmin_on_paper_and_decode_shapes() {
     // Figure 7 sweeps, the serving engine's decode attention products
@@ -115,5 +304,25 @@ proptest! {
         dtype_idx in 0usize..3,
     ) {
         check(spec_idx, GemmShape::new(m, k, n), batch, DTYPES[dtype_idx]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn a100_selection_and_engine_choice_match_the_full_search(
+        m in 1usize..20_000,
+        k in 1usize..20_000,
+        n in 1usize..20_000,
+        batch in 1usize..257,
+        dtype_idx in 0usize..5,
+        device_idx in 0usize..3,
+    ) {
+        let shape = GemmShape::new(m, k, n);
+        let dtype = ALL_DTYPES[dtype_idx];
+        check_a100(shape, batch, dtype);
+        let device = [Device::gaudi2(), Device::gaudi3(), Device::a100()][device_idx].clone();
+        check_op(&device, batch, shape, dtype);
     }
 }

@@ -86,7 +86,7 @@ done
 #   prop_fast_forward     fast-forward keeps every count on one replica
 #   prop_cluster_ff       ... and on several; DCM_THREADS moves no bit
 #   prop_fabric_diff      flow collectives match the closed forms
-#   prop_mme_select       the MME geometry search picks its f64 argmin
+#   prop_mme_select       MME and A100 searches, op_cost and op_time vs full searches
 #   prop_step_cost_memo   the per-thread step tables move no report bit
 #   prop_graph_blocks     block graphs execute as their flat twins
 #   step_cost_memo_counts every step graph compiles once per thread
