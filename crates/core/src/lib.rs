@@ -24,9 +24,9 @@
 //!   semantics (gathers, attention) can be verified with real data.
 //! * [`metrics`] — statistics and ASCII table/heatmap rendering shared by
 //!   the figure-regeneration binaries.
-//! * [`sim`] — the deterministic discrete-event core (total-order
-//!   [`sim::EventQueue`], monotone [`sim::SimClock`]) every serving event
-//!   loop is built on.
+//! * [`sim`] — the monotone simulated clock ([`sim::SimClock`]) each
+//!   serving replica runs on, and a total-order event heap
+//!   ([`sim::EventQueue`]).
 //! * [`par`] — the deterministic parallel sweep harness
 //!   ([`par::par_map`]): order-preserving, panic-propagating fan-out of
 //!   independent simulation points across OS threads (`DCM_THREADS`).

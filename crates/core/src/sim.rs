@@ -23,11 +23,12 @@
 //! patterns.
 //!
 //! Priorities are small integers chosen by the caller; lower pops first
-//! at equal times. The queue's users are the flow simulator
-//! (`dcm-net::flow`) and the `dcmbench` probes. The serving cluster
-//! needs none: its fault timeline, control fabric and trace are each
-//! already in time order, and `dcm-vllm::cluster` merges them by one
-//! rule, while each replica keeps its pending arrivals in a sorted deque.
+//! at equal times. The queue's only users are the `dcmbench` probes. The
+//! serving cluster needs none: its fault timeline, control fabric and
+//! trace are each already in time order, and `dcm-vllm::cluster` merges
+//! them by one rule, while each replica keeps its pending arrivals in a
+//! sorted deque. Nor does the flow simulator (`dcm-net::flow`): each
+//! flow in flight holds its own finish time.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -52,10 +52,8 @@ pub struct Outcome {
     /// Findings that survive pragmas, sorted.
     pub findings: Vec<Finding>,
     pub summary: Summary,
-    /// Human-readable report.
+    /// The report `dcm-lint` prints.
     pub text: String,
-    /// Machine-readable report (`results/lint_report.json` content).
-    pub json: String,
     /// `D3` entry points and `A1` roots that name no function in the
     /// tree (see [`rules::WorkspaceStats::unmatched_roots`]).
     pub unmatched_roots: Vec<String>,
@@ -88,12 +86,10 @@ pub fn run(root: &Path) -> io::Result<Outcome> {
         call_edges: stats.call_edges,
     };
     let text = report::render_text(&findings, summary);
-    let json = report::render_json(&findings, summary);
     Ok(Outcome {
         findings,
         summary,
         text,
-        json,
         unmatched_roots: stats.unmatched_roots,
     })
 }

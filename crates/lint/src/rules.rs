@@ -37,74 +37,10 @@ const NUMERIC_TYPES: &[&str] = &[
     "f64",
 ];
 
-/// One rule's identity and documentation, surfaced in the JSON report.
-#[derive(Debug, Clone, Copy)]
-pub struct RuleInfo {
-    pub id: &'static str,
-    pub summary: &'static str,
-}
-
-/// The rule table. `LINT` (meta-diagnostics) is engine-internal and not
+/// The rule ids a pragma may name (the crate docs and DESIGN.md §3.7
+/// describe each). `LINT` (meta-diagnostics) is engine-internal and not
 /// listed: it cannot be suppressed.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "D1",
-        summary: "no HashMap/HashSet in simulation crates: hash iteration order is \
-                  nondeterministic and order-dependent float accumulation breaks bit-identity",
-    },
-    RuleInfo {
-        id: "D2",
-        summary: "no wall-clock (Instant::now, SystemTime) or entropy (thread_rng, from_entropy) \
-                  outside test code: every workspace binary is a deterministic artifact (host \
-                  timing lives in dcmbench/, outside the scan)",
-    },
-    RuleInfo {
-        id: "F1",
-        summary: "no partial_cmp on floats: use f64::total_cmp (the EventQueue total-order rule, \
-                  generalized)",
-    },
-    RuleInfo {
-        id: "F2",
-        summary: "no bare f64 == f64 outside tests/goldens: exact float comparison must be \
-                  justified",
-    },
-    RuleInfo {
-        id: "C1",
-        summary: "numeric `as` casts in simulation crates must use the dcm_core::cast checked \
-                  helpers or justify range safety in a pragma",
-    },
-    RuleInfo {
-        id: "P1",
-        summary: "no unwrap()/expect() in library crates outside tests (bench binaries exempt): \
-                  return Result or document the invariant",
-    },
-    RuleInfo {
-        id: "D3",
-        summary: "call-graph purity: no call path from a sim entry point (ServingEngine::run*, \
-                  Cluster::run*, FlowSim methods) may reach wall-clock/entropy sources or \
-                  hash-ordered containers — the transitive closure of D1/D2, crossing crate \
-                  boundaries the textual rules cannot see",
-    },
-    RuleInfo {
-        id: "U1",
-        summary: "unit-suffix consistency: identifiers carrying _s/_bytes/_tokens/_tps/_flops \
-                  (and _per_<unit>) suffixes must not mix across +/-/comparison operands in the \
-                  same expression",
-    },
-    RuleInfo {
-        id: "A1",
-        summary: "no allocation calls (Vec::new/with_capacity, Box::new, push/insert/collect/\
-                  to_vec, vec!/format!) in functions reachable from the per-event hot paths of \
-                  DESIGN.md §3.6/§3.8: the steady state must be allocation-free, statically",
-    },
-    RuleInfo {
-        id: "R1",
-        summary: "every pub fn in a simulation crate is reachable on the call graph from a bench \
-                  binary, an example, dcmbench/src or a trait-impl method, or is an API root \
-                  declared by an allow(R1) pragma naming its role: code only tests call does not \
-                  sit in the public API",
-    },
-];
+pub const RULES: &[&str] = &["D1", "D2", "F1", "F2", "C1", "P1", "D3", "U1", "A1", "R1"];
 
 /// `D3` entry points: `(impl type, method-name prefix)`. An empty prefix
 /// matches every method of the type.
@@ -183,7 +119,7 @@ const ALLOC_MACROS: &[&str] = &["vec!", "format!", "to_string!"];
 /// Is `id` a suppressible rule id?
 #[must_use]
 pub fn is_known_rule(id: &str) -> bool {
-    RULES.iter().any(|r| r.id == id)
+    RULES.contains(&id)
 }
 
 /// One diagnostic: rule, location, message, and the offending source line
@@ -243,7 +179,7 @@ impl<'a> FileClass<'a> {
 }
 
 /// Cross-file statistics of one workspace analysis; the counts are
-/// surfaced in the JSON report (since `schema_version` 2).
+/// printed on the report's summary line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
     /// Non-test functions indexed into the call graph.

@@ -1,5 +1,4 @@
-//! Flow layer: a deterministic flow-level network simulator on the
-//! event core of `dcm-core::sim`.
+//! Flow layer: a deterministic flow-level network simulator.
 //!
 //! A *flow* is a point-to-point transfer of `bytes` along its fixed
 //! route in a [`Topology`]. Active flows share link bandwidth max-min
@@ -17,18 +16,19 @@
 //! control fabric) holds only the flows in flight; one that never takes
 //! any (the collectives) reads every finish time at the end.
 //!
-//! Determinism: the event queue's total order `(time, priority, seq)`
-//! breaks simultaneous completions, active flows are scanned in
-//! activation order, and a flow's completion event is re-scheduled only
-//! when its rate actually changes (bit comparison) — stale events are
-//! skipped via a per-slot version stamp, which keeps counting across
-//! the slot's occupants. The result is byte-identical across runs and
-//! `DCM_THREADS` settings, and does not depend on which flows were
-//! taken.
+//! Determinism: each flow in flight holds its finish time at its current
+//! rate and the number of finish times set before it. The next flow to
+//! finish is the least by `(finish time via f64::total_cmp, that
+//! number)`, so flows due at one instant finish in the order their
+//! finish times were set. A finish time is set only when a flow's rate
+//! changes bits (a zero-byte or self flow's, at activation), active
+//! flows are scanned in activation order, and [`FlowSim::next_time`]
+//! reports only instants at which a flow finishes. The result is
+//! byte-identical across runs and `DCM_THREADS` settings, and does not
+//! depend on which flows were taken.
 
 use crate::link::{max_min_rates, MaxMinScratch};
 use crate::topology::{NodeId, RouteId, Topology};
-use dcm_core::sim::EventQueue;
 
 /// Index of a flow within its [`FlowSim`].
 pub type FlowId = usize;
@@ -53,21 +53,24 @@ struct FlowRec {
     route: Option<RouteId>,
     remaining: f64,
     rate: f64,
-    /// Stamp incremented on every reschedule; completion events carry
-    /// the stamp they were scheduled under and are ignored if stale. It
-    /// is never reset, so a reused slot cannot match a completion event
-    /// its previous occupant left queued.
-    version: u64,
+    /// Finish time: at the current rate while active, the time the flow
+    /// finished once done.
+    due_s: f64,
+    /// How many finish times the simulator set before `due_s`: the
+    /// tie-break between flows due at one instant.
+    order: u64,
     state: FlowState,
     unmet: usize,
     children: Vec<FlowId>,
-    finish_s: f64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Complete {
-    flow: FlowId,
-    version: u64,
+impl FlowRec {
+    /// Set the finish time, numbered after every one set before it.
+    fn set_due(&mut self, due_s: f64, dues_set: &mut u64) {
+        self.due_s = due_s;
+        self.order = *dues_set;
+        *dues_set += 1;
+    }
 }
 
 /// Deterministic flow-level simulator over one [`Topology`].
@@ -77,7 +80,6 @@ pub struct FlowSim {
     /// Link capacities, read from the topology once.
     caps: Vec<f64>,
     now: f64,
-    queue: EventQueue<Complete>,
     flows: Vec<FlowRec>,
     /// The slot freed last; the free slots form a list through
     /// `FlowState::Free`.
@@ -85,13 +87,14 @@ pub struct FlowSim {
     /// Active flow ids in activation order (per-link FIFO order follows
     /// from this because routes are fixed).
     active: Vec<FlowId>,
+    /// Activated zero-byte and self flows, each due at its activation
+    /// instant, in activation order.
+    instant: Vec<FlowId>,
+    /// Finish times set so far; the next one set gets this `order`.
+    dues_set: u64,
     rates: MaxMinScratch,
     /// True when rates must be recomputed before time can advance.
     dirty: bool,
-    /// Time the most recent flow finished. Tracked separately from `now`
-    /// because draining the queue also visits stale (superseded)
-    /// completion events, which advance `now` past the last real finish.
-    last_finish_s: f64,
 }
 
 impl FlowSim {
@@ -102,13 +105,13 @@ impl FlowSim {
             caps: topo.links().iter().map(|l| l.capacity_bps).collect(),
             topo,
             now: 0.0,
-            queue: EventQueue::new(),
             flows: Vec::new(),
             free: None,
             active: Vec::new(),
+            instant: Vec::new(),
+            dues_set: 0,
             rates: MaxMinScratch::default(),
             dirty: false,
-            last_finish_s: 0.0,
         }
     }
 
@@ -185,15 +188,12 @@ impl FlowSim {
                 unmet += 1;
             }
         }
-        // A reused slot keeps its version stamp, so no completion event
-        // its previous occupant left queued can match this flow.
         let f = &mut self.flows[id];
         f.route = route;
         f.remaining = bytes;
         f.rate = 0.0;
         f.state = FlowState::Pending;
         f.unmet = unmet;
-        f.finish_s = f64::NAN;
         if unmet == 0 {
             self.activate(id, self.now);
         }
@@ -205,19 +205,12 @@ impl FlowSim {
         debug_assert_eq!(f.state, FlowState::Pending);
         f.state = FlowState::Active;
         if f.route.is_none() || f.remaining <= 0.0 {
-            // Degenerate no-op: completes at activation. Schedule the
-            // event (rather than completing inline) so children activate
-            // in deterministic queue order.
-            f.version += 1;
-            let v = f.version;
-            self.queue.push(
-                t,
-                0,
-                Complete {
-                    flow: id,
-                    version: v,
-                },
-            );
+            // Degenerate no-op: due at activation. It finishes in
+            // `advance_to` (rather than inline) so children activate in
+            // the order of their parents' finish times.
+            f.set_due(t, &mut self.dues_set);
+            // dcm-lint: allow(A1) holds only degenerate flows not yet finished and keeps its capacity: grows to the most activated at one instant
+            self.instant.push(id);
         } else {
             // dcm-lint: allow(A1) holds only flows in flight and keeps its capacity as they finish: grows to the most flows active at once
             self.active.push(id);
@@ -225,8 +218,8 @@ impl FlowSim {
         self.dirty = true;
     }
 
-    /// Bring the max-min allocation up to date and (re)schedule
-    /// completion events for flows whose rate changed.
+    /// Bring the max-min allocation up to date and set a new finish time
+    /// for every flow whose rate changed.
     fn settle(&mut self) {
         if !self.dirty {
             return;
@@ -243,32 +236,22 @@ impl FlowSim {
         );
         for (&id, &r) in self.active.iter().zip(rates) {
             let f = &mut self.flows[id];
-            // Reschedule only on a real rate change: in symmetric phases
-            // (ring rounds) most departures leave survivors' rates
-            // untouched, and skipping the no-op reschedule avoids O(F²)
-            // event churn.
+            // A finish time changes only with the rate: in symmetric
+            // phases (ring rounds) most departures leave survivors' rates
+            // untouched, and those keep their finish time and its order.
             if r.to_bits() == f.rate.to_bits() {
                 continue;
             }
             f.rate = r;
-            f.version += 1;
-            let v = f.version;
             let eta = if r > 0.0 {
                 self.now + (f.remaining / r).max(0.0)
             } else {
                 // Starved flow (cannot happen with positive capacities,
-                // but stay finite): park the event far out; the next
-                // rate change reschedules it.
+                // but stay finite): park it far out; the next rate
+                // change moves it.
                 self.now + 1.0e18
             };
-            self.queue.push(
-                eta,
-                0,
-                Complete {
-                    flow: id,
-                    version: v,
-                },
-            );
+            f.set_due(eta, &mut self.dues_set);
         }
     }
 
@@ -284,10 +267,25 @@ impl FlowSim {
         self.now = t;
     }
 
-    /// Time of the next flow completion, if any flow is in flight.
+    /// The flow that finishes next, if any is in flight: the least by
+    /// `(due_s via f64::total_cmp, order)`. Returns its position in
+    /// `instant` followed by `active`, and its finish time. Rates must be
+    /// settled.
+    fn next_finish(&self) -> Option<(usize, f64)> {
+        self.instant
+            .iter()
+            .chain(&self.active)
+            .map(|&id| &self.flows[id])
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.due_s.total_cmp(&b.due_s).then(a.order.cmp(&b.order)))
+            .map(|(at, f)| (at, f.due_s))
+    }
+
+    /// Time of the next flow completion, if any flow is in flight. Some
+    /// flow finishes at that instant.
     pub fn next_time(&mut self) -> Option<f64> {
         self.settle();
-        self.queue.peek_time()
+        self.next_finish().map(|(_, due_s)| due_s)
     }
 
     /// Advance the simulation to `t`, processing every completion due at
@@ -300,38 +298,30 @@ impl FlowSim {
         assert!(t >= self.now, "time went backwards: {t} < {}", self.now);
         loop {
             self.settle();
-            let Some(et) = self.queue.peek_time() else {
-                break;
-            };
-            if et > t {
-                break;
+            match self.next_finish() {
+                Some((at, due_s)) if due_s <= t => {
+                    self.integrate(due_s);
+                    self.finish(at, due_s);
+                }
+                _ => break,
             }
-            let ev = match self.queue.pop() {
-                Some(ev) => ev,
-                None => break,
-            };
-            let Complete { flow, version } = ev.payload;
-            let f = &self.flows[flow];
-            if f.version != version || f.state != FlowState::Active {
-                continue; // stale
-            }
-            self.integrate(ev.time);
-            self.finish(flow, ev.time);
         }
         self.integrate(t);
     }
 
-    fn finish(&mut self, id: FlowId, t: f64) {
-        {
-            let f = &mut self.flows[id];
-            f.state = FlowState::Done;
-            f.remaining = 0.0;
-            f.finish_s = t;
-        }
-        self.last_finish_s = t;
-        self.active.retain(|&f| f != id);
+    /// Finish the flow at position `at` of [`next_finish`](Self::next_finish)
+    /// at `t`, its finish time.
+    fn finish(&mut self, at: usize, t: f64) {
+        // Removed in place, so `active` keeps activation order.
+        let id = match at.checked_sub(self.instant.len()) {
+            Some(i) => self.active.remove(i),
+            None => self.instant.remove(at),
+        };
+        let f = &mut self.flows[id];
+        f.state = FlowState::Done;
+        f.remaining = 0.0;
+        let children = std::mem::take(&mut f.children);
         self.dirty = true;
-        let children = std::mem::take(&mut self.flows[id].children);
         for c in &children {
             let child = &mut self.flows[*c];
             child.unmet -= 1;
@@ -343,13 +333,10 @@ impl FlowSim {
         }
     }
 
-    /// Run until every injected flow has finished; returns the makespan
-    /// (time the last flow finished, excluding route latency).
-    ///
-    /// Note this is the last *finish*, not the final simulation time:
-    /// draining the queue also visits stale completion events left
-    /// behind by rate reschedules, which advance the clock past the last
-    /// real finish.
+    /// Run until every injected flow has finished; returns the
+    /// simulation time then: the makespan (time the last flow finished,
+    /// excluding route latency), unless an earlier
+    /// [`advance_to`](Self::advance_to) went past it.
     ///
     /// # Panics
     /// Panics if pending flows remain whose dependencies can never fire
@@ -365,7 +352,7 @@ impl FlowSim {
                 .all(|f| matches!(f.state, FlowState::Done | FlowState::Free { .. })),
             "flows stuck pending"
         );
-        self.last_finish_s
+        self.now
     }
 
     /// Delivery time of a finished flow — its transfer's completion plus
@@ -386,14 +373,18 @@ impl FlowSim {
         }
         f.state = FlowState::Free { next: self.free };
         self.free = Some(id);
-        Some(f.finish_s + f.route.map_or(0.0, |r| self.topo.route_latency(r)))
+        Some(f.due_s + f.route.map_or(0.0, |r| self.topo.route_latency(r)))
     }
 
     /// Transfer completion time (bandwidth release) of a finished flow
     /// that has not been taken. NaN while in flight.
     #[must_use]
     pub fn finish_time(&self, id: FlowId) -> f64 {
-        self.flows[id].finish_s
+        let f = &self.flows[id];
+        match f.state {
+            FlowState::Pending | FlowState::Active => f64::NAN,
+            FlowState::Done | FlowState::Free { .. } => f.due_s,
+        }
     }
 
     /// Bytes still to transfer on one flow that has not been taken
@@ -497,24 +488,40 @@ mod tests {
     }
 
     #[test]
-    fn a_reused_slot_ignores_its_previous_occupants_stale_event() {
-        // A (100 B) and B (20 B) share the 10 B/s link, so A's first
-        // completion event is queued for t=20. B finishes at t=4, A
-        // speeds up and finishes at t=12: that event is left stale.
+    fn a_reused_slot_finishes_at_its_own_occupants_time() {
+        // A (100 B) and B (20 B) share the 10 B/s link, so A is first due
+        // at t=20. B finishes at t=4, A speeds up and finishes at t=12.
         let mut sim = FlowSim::new(one_link());
         let a = sim.inject(0, 1, 100, &[]);
         let b = sim.inject(0, 1, 20, &[]);
         sim.advance_to(12.0);
         let done = sim.take_finished(a).expect("A finished at t=12");
         assert!((done - 12.0).abs() < 1e-12);
-        // C takes A's slot at t=12 and needs 10 s alone on the link. The
-        // stale event pops at t=20 while C is active; C must still
-        // finish at its own time.
+        // C takes A's slot at t=12 and needs 10 s alone on the link,
+        // past A's first due time of t=20.
         let c = sim.inject(0, 1, 100, &[]);
         assert_eq!(c, a, "the freed slot is reused");
         sim.run_to_completion();
         assert!((sim.finish_time(c) - 22.0).abs() < 1e-12);
         assert!((sim.finish_time(b) - 4.0).abs() < 1e-12, "B was not taken");
+    }
+
+    #[test]
+    fn next_time_is_the_next_finish_after_a_rate_change() {
+        // A (100 B) runs alone until B (20 B) joins at t=2: A has 80 B
+        // left and is due at t=18 at half rate. B finishes at t=6, and A,
+        // back at full rate with 60 B left, is due at t=12. A finish
+        // time A was given earlier (t=10 alone, t=18 shared) is no
+        // instant at which anything finishes.
+        let mut sim = FlowSim::new(one_link());
+        let a = sim.inject(0, 1, 100, &[]);
+        sim.advance_to(2.0);
+        let b = sim.inject(0, 1, 20, &[]);
+        sim.advance_to(6.0);
+        assert_eq!(sim.finish_time(b).to_bits(), 6.0f64.to_bits());
+        assert_eq!(sim.next_time(), Some(12.0));
+        assert_eq!(sim.run_to_completion().to_bits(), 12.0f64.to_bits());
+        assert_eq!(sim.finish_time(a).to_bits(), 12.0f64.to_bits());
     }
 
     #[test]

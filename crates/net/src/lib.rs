@@ -17,7 +17,7 @@
 //! ## Layered flow-level transport
 //!
 //! The closed-form models above are *formulas*; the modules below price
-//! the same collectives by *simulation* on the deterministic event core
+//! the same collectives by deterministic flow-level *simulation*
 //! (DESIGN.md §3.9), bottom-up:
 //!
 //! * [`topology`] — nodes and directed links with capacity/latency, plus
