@@ -2,19 +2,32 @@
 //!
 //! A *flow* is a point-to-point transfer of `bytes` along its fixed
 //! route in a [`Topology`]. Active flows share link bandwidth max-min
-//! fairly ([`crate::link::max_min_rates`]); rates are recomputed on
-//! every flow arrival and departure, the only moments the allocation can
-//! change (fluid model — no packets). Collectives are expressed as
-//! dependency DAGs: a flow may name dependency flows and only starts
-//! when the last of them finishes, which encodes phase barriers (ring
-//! rounds, reduce-scatter before all-gather) without any scheduler
-//! logic in here.
+//! fairly ([`crate::link::max_min_rates`]); rates can change only when a
+//! flow arrives or departs (fluid model — no packets). Collectives are
+//! expressed as dependency DAGs of phases: [`FlowSim::inject_phase`]
+//! injects one phase's flows (a ring round, a direct exchange, a gather
+//! or a scatter), and they start when the last flow they depend on
+//! finishes. That encodes phase barriers (ring rounds, reduce-scatter
+//! before all-gather) without any scheduler logic in here.
+//!
+//! A phase waits on one barrier record, which counts its unfinished
+//! dependencies; each dependency lists the barriers waiting on it. A
+//! finishing flow decrements those barriers, and one that reaches zero
+//! starts its flows in injection order and frees its record for the next
+//! barrier. [`FlowSim::inject`] is a phase of one flow.
+//!
+//! Rates are solved again before time advances past an arrival or a
+//! departure, except a departure no other flow can feel: a zero-byte or
+//! self flow, which never shares a link, or a flow that crossed only
+//! links it had to itself, none of which bottlenecked the last solve.
+//! Solving without such a flow gives every survivor the same rate bits
+//! (DESIGN.md §3.9 has the proof), so it is not solved.
 //!
 //! A flow's record lives until its caller takes it
-//! ([`FlowSim::take_finished`]); the next [`FlowSim::inject`] reuses the
-//! slot. A caller that takes each flow as it finishes (the cluster's
-//! control fabric) holds only the flows in flight; one that never takes
-//! any (the collectives) reads every finish time at the end.
+//! ([`FlowSim::take_finished`]); the next injection reuses the slot. A
+//! caller that takes each flow as it finishes (the cluster's control
+//! fabric) holds only the flows in flight; one that never takes any (the
+//! collectives) reads every finish time at the end.
 //!
 //! Determinism: each flow in flight holds its finish time at its current
 //! rate and the number of finish times set before it. The next flow to
@@ -33,9 +46,12 @@ use crate::topology::{NodeId, RouteId, Topology};
 /// Index of a flow within its [`FlowSim`].
 pub type FlowId = usize;
 
+/// Index of a barrier record within its [`FlowSim`].
+type BarrierId = usize;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum FlowState {
-    /// Waiting on `unmet` dependency flows.
+    /// Waiting behind a closed barrier.
     #[default]
     Pending,
     /// Transferring.
@@ -60,8 +76,9 @@ struct FlowRec {
     /// tie-break between flows due at one instant.
     order: u64,
     state: FlowState,
-    unmet: usize,
-    children: Vec<FlowId>,
+    /// The closed barriers waiting on this flow, in the order they were
+    /// created.
+    waiters: Vec<BarrierId>,
 }
 
 impl FlowRec {
@@ -71,6 +88,18 @@ impl FlowRec {
         self.order = *dues_set;
         *dues_set += 1;
     }
+}
+
+/// The flows of one injection call, waiting on their dependencies.
+#[derive(Debug, Default)]
+struct Barrier {
+    /// Dependency flows not yet finished: the barrier opens at zero.
+    unmet: usize,
+    /// The flows behind the barrier, in injection order. Empty, its
+    /// capacity kept, once the barrier opened and freed its record.
+    flows: Vec<FlowId>,
+    /// While the record is free: the record freed before it.
+    next_free: Option<BarrierId>,
 }
 
 /// Deterministic flow-level simulator over one [`Topology`].
@@ -84,9 +113,15 @@ pub struct FlowSim {
     /// The slot freed last; the free slots form a list through
     /// `FlowState::Free`.
     free: Option<FlowId>,
+    barriers: Vec<Barrier>,
+    /// The barrier record freed last; the free records form a list
+    /// through `Barrier::next_free`.
+    free_barrier: Option<BarrierId>,
     /// Active flow ids in activation order (per-link FIFO order follows
     /// from this because routes are fixed).
     active: Vec<FlowId>,
+    /// How many active flows cross each link.
+    link_flows: Vec<usize>,
     /// Activated zero-byte and self flows, each due at its activation
     /// instant, in activation order.
     instant: Vec<FlowId>,
@@ -101,12 +136,16 @@ impl FlowSim {
     /// A fresh simulator at time zero.
     #[must_use]
     pub fn new(topo: Topology) -> Self {
+        let caps: Vec<f64> = topo.links().iter().map(|l| l.capacity_bps).collect();
         FlowSim {
-            caps: topo.links().iter().map(|l| l.capacity_bps).collect(),
+            link_flows: vec![0; caps.len()],
+            caps,
             topo,
             now: 0.0,
             flows: Vec::new(),
             free: None,
+            barriers: Vec::new(),
+            free_barrier: None,
             active: Vec::new(),
             instant: Vec::new(),
             dues_set: 0,
@@ -127,44 +166,97 @@ impl FlowSim {
     /// Panics if no route `src → dst` exists (and `src != dst`), or a
     /// dependency id is unknown or names a flow already taken.
     pub fn inject(&mut self, src: NodeId, dst: NodeId, bytes: u64, deps: &[FlowId]) -> FlowId {
-        self.inject_impl(src, dst, dcm_core::cast::u64_to_f64(bytes), deps)
+        let route = self.route(src, dst);
+        let barrier = self.barrier(deps);
+        self.add_flow(route, dcm_core::cast::u64_to_f64(bytes), barrier)
     }
 
-    /// Inject a flow whose size is fractional (collective chunks are
-    /// `bytes / n`). Same contract as [`FlowSim::inject`].
+    /// Inject one phase: a flow of `bytes` (fractional: collective
+    /// chunks are `bytes / n`) for each `(src, dst)` pair, all starting
+    /// once every flow in `deps` has finished. Returns their ids in pair
+    /// order, the order in which they start. Same contract as
+    /// [`FlowSim::inject`] for each flow.
     ///
     /// # Panics
     /// Panics under the same conditions as [`FlowSim::inject`], or if
     /// `bytes` is negative or not finite.
-    pub fn inject_fractional(
+    pub fn inject_phase(
         &mut self,
-        src: NodeId,
-        dst: NodeId,
+        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
         bytes: f64,
         deps: &[FlowId],
-    ) -> FlowId {
+    ) -> Vec<FlowId> {
         assert!(bytes.is_finite() && bytes >= 0.0, "bad flow size {bytes}");
-        self.inject_impl(src, dst, bytes, deps)
+        let barrier = self.barrier(deps);
+        pairs
+            .into_iter()
+            .map(|(src, dst)| {
+                let route = self.route(src, dst);
+                self.add_flow(route, bytes, barrier)
+            })
+            .collect()
     }
 
-    fn inject_impl(&mut self, src: NodeId, dst: NodeId, bytes: f64, deps: &[FlowId]) -> FlowId {
-        let route = if src == dst {
-            None
-        } else {
-            Some(
-                self.topo
-                    .route(src, dst)
-                    .unwrap_or_else(|| panic!("no route {src} -> {dst}")),
-            )
-        };
+    /// The route a flow `src → dst` takes; `None` for a self flow.
+    fn route(&self, src: NodeId, dst: NodeId) -> Option<RouteId> {
+        if src == dst {
+            return None;
+        }
+        Some(
+            self.topo
+                .route(src, dst)
+                .unwrap_or_else(|| panic!("no route {src} -> {dst}")),
+        )
+    }
+
+    /// A closed barrier over the flows of `deps` that have not finished,
+    /// or `None` if all of them have.
+    fn barrier(&mut self, deps: &[FlowId]) -> Option<BarrierId> {
+        let mut waits = false;
         for &d in deps {
+            let state = self.flows.get(d).map(|f| f.state);
             assert!(
-                self.flows
-                    .get(d)
-                    .is_some_and(|f| !matches!(f.state, FlowState::Free { .. })),
+                state.is_some_and(|s| !matches!(s, FlowState::Free { .. })),
                 "dependency {d} is unknown or was taken"
             );
+            waits |= state != Some(FlowState::Done);
         }
+        if !waits {
+            return None;
+        }
+        let b = match self.free_barrier {
+            Some(b) => {
+                self.free_barrier = self.barriers[b].next_free;
+                b
+            }
+            None => {
+                // dcm-lint: allow(A1) only a flow with dependencies gets here: the table grows to the most barriers closed at once
+                self.barriers.push(Barrier::default());
+                self.barriers.len() - 1
+            }
+        };
+        let mut unmet = 0;
+        for &d in deps {
+            let dep = &mut self.flows[d];
+            // A dependency named twice is waited on once.
+            if dep.state != FlowState::Done && dep.waiters.last() != Some(&b) {
+                // dcm-lint: allow(A1) only a flow with dependencies gets here: one entry per unfinished dependency of a barrier
+                dep.waiters.push(b);
+                unmet += 1;
+            }
+        }
+        self.barriers[b].unmet = unmet;
+        Some(b)
+    }
+
+    /// Put a flow of `bytes` on `route` in a free slot, behind `barrier`
+    /// or, with none, active at once. Returns its id.
+    fn add_flow(
+        &mut self,
+        route: Option<RouteId>,
+        bytes: f64,
+        barrier: Option<BarrierId>,
+    ) -> FlowId {
         let id = match self.free {
             Some(id) => {
                 let FlowState::Free { next } = self.flows[id].state else {
@@ -179,23 +271,15 @@ impl FlowSim {
                 self.flows.len() - 1
             }
         };
-        let mut unmet = 0usize;
-        for &d in deps {
-            let dep = &mut self.flows[d];
-            if dep.state != FlowState::Done {
-                // dcm-lint: allow(A1) only a flow with dependencies gets here: a collective's DAG, built once per collective
-                dep.children.push(id);
-                unmet += 1;
-            }
-        }
         let f = &mut self.flows[id];
         f.route = route;
         f.remaining = bytes;
         f.rate = 0.0;
         f.state = FlowState::Pending;
-        f.unmet = unmet;
-        if unmet == 0 {
-            self.activate(id, self.now);
+        match barrier {
+            // dcm-lint: allow(A1) only a flow with dependencies gets here: one entry per flow behind a barrier
+            Some(b) => self.barriers[b].flows.push(id),
+            None => self.activate(id, self.now),
         }
         id
     }
@@ -204,18 +288,25 @@ impl FlowSim {
         let f = &mut self.flows[id];
         debug_assert_eq!(f.state, FlowState::Pending);
         f.state = FlowState::Active;
-        if f.route.is_none() || f.remaining <= 0.0 {
-            // Degenerate no-op: due at activation. It finishes in
-            // `advance_to` (rather than inline) so children activate in
-            // the order of their parents' finish times.
-            f.set_due(t, &mut self.dues_set);
-            // dcm-lint: allow(A1) holds only degenerate flows not yet finished and keeps its capacity: grows to the most activated at one instant
-            self.instant.push(id);
-        } else {
-            // dcm-lint: allow(A1) holds only flows in flight and keeps its capacity as they finish: grows to the most flows active at once
-            self.active.push(id);
+        match f.route {
+            Some(r) if f.remaining > 0.0 => {
+                for &l in self.topo.route_links(r) {
+                    self.link_flows[l] += 1;
+                }
+                // dcm-lint: allow(A1) holds only flows in flight and keeps its capacity as they finish: grows to the most flows active at once
+                self.active.push(id);
+                self.dirty = true;
+            }
+            _ => {
+                // Degenerate no-op: due at activation. It finishes in
+                // `advance_to` (rather than inline) so dependants start
+                // in the order of their dependencies' finish times. It
+                // shares no link, so the rates stay as they are.
+                f.set_due(t, &mut self.dues_set);
+                // dcm-lint: allow(A1) holds only degenerate flows not yet finished and keeps its capacity: grows to the most activated at one instant
+                self.instant.push(id);
+            }
         }
-        self.dirty = true;
     }
 
     /// Bring the max-min allocation up to date and set a new finish time
@@ -314,23 +405,52 @@ impl FlowSim {
     fn finish(&mut self, at: usize, t: f64) {
         // Removed in place, so `active` keeps activation order.
         let id = match at.checked_sub(self.instant.len()) {
-            Some(i) => self.active.remove(i),
+            Some(i) => {
+                let id = self.active.remove(i);
+                self.depart(id);
+                id
+            }
             None => self.instant.remove(at),
         };
         let f = &mut self.flows[id];
         f.state = FlowState::Done;
         f.remaining = 0.0;
-        let children = std::mem::take(&mut f.children);
-        self.dirty = true;
-        for c in &children {
-            let child = &mut self.flows[*c];
-            child.unmet -= 1;
-        }
-        for c in children {
-            if self.flows[c].unmet == 0 && self.flows[c].state == FlowState::Pending {
-                self.activate(c, t);
+        for b in std::mem::take(&mut f.waiters) {
+            let barrier = &mut self.barriers[b];
+            barrier.unmet -= 1;
+            if barrier.unmet == 0 {
+                self.open(b, t);
             }
         }
+    }
+
+    /// Take a departing active flow off its links, and mark the rates
+    /// dirty unless no survivor can feel the departure: a flow that had
+    /// each of its links to itself, none of which bottlenecked the last
+    /// solve, leaves every survivor's rate bits as they are (DESIGN.md
+    /// §3.9).
+    fn depart(&mut self, id: FlowId) {
+        let Some(route) = self.flows[id].route else {
+            unreachable!("an active flow crosses a link")
+        };
+        for &l in self.topo.route_links(route) {
+            self.dirty |= self.link_flows[l] > 1 || self.rates.was_bottleneck(l);
+            self.link_flows[l] -= 1;
+        }
+    }
+
+    /// Start a barrier's flows at `t`, in injection order, and free its
+    /// record.
+    fn open(&mut self, b: BarrierId, t: f64) {
+        let mut flows = std::mem::take(&mut self.barriers[b].flows);
+        for &id in &flows {
+            self.activate(id, t);
+        }
+        flows.clear();
+        let barrier = &mut self.barriers[b];
+        barrier.flows = flows;
+        barrier.next_free = self.free_barrier;
+        self.free_barrier = Some(b);
     }
 
     /// Run until every injected flow has finished; returns the

@@ -14,11 +14,14 @@
 //! Determinism: links are scanned in id order and ties in the bottleneck
 //! choice resolve to the lowest link id, so the allocation is a pure
 //! function of `(capacities, paths)` — byte-identical across runs and
-//! thread counts. The fairness invariants (each iteration freezes at
+//! thread counts. A solve records which links it chose as bottlenecks:
+//! the flow layer reads that record to tell a departure that cannot
+//! move any survivor's rate from one that can (DESIGN.md §3.9). The fairness invariants (each iteration freezes at
 //! least one flow; a flow's rate never exceeds any of its links' fair
 //! shares; saturated links are exactly filled) are property-tested in
 //! `tests/tests/prop_fabric_diff.rs`.
 
+use crate::topology::LinkId;
 use dcm_core::cast::usize_to_f64;
 
 /// The buffers [`max_min_rates`] works in. A caller that solves again
@@ -30,11 +33,23 @@ pub struct MaxMinScratch {
     frozen: Vec<bool>,
     rem: Vec<f64>,
     cnt: Vec<usize>,
+    /// Per link: whether the last solve chose it as the bottleneck of one
+    /// of its iterations.
+    bottleneck: Vec<bool>,
+}
+
+impl MaxMinScratch {
+    /// Whether the last solve chose link `l` as the bottleneck of one of
+    /// its iterations.
+    pub(crate) fn was_bottleneck(&self, l: LinkId) -> bool {
+        self.bottleneck[l]
+    }
 }
 
 /// Max-min fair rates for `flows` flows, flow `f` crossing the links
 /// `path(f)`, over links of capacity `capacity[l]` (bytes/s). Returns one
-/// rate per flow, in flow order, in `scratch`'s rate buffer.
+/// rate per flow, in flow order, in `scratch`'s rate buffer, and records
+/// in `scratch` which links it chose as bottlenecks.
 ///
 /// Every flow must cross at least one link; a flow with an empty path has
 /// no bottleneck and is the caller's responsibility (the flow layer
@@ -53,8 +68,11 @@ pub fn max_min_rates<'p, 's>(
         frozen,
         rem,
         cnt,
+        bottleneck: chosen,
     } = scratch;
     let nl = capacity.len();
+    chosen.clear();
+    chosen.resize(nl, false);
     rate.clear();
     rate.resize(flows, 0.0);
     if flows == 0 {
@@ -101,6 +119,7 @@ pub fn max_min_rates<'p, 's>(
             bottleneck != usize::MAX,
             "unfrozen flow crosses no counted link"
         );
+        chosen[bottleneck] = true;
         let inc = inc.max(0.0);
         // Grant the increment to every unfrozen flow and charge its links.
         for (f, (r, &done)) in rate.iter_mut().zip(frozen.iter()).enumerate() {
@@ -173,6 +192,22 @@ mod tests {
         assert!((rates[0] - 2.0).abs() < 1e-12);
         assert!((rates[1] - 8.0).abs() < 1e-12);
         assert!((rates[2] - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_solve_records_its_bottlenecks() {
+        // The water-filling example above: link 1 bottlenecks the first
+        // iteration, link 0 the second. Link 2 carries a flow that link
+        // 0 freezes, so it saturates no iteration.
+        let mut scratch = MaxMinScratch::default();
+        let paths: [&[usize]; 3] = [&[0, 1], &[0, 2], &[1]];
+        max_min_rates(&[10.0, 4.0, 100.0], 3, |f| paths[f], &mut scratch);
+        let chosen: Vec<bool> = (0..3).map(|l| scratch.was_bottleneck(l)).collect();
+        assert_eq!(chosen, [true, true, false]);
+        // The record is the last solve's alone.
+        max_min_rates(&[10.0, 4.0, 100.0], 1, |_| &[2][..], &mut scratch);
+        let chosen: Vec<bool> = (0..3).map(|l| scratch.was_bottleneck(l)).collect();
+        assert_eq!(chosen, [false, false, true]);
     }
 
     #[test]

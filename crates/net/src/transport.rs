@@ -30,6 +30,11 @@
 //!   Reduce = ring reduce-scatter + gather; Broadcast = scatter + ring
 //!   all-gather.
 //!
+//! Each phase (one direct exchange, one ring round, a gather or a
+//! scatter) is one [`FlowSim::inject_phase`] call, so its flows wait on
+//! one barrier record. The inter-node ring's topology holds only the
+//! routes the ring takes, node `i` to node `i + 1 mod n`.
+//!
 //! The α term (per-step software/NIC latency) is charged analytically
 //! from the spec's own step rule (`CollectiveModel::latency_steps`) on
 //! top of the simulated transfer time: link latency is a property of the
@@ -208,19 +213,18 @@ impl FlowTransport {
 
 /// One direct exchange phase: a `chunk` flow on every ordered pair.
 fn phase_direct(sim: &mut FlowSim, parts: &[usize], chunk: f64, deps: &[FlowId]) -> Vec<FlowId> {
-    let mut out = Vec::with_capacity(parts.len() * (parts.len() - 1));
-    for &src in parts {
-        for &dst in parts {
-            if src != dst {
-                out.push(sim.inject_fractional(src, dst, chunk, deps));
-            }
-        }
-    }
-    out
+    let pairs = parts.iter().flat_map(|&src| {
+        parts
+            .iter()
+            .filter(move |&&dst| dst != src)
+            .map(move |&dst| (src, dst))
+    });
+    sim.inject_phase(pairs, chunk, deps)
 }
 
 /// Ring rounds with a barrier between rounds: round `r` sends `chunk`
-/// from every participant to its ring successor.
+/// from every participant to its ring successor, once round `r - 1` (or,
+/// for the first, `deps`) has finished.
 fn phase_ring(
     sim: &mut FlowSim,
     parts: &[usize],
@@ -229,16 +233,12 @@ fn phase_ring(
     deps: &[FlowId],
 ) -> Vec<FlowId> {
     let n = parts.len();
-    let mut prev: Vec<FlowId> = deps.to_vec();
     let mut out = Vec::with_capacity(rounds * n);
-    for _ in 0..rounds {
-        let mut round = Vec::with_capacity(n);
-        for (i, &src) in parts.iter().enumerate() {
-            let dst = parts[(i + 1) % n];
-            round.push(sim.inject_fractional(src, dst, chunk, &prev));
-        }
-        out.extend_from_slice(&round);
-        prev = round;
+    for r in 0..rounds {
+        let ring = (0..n).map(|i| (parts[i], parts[(i + 1) % n]));
+        let prev = if r == 0 { deps } else { &out[out.len() - n..] };
+        let round = sim.inject_phase(ring, chunk, prev);
+        out.extend(round);
     }
     out
 }
@@ -247,19 +247,13 @@ fn phase_ring(
 /// (`parts[0]`).
 fn phase_gather(sim: &mut FlowSim, parts: &[usize], chunk: f64, deps: &[FlowId]) -> Vec<FlowId> {
     let root = parts[0];
-    parts[1..]
-        .iter()
-        .map(|&src| sim.inject_fractional(src, root, chunk, deps))
-        .collect()
+    sim.inject_phase(parts[1..].iter().map(|&src| (src, root)), chunk, deps)
 }
 
 /// The root (`parts[0]`) sends a distinct `chunk` shard to every peer.
 fn phase_scatter(sim: &mut FlowSim, parts: &[usize], chunk: f64, deps: &[FlowId]) -> Vec<FlowId> {
     let root = parts[0];
-    parts[1..]
-        .iter()
-        .map(|&dst| sim.inject_fractional(root, dst, chunk, deps))
-        .collect()
+    sim.inject_phase(parts[1..].iter().map(|&dst| (root, dst)), chunk, deps)
 }
 
 /// Flow-level counterpart of [`crate::MultiNodeModel`]: hierarchical
@@ -326,12 +320,11 @@ impl MultiNodeFlowTransport {
             up.push(topo.add_link(node, core, cap, 0.0));
             down.push(topo.add_link(core, node, cap, 0.0));
         }
+        // The ring sends only to each node's successor: those are the
+        // only routes it reads.
         for (src, &u) in up.iter().enumerate() {
-            for (dst, &d) in down.iter().enumerate() {
-                if src != dst {
-                    topo.add_route(src, dst, vec![u, d]);
-                }
-            }
+            let dst = (src + 1) % self.nodes;
+            topo.add_route(src, dst, vec![u, down[dst]]);
         }
         let mut sim = FlowSim::new(topo);
         let rails: Vec<usize> = (0..self.nodes).collect();
@@ -422,7 +415,7 @@ mod tests {
     fn multinode_matches_closed_form_spec() {
         use crate::MultiNodeModel;
         for spec in [DeviceSpec::gaudi2(), DeviceSpec::a100()] {
-            for nodes in [1usize, 2, 4, 16] {
+            for nodes in [1usize, 2, 4, 16, 64] {
                 let flow = MultiNodeFlowTransport::new(&spec, nodes);
                 let closed = MultiNodeModel::new(&spec, nodes);
                 let bytes = 1u64 << 30;

@@ -10,8 +10,10 @@
 //! (`prop_queue_diff.rs`), [`timeline`]'s per-slice recurrences for
 //! `dcm_core::timeline::even_pipeline_makespan` (`prop_models.rs`), and
 //! [`kv_cache`]'s block-naming cache for `dcm_vllm`'s counting
-//! `PagedKvCache` (`prop_vllm.rs`). They live here, not in the library
-//! crates, because nothing but those suites uses them. So does
+//! `PagedKvCache` (`prop_vllm.rs`), and [`flow_oracle`]'s child-list
+//! simulator for `dcm_net::FlowSim` (`prop_fabric_diff.rs`). They live
+//! here, not in the library crates, because nothing but those suites
+//! uses them. So does
 //! [`report_bits`], by which the metamorphic suites compare cluster
 //! reports.
 
@@ -20,6 +22,7 @@ use dcm_vllm::cluster::{ClusterReport, ReplicaStats};
 use dcm_vllm::engine::ServingReport;
 use std::cmp::Ordering;
 
+pub mod flow_oracle;
 pub mod kv_cache;
 pub mod timeline;
 

@@ -7,12 +7,17 @@
 //! get *slower* under congestion, must conserve bytes on every link,
 //! and must be bit-identical regardless of the ambient `DCM_THREADS`.
 //! Freeing finished flows, and reusing their slots, must move no bit
-//! either.
+//! either. And `FlowSim`, whose phases wait on barrier records and whose
+//! departures skip the rate solve when no other flow can feel them, must
+//! run any schedule bit for bit as the child-list simulator
+//! [`ChildListSim`] does, which solves after every completion.
 
+use dcm_core::cast::u64_to_f64;
 use dcm_core::par::par_map;
 use dcm_core::DeviceSpec;
 use dcm_net::{Collective, CollectiveModel, FlowId, FlowSim, FlowTransport};
-use dcm_net::{MultiNodeFlowTransport, MultiNodeModel, Topology};
+use dcm_net::{LinkId, MultiNodeFlowTransport, MultiNodeModel, NodeId, Topology};
+use dcm_tests::flow_oracle::ChildListSim;
 use proptest::prelude::*;
 
 /// The four collectives whose emergent schedule matches the spec's β
@@ -147,6 +152,179 @@ fn run_schedule(topo: &Topology, star: bool, ops: &[Op], take: bool) -> (Vec<(u6
         .map(|t| t.expect("every flow finished"))
         .collect();
     (times, makespan)
+}
+
+/// Endpoints of [`hub_fabric`], besides its hub.
+const ENDPOINTS: usize = 4;
+
+/// The route table of a topology: `((src, dst), links)` per route.
+type Routes = Vec<((NodeId, NodeId), Vec<LinkId>)>;
+
+/// A hub fabric over [`ENDPOINTS`] endpoints: endpoint `i` has an uplink
+/// into the hub (link `2i`, latency `i` × 0.25 ms) and a downlink from it
+/// (link `2i + 1`). An ordered pair whose bit is set in `direct` gets a
+/// link of its own after those; every other pair routes through the
+/// hub. Link capacities come from `classes`, one class per link in id
+/// order. Class 0 is 1 MB/s, so all-zero classes and no direct links
+/// give an equal-capacity hub, where bottleneck ties fall to the lowest
+/// link id. The other classes are not whole numbers, so a rate's last
+/// bits show the increments progressive filling added it up from.
+/// Returns the topology and, for [`ChildListSim`], its routes.
+fn hub_fabric(classes: &[usize], direct: u16) -> (Topology, Routes) {
+    let cap =
+        |l: usize| [1.0e6, 1.0e6 / 3.0, 0.1e6 / 0.7, 2.2e6 / 0.9][classes[l % classes.len()] % 4];
+    let mut topo = Topology::new(ENDPOINTS + 1);
+    for i in 0..ENDPOINTS {
+        let latency = f64::from(u8::try_from(i).expect("small")) * 2.5e-4;
+        topo.add_link(i, ENDPOINTS, cap(2 * i), latency);
+        topo.add_link(ENDPOINTS, i, cap(2 * i + 1), 0.0);
+    }
+    let mut routes = Routes::new();
+    let pairs =
+        (0..ENDPOINTS).flat_map(|s| (0..ENDPOINTS).filter(move |&d| d != s).map(move |d| (s, d)));
+    for (bit, (src, dst)) in pairs.enumerate() {
+        let path = if direct >> bit & 1 == 1 {
+            vec![topo.add_link(src, dst, cap(topo.links().len()), 0.0)]
+        } else {
+            vec![2 * src, 2 * dst + 1]
+        };
+        topo.add_route(src, dst, path.clone());
+        routes.push(((src, dst), path));
+    }
+    (topo, routes)
+}
+
+/// What the differential schedules need of a flow simulator: the
+/// `FlowSim` API, which [`ChildListSim`] mirrors.
+trait Flows {
+    fn inject(&mut self, src: NodeId, dst: NodeId, bytes: u64, deps: &[FlowId]) -> FlowId;
+    fn inject_phase(
+        &mut self,
+        pairs: &[(NodeId, NodeId)],
+        bytes: f64,
+        deps: &[FlowId],
+    ) -> Vec<FlowId>;
+    fn next_time(&mut self) -> Option<f64>;
+    fn advance_to(&mut self, t: f64);
+    fn run_to_completion(&mut self) -> f64;
+    fn take_finished(&mut self, id: FlowId) -> Option<f64>;
+    fn finish_time(&self, id: FlowId) -> f64;
+}
+
+macro_rules! flows_impl {
+    ($sim:ty) => {
+        impl Flows for $sim {
+            fn inject(&mut self, src: NodeId, dst: NodeId, bytes: u64, deps: &[FlowId]) -> FlowId {
+                <$sim>::inject(self, src, dst, bytes, deps)
+            }
+            fn inject_phase(
+                &mut self,
+                pairs: &[(NodeId, NodeId)],
+                bytes: f64,
+                deps: &[FlowId],
+            ) -> Vec<FlowId> {
+                <$sim>::inject_phase(self, pairs.iter().copied(), bytes, deps)
+            }
+            fn next_time(&mut self) -> Option<f64> {
+                <$sim>::next_time(self)
+            }
+            fn advance_to(&mut self, t: f64) {
+                <$sim>::advance_to(self, t)
+            }
+            fn run_to_completion(&mut self) -> f64 {
+                <$sim>::run_to_completion(self)
+            }
+            fn take_finished(&mut self, id: FlowId) -> Option<f64> {
+                <$sim>::take_finished(self, id)
+            }
+            fn finish_time(&self, id: FlowId) -> f64 {
+                <$sim>::finish_time(self, id)
+            }
+        }
+    };
+}
+
+flows_impl!(FlowSim);
+flows_impl!(ChildListSim);
+
+/// One step of a differential schedule: `(shape, kb, gap_ms, pick)`.
+/// See [`drive`].
+type Step = (usize, u64, usize, usize);
+
+/// Run `steps` on `sim` and return everything it reported, as bits: each
+/// `next_time()` before a step and while draining, each injection's
+/// ids, each finish and delivery time, and the makespan.
+///
+/// A step advances the clock by `gap_ms`, then injects `kb` KiB (zero
+/// bytes below 4) in the way `shape` picks. With kind `shape % 4` and
+/// `at = shape / 4`: kind 0 one flow from endpoint `at % 4` to `at / 4 %
+/// 4` (a self flow when they are equal); kind 1 a ring phase, each
+/// endpoint to its successor; kind 2 a direct exchange phase on every
+/// ordered pair; kind 3 a gather phase into endpoint `at % 4`, whose own
+/// flow is a self flow. A phase's flows carry a third of `kb` each. The
+/// injection waits on up to three flows not yet taken, which `pick`
+/// chooses and may repeat, and which may have finished already. With
+/// `take` set, every flow is taken as soon as an advance finds it
+/// finished, so later flows reuse its slot.
+fn drive(sim: &mut impl Flows, steps: &[Step], take: bool) -> Vec<u64> {
+    let mut seen = Vec::new();
+    // Every flow injected, in order, and whether it was taken.
+    let mut flows: Vec<(FlowId, bool)> = Vec::new();
+    let sweep = |sim: &mut dyn Flows, flows: &mut [(FlowId, bool)], seen: &mut Vec<u64>| {
+        for (i, (id, taken)) in flows.iter_mut().enumerate() {
+            let finish = sim.finish_time(*id);
+            if !*taken {
+                if let Some(delivery) = sim.take_finished(*id) {
+                    *taken = true;
+                    seen.extend([i as u64, finish.to_bits(), delivery.to_bits()]);
+                }
+            }
+        }
+    };
+    let mut t = 0.0;
+    for &(shape, kb, gap, pick) in steps {
+        let (kind, at) = (shape % 4, shape / 4);
+        seen.push(sim.next_time().map_or(u64::MAX, f64::to_bits));
+        t += f64::from(u8::try_from(gap).expect("small")) * 1.0e-3;
+        sim.advance_to(t);
+        if take {
+            sweep(sim, &mut flows, &mut seen);
+        }
+        let live: Vec<FlowId> = flows.iter().filter(|f| !f.1).map(|f| f.0).collect();
+        let deps: Vec<FlowId> = if live.is_empty() {
+            Vec::new()
+        } else {
+            (0..pick % 4)
+                .map(|j| live[(pick * 7 + j * 5) % live.len()])
+                .collect()
+        };
+        let bytes = if kb < 4 { 0 } else { kb << 10 };
+        let chunk = u64_to_f64(bytes) / 3.0;
+        let pairs: Vec<(NodeId, NodeId)> = match kind {
+            1 => (0..ENDPOINTS).map(|i| (i, (i + 1) % ENDPOINTS)).collect(),
+            2 => (0..ENDPOINTS)
+                .flat_map(|s| (0..ENDPOINTS).filter(move |&d| d != s).map(move |d| (s, d)))
+                .collect(),
+            _ => (0..ENDPOINTS).map(|s| (s, at % ENDPOINTS)).collect(),
+        };
+        let ids = if kind == 0 {
+            vec![sim.inject(at % ENDPOINTS, at / ENDPOINTS % ENDPOINTS, bytes, &deps)]
+        } else {
+            sim.inject_phase(&pairs, chunk, &deps)
+        };
+        seen.extend(ids.iter().map(|&id| id as u64));
+        flows.extend(ids.into_iter().map(|id| (id, false)));
+    }
+    while let Some(next) = sim.next_time() {
+        seen.push(next.to_bits());
+        sim.advance_to(next);
+        if take {
+            sweep(sim, &mut flows, &mut seen);
+        }
+    }
+    seen.push(sim.run_to_completion().to_bits());
+    sweep(sim, &mut flows, &mut seen);
+    seen
 }
 
 proptest! {
@@ -324,6 +502,64 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Barrier records and skipped solves move no bit: on an
+    /// equal-capacity hub and on a hub with unequal capacities and some
+    /// direct links, with flows kept or taken as they finish, `FlowSim`
+    /// reports what the child-list simulator that solves after every
+    /// completion reports, bit for bit.
+    #[test]
+    fn flow_sim_matches_the_child_list_oracle(
+        steps in proptest::collection::vec((0usize..64, 0u64..48, 0usize..4, 0usize..16), 1..25),
+        classes in proptest::collection::vec(0usize..4, 20..21),
+        direct in 0u16..4096,
+    ) {
+        for (classes, direct) in [(&[0][..], 0), (&classes[..], direct)] {
+            let (topo, routes) = hub_fabric(classes, direct);
+            for take in [false, true] {
+                let got = drive(&mut FlowSim::new(topo.clone()), &steps, take);
+                let want = drive(&mut ChildListSim::new(topo.links(), &routes), &steps, take);
+                prop_assert_eq!(&got, &want, "direct={:#x} take={}", direct, take);
+            }
+        }
+    }
+}
+
+/// A flow alone on its links that bottlenecked the last solve changes
+/// no survivor's rate by departing, except in the last bits: the
+/// survivors' rates were added up from its increment and the one after.
+/// Link 0 (1 MB/s ÷ 7) bottlenecks A; B and C share link 1 (2.2 MB/s ÷
+/// 0.9) and get 1/7 MB/s and then half of the rest, one bit above half
+/// of link 1. A departs first; a solve then gives B and C exactly half,
+/// and `FlowSim` must solve as the child-list simulator does.
+#[test]
+fn a_lone_departure_that_bottlenecked_the_solve_is_solved() {
+    let mut topo = Topology::new(4);
+    let a = topo.add_link(0, 1, 0.1e6 / 0.7, 0.0);
+    let bc = topo.add_link(2, 3, 2.2e6 / 0.9, 0.0);
+    topo.add_route(0, 1, vec![a]);
+    topo.add_route(2, 3, vec![bc]);
+    let routes = [((0, 1), vec![a]), ((2, 3), vec![bc])];
+    let run = |sim: &mut dyn Flows| {
+        let ids = [
+            sim.inject(0, 1, 1 << 10, &[]),
+            sim.inject(2, 3, 1 << 20, &[]),
+            sim.inject(2, 3, 1 << 21, &[]),
+        ];
+        let end = sim.run_to_completion();
+        ids.map(|id| sim.finish_time(id).to_bits())
+            .to_vec()
+            .into_iter()
+            .chain([end.to_bits()])
+            .collect::<Vec<u64>>()
+    };
+    let got = run(&mut FlowSim::new(topo.clone()));
+    let want = run(&mut ChildListSim::new(topo.links(), &routes));
+    assert_eq!(got, want);
+}
+
 /// The transport is a pure function of its inputs: sweeping it through
 /// `par_map` at different thread counts yields bit-identical results,
 /// so `DCM_THREADS` cannot move a report.
@@ -354,7 +590,7 @@ fn multinode_flow_level_matches_closed_form() {
         DeviceSpec::gaudi3(),
         DeviceSpec::a100(),
     ] {
-        for nodes in [1usize, 2, 4, 8, 32] {
+        for nodes in [1usize, 2, 4, 8, 32, 64] {
             let flow = MultiNodeFlowTransport::new(&spec, nodes);
             let closed = MultiNodeModel::new(&spec, nodes);
             for bytes in [1u64 << 20, 1 << 30, 16 << 30] {

@@ -78,14 +78,16 @@ done
 #   prop_stretch_cuts     cutting an exact stretch moves no report bit
 #   prop_fast_forward     fast-forward keeps every count on one replica
 #   prop_cluster_ff       ... and on several; DCM_THREADS moves no bit
-#   prop_fabric_diff      flow collectives match the closed forms
+#   prop_fabric_diff      flow collectives match the closed forms, and
+#                         FlowSim runs as the child-list oracle, bit for bit
 #   prop_mme_select       MME and A100 searches, op_cost and op_time vs full searches
 #   prop_step_cost_memo   the per-thread step tables move no report bit
 #   prop_graph_blocks     block graphs execute as their flat twins
 #   step_cost_memo_counts every step graph compiles once per thread
 #   prop_robustness       cluster runs end in a report or a typed error
 #   prop_arrival_order    arrivals leave in one heap's pop order; percentiles
-#   alloc_steady_state    the hot paths allocate nothing after warm-up
+#   alloc_steady_state    the hot paths allocate nothing after warm-up, and
+#                         a 64-node all-reduce peaks under 2 MiB live
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
