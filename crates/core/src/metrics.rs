@@ -431,6 +431,7 @@ impl LatencyRecorder {
     /// merge-then-quantize disagree, so the mismatch is a bug upstream.
     pub fn merge(&mut self, other: &LatencyRecorder) {
         match (&mut self.samples, &other.samples) {
+            // dcm-lint: allow(A1) takes each replica's samples once, when a run's report is built
             (Samples::Exact(a), Samples::Exact(b)) => a.extend_from_slice(b),
             (Samples::Histogram(a), Samples::Histogram(b)) => a.merge(b),
             _ => panic!("cannot merge recorders with different metrics modes"),

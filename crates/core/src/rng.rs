@@ -4,7 +4,6 @@
 //! synthetic datasets) flow through seeded generators so every figure
 //! regenerates bit-identically.
 
-use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,20 +22,6 @@ pub fn seeded(seed: u64) -> StdRng {
 pub fn uniform_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, max: usize) -> Vec<usize> {
     assert!(max > 0, "index range must be non-empty");
     (0..n).map(|_| rng.gen_range(0..max)).collect()
-}
-
-/// Sample from a discrete distribution given by (value, weight) pairs.
-///
-/// # Panics
-/// Panics if `choices` is empty or weights sum to zero.
-#[must_use]
-pub fn weighted_choice<R: Rng + ?Sized, T: Copy>(rng: &mut R, choices: &[(T, f64)]) -> T {
-    assert!(!choices.is_empty(), "choices must be non-empty");
-    let weights: Vec<f64> = choices.iter().map(|&(_, w)| w).collect();
-    let dist = rand::distributions::WeightedIndex::new(&weights)
-        // dcm-lint: allow(P1) documented panic contract of weighted_choice
-        .expect("weights must be non-negative and sum > 0");
-    choices[dist.sample(rng)].0
 }
 
 #[cfg(test)]
@@ -63,16 +48,5 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn uniform_indices_rejects_empty_range() {
         let _ = uniform_indices(&mut seeded(1), 4, 0);
-    }
-
-    #[test]
-    fn weighted_choice_prefers_heavy_weights() {
-        let mut rng = seeded(7);
-        let choices = [(1usize, 0.01), (2usize, 0.99)];
-        let picks: Vec<usize> = (0..1000)
-            .map(|_| weighted_choice(&mut rng, &choices))
-            .collect();
-        let twos = picks.iter().filter(|&&p| p == 2).count();
-        assert!(twos > 900);
     }
 }

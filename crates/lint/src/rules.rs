@@ -100,8 +100,21 @@ const HOT_PATH_ROOTS: &[(&str, &str)] = &[
 /// `R1` root files: every function under these path prefixes is a root.
 const API_ROOT_DIRS: &[&str] = &["crates/bench/src/bin/", "examples/", "dcmbench/src/"];
 
-/// Method names `A1` treats as allocation markers.
-const ALLOC_METHODS: &[&str] = &["push", "insert", "collect", "to_vec"];
+/// Method names `A1` treats as allocation markers: every std-container
+/// call that can grow its buffer.
+const ALLOC_METHODS: &[&str] = &[
+    "push",
+    "push_back",
+    "push_front",
+    "insert",
+    "extend",
+    "extend_from_slice",
+    "resize",
+    "resize_with",
+    "reserve",
+    "collect",
+    "to_vec",
+];
 
 /// `Type::fn` path calls `A1` treats as allocation markers.
 const ALLOC_PATH_CALLS: &[(&str, &str)] = &[

@@ -12,5 +12,12 @@ impl EventQueue {
         let mut extra: Vec<u64> = Vec::new();
         extra.push(t);
         self.slots.extend(extra);
+        self.slots.extend_from_slice(&[t]);
+        self.slots.reserve(1);
+        self.slots.resize(4, t);
+        self.slots.resize_with(8, || t);
+        let mut pending = std::collections::VecDeque::new();
+        pending.push_back(t);
+        pending.push_front(t);
     }
 }

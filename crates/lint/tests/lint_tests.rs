@@ -117,6 +117,30 @@ fn a1_names_the_hot_path_chain() {
 }
 
 #[test]
+fn a1_counts_every_container_call_that_can_grow() {
+    let out = dcm_lint::run(&fixture("ws_a1_pos")).expect("fixture scan");
+    for name in [
+        "push",
+        "push_back",
+        "push_front",
+        "extend",
+        "extend_from_slice",
+        "reserve",
+        "resize",
+        "resize_with",
+    ] {
+        let marker = format!("`.{name}()`");
+        assert!(
+            out.findings
+                .iter()
+                .any(|f| f.rule == "A1" && f.message.contains(&marker)),
+            "A1 must flag {marker} on a hot path: {:?}",
+            out.findings
+        );
+    }
+}
+
+#[test]
 fn r1_flags_unreached_fns_and_stale_or_misplaced_pragmas() {
     let out = dcm_lint::run(&fixture("ws_r1_pos")).expect("fixture scan");
     let got: Vec<(&str, u32)> = out.findings.iter().map(|f| (f.rule, f.line)).collect();

@@ -72,17 +72,22 @@ pub fn max_min_rates<'p, 's>(
     } = scratch;
     let nl = capacity.len();
     chosen.clear();
+    // dcm-lint: allow(A1) a buffer kept across solves: grows only to the topology's link count
     chosen.resize(nl, false);
     rate.clear();
+    // dcm-lint: allow(A1) a buffer kept across solves: grows only to the most flows in flight
     rate.resize(flows, 0.0);
     if flows == 0 {
         return rate;
     }
     frozen.clear();
+    // dcm-lint: allow(A1) a buffer kept across solves: grows only to the most flows in flight
     frozen.resize(flows, false);
     rem.clear();
+    // dcm-lint: allow(A1) a buffer kept across solves: grows only to the topology's link count
     rem.extend_from_slice(capacity);
     cnt.clear();
+    // dcm-lint: allow(A1) a buffer kept across solves: grows only to the topology's link count
     cnt.resize(nl, 0);
     for f in 0..flows {
         let p = path(f);

@@ -1026,6 +1026,7 @@ impl GemmTerms {
         let row = &mut self.rows[batch];
         let (page, cell) = (len / PAGE_CELLS, len % PAGE_CELLS);
         if page >= row.len() {
+            // dcm-lint: allow(A1) a batch's page directory grows by DIRECTORY_STEP pages only when a longer length is first priced
             row.resize_with((page + 1).next_multiple_of(DIRECTORY_STEP), || None);
         }
         // dcm-lint: allow(A1) one 1 KiB page per PAGE_CELLS lengths of a GEMM batch, on first touch only: bounded by the shapes a run prices

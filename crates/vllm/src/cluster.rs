@@ -62,7 +62,7 @@
 //! empty plan and default config, bit for bit.
 
 use crate::dataset::Request;
-use crate::engine::{validate_trace, ServingEngine, ServingReport, SimState};
+use crate::engine::{at, validate_trace, ServingEngine, ServingReport, SimState};
 use crate::fault::{FaultPlan, ResilienceConfig, TimelineEvent, TimelineKind};
 use dcm_core::cast::usize_to_f64;
 use dcm_core::error::{DcmError, Result};
@@ -82,7 +82,8 @@ enum ClusterEvent {
     /// The control fabric has work due: a dispatch flow finishing or a
     /// delivery landing.
     Fabric,
-    Arrival(Request),
+    /// The request at this trace index arrives.
+    Arrival(u32),
 }
 
 /// The run's merged timeline over three sources, each already in time
@@ -94,21 +95,22 @@ struct Timeline<'a> {
     requests: &'a [Request],
     /// Trace indices in arrival order; empty when the trace is in that
     /// order already, as generated traces are.
-    order: Vec<usize>,
+    order: Vec<u32>,
     /// Arrivals read so far.
-    next: usize,
+    next: u32,
 }
 
 impl<'a> Timeline<'a> {
-    /// `plan`'s fault edges and `requests`' arrivals.
+    /// `plan`'s fault edges and `requests`' arrivals, from a trace that
+    /// [`validate_trace`] has capped at `u32::MAX` requests.
     fn new(plan: &FaultPlan, requests: &'a [Request]) -> Self {
         let by_arrival = |a: &Request, b: &Request| a.arrival_s.total_cmp(&b.arrival_s);
         let order = if requests.is_sorted_by(|a, b| by_arrival(a, b).is_le()) {
             Vec::new()
         } else {
-            let mut order: Vec<usize> = (0..requests.len()).collect();
+            let mut order: Vec<u32> = (0..=u32::MAX).take(requests.len()).collect();
             // Stable: simultaneous arrivals keep trace order.
-            order.sort_by(|&a, &b| by_arrival(&requests[a], &requests[b]));
+            order.sort_by(|&a, &b| by_arrival(&requests[at(a)], &requests[at(b)]));
             order
         };
         Timeline {
@@ -119,12 +121,12 @@ impl<'a> Timeline<'a> {
         }
     }
 
-    /// The next arrival, unread.
-    fn peek_arrival(&self) -> Option<&'a Request> {
-        match self.order.get(self.next) {
-            Some(&i) => self.requests.get(i),
-            None if self.order.is_empty() => self.requests.get(self.next),
-            None => None,
+    /// The trace index of the next arrival, unread.
+    fn peek_arrival(&self) -> Option<u32> {
+        if self.order.is_empty() {
+            (at(self.next) < self.requests.len()).then_some(self.next)
+        } else {
+            self.order.get(at(self.next)).copied()
         }
     }
 
@@ -143,7 +145,7 @@ impl<'a> Timeline<'a> {
                 .map(|e| (e.t, ClusterEvent::Fault(e.kind))),
             fabric_due.map(|t| (t, ClusterEvent::Fabric)),
             self.peek_arrival()
-                .map(|r| (r.arrival_s, ClusterEvent::Arrival(*r))),
+                .map(|i| (self.requests[at(i)].arrival_s, ClusterEvent::Arrival(i))),
         ];
         // `min_by` keeps the first of equal elements: the rule's order.
         let (t, event) = candidates
@@ -268,11 +270,12 @@ impl FabricConfig {
 struct FabricRun {
     sim: FlowSim,
     dispatch_bytes: u64,
-    /// Dispatch flows still transferring: `(flow, request, target)`.
-    pending: Vec<(FlowId, Request, usize)>,
-    /// Finished dispatches awaiting their delivery instant, sorted
-    /// ascending by time (stable — equal times keep finish order).
-    deliveries: Vec<(f64, Request, usize)>,
+    /// Dispatch flows still transferring: `(flow, trace index, target)`.
+    pending: Vec<(FlowId, u32, usize)>,
+    /// Finished dispatches awaiting their delivery instant, `(time, trace
+    /// index, target)` sorted ascending by time (stable — equal times
+    /// keep finish order).
+    deliveries: Vec<(f64, u32, usize)>,
 }
 
 /// Router endpoint in the control-fabric topology.
@@ -297,12 +300,13 @@ impl FabricRun {
         }
     }
 
-    /// Inject one dispatch toward `target` at the current fabric time.
-    fn dispatch(&mut self, r: Request, target: usize) {
+    /// Inject the dispatch of the request at trace index `index` toward
+    /// `target` at the current fabric time.
+    fn dispatch(&mut self, index: u32, target: usize) {
         let flow = self
             .sim
             .inject(FABRIC_ROUTER, 2 + target, self.dispatch_bytes, &[]);
-        self.pending.push((flow, r, target));
+        self.pending.push((flow, index, target));
     }
 
     /// The next instant the fabric needs the event loop's attention.
@@ -538,12 +542,12 @@ impl Cluster {
     /// Returns [`InvalidConfig`](dcm_core::error::DcmError::InvalidConfig)
     /// for an empty cluster, a replica with a zero `max_decode_batch` or
     /// KV block cap (naming the replica and the field), an invalid trace
-    /// (empty, a non-finite or negative arrival, an empty prompt, a
-    /// request generating no token, or a duplicated id) or an invalid
-    /// [`FabricConfig`] (a `link_bps` that is not finite and positive, a
-    /// `latency_s` that is not finite and non-negative), and propagates
-    /// any replica error (e.g. a request exceeding a replica's KV
-    /// capacity).
+    /// (empty or longer than `u32::MAX` requests, a non-finite or
+    /// negative arrival, an empty prompt, a request generating no token,
+    /// or a duplicated id) or an invalid [`FabricConfig`] (a `link_bps`
+    /// that is not finite and positive, a `latency_s` that is not finite
+    /// and non-negative), and propagates any replica error (e.g. a
+    /// request exceeding a replica's KV capacity).
     pub fn run(&mut self, requests: &[Request]) -> Result<ClusterReport> {
         self.run_resilient(requests, &FaultPlan::none(), &ResilienceConfig::default())
     }
@@ -651,12 +655,13 @@ pub(crate) fn serve(
     let sims = replicas
         .iter()
         .enumerate()
-        .map(|(i, e)| e.make_sim(i, &settings, cfg.slo))
+        .map(|(i, e)| e.make_sim(i, &settings, cfg.slo, requests))
         .collect::<Result<_>>()?;
     let mut st = RunState {
         replicas,
         settings,
         cfg,
+        requests,
         sims,
         alive: vec![true; n],
         dispatched: vec![0usize; n],
@@ -691,7 +696,8 @@ pub(crate) fn serve(
         match event {
             ClusterEvent::Fault(kind) => st.apply_fault(time, kind)?,
             ClusterEvent::Fabric => st.fabric_deliver(time)?,
-            ClusterEvent::Arrival(r) => {
+            ClusterEvent::Arrival(index) => {
+                let r = &requests[at(index)];
                 // Lazy horizons: replicas catch up to the arrival
                 // instant only when this dispatch is about to read
                 // their state — a state-reading policy inspects all
@@ -744,13 +750,13 @@ pub(crate) fn serve(
                             );
                             match st.fabric.as_mut() {
                                 // Instantaneous dispatch (default).
-                                None => st.sims[target].enqueue(r),
+                                None => st.sims[target].enqueue(index),
                                 // Costed dispatch: the request rides a
                                 // flow and joins the replica's queue at
                                 // the delivery instant.
                                 Some(fr) => {
                                     fr.sim.advance_to(r.arrival_s);
-                                    fr.dispatch(r, target);
+                                    fr.dispatch(index, target);
                                 }
                             }
                         }
@@ -782,7 +788,10 @@ struct RunState<'a> {
     replicas: &'a mut [ServingEngine],
     settings: RunSettings,
     cfg: &'a ResilienceConfig,
-    sims: Vec<SimState>,
+    /// The run's trace: every request on its way to a replica is named
+    /// by its index here.
+    requests: &'a [Request],
+    sims: Vec<SimState<'a>>,
     alive: Vec<bool>,
     /// Requests routed to each replica, retries included; their sum
     /// drives round-robin striping.
@@ -937,11 +946,11 @@ impl RunState<'_> {
                 );
                 let (orphans, lost) = self.sims[replica].drain_unfinished();
                 self.lost_tokens += lost;
-                for r in orphans {
-                    if let Some(target) = self.reroute(r.id, t) {
+                for i in orphans {
+                    if let Some(target) = self.reroute(self.requests[at(i)].id, t) {
                         // Original arrival time kept: the retry's latency
                         // is client-perceived, spanning the lost attempt.
-                        self.sims[target].enqueue(r);
+                        self.sims[target].enqueue(i);
                     }
                 }
             }
@@ -1009,25 +1018,25 @@ impl RunState<'_> {
             deliveries,
             ..
         } = &mut fr;
-        pending.retain(|&(flow, r, target)| {
+        pending.retain(|&(flow, i, target)| {
             let Some(due) = sim.take_finished(flow) else {
                 return true;
             };
             let pos = deliveries.partition_point(|d| d.0.total_cmp(&due).is_le());
-            deliveries.insert(pos, (due, r, target));
+            deliveries.insert(pos, (due, i, target));
             false
         });
         while fr.deliveries.first().is_some_and(|d| d.0 <= t) {
-            let (due, r, target) = fr.deliveries.remove(0);
+            let (due, i, target) = fr.deliveries.remove(0);
             self.advance_live(due)?;
             if self.alive[target] {
-                self.sims[target].enqueue(r);
+                self.sims[target].enqueue(i);
                 continue;
             }
             // In-flight dispatch toward a dead replica: same budgeted
             // re-route as crash-displaced work.
-            if let Some(next) = self.reroute(r.id, due) {
-                fr.dispatch(r, next);
+            if let Some(next) = self.reroute(self.requests[at(i)].id, due) {
+                fr.dispatch(i, next);
             }
         }
         self.fabric = Some(fr);
@@ -1035,15 +1044,26 @@ impl RunState<'_> {
     }
 
     /// Build the run's report: the one place a [`ServingReport`] is
-    /// made. Latency samples pool every replica's, goodput and SLO
-    /// attainment sum the counts each replica judged against `cfg.slo`
-    /// at completion, and the span is the longest replica clock.
-    fn aggregate(&self) -> ClusterReport {
+    /// made. Latency samples pool every replica's, taken from the
+    /// replicas rather than copied: the first replica's recorders take
+    /// the others' samples in replica order. Goodput and SLO attainment
+    /// sum the counts each replica judged against `cfg.slo` at
+    /// completion, and the span is the longest replica clock.
+    fn aggregate(&mut self) -> ClusterReport {
         let total_time_s = self.sims.iter().map(SimState::now).fold(0.0_f64, f64::max);
         let mode = self.settings.metrics_mode;
-        let mut ttft = LatencyRecorder::with_mode(mode);
-        let mut tpot = LatencyRecorder::with_mode(mode);
-        let mut queue_delay = LatencyRecorder::with_mode(mode);
+        let mut taken = self
+            .sims
+            .iter_mut()
+            .map(|sim| [&mut sim.ttft, &mut sim.tpot, &mut sim.queue_delay].map(std::mem::take));
+        let [mut ttft, mut tpot, mut queue_delay] = taken
+            .next()
+            .unwrap_or_else(|| std::array::from_fn(|_| LatencyRecorder::with_mode(mode)));
+        for [t, p, q] in taken {
+            ttft.merge(&t);
+            tpot.merge(&p);
+            queue_delay.merge(&q);
+        }
         let mut completed = 0;
         let mut total_output = 0;
         let mut peak_batch = 0;
@@ -1052,9 +1072,6 @@ impl RunState<'_> {
         let mut met_tokens = 0;
         let mut per_replica = Vec::with_capacity(self.sims.len());
         for (i, sim) in self.sims.iter().enumerate() {
-            ttft.merge(&sim.ttft);
-            tpot.merge(&sim.tpot);
-            queue_delay.merge(&sim.queue_delay);
             completed += sim.completed();
             total_output += sim.total_output_tokens();
             peak_batch = peak_batch.max(sim.peak_batch());

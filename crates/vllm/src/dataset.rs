@@ -18,6 +18,7 @@
 
 use dcm_core::cast::{f64_to_usize, usize_to_f64, usize_to_u64};
 use dcm_core::rng;
+use rand::distributions::{Distribution, WeightedIndex};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -85,18 +86,32 @@ impl ArrivalProcess {
     /// negative trace.
     #[must_use]
     pub fn sample(&self, n: usize, seed: u64) -> Vec<f64> {
+        let mut times = vec![0.0; n];
+        self.stamp(times.iter_mut(), seed);
+        times
+    }
+
+    /// Stamp arrival times onto `requests` in order.
+    ///
+    /// # Panics
+    /// As [`Self::sample`].
+    pub fn assign(&self, requests: &mut [Request], seed: u64) {
+        self.stamp(requests.iter_mut().map(|r| &mut r.arrival_s), seed);
+    }
+
+    /// The one drawing loop: write the arrival times `sample` returns into
+    /// `slots`, each as it is drawn.
+    fn stamp<'a>(&self, slots: impl ExactSizeIterator<Item = &'a mut f64>, seed: u64) {
         match *self {
-            ArrivalProcess::Offline => vec![0.0; n],
+            ArrivalProcess::Offline => slots.for_each(|slot| *slot = 0.0),
             ArrivalProcess::Poisson { rate_rps } => {
                 assert!(rate_rps > 0.0, "rate must be positive, got {rate_rps}");
                 let mut r = rng::seeded(seed);
                 let mut t = 0.0;
-                (0..n)
-                    .map(|_| {
-                        t += exp_gap(&mut r, rate_rps);
-                        t
-                    })
-                    .collect()
+                for slot in slots {
+                    t += exp_gap(&mut r, rate_rps);
+                    *slot = t;
+                }
             }
             ArrivalProcess::Bursty { rate_rps, burst } => {
                 assert!(rate_rps > 0.0, "rate must be positive, got {rate_rps}");
@@ -104,14 +119,17 @@ impl ArrivalProcess {
                 let mut r = rng::seeded(seed);
                 let burst_rate = rate_rps / usize_to_f64(burst);
                 let mut t = 0.0;
-                let mut out = Vec::with_capacity(n);
-                while out.len() < n {
-                    t += exp_gap(&mut r, burst_rate);
-                    for _ in 0..burst.min(n - out.len()) {
-                        out.push(t);
+                // Requests left in the current burst: a new burst's gap is
+                // drawn only when a request needs it.
+                let mut left = 0;
+                for slot in slots {
+                    if left == 0 {
+                        t += exp_gap(&mut r, burst_rate);
+                        left = burst;
                     }
+                    left -= 1;
+                    *slot = t;
                 }
-                out
             }
             ArrivalProcess::Trace(ref times) => {
                 assert!(
@@ -123,27 +141,17 @@ impl ArrivalProcess {
                     "trace arrivals must be non-negative"
                 );
                 assert!(
-                    !times.is_empty() || n == 0,
+                    !times.is_empty() || slots.len() == 0,
                     "empty trace cannot produce arrivals"
                 );
                 // Cycle the trace, shifting each repetition by whole
                 // periods so time keeps moving forward.
                 let period = times.last().copied().unwrap_or(0.0);
-                (0..n)
-                    .map(|i| {
-                        let lap = usize_to_f64(i / times.len());
-                        times[i % times.len()] + lap * period
-                    })
-                    .collect()
+                for (i, slot) in slots.enumerate() {
+                    let lap = usize_to_f64(i / times.len());
+                    *slot = times[i % times.len()] + lap * period;
+                }
             }
-        }
-    }
-
-    /// Stamp arrival times onto `requests` in order.
-    pub fn assign(&self, requests: &mut [Request], seed: u64) {
-        let times = self.sample(requests.len(), seed);
-        for (r, t) in requests.iter_mut().zip(times) {
-            r.arrival_s = t;
         }
     }
 }
@@ -166,10 +174,13 @@ impl SyntheticDataset {
     #[must_use]
     pub fn dynamic_sonnet(n: usize, seed: u64) -> Vec<Request> {
         let mut r = rng::seeded(seed);
-        let buckets: [(usize, f64); 4] = [(512, 0.4), (1024, 0.3), (2048, 0.2), (4096, 0.1)];
+        let buckets = [512, 1024, 2048, 4096];
+        let bucket = WeightedIndex::new(&[0.4, 0.3, 0.2, 0.1])
+            // dcm-lint: allow(P1) constant weights, non-negative with a positive sum
+            .expect("valid bucket weights");
         (0..usize_to_u64(n))
             .map(|id| {
-                let input_len = rng::weighted_choice(&mut r, &buckets);
+                let input_len = buckets[bucket.sample(&mut r)];
                 // Truncated geometric via inverse CDF.
                 let u: f64 = r.gen_range(0.0_f64..1.0);
                 let mean = 200.0;
@@ -312,6 +323,107 @@ mod tests {
         }
         assert!(online.iter().any(|r| r.arrival_s > 0.0));
         assert!(online.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
+    }
+
+    /// The arrival times before one-pass stamping: every time collected
+    /// into a `Vec`, then stamped.
+    fn collected_times(process: &ArrivalProcess, n: usize, seed: u64) -> Vec<f64> {
+        match *process {
+            ArrivalProcess::Offline => vec![0.0; n],
+            ArrivalProcess::Poisson { rate_rps } => {
+                let mut r = rng::seeded(seed);
+                let mut t = 0.0;
+                (0..n)
+                    .map(|_| {
+                        t += exp_gap(&mut r, rate_rps);
+                        t
+                    })
+                    .collect()
+            }
+            ArrivalProcess::Bursty { rate_rps, burst } => {
+                let mut r = rng::seeded(seed);
+                let burst_rate = rate_rps / burst as f64;
+                let mut t = 0.0;
+                let mut out = Vec::with_capacity(n);
+                while out.len() < n {
+                    t += exp_gap(&mut r, burst_rate);
+                    for _ in 0..burst.min(n - out.len()) {
+                        out.push(t);
+                    }
+                }
+                out
+            }
+            ArrivalProcess::Trace(ref times) => {
+                let period = times.last().copied().unwrap_or(0.0);
+                (0..n)
+                    .map(|i| times[i % times.len()] + (i / times.len()) as f64 * period)
+                    .collect()
+            }
+        }
+    }
+
+    /// The online generator before it drew in one pass: a weight `Vec`
+    /// and a `WeightedIndex` built per request, then every arrival time
+    /// collected before it is stamped.
+    fn two_pass_online(n: usize, seed: u64, process: &ArrivalProcess) -> Vec<Request> {
+        let mut r = rng::seeded(seed);
+        let buckets: [(usize, f64); 4] = [(512, 0.4), (1024, 0.3), (2048, 0.2), (4096, 0.1)];
+        let mut reqs: Vec<Request> = (0..n as u64)
+            .map(|id| {
+                let weights: Vec<f64> = buckets.iter().map(|&(_, w)| w).collect();
+                let pick = WeightedIndex::new(&weights).unwrap().sample(&mut r);
+                let u: f64 = r.gen_range(0.0_f64..1.0);
+                let raw = f64_to_usize((-(1.0 - u).ln() * 200.0).floor());
+                Request {
+                    id,
+                    input_len: buckets[pick].0,
+                    output_len: raw.clamp(25, 1024),
+                    arrival_s: 0.0,
+                }
+            })
+            .collect();
+        let times = collected_times(process, n, seed.wrapping_add(1));
+        for (r, t) in reqs.iter_mut().zip(times) {
+            r.arrival_s = t;
+        }
+        reqs
+    }
+
+    #[test]
+    fn one_pass_generation_matches_the_two_pass_generator_bit_for_bit() {
+        let bits = |reqs: &[Request]| -> Vec<(u64, usize, usize, u64)> {
+            reqs.iter()
+                .map(|r| (r.id, r.input_len, r.output_len, r.arrival_s.to_bits()))
+                .collect()
+        };
+        let time_bits = |times: &[f64]| -> Vec<u64> { times.iter().map(|t| t.to_bits()).collect() };
+        let processes = [
+            ArrivalProcess::Offline,
+            ArrivalProcess::Poisson { rate_rps: 3.5 },
+            ArrivalProcess::Bursty {
+                rate_rps: 20.0,
+                burst: 8,
+            },
+            ArrivalProcess::Bursty {
+                rate_rps: 2.0,
+                burst: 1,
+            },
+            ArrivalProcess::Trace(vec![0.0, 0.25, 0.25, 1.5]),
+        ];
+        for process in &processes {
+            for seed in [0, 7, 2026] {
+                for n in [0, 1, 203] {
+                    let got = SyntheticDataset::dynamic_sonnet_online(n, seed, process);
+                    let want = two_pass_online(n, seed, process);
+                    assert_eq!(bits(&got), bits(&want), "{process:?}, seed {seed}, n {n}");
+                    assert_eq!(
+                        time_bits(&process.sample(n, seed)),
+                        time_bits(&collected_times(process, n, seed)),
+                        "{process:?}: sample, seed {seed}, n {n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,13 +35,15 @@
 //! engine alone. Fast-forward, histogram metrics, SLOs and tracing are
 //! set on the [`Cluster`](crate::cluster::Cluster).
 //!
-//! Pending arrivals wait in a deque in `(arrival_s by f64::total_cmp,
-//! hand-over order)`, a stable sorted insert, and the clock is a monotone
-//! [`dcm_core::sim::SimClock`], so a given trace replays bit-identically
-//! — pinned by `tests/tests/golden_serving.rs` against the pre-refactor
-//! loops. A traced run records structured spans (request lifecycle,
-//! prefill/decode steps, preemptions) into a
-//! [`Trace`](dcm_core::trace::Trace).
+//! A run borrows its trace, and a replica's pending arrivals are the
+//! requests' 4-byte trace indices, not 32-byte copies, in a deque in
+//! `(arrival_s by f64::total_cmp, hand-over order)`: a dispatch in trace
+//! order goes at the back, a hand-over keyed earlier by a stable sorted
+//! insert. The clock is a monotone [`dcm_core::sim::SimClock`], so a
+//! given trace replays bit-identically — pinned by
+//! `tests/tests/golden_serving.rs` against the pre-refactor loops. A
+//! traced run records structured spans (request lifecycle, prefill/decode
+//! steps, preemptions) into a [`Trace`](dcm_core::trace::Trace).
 //!
 //! Reported metrics follow the paper — end-to-end serving throughput
 //! (output tokens per second), mean TTFT (arrival to first token) and mean
@@ -155,6 +157,8 @@ impl ServingReport {
 /// batch.
 struct Seq {
     request: Request,
+    /// The request's trace index, which a crash harvest hands back.
+    index: u32,
     /// Output tokens produced so far; kept across a preemption.
     produced: usize,
     /// When the first output token was emitted (the TTFT anchor); set at
@@ -166,9 +170,10 @@ struct Seq {
 }
 
 impl Seq {
-    fn fresh(request: Request) -> Self {
+    fn fresh(request: Request, index: u32) -> Self {
         Seq {
             request,
+            index,
             produced: 0,
             first_token_t: 0.0,
             kv_tokens: 0,
@@ -190,7 +195,9 @@ impl Seq {
 /// metric recorders. Separated from [`ServingEngine`] (the immutable
 /// device/model configuration) so the `cluster` router can hold many of
 /// these and advance them on a shared clock.
-pub(crate) struct SimState {
+pub(crate) struct SimState<'t> {
+    /// The run's trace, which the pending arrivals index.
+    requests: &'t [Request],
     /// The replica's KV blocks, counted. A sequence in the batch holds
     /// `⌈t/B⌉` of them for its `t` KV tokens whenever the scheduler reads
     /// the pool (DESIGN.md §3.6), so its `kv_tokens` is the only
@@ -207,9 +214,9 @@ pub(crate) struct SimState {
     /// same. The batch and `growth` still hold the counts of its start;
     /// the pool and the output count are charged for every step it ran.
     stretch: Option<OpenStretch>,
-    /// Requests whose arrival time the clock has not reached, in
-    /// `(arrival_s by f64::total_cmp, hand-over order)`.
-    arrivals: VecDeque<Request>,
+    /// Trace indices of the requests whose arrival time the clock has not
+    /// reached, in `(arrival_s by f64::total_cmp, hand-over order)`.
+    arrivals: VecDeque<u32>,
     /// Arrived requests awaiting admission; preempted sequences re-enter
     /// at the front (they already hold a place in the service order).
     ready: VecDeque<Seq>,
@@ -272,16 +279,24 @@ struct StepCost {
     scale: f64,
 }
 
-/// Check a trace before a run serves it: non-empty, every arrival finite
-/// and non-negative, every request with a prompt and generating at least
-/// one token, and no id used twice.
+/// Check a trace before a run serves it: non-empty, no more than
+/// `u32::MAX` requests (a replica queues their `u32` trace indices), every
+/// arrival finite and non-negative, every request with a prompt and
+/// generating at least one token, and no id used twice.
 ///
 /// # Errors
 /// Returns [`DcmError::InvalidConfig`] naming the first offending request,
-/// or the duplicated id.
+/// the duplicated id, or the length of an empty or too long trace.
 pub(crate) fn validate_trace(requests: &[Request]) -> Result<()> {
     if requests.is_empty() {
         return Err(DcmError::InvalidConfig("empty request trace".to_owned()));
+    }
+    if u32::try_from(requests.len()).is_err() {
+        return Err(DcmError::InvalidConfig(format!(
+            "a trace holds at most {} requests, got {}",
+            u32::MAX,
+            requests.len()
+        )));
     }
     for r in requests {
         if !(r.arrival_s.is_finite() && r.arrival_s >= 0.0) {
@@ -319,16 +334,35 @@ pub(crate) fn validate_trace(requests: &[Request]) -> Result<()> {
     }
 }
 
-impl SimState {
-    /// Hand the simulation a future (or immediate) arrival. It queues
-    /// after every pending arrival not later than it: at the back for a
-    /// dispatch in trace order, earlier for a hand-over keyed at its
-    /// original `arrival_s` (a crash retry, a fabric delivery).
-    pub(crate) fn enqueue(&mut self, request: Request) {
-        let pos = self
-            .arrivals
-            .partition_point(|a| a.arrival_s.total_cmp(&request.arrival_s).is_le());
-        self.arrivals.insert(pos, request);
+/// The slice position of trace index `i`.
+pub(crate) fn at(i: u32) -> usize {
+    const _: () = assert!(usize::BITS >= u32::BITS);
+    // dcm-lint: allow(C1) lossless widening, asserted at compile time above
+    i as usize
+}
+
+impl SimState<'_> {
+    /// Hand the simulation the request at trace index `index`, a future
+    /// (or immediate) arrival. It queues after every pending arrival not
+    /// later than it: at the back for a dispatch in trace order, earlier
+    /// for a hand-over keyed at its original `arrival_s` (a crash retry,
+    /// a fabric delivery).
+    pub(crate) fn enqueue(&mut self, index: u32) {
+        let requests = self.requests;
+        let arrival_s = requests[at(index)].arrival_s;
+        let later = |&i: &u32| requests[at(i)].arrival_s.total_cmp(&arrival_s).is_gt();
+        if self.arrivals.back().is_some_and(later) {
+            let pos = self.arrivals.partition_point(|i| !later(i));
+            self.arrivals.insert(pos, index);
+        } else {
+            self.arrivals.push_back(index);
+        }
+    }
+
+    /// When the earliest pending arrival arrives.
+    fn next_arrival_s(&self) -> Option<f64> {
+        let requests = self.requests;
+        self.arrivals.front().map(|&i| requests[at(i)].arrival_s)
     }
 
     /// Place an admitted sequence in the batch, in id order; the caller
@@ -399,32 +433,34 @@ impl SimState {
 
     /// Crash harvest: remove every request this replica has not finished
     /// — pending, ready (including preemption holders) and active —
-    /// releasing their KV blocks. Returns the requests sorted by
-    /// (arrival, id), ready for deterministic re-dispatch, plus the
-    /// output tokens that had already been produced for them and are now
-    /// lost (the retries must regenerate them).
+    /// releasing their KV blocks. Returns their trace indices sorted by
+    /// the requests' (arrival, id), ready for deterministic re-dispatch,
+    /// plus the output tokens that had already been produced for them and
+    /// are now lost (the retries must regenerate them).
     ///
     /// Completed requests and their metrics are untouched: they were
     /// delivered before the crash. TTFT/queue-delay samples already
     /// recorded for an *unfinished* request stay in the recorders — the
     /// latency distributions are per-attempt — while the SLO counts
     /// (attainment, goodput) only ever see the attempt that completes.
-    pub(crate) fn drain_unfinished(&mut self) -> (Vec<Request>, usize) {
+    pub(crate) fn drain_unfinished(&mut self) -> (Vec<u32>, usize) {
         self.settle_stretch();
         let mut lost = 0usize;
-        let mut out: Vec<Request> = self.arrivals.drain(..).collect();
+        let mut out: Vec<u32> = self.arrivals.drain(..).collect();
         for seq in std::mem::take(&mut self.ready) {
             lost += seq.produced;
-            out.push(seq.request);
+            out.push(seq.index);
         }
         for seq in self.batch.drain(..) {
             lost += seq.produced;
             self.kv.give(self.kv.blocks_for(seq.kv_tokens));
-            out.push(seq.request);
+            out.push(seq.index);
         }
         self.growth.clear(); // the batch is gone wholesale
 
-        out.sort_by(|a, b| {
+        let requests = self.requests;
+        out.sort_by(|&a, &b| {
+            let (a, b) = (&requests[at(a)], &requests[at(b)]);
             a.arrival_s
                 .total_cmp(&b.arrival_s)
                 .then_with(|| a.id.cmp(&b.id))
@@ -505,8 +541,12 @@ impl SimState {
     /// Move every pending arrival due at the clock to the ready queue.
     fn promote_arrivals(&mut self) {
         let now = self.clock.now();
-        while let Some(r) = self.arrivals.pop_front_if(|r| r.arrival_s <= now) {
-            self.ready.push_back(Seq::fresh(r));
+        let requests = self.requests;
+        while let Some(i) = self
+            .arrivals
+            .pop_front_if(|&mut i| requests[at(i)].arrival_s <= now)
+        {
+            self.ready.push_back(Seq::fresh(requests[at(i)], i));
         }
     }
 }
@@ -592,6 +632,7 @@ fn with_family_tables<R>(family: usize, f: impl FnOnce(&mut FamilyTables) -> R) 
     THREAD_TABLES.with(|tables| {
         let mut tables = tables.borrow_mut();
         if family >= tables.len() {
+            // dcm-lint: allow(A1) one entry per (device, model, tp) family the process registers, on its first use on this thread
             tables.resize_with(family + 1, FamilyTables::default);
         }
         f(&mut tables[family])
@@ -749,9 +790,10 @@ impl ServingEngine {
 
     /// Start a fresh simulation of this engine as replica `replica` under
     /// the run's `settings` (fast-forward, metrics mode), judging
-    /// completions against `slo`: size the KV cache and reset all state.
-    /// The batch and its projection are pre-sized to `max_decode_batch`
-    /// so steady-state serving never reallocates.
+    /// completions against `slo` and serving from the trace `requests`
+    /// that [`SimState::enqueue`] indexes: size the KV cache and reset all
+    /// state. The batch and its projection are pre-sized to
+    /// `max_decode_batch` so steady-state serving never reallocates.
     ///
     /// # Errors
     /// Returns [`DcmError::InvalidConfig`] naming `replica` and the field
@@ -759,12 +801,13 @@ impl ServingEngine {
     /// or does not divide the query heads, and
     /// [`DcmError::ResourceExhausted`] if the KV cache cannot hold a
     /// single block.
-    pub(crate) fn make_sim(
+    pub(crate) fn make_sim<'t>(
         &self,
         replica: usize,
         settings: &RunSettings,
         slo: SloSpec,
-    ) -> Result<SimState> {
+        requests: &'t [Request],
+    ) -> Result<SimState<'t>> {
         if self.max_decode_batch == 0 {
             return Err(DcmError::InvalidConfig(format!(
                 "replica {replica}: max_decode_batch must be at least 1"
@@ -797,6 +840,7 @@ impl ServingEngine {
             )?,
         };
         Ok(SimState {
+            requests,
             kv,
             growth: BatchGrowth::with_capacity(DEFAULT_BLOCK_TOKENS, self.max_decode_batch),
             stretch: None,
@@ -1046,7 +1090,7 @@ impl ServingEngine {
         // stretch end, bit-identically to step mode.
         let arrival_can_admit = batch < self.max_decode_batch && sim.ready.is_empty();
         let next_arrival = if arrival_can_admit {
-            sim.arrivals.front().map_or(f64::INFINITY, |r| r.arrival_s)
+            sim.next_arrival_s().unwrap_or(f64::INFINITY)
         } else {
             f64::INFINITY
         };
@@ -1267,9 +1311,9 @@ impl ServingEngine {
             }
             // Idle: fast-forward to the next arrival if it is within the
             // horizon, otherwise yield back to the caller.
-            match sim.arrivals.front() {
-                Some(r) if r.arrival_s < limit => {
-                    sim.clock.advance_to(r.arrival_s);
+            match sim.next_arrival_s() {
+                Some(t) if t < limit => {
+                    sim.clock.advance_to(t);
                 }
                 _ => return Ok(()),
             }
@@ -1296,9 +1340,10 @@ impl ServingEngine {
     /// Returns [`DcmError::ResourceExhausted`] if a single request alone
     /// cannot fit in the KV cache, at admission or as it grows, or
     /// [`DcmError::InvalidConfig`] naming the offending request for an
-    /// invalid trace (empty, a non-finite or negative arrival, an empty
-    /// prompt, a request generating no token, or a duplicated id) or the
-    /// field for a zero `max_decode_batch` or KV block cap.
+    /// invalid trace (empty or longer than `u32::MAX` requests, a
+    /// non-finite or negative arrival, an empty prompt, a request
+    /// generating no token, or a duplicated id) or the field for a zero
+    /// `max_decode_batch` or KV block cap.
     pub fn run(&mut self, requests: &[Request]) -> Result<ServingReport> {
         let (report, _) = cluster::serve(
             std::slice::from_mut(self),
@@ -1617,13 +1662,13 @@ mod tests {
         // not one step, and reaches the clock stepping reaches.
         let e = engine(PagedBackend::GaudiOpt, 4);
         let settings = RunSettings::new(RoutingPolicy::RoundRobin);
+        let trace = [(0, 128, 40), (1, 700, 25), (2, 300, 60), (3, 64, 33)]
+            .map(|(id, input_len, output_len)| Request::new(id, input_len, output_len));
         let admitted = || {
             let slo = ResilienceConfig::default().slo;
-            let mut sim = e.make_sim(0, &settings, slo).unwrap();
-            for (id, input_len, output_len) in
-                [(0, 128, 40), (1, 700, 25), (2, 300, 60), (3, 64, 33)]
-            {
-                sim.enqueue(Request::new(id, input_len, output_len));
+            let mut sim = e.make_sim(0, &settings, slo, &trace).unwrap();
+            for i in 0..4 {
+                sim.enqueue(i);
             }
             sim.promote_arrivals();
             for _ in 0..4 {
@@ -1663,13 +1708,13 @@ mod tests {
         // and the end matches the uncut stretch.
         let e = engine(PagedBackend::GaudiOpt, 4);
         let settings = RunSettings::new(RoutingPolicy::RoundRobin);
+        let trace = [(0, 128, 40), (1, 700, 25), (2, 300, 60), (3, 64, 33)]
+            .map(|(id, input_len, output_len)| Request::new(id, input_len, output_len));
         let admitted = || {
             let slo = ResilienceConfig::default().slo;
-            let mut sim = e.make_sim(0, &settings, slo).unwrap();
-            for (id, input_len, output_len) in
-                [(0, 128, 40), (1, 700, 25), (2, 300, 60), (3, 64, 33)]
-            {
-                sim.enqueue(Request::new(id, input_len, output_len));
+            let mut sim = e.make_sim(0, &settings, slo, &trace).unwrap();
+            for i in 0..4 {
+                sim.enqueue(i);
             }
             sim.promote_arrivals();
             for _ in 0..4 {
@@ -1755,9 +1800,11 @@ mod tests {
         let e = engine(PagedBackend::GaudiOpt, 4).with_kv_blocks(6);
         let settings = RunSettings::new(RoutingPolicy::RoundRobin);
         let slo = ResilienceConfig::default().slo;
-        let mut sim = e.make_sim(0, &settings, slo).unwrap();
-        for (id, input_len) in [(0, 199), (1, 199), (2, 255)] {
-            sim.enqueue(Request::new(id, input_len, 50));
+        let trace =
+            [(0, 199), (1, 199), (2, 255)].map(|(id, input_len)| Request::new(id, input_len, 50));
+        let mut sim = e.make_sim(0, &settings, slo, &trace).unwrap();
+        for i in 0..3 {
+            sim.enqueue(i);
         }
         sim.promote_arrivals();
         for _ in 0..3 {
@@ -1787,39 +1834,46 @@ mod tests {
     }
 
     #[test]
-    fn pending_arrivals_promote_in_the_order_an_event_queue_pops_them() {
+    fn pending_arrivals_promote_in_stable_arrival_order() {
         // Hand-overs out of order: later, earlier, equal, and -0.0 beside
         // 0.0, in two rounds around a promotion, so the second round
-        // lands among arrivals still pending. The deque must yield what
-        // the heap it replaced popped: `(arrival_s by total_cmp,
-        // hand-over order)`.
-        use dcm_core::sim::EventQueue;
+        // lands among arrivals still pending. Each promotion must yield
+        // the due hand-overs in `(arrival_s by total_cmp, hand-over
+        // order)`: what a stable sort of everything pending gives.
         let e = engine(PagedBackend::GaudiOpt, 4);
         let settings = RunSettings::new(RoutingPolicy::RoundRobin);
         let slo = ResilienceConfig::default().slo;
-        let mut sim = e.make_sim(0, &settings, slo).unwrap();
-        let mut heap = EventQueue::new();
-        let (mut promoted, mut popped) = (Vec::new(), Vec::new());
         let rounds: [(&[f64], f64); 2] = [
             (&[2.0, 1.0, 0.0, 2.0, -0.0, 1.0, 0.0, 3.0, -0.0], 1.0),
             (&[0.5, 3.0, -0.0, 2.0, 1.0, 0.0, 2.5], 3.0),
         ];
-        let mut id = 0;
+        let trace: Vec<Request> = rounds
+            .iter()
+            .flat_map(|(times, _)| times.iter())
+            .zip(0..)
+            .map(|(&arrival_s, id)| Request {
+                arrival_s,
+                ..Request::new(id, 64, 4)
+            })
+            .collect();
+        let mut sim = e.make_sim(0, &settings, slo, &trace).unwrap();
+        let (mut promoted, mut sorted) = (Vec::new(), Vec::new());
+        let mut pending: Vec<&Request> = Vec::new();
+        let mut handed = 0;
         for (times, now) in rounds {
-            for &t in times {
-                sim.enqueue(Request {
-                    arrival_s: t,
-                    ..Request::new(id, 64, 4)
-                });
-                heap.push(t, 0, id);
-                id += 1;
+            for _ in times {
+                sim.enqueue(handed);
+                pending.push(&trace[at(handed)]);
+                handed += 1;
             }
             sim.clock.advance_to(now);
             sim.promote_arrivals();
             promoted.extend(sim.ready.drain(..).map(|s| s.request.id));
-            popped.extend(std::iter::from_fn(|| heap.pop_due(now)).map(|e| e.payload));
+            pending.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
+            let due = pending.partition_point(|r| r.arrival_s <= now);
+            sorted.extend(pending.drain(..due).map(|r| r.id));
         }
-        assert_eq!(promoted, popped);
+        assert_eq!(promoted, sorted);
         assert_eq!(promoted.len(), 16, "everything is due by the last round");
         assert_eq!(promoted[..2], [4, 8], "-0.0 sorts before 0.0");
     }

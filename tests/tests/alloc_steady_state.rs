@@ -33,17 +33,25 @@
 //!   slot and the rate buffers are reused, and a dispatch with no
 //!   dependencies takes no barrier record.
 //!
-//! The allocator also tracks live bytes, and one window pins a peak
-//! instead of a count: a 16 GiB all-reduce over 64 nodes
-//! (`MultiNodeFlowTransport::allreduce_time`, on Gaudi-2 and on the
-//! A100) holds under 2 MiB live at its peak, because each ring round
-//! waits on one barrier record instead of one child list per flow and
-//! the inter-node topology holds only the ring's routes.
+//! The allocator also tracks live bytes, and two windows pin a peak
+//! instead of a count:
+//!
+//! * a 16 GiB all-reduce over 64 nodes
+//!   (`MultiNodeFlowTransport::allreduce_time`, on Gaudi-2 and on the
+//!   A100) holds under 2 MiB live at its peak, because each ring round
+//!   waits on one barrier record instead of one child list per flow and
+//!   the inter-node topology holds only the ring's routes;
+//! * a four-replica round-robin `Cluster::run` with exact stepping and
+//!   histogram metrics, whose replicas hold their whole share of the
+//!   trace pending until the final drain, peaks less than 16 bytes
+//!   higher per request when its trace doubles: a pending arrival is a
+//!   4-byte trace index, not a 32-byte copy of the request.
 //!
 //! This file deliberately holds a single `#[test]` so the harness runs
 //! nothing concurrently with the measured windows.
 
 use dcm_compiler::{Device, Op};
+use dcm_core::metrics::MetricsMode;
 use dcm_core::sim::EventQueue;
 use dcm_core::{DType, DeviceSpec};
 use dcm_mme::{A100TensorCore, GaudiMme, GemmEngine, GemmShape};
@@ -51,8 +59,8 @@ use dcm_net::{FlowId, FlowSim, MultiNodeFlowTransport, Topology};
 use dcm_vllm::attention::{
     BatchGrowth, BatchShape, BatchStats, GemmTerms, PagedAttention, PagedBackend,
 };
-use dcm_vllm::cluster::FabricConfig;
-use dcm_vllm::dataset::Request;
+use dcm_vllm::cluster::{Cluster, FabricConfig, RoutingPolicy};
+use dcm_vllm::dataset::{ArrivalProcess, Request, SyntheticDataset};
 use dcm_vllm::slab::SeqSlab;
 use dcm_workloads::llama::LlamaConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -472,4 +480,45 @@ fn hot_paths_are_allocation_free_after_warmup() {
             spec.name
         );
     }
+
+    // --- Pending arrivals: peak live bytes per request -----------------
+    // Four round-robin replicas at 0.8 of their capacity (a replica
+    // serves about 4.267 requests/s of this mix): nothing reads a replica
+    // before the final drain, so each holds its share of the trace
+    // pending. The run's other memory barely grows with the trace
+    // (histogram metrics, a batch of at most 16; only the ready queues'
+    // backlog varies), so doubling the trace grows the peak by about what
+    // a pending arrival costs.
+    const REQUESTS: usize = 4096;
+    let peak_serving = |n: usize| {
+        let trace = SyntheticDataset::dynamic_sonnet_online(
+            n,
+            2026,
+            &ArrivalProcess::Poisson {
+                rate_rps: 0.8 * 4.0 * 4.267,
+            },
+        );
+        let mut cluster = Cluster::homogeneous(
+            &gaudi,
+            &LlamaConfig::llama31_8b(),
+            1,
+            PagedBackend::GaudiOpt,
+            16,
+            4,
+            RoutingPolicy::RoundRobin,
+        )
+        .with_metrics_mode(MetricsMode::Histogram);
+        // Warm-up: the step tables price every shape this run reads.
+        cluster.run(&trace).expect("the trace is served");
+        let (peak, report) = peak_live_in(|| cluster.run(&trace).expect("the trace is served"));
+        assert_eq!(report.serving.completed, n);
+        peak
+    };
+    let (small, large) = (peak_serving(REQUESTS), peak_serving(2 * REQUESTS));
+    let grown = large.saturating_sub(small);
+    assert!(
+        grown < 16 * REQUESTS,
+        "{REQUESTS} more requests raised the peak by {grown} bytes, from {small} to \
+         {large}: a pending arrival must cost less than 16"
+    );
 }

@@ -12,8 +12,8 @@
 //!   policies with the control fabric, crashes and shedding each on and
 //!   off (the generated trace is in order, the permuted one is not);
 //! * simultaneous arrivals, `-0.0` among `0.0` included, are dispatched
-//!   in the order one event queue holding every arrival pops them:
-//!   `total_cmp` puts `-0.0` first, and equal times keep trace order;
+//!   in the order a stable sort of the trace by `arrival_s` under
+//!   `total_cmp` gives: `-0.0` first, and equal times in trace order;
 //! * a replica crashing at an arrival's instant cannot receive it.
 //!
 //! `percentile` selects its rank in a copy; it must return the bits of
@@ -21,7 +21,6 @@
 
 use dcm_compiler::Device;
 use dcm_core::metrics::{percentile, LatencyRecorder};
-use dcm_core::sim::EventQueue;
 use dcm_core::trace::SpanKind;
 use dcm_tests::report_bits;
 use dcm_vllm::attention::PagedBackend;
@@ -122,9 +121,10 @@ proptest! {
     }
 }
 
-/// Simultaneous arrivals go out in the order one event queue holding all
-/// of them pops them. Round-robin sends the `k`-th dispatch to replica
-/// `k mod 3`, so each request's replica shows where it was dispatched.
+/// Simultaneous arrivals go out in the order a stable sort of the trace by
+/// `arrival_s` under `total_cmp` puts them. Round-robin sends the `k`-th
+/// dispatch to replica `k mod 3`, so each request's replica shows where
+/// it was dispatched.
 #[test]
 fn simultaneous_arrivals_keep_the_queue_order() {
     let times = [
@@ -138,13 +138,12 @@ fn simultaneous_arrivals_keep_the_queue_order() {
             ..Request::new(100 - i as u64, 64, 3)
         })
         .collect();
-    let mut oracle = EventQueue::new();
-    for r in &reqs {
-        oracle.push(r.arrival_s, 0, r.id);
-    }
-    let expected: Vec<(u64, f64)> = std::iter::from_fn(|| oracle.pop())
+    let mut oracle = reqs.clone();
+    oracle.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
+    let expected: Vec<(u64, f64)> = oracle
+        .iter()
         .enumerate()
-        .map(|(k, e)| (e.payload, (k % 3) as f64))
+        .map(|(k, r)| (r.id, (k % 3) as f64))
         .collect();
     assert_eq!(expected[0].0, 99, "-0.0 sorts before 0.0");
     let (report, trace) = cluster(3, RoutingPolicy::RoundRobin, false)

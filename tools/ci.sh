@@ -85,9 +85,10 @@ done
 #   prop_graph_blocks     block graphs execute as their flat twins
 #   step_cost_memo_counts every step graph compiles once per thread
 #   prop_robustness       cluster runs end in a report or a typed error
-#   prop_arrival_order    arrivals leave in one heap's pop order; percentiles
-#   alloc_steady_state    the hot paths allocate nothing after warm-up, and
-#                         a 64-node all-reduce peaks under 2 MiB live
+#   prop_arrival_order    arrivals leave in a stable sort's order; percentiles
+#   alloc_steady_state    the hot paths allocate nothing after warm-up, a
+#                         64-node all-reduce peaks under 2 MiB live, and a
+#                         pending arrival costs under 16 bytes
 echo "==> differential suite (DCM_THREADS=2)"
 DCM_THREADS=2 cargo test -q -p dcm-tests \
     --test prop_queue_diff --test prop_slab_diff --test prop_histogram \
