@@ -1,14 +1,14 @@
 //! Ablation: how much does MME reconfigurability buy end to end?
 //!
 //! Figure 7(c) quantifies the utilization gain at the kernel level; this
-//! ablation locks the MME to the fixed 256×256×2 output-stationary layout
-//! (via the `FixedSystolicBaseline`) and measures the end-to-end effect on
-//! the GEMM shapes that dominate LLM serving.
+//! ablation locks the MME to its stock 256×256×2 output-stationary layout
+//! (`GaudiMme::fixed`) and measures the end-to-end effect on the GEMM
+//! shapes that dominate LLM serving.
 
 use dcm_bench::banner;
 use dcm_core::metrics::Table;
 use dcm_core::{DType, DeviceSpec};
-use dcm_mme::{FixedSystolicBaseline, GaudiMme, GemmEngine, GemmShape};
+use dcm_mme::{GaudiMme, GemmEngine, GemmShape};
 
 fn main() {
     banner(
@@ -17,7 +17,7 @@ fn main() {
     );
     let spec = DeviceSpec::gaudi2();
     let mme = GaudiMme::new(&spec);
-    let fixed = FixedSystolicBaseline::new(&spec);
+    let fixed = GaudiMme::fixed(&spec);
 
     let shapes: Vec<(&str, GemmShape, usize)> = vec![
         // (description, shape, batch)

@@ -5,7 +5,7 @@
 use dcm_bench::{banner, compare};
 use dcm_core::metrics::{Heatmap, Table};
 use dcm_core::{DType, DeviceSpec};
-use dcm_mme::{FixedSystolicBaseline, GaudiMme, GemmEngine, GemmShape};
+use dcm_mme::{GaudiMme, GemmEngine, GemmShape};
 
 const K: usize = 16384;
 
@@ -16,7 +16,7 @@ fn main() {
     );
     let spec = DeviceSpec::gaudi2();
     let mme = GaudiMme::new(&spec);
-    let fixed = FixedSystolicBaseline::new(&spec);
+    let fixed = GaudiMme::fixed(&spec);
     let dims = [64usize, 128, 256, 512, 1024, 2048, 4096];
 
     // (a) geometry table.
@@ -27,7 +27,7 @@ fn main() {
     for &m in &dims {
         let mut row = vec![m.to_string()];
         for &n in &dims {
-            let g = mme.select_geometry(GemmShape::new(m, K, n));
+            let g = mme.select_geometry(GemmShape::new(m, K, n), 1);
             row.push(g.to_string());
         }
         t.push_row(row);
@@ -55,7 +55,7 @@ fn main() {
     print!("{}", gate.render(2));
 
     // (b) utilization heatmap.
-    let peak = mme.peak_flops(DType::Bf16);
+    let peak = spec.matrix.peak_flops(DType::Bf16);
     let mut util = Heatmap::new(
         "Figure 7(b): compute utilization, K=16384",
         "M",

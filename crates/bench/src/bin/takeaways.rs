@@ -6,7 +6,7 @@ use dcm_compiler::Device;
 use dcm_core::DType;
 use dcm_embedding::{BatchedTableOp, EmbeddingConfig, EmbeddingOp};
 use dcm_mem::GatherScatterEngine;
-use dcm_mme::{FixedSystolicBaseline, GaudiMme, GemmEngine, GemmShape};
+use dcm_mme::{GaudiMme, GemmEngine, GemmShape};
 use dcm_net::{Collective, CollectiveModel};
 use dcm_tpc::engine::{StreamKernel, VectorEngineModel};
 use dcm_vllm::attention::{PagedAttention, PagedBackend};
@@ -37,7 +37,7 @@ fn main() {
         let gu = g.utilization(gaudi.matrix_peak_flops(DType::Bf16));
         let au = a.utilization(a100.matrix_peak_flops(DType::Bf16));
         let mme = GaudiMme::new(gaudi.spec());
-        let fixed = FixedSystolicBaseline::new(gaudi.spec());
+        let fixed = GaudiMme::fixed(gaudi.spec());
         let irregular = GemmShape::new(16384, 16384, 128);
         let cfg_beats_fixed = mme.gemm(irregular, DType::Bf16).cost.time()
             < fixed.gemm(irregular, DType::Bf16).cost.time();

@@ -51,13 +51,6 @@ impl GemmBackend {
             GemmBackend::A100(a) => a.batched_gemm_within(batch, shape, dtype, budget),
         }
     }
-
-    fn peak_flops(&self, dtype: DType) -> f64 {
-        match self {
-            GemmBackend::Gaudi(g) => g.peak_flops(dtype),
-            GemmBackend::A100(a) => a.peak_flops(dtype),
-        }
-    }
 }
 
 /// Result of executing a compiled graph on a device.
@@ -175,7 +168,7 @@ impl Device {
     /// Peak matrix FLOP/s at `dtype`.
     #[must_use]
     pub fn matrix_peak_flops(&self, dtype: DType) -> f64 {
-        self.gemm.peak_flops(dtype)
+        self.spec.matrix.peak_flops(dtype)
     }
 
     /// The collective-communication model of the device's node.

@@ -36,8 +36,11 @@ pub struct MatrixEngineSpec {
     pub clock_hz: f64,
     /// Peak dense matrix throughput for BF16, in FLOP/s.
     pub peak_flops_bf16: f64,
-    /// Peak FP32 matrix throughput as a fraction of the BF16 peak
-    /// (Gaudi MME: 1/4; A100 via TF32 Tensor Cores: 1/2).
+    /// Peak FP32 matrix throughput as a fraction of the BF16 peak: 1/32 in
+    /// [`DeviceSpec::gaudi2`] and [`DeviceSpec::gaudi3`] (FP32 as several
+    /// BF16 MME passes), 1/16 in [`DeviceSpec::a100`] (CUDA-core FP32, TF32
+    /// off). The comments at this field in `gaudi2` and `a100` give the
+    /// calibration; `gaudi3` keeps Gaudi-2's.
     pub fp32_factor: f64,
 }
 

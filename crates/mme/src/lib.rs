@@ -1,8 +1,9 @@
 //! # dcm-mme
 //!
 //! GEMM engine models: Gaudi-2's *reconfigurable* Matrix Multiplication
-//! Engine and the A100's Tensor Cores, plus the non-configurable
-//! output-stationary baseline used for the Figure 7(c) ablation.
+//! Engine and the A100's Tensor Cores. The non-configurable baseline of
+//! the Figure 7(c) ablation is the MME locked to its stock geometry
+//! ([`GaudiMme::fixed`]).
 //!
 //! The central mechanism (§3.2 of the paper) is geometry: Gaudi-2's two
 //! 256×256 MAC arrays can fuse into 512×256, 1024×128 and other shapes so
@@ -30,11 +31,12 @@ pub mod geometry;
 pub mod systolic;
 
 pub use a100::A100TensorCore;
-pub use gaudi::{FixedSystolicBaseline, GaudiMme};
+pub use gaudi::GaudiMme;
 pub use geometry::Geometry;
 
 use dcm_core::cast::{u64_to_f64, usize_to_f64, usize_to_u64};
 use dcm_core::cost::OpCost;
+use dcm_core::specs::MatrixEngineSpec;
 use dcm_core::DType;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -155,10 +157,21 @@ impl GemmRun {
     }
 }
 
-/// A GEMM execution engine (implemented by the three models in this crate).
+/// How many times longer a GEMM takes at `dtype` than at BF16 on `spec`'s
+/// matrix engine: the BF16 peak over `dtype`'s
+/// [`peak_flops`](MatrixEngineSpec::peak_flops). Exactly 1, 32, 16 or ½ for
+/// the shipped specs, whose `fp32_factor`s are powers of two.
+pub(crate) fn dtype_slowdown(spec: &MatrixEngineSpec, dtype: DType) -> f64 {
+    spec.peak_flops_bf16 / spec.peak_flops(dtype)
+}
+
+/// A GEMM execution engine (implemented by the two models in this crate).
 pub trait GemmEngine {
-    /// Execute `shape` at `dtype`, returning timing and configuration.
-    fn gemm(&self, shape: GemmShape, dtype: DType) -> GemmRun;
+    /// Execute `shape` at `dtype`, returning timing and configuration: a
+    /// [`batched_gemm`](Self::batched_gemm) of one.
+    fn gemm(&self, shape: GemmShape, dtype: DType) -> GemmRun {
+        self.batched_gemm(1, shape, dtype)
+    }
 
     /// Execute `batch` independent GEMMs of `shape` dispatched together
     /// (attention score/value products). Tiles of all batch members fill
@@ -186,21 +199,6 @@ pub trait GemmEngine {
         } else {
             Some(run)
         }
-    }
-
-    /// Peak matrix FLOP/s of the engine at `dtype`.
-    fn peak_flops(&self, dtype: DType) -> f64;
-
-    /// Engine name for reports.
-    fn name(&self) -> &str;
-
-    /// Fixed per-dispatch overhead included in every [`GemmRun`]'s compute
-    /// time. Batched launches (HPU graphs / CUDA graphs) pay it once.
-    fn launch_overhead_s(&self) -> f64;
-
-    /// Convenience: compute utilization for a shape.
-    fn utilization(&self, shape: GemmShape, dtype: DType) -> f64 {
-        self.gemm(shape, dtype).utilization(self.peak_flops(dtype))
     }
 }
 

@@ -32,7 +32,12 @@ pub struct SystolicRun {
 /// Map `batch` independent GEMMs of `shape` onto `geometry`: the tiles of
 /// all batch members are distributed round-robin over the independent
 /// arrays, so a batch of GEMV-like problems (decode attention) can still
-/// fill a multi-array configuration.
+/// fill a multi-array configuration. Each round streams `K` slices plus
+/// the switch penalty, and the pipeline fill/drain (`height + width`) is
+/// paid once — subsequent tiles are double-buffered.
+///
+/// # Panics
+/// Panics if `batch` is zero.
 #[must_use]
 pub fn run_batched(shape: GemmShape, geometry: Geometry, batch: usize) -> SystolicRun {
     assert!(batch > 0, "batch must be positive");
@@ -40,57 +45,13 @@ pub fn run_batched(shape: GemmShape, geometry: Geometry, batch: usize) -> Systol
     let tiles_n = shape.n.div_ceil(geometry.width);
     let tiles = tiles_m * tiles_n * batch;
     let rounds = tiles.div_ceil(geometry.count);
-    SystolicRun::new(shape, geometry, tiles, rounds)
-}
-
-impl SystolicRun {
-    /// The run of `tiles` output tiles in `rounds` sequential rounds per
-    /// array: each round streams `K` slices plus the switch penalty, and
-    /// the pipeline fill/drain (`height + width`) is paid once —
-    /// subsequent tiles are double-buffered.
-    pub(crate) fn new(shape: GemmShape, geometry: Geometry, tiles: usize, rounds: usize) -> Self {
-        let fill = usize_to_f64(geometry.height + geometry.width);
-        let cycles = usize_to_f64(rounds)
-            * (usize_to_f64(shape.k) + usize_to_f64(TILE_SWITCH_CYCLES))
-            + fill;
-        SystolicRun {
-            cycles,
-            tiles,
-            rounds,
-        }
-    }
-}
-
-/// A positive divisor decoded once for repeated ceiling division: a mask
-/// and a shift when it is a power of two (every side of every geometry
-/// [`gaudi_candidates`](crate::geometry::gaudi_candidates) emits), a
-/// hardware division otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CeilDiv {
-    divisor: usize,
-    shift: Option<u32>,
-}
-
-impl CeilDiv {
-    /// Decode `divisor`.
-    ///
-    /// # Panics
-    /// Panics if `divisor` is zero.
-    pub(crate) fn new(divisor: usize) -> Self {
-        assert!(divisor > 0, "divisor must be positive");
-        CeilDiv {
-            divisor,
-            shift: divisor.is_power_of_two().then(|| divisor.trailing_zeros()),
-        }
-    }
-
-    /// `x.div_ceil(divisor)`.
-    #[inline]
-    pub(crate) fn of(self, x: usize) -> usize {
-        match self.shift {
-            Some(s) => (x >> s) + usize::from(x & (self.divisor - 1) != 0),
-            None => x.div_ceil(self.divisor),
-        }
+    let fill = usize_to_f64(geometry.height + geometry.width);
+    let cycles =
+        usize_to_f64(rounds) * (usize_to_f64(shape.k) + usize_to_f64(TILE_SWITCH_CYCLES)) + fill;
+    SystolicRun {
+        cycles,
+        tiles,
+        rounds,
     }
 }
 
@@ -146,29 +107,6 @@ mod tests {
         assert_eq!(fixed.rounds, 2);
         assert_eq!(tall.rounds, 1);
         assert!(tall.cycles < fixed.cycles * 0.6);
-    }
-
-    #[test]
-    fn ceil_div_matches_div_ceil() {
-        for d in [1usize, 2, 3, 64, 100, 128, 1024, 1 << 40] {
-            let cd = CeilDiv::new(d);
-            for x in [
-                0usize,
-                1,
-                2,
-                63,
-                64,
-                65,
-                127,
-                128,
-                129,
-                1000,
-                usize::MAX - 1,
-                usize::MAX,
-            ] {
-                assert_eq!(cd.of(x), x.div_ceil(d), "{x} / {d}");
-            }
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use dcm_core::cast::{self, usize_to_u64};
 use dcm_core::cost::{Engine, OpCost};
-use dcm_core::specs::DeviceSpec;
+use dcm_core::specs::{DeviceSpec, VectorEngineSpec};
 use dcm_core::DType;
 use serde::{Deserialize, Serialize};
 
@@ -141,12 +141,7 @@ impl StreamKernel {
 /// Analytic timing model of one device's programmable vector engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VectorEngineModel {
-    name: String,
-    cores: usize,
-    clock_hz: f64,
-    vector_bytes: usize,
-    peak_bf16: f64,
-    instr_latency: u32,
+    vector: VectorEngineSpec,
     per_core_bw: f64,
     chip_stream_bw: f64,
     min_access_bytes: usize,
@@ -159,38 +154,23 @@ impl VectorEngineModel {
         let v = &spec.vector;
         let chip_stream_bw = spec.memory.stream_bandwidth();
         VectorEngineModel {
-            name: format!("{} vector engine", spec.name),
-            cores: v.count,
-            clock_hz: v.clock_hz,
-            vector_bytes: v.vector_bytes,
-            peak_bf16: v.peak_flops_bf16,
-            instr_latency: v.instr_latency_cycles,
+            vector: v.clone(),
             per_core_bw: chip_stream_bw / cast::usize_to_f64(v.bw_saturation_cores),
             chip_stream_bw,
             min_access_bytes: spec.memory.min_access_bytes,
         }
     }
 
-    /// Engine name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Total cores (24 TPCs / 108 SMs).
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.cores
+        self.vector.count
     }
 
-    /// Peak vector FLOP/s at `dtype`.
+    /// Peak vector FLOP/s at `dtype` ([`VectorEngineSpec::peak_flops`]).
     #[must_use]
     pub fn peak_flops(&self, dtype: DType) -> f64 {
-        match dtype {
-            DType::Bf16 | DType::Fp16 => self.peak_bf16,
-            DType::Fp32 | DType::Int32 => self.peak_bf16 / 2.0,
-            DType::Int8 => self.peak_bf16 * 2.0,
-        }
+        self.vector.peak_flops(dtype)
     }
 
     /// Compute cycles per iteration for `kernel` on one core.
@@ -201,14 +181,16 @@ impl VectorEngineModel {
     /// `instr_latency` per stage and is divided by the unroll factor.
     #[must_use]
     pub fn cycles_per_iter(&self, kernel: &StreamKernel) -> f64 {
-        let unit_instrs = cast::usize_to_f64(kernel.granularity.div_ceil(self.vector_bytes).max(1));
+        let unit_instrs =
+            cast::usize_to_f64(kernel.granularity.div_ceil(self.vector.vector_bytes).max(1));
         let slot =
             cast::usize_to_f64(kernel.loads.max(kernel.stores).max(kernel.computes)) * unit_instrs;
-        if self.instr_latency == 0 {
+        let instr_latency = self.vector.instr_latency_cycles;
+        if instr_latency == 0 {
             return slot;
         }
         let chain_stages = cast::usize_to_f64(CHAIN_BASE_STAGES + kernel.computes);
-        let latency_total = slot + f64::from(self.instr_latency) * chain_stages;
+        let latency_total = slot + f64::from(instr_latency) * chain_stages;
         // Unrolling U independent iterations lets their instructions fill
         // each other's latency bubbles (§2.2 best practice #2).
         slot.max(latency_total / cast::usize_to_f64(kernel.unroll))
@@ -240,11 +222,11 @@ impl VectorEngineModel {
     #[must_use]
     pub fn throughput(&self, kernel: &StreamKernel, cores_used: usize, dtype: DType) -> f64 {
         assert!(
-            cores_used >= 1 && cores_used <= self.cores,
+            cores_used >= 1 && cores_used <= self.vector.count,
             "cores_used {cores_used} out of 1..={}",
-            self.cores
+            self.vector.count
         );
-        let compute_t = self.cycles_per_iter(kernel) / self.clock_hz;
+        let compute_t = self.cycles_per_iter(kernel) / self.vector.clock_hz;
         let mem_t = self.mem_time_per_iter(kernel, cores_used);
         let per_core = kernel.flops_per_iter(dtype) / compute_t.max(mem_t);
         // Lane waste for sub-vector granularity is already captured by
@@ -272,8 +254,8 @@ impl VectorEngineModel {
         let elems_per_iter = (kernel.granularity / dtype.size_bytes()).max(1);
         let iters = total_elems.div_ceil(elems_per_iter);
         let iters_per_core = iters.div_ceil(cores_used);
-        let compute_s =
-            self.cycles_per_iter(kernel) * cast::usize_to_f64(iters_per_core) / self.clock_hz;
+        let compute_s = self.cycles_per_iter(kernel) * cast::usize_to_f64(iters_per_core)
+            / self.vector.clock_hz;
         let per_access_bus = usize_to_u64(round_up(kernel.granularity, self.min_access_bytes));
         let bus = per_access_bus * usize_to_u64(kernel.loads + kernel.stores) * usize_to_u64(iters);
         let bw = (cast::usize_to_f64(cores_used) * self.per_core_bw).min(self.chip_stream_bw);

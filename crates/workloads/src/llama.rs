@@ -11,7 +11,6 @@
 use dcm_compiler::{CompileOptions, Device, EwKind, Graph, Op};
 use dcm_core::cast::{self, usize_to_u64};
 use dcm_core::cost::ExecStats;
-use dcm_core::energy::Activity;
 use dcm_core::DType;
 use dcm_mme::GemmShape;
 use serde::{Deserialize, Serialize};
@@ -303,19 +302,7 @@ impl LlamaServer {
         );
         let decode = step.stats.repeated(cast::usize_to_f64(output_len));
         // Energy: per-phase power at per-phase activity, times devices.
-        let prefill_power = device
-            .power_model()
-            .power_watts(Activity::from_stats_with_gating(
-                &prefill.stats,
-                prefill.matrix_powered_fraction,
-            ));
-        let decode_power = device
-            .power_model()
-            .power_watts(Activity::from_stats_with_gating(
-                &step.stats,
-                step.matrix_powered_fraction,
-            ));
-        let energy_per_device = prefill_power * prefill.stats.time_s + decode_power * decode.time_s;
+        let energy_per_device = prefill.energy_j + step.power_w * decode.time_s;
         let total_time = prefill.stats.time_s + decode.time_s;
         ServeRun {
             energy_j: energy_per_device * cast::usize_to_f64(self.tp),

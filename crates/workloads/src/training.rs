@@ -19,7 +19,6 @@
 use dcm_compiler::{CompileOptions, Device, EwKind, Graph, Op};
 use dcm_core::cast::{f64_to_u64, f64_to_usize, usize_to_f64};
 use dcm_core::cost::ExecStats;
-use dcm_core::energy::Activity;
 use dcm_core::timeline::even_pipeline_makespan;
 use dcm_core::DType;
 use dcm_mme::GemmShape;
@@ -208,18 +207,8 @@ pub fn train_step(device: &Device, cfg: &TrainingConfig) -> TrainStepRun {
     let step_time = fwd.stats.time_s + bwd_wall + exposed + opt.stats.time_s;
 
     // Energy: phase powers weighted by phase durations.
-    let phase_energy = |run: &dcm_compiler::GraphRun| {
-        device
-            .power_model()
-            .power_watts(Activity::from_stats_with_gating(
-                &run.stats,
-                run.matrix_powered_fraction,
-            ))
-            * run.stats.time_s
-    };
     let comm_power = device.power_model().idle_watts() * 1.2;
-    let energy =
-        phase_energy(&fwd) + phase_energy(&bwd) + phase_energy(&opt) + comm_power * exposed;
+    let energy = fwd.energy_j + bwd.energy_j + opt.energy_j + comm_power * exposed;
 
     TrainStepRun {
         forward: fwd.stats,

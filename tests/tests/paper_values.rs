@@ -29,11 +29,11 @@ fn fig4_peak_gemm() {
 
 #[test]
 fn fig7_reconfigurability_gain() {
-    use dcm_mme::{FixedSystolicBaseline, GaudiMme, GemmEngine};
+    use dcm_mme::{GaudiMme, GemmEngine};
     let spec = DeviceSpec::gaudi2();
     let mme = GaudiMme::new(&spec);
-    let fixed = FixedSystolicBaseline::new(&spec);
-    let peak = mme.peak_flops(DType::Bf16);
+    let fixed = GaudiMme::fixed(&spec);
+    let peak = spec.matrix.peak_flops(DType::Bf16);
     let mut max_gain: f64 = 0.0;
     for n in [64usize, 128, 256, 512, 1024, 2048] {
         let s = GemmShape::new(16384, 16384, n);

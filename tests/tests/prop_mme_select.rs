@@ -1,14 +1,14 @@
 //! Differential suite for the matrix engines' searches and the batched
 //! GEMM's engine choice.
 //!
-//! `GaudiMme` scores a pruned geometry menu with shifts and integer cycle
-//! counts. The executable spec here is the search it replaced: the `f64`
-//! argmin of `systolic::run_batched` cycles over all of
-//! `gaudi_candidates`, ties (within 1e-9 cycles) to the fewest MACs, then
-//! to the earlier candidate. The two must pick the same geometry, and
-//! `batched_gemm` must return exactly the run a fixed array locked to that
-//! geometry returns (same `run_batched` cycles, so the same `compute_s`
-//! bits), with the gated MAC fraction of the chosen geometry.
+//! `GaudiMme` prices a pruned geometry menu. Its executable spec here is
+//! the search over the whole menu: the argmin of `systolic::run_batched`
+//! cycles over all of `gaudi_candidates`, ties (within 1e-9 cycles) to the
+//! fewest MACs, then to the earlier candidate. The two must pick the same
+//! geometry, and `batched_gemm` must return, bit for bit, the run this
+//! file prices for that geometry from the spec alone (`locked_run`), with
+//! the gated MAC fraction of the chosen geometry. `GaudiMme::fixed` must
+//! return the stock geometry's run, powering every MAC.
 //!
 //! `A100TensorCore::select_tile` stops its unsplit scan early and scores
 //! a split factor only while it can still win. Its spec is the full scan
@@ -25,10 +25,7 @@ use dcm_core::{DType, DeviceSpec};
 use dcm_mme::a100::TileChoice;
 use dcm_mme::geometry::gaudi_candidates;
 use dcm_mme::Geometry;
-use dcm_mme::{
-    systolic, A100TensorCore, FixedSystolicBaseline, GaudiMme, GemmConfig, GemmEngine, GemmRun,
-    GemmShape,
-};
+use dcm_mme::{systolic, A100TensorCore, GaudiMme, GemmConfig, GemmEngine, GemmRun, GemmShape};
 use proptest::prelude::*;
 
 /// Gaudi-2, Gaudi-3, and a three-array Gaudi-2 whose menu has split
@@ -60,8 +57,15 @@ fn reference(spec: &DeviceSpec, shape: GemmShape, batch: usize) -> Geometry {
     best.expect("non-empty menu").2
 }
 
-/// The run `spec`'s MME must return when it picks `g`: a fixed array with
-/// `spec`'s clock, rates and bandwidth locked to `g`, powering only `g`.
+/// The MME's sustained clock fraction and per-dispatch launch time,
+/// restated so that `locked_run` shares no pricing code with the engine.
+const MME_SUSTAINED_FRACTION: f64 = 0.997;
+const MME_LAUNCH_S: f64 = 2.0e-6;
+
+/// The run `spec`'s MME must return when it runs `g`: `g`'s
+/// `run_batched` cycles at the sustained clock, slowed by the ratio of
+/// the BF16 peak to `dtype`'s, plus one launch; single-pass bytes at
+/// stream bandwidth; and the fraction of the MAC budget `g` powers.
 fn locked_run(
     spec: &DeviceSpec,
     g: Geometry,
@@ -70,37 +74,49 @@ fn locked_run(
     dtype: DType,
 ) -> GemmRun {
     let m = &spec.matrix;
-    let budget = m.mac_rows * m.mac_cols * m.count;
-    let mut s = spec.clone();
-    s.matrix.mac_rows = g.height;
-    s.matrix.mac_cols = g.width;
-    s.matrix.count = g.count;
+    let cycles = systolic::run_batched(shape, g, batch).cycles;
+    let slowdown = m.peak_flops_bf16 / m.peak_flops(dtype);
+    let bytes = shape.ideal_bytes(dtype) * usize_to_u64(batch);
     GemmRun {
-        powered_fraction: g.powered_fraction(budget),
-        ..FixedSystolicBaseline::new(&s).batched_gemm(batch, shape, dtype)
+        cost: OpCost {
+            engine: Engine::Matrix,
+            compute_s: cycles * slowdown / (m.clock_hz * MME_SUSTAINED_FRACTION) + MME_LAUNCH_S,
+            memory_s: u64_to_f64(bytes) / spec.memory.stream_bandwidth(),
+            flops: shape.flops() * usize_to_f64(batch),
+            bus_bytes: bytes,
+            useful_bytes: bytes,
+        },
+        config: GemmConfig::Geometry(g),
+        powered_fraction: g.powered_fraction(m.mac_rows * m.mac_cols * m.count),
     }
+}
+
+/// `got` equals `want` bit for bit.
+fn assert_same_run(got: &GemmRun, want: &GemmRun, at: &str) {
+    assert_eq!(got.config, want.config, "{at}");
+    assert_eq!(
+        cost_bits((got.cost, got.powered_fraction)),
+        cost_bits((want.cost, want.powered_fraction)),
+        "{at}"
+    );
 }
 
 fn check(spec_idx: usize, shape: GemmShape, batch: usize, dtype: DType) {
     let spec = spec(spec_idx);
+    let at = format!("spec {spec_idx} {shape} x{batch} {dtype:?}");
     let mme = GaudiMme::new(&spec);
     let want = reference(&spec, shape, batch);
-    assert_eq!(
-        mme.select_geometry_batched(shape, batch),
-        want,
-        "{shape} x{batch}"
-    );
-    let got = mme.batched_gemm(batch, shape, dtype);
+    assert_eq!(mme.select_geometry(shape, batch), want, "{at}");
     let expected = locked_run(&spec, want, shape, batch, dtype);
-    assert_eq!(
-        got.cost.compute_s.to_bits(),
-        expected.cost.compute_s.to_bits(),
-        "{shape} x{batch}"
-    );
-    assert_eq!(got, expected, "{shape} x{batch}");
-}
+    assert_same_run(&mme.batched_gemm(batch, shape, dtype), &expected, &at);
 
-const DTYPES: [DType; 3] = [DType::Bf16, DType::Fp32, DType::Int8];
+    let m = &spec.matrix;
+    let stock = Geometry::new(m.mac_rows, m.mac_cols, m.count);
+    let fixed = GaudiMme::fixed(&spec).batched_gemm(batch, shape, dtype);
+    assert_eq!(fixed.powered_fraction.to_bits(), 1.0_f64.to_bits(), "{at}");
+    let expected = locked_run(&spec, stock, shape, batch, dtype);
+    assert_same_run(&fixed, &expected, &at);
+}
 
 const ALL_DTYPES: [DType; 5] = [
     DType::Bf16,
@@ -284,7 +300,9 @@ fn search_matches_the_f64_argmin_on_paper_and_decode_shapes() {
         for &m in &dims {
             for &n in &dims {
                 for (k, batch) in [(128, 1), (16384, 1), (1000, 128), (4, 7)] {
-                    check(spec_idx, GemmShape::new(m, k, n), batch, DType::Bf16);
+                    for dtype in ALL_DTYPES {
+                        check(spec_idx, GemmShape::new(m, k, n), batch, dtype);
+                    }
                 }
             }
         }
@@ -301,9 +319,9 @@ proptest! {
         k in 1usize..20_000,
         n in 1usize..20_000,
         batch in 1usize..600,
-        dtype_idx in 0usize..3,
+        dtype_idx in 0usize..5,
     ) {
-        check(spec_idx, GemmShape::new(m, k, n), batch, DTYPES[dtype_idx]);
+        check(spec_idx, GemmShape::new(m, k, n), batch, ALL_DTYPES[dtype_idx]);
     }
 }
 

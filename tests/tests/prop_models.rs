@@ -3,7 +3,7 @@
 
 use dcm_core::timeline::even_pipeline_makespan;
 use dcm_core::{DType, DeviceSpec};
-use dcm_mme::{A100TensorCore, FixedSystolicBaseline, GaudiMme, GemmEngine, GemmShape};
+use dcm_mme::{A100TensorCore, GaudiMme, GemmEngine, GemmShape};
 use dcm_tests::timeline::{pipeline_makespan, serial_makespan};
 use dcm_tpc::engine::{StreamKernel, VectorEngineModel};
 use proptest::prelude::*;
@@ -31,8 +31,8 @@ proptest! {
         prop_assert!((serial - (a + b)).abs() < 1e-9);
     }
 
-    /// The reconfigurable MME never loses to the fixed baseline, and its
-    /// powered fraction is a valid fraction.
+    /// The reconfigurable MME never loses to itself locked to its stock
+    /// geometry, and its powered fraction is a valid fraction.
     #[test]
     fn mme_dominates_fixed(
         m_pow in 5u32..14,
@@ -41,7 +41,7 @@ proptest! {
     ) {
         let spec = DeviceSpec::gaudi2();
         let mme = GaudiMme::new(&spec);
-        let fixed = FixedSystolicBaseline::new(&spec);
+        let fixed = GaudiMme::fixed(&spec);
         let shape = GemmShape::new(1 << m_pow, 1 << k_pow, 1 << n_pow);
         let c = mme.gemm(shape, DType::Bf16);
         let f = fixed.gemm(shape, DType::Bf16);
@@ -59,14 +59,17 @@ proptest! {
         n_pow in 4u32..13,
     ) {
         let shape = GemmShape::new(1 << m_pow, 1 << k_pow, 1 << n_pow);
-        let gaudi = GaudiMme::new(&DeviceSpec::gaudi2());
-        let a100 = A100TensorCore::new(&DeviceSpec::a100());
+        let (gaudi_spec, a100_spec) = (DeviceSpec::gaudi2(), DeviceSpec::a100());
+        let gaudi = GaudiMme::new(&gaudi_spec);
+        let a100 = A100TensorCore::new(&a100_spec);
         for dtype in [DType::Bf16, DType::Fp32] {
             prop_assert!(
-                gaudi.gemm(shape, dtype).achieved_flops() <= gaudi.peak_flops(dtype) * 1.001
+                gaudi.gemm(shape, dtype).achieved_flops()
+                    <= gaudi_spec.matrix.peak_flops(dtype) * 1.001
             );
             prop_assert!(
-                a100.gemm(shape, dtype).achieved_flops() <= a100.peak_flops(dtype) * 1.001
+                a100.gemm(shape, dtype).achieved_flops()
+                    <= a100_spec.matrix.peak_flops(dtype) * 1.001
             );
         }
     }

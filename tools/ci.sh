@@ -80,7 +80,9 @@ done
 #   prop_cluster_ff       ... and on several; DCM_THREADS moves no bit
 #   prop_fabric_diff      flow collectives match the closed forms, and
 #                         FlowSim runs as the child-list oracle, bit for bit
-#   prop_mme_select       MME and A100 searches, op_cost and op_time vs full searches
+#   prop_mme_select       MME and A100 searches vs full searches, MME runs (also
+#                         locked to the stock geometry) vs spec-priced runs,
+#                         op_cost and op_time vs the rule they replaced
 #   prop_step_cost_memo   the per-thread step tables move no report bit
 #   prop_graph_blocks     block graphs execute as their flat twins
 #   step_cost_memo_counts every step graph compiles once per thread
